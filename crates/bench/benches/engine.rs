@@ -58,10 +58,13 @@ fn bench_walkers(c: &mut Criterion) {
                 &group_ranks,
                 &entries,
                 &|_, _| 4096,
-                pattern::P2pFlavor::NonBlocking,
-                true,
-                &|_, _| 0,
-                &|_, _| 0,
+                &pattern::ScatterPolicy {
+                    flavor: pattern::P2pFlavor::NonBlocking,
+                    post_zero: true,
+                    inline_recv: false,
+                    extra_send_ns: &|_, _| 0,
+                    extra_recv_ns: &|_, _| 0,
+                },
             )
         })
     });

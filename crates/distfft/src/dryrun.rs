@@ -8,13 +8,14 @@
 use fftkern::Direction;
 use mpisim::coll;
 use mpisim::distro::MpiDistro;
-use mpisim::pattern::{NetParams, P2pFlavor, PhaseEnv, SchedMemo};
+use mpisim::pattern::{NetParams, SchedMemo};
 use simgrid::{MachineSpec, SimTime};
 
 use crate::boxes::Box3;
-use crate::exec::{chunk_byte_split, pipelined_k, ChunkBytes, ExecCtx};
+use crate::exec::ExecCtx;
 use crate::plan::{CommBackend, FftPlan, Step};
-use crate::trace::{KernelKind, Trace, TraceEvent};
+use crate::schedule::{directed, ReshapeCall, ReshapeSchedule, RunEnv, Timeline};
+use crate::trace::Trace;
 
 /// The dry-run twin of `mpisim::WorldOpts`.
 #[derive(Debug, Clone)]
@@ -86,6 +87,23 @@ impl DryRunReport {
     }
 }
 
+/// Every rank's timeline while one pipeline chunk runs.
+struct Ranks<'a> {
+    gpu_clock: &'a mut [SimTime],
+    data_ready: &'a mut [SimTime],
+    traces: &'a mut [Trace],
+}
+
+impl Ranks<'_> {
+    fn timeline(&mut self, r: usize) -> Timeline<'_> {
+        Timeline {
+            gpu_clock: &mut self.gpu_clock[r],
+            data_ready: &mut self.data_ready[r],
+            trace: &mut self.traces[r],
+        }
+    }
+}
+
 /// Stateful dry runner: clocks persist across transforms exactly like the
 /// rank clocks of the functional world.
 pub struct DryRunner<'a> {
@@ -121,9 +139,22 @@ impl<'a> DryRunner<'a> {
     }
 
     /// Executes one transform analytically, advancing the persistent clocks.
+    ///
+    /// The analytic interpreter of the reshape schedule: every rank's
+    /// [`ReshapeSchedule`] is stamped exactly as the functional executor
+    /// stamps it, and each group's exchange is priced by the same
+    /// `coll::exchange_times` the functional exchange calls, fed the
+    /// entries and byte rows the members would have gathered.
     pub fn run(&mut self, dir: Direction) -> DryRunReport {
         let plan = self.plan;
-        let km = self.machine.kernel_model();
+        let env = RunEnv {
+            plan,
+            machine: self.machine,
+            km: self.machine.kernel_model(),
+            gpu_aware: self.opts.gpu_aware,
+            distro: self.opts.distro,
+            slowdowns: &self.opts.compute_slowdown,
+        };
         let np = NetParams {
             spec: self.machine,
             seed: self.opts.seed,
@@ -136,482 +167,123 @@ impl<'a> DryRunner<'a> {
         let t0: Vec<SimTime> = (0..n).map(|r| self.rank_time(r)).collect();
         let start = t0.iter().copied().fold(SimTime::ZERO, SimTime::max);
         // Align both resource clocks to each rank's own entry.
-        #[allow(clippy::needless_range_loop)] // r indexes three parallel arrays
-        for r in 0..n {
-            self.gpu_clock[r] = self.gpu_clock[r].max(t0[r]);
-            self.net_clock[r] = self.net_clock[r].max(t0[r]);
-        }
+        self.gpu_clock.copy_from_slice(&t0);
+        self.net_clock.copy_from_slice(&t0);
 
-        let (steps, specs) = match dir {
-            Direction::Forward => (plan.steps_for(dir), &plan.reshapes),
-            Direction::Inverse => (plan.steps_for(dir), &plan.reshapes_rev),
-        };
-
+        let (steps, specs) = directed(plan, dir);
         let chunks = plan.chunks();
         let mut data_ready: Vec<Vec<SimTime>> = (0..chunks).map(|_| t0.clone()).collect();
+        let backend = plan.opts.backend;
+        // Scratch reused across groups and reshapes: the current group's
+        // schedules and flat entry times, and which ranks the current
+        // reshape runs chunked (all false between steps).
+        let mut scheds: Vec<ReshapeSchedule> = Vec::new();
+        let mut entries: Vec<SimTime> = Vec::new();
+        let mut chunked = vec![false; n];
 
-        #[allow(clippy::needless_range_loop)] // c feeds chunk_items() too
-        for c in 0..chunks {
+        for (c, data_ready) in data_ready.iter_mut().enumerate() {
             let (ilo, ihi) = Box3::chunk(plan.opts.batch, chunks, c);
             let items = ihi - ilo;
+            let net_clock = &mut self.net_clock;
+            let mut ranks = Ranks {
+                gpu_clock: &mut self.gpu_clock,
+                data_ready,
+                traces: &mut traces,
+            };
+            // Whole-box local FFT pass on every rank not in `skip`.
+            let local_fft = |ranks: &mut Ranks, dist, axis, first, skip: &[bool]| {
+                for r in (0..n).filter(|&r| !skip[r]) {
+                    env.local_fft(&mut ranks.timeline(r), r, dist, axis, items, first);
+                }
+            };
             let mut si = 0;
             while si < steps.len() {
-                match steps[si] {
+                match *steps[si] {
                     Step::LocalFft { dist, axis } => {
                         let first = self.ctx.first_strided(dist, axis, dir);
-                        for r in 0..n {
-                            let ns = crate::plan::slowed_ns(
-                                &self.opts.compute_slowdown,
-                                r,
-                                plan.local_fft_ns(&km, dist, axis, r, items, first),
-                            );
-                            let start_k = self.gpu_clock[r].max(data_ready[c][r]);
-                            self.gpu_clock[r] = start_k + SimTime::from_ns(ns);
-                            data_ready[c][r] = self.gpu_clock[r];
-                            traces[r].push(TraceEvent::Kernel {
-                                kind: KernelKind::Fft1d {
-                                    axis,
-                                    contiguous: plan.fft_layout(axis)
-                                        == fftkern::kernel_model::LayoutKind::Contiguous,
-                                },
-                                start: start_k,
-                                dur: SimTime::from_ns(ns),
-                            });
-                        }
+                        local_fft(&mut ranks, dist, axis, first, &chunked);
                         si += 1;
                     }
                     Step::Reshape(ri) => {
-                        let spec = &specs[ri];
+                        let next = steps.get(si + 1).copied();
                         let phase_id = self.ctx.next_phase_id();
-                        let backend = plan.opts.backend;
-                        let to_dist = match dir {
-                            Direction::Forward => ri + 1,
-                            Direction::Inverse => ri,
-                        };
-                        // Transform-ahead candidate: the LocalFft step right
-                        // behind this reshape (mirrors `execute`'s peek).
-                        // When present, this branch books *all* ranks' next
-                        // axis transform — per chunk for pipelined ranks,
-                        // monolithically for the rest — and the step is
-                        // consumed for everyone.
-                        let next_fft = match steps.get(si + 1) {
-                            Some(Step::LocalFft { dist, axis }) if *dist == to_dist => {
-                                Some((*dist, *axis))
-                            }
-                            _ => None,
-                        };
+                        let call = ReshapeCall::at(specs, dir, ri, next, items, phase_id);
                         // One strided-warmup consumption per step position,
                         // exactly where each functional rank would consume it.
-                        let next_first = next_fft.map(|(d, a)| self.ctx.first_strided(d, a, dir));
+                        let next_first = call
+                            .next_axis
+                            .map(|axis| self.ctx.first_strided(call.to_dist, axis, dir));
 
-                        // Per-group pipelining gate, mirroring the functional
-                        // executor's per-group decision in `exchange_chunk`:
-                        // a rank chunks iff its own group does.
-                        let group_k: Vec<Option<usize>> = spec
-                            .groups
-                            .iter()
-                            .map(|g| {
-                                pipelined_k(
-                                    plan,
-                                    spec,
-                                    self.machine,
-                                    &km,
-                                    self.opts.gpu_aware,
-                                    g,
-                                    items,
-                                    next_fft,
-                                )
-                            })
-                            .collect();
-                        let pipe_k: Vec<Option<usize>> = (0..n)
-                            .map(|r| spec.group_of[r].and_then(|gi| group_k[gi]))
-                            .collect();
-
-                        // Local kernels bracketing the exchange, per rank.
-                        // Chunked ranks run the per-chunk pack chain of
-                        // `exchange_chunk_pipelined` instead, recording when
-                        // each chunk's payload is postable.
-                        let mut pack_bytes = vec![0usize; n];
-                        let mut unpack_bytes = vec![0usize; n];
-                        let mut chunk_split: Vec<Option<ChunkBytes>> = vec![None; n];
-                        let mut pack_done: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-                        for r in 0..n {
-                            let (p, u, s) = plan.reshape_local_bytes(spec, r);
-                            let self_b = s * items;
-                            if let (Some(gi), Some(k_eff)) = (spec.group_of[r], pipe_k[r]) {
-                                let group = &spec.groups[gi];
-                                let me_sub = group
-                                    .iter()
-                                    .position(|&g| g == r)
-                                    // fftlint:allow(no-panic-in-lib): every rank sits in its group
-                                    .expect("rank in its own group");
-                                let pad_b = if backend == CommBackend::AllToAll {
-                                    spec.padded_block_bytes(group)
-                                } else {
-                                    0
-                                };
-                                let split = chunk_byte_split(
-                                    spec,
-                                    r,
-                                    group,
-                                    me_sub,
-                                    k_eff,
-                                    backend.is_p2p(),
-                                    pad_b,
-                                    items,
-                                );
-                                let mut pd = vec![SimTime::ZERO; k_eff];
-                                for (k, pd_k) in pd.iter_mut().enumerate() {
-                                    if backend.needs_pack() && split.0[k] > 0 {
-                                        let ns = crate::plan::slowed_ns(
-                                            &self.opts.compute_slowdown,
-                                            r,
-                                            plan.pack_ns(&km, split.0[k]),
-                                        );
-                                        let st = self.gpu_clock[r].max(data_ready[c][r]);
-                                        self.gpu_clock[r] = st + SimTime::from_ns(ns);
-                                        data_ready[c][r] = self.gpu_clock[r];
-                                        traces[r].push(TraceEvent::Kernel {
-                                            kind: KernelKind::Pack,
-                                            start: st,
-                                            dur: SimTime::from_ns(ns),
-                                        });
-                                    }
-                                    if k == 0 && backend.is_p2p() && self_b > 0 {
-                                        let ns = crate::plan::slowed_ns(
-                                            &self.opts.compute_slowdown,
-                                            r,
-                                            plan.selfcopy_ns(self.machine, self_b),
-                                        );
-                                        let st = self.gpu_clock[r].max(data_ready[c][r]);
-                                        self.gpu_clock[r] = st + SimTime::from_ns(ns);
-                                        data_ready[c][r] = self.gpu_clock[r];
-                                        traces[r].push(TraceEvent::Kernel {
-                                            kind: KernelKind::SelfCopy,
-                                            start: st,
-                                            dur: SimTime::from_ns(ns),
-                                        });
-                                    }
-                                    *pd_k = self.gpu_clock[r].max(data_ready[c][r]);
+                        // Ranks outside every group have no flows: nothing
+                        // to stamp. Each group runs pack chains → one priced
+                        // exchange → unpack chains.
+                        for group in &call.spec.groups {
+                            let k = env.group_chunks(&call, group);
+                            scheds.clear();
+                            entries.clear();
+                            for (i, &r) in group.iter().enumerate() {
+                                chunked[r] = k >= 2;
+                                let sched = env.lower(&call, group, i, k);
+                                sched.before_exchange(&env, &mut ranks.timeline(r), &mut entries);
+                                // A chunk posts once packed *and* once the
+                                // rank's previous call has left the network.
+                                for t in &mut entries[i * k..] {
+                                    *t = net_clock[r].max(*t);
                                 }
-                                pack_done[r] = pd;
-                                chunk_split[r] = Some(split);
-                                continue;
+                                scheds.push(sched);
                             }
-                            pack_bytes[r] = p * items;
-                            unpack_bytes[r] = u * items;
-                            if backend.needs_pack() && pack_bytes[r] > 0 {
-                                let ns = crate::plan::slowed_ns(
-                                    &self.opts.compute_slowdown,
-                                    r,
-                                    plan.pack_ns(&km, pack_bytes[r]),
-                                );
-                                let st = self.gpu_clock[r].max(data_ready[c][r]);
-                                self.gpu_clock[r] = st + SimTime::from_ns(ns);
-                                data_ready[c][r] = self.gpu_clock[r];
-                                traces[r].push(TraceEvent::Kernel {
-                                    kind: KernelKind::Pack,
-                                    start: st,
-                                    dur: SimTime::from_ns(ns),
-                                });
-                            }
-                            if backend.is_p2p() && self_b > 0 {
-                                let ns = crate::plan::slowed_ns(
-                                    &self.opts.compute_slowdown,
-                                    r,
-                                    plan.selfcopy_ns(self.machine, self_b),
-                                );
-                                let st = self.gpu_clock[r].max(data_ready[c][r]);
-                                self.gpu_clock[r] = st + SimTime::from_ns(ns);
-                                data_ready[c][r] = self.gpu_clock[r];
-                                traces[r].push(TraceEvent::Kernel {
-                                    kind: KernelKind::SelfCopy,
-                                    start: st,
-                                    dur: SimTime::from_ns(ns),
-                                });
-                            }
-                        }
 
-                        // Exchange per communication group.
-                        let env = PhaseEnv {
-                            gpu_aware: self.opts.gpu_aware,
-                            flows_per_nic: self.machine.gpus_per_node.min(plan.nranks),
-                            nodes: self.machine.nodes_for(plan.nranks),
-                            p2p_peers: 1, // per-peer overheads derive from the matrix
-                            phase_id,
-                        };
-                        for (gi, group) in spec.groups.iter().enumerate() {
-                            let mut matrix = spec.group_byte_matrix(group);
-                            for row in matrix.iter_mut() {
+                            // What the members would have gathered: padded
+                            // blocks are uniform, P2P moves its self block
+                            // by device copy, everything scales with items.
+                            let pad = match backend {
+                                CommBackend::AllToAll => call.spec.padded_block_bytes(group),
+                                _ => 0,
+                            };
+                            let mut matrix = match backend {
+                                CommBackend::AllToAll => Vec::new(),
+                                _ => call.spec.group_byte_matrix(group),
+                            };
+                            for (i, row) in matrix.iter_mut().enumerate() {
                                 for b in row.iter_mut() {
                                     *b *= items;
                                 }
+                                if backend.is_p2p() {
+                                    row[i] = 0;
+                                }
                             }
-                            if let Some(k_eff) = group_k[gi] {
-                                // Pipelined group: the same partitioned walker
-                                // the functional collectives run, fed the same
-                                // per-chunk entries (`call_entry.max(pack_done[k])`
-                                // collapses to `net.max(pack_done[k])` because
-                                // the chain is monotone).
-                                let part_entries: Vec<Vec<SimTime>> = group
-                                    .iter()
-                                    .map(|&r| {
-                                        pack_done[r]
-                                            .iter()
-                                            .map(|&t| self.net_clock[r].max(t))
-                                            .collect()
-                                    })
-                                    .collect();
-                                let times = match backend {
-                                    CommBackend::AllToAll => {
-                                        let pad = spec.padded_block_bytes(group) * items;
-                                        coll::alltoall_partitioned_exit_times(
-                                            &np,
-                                            &env,
-                                            self.opts.distro,
-                                            group,
-                                            &part_entries,
-                                            pad,
-                                            k_eff,
-                                        )
-                                    }
-                                    CommBackend::AllToAllV => {
-                                        coll::alltoallv_partitioned_exit_times(
-                                            &np,
-                                            &env,
-                                            group,
-                                            &part_entries,
-                                            &matrix,
-                                            k_eff,
-                                        )
-                                    }
-                                    CommBackend::AllToAllW => {
-                                        coll::alltoallw_partitioned_exit_times(
-                                            &np,
-                                            &env,
-                                            self.opts.distro,
-                                            group,
-                                            &part_entries,
-                                            &matrix,
-                                            k_eff,
-                                        )
-                                    }
-                                    CommBackend::P2p | CommBackend::P2pBlocking => {
-                                        for (i, row) in matrix.iter_mut().enumerate() {
-                                            row[i] = 0; // self block moved by device copy
-                                        }
-                                        let flavor = if backend == CommBackend::P2p {
-                                            P2pFlavor::NonBlocking
-                                        } else {
-                                            P2pFlavor::Blocking
-                                        };
-                                        coll::p2p_exchange_partitioned_exit_times(
-                                            &np,
-                                            &env,
-                                            group,
-                                            &part_entries,
-                                            &matrix,
-                                            k_eff,
-                                            flavor,
-                                        )
-                                    }
-                                };
-                                for (i, &r) in group.iter().enumerate() {
-                                    let exit = times.exits[i];
-                                    let ready = &times.part_ready[i];
-                                    let Some((_, unpack_split, wire_split)) =
-                                        chunk_split[r].as_ref()
-                                    else {
-                                        unreachable!("chunked member has a byte split")
-                                    };
-                                    // One MPI-call event per chunk, in chunk
-                                    // order — identical to the functional trace.
-                                    for k in 0..k_eff {
-                                        let start_c = part_entries[i][k];
-                                        let end = if k + 1 == k_eff {
-                                            exit.max(ready[k]).max(start_c)
-                                        } else {
-                                            ready[k].max(start_c)
-                                        };
-                                        traces[r].push(TraceEvent::MpiCall {
-                                            reshape: ri,
-                                            routine: backend.routine(),
-                                            start: start_c,
-                                            dur: end - start_c,
-                                            bytes: wire_split[k],
-                                        });
-                                    }
-                                    self.net_clock[r] = exit;
-                                    // Per-chunk line counts of the consumed
-                                    // next-axis transform (same chunk → line
-                                    // map as the functional executor).
-                                    let line_counts: Option<Vec<usize>> =
-                                        next_fft.map(|(to_d, axis)| {
-                                            let to_box = plan.dists[to_d].rank_box(r);
-                                            spec.recv_line_runs(r, group, i, k_eff, to_box, axis)
-                                                .iter()
-                                                .map(|runs| {
-                                                    runs.iter()
-                                                        .map(|&(lo, hi)| hi - lo)
-                                                        .sum::<usize>()
-                                                })
-                                                .collect()
-                                        });
-                                    let mut first_pending = next_first.unwrap_or(false);
-                                    // Per-chunk unpacks, each eligible as its
-                                    // chunk's receives land, then that chunk's
-                                    // butterflies (transform-ahead).
-                                    for k in 0..k_eff {
-                                        if backend.needs_pack() && unpack_split[k] > 0 {
-                                            let ns = crate::plan::slowed_ns(
-                                                &self.opts.compute_slowdown,
-                                                r,
-                                                plan.unpack_ns(&km, unpack_split[k]),
-                                            );
-                                            let st = self.gpu_clock[r].max(ready[k]);
-                                            self.gpu_clock[r] = st + SimTime::from_ns(ns);
-                                            traces[r].push(TraceEvent::Kernel {
-                                                kind: KernelKind::Unpack,
-                                                start: st,
-                                                dur: SimTime::from_ns(ns),
-                                            });
-                                        }
-                                        if let (Some((to_d, axis)), Some(counts)) =
-                                            (next_fft, line_counts.as_ref())
-                                        {
-                                            if counts[k] > 0 {
-                                                let first = first_pending;
-                                                first_pending = false;
-                                                let ns = crate::plan::slowed_ns(
-                                                    &self.opts.compute_slowdown,
-                                                    r,
-                                                    plan.local_fft_lines_ns(
-                                                        &km, to_d, axis, r, items, counts[k], first,
-                                                    ),
-                                                );
-                                                let st = self.gpu_clock[r].max(ready[k]);
-                                                self.gpu_clock[r] = st + SimTime::from_ns(ns);
-                                                traces[r].push(TraceEvent::Kernel {
-                                                    kind: KernelKind::Fft1d {
-                                                        axis,
-                                                        contiguous: plan.fft_layout(axis)
-                                                            == fftkern::kernel_model::LayoutKind::Contiguous,
-                                                    },
-                                                    start: st,
-                                                    dur: SimTime::from_ns(ns),
-                                                });
-                                            }
-                                        }
-                                    }
-                                    data_ready[c][r] = self.gpu_clock[r].max(exit);
-                                }
-                                continue;
-                            }
-                            let entries: Vec<SimTime> = group
-                                .iter()
-                                .map(|&r| self.net_clock[r].max(data_ready[c][r]))
-                                .collect();
-                            let exits = match backend {
-                                CommBackend::AllToAll => {
-                                    let pad = spec.padded_block_bytes(group) * items;
-                                    coll::alltoall_exit_times(
-                                        &np,
-                                        &env,
-                                        self.opts.distro,
-                                        group,
-                                        &entries,
-                                        pad,
-                                    )
-                                }
-                                CommBackend::AllToAllV => {
-                                    coll::alltoallv_exit_times(&np, &env, group, &entries, &matrix)
-                                }
-                                CommBackend::AllToAllW => coll::alltoallw_exit_times(
-                                    &np,
-                                    &env,
-                                    self.opts.distro,
-                                    group,
-                                    &entries,
-                                    &matrix,
-                                ),
-                                CommBackend::P2p | CommBackend::P2pBlocking => {
-                                    for (i, row) in matrix.iter_mut().enumerate() {
-                                        row[i] = 0; // self block moved by device copy
-                                    }
-                                    let flavor = if backend == CommBackend::P2p {
-                                        P2pFlavor::NonBlocking
-                                    } else {
-                                        P2pFlavor::Blocking
-                                    };
-                                    coll::p2p_exchange_exit_times(
-                                        &np, &env, group, &entries, &matrix, flavor,
-                                    )
-                                }
+                            let bytes = |i: usize, j: usize| match matrix.get(i) {
+                                Some(row) => row[j],
+                                None => pad * items,
                             };
-                            for (i, &r) in group.iter().enumerate() {
-                                let entry = entries[i];
-                                let exit = exits[i];
-                                self.net_clock[r] = exit;
-                                data_ready[c][r] = exit;
-                                traces[r].push(TraceEvent::MpiCall {
-                                    reshape: ri,
-                                    routine: backend.routine(),
-                                    start: entry,
-                                    dur: exit - entry,
-                                    bytes: spec.offrank_send_bytes(r) * items,
-                                });
+                            let sched_env = scheds[0].env;
+                            let kind = scheds[0].kind;
+                            let times = coll::exchange_times(
+                                &np, &sched_env, &kind, group, &entries, &bytes,
+                            );
+
+                            for (i, (&r, sched)) in group.iter().zip(&scheds).enumerate() {
+                                sched.after_exchange(
+                                    &env,
+                                    &mut ranks.timeline(r),
+                                    &entries[i * k..(i + 1) * k],
+                                    times.ready(i),
+                                    times.exit(i),
+                                    next_first.unwrap_or(false),
+                                );
+                                net_clock[r] = times.exit(i);
                             }
                         }
 
-                        // Unpack (non-chunked ranks; chunked ranks already
-                        // unpacked per chunk above).
-                        for r in 0..n {
-                            if backend.needs_pack() && unpack_bytes[r] > 0 {
-                                let ns = crate::plan::slowed_ns(
-                                    &self.opts.compute_slowdown,
-                                    r,
-                                    plan.unpack_ns(&km, unpack_bytes[r]),
-                                );
-                                let st = self.gpu_clock[r].max(data_ready[c][r]);
-                                self.gpu_clock[r] = st + SimTime::from_ns(ns);
-                                data_ready[c][r] = self.gpu_clock[r];
-                                traces[r].push(TraceEvent::Kernel {
-                                    kind: KernelKind::Unpack,
-                                    start: st,
-                                    dur: SimTime::from_ns(ns),
-                                });
-                            }
+                        // The next-axis transform is consumed for every
+                        // rank: chunked groups ran it per chunk above, the
+                        // rest book the same event the standalone LocalFft
+                        // step would.
+                        if let (Some(axis), Some(first)) = (call.next_axis, next_first) {
+                            local_fft(&mut ranks, call.to_dist, axis, first, &chunked);
                         }
-
-                        // The consumed next-axis transform for every rank
-                        // that did *not* run it per chunk — the same event
-                        // the standalone LocalFft arm would book.
-                        if let Some((to_d, axis)) = next_fft {
-                            let first = next_first.unwrap_or(false);
-                            for r in 0..n {
-                                if chunk_split[r].is_some() {
-                                    continue;
-                                }
-                                let ns = crate::plan::slowed_ns(
-                                    &self.opts.compute_slowdown,
-                                    r,
-                                    plan.local_fft_ns(&km, to_d, axis, r, items, first),
-                                );
-                                let start_k = self.gpu_clock[r].max(data_ready[c][r]);
-                                self.gpu_clock[r] = start_k + SimTime::from_ns(ns);
-                                data_ready[c][r] = self.gpu_clock[r];
-                                traces[r].push(TraceEvent::Kernel {
-                                    kind: KernelKind::Fft1d {
-                                        axis,
-                                        contiguous: plan.fft_layout(axis)
-                                            == fftkern::kernel_model::LayoutKind::Contiguous,
-                                    },
-                                    start: start_k,
-                                    dur: SimTime::from_ns(ns),
-                                });
-                            }
-                        }
-                        si += if next_fft.is_some() { 2 } else { 1 };
+                        chunked.fill(false);
+                        si += if call.next_axis.is_some() { 2 } else { 1 };
                     }
                 }
             }

@@ -16,18 +16,18 @@
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use fftkern::plan::Layout;
+use fftkern::plan::{Layout, Plan1d};
 use fftkern::{Direction, C64};
 use mpisim::coll;
 use mpisim::comm::{Comm, Rank};
-use mpisim::pattern::{P2pFlavor, PhaseEnv};
 use mpisim::Subarray;
 use simgrid::SimTime;
 
 use crate::boxes::Box3;
 use crate::plan::{CommBackend, FftPlan, Step};
 use crate::reshape::{apply_self_block, ReshapeSpec};
-use crate::trace::{KernelKind, Trace, TraceEvent};
+use crate::schedule::{directed, ReshapeCall, RunEnv, Timeline};
+use crate::trace::Trace;
 
 /// Worker-thread count for the parallel executor: the `FFT_EXEC_THREADS`
 /// environment variable if set (and ≥ 1), otherwise 1 (serial). Unlike the
@@ -51,7 +51,7 @@ const PAR_MIN_ELEMS: usize = 8192;
 /// The grain gate, overridable via `FFT_EXEC_GRAIN` (parsed like
 /// `FFT_EXEC_THREADS`: integer, clamped ≥ 1, warn-once on garbage) so bench
 /// sweeps can probe the fan-out threshold without rebuilds. Read once per
-/// process: both the take side (`run_local_fft`/`exchange_chunk` deciding
+/// process: both the take side (`run_local_fft`/`run_reshape` deciding
 /// worker count) and the recycle side consult this value, and they must
 /// agree for the arena pools to stay balanced — a per-call env read could
 /// in principle see a mutated environment mid-transform.
@@ -69,7 +69,7 @@ pub enum ChunkSetting {
     /// A fixed chunk count (still clamped per group to `p − 1`).
     Fixed(usize),
     /// Model-driven: per group, k = argmin of the extended pipeline model
-    /// [`auto_chunks_from_stages`] over a k-ladder (DESIGN.md §16).
+    /// [`crate::schedule::t_pipelined_ext`] over a k-ladder (DESIGN.md §16).
     Auto,
 }
 
@@ -119,161 +119,6 @@ pub fn reshape_chunks_setting(opt_chunks: usize) -> ChunkSetting {
 /// Groups of ≤ 2 ranks have a single step and can never chunk.
 pub fn effective_group_chunks(setting: usize, group_size: usize) -> usize {
     setting.min(group_size.saturating_sub(1)).max(1)
-}
-
-/// Largest chunk count the auto-k ladder considers. Past this the per-chunk
-/// latency term dominates every configuration we bench; bounding the ladder
-/// keeps the argmin scan O(1) per reshape.
-const AUTO_K_MAX: usize = 16;
-
-/// The duplicate of `fftmodels::t_pipelined_ext`'s argmin, expressed over
-/// integer nanoseconds: picks the chunk count k ∈ [1, max_k] minimizing
-///
-/// ```text
-/// T(k) = (t_pack + t_comm + t_unpack)/k + (k−1)/k · max(stage)   — §14 pipe
-///      + (k−1) · lat                                             — per-chunk cost
-///      + t_fft − min(t_fft, t_comm) · (k−1)/k                    — transform-ahead
-/// ```
-///
-/// smallest k winning ties. Lives here (not in `fftmodels`) because
-/// `fftmodels` depends on `distfft`; a property test over a k-ladder in
-/// `fftmodels` pins this duplicate to `t_pipelined_ext` exactly, so the
-/// two formulas cannot drift apart silently.
-pub fn auto_chunks_from_stages(
-    t_pack_ns: u64,
-    t_comm_ns: u64,
-    t_unpack_ns: u64,
-    t_fft_ns: u64,
-    lat_ns: u64,
-    max_k: usize,
-) -> usize {
-    let (p, c, u, f, l) = (
-        t_pack_ns as f64,
-        t_comm_ns as f64,
-        t_unpack_ns as f64,
-        t_fft_ns as f64,
-        lat_ns as f64,
-    );
-    let sum = p + c + u;
-    let bottleneck = p.max(c).max(u);
-    let mut best_k = 1usize;
-    let mut best = f64::INFINITY;
-    for k in 1..=max_k.max(1) {
-        let k_f = k as f64;
-        // Same association order as `t_pipelined` + `t_pipelined_ext` so
-        // the argmin cannot differ by a rounding ulp.
-        let t_pipe = sum / k_f + (k_f - 1.0) / k_f * bottleneck;
-        let overlap = f.min(c) * (k_f - 1.0) / k_f;
-        let t = t_pipe + (k_f - 1.0) * l + f - overlap;
-        if t < best {
-            best = t;
-            best_k = k;
-        }
-    }
-    best_k
-}
-
-/// Model-driven chunk count for one communication group: evaluates the
-/// group-level stage aggregates the §16 model needs — slowest member's
-/// pack/unpack kernels, slowest member's serialized wire time, and the
-/// next-axis FFT available for overlap — and returns the k-ladder argmin.
-///
-/// Every input is a group-level aggregate (max over members), so all
-/// members — and the dry-run walker pricing them — compute the same k
-/// without communicating. Wire time is priced per message via
-/// `simgrid::link::message_time_ns`-equivalent arithmetic on the spec's
-/// own latency/bandwidth figures; the per-chunk latency term charges two
-/// kernel launches (split pack + split unpack) plus one host sync per
-/// extra chunk.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn auto_group_chunks(
-    plan: &FftPlan,
-    spec: &ReshapeSpec,
-    machine: &simgrid::MachineSpec,
-    km: &fftkern::kernel_model::KernelTimeModel,
-    gpu_aware: bool,
-    group: &[usize],
-    items: usize,
-    next_fft: Option<(usize, usize)>,
-) -> usize {
-    let p = group.len();
-    if p <= 2 {
-        return 1;
-    }
-    let backend = plan.opts.backend;
-    let matrix = spec.group_byte_matrix(group);
-    let pad = if backend == CommBackend::AllToAll {
-        spec.padded_block_bytes(group)
-    } else {
-        0
-    };
-    let ctx = simgrid::link::TransferCtx {
-        gpu_aware,
-        offnode_flows_per_nic: machine.gpus_per_node.min(plan.nranks),
-        nodes_involved: machine.nodes_for(plan.nranks),
-    };
-    let (mut t_pack, mut t_comm, mut t_unpack, mut t_fft) = (0u64, 0u64, 0u64, 0u64);
-    for (i, &r) in group.iter().enumerate() {
-        if backend.needs_pack() {
-            let (pb, ub, _) = plan.reshape_local_bytes(spec, r);
-            t_pack = t_pack.max(plan.pack_ns(km, pb * items));
-            t_unpack = t_unpack.max(plan.unpack_ns(km, ub * items));
-        }
-        let mut wire = 0u64;
-        for (j, &dst) in group.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            let bytes = if backend == CommBackend::AllToAll {
-                pad * items
-            } else {
-                matrix[i][j] * items
-            };
-            if bytes > 0 {
-                wire += simgrid::link::message_time_est_ns(machine, bytes, r, dst, &ctx);
-            }
-        }
-        t_comm = t_comm.max(wire);
-        if let Some((dist, axis)) = next_fft {
-            t_fft = t_fft.max(plan.local_fft_ns(km, dist, axis, r, items, false));
-        }
-    }
-    let lat = 2 * machine.gpu.launch_ns + machine.gpu_call_sync_ns;
-    auto_chunks_from_stages(
-        t_pack,
-        t_comm,
-        t_unpack,
-        t_fft,
-        lat,
-        (p - 1).min(AUTO_K_MAX),
-    )
-}
-
-/// Chunk count of the pipelined reshape path for one group, `None` when
-/// the reshape runs monolithically (k = 1). All four backends are
-/// partitionable since the padded-`AllToAll` and `AllToAllW` walkers
-/// landed; `Fixed` settings pass through the per-group clamp, `Auto`
-/// evaluates [`auto_group_chunks`] on group-level aggregates (identical
-/// on every member and in the dry-run walker).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pipelined_k(
-    plan: &FftPlan,
-    spec: &ReshapeSpec,
-    machine: &simgrid::MachineSpec,
-    km: &fftkern::kernel_model::KernelTimeModel,
-    gpu_aware: bool,
-    group: &[usize],
-    items: usize,
-    next_fft: Option<(usize, usize)>,
-) -> Option<usize> {
-    let requested = match reshape_chunks_setting(plan.opts.reshape_chunks) {
-        ChunkSetting::Fixed(n) => n,
-        ChunkSetting::Auto => {
-            auto_group_chunks(plan, spec, machine, km, gpu_aware, group, items, next_fft)
-        }
-    };
-    let k = effective_group_chunks(requested, group.len());
-    (k >= 2).then_some(k)
 }
 
 /// Cross-call executor state: strided-plan warmup tracking, the phase-id
@@ -632,20 +477,19 @@ pub fn execute(
     let me = comm.me();
     // `Rank::world()` hands back `&'w World`, so the machine spec and the
     // slowdown table are borrowed for the whole call — no per-execute clone.
-    let spec_machine = rank.world().spec();
-    let km = spec_machine.kernel_model();
-    let gpu_aware = rank.world().opts().gpu_aware;
-    let slowdowns: &[(usize, f64)] = &rank.world().opts().compute_slowdown;
-
-    let (start_dist, specs, comms) = match dir {
-        Direction::Forward => (0usize, &plan.reshapes, &bound.fwd_comms),
-        Direction::Inverse => (plan.dists.len() - 1, &plan.reshapes_rev, &bound.rev_comms),
+    let world = rank.world();
+    let env = RunEnv {
+        plan,
+        machine: world.spec(),
+        km: world.spec().kernel_model(),
+        gpu_aware: world.opts().gpu_aware,
+        distro: world.opts().distro,
+        slowdowns: &world.opts().compute_slowdown,
     };
-    // Borrowed step sequence — `steps_for` clones every `Step`, which the
-    // hot path does not need.
-    let steps: Vec<&Step> = match dir {
-        Direction::Forward => plan.steps.iter().collect(),
-        Direction::Inverse => plan.steps.iter().rev().collect(),
+    let (steps, specs) = directed(plan, dir);
+    let (start_dist, comms) = match dir {
+        Direction::Forward => (0usize, &bound.fwd_comms),
+        Direction::Inverse => (plan.dists.len() - 1, &bound.rev_comms),
     };
 
     let expect = plan.dists[start_dist].rank_box(me).volume();
@@ -658,36 +502,21 @@ pub fn execute(
     let mut gpu_clock = t0;
     let chunks = plan.chunks();
     let mut data_ready = vec![t0; chunks];
-    // Chunk -> item range.
-    let ranges: Vec<(usize, usize)> = (0..chunks)
-        .map(|c| Box3::chunk(plan.opts.batch, chunks, c))
-        .collect();
 
-    let mut cur_dist = vec![start_dist; chunks];
-    for (c, &(ilo, ihi)) in ranges.iter().enumerate() {
-        let items = ihi - ilo;
+    for (c, ready) in data_ready.iter_mut().enumerate() {
+        // Chunk -> item range.
+        let (ilo, ihi) = Box3::chunk(plan.opts.batch, chunks, c);
+        let mut tl = Timeline {
+            gpu_clock: &mut gpu_clock,
+            data_ready: ready,
+            trace: &mut trace,
+        };
         let mut si = 0;
         while si < steps.len() {
             match *steps[si] {
                 Step::LocalFft { dist, axis } => {
                     let first = ctx.first_strided(dist, axis, dir);
-                    let ns = crate::plan::slowed_ns(
-                        slowdowns,
-                        me,
-                        plan.local_fft_ns(&km, dist, axis, me, items, first),
-                    );
-                    let start = gpu_clock.max(data_ready[c]);
-                    gpu_clock = start + SimTime::from_ns(ns);
-                    data_ready[c] = gpu_clock;
-                    trace.push(TraceEvent::Kernel {
-                        kind: KernelKind::Fft1d {
-                            axis,
-                            contiguous: plan.fft_layout(axis)
-                                == fftkern::kernel_model::LayoutKind::Contiguous,
-                        },
-                        start,
-                        dur: SimTime::from_ns(ns),
-                    });
+                    env.local_fft(&mut tl, me, dist, axis, ihi - ilo, first);
                     // Real math on every item of this chunk.
                     let b = plan.dists[dist].rank_box(me);
                     if !b.is_empty() {
@@ -703,44 +532,14 @@ pub fn execute(
                     si += 1;
                 }
                 Step::Reshape(ri) => {
-                    let spec = &specs[ri];
-                    let (from_dist, to_dist) = match dir {
-                        Direction::Forward => (ri, ri + 1),
-                        Direction::Inverse => (ri + 1, ri),
-                    };
-                    debug_assert_eq!(cur_dist[c], from_dist);
-                    // The axis transform that follows this reshape — the
-                    // transform-ahead candidate. A pipelined exchange runs
-                    // it per chunk as lines complete and *consumes* the
-                    // step; a monolithic exchange leaves it to the next
-                    // loop iteration.
-                    let next_fft = match steps.get(si + 1) {
-                        Some(Step::LocalFft { dist, axis }) if *dist == to_dist => {
-                            Some((*dist, *axis))
-                        }
-                        _ => None,
-                    };
-                    let consumed = exchange_chunk(ExchangeArgs {
-                        plan,
-                        spec,
-                        sub: &comms[ri],
-                        reshape_label: ri,
-                        from_box: plan.dists[from_dist].rank_box(me),
-                        to_box: plan.dists[to_dist].rank_box(me),
-                        km: &km,
-                        spec_machine,
-                        gpu_aware,
-                        slowdowns,
-                        rank,
-                        ctx,
-                        trace: &mut trace,
-                        gpu_clock: &mut gpu_clock,
-                        data_ready: &mut data_ready[c],
-                        data: &mut data[ilo..ihi],
-                        dir,
-                        next_fft,
-                    });
-                    cur_dist[c] = to_dist;
+                    // Phase id must advance identically on every rank and
+                    // in the dry run.
+                    let next = steps.get(si + 1).copied();
+                    let call =
+                        ReshapeCall::at(specs, dir, ri, next, ihi - ilo, ctx.next_phase_id());
+                    let sub = comms[ri].as_ref();
+                    let consumed =
+                        run_reshape(&env, &call, sub, rank, ctx, &mut tl, &mut data[ilo..ihi]);
                     si += if consumed { 2 } else { 1 };
                 }
             }
@@ -763,6 +562,27 @@ pub fn execute(
         hook(&summary);
     }
     ExecResult { trace, total }
+}
+
+/// The cached (or, in baseline mode, freshly built legacy-engine) 1-D plan
+/// for the lines along `axis` of a box of shape `s`: contiguous rows for
+/// axis 2, one strided batch per axis-0 plane for axis 1, one strided
+/// batch over the whole item for axis 0.
+fn axis_plan(s: [usize; 3], axis: usize, baseline: bool) -> std::sync::Arc<Plan1d> {
+    let n = s[axis];
+    let (batch, layout) = match axis {
+        2 => (s[0] * s[1], Layout::contiguous(n)),
+        1 => (s[2], Layout::strided(s[2])),
+        0 => (s[1] * s[2], Layout::strided(s[1] * s[2])),
+        _ => unreachable!("axis out of range"),
+    };
+    if baseline {
+        // The pre-overhaul executor, kept for honest A/B benches.
+        let engine = fftkern::plan::Engine::Legacy;
+        std::sync::Arc::new(Plan1d::with_engine(n, batch, layout, layout, engine))
+    } else {
+        fftkern::plan_cache().plan1d(n, batch, layout, layout)
+    }
 }
 
 /// Runs the real batched 1-D FFTs along `axis` over every item's local
@@ -796,49 +616,19 @@ fn run_local_fft(
     if n == 0 {
         return;
     }
-    let cache = fftkern::plan_cache();
     let total_elems: usize = data.iter().map(|item| item.len()).sum();
     if arenas.len() <= 1 || total_elems < par_min_elems() {
-        // Serial fast path: one plan lookup, one kernel buffer. In baseline
-        // mode the plan is instead built fresh per call with the legacy
-        // engine — the pre-overhaul executor, kept for honest A/B benches.
-        let (batch, input, output) = match axis {
-            2 => (s[0] * s[1], Layout::contiguous(n), Layout::contiguous(n)),
-            1 => (s[2], Layout::strided(s[2]), Layout::strided(s[2])),
-            0 => (
-                s[1] * s[2],
-                Layout::strided(s[1] * s[2]),
-                Layout::strided(s[1] * s[2]),
-            ),
-            _ => unreachable!("axis out of range"),
-        };
-        let plan1d = if baseline {
-            std::sync::Arc::new(fftkern::plan::Plan1d::with_engine(
-                n,
-                batch,
-                input,
-                output,
-                fftkern::plan::Engine::Legacy,
-            ))
-        } else {
-            cache.plan1d(n, batch, input, output)
-        };
+        // Serial fast path: one plan lookup, one kernel buffer.
+        let plan1d = axis_plan(s, axis, baseline);
         let kernel = arenas[0].kernel_for(plan1d.scratch_elems());
         for item in data.iter_mut() {
-            match axis {
-                2 | 0 => plan1d.execute_inplace_scratch(item, dir, kernel),
-                1 => {
-                    // Axis 1 is strided within each axis-0 plane.
-                    let plane = s[1] * s[2];
-                    for i0 in 0..s[0] {
-                        plan1d.execute_inplace_scratch(
-                            &mut item[i0 * plane..(i0 + 1) * plane],
-                            dir,
-                            kernel,
-                        );
-                    }
+            if axis == 1 {
+                // Axis 1 is strided within each axis-0 plane.
+                for plane in item.chunks_mut(s[1] * s[2]) {
+                    plan1d.execute_inplace_scratch(plane, dir, kernel);
                 }
-                _ => unreachable!(),
+            } else {
+                plan1d.execute_inplace_scratch(item, dir, kernel);
             }
         }
         return;
@@ -852,6 +642,7 @@ fn run_local_fft(
                 .iter_mut()
                 .flat_map(|item| item.chunks_mut(per * n))
                 .collect(); // fftlint:allow(no-alloc-in-hot-path): O(workers) unit list for the fan-out, not payload
+            let cache = fftkern::plan_cache();
             mpisim::par::par_parts(arenas, units, |_, arena, seg| {
                 let rows_u = seg.len() / n;
                 let plan = cache.plan1d(n, rows_u, Layout::contiguous(n), Layout::contiguous(n));
@@ -860,27 +651,24 @@ fn run_local_fft(
         }
         1 => {
             // One strided batch per axis-0 plane; planes are disjoint slices.
-            let plane = s[1] * s[2];
             let units: Vec<&mut [C64]> = data
                 .iter_mut()
-                .flat_map(|item| item.chunks_mut(plane))
+                .flat_map(|item| item.chunks_mut(s[1] * s[2]))
                 .collect(); // fftlint:allow(no-alloc-in-hot-path): O(workers) unit list for the fan-out, not payload
-            let plan = cache.plan1d(n, s[2], Layout::strided(s[2]), Layout::strided(s[2]));
+            let plan = axis_plan(s, axis, false);
             mpisim::par::par_parts(arenas, units, |_, arena, seg| {
                 plan.execute_inplace_scratch(seg, dir, arena.kernel_for(plan.scratch_elems()));
             });
         }
-        0 => {
+        _ => {
             // Axis 0 spans every plane of an item, so the finest safe `&mut`
             // split is one unit per batch item.
-            let stride = s[1] * s[2];
             let units: Vec<&mut Vec<C64>> = data.iter_mut().collect(); // fftlint:allow(no-alloc-in-hot-path): O(items) unit list for the fan-out, not payload
-            let plan = cache.plan1d(n, stride, Layout::strided(stride), Layout::strided(stride));
+            let plan = axis_plan(s, axis, false);
             mpisim::par::par_parts(arenas, units, |_, arena, item| {
                 plan.execute_inplace_scratch(item, dir, arena.kernel_for(plan.scratch_elems()));
             });
         }
-        _ => unreachable!("axis out of range"),
     }
 }
 
@@ -892,8 +680,8 @@ fn run_local_fft(
 /// Runs execute serially against arena 0's kernel scratch: per-chunk
 /// batches are small slices of one rank's box, where fan-out cost exceeds
 /// the math (the same reasoning as [`par_min_elems`], applied per run).
-// fftlint:hot — per-chunk transform-ahead sub-batches; runs inside the
-// pipelined exchange loop.
+// fftlint:hot — per-chunk transform-ahead sub-batches; runs once per
+// chunked reshape that consumes its next axis transform.
 fn run_local_fft_lines(
     b: &Box3,
     axis: usize,
@@ -904,295 +692,145 @@ fn run_local_fft_lines(
     baseline: bool,
 ) {
     let s = b.shape();
-    let n = s[axis];
-    if n == 0 || runs.is_empty() {
+    if s[axis] == 0 || runs.is_empty() {
         return;
     }
-    let cache = fftkern::plan_cache();
-    let (batch, input, output) = match axis {
-        2 => (s[0] * s[1], Layout::contiguous(n), Layout::contiguous(n)),
-        1 => (s[2], Layout::strided(s[2]), Layout::strided(s[2])),
-        0 => (
-            s[1] * s[2],
-            Layout::strided(s[1] * s[2]),
-            Layout::strided(s[1] * s[2]),
-        ),
-        _ => unreachable!("axis out of range"),
-    };
-    let plan1d = if baseline {
-        std::sync::Arc::new(fftkern::plan::Plan1d::with_engine(
-            n,
-            batch,
-            input,
-            output,
-            fftkern::plan::Engine::Legacy,
-        ))
-    } else {
-        cache.plan1d(n, batch, input, output)
-    };
-    let kernel_elems = plan1d.scratch_elems();
+    let plan1d = axis_plan(s, axis, baseline);
+    let kernel = arenas[0].kernel_for(plan1d.scratch_elems());
     for item in data.iter_mut() {
-        let kernel = arenas[0].kernel_for(kernel_elems);
         for &(lo, hi) in runs {
-            match axis {
-                2 | 0 => plan1d.execute_lines_inplace_scratch(item, dir, kernel, lo, hi),
-                1 => {
-                    // Line index = i0·s2 + i2 — split the run at axis-0
-                    // plane boundaries, transforming within each plane
-                    // (the axis-1 plan is strided within one plane).
-                    let plane = s[1] * s[2];
-                    let mut cur = lo;
-                    while cur < hi {
-                        let i0 = cur / s[2];
-                        let plo = cur - i0 * s[2];
-                        let phi = (hi - i0 * s[2]).min(s[2]);
-                        plan1d.execute_lines_inplace_scratch(
-                            &mut item[i0 * plane..(i0 + 1) * plane],
-                            dir,
-                            kernel,
-                            plo,
-                            phi,
-                        );
-                        cur = i0 * s[2] + phi;
-                    }
-                }
-                _ => unreachable!(),
+            if axis != 1 {
+                plan1d.execute_lines_inplace_scratch(item, dir, kernel, lo, hi);
+                continue;
+            }
+            // Line index = i0·s2 + i2 — split the run at axis-0 plane
+            // boundaries, transforming within each plane (the axis-1 plan
+            // is strided within one plane).
+            let plane = s[1] * s[2];
+            let mut cur = lo;
+            while cur < hi {
+                let i0 = cur / s[2];
+                let plo = cur - i0 * s[2];
+                let phi = (hi - i0 * s[2]).min(s[2]);
+                let seg = &mut item[i0 * plane..(i0 + 1) * plane];
+                plan1d.execute_lines_inplace_scratch(seg, dir, kernel, plo, phi);
+                cur = i0 * s[2] + phi;
             }
         }
     }
 }
 
-struct ExchangeArgs<'a, 'w> {
-    plan: &'a FftPlan,
-    spec: &'a ReshapeSpec,
-    sub: &'a Option<Comm>,
-    reshape_label: usize,
-    from_box: &'a Box3,
-    to_box: &'a Box3,
-    km: &'a fftkern::kernel_model::KernelTimeModel,
-    spec_machine: &'a simgrid::MachineSpec,
-    gpu_aware: bool,
-    slowdowns: &'a [(usize, f64)],
-    rank: &'a mut Rank<'w>,
-    ctx: &'a mut ExecCtx,
-    trace: &'a mut Trace,
-    gpu_clock: &'a mut SimTime,
-    data_ready: &'a mut SimTime,
-    data: &'a mut [Vec<C64>],
-    dir: Direction,
-    /// The `(dist, axis)` of the LocalFft step immediately following this
-    /// reshape, when its dist is the reshape target — the transform-ahead
-    /// candidate the pipelined path consumes.
-    next_fft: Option<(usize, usize)>,
-}
-
-/// Executes one reshape for one pipeline chunk: pack kernel, exchange on the
-/// group sub-communicator, self-copy (P2P), unpack kernel, plus the actual
-/// data movement for every item in the chunk. Returns `true` when the
-/// pipelined path also ran the following axis transform per chunk
-/// (transform-ahead) — the caller must then skip that LocalFft step.
-// fftlint:hot — per-chunk pack/exchange/unpack; runs once per pipeline
-// chunk of every reshape.
-fn exchange_chunk(a: ExchangeArgs<'_, '_>) -> bool {
-    let ExchangeArgs {
-        plan,
-        spec,
-        sub,
-        reshape_label,
-        from_box,
-        to_box,
-        km,
-        spec_machine,
-        gpu_aware,
-        slowdowns,
-        rank,
-        ctx,
-        trace,
-        gpu_clock,
-        data_ready,
-        data,
-        dir,
-        next_fft,
-    } = a;
+/// Executes one reshape for one pipeline chunk — the functional
+/// interpreter of the rank's [`ReshapeSchedule`](crate::schedule): stamp
+/// the pack chain, move every item's data through the one `mpisim`
+/// exchange on the group sub-communicator, stamp the MPI calls, unpacks
+/// and transform-ahead butterflies. Returns `true` when the schedule also
+/// ran the following axis transform (per chunk, as lines completed) — the
+/// caller must then skip that LocalFft step.
+///
+/// Data is bit-identical at every chunk count: the same `build_sends`
+/// buffers go on the wire, one index-ordered `deposit_recvs` pass merges
+/// every received block, and the line-granular FFT batches partition the
+/// rank's rows exactly (rows transform independently), so chunk-completion
+/// order affects timing only.
+// fftlint:hot — pack/exchange/unpack; runs once per pipeline chunk of
+// every reshape.
+fn run_reshape(
+    env: &RunEnv,
+    call: &ReshapeCall,
+    sub: Option<&Comm>,
+    rank: &mut Rank,
+    ctx: &mut ExecCtx,
+    tl: &mut Timeline,
+    data: &mut [Vec<C64>],
+) -> bool {
+    let plan = env.plan;
     let me_world = rank.rank();
-    let items = data.len();
-    let backend = plan.opts.backend;
-
-    // Phase id must advance identically on every rank and in the dry run.
-    let phase_id = ctx.next_phase_id();
-
-    // Pipelined reshape: per-peer chunks overlapping pack, send, unpack and
-    // the next axis transform (DESIGN.md §14/§16). Takes over the whole
-    // kernel + exchange chain.
-    if let Some(sub) = sub {
-        let members: Vec<usize> = (0..sub.size()).map(|j| sub.member(j)).collect(); // fftlint:allow(no-alloc-in-hot-path): O(group) member table per exchange
-        if let Some(k_eff) = pipelined_k(
-            plan,
-            spec,
-            spec_machine,
-            km,
-            gpu_aware,
-            &members,
-            items,
-            next_fft,
-        ) {
-            exchange_chunk_pipelined(
-                plan,
-                spec,
-                sub,
-                &members,
-                reshape_label,
-                from_box,
-                to_box,
-                km,
-                spec_machine,
-                gpu_aware,
-                slowdowns,
-                rank,
-                ctx,
-                trace,
-                gpu_clock,
-                data_ready,
-                data,
-                dir,
-                next_fft,
-                phase_id,
-                k_eff,
-            );
-            return next_fft.is_some();
-        }
-    }
-
-    let (pack_b, unpack_b, self_b) = plan.reshape_local_bytes(spec, me_world);
-    let (pack_b, unpack_b, self_b) = (pack_b * items, unpack_b * items, self_b * items);
-
-    // Pack kernel.
-    if backend.needs_pack() && pack_b > 0 {
-        let ns = crate::plan::slowed_ns(slowdowns, me_world, plan.pack_ns(km, pack_b));
-        let start = (*gpu_clock).max(*data_ready);
-        *gpu_clock = start + SimTime::from_ns(ns);
-        *data_ready = *gpu_clock;
-        trace.push(TraceEvent::Kernel {
-            kind: KernelKind::Pack,
-            start,
-            dur: SimTime::from_ns(ns),
-        });
-    }
+    let from_box = plan.dists[call.from_dist].rank_box(me_world);
+    let to_box = plan.dists[call.to_dist].rank_box(me_world);
 
     // New local arrays in the target layout, drawn zero-filled from the
     // rank's buffer pool (bit-identical to freshly allocated arrays).
-    let mut new_data: Vec<Vec<C64>> = (0..items)
+    let mut new_data: Vec<Vec<C64>> = (0..call.items)
         .map(|_| ctx.arenas[0].take_zeroed(to_box.volume()))
         .collect(); // fftlint:allow(no-alloc-in-hot-path): outer Vec of pooled buffers; payloads are take_zeroed
 
-    // P2P self block: device copy outside MPI.
-    if backend.is_p2p() && self_b > 0 {
-        let ns =
-            crate::plan::slowed_ns(slowdowns, me_world, plan.selfcopy_ns(spec_machine, self_b));
-        let start = (*gpu_clock).max(*data_ready);
-        *gpu_clock = start + SimTime::from_ns(ns);
-        *data_ready = *gpu_clock;
-        trace.push(TraceEvent::Kernel {
-            kind: KernelKind::SelfCopy,
-            start,
-            dur: SimTime::from_ns(ns),
-        });
-        for (old, new) in data.iter().zip(new_data.iter_mut()) {
-            apply_self_block(from_box, old, to_box, new);
+    // A rank outside every group has no flows at all: nothing to stamp.
+    let ahead = sub.and_then(|sub| {
+        let k = env.group_chunks(call, sub.members());
+        let sched = env.lower(call, sub.members(), sub.me(), k);
+        let mut entries = Vec::with_capacity(k); // fftlint:allow(no-alloc-in-hot-path): O(chunks) schedule table
+        sched.before_exchange(env, tl, &mut entries);
+        if sched.self_bytes > 0 {
+            // P2P self block: device copy outside MPI.
+            for (old, new) in data.iter().zip(new_data.iter_mut()) {
+                apply_self_block(from_box, old, to_box, new);
+            }
         }
-    }
+        // The call posts as soon as the *first* chunk is packed; later
+        // chunks post when their own pack is done.
+        rank.clock.sync_to(entries[0]);
+        let posted = rank.now();
+        for t in entries.iter_mut() {
+            *t = posted.max(*t);
+        }
 
-    if let Some(sub) = sub {
-        // Exchange on the group sub-communicator.
-        let env = PhaseEnv {
-            gpu_aware,
-            flows_per_nic: spec_machine.gpus_per_node.min(plan.nranks),
-            nodes: spec_machine.nodes_for(plan.nranks),
-            p2p_peers: spec.peer_count(me_world).max(1),
-            phase_id,
+        let times = if plan.opts.backend == CommBackend::AllToAllW {
+            // Sub-array datatype delivery straight into the new layout —
+            // no caller-side pack/unpack. Batched transforms are
+            // restricted to one item here (Algorithm 2 is not batched in
+            // the paper either).
+            assert_eq!(
+                plan.opts.batch, 1,
+                "the Alltoallw backend supports batch == 1 only"
+            );
+            let (send_types, recv_types) = alltoallw_types(call.spec, sub, from_box, to_box);
+            coll::exchange_subarrays(
+                rank,
+                sub,
+                sched.env,
+                &sched.kind,
+                (&data[0], &send_types),
+                (&mut new_data[0], &recv_types),
+                &entries,
+            )
+        } else {
+            // Grain gate: pack/unpack of a tiny chunk runs inline on
+            // arena 0 — the same decision on take and recycle sides, so
+            // per-arena pool traffic stays balanced (see PAR_MIN_ELEMS).
+            let vol = call.items * from_box.volume().max(to_box.volume());
+            let w = if vol < par_min_elems() {
+                1
+            } else {
+                ctx.arenas.len()
+            };
+            let arenas = &mut ctx.arenas[..w];
+            let sends = build_sends(plan, call.spec, sub, from_box, data, arenas);
+            let (recvd, times) = coll::exchange(rank, sub, sched.env, &sched.kind, sends, &entries);
+            deposit_recvs(plan, call.spec, sub, to_box, &recvd, &mut new_data, arenas);
+            // Recycle received blocks round-robin so per-arena give
+            // counts match the round-robin takes in `build_sends` —
+            // keeping every arena's free list balanced in steady state.
+            for (j, buf) in recvd.into_iter().enumerate() {
+                arenas[j % w].give(buf);
+            }
+            times
         };
-        // Wait until this chunk's packed data exists.
-        rank.clock.sync_to(*data_ready);
-        let entry = rank.now();
-        let sent_bytes = spec.offrank_send_bytes(me_world) * items;
-
-        match backend {
-            CommBackend::AllToAllW => {
-                run_alltoallw(
-                    plan,
-                    spec,
-                    sub,
-                    env,
-                    rank,
-                    from_box,
-                    to_box,
-                    data,
-                    &mut new_data,
-                );
-            }
-            _ => {
-                // Grain gate: pack/unpack of a tiny chunk runs inline on
-                // arena 0 — the same decision on take and recycle sides, so
-                // per-arena pool traffic stays balanced (see PAR_MIN_ELEMS).
-                let vol = items * from_box.volume().max(to_box.volume());
-                let w = if vol < par_min_elems() {
-                    1
-                } else {
-                    ctx.arenas.len()
-                };
-                let sends =
-                    build_sends(plan, spec, sub, from_box, data, items, &mut ctx.arenas[..w]);
-                let recvd = match backend {
-                    CommBackend::AllToAll => coll::alltoall(rank, sub, env, sends),
-                    CommBackend::AllToAllV => coll::alltoallv(rank, sub, env, sends),
-                    CommBackend::P2p => {
-                        coll::p2p_exchange(rank, sub, env, P2pFlavor::NonBlocking, sends)
-                    }
-                    CommBackend::P2pBlocking => {
-                        coll::p2p_exchange(rank, sub, env, P2pFlavor::Blocking, sends)
-                    }
-                    CommBackend::AllToAllW => unreachable!(),
-                };
-                deposit_recvs(
-                    plan,
-                    spec,
-                    sub,
-                    to_box,
-                    &recvd,
-                    &mut new_data,
-                    &mut ctx.arenas[..w],
-                );
-                // Recycle received blocks round-robin so per-arena give
-                // counts match the round-robin takes in `build_sends` —
-                // keeping every arena's free list balanced in steady state.
-                for (j, buf) in recvd.into_iter().enumerate() {
-                    ctx.arenas[j % w].give(buf);
-                }
-            }
-        }
-        let exit = rank.now();
-        *data_ready = exit;
-        trace.push(TraceEvent::MpiCall {
-            reshape: reshape_label,
-            routine: backend.routine(),
-            start: entry,
-            dur: exit - entry,
-            bytes: sent_bytes,
-        });
-    }
-
-    // Unpack kernel.
-    if backend.needs_pack() && unpack_b > 0 {
-        let ns = crate::plan::slowed_ns(slowdowns, me_world, plan.unpack_ns(km, unpack_b));
-        let start = (*gpu_clock).max(*data_ready);
-        *gpu_clock = start + SimTime::from_ns(ns);
-        *data_ready = *gpu_clock;
-        trace.push(TraceEvent::Kernel {
-            kind: KernelKind::Unpack,
-            start,
-            dur: SimTime::from_ns(ns),
-        });
-    }
+        let first = match sched.ahead {
+            Some(ref ahead) => ctx.first_strided(call.to_dist, ahead.axis, call.dir),
+            None => false,
+        };
+        let me_sub = sub.me();
+        sched.after_exchange(
+            env,
+            tl,
+            &entries,
+            times.ready(me_sub),
+            times.exit(me_sub),
+            first,
+        );
+        sched.ahead
+    });
 
     // Swap the chunk's arrays to the new layout; the superseded arrays go
     // back to the pool for the next reshape of this rank. They return to
@@ -1201,367 +839,17 @@ fn exchange_chunk(a: ExchangeArgs<'_, '_>) -> bool {
         let prev = std::mem::replace(old, new);
         ctx.arenas[0].give(prev);
     }
-    false
-}
 
-/// The pipelined reshape (DESIGN.md §14/§16): the exchange is split into
-/// `k_eff` per-peer chunks by `mpisim::pattern::partition_of_step`, so
-/// packing for chunk `k+1` proceeds while chunk `k`'s sends are in flight,
-/// per-chunk unpack kernels start as each chunk's receives land, and —
-/// when the following step is the next axis transform (`next_fft`) — the
-/// Stockham butterflies for each chunk's newly-complete lines run right
-/// behind its unpack instead of barriering on the full exchange
-/// (transform-ahead).
-///
-/// Data is bit-identical to the monolithic path: the same `build_sends`
-/// buffers go on the wire, one index-ordered `deposit_recvs` pass merges
-/// every received block, and the line-granular FFT batches partition the
-/// rank's rows exactly (rows transform independently), so chunk-completion
-/// order affects timing only. The analytic dry-run replays the same
-/// per-chunk kernel chain and the same partitioned walker, keeping the two
-/// modes in exact agreement.
-// fftlint:hot — the partitioned exchange walker (DESIGN.md §16).
-#[allow(clippy::too_many_arguments)]
-fn exchange_chunk_pipelined(
-    plan: &FftPlan,
-    spec: &ReshapeSpec,
-    sub: &Comm,
-    members: &[usize],
-    reshape_label: usize,
-    from_box: &Box3,
-    to_box: &Box3,
-    km: &fftkern::kernel_model::KernelTimeModel,
-    spec_machine: &simgrid::MachineSpec,
-    gpu_aware: bool,
-    slowdowns: &[(usize, f64)],
-    rank: &mut Rank,
-    ctx: &mut ExecCtx,
-    trace: &mut Trace,
-    gpu_clock: &mut SimTime,
-    data_ready: &mut SimTime,
-    data: &mut [Vec<C64>],
-    dir: Direction,
-    next_fft: Option<(usize, usize)>,
-    phase_id: u64,
-    k_eff: usize,
-) {
-    let me_world = rank.rank();
-    let items = data.len();
-    let backend = plan.opts.backend;
-    let is_p2p = backend.is_p2p();
-    let me_sub = sub.me();
-
-    let (_, _, self_b) = plan.reshape_local_bytes(spec, me_world);
-    let self_b = self_b * items;
-    let pad_bytes = if backend == CommBackend::AllToAll {
-        spec.padded_block_bytes(members)
-    } else {
-        0
-    };
-
-    // Per-chunk byte totals (pack, unpack, wire), assigned by the global
-    // partition function so sender and receiver agree on every message's
-    // chunk. Collective self flows belong to chunk 0 on both sides; the
-    // P2P self block moves by device copy and stays outside these sums,
-    // exactly as in `FftPlan::reshape_local_bytes`.
-    let (chunk_pack_b, chunk_unpack_b, chunk_wire_b) = chunk_byte_split(
-        spec, me_world, members, me_sub, k_eff, is_p2p, pad_bytes, items,
-    );
-
-    // New local arrays in the target layout (zero-filled from the pool).
-    let mut new_data: Vec<Vec<C64>> = (0..items)
-        .map(|_| ctx.arenas[0].take_zeroed(to_box.volume()))
-        .collect(); // fftlint:allow(no-alloc-in-hot-path): outer Vec of pooled buffers; payloads are take_zeroed
-
-    // Per-chunk pack chain: each chunk's pack kernel (and, for P2P, the
-    // chunk-0 self device copy) serializes on the GPU; `pack_done[k]` is
-    // when chunk `k`'s payload is postable.
-    let mut pack_done = vec![SimTime::ZERO; k_eff]; // fftlint:allow(no-alloc-in-hot-path): O(chunks) schedule table
-    for k in 0..k_eff {
-        if backend.needs_pack() && chunk_pack_b[k] > 0 {
-            let ns = crate::plan::slowed_ns(slowdowns, me_world, plan.pack_ns(km, chunk_pack_b[k]));
-            let start = (*gpu_clock).max(*data_ready);
-            *gpu_clock = start + SimTime::from_ns(ns);
-            *data_ready = *gpu_clock;
-            trace.push(TraceEvent::Kernel {
-                kind: KernelKind::Pack,
-                start,
-                dur: SimTime::from_ns(ns),
-            });
-        }
-        if k == 0 && is_p2p && self_b > 0 {
-            let ns =
-                crate::plan::slowed_ns(slowdowns, me_world, plan.selfcopy_ns(spec_machine, self_b));
-            let start = (*gpu_clock).max(*data_ready);
-            *gpu_clock = start + SimTime::from_ns(ns);
-            *data_ready = *gpu_clock;
-            trace.push(TraceEvent::Kernel {
-                kind: KernelKind::SelfCopy,
-                start,
-                dur: SimTime::from_ns(ns),
-            });
-            for (old, new) in data.iter().zip(new_data.iter_mut()) {
-                apply_self_block(from_box, old, to_box, new);
-            }
-        }
-        pack_done[k] = (*gpu_clock).max(*data_ready);
-    }
-
-    let env = PhaseEnv {
-        gpu_aware,
-        flows_per_nic: spec_machine.gpus_per_node.min(plan.nranks),
-        nodes: spec_machine.nodes_for(plan.nranks),
-        p2p_peers: spec.peer_count(me_world).max(1),
-        phase_id,
-    };
-    // The call posts as soon as the *first* chunk is packed — this is the
-    // pipelining win over the monolithic `sync_to(*data_ready)`.
-    rank.clock.sync_to(pack_done[0]);
-    let call_entry = rank.now();
-    let part_entries: Vec<SimTime> = pack_done.iter().map(|t| call_entry.max(*t)).collect(); // fftlint:allow(no-alloc-in-hot-path): O(chunks) schedule table
-
-    // Same grain gate as the monolithic path (see PAR_MIN_ELEMS).
-    let vol = items * from_box.volume().max(to_box.volume());
-    let w = if vol < par_min_elems() {
-        1
-    } else {
-        ctx.arenas.len()
-    };
-    let times = if backend == CommBackend::AllToAllW {
-        // Sub-array datatype delivery straight into the new layout — no
-        // caller-side pack/unpack kernels, same as the monolithic W path.
-        assert_eq!(
-            plan.opts.batch, 1,
-            "the Alltoallw backend supports batch == 1 only"
-        );
-        let (send_types, recv_types) = alltoallw_types(spec, sub, from_box, to_box);
-        coll::alltoallw_partitioned(
-            rank,
-            sub,
-            env,
-            &data[0],
-            &send_types,
-            &mut new_data[0],
-            &recv_types,
-            &part_entries,
-        )
-    } else {
-        let sends = build_sends(plan, spec, sub, from_box, data, items, &mut ctx.arenas[..w]);
-        let (recvd, times) = match backend {
-            CommBackend::AllToAll => {
-                coll::alltoall_partitioned(rank, sub, env, sends, &part_entries)
-            }
-            CommBackend::AllToAllV => {
-                coll::alltoallv_partitioned(rank, sub, env, sends, &part_entries)
-            }
-            CommBackend::P2p => coll::p2p_exchange_partitioned(
-                rank,
-                sub,
-                env,
-                P2pFlavor::NonBlocking,
-                sends,
-                &part_entries,
-            ),
-            CommBackend::P2pBlocking => coll::p2p_exchange_partitioned(
-                rank,
-                sub,
-                env,
-                P2pFlavor::Blocking,
-                sends,
-                &part_entries,
-            ),
-            CommBackend::AllToAllW => unreachable!("handled above"),
-        };
-        // Deposits stay a single index-ordered merge over every received
-        // block — bit-identical to the monolithic path regardless of the
-        // chunks' completion order.
-        deposit_recvs(
-            plan,
-            spec,
-            sub,
-            to_box,
-            &recvd,
-            &mut new_data,
-            &mut ctx.arenas[..w],
-        );
-        for (j, buf) in recvd.into_iter().enumerate() {
-            ctx.arenas[j % w].give(buf);
-        }
-        times
-    };
-    let exit = rank.now();
-    let ready = &times.part_ready[me_sub];
-
-    // One MPI-call event per chunk, in chunk order on every rank (the
-    // occurrence-matched pairing fftprof's critical path relies on). A
-    // chunk's call spans posting to chunk completion; the last one also
-    // covers the member's overall exit.
-    for k in 0..k_eff {
-        let start = part_entries[k];
-        let end = if k + 1 == k_eff {
-            exit.max(ready[k]).max(start)
-        } else {
-            ready[k].max(start)
-        };
-        trace.push(TraceEvent::MpiCall {
-            reshape: reshape_label,
-            routine: backend.routine(),
-            start,
-            dur: end - start,
-            bytes: chunk_wire_b[k],
-        });
-    }
-
-    // Transform-ahead: the next axis transform's lines, grouped by the
-    // chunk whose arrival completes them. The first-call spike (if any)
-    // lands on the first chunk that actually transforms lines, exactly as
-    // the monolithic LocalFft arm would charge it.
-    let line_runs = next_fft
-        .map(|(_, axis)| spec.recv_line_runs(me_world, members, me_sub, k_eff, to_box, axis));
-    let mut first_pending = match next_fft {
-        Some((dist, axis)) => ctx.first_strided(dist, axis, dir),
-        None => false,
-    };
-
-    // Per-chunk unpack kernels, each eligible as soon as its chunk's
-    // receives have landed — the unpack/recv overlap — followed by that
-    // chunk's butterflies (the transform-ahead compute-under-wire).
-    for k in 0..k_eff {
-        if backend.needs_pack() && chunk_unpack_b[k] > 0 {
-            let ns =
-                crate::plan::slowed_ns(slowdowns, me_world, plan.unpack_ns(km, chunk_unpack_b[k]));
-            let start = (*gpu_clock).max(ready[k]);
-            *gpu_clock = start + SimTime::from_ns(ns);
-            trace.push(TraceEvent::Kernel {
-                kind: KernelKind::Unpack,
-                start,
-                dur: SimTime::from_ns(ns),
-            });
-        }
-        if let (Some((dist, axis)), Some(runs)) = (next_fft, line_runs.as_ref()) {
-            let lines: usize = runs[k].iter().map(|&(lo, hi)| hi - lo).sum();
-            if lines > 0 {
-                let first = first_pending;
-                first_pending = false;
-                let ns = crate::plan::slowed_ns(
-                    slowdowns,
-                    me_world,
-                    plan.local_fft_lines_ns(km, dist, axis, me_world, items, lines, first),
-                );
-                let start = (*gpu_clock).max(ready[k]);
-                *gpu_clock = start + SimTime::from_ns(ns);
-                trace.push(TraceEvent::Kernel {
-                    kind: KernelKind::Fft1d {
-                        axis,
-                        contiguous: plan.fft_layout(axis)
-                            == fftkern::kernel_model::LayoutKind::Contiguous,
-                    },
-                    start,
-                    dur: SimTime::from_ns(ns),
-                });
-            }
-        }
-    }
-    *data_ready = (*gpu_clock).max(exit);
-
-    for (old, new) in data.iter_mut().zip(new_data) {
-        let prev = std::mem::replace(old, new);
-        ctx.arenas[0].give(prev);
-    }
-
-    // The real butterfly math for the consumed LocalFft step, on the
+    // The real butterfly math for a consumed LocalFft step, on the
     // swapped-in arrays: every line in chunk order. Row transforms are
     // independent, so this is bit-identical to the full-batch pass.
-    if let (Some((_, axis)), Some(runs)) = (next_fft, line_runs) {
-        if !to_box.is_empty() {
-            let flat: Vec<(usize, usize)> = runs.into_iter().flatten().collect(); // fftlint:allow(no-alloc-in-hot-path): O(lines) run list, built once per consumed chunk
-            run_local_fft_lines(
-                to_box,
-                axis,
-                &flat,
-                data,
-                dir,
-                &mut ctx.arenas,
-                ctx.baseline,
-            );
-        }
+    let Some(ahead) = ahead else { return false };
+    if !to_box.is_empty() {
+        let flat: Vec<(usize, usize)> = ahead.runs.into_iter().flatten().collect(); // fftlint:allow(no-alloc-in-hot-path): O(lines) run list, built once per consumed chunk
+        let (arenas, baseline) = (&mut ctx.arenas, ctx.baseline);
+        run_local_fft_lines(to_box, ahead.axis, &flat, data, call.dir, arenas, baseline);
     }
-}
-
-/// Per-chunk (pack, unpack, wire) byte totals for one rank's reshape.
-pub(crate) type ChunkBytes = (Vec<usize>, Vec<usize>, Vec<usize>);
-
-/// Splits rank `me_world`'s reshape bytes into per-chunk (pack, unpack,
-/// wire) totals under the global partition function — shared by the
-/// functional executor and the analytic dry-run so both price identical
-/// chunk kernels and identical per-chunk MPI-call byte counts.
-///
-/// `pad_bytes > 0` selects padded-`AllToAll` accounting: every block —
-/// present or not, self included — is the group-maximum padded size, so
-/// each chunk's pack/unpack/wire totals count whole padded blocks (this
-/// intentionally differs from the monolithic path's amortized
-/// `real_recv.max(total/2)` unpack estimate; only the chunked executor and
-/// the chunked dry-run need to agree).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn chunk_byte_split(
-    spec: &ReshapeSpec,
-    me_world: usize,
-    members: &[usize],
-    me_sub: usize,
-    k_eff: usize,
-    is_p2p: bool,
-    pad_bytes: usize,
-    items: usize,
-) -> ChunkBytes {
-    use mpisim::pattern::partition_of_step;
-    let p = members.len();
-    let send_idx = spec.send_region_index(me_world, members);
-    let recv_idx = spec.recv_region_index(me_world, members);
-    let mut pack = vec![0usize; k_eff]; // fftlint:allow(no-alloc-in-hot-path): O(chunks) byte table
-    let mut unpack = vec![0usize; k_eff]; // fftlint:allow(no-alloc-in-hot-path): O(chunks) byte table
-    let mut wire = vec![0usize; k_eff]; // fftlint:allow(no-alloc-in-hot-path): O(chunks) byte table
-    for j in 0..p {
-        if pad_bytes > 0 {
-            if j == me_sub {
-                pack[0] += pad_bytes;
-                unpack[0] += pad_bytes;
-            } else {
-                let sp = partition_of_step((j + p - me_sub) % p, p, k_eff);
-                pack[sp] += pad_bytes;
-                wire[sp] += pad_bytes;
-                let rp = partition_of_step((me_sub + p - j) % p, p, k_eff);
-                unpack[rp] += pad_bytes;
-            }
-            continue;
-        }
-        if j == me_sub {
-            if !is_p2p {
-                if let Some(r) = send_idx[j] {
-                    pack[0] += r.volume() * crate::reshape::ELEM_BYTES;
-                }
-                if let Some(r) = recv_idx[j] {
-                    unpack[0] += r.volume() * crate::reshape::ELEM_BYTES;
-                }
-            }
-            continue;
-        }
-        if let Some(r) = send_idx[j] {
-            let part = partition_of_step((j + p - me_sub) % p, p, k_eff);
-            let b = r.volume() * crate::reshape::ELEM_BYTES;
-            pack[part] += b;
-            wire[part] += b;
-        }
-        if let Some(r) = recv_idx[j] {
-            let part = partition_of_step((me_sub + p - j) % p, p, k_eff);
-            unpack[part] += r.volume() * crate::reshape::ELEM_BYTES;
-        }
-    }
-    for v in [&mut pack, &mut unpack, &mut wire] {
-        for b in v.iter_mut() {
-            *b *= items;
-        }
-    }
-    (pack, unpack, wire)
+    true
 }
 
 /// Builds per-destination send buffers (items coalesced), in sub-comm member
@@ -1573,45 +861,41 @@ pub(crate) fn chunk_byte_split(
 /// the pack kernel parallelizes while per-arena take counts stay
 /// deterministic; with one arena this degenerates to the serial loop.
 // fftlint:hot — the pack kernel; send buffers must be pooled takes.
-#[allow(clippy::too_many_arguments)]
 fn build_sends(
     plan: &FftPlan,
     spec: &ReshapeSpec,
     sub: &Comm,
     from_box: &Box3,
     data: &[Vec<C64>],
-    items: usize,
     arenas: &mut [ExecScratch],
 ) -> Vec<Vec<C64>> {
-    let me_world = sub.member(sub.me());
+    let members = sub.members();
+    let me_sub = sub.me();
     let is_p2p = plan.opts.backend.is_p2p();
-    let pad_elems = if plan.opts.backend == CommBackend::AllToAll {
-        // fftlint:allow(no-panic-in-lib): every world rank is placed in a group at build
-        let gi = spec.group_of[me_world].expect("rank in group");
-        spec.padded_block_bytes(&spec.groups[gi]) / crate::reshape::ELEM_BYTES
-    } else {
-        0
+    let pad_elems = match plan.opts.backend {
+        CommBackend::AllToAll => {
+            spec.padded_block_bytes(members) / crate::reshape::ELEM_BYTES * data.len()
+        }
+        _ => 0,
     };
 
     // Source→region index built once per reshape: one O(p + peers) merge
     // instead of an O(peers) `find` per destination.
-    let members: Vec<usize> = (0..sub.size()).map(|j| sub.member(j)).collect(); // fftlint:allow(no-alloc-in-hot-path): O(group) member table per reshape
-    let send_idx = spec.send_region_index(me_world, &members);
+    let send_idx = spec.send_region_index(members[me_sub], members);
 
-    let dests: Vec<usize> = (0..sub.size()).collect(); // fftlint:allow(no-alloc-in-hot-path): O(group) destination list per reshape
+    let dests: Vec<usize> = (0..members.len()).collect(); // fftlint:allow(no-alloc-in-hot-path): O(group) destination list per reshape
     mpisim::par::par_parts(arenas, dests, |_, pool, j| {
-        let dst_world = members[j];
-        if is_p2p && dst_world == me_world {
+        if is_p2p && j == me_sub {
             return Vec::new(); // fftlint:allow(no-alloc-in-hot-path): capacity-0 sentinel, no heap
         }
         let mut buf = pool.take_empty();
         if let Some(region) = send_idx[j] {
-            for item in data.iter().take(items) {
+            for item in data {
                 from_box.extract_into(item, region, &mut buf);
             }
         }
-        if plan.opts.backend == CommBackend::AllToAll {
-            buf.resize(pad_elems * items, C64::ZERO);
+        if pad_elems > 0 {
+            buf.resize(pad_elems, C64::ZERO);
         }
         buf
     })
@@ -1622,7 +906,6 @@ fn build_sends(
 /// arenas the items fan out across workers; each item replays every block
 /// in sub-comm order, making the writes identical to the serial loop.
 // fftlint:hot — the unpack kernel.
-#[allow(clippy::too_many_arguments)]
 fn deposit_recvs(
     plan: &FftPlan,
     spec: &ReshapeSpec,
@@ -1632,17 +915,17 @@ fn deposit_recvs(
     new_data: &mut [Vec<C64>],
     arenas: &mut [ExecScratch],
 ) {
-    let me_world = sub.member(sub.me());
+    let members = sub.members();
+    let me_sub = sub.me();
+    let me_world = members[me_sub];
     let is_p2p = plan.opts.backend.is_p2p();
     // Source→region index built once per reshape (O(p + peers)) instead of
     // the per-block linear `find` that made this loop O(peers²).
-    let members: Vec<usize> = (0..sub.size()).map(|j| sub.member(j)).collect(); // fftlint:allow(no-alloc-in-hot-path): O(group) member table per reshape
-    let recv_idx = spec.recv_region_index(me_world, &members);
+    let recv_idx = spec.recv_region_index(me_world, members);
     let units: Vec<&mut Vec<C64>> = new_data.iter_mut().collect(); // fftlint:allow(no-alloc-in-hot-path): O(items) unit list for the fan-out
     mpisim::par::par_parts(arenas, units, |b, _, item| {
         for (j, block) in recvd.iter().enumerate() {
-            let src_world = members[j];
-            if is_p2p && src_world == me_world {
+            if is_p2p && j == me_sub {
                 continue; // self block handled by the device copy
             }
             let Some(region) = recv_idx[j] else {
@@ -1652,8 +935,9 @@ fn deposit_recvs(
                 assert!(
                     block.is_empty() || plan.opts.backend == CommBackend::AllToAll,
                     "reshape spec: rank {me_world} received {} elements from rank \
-                     {src_world} but has no recv region for it",
-                    block.len()
+                     {} but has no recv region for it",
+                    block.len(),
+                    members[j]
                 );
                 continue;
             };
@@ -1665,8 +949,7 @@ fn deposit_recvs(
 
 /// Builds the per-member sub-array datatypes of the Alltoallw path: one
 /// send type per destination (a region of `from_box`) and one recv type
-/// per source (a region of `to_box`), empty where no flow exists. Shared
-/// by the monolithic and partitioned W exchanges.
+/// per source (a region of `to_box`), empty where no flow exists.
 fn alltoallw_types(
     spec: &ReshapeSpec,
     sub: &Comm,
@@ -1674,76 +957,25 @@ fn alltoallw_types(
     to_box: &Box3,
 ) -> (Vec<Subarray>, Vec<Subarray>) {
     let me_world = sub.member(sub.me());
-    let empty_send = Subarray::new(from_box.shape(), [0, 0, 0], [0, 0, 0]);
-    let empty_recv = Subarray::new(to_box.shape(), [0, 0, 0], [0, 0, 0]);
-
-    let to_local = |owner: &Box3, region: &Box3| -> Subarray {
-        Subarray::new(
-            owner.shape(),
-            region.shape(),
-            [
-                region.lo[0] - owner.lo[0],
-                region.lo[1] - owner.lo[1],
-                region.lo[2] - owner.lo[2],
-            ],
-        )
+    let local = |owner: &Box3, region: Option<&Box3>| match region {
+        Some(r) => {
+            let offset = [0, 1, 2].map(|d| r.lo[d] - owner.lo[d]);
+            Subarray::new(owner.shape(), r.shape(), offset)
+        }
+        None => Subarray::new(owner.shape(), [0, 0, 0], [0, 0, 0]),
     };
-
-    let send_types: Vec<Subarray> = (0..sub.size())
-        .map(|j| {
-            let dst_world = sub.member(j);
-            spec.sends[me_world]
-                .iter()
-                .find(|(d, _)| *d == dst_world)
-                .map(|(_, r)| to_local(from_box, r))
-                .unwrap_or(empty_send)
-        })
+    let send_types = spec
+        .send_region_index(me_world, sub.members())
+        .into_iter()
+        .map(|r| local(from_box, r))
         .collect(); // fftlint:allow(no-alloc-in-hot-path): O(group) datatype table per exchange
-    let recv_types: Vec<Subarray> = (0..sub.size())
-        .map(|j| {
-            let src_world = sub.member(j);
-            spec.recvs[me_world]
-                .iter()
-                .find(|(s, _)| *s == src_world)
-                .map(|(_, r)| to_local(to_box, r))
-                .unwrap_or(empty_recv)
-        })
+    let recv_types = spec
+        .recv_region_index(me_world, sub.members())
+        .into_iter()
+        .map(|r| local(to_box, r))
         .collect(); // fftlint:allow(no-alloc-in-hot-path): O(group) datatype table per exchange
     (send_types, recv_types)
 }
-
-/// Runs the Alltoallw path: sub-array datatypes over the local arrays, no
-/// caller-side packing. Batched transforms are restricted to one item here
-/// (Algorithm 2 is not batched in the paper either).
-#[allow(clippy::too_many_arguments)]
-fn run_alltoallw(
-    plan: &FftPlan,
-    spec: &ReshapeSpec,
-    sub: &Comm,
-    env: PhaseEnv,
-    rank: &mut Rank,
-    from_box: &Box3,
-    to_box: &Box3,
-    data: &mut [Vec<C64>],
-    new_data: &mut [Vec<C64>],
-) {
-    assert_eq!(
-        plan.opts.batch, 1,
-        "the Alltoallw backend supports batch == 1 only"
-    );
-    let (send_types, recv_types) = alltoallw_types(spec, sub, from_box, to_box);
-
-    coll::alltoallw(
-        rank,
-        sub,
-        env,
-        &data[0],
-        &send_types,
-        &mut new_data[0],
-        &recv_types,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -1775,83 +1007,5 @@ mod tests {
         // Degenerate groups.
         assert_eq!(super::effective_group_chunks(4, 1), 1);
         assert_eq!(super::effective_group_chunks(4, 0), 1);
-    }
-
-    #[test]
-    fn chunk_byte_split_conserves_reshape_totals() {
-        use crate::procgrid::Distribution;
-        use crate::reshape::ReshapeSpec;
-        let a = Distribution::new([8, 8, 8], [2, 2, 2], 8);
-        let b = Distribution::new([8, 8, 8], [1, 2, 4], 8);
-        let spec = ReshapeSpec::build(&a, &b);
-        let members: Vec<usize> = (0..8).collect();
-        let items = 3usize;
-        for k_eff in [2usize, 4, 7] {
-            for (me_sub, &me) in members.iter().enumerate() {
-                for is_p2p in [false, true] {
-                    let (pack, unpack, wire) = super::chunk_byte_split(
-                        &spec, me, &members, me_sub, k_eff, is_p2p, 0, items,
-                    );
-                    let self_b = spec.bytes(me, me) * items;
-                    let wire_total: usize = wire.iter().sum();
-                    assert_eq!(wire_total, spec.offrank_send_bytes(me) * items);
-                    let pack_total: usize = pack.iter().sum();
-                    let unpack_total: usize = unpack.iter().sum();
-                    if is_p2p {
-                        assert_eq!(pack_total, wire_total);
-                        assert_eq!(unpack_total, spec.offrank_recv_bytes(me) * items);
-                    } else {
-                        assert_eq!(pack_total, wire_total + self_b);
-                        assert_eq!(unpack_total, spec.offrank_recv_bytes(me) * items + self_b);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_byte_split_padded_counts_whole_blocks() {
-        use crate::procgrid::Distribution;
-        use crate::reshape::ReshapeSpec;
-        let a = Distribution::new([8, 8, 8], [2, 2, 2], 8);
-        let b = Distribution::new([8, 8, 8], [1, 2, 4], 8);
-        let spec = ReshapeSpec::build(&a, &b);
-        let members: Vec<usize> = (0..8).collect();
-        let pad = spec.padded_block_bytes(&members);
-        let items = 2usize;
-        let p = members.len();
-        for k_eff in [2usize, 4, 7] {
-            for (me_sub, &me) in members.iter().enumerate() {
-                let (pack, unpack, wire) =
-                    super::chunk_byte_split(&spec, me, &members, me_sub, k_eff, false, pad, items);
-                // Padded accounting: every block is the group max — p packed
-                // and unpacked blocks (self included), p − 1 on the wire.
-                assert_eq!(pack.iter().sum::<usize>(), pad * p * items);
-                assert_eq!(unpack.iter().sum::<usize>(), pad * p * items);
-                assert_eq!(wire.iter().sum::<usize>(), pad * (p - 1) * items);
-                // Chunk 0 always carries the self block.
-                assert!(pack[0] >= pad * items && unpack[0] >= pad * items);
-            }
-        }
-    }
-
-    #[test]
-    fn auto_chunks_prefers_one_when_nothing_overlaps() {
-        // Zero comm and zero fft: splitting only adds latency.
-        assert_eq!(super::auto_chunks_from_stages(1000, 0, 1000, 0, 500, 8), 1);
-        // Latency-free with a dominant wire: more chunks always help, so
-        // the ladder cap wins.
-        assert_eq!(
-            super::auto_chunks_from_stages(1000, 100_000, 1000, 0, 0, 8),
-            8
-        );
-    }
-
-    #[test]
-    fn auto_chunks_finds_interior_optimum() {
-        // Comparable stages with real per-chunk latency: the argmin lands
-        // strictly inside the ladder.
-        let k = super::auto_chunks_from_stages(40_000, 120_000, 40_000, 60_000, 9_000, 16);
-        assert!(k > 1 && k < 16, "interior optimum, got {k}");
     }
 }

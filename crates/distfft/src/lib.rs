@@ -43,6 +43,7 @@ pub mod real3d;
 pub mod reshape;
 #[cfg(feature = "sanitize")]
 pub mod sanitize;
+pub mod schedule;
 pub mod timeline;
 pub mod trace;
 

@@ -15,10 +15,12 @@
 //! the whole observed table in paste-ready form.
 
 use distfft::dryrun::{DryRunOpts, DryRunner};
+use distfft::exec::{bind, execute, ExecCtx};
 use distfft::plan::{CommBackend, FftOptions, FftPlan, IoLayout};
 use distfft::trace::{KernelKind, TraceEvent};
 use distfft::Decomp;
-use fftkern::Direction;
+use fftkern::{Direction, C64};
+use mpisim::comm::{Comm, World, WorldOpts};
 use simgrid::MachineSpec;
 
 struct Fnv(u64);
@@ -204,6 +206,32 @@ fn dry_run_traces_match_the_pre_refactor_goldens() {
         }
         panic!("dry-run schedule digests diverge from the goldens; observed table:\n{table}");
     }
+}
+
+/// Every member of a group prices the same schedule from the same inputs,
+/// so a world must cache it once — not once per distinct peer count, as it
+/// did while each rank folded its own `peer_count` into the `PhaseEnv`.
+#[test]
+fn world_caches_one_schedule_per_reshape_group_and_direction() {
+    if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
+        return; // `auto` may split a group's entries differently per round
+    }
+    let plan = FftPlan::build([32, 32, 32], 24, FftOptions::default());
+    // The benchmark's `small-32x24` plan: its brick→pencil group mixes peer
+    // counts {3,4,5,6}, its output groups {3,4,7}.
+    let groups: usize = plan.reshapes.iter().map(|s| s.groups.len()).sum();
+    let world = World::new(MachineSpec::summit(), 24, WorldOpts::default());
+    world.run(|rank| {
+        let comm = Comm::world(rank);
+        let bound = bind(&plan, rank, &comm);
+        let mut ctx = ExecCtx::new();
+        let b = plan.dists[0].rank_box(rank.rank());
+        let mut data = vec![vec![C64::ONE; b.volume()]];
+        for dir in [Direction::Forward, Direction::Inverse] {
+            execute(&plan, &bound, &mut ctx, rank, &comm, &mut data, dir);
+        }
+    });
+    assert_eq!(world.cached_schedules(), 2 * groups);
 }
 
 #[rustfmt::skip]

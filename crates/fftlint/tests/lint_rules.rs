@@ -231,3 +231,19 @@ fn fixture_directory_is_excluded_from_workspace_walks() {
         "fixtures leaked into the workspace walk"
     );
 }
+
+#[test]
+fn panic_reachability_follows_the_reshape_schedule_out_of_exec_rs() {
+    // The rule's roots are the functions defined in `distfft/src/exec.rs`;
+    // the reshape schedule they interpret lives in `schedule.rs`, and must
+    // stay inside the executor's reachable set.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(|p| p.parent())
+        .expect("repo root");
+    let files = fftlint::workspace_files(root).expect("walk");
+    let f = fftlint::analyze_files(root, &files).expect("sources readable");
+    assert!(f.iter().any(|x| x.rule == rules::PANIC_REACHABLE_FROM_EXEC
+        && x.path == "crates/distfft/src/schedule.rs"
+        && x.msg.contains("run_reshape")));
+}

@@ -82,58 +82,10 @@ pub fn b_pencils(n: f64, pgrid: usize, qgrid: usize, t_measured: f64, latency_s:
     num / den
 }
 
-/// Pipelined reshape estimate: a strict pack → exchange → unpack chain
-/// split into `k` per-peer chunks (DESIGN.md §14). With each chunk's
-/// stages overlapping its neighbours', the chain costs one pass through
-/// the pipeline at `1/k` scale plus `k − 1` periods of the bottleneck
-/// stage:
-///
-/// `T_pipe(k) = (T_pack + T_comm + T_unpack)/k + ((k−1)/k)·max(T_pack, T_comm, T_unpack)`
-///
-/// `k = 1` recovers the strict-phase sum; as `k → ∞` the cost tends to
-/// the bottleneck stage alone (the other stages' fill/drain vanishes as
-/// `1/k`). This is the idealized ceiling the simulator's partitioned
-/// schedule walker is measured against — the walker additionally pays
-/// per-chunk message overheads, so real chunk counts have an interior
-/// optimum rather than a monotone win.
-pub fn t_pipelined(t_pack: f64, t_comm: f64, t_unpack: f64, k: usize) -> f64 {
-    let k_f = k.max(1) as f64;
-    let sum = t_pack + t_comm + t_unpack;
-    let bottleneck = t_pack.max(t_comm).max(t_unpack);
-    sum / k_f + (k_f - 1.0) / k_f * bottleneck
-}
-
-/// Transform-ahead pipelined reshape estimate (DESIGN.md §16): extends
-/// [`t_pipelined`] with the two effects that give the chunk count a real
-/// interior optimum and make auto-selection possible.
-///
-/// * **Per-chunk latency** `lat`: each extra chunk pays one more round of
-///   message/posting overheads, adding `(k−1)·lat`. This is what keeps
-///   `k → ∞` from looking free.
-/// * **Compute overlap ceiling** `t_fft`: with transform-ahead, the next
-///   axis transform of lines completed by early chunks runs while late
-///   chunks are still on the wire. The first chunk's lines are not
-///   available until it lands, so at most `(k−1)/k` of the transform can
-///   hide — and it can never hide more than the wire time it hides under:
-///
-/// `T(k) = T_pipe(k) + (k−1)·lat + T_fft − min(T_fft, T_comm)·(k−1)/k`
-///
-/// `k = 1` recovers the strict chain `T_pack + T_comm + T_unpack + T_fft`.
-/// `FFT_RESHAPE_CHUNKS=auto` picks `argmin_k T(k)`; the executor's
-/// duplicate of this formula (`distfft::exec::auto_chunks_from_stages`,
-/// pinned equal by a property test here) keeps the crate graph acyclic.
-pub fn t_pipelined_ext(
-    t_pack: f64,
-    t_comm: f64,
-    t_unpack: f64,
-    t_fft: f64,
-    lat: f64,
-    k: usize,
-) -> f64 {
-    let k_f = k.max(1) as f64;
-    let overlap = t_fft.min(t_comm) * (k_f - 1.0) / k_f;
-    t_pipelined(t_pack, t_comm, t_unpack, k) + (k_f - 1.0) * lat + t_fft - overlap
-}
+/// The pipelined-reshape chunk-count model. Its single definition lives in
+/// `distfft` (which `FFT_RESHAPE_CHUNKS=auto` evaluates, and which this
+/// crate depends on); re-exported here next to the paper's other models.
+pub use distfft::schedule::{t_pipelined, t_pipelined_ext};
 
 #[cfg(test)]
 mod tests {
@@ -194,66 +146,6 @@ mod tests {
             assert!(
                 t_pipelined_ext(p, c, u, huge_fft, l, k) >= t_pipelined(p, c, u, k) + huge_fft - c
             );
-        }
-    }
-
-    #[test]
-    fn auto_k_is_the_argmin_of_the_extended_pipeline_model() {
-        // The executor keeps an integer-nanosecond duplicate of the §16
-        // argmin (`distfft::exec::auto_chunks_from_stages`) because this
-        // crate depends on `distfft`, not the other way around. Property:
-        // over a deterministic ladder of stage mixes — wire-bound,
-        // kernel-bound, fft-heavy, latency-heavy, and degenerate zero
-        // stages — the executor's pick equals argmin_k `t_pipelined_ext`
-        // evaluated on the same (ns-valued) inputs, ties to the smallest k.
-        let mut state = 0x2545_F491_4F6C_DD1D_u64;
-        let mut next = move |lo: u64, hi: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            lo + state % (hi - lo + 1)
-        };
-        let mut cases: Vec<(u64, u64, u64, u64, u64)> = vec![
-            (0, 0, 0, 0, 0),
-            (1_000, 0, 1_000, 0, 500),
-            (1_000, 100_000, 1_000, 0, 0),
-            (40_000, 120_000, 40_000, 60_000, 9_000),
-            (0, 50_000, 0, 200_000, 1),
-        ];
-        for _ in 0..400 {
-            cases.push((
-                next(0, 200_000),
-                next(0, 500_000),
-                next(0, 200_000),
-                next(0, 400_000),
-                next(0, 20_000),
-            ));
-        }
-        for (pack, comm, unpack, fft, lat) in cases {
-            for max_k in [1usize, 2, 7, 16] {
-                let got =
-                    distfft::exec::auto_chunks_from_stages(pack, comm, unpack, fft, lat, max_k);
-                let mut want = 1usize;
-                let mut best = f64::INFINITY;
-                for k in 1..=max_k {
-                    let t = t_pipelined_ext(
-                        pack as f64,
-                        comm as f64,
-                        unpack as f64,
-                        fft as f64,
-                        lat as f64,
-                        k,
-                    );
-                    if t < best {
-                        best = t;
-                        want = k;
-                    }
-                }
-                assert_eq!(
-                    got, want,
-                    "argmin diverged: stages=({pack},{comm},{unpack},{fft},{lat}) max_k={max_k}"
-                );
-            }
         }
     }
 

@@ -1,9 +1,11 @@
-//! Collectives: `alltoall`, `alltoallv`, `alltoallw`, `barrier`, `bcast`,
-//! `allgather`, `allreduce`, and the heFFTe-style point-to-point exchange.
+//! Collectives: the one reshape [`exchange`] behind `MPI_Alltoall(v|w)` and
+//! the heFFTe-style point-to-point backend (an [`ExchangeKind`] policy row
+//! each), plus `barrier`, `bcast`, `allgather` and `allreduce`.
 //!
 //! Data moves through the zero-cost control plane; clock advances come from
-//! the schedule walkers in [`crate::pattern`] — the same functions the
-//! analytic dry-run uses, so functional and analytic timings agree exactly.
+//! [`exchange_times`] over the schedule walkers in [`crate::pattern`] — the
+//! same function the analytic dry-run calls, so functional and analytic
+//! timings agree exactly.
 //!
 //! Every collective takes an explicit [`PhaseEnv`] describing how the
 //! machine is loaded while the phase runs (NIC sharing, active nodes, peer
@@ -13,8 +15,8 @@ use simgrid::SimTime;
 
 use crate::comm::{Comm, Rank};
 use crate::datatype::Subarray;
-use crate::distro::AlltoallAlgo;
-use crate::pattern::{self, NetParams, P2pFlavor, PhaseEnv};
+use crate::distro::{AlltoallAlgo, MpiDistro};
+use crate::pattern::{self, NetParams, P2pFlavor, PartitionedTimes, PhaseEnv, ScatterPolicy};
 
 fn net_params<'a>(rank: &Rank<'a>) -> NetParams<'a> {
     let w = rank.world();
@@ -33,24 +35,6 @@ const MEMO_ALLTOALLW: u8 = 3;
 const MEMO_P2P: u8 = 4;
 const MEMO_BARRIER: u8 = 5;
 const MEMO_ALLGATHER: u8 = 6;
-const MEMO_ALLTOALLV_PART: u8 = 7;
-const MEMO_P2P_PART: u8 = 8;
-const MEMO_ALLTOALL_PART: u8 = 9;
-const MEMO_ALLTOALLW_PART: u8 = 10;
-
-/// Flattens a byte matrix into a memo signature.
-fn matrix_sig(matrix: &[Vec<usize>]) -> Vec<usize> {
-    matrix.iter().flat_map(|row| row.iter().copied()).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Pure exit-time functions.
-//
-// These price each collective given (entries, byte matrix) and are used both
-// by the functional collectives below and by the analytic dry-run executor in
-// `distfft` — the mechanism that keeps the two execution modes in exact
-// agreement.
-// ---------------------------------------------------------------------------
 
 /// Per-call setup cost of a tuned collective: algorithm dispatch plus an
 /// O(p) scan of the count arrays / internal request allocation.
@@ -58,67 +42,269 @@ pub fn coll_setup_ns(p: usize) -> u64 {
     1_000 + 100 * p as u64
 }
 
-/// Per-call device-synchronization overhead of an exchange on GPU buffers
-/// (stream sync, handle lookup) — amortized by batching (Fig. 13).
-fn call_sync_ns(np: &NetParams) -> u64 {
-    np.spec.gpu_call_sync_ns
+/// Per-message CPU cost a backend adds on top of the bare scatter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MsgCost {
+    None,
+    /// Derived-datatype assembly on both sides of every message: fixed
+    /// setup (ns) plus the payload at a pack bandwidth (GB/s).
+    Datatype {
+        setup_ns: u64,
+        pack_gbs: f64,
+    },
+    /// GPU-aware per-peer registration on the send side (Fig. 9), growing
+    /// with the sender's count of non-empty peers.
+    GpuRegistration,
 }
 
-fn shifted(entries: &[SimTime], ns: u64) -> Vec<SimTime> {
-    entries.iter().map(|t| *t + SimTime::from_ns(ns)).collect()
+/// The pricing policy of one reshape exchange — the paper's Table I as
+/// data. One constructor per backend row; [`exchange_times`] is the only
+/// interpreter.
+///
+/// | constructor | schedule | setup | empty pairs | per-message extra | GPU-aware |
+/// |---|---|---|---|---|---|
+/// | [`alltoall`](Self::alltoall) | distro's Bruck/pairwise; posted scatter once partitioned | dispatch + call sync | posted | — | as asked |
+/// | [`alltoallv`](Self::alltoallv) | posted scatter | dispatch + call sync | posted | — | as asked |
+/// | [`alltoallw`](Self::alltoallw) | posted scatter | dispatch + call sync | posted | datatype assembly, both sides | only if the distro's is |
+/// | [`p2p`](Self::p2p) | posted scatter, blocking or not | call sync | skipped | GPU registration, send side | as asked |
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExchangeKind {
+    /// `fftobs` counter names (calls, bytes): monolithic, then `_part`.
+    counters: [(&'static str, &'static str); 2],
+    memo: (u8, u64),
+    /// An MPI collective (tuned-dispatch setup, every pair posted, even
+    /// empty ones) rather than heFFTe's hand-written loop (call sync only,
+    /// empty pairs skipped).
+    collective: bool,
+    flavor: P2pFlavor,
+    msg_cost: MsgCost,
+    /// Padded `MPI_Alltoall`: every pair carries `bytes(0, 0)`, and the
+    /// monolithic call takes this distro's size-selected algorithm.
+    tuned: Option<MpiDistro>,
+    /// Whether the routine honours GPU buffers at all.
+    gpu_aware: bool,
+    partitioned: bool,
 }
 
-/// Total payload bytes of a (src, dst) byte matrix, for metrics.
-fn matrix_bytes(matrix: &[Vec<usize>]) -> u64 {
-    matrix
-        .iter()
-        .map(|row| row.iter().map(|b| *b as u64).sum::<u64>())
-        .sum()
+impl ExchangeKind {
+    /// Padded `MPI_Alltoall` on equal blocks, with the tuned algorithm
+    /// selected by the distribution profile (§II: "MPICH has four
+    /// different implementations of MPI_Alltoall, selected according to
+    /// the array size"): Bruck for small blocks, pairwise exchange for
+    /// large. A partitioned exchange must keep per-peer messages intact so
+    /// a receiver can match chunk `k`'s blocks as they land, which rules
+    /// out Bruck's log-round payload mixing and the pairwise schedule's
+    /// step-synchronized rounds: chunking forces the posted scatter.
+    pub fn alltoall(distro: MpiDistro) -> ExchangeKind {
+        ExchangeKind {
+            counters: [
+                ("mpisim.calls.alltoall", "mpisim.bytes.alltoall"),
+                ("mpisim.calls.alltoall_part", "mpisim.bytes.alltoall_part"),
+            ],
+            memo: (MEMO_ALLTOALL, distro as u64),
+            tuned: Some(distro),
+            ..ExchangeKind::alltoallv()
+        }
+    }
+
+    /// `MPI_Alltoallv`: the basic-linear algorithm (post every pair
+    /// non-blocking, wait all) that SpectrumMPI and MVAPICH use for the
+    /// irregular collective — zero-count pairs are still posted.
+    pub fn alltoallv() -> ExchangeKind {
+        ExchangeKind {
+            counters: [
+                ("mpisim.calls.alltoallv", "mpisim.bytes.alltoallv"),
+                ("mpisim.calls.alltoallv_part", "mpisim.bytes.alltoallv_part"),
+            ],
+            memo: (MEMO_ALLTOALLV, 0),
+            collective: true,
+            flavor: P2pFlavor::NonBlocking,
+            msg_cost: MsgCost::None,
+            tuned: None,
+            gpu_aware: true,
+            partitioned: false,
+        }
+    }
+
+    /// `MPI_Alltoallw` with derived datatypes: the naive `Isend`/`Irecv`
+    /// scatter every real distribution uses for it, per-message datatype
+    /// assembly costs, and the SpectrumMPI GPU-awareness loss (§II
+    /// footnote).
+    pub fn alltoallw(distro: MpiDistro) -> ExchangeKind {
+        let (setup_ns, pack_gbs) = distro.alltoallw_dtype_cost();
+        ExchangeKind {
+            counters: [
+                ("mpisim.calls.alltoallw", "mpisim.bytes.alltoallw"),
+                ("mpisim.calls.alltoallw_part", "mpisim.bytes.alltoallw_part"),
+            ],
+            memo: (MEMO_ALLTOALLW, distro as u64),
+            msg_cost: MsgCost::Datatype { setup_ns, pack_gbs },
+            gpu_aware: distro.alltoallw_gpu_aware(),
+            ..ExchangeKind::alltoallv()
+        }
+    }
+
+    /// The heFFTe point-to-point exchange (`MPI_Send`/`MPI_Isend` +
+    /// `MPI_Irecv`/`MPI_Waitany`, paper Table I, Fig. 7): zero-length
+    /// payloads are skipped, and GPU-aware sends pay the per-peer
+    /// registration overhead.
+    pub fn p2p(flavor: P2pFlavor) -> ExchangeKind {
+        ExchangeKind {
+            counters: [
+                ("mpisim.calls.p2p", "mpisim.bytes.p2p"),
+                ("mpisim.calls.p2p_part", "mpisim.bytes.p2p_part"),
+            ],
+            memo: (MEMO_P2P, matches!(flavor, P2pFlavor::NonBlocking) as u64),
+            collective: false,
+            flavor,
+            msg_cost: MsgCost::GpuRegistration,
+            ..ExchangeKind::alltoallv()
+        }
+    }
+
+    /// Selects the partitioned variant: sends become eligible chunk by
+    /// chunk and receives complete per chunk (inline, `MPI_Waitany`-style)
+    /// instead of in one trailing pass. Padded `MPI_Alltoall` additionally
+    /// leaves its tuned algorithm for the posted scatter.
+    pub fn partitioned(self, partitioned: bool) -> ExchangeKind {
+        ExchangeKind {
+            partitioned,
+            ..self
+        }
+    }
 }
 
-/// Exit times of `MPI_Alltoall` on equal `bytes_per_pair` blocks, with the
-/// tuned algorithm selected by the distribution profile (§II: "MPICH has
-/// four different implementations of MPI_Alltoall, selected according to
-/// the array size"): Bruck for small blocks, pairwise exchange for large.
+/// Prices one reshape exchange: exit and per-chunk ready times of every
+/// member of `group`, given the member-major per-partition entry times
+/// (`part_entries.len() / group.len()` chunks each; one for a monolithic
+/// call) and the per-pair payload `bytes(i, j)` (group indices).
+///
+/// This is the single pricer behind both execution modes: the functional
+/// [`exchange`] calls it with the entries and byte rows the members
+/// gathered, the analytic dry-run with the ones it computed — the
+/// mechanism that keeps the two in exact agreement.
+pub fn exchange_times<B: Fn(usize, usize) -> usize>(
+    np: &NetParams,
+    env: &PhaseEnv,
+    kind: &ExchangeKind,
+    group: &[usize],
+    part_entries: &[SimTime],
+    bytes: &B,
+) -> PartitionedTimes {
+    let p = group.len();
+    let nparts = part_entries.len() / p.max(1);
+    assert!(
+        nparts >= 1 && (kind.partitioned || nparts == 1),
+        "a monolithic exchange has exactly one entry per member"
+    );
+    // Memo signature: the byte matrix (one block when uniform), then the
+    // partition count. Sized exactly — the memo keeps it as part of the key.
+    let mut sig: Vec<usize> = Vec::with_capacity(p * p + 1);
+    if kind.tuned.is_some() {
+        sig.push(bytes(0, 0));
+    } else {
+        for i in 0..p {
+            sig.extend((0..p).map(|j| bytes(i, j)));
+        }
+    }
+    if fftobs::enabled() {
+        let (calls, total) = kind.counters[kind.partitioned as usize];
+        let payload: usize = sig.iter().sum();
+        let pairs = if kind.tuned.is_some() { p * p } else { 1 };
+        fftobs::count(calls, 1);
+        fftobs::count(total, (payload * pairs) as u64);
+    }
+    let env = PhaseEnv {
+        gpu_aware: env.gpu_aware && kind.gpu_aware,
+        ..*env
+    };
+    let (memo_kind, memo_extra) = kind.memo;
+    if kind.partitioned {
+        sig.push(nparts);
+    }
+    let id = (memo_kind, memo_extra * 2 + kind.partitioned as u64);
+    let flat = pattern::memo_exits(np, &env, id, group, part_entries, sig, || {
+        // One-time call entry costs: device sync (stream sync, handle
+        // lookup — amortized by batching, Fig. 13) plus, for a collective,
+        // the tuned dispatch. Setup happens once when the call is posted
+        // (a member's first entry) and no partition may inject before it
+        // completes.
+        let setup = SimTime::from_ns(
+            np.spec.gpu_call_sync_ns + if kind.collective { coll_setup_ns(p) } else { 0 },
+        );
+        let entries: Vec<SimTime> = part_entries
+            .chunks(nparts)
+            .flat_map(|pe| pe.iter().map(|t| (*t).max(pe[0] + setup)))
+            .collect();
+        if let (Some(distro), false) = (kind.tuned, kind.partitioned) {
+            let block = bytes(0, 0);
+            return PartitionedTimes::from_exits(match distro.alltoall_algo(block) {
+                AlltoallAlgo::Pairwise => {
+                    pattern::pairwise_times(np, &env, group, &entries, &|_, _| block, 0)
+                }
+                AlltoallAlgo::Bruck => {
+                    pattern::bruck_times(np, &env, group, &entries, &vec![block * p; p])
+                }
+            })
+            .into_flat();
+        }
+        let peers: Vec<usize> = match kind.msg_cost {
+            MsgCost::GpuRegistration if env.gpu_aware => (0..p)
+                .map(|i| (0..p).filter(|&j| j != i && bytes(i, j) > 0).count())
+                .collect(),
+            _ => Vec::new(),
+        };
+        let msg_ns = |sender: usize, bytes: usize, sending: bool| match kind.msg_cost {
+            MsgCost::Datatype { setup_ns, pack_gbs } => {
+                setup_ns + (bytes as f64 / pack_gbs).ceil() as u64
+            }
+            MsgCost::GpuRegistration if sending && env.gpu_aware => {
+                np.spec.p2p_gpu_aware_overhead_ns(peers[sender].max(1))
+            }
+            _ => 0,
+        };
+        let policy = ScatterPolicy {
+            flavor: kind.flavor,
+            post_zero: kind.collective,
+            inline_recv: kind.partitioned,
+            extra_send_ns: &|i, b| msg_ns(i, b, true),
+            extra_recv_ns: &|i, b| msg_ns(i, b, false),
+        };
+        pattern::scatter_times(np, &env, group, &entries, bytes, &policy).into_flat()
+    });
+    PartitionedTimes::from_flat(flat, nparts)
+}
+
+fn matrix_bytes(matrix: &[Vec<usize>]) -> impl Fn(usize, usize) -> usize + '_ {
+    |i, j| matrix[i][j]
+}
+
+fn flat_entries(part_entries: &[Vec<SimTime>], nparts: usize) -> Vec<SimTime> {
+    assert!(
+        part_entries.iter().all(|pe| pe.len() == nparts),
+        "every member must supply one entry time per partition"
+    );
+    part_entries.iter().flatten().copied().collect()
+}
+
+/// Exit times of a monolithic padded `MPI_Alltoall` — a delegate to
+/// [`exchange_times`] with [`ExchangeKind::alltoall`].
 pub fn alltoall_exit_times(
     np: &NetParams,
     env: &PhaseEnv,
-    distro: crate::distro::MpiDistro,
+    distro: MpiDistro,
     group: &[usize],
     entries: &[SimTime],
     bytes_per_pair: usize,
 ) -> Vec<SimTime> {
-    fftobs::count("mpisim.calls.alltoall", 1);
-    fftobs::count(
-        "mpisim.bytes.alltoall",
-        (bytes_per_pair * group.len() * group.len()) as u64,
-    );
-    let sig = vec![bytes_per_pair];
-    pattern::memo_exits(
-        np,
-        env,
-        (MEMO_ALLTOALL, distro as u64),
-        group,
-        entries,
-        sig,
-        || {
-            let entries = shifted(entries, coll_setup_ns(group.len()) + call_sync_ns(np));
-            match distro.alltoall_algo(bytes_per_pair) {
-                AlltoallAlgo::Pairwise => {
-                    pattern::pairwise_times(np, env, group, &entries, &|_, _| bytes_per_pair, 0)
-                }
-                AlltoallAlgo::Bruck => {
-                    let totals: Vec<usize> = vec![bytes_per_pair * group.len(); group.len()];
-                    pattern::bruck_times(np, env, group, &entries, &totals)
-                }
-            }
-        },
-    )
+    let kind = ExchangeKind::alltoall(distro);
+    exchange_times(np, env, &kind, group, entries, &|_, _| bytes_per_pair)
+        .exits()
+        .to_vec()
 }
 
-/// Exit times of `MPI_Alltoallv`: the basic-linear algorithm (post every
-/// pair non-blocking, wait all) that SpectrumMPI and MVAPICH use for the
-/// irregular collective — zero-count pairs are still posted.
+/// Exit times of a monolithic `MPI_Alltoallv` — a delegate to
+/// [`exchange_times`] with [`ExchangeKind::alltoallv`].
 pub fn alltoallv_exit_times(
     np: &NetParams,
     env: &PhaseEnv,
@@ -126,76 +312,30 @@ pub fn alltoallv_exit_times(
     entries: &[SimTime],
     matrix: &[Vec<usize>],
 ) -> Vec<SimTime> {
-    fftobs::count("mpisim.calls.alltoallv", 1);
-    fftobs::count("mpisim.bytes.alltoallv", matrix_bytes(matrix));
-    pattern::memo_exits(
-        np,
-        env,
-        (MEMO_ALLTOALLV, 0),
-        group,
-        entries,
-        matrix_sig(matrix),
-        || {
-            let entries = shifted(entries, coll_setup_ns(group.len()) + call_sync_ns(np));
-            pattern::scatter_times(
-                np,
-                env,
-                group,
-                &entries,
-                &|i, j| matrix[i][j],
-                P2pFlavor::NonBlocking,
-                true,
-                &|_, _| 0,
-                &|_, _| 0,
-            )
-        },
-    )
+    let kind = ExchangeKind::alltoallv();
+    exchange_times(np, env, &kind, group, entries, &matrix_bytes(matrix))
+        .exits()
+        .to_vec()
 }
 
-/// Exit times of `MPI_Alltoallw` with derived datatypes: naive
-/// `Isend`/`Irecv` scatter, per-message datatype assembly costs, and the
-/// SpectrumMPI GPU-awareness loss.
+/// Exit times of a monolithic `MPI_Alltoallw` — a delegate to
+/// [`exchange_times`] with [`ExchangeKind::alltoallw`].
 pub fn alltoallw_exit_times(
     np: &NetParams,
     env: &PhaseEnv,
-    distro: crate::distro::MpiDistro,
+    distro: MpiDistro,
     group: &[usize],
     entries: &[SimTime],
     matrix: &[Vec<usize>],
 ) -> Vec<SimTime> {
-    fftobs::count("mpisim.calls.alltoallw", 1);
-    fftobs::count("mpisim.bytes.alltoallw", matrix_bytes(matrix));
-    let mut eff_env = *env;
-    eff_env.gpu_aware = env.gpu_aware && distro.alltoallw_gpu_aware();
-    let (setup_ns, pack_gbs) = distro.alltoallw_dtype_cost();
-    let dtype_cost = move |bytes: usize| setup_ns + (bytes as f64 / pack_gbs).ceil() as u64;
-    let sig = matrix_sig(matrix);
-    pattern::memo_exits(
-        np,
-        &eff_env,
-        (MEMO_ALLTOALLW, distro as u64),
-        group,
-        entries,
-        sig,
-        || {
-            let entries = shifted(entries, coll_setup_ns(group.len()) + call_sync_ns(np));
-            pattern::scatter_times(
-                np,
-                &eff_env,
-                group,
-                &entries,
-                &|i, j| matrix[i][j],
-                P2pFlavor::NonBlocking,
-                true,
-                &|i, j| dtype_cost(matrix[i][j]),
-                &|i, j| dtype_cost(matrix[i][j]),
-            )
-        },
-    )
+    let kind = ExchangeKind::alltoallw(distro);
+    exchange_times(np, env, &kind, group, entries, &matrix_bytes(matrix))
+        .exits()
+        .to_vec()
 }
 
-/// Exit times of the heFFTe point-to-point exchange (blocking or
-/// non-blocking), including the GPU-aware per-peer registration overhead.
+/// Exit times of the monolithic heFFTe point-to-point exchange — a
+/// delegate to [`exchange_times`] with [`ExchangeKind::p2p`].
 pub fn p2p_exchange_exit_times(
     np: &NetParams,
     env: &PhaseEnv,
@@ -204,85 +344,15 @@ pub fn p2p_exchange_exit_times(
     matrix: &[Vec<usize>],
     flavor: P2pFlavor,
 ) -> Vec<SimTime> {
-    fftobs::count("mpisim.calls.p2p", 1);
-    fftobs::count("mpisim.bytes.p2p", matrix_bytes(matrix));
-    let peers: Vec<usize> = matrix
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.iter()
-                .enumerate()
-                .filter(|&(j, b)| j != i && *b > 0)
-                .count()
-        })
-        .collect();
-    let gpu_aware = env.gpu_aware;
-    let spec = np.spec;
-    let extra_send = move |i: usize, _j: usize| -> u64 {
-        if gpu_aware {
-            spec.p2p_gpu_aware_overhead_ns(peers[i].max(1))
-        } else {
-            0
-        }
-    };
-    let flavor_tag = match flavor {
-        P2pFlavor::Blocking => 0u64,
-        P2pFlavor::NonBlocking => 1u64,
-    };
-    let sig = matrix_sig(matrix);
-    pattern::memo_exits(np, env, (MEMO_P2P, flavor_tag), group, entries, sig, || {
-        let entries = shifted(entries, call_sync_ns(np));
-        pattern::scatter_times(
-            np,
-            env,
-            group,
-            &entries,
-            &|i, j| matrix[i][j],
-            flavor,
-            false, // heFFTe's hand-written loop skips empty pairs
-            &extra_send,
-            &|_, _| 0,
-        )
-    })
+    let kind = ExchangeKind::p2p(flavor);
+    exchange_times(np, env, &kind, group, entries, &matrix_bytes(matrix))
+        .exits()
+        .to_vec()
 }
 
-/// Rebuilds a [`PartitionedTimes`] from the flat layout the schedule memo
-/// stores: `p * nparts` chunk-ready times (member-major) followed by `p`
-/// exits.
-fn unflatten_partitioned(flat: Vec<SimTime>, p: usize, nparts: usize) -> pattern::PartitionedTimes {
-    assert_eq!(flat.len(), p * nparts + p);
-    let part_ready = (0..p)
-        .map(|i| flat[i * nparts..(i + 1) * nparts].to_vec())
-        .collect();
-    let exits = flat[p * nparts..].to_vec();
-    pattern::PartitionedTimes { part_ready, exits }
-}
-
-fn flatten_partitioned(times: pattern::PartitionedTimes) -> Vec<SimTime> {
-    let mut flat: Vec<SimTime> = times.part_ready.into_iter().flatten().collect();
-    flat.extend(times.exits);
-    flat
-}
-
-/// Applies the one-time call entry costs to a member's per-partition entry
-/// times: setup happens once when the call is posted (`pe[0]`), and no
-/// partition may inject before it completes.
-fn shift_part_entries(part_entries: &[Vec<SimTime>], setup_ns: u64) -> Vec<Vec<SimTime>> {
-    part_entries
-        .iter()
-        .map(|pe| {
-            let floor = pe[0] + SimTime::from_ns(setup_ns);
-            pe.iter().map(|t| (*t).max(floor)).collect()
-        })
-        .collect()
-}
-
-/// Exit and per-chunk ready times of a **partitioned** `MPI_Alltoallv`-style
-/// exchange: the basic-linear scatter of [`alltoallv_exit_times`], but with
-/// each member's sends split into `nparts` chunks that become eligible at
-/// `part_entries[i][k]` (its chunk-`k` pack completion). Receives complete
-/// per chunk so the caller can unpack chunk `k` at
-/// `part_ready[me][k]` while later chunks are still in flight.
+/// Exit and per-chunk ready times of a partitioned `MPI_Alltoallv`, each
+/// member's sends split into `nparts` chunks eligible at
+/// `part_entries[i][k]` — a delegate to [`exchange_times`].
 pub fn alltoallv_partitioned_exit_times(
     np: &NetParams,
     env: &PhaseEnv,
@@ -290,42 +360,14 @@ pub fn alltoallv_partitioned_exit_times(
     part_entries: &[Vec<SimTime>],
     matrix: &[Vec<usize>],
     nparts: usize,
-) -> pattern::PartitionedTimes {
-    fftobs::count("mpisim.calls.alltoallv_part", 1);
-    fftobs::count("mpisim.bytes.alltoallv_part", matrix_bytes(matrix));
-    let p = group.len();
-    let flat_entries: Vec<SimTime> = part_entries.iter().flatten().copied().collect();
-    let mut sig = matrix_sig(matrix);
-    sig.push(nparts);
-    let flat = pattern::memo_exits(
-        np,
-        env,
-        (MEMO_ALLTOALLV_PART, 0),
-        group,
-        &flat_entries,
-        sig,
-        || {
-            let pe = shift_part_entries(part_entries, coll_setup_ns(p) + call_sync_ns(np));
-            flatten_partitioned(pattern::partitioned_scatter_times(
-                np,
-                env,
-                group,
-                &pe,
-                &|i, j| matrix[i][j],
-                P2pFlavor::NonBlocking,
-                true,
-                &|_, _| 0,
-                &|_, _| 0,
-            ))
-        },
-    );
-    unflatten_partitioned(flat, p, nparts)
+) -> PartitionedTimes {
+    let kind = ExchangeKind::alltoallv().partitioned(true);
+    let entries = flat_entries(part_entries, nparts);
+    exchange_times(np, env, &kind, group, &entries, &matrix_bytes(matrix))
 }
 
-/// Exit and per-chunk ready times of the **partitioned** heFFTe-style
-/// point-to-point exchange: [`p2p_exchange_exit_times`]' schedule (empty
-/// pairs skipped, GPU-aware per-peer registration) with chunked send
-/// eligibility and per-chunk receive completion.
+/// Exit and per-chunk ready times of the partitioned point-to-point
+/// exchange — a delegate to [`exchange_times`].
 pub fn p2p_exchange_partitioned_exit_times(
     np: &NetParams,
     env: &PhaseEnv,
@@ -334,299 +376,153 @@ pub fn p2p_exchange_partitioned_exit_times(
     matrix: &[Vec<usize>],
     nparts: usize,
     flavor: P2pFlavor,
-) -> pattern::PartitionedTimes {
-    fftobs::count("mpisim.calls.p2p_part", 1);
-    fftobs::count("mpisim.bytes.p2p_part", matrix_bytes(matrix));
-    let p = group.len();
-    let peers: Vec<usize> = matrix
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.iter()
-                .enumerate()
-                .filter(|&(j, b)| j != i && *b > 0)
-                .count()
-        })
-        .collect();
-    let gpu_aware = env.gpu_aware;
-    let spec = np.spec;
-    let extra_send = move |i: usize, _j: usize| -> u64 {
-        if gpu_aware {
-            spec.p2p_gpu_aware_overhead_ns(peers[i].max(1))
-        } else {
-            0
-        }
-    };
-    let flavor_tag = match flavor {
-        P2pFlavor::Blocking => 0u64,
-        P2pFlavor::NonBlocking => 1u64,
-    };
-    let flat_entries: Vec<SimTime> = part_entries.iter().flatten().copied().collect();
-    let mut sig = matrix_sig(matrix);
-    sig.push(nparts);
-    let flat = pattern::memo_exits(
-        np,
-        env,
-        (MEMO_P2P_PART, flavor_tag),
-        group,
-        &flat_entries,
-        sig,
-        || {
-            let pe = shift_part_entries(part_entries, call_sync_ns(np));
-            flatten_partitioned(pattern::partitioned_scatter_times(
-                np,
-                env,
-                group,
-                &pe,
-                &|i, j| matrix[i][j],
-                flavor,
-                false, // heFFTe's hand-written loop skips empty pairs
-                &extra_send,
-                &|_, _| 0,
-            ))
-        },
-    );
-    unflatten_partitioned(flat, p, nparts)
+) -> PartitionedTimes {
+    let kind = ExchangeKind::p2p(flavor).partitioned(true);
+    let entries = flat_entries(part_entries, nparts);
+    exchange_times(np, env, &kind, group, &entries, &matrix_bytes(matrix))
 }
 
-/// Exit and per-chunk ready times of a **partitioned padded**
-/// `MPI_Alltoall`: every pair carries the same `bytes_per_pair` padded
-/// block, split into `nparts` chunks by [`pattern::partition_of_step`].
-///
-/// Unlike the monolithic [`alltoall_exit_times`], the algorithm is *not*
-/// selected by the distribution profile: a partitioned exchange must keep
-/// per-peer messages intact so a receiver can match chunk `k`'s blocks as
-/// they land, which rules out Bruck's log-round payload mixing and the
-/// pairwise schedule's step-synchronized sendrecv rounds. Chunking forces
-/// the posted-scatter schedule (`MPI_Psend_init`-style partitioned
-/// transfers resolve to per-partition point-to-point traffic); `distro`
-/// still keys the memo so profile switches never replay a stale schedule.
-#[allow(clippy::too_many_arguments)]
+/// Exit and per-chunk ready times of a partitioned padded `MPI_Alltoall`
+/// (always the posted scatter, see [`ExchangeKind::alltoall`]) — a
+/// delegate to [`exchange_times`].
 pub fn alltoall_partitioned_exit_times(
     np: &NetParams,
     env: &PhaseEnv,
-    distro: crate::distro::MpiDistro,
+    distro: MpiDistro,
     group: &[usize],
     part_entries: &[Vec<SimTime>],
     bytes_per_pair: usize,
     nparts: usize,
-) -> pattern::PartitionedTimes {
-    fftobs::count("mpisim.calls.alltoall_part", 1);
-    fftobs::count(
-        "mpisim.bytes.alltoall_part",
-        (bytes_per_pair * group.len() * group.len()) as u64,
-    );
-    let p = group.len();
-    let flat_entries: Vec<SimTime> = part_entries.iter().flatten().copied().collect();
-    let sig = vec![bytes_per_pair, nparts];
-    let flat = pattern::memo_exits(
-        np,
-        env,
-        (MEMO_ALLTOALL_PART, distro as u64),
-        group,
-        &flat_entries,
-        sig,
-        || {
-            let pe = shift_part_entries(part_entries, coll_setup_ns(p) + call_sync_ns(np));
-            flatten_partitioned(pattern::partitioned_scatter_times(
-                np,
-                env,
-                group,
-                &pe,
-                &|_, _| bytes_per_pair,
-                P2pFlavor::NonBlocking,
-                true,
-                &|_, _| 0,
-                &|_, _| 0,
-            ))
-        },
-    );
-    unflatten_partitioned(flat, p, nparts)
+) -> PartitionedTimes {
+    let kind = ExchangeKind::alltoall(distro).partitioned(true);
+    let entries = flat_entries(part_entries, nparts);
+    exchange_times(np, env, &kind, group, &entries, &|_, _| bytes_per_pair)
 }
 
-/// Exit and per-chunk ready times of a **partitioned** `MPI_Alltoallw`
-/// with sub-array datatypes: [`alltoallw_exit_times`]' naive scatter
-/// (per-message derived-datatype assembly on both sides, SpectrumMPI
-/// GPU-awareness loss) with chunked send eligibility. There is no caller
-/// pack/unpack, so the win from chunking Alltoallw is entirely on the
-/// receive side: `part_ready[me][k]` lets the next axis transform start
-/// on sub-arrays whose chunks have deposited.
-#[allow(clippy::too_many_arguments)]
+/// Exit and per-chunk ready times of a partitioned `MPI_Alltoallw` — a
+/// delegate to [`exchange_times`].
 pub fn alltoallw_partitioned_exit_times(
     np: &NetParams,
     env: &PhaseEnv,
-    distro: crate::distro::MpiDistro,
+    distro: MpiDistro,
     group: &[usize],
     part_entries: &[Vec<SimTime>],
     matrix: &[Vec<usize>],
     nparts: usize,
-) -> pattern::PartitionedTimes {
-    fftobs::count("mpisim.calls.alltoallw_part", 1);
-    fftobs::count("mpisim.bytes.alltoallw_part", matrix_bytes(matrix));
-    let p = group.len();
-    let mut eff_env = *env;
-    eff_env.gpu_aware = env.gpu_aware && distro.alltoallw_gpu_aware();
-    let (setup_ns, pack_gbs) = distro.alltoallw_dtype_cost();
-    let dtype_cost = move |bytes: usize| setup_ns + (bytes as f64 / pack_gbs).ceil() as u64;
-    let flat_entries: Vec<SimTime> = part_entries.iter().flatten().copied().collect();
-    let mut sig = matrix_sig(matrix);
-    sig.push(nparts);
-    let flat = pattern::memo_exits(
-        np,
-        &eff_env,
-        (MEMO_ALLTOALLW_PART, distro as u64),
-        group,
-        &flat_entries,
-        sig,
-        || {
-            let pe = shift_part_entries(part_entries, coll_setup_ns(p) + call_sync_ns(np));
-            flatten_partitioned(pattern::partitioned_scatter_times(
-                np,
-                &eff_env,
-                group,
-                &pe,
-                &|i, j| matrix[i][j],
-                P2pFlavor::NonBlocking,
-                true,
-                &|i, j| dtype_cost(matrix[i][j]),
-                &|i, j| dtype_cost(matrix[i][j]),
-            ))
-        },
-    );
-    unflatten_partitioned(flat, p, nparts)
+) -> PartitionedTimes {
+    let kind = ExchangeKind::alltoallw(distro).partitioned(true);
+    let entries = flat_entries(part_entries, nparts);
+    exchange_times(np, env, &kind, group, &entries, &matrix_bytes(matrix))
 }
 
-/// Moves the data payloads with `(entry time, byte row)` metadata fused
-/// onto every message, in one control-plane rendezvous. Every member sends
-/// to every member anyway, so the metadata that the old separate
-/// `control_allgather` round carried rides along for free — halving the
-/// wake/sleep traffic per collective. Returns (entries, byte matrix,
-/// received payloads), all indexed by member.
-#[allow(clippy::type_complexity)]
-fn fused_exchange<T: Send + 'static>(
+/// The one functional reshape exchange: moves `sends[j]` to member `j`
+/// through the zero-cost control plane, prices the call with
+/// [`exchange_times`] and advances the rank clock to this member's exit.
+///
+/// `my_part_entries[k]` is when this member's chunk-`k` payload is packed
+/// and postable (one entry for a monolithic call; chunks are assigned by
+/// [`pattern::partition_of_step`]). Returns one payload per source member
+/// plus the group's [`PartitionedTimes`], so the caller can begin
+/// unpacking chunk `k` at `ready(me)[k]`; chunk-level overlap is the
+/// caller's to exploit.
+///
+/// Every member sends to every member anyway, so the metadata the pricer
+/// needs — the sender's entry times and byte row — rides on each payload
+/// in one rendezvous (`WorldOpts::fused_meta`; off = the pre-overhaul
+/// metadata allgather followed by the data round, kept for A/B benches).
+pub fn exchange<T: Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,
-    my_bytes_row: Vec<usize>,
+    env: PhaseEnv,
+    kind: &ExchangeKind,
     sends: Vec<Vec<T>>,
-) -> (Vec<SimTime>, Vec<Vec<usize>>, Vec<Vec<T>>) {
-    if !rank.world().opts().fused_meta {
-        // Pre-overhaul two-round exchange: a metadata allgather followed by
-        // the data rendezvous. Kept selectable for A/B benchmarks.
-        let meta = comm.control_allgather(rank, (rank.now().as_ns(), my_bytes_row));
-        let entries = meta.iter().map(|(t, _)| SimTime::from_ns(*t)).collect();
-        let matrix = meta.into_iter().map(|(_, row)| row).collect();
-        let recvd = comm.control_exchange(rank, sends);
-        return (entries, matrix, recvd);
-    }
-    let meta = (rank.now().as_ns(), my_bytes_row);
-    let combined: Vec<((u64, Vec<usize>), Vec<T>)> =
-        sends.into_iter().map(|s| (meta.clone(), s)).collect();
-    let recvd = comm.control_exchange(rank, combined);
-    let mut entries = Vec::with_capacity(recvd.len());
-    let mut matrix = Vec::with_capacity(recvd.len());
-    let mut data = Vec::with_capacity(recvd.len());
-    for ((entry_ns, row), payload) in recvd {
-        entries.push(SimTime::from_ns(entry_ns));
-        matrix.push(row);
-        data.push(payload);
-    }
-    (entries, matrix, data)
+    my_part_entries: &[SimTime],
+) -> (Vec<Vec<T>>, PartitionedTimes) {
+    let p = comm.size();
+    let nparts = my_part_entries.len();
+    assert_eq!(sends.len(), p, "one send buffer per member");
+    assert!(nparts >= 1, "at least one partition");
+    assert!(
+        kind.tuned.is_none() || sends.iter().all(|s| s.len() == sends[0].len()),
+        "MPI_Alltoall requires equal block sizes; use alltoallv"
+    );
+    let elem = std::mem::size_of::<T>();
+    // Metadata: this member's entry times (ns), then its byte row.
+    let mut meta: Vec<u64> = my_part_entries.iter().map(|t| t.as_ns()).collect();
+    meta.extend(sends.iter().map(|s| (s.len() * elem) as u64));
+    let (metas, recvd): (Vec<Vec<u64>>, Vec<Vec<T>>) = if rank.world().opts().fused_meta {
+        let combined = sends.into_iter().map(|s| (meta.clone(), s)).collect();
+        comm.control_exchange(rank, combined).into_iter().unzip()
+    } else {
+        let metas = comm.control_allgather(rank, meta);
+        (metas, comm.control_exchange(rank, sends))
+    };
+    assert!(
+        metas.iter().all(|m| m.len() == nparts + p),
+        "all members must agree on the partition count"
+    );
+    let entries: Vec<SimTime> = metas
+        .iter()
+        .flat_map(|m| m[..nparts].iter().map(|ns| SimTime::from_ns(*ns)))
+        .collect();
+    let np = net_params(rank);
+    let times = exchange_times(&np, &env, kind, comm.members(), &entries, &|i, j| {
+        metas[i][nparts + j] as usize
+    });
+    rank.clock.sync_to(times.exit(comm.me()));
+    (recvd, times)
 }
 
-/// `MPI_Alltoallv`: variable per-pair payloads, basic-linear schedule (post
-/// every pair non-blocking, wait all — see [`alltoallv_exit_times`]).
-/// `sends[j]` is the payload for member `j`; returns one payload per source
-/// member.
+/// `MPI_Alltoallw` with sub-array datatypes — Algorithm 2 of the paper —
+/// as an adaptor over [`exchange`]: each member describes its outgoing
+/// block to member `j` as a [`Subarray`] of the send parent and its
+/// incoming block from `j` as a [`Subarray`] of the receive parent; MPI
+/// packs and unpacks the datatypes internally, so no caller-side packing
+/// happens. Packing advances no simulated clock (its cost is the
+/// per-message datatype assembly inside [`ExchangeKind::alltoallw`]), so
+/// doing it before the exchange leaves every entry time unchanged.
+pub fn exchange_subarrays<T: Copy + Send + 'static>(
+    rank: &mut Rank,
+    comm: &Comm,
+    env: PhaseEnv,
+    kind: &ExchangeKind,
+    (send_parent, send_types): (&[T], &[Subarray]),
+    (recv_parent, recv_types): (&mut [T], &[Subarray]),
+    my_part_entries: &[SimTime],
+) -> PartitionedTimes {
+    assert_eq!(
+        send_types.len(),
+        comm.size(),
+        "one send datatype per member"
+    );
+    assert_eq!(
+        recv_types.len(),
+        comm.size(),
+        "one recv datatype per member"
+    );
+    let sends = send_types.iter().map(|t| t.pack(send_parent)).collect();
+    let (recvd, times) = exchange(rank, comm, env, kind, sends, my_part_entries);
+    for (ty, block) in recv_types.iter().zip(&recvd) {
+        ty.unpack(block, recv_parent);
+    }
+    times
+}
+
+/// `MPI_Alltoallv` — a delegate to [`exchange`] with
+/// [`ExchangeKind::alltoallv`]. `sends[j]` is the payload for member `j`;
+/// returns one payload per source member.
 pub fn alltoallv<T: Copy + Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,
     env: PhaseEnv,
     sends: Vec<Vec<T>>,
 ) -> Vec<Vec<T>> {
-    assert_eq!(sends.len(), comm.size(), "one send buffer per member");
-    let elem = std::mem::size_of::<T>();
-    let row: Vec<usize> = sends.iter().map(|s| s.len() * elem).collect();
-    let (entries, matrix, recvd) = fused_exchange(rank, comm, row, sends);
-    let np = net_params(rank);
-    let exits = alltoallv_exit_times(&np, &env, comm.members(), &entries, &matrix);
-    rank.clock.sync_to(exits[comm.me()]);
-    recvd
+    let entry = [rank.now()];
+    exchange(rank, comm, env, &ExchangeKind::alltoallv(), sends, &entry).0
 }
 
-/// `MPI_Alltoall`: equal per-pair payloads (callers pad to the maximum block
-/// — the padding cost the paper discusses in §IV-B is the caller's larger
-/// buffers, priced right here through `bytes`). The algorithm is selected by
-/// message size per the distribution profile: Bruck for small payloads,
-/// pairwise for large.
-pub fn alltoall<T: Copy + Send + 'static>(
-    rank: &mut Rank,
-    comm: &Comm,
-    env: PhaseEnv,
-    sends: Vec<Vec<T>>,
-) -> Vec<Vec<T>> {
-    assert_eq!(sends.len(), comm.size(), "one send buffer per member");
-    let elem = std::mem::size_of::<T>();
-    let block = sends.first().map(|s| s.len()).unwrap_or(0);
-    assert!(
-        sends.iter().all(|s| s.len() == block),
-        "MPI_Alltoall requires equal block sizes; use alltoallv"
-    );
-    let bytes_per_pair = block * elem;
-    let row: Vec<usize> = vec![bytes_per_pair; comm.size()];
-    let (entries, _matrix, recvd) = fused_exchange(rank, comm, row, sends);
-    let np = net_params(rank);
-    let exits = alltoall_exit_times(
-        &np,
-        &env,
-        rank.world().opts().distro,
-        comm.members(),
-        &entries,
-        bytes_per_pair,
-    );
-    rank.clock.sync_to(exits[comm.me()]);
-    recvd
-}
-
-/// `MPI_Alltoallw` with sub-array datatypes — Algorithm 2 of the paper.
-///
-/// Each member describes its outgoing block to member `j` as a [`Subarray`]
-/// of `send_parent` and its incoming block from `j` as a [`Subarray`] of
-/// `recv_parent`; no caller-side packing happens. The schedule is the naive
-/// `Isend`/`Irecv` scatter every real distribution uses for `Alltoallw`,
-/// plus per-message derived-datatype assembly costs — and under SpectrumMPI
-/// the transfer silently loses GPU-awareness (§II footnote).
-pub fn alltoallw<T: Copy + Send + 'static>(
-    rank: &mut Rank,
-    comm: &Comm,
-    env: PhaseEnv,
-    send_parent: &[T],
-    send_types: &[Subarray],
-    recv_parent: &mut [T],
-    recv_types: &[Subarray],
-) {
-    let p = comm.size();
-    assert_eq!(send_types.len(), p, "one send datatype per member");
-    assert_eq!(recv_types.len(), p, "one recv datatype per member");
-    let elem = std::mem::size_of::<T>();
-    let distro = rank.world().opts().distro;
-
-    let row: Vec<usize> = send_types.iter().map(|t| t.elem_count() * elem).collect();
-    // Functional data movement: MPI packs/unpacks the datatypes internally.
-    // Packing advances no simulated clock, so doing it before the exchange
-    // leaves every entry time unchanged.
-    let sends: Vec<Vec<T>> = send_types.iter().map(|t| t.pack(send_parent)).collect();
-    let (entries, matrix, recvd) = fused_exchange(rank, comm, row, sends);
-    let np = net_params(rank);
-    let exits = alltoallw_exit_times(&np, &env, distro, comm.members(), &entries, &matrix);
-    for (j, block) in recvd.into_iter().enumerate() {
-        recv_types[j].unpack(&block, recv_parent);
-    }
-    rank.clock.sync_to(exits[comm.me()]);
-}
-
-/// The heFFTe point-to-point backend: every rank scatters its blocks with
-/// `MPI_Send`/`MPI_Isend` + `MPI_Irecv`/`MPI_Waitany` (paper Table I, Fig. 7).
-/// Zero-length payloads are skipped, as heFFTe does.
+/// The heFFTe point-to-point backend — a delegate to [`exchange`] with
+/// [`ExchangeKind::p2p`].
 pub fn p2p_exchange<T: Copy + Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,
@@ -634,86 +530,25 @@ pub fn p2p_exchange<T: Copy + Send + 'static>(
     flavor: P2pFlavor,
     sends: Vec<Vec<T>>,
 ) -> Vec<Vec<T>> {
-    assert_eq!(sends.len(), comm.size(), "one send buffer per member");
-    let elem = std::mem::size_of::<T>();
-    let row: Vec<usize> = sends.iter().map(|s| s.len() * elem).collect();
-    let (entries, matrix, recvd) = fused_exchange(rank, comm, row, sends);
-    let np = net_params(rank);
-    let exits = p2p_exchange_exit_times(&np, &env, comm.members(), &entries, &matrix, flavor);
-    rank.clock.sync_to(exits[comm.me()]);
-    recvd
+    let entry = [rank.now()];
+    exchange(rank, comm, env, &ExchangeKind::p2p(flavor), sends, &entry).0
 }
 
-/// The partitioned variant of [`fused_exchange`]: metadata carries the
-/// full per-partition entry vector so every member can reconstruct the
-/// group's chunk schedule locally.
-#[allow(clippy::type_complexity)]
-fn fused_partitioned_exchange<T: Send + 'static>(
-    rank: &mut Rank,
-    comm: &Comm,
-    my_part_entries: &[SimTime],
-    my_bytes_row: Vec<usize>,
-    sends: Vec<Vec<T>>,
-) -> (Vec<Vec<SimTime>>, Vec<Vec<usize>>, Vec<Vec<T>>) {
-    let pe_ns: Vec<u64> = my_part_entries.iter().map(|t| t.as_ns()).collect();
-    if !rank.world().opts().fused_meta {
-        let meta = comm.control_allgather(rank, (pe_ns, my_bytes_row));
-        let entries = meta
-            .iter()
-            .map(|(pe, _)| pe.iter().map(|ns| SimTime::from_ns(*ns)).collect())
-            .collect();
-        let matrix = meta.into_iter().map(|(_, row)| row).collect();
-        let recvd = comm.control_exchange(rank, sends);
-        return (entries, matrix, recvd);
-    }
-    let meta = (pe_ns, my_bytes_row);
-    let combined: Vec<((Vec<u64>, Vec<usize>), Vec<T>)> =
-        sends.into_iter().map(|s| (meta.clone(), s)).collect();
-    let recvd = comm.control_exchange(rank, combined);
-    let mut entries = Vec::with_capacity(recvd.len());
-    let mut matrix = Vec::with_capacity(recvd.len());
-    let mut data = Vec::with_capacity(recvd.len());
-    for ((pe, row), payload) in recvd {
-        entries.push(pe.into_iter().map(SimTime::from_ns).collect());
-        matrix.push(row);
-        data.push(payload);
-    }
-    (entries, matrix, data)
-}
-
-/// Partitioned `MPI_Alltoallv`: the pipelined-reshape exchange. Each
-/// member's sends are split into `my_part_entries.len()` chunks by
-/// [`pattern::partition_of_step`]; `my_part_entries[k]` is when this
-/// member's chunk-`k` payload is packed and postable. Returns the received
-/// payloads plus the [`pattern::PartitionedTimes`] so the caller can begin
-/// unpacking chunk `k` at `part_ready[me][k]`. The rank clock advances to
-/// the member's exit; chunk-level overlap is the caller's to exploit.
+/// Partitioned `MPI_Alltoallv` — a delegate to [`exchange`] with the
+/// partitioned [`ExchangeKind::alltoallv`].
 pub fn alltoallv_partitioned<T: Copy + Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,
     env: PhaseEnv,
     sends: Vec<Vec<T>>,
     my_part_entries: &[SimTime],
-) -> (Vec<Vec<T>>, pattern::PartitionedTimes) {
-    assert_eq!(sends.len(), comm.size(), "one send buffer per member");
-    let nparts = my_part_entries.len();
-    assert!(nparts >= 1, "at least one partition");
-    let elem = std::mem::size_of::<T>();
-    let row: Vec<usize> = sends.iter().map(|s| s.len() * elem).collect();
-    let (pes, matrix, recvd) = fused_partitioned_exchange(rank, comm, my_part_entries, row, sends);
-    assert!(
-        pes.iter().all(|pe| pe.len() == nparts),
-        "all members must agree on the partition count"
-    );
-    let np = net_params(rank);
-    let times = alltoallv_partitioned_exit_times(&np, &env, comm.members(), &pes, &matrix, nparts);
-    rank.clock.sync_to(times.exits[comm.me()]);
-    (recvd, times)
+) -> (Vec<Vec<T>>, PartitionedTimes) {
+    let kind = ExchangeKind::alltoallv().partitioned(true);
+    exchange(rank, comm, env, &kind, sends, my_part_entries)
 }
 
-/// Partitioned heFFTe point-to-point exchange (blocking or non-blocking):
-/// the chunked counterpart of [`p2p_exchange`], see
-/// [`alltoallv_partitioned`] for the contract.
+/// Partitioned heFFTe point-to-point exchange — a delegate to [`exchange`]
+/// with the partitioned [`ExchangeKind::p2p`].
 pub fn p2p_exchange_partitioned<T: Copy + Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,
@@ -721,114 +556,9 @@ pub fn p2p_exchange_partitioned<T: Copy + Send + 'static>(
     flavor: P2pFlavor,
     sends: Vec<Vec<T>>,
     my_part_entries: &[SimTime],
-) -> (Vec<Vec<T>>, pattern::PartitionedTimes) {
-    assert_eq!(sends.len(), comm.size(), "one send buffer per member");
-    let nparts = my_part_entries.len();
-    assert!(nparts >= 1, "at least one partition");
-    let elem = std::mem::size_of::<T>();
-    let row: Vec<usize> = sends.iter().map(|s| s.len() * elem).collect();
-    let (pes, matrix, recvd) = fused_partitioned_exchange(rank, comm, my_part_entries, row, sends);
-    assert!(
-        pes.iter().all(|pe| pe.len() == nparts),
-        "all members must agree on the partition count"
-    );
-    let np = net_params(rank);
-    let times = p2p_exchange_partitioned_exit_times(
-        &np,
-        &env,
-        comm.members(),
-        &pes,
-        &matrix,
-        nparts,
-        flavor,
-    );
-    rank.clock.sync_to(times.exits[comm.me()]);
-    (recvd, times)
-}
-
-/// Partitioned padded `MPI_Alltoall`: equal padded blocks per pair,
-/// chunked send eligibility, per-chunk receive completion. See
-/// [`alltoallv_partitioned`] for the contract and
-/// [`alltoall_partitioned_exit_times`] for why the schedule is always the
-/// posted scatter rather than Bruck/pairwise.
-pub fn alltoall_partitioned<T: Copy + Send + 'static>(
-    rank: &mut Rank,
-    comm: &Comm,
-    env: PhaseEnv,
-    sends: Vec<Vec<T>>,
-    my_part_entries: &[SimTime],
-) -> (Vec<Vec<T>>, pattern::PartitionedTimes) {
-    assert_eq!(sends.len(), comm.size(), "one send buffer per member");
-    let nparts = my_part_entries.len();
-    assert!(nparts >= 1, "at least one partition");
-    let elem = std::mem::size_of::<T>();
-    let block = sends.first().map(|s| s.len()).unwrap_or(0);
-    assert!(
-        sends.iter().all(|s| s.len() == block),
-        "MPI_Alltoall requires equal block sizes; use alltoallv"
-    );
-    let bytes_per_pair = block * elem;
-    let row: Vec<usize> = vec![bytes_per_pair; comm.size()];
-    let (pes, _matrix, recvd) = fused_partitioned_exchange(rank, comm, my_part_entries, row, sends);
-    assert!(
-        pes.iter().all(|pe| pe.len() == nparts),
-        "all members must agree on the partition count"
-    );
-    let np = net_params(rank);
-    let times = alltoall_partitioned_exit_times(
-        &np,
-        &env,
-        rank.world().opts().distro,
-        comm.members(),
-        &pes,
-        bytes_per_pair,
-        nparts,
-    );
-    rank.clock.sync_to(times.exits[comm.me()]);
-    (recvd, times)
-}
-
-/// Partitioned `MPI_Alltoallw` with sub-array datatypes: the data movement
-/// of [`alltoallw`] (datatypes packed/unpacked internally, no caller
-/// buffers) with chunked send eligibility and per-chunk receive
-/// completion. `recv_parent` holds every deposited sub-array on return;
-/// the returned [`pattern::PartitionedTimes`] tells the caller when each
-/// chunk's sub-arrays had landed so the next axis transform can start on
-/// them in simulated time.
-#[allow(clippy::too_many_arguments)]
-pub fn alltoallw_partitioned<T: Copy + Send + 'static>(
-    rank: &mut Rank,
-    comm: &Comm,
-    env: PhaseEnv,
-    send_parent: &[T],
-    send_types: &[Subarray],
-    recv_parent: &mut [T],
-    recv_types: &[Subarray],
-    my_part_entries: &[SimTime],
-) -> pattern::PartitionedTimes {
-    let p = comm.size();
-    assert_eq!(send_types.len(), p, "one send datatype per member");
-    assert_eq!(recv_types.len(), p, "one recv datatype per member");
-    let nparts = my_part_entries.len();
-    assert!(nparts >= 1, "at least one partition");
-    let elem = std::mem::size_of::<T>();
-    let distro = rank.world().opts().distro;
-
-    let row: Vec<usize> = send_types.iter().map(|t| t.elem_count() * elem).collect();
-    let sends: Vec<Vec<T>> = send_types.iter().map(|t| t.pack(send_parent)).collect();
-    let (pes, matrix, recvd) = fused_partitioned_exchange(rank, comm, my_part_entries, row, sends);
-    assert!(
-        pes.iter().all(|pe| pe.len() == nparts),
-        "all members must agree on the partition count"
-    );
-    let np = net_params(rank);
-    let times =
-        alltoallw_partitioned_exit_times(&np, &env, distro, comm.members(), &pes, &matrix, nparts);
-    for (j, block) in recvd.into_iter().enumerate() {
-        recv_types[j].unpack(&block, recv_parent);
-    }
-    rank.clock.sync_to(times.exits[comm.me()]);
-    times
+) -> (Vec<Vec<T>>, PartitionedTimes) {
+    let kind = ExchangeKind::p2p(flavor).partitioned(true);
+    exchange(rank, comm, env, &kind, sends, my_part_entries)
 }
 
 /// `MPI_Barrier` (dissemination schedule).
@@ -950,6 +680,27 @@ mod tests {
         PhaseEnv::machine_wide(&MachineSpec::summit(), n, n - 1, true, 1)
     }
 
+    /// Monolithic `MPI_Alltoallw` under the default distro.
+    fn alltoallw<T: Copy + Send + 'static>(
+        r: &mut Rank,
+        comm: &Comm,
+        n: usize,
+        (send, recv): (&[T], &mut [T]),
+        types: &[Subarray],
+    ) {
+        let kind = ExchangeKind::alltoallw(r.world().opts().distro);
+        let entry = [r.now()];
+        exchange_subarrays(
+            r,
+            comm,
+            env_for(n),
+            &kind,
+            (send, types),
+            (recv, types),
+            &entry,
+        );
+    }
+
     #[test]
     fn alltoallv_routes_all_blocks() {
         let n = 6;
@@ -979,7 +730,9 @@ mod tests {
         let out = w.run(|r| {
             let comm = Comm::world(r);
             let sends: Vec<Vec<u64>> = (0..n).map(|_| vec![7; 256]).collect();
-            let _ = alltoall(r, &comm, env_for(n), sends);
+            let kind = ExchangeKind::alltoall(MpiDistro::SpectrumMpi);
+            let entry = [r.now()];
+            let _ = exchange(r, &comm, env_for(n), &kind, sends, &entry);
             r.now()
         });
         // One intra-node group with symmetric payloads: identical exits.
@@ -1027,26 +780,14 @@ mod tests {
             let comm = Comm::world(r);
             let me = r.rank() as u32;
             let parent: Vec<u32> = (0..16).map(|i| 100 * me + i).collect();
-            let send_types = vec![
-                Subarray::new([2, 2, 4], [2, 2, 2], [0, 0, 0]),
-                Subarray::new([2, 2, 4], [2, 2, 2], [0, 0, 2]),
-            ];
             // Receive into a 2x2x4 parent: block from rank 0 in the left
             // half, from rank 1 in the right half.
-            let recv_types = vec![
+            let types = vec![
                 Subarray::new([2, 2, 4], [2, 2, 2], [0, 0, 0]),
                 Subarray::new([2, 2, 4], [2, 2, 2], [0, 0, 2]),
             ];
             let mut recv_parent = vec![0u32; 16];
-            alltoallw(
-                r,
-                &comm,
-                env_for(2),
-                &parent,
-                &send_types,
-                &mut recv_parent,
-                &recv_types,
-            );
+            alltoallw(r, &comm, 2, (&parent, &mut recv_parent), &types);
             (recv_parent, r.now())
         });
         // Rank 0 received rank 0's left half in its left half and rank 1's
@@ -1080,15 +821,7 @@ mod tests {
             let sends: Vec<Vec<u64>> = types.iter().map(|t| t.pack(&parent)).collect();
             let _ = alltoallv(r, &comm, env_for(n), sends);
             let t1 = r.now();
-            alltoallw(
-                r,
-                &comm,
-                env_for(n),
-                &parent,
-                &types,
-                &mut recv_parent,
-                &types,
-            );
+            alltoallw(r, &comm, n, (&parent, &mut recv_parent), &types);
             let t2 = r.now();
             ((t1 - t0).as_ns(), (t2 - t1).as_ns())
         });
@@ -1167,9 +900,9 @@ mod tests {
             (got, times, r.now())
         });
         for (me, (got, times, t)) in out.iter().enumerate() {
-            assert_eq!(*t, times.exits[me], "clock must land on the exit time");
-            for r in &times.part_ready[me] {
-                assert!(*r <= times.exits[me]);
+            assert_eq!(*t, times.exit(me), "clock must land on the exit time");
+            for r in times.ready(me) {
+                assert!(*r <= times.exit(me));
             }
             for (src, block) in got.iter().enumerate() {
                 assert_eq!(block.len(), me + 1, "block size from {src} to {me}");
@@ -1220,17 +953,18 @@ mod tests {
                 .map(|j| vec![100 * r.rank() as u32 + j as u32; 64])
                 .collect();
             let pe = vec![r.now(); 4];
-            let (got, times) = alltoall_partitioned(r, &comm, env_for(n), sends, &pe);
+            let kind = ExchangeKind::alltoall(MpiDistro::SpectrumMpi).partitioned(true);
+            let (got, times) = exchange(r, &comm, env_for(n), &kind, sends, &pe);
             (got, times, r.now())
         });
         for (me, (got, times, t)) in out.iter().enumerate() {
-            assert_eq!(*t, times.exits[me], "clock must land on the exit time");
-            for r in &times.part_ready[me] {
-                assert!(*r <= times.exits[me]);
+            assert_eq!(*t, times.exit(me), "clock must land on the exit time");
+            for r in times.ready(me) {
+                assert!(*r <= times.exit(me));
             }
             // Early chunks must be usable strictly before the call exits —
             // the whole point of partitioning the padded collective.
-            assert!(times.part_ready[me][0] < times.exits[me]);
+            assert!(times.ready(me)[0] < times.exit(me));
             for (src, block) in got.iter().enumerate() {
                 assert_eq!(block.len(), 64);
                 assert!(block.iter().all(|v| *v == 100 * src as u32 + me as u32));
@@ -1253,17 +987,17 @@ mod tests {
                 .map(|j| Subarray::new(sizes, [side, side, 1], [0, 0, j]))
                 .collect();
             let mut mono = vec![0u64; side * side * n];
-            alltoallw(r, &comm, env_for(n), &parent, &types, &mut mono, &types);
+            alltoallw(r, &comm, n, (&parent, &mut mono), &types);
             let mut part = vec![0u64; side * side * n];
             let pe = vec![r.now(); 3];
-            let times = alltoallw_partitioned(
+            let kind = ExchangeKind::alltoallw(MpiDistro::SpectrumMpi).partitioned(true);
+            let times = exchange_subarrays(
                 r,
                 &comm,
                 env_for(n),
-                &parent,
-                &types,
-                &mut part,
-                &types,
+                &kind,
+                (&parent, &types),
+                (&mut part, &types),
                 &pe,
             );
             (mono, part, times, r.now())
@@ -1273,9 +1007,9 @@ mod tests {
                 mono, part,
                 "partitioned alltoallw changed the deposited data"
             );
-            assert_eq!(*t, times.exits[me]);
-            for r in &times.part_ready[me] {
-                assert!(*r <= times.exits[me]);
+            assert_eq!(*t, times.exit(me));
+            for r in times.ready(me) {
+                assert!(*r <= times.exit(me));
             }
         }
     }
@@ -1361,7 +1095,7 @@ mod tests {
                     .map(|j| Subarray::new(sizes, [side, side, 1], [0, 0, j]))
                     .collect();
                 let mut recv = vec![0u64; side * side * n];
-                alltoallw(r, &comm, env_for(n), &parent, &types, &mut recv, &types);
+                alltoallw(r, &comm, n, (&parent, &mut recv), &types);
                 r.now().as_ns()
             });
             out[0]

@@ -117,6 +117,11 @@ impl World {
         &self.sched_memo
     }
 
+    /// Number of priced exchange schedules this world currently caches.
+    pub fn cached_schedules(&self) -> usize {
+        self.sched_memo.schedules()
+    }
+
     /// Number of ranks.
     pub fn size(&self) -> usize {
         self.nranks

@@ -143,11 +143,16 @@ pub struct SchedMemo {
 
 impl std::fmt::Debug for SchedMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SchedMemo({} schedules)", self.map.lock().len())
+        write!(f, "SchedMemo({} schedules)", self.schedules())
     }
 }
 
 impl SchedMemo {
+    /// Number of schedules currently cached.
+    pub fn schedules(&self) -> usize {
+        self.map.lock().len()
+    }
+
     /// Bound on retained schedules; a full map is simply cleared (steady
     /// state re-warms in one iteration, and values are pure so dropping
     /// them is always safe).
@@ -350,86 +355,6 @@ pub fn bruck_times(
     now
 }
 
-/// Prices a **scatter phase**: every member posts one message to every peer
-/// (peer order `(me+1) mod p, (me+2) mod p, …`), then drains its receives in
-/// arrival order. This is simultaneously:
-///
-/// * SpectrumMPI's basic-linear `MPI_Alltoallv` (post all, wait all),
-/// * the naive `Isend`/`Irecv` loop that implements `MPI_Alltoallw` in
-///   MPICH/SpectrumMPI for *any* size (paper §II), and
-/// * the heFFTe point-to-point backend (blocking or non-blocking flavor).
-///
-/// `extra_send_ns(i, j)` / `extra_recv_ns(i, j)` add per-message costs (e.g.
-/// derived-datatype assembly, GPU-aware registration). With `post_zero`,
-/// zero-byte pairs still pay posting/completion overheads (a collective must
-/// post every pair; heFFTe's hand-written P2P loop skips them).
-///
-/// The receive pass charges an **RX drain** per message — the receiving
-/// NIC/link absorbs bytes no faster than the sending one injects them — so
-/// naive scatters see incast pressure instead of free parallelism.
-#[allow(clippy::too_many_arguments)]
-pub fn scatter_times(
-    np: &NetParams,
-    env: &PhaseEnv,
-    group: &[usize],
-    entries: &[SimTime],
-    bytes: &dyn Fn(usize, usize) -> usize,
-    flavor: P2pFlavor,
-    post_zero: bool,
-    extra_send_ns: &dyn Fn(usize, usize) -> u64,
-    extra_recv_ns: &dyn Fn(usize, usize) -> u64,
-) -> Vec<SimTime> {
-    let p = group.len();
-    assert_eq!(entries.len(), p);
-    if p == 0 {
-        return Vec::new();
-    }
-
-    // Send pass: serialize each sender's injections; record arrivals.
-    let mut arrivals: Vec<Vec<(SimTime, usize)>> = vec![Vec::new(); p]; // per receiver: (arrival, src)
-    let mut send_done = vec![SimTime::ZERO; p];
-    for i in 0..p {
-        let mut t = entries[i] + SimTime::from_ns(selfcopy_ns(np, env, group[i], bytes(i, i)));
-        let mut nic = t;
-        for k in 1..p {
-            let j = (i + k) % p;
-            let b = bytes(i, j);
-            if b == 0 && !post_zero {
-                continue;
-            }
-            let post = t + SimTime::from_ns(SEND_OVERHEAD_NS + extra_send_ns(i, j));
-            let (inject, lat) = msg_parts(np, env, b, group[i], group[j]);
-            let start = post.max(nic);
-            let end = start + SimTime::from_ns(inject);
-            nic = end;
-            arrivals[j].push((end + SimTime::from_ns(lat), i));
-            t = match flavor {
-                P2pFlavor::Blocking => end,
-                P2pFlavor::NonBlocking => post,
-            };
-        }
-        send_done[i] = t.max(nic);
-    }
-
-    // Receive pass. The RX direction of the NIC drains arrivals in arrival
-    // order, concurrently with the member's own injections (links are full
-    // duplex); the CPU-side completion work (waitany matching, datatype
-    // unpack) serializes after the send loop.
-    let mut exit = vec![SimTime::ZERO; p];
-    for j in 0..p {
-        arrivals[j].sort_unstable();
-        let mut rx = entries[j];
-        let mut sw_ns = 0u64;
-        for &(arr, src) in &arrivals[j] {
-            let (drain, _lat) = msg_parts(np, env, bytes(src, j), group[src], group[j]);
-            rx = rx.max(arr) + SimTime::from_ns(drain);
-            sw_ns += RECV_OVERHEAD_NS + extra_recv_ns(src, j);
-        }
-        exit[j] = send_done[j].max(rx) + SimTime::from_ns(sw_ns);
-    }
-    exit
-}
-
 /// Partition index of the message a sender posts at step `step` (∈ `1..p`,
 /// peer order `(me+step) mod p`) when the exchange is split into `nparts`
 /// chunks. The `p-1` steps are divided into `nparts` contiguous,
@@ -442,86 +367,147 @@ pub fn partition_of_step(step: usize, p: usize, nparts: usize) -> usize {
     ((step - 1) * nparts / (p - 1)).min(nparts - 1)
 }
 
-/// Result of a partitioned scatter: when each receive chunk has fully
-/// landed, plus the overall per-member exit times.
+/// Result of pricing one exchange: when each receive chunk has fully
+/// landed on each member, plus the per-member call-completion times.
+/// Stored flat in the layout the schedule memo caches, so a memo hit is
+/// one shifted copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionedTimes {
-    /// `part_ready[i][k]`: the time member `i` has received (drained and
-    /// matched) every chunk-`k` message destined to it. Unpack for chunk
-    /// `k` may start here — before later chunks (or the member's own
-    /// sends) have finished.
-    pub part_ready: Vec<Vec<SimTime>>,
-    /// Per-member call-completion time: all sends injected and all
-    /// receives drained. `exits[i] >= part_ready[i][k]` for every `k`.
-    pub exits: Vec<SimTime>,
+    nparts: usize,
+    /// `p · nparts` chunk-ready times (member-major), then `p` exits.
+    flat: Vec<SimTime>,
 }
 
-/// Prices a **partitioned scatter**: the chunked variant of
-/// [`scatter_times`] behind the pipelined reshape path. Each member's
-/// messages are split into `nparts` chunks by [`partition_of_step`];
-/// `part_entries[i][k]` is the earliest time member `i` may post its
-/// chunk-`k` sends (its chunk-`k` pack completion). The send chain still
-/// serializes on the member's NIC in peer order, but a message now also
-/// waits for its own chunk's entry — so early chunks inject while late
-/// chunks are still packing.
+impl PartitionedTimes {
+    pub(crate) fn from_flat(flat: Vec<SimTime>, nparts: usize) -> PartitionedTimes {
+        assert!(nparts >= 1 && flat.len().is_multiple_of(nparts + 1));
+        PartitionedTimes { nparts, flat }
+    }
+
+    /// A single chunk that is ready exactly when the call exits — the
+    /// shape of every step-synchronized algorithm (Bruck, pairwise).
+    pub(crate) fn from_exits(exits: Vec<SimTime>) -> PartitionedTimes {
+        let mut flat = exits.clone();
+        flat.extend(exits);
+        PartitionedTimes { nparts: 1, flat }
+    }
+
+    pub(crate) fn into_flat(self) -> Vec<SimTime> {
+        self.flat
+    }
+
+    fn members(&self) -> usize {
+        self.flat.len() / (self.nparts + 1)
+    }
+
+    /// `ready(i)[k]`: the time member `i` has received (drained and
+    /// matched) every chunk-`k` message destined to it. Unpack for chunk
+    /// `k` may start here — before later chunks (or the member's own
+    /// sends) have finished. Never later than [`exit`](Self::exit)`(i)`.
+    pub fn ready(&self, i: usize) -> &[SimTime] {
+        &self.flat[i * self.nparts..(i + 1) * self.nparts]
+    }
+
+    /// Per-member call-completion times: all sends injected and all
+    /// receives drained.
+    pub fn exits(&self) -> &[SimTime] {
+        &self.flat[self.members() * self.nparts..]
+    }
+
+    /// Call-completion time of member `i`.
+    pub fn exit(&self, i: usize) -> SimTime {
+        self.exits()[i]
+    }
+}
+
+/// The knobs of one scatter phase (see [`scatter_times`]).
+pub struct ScatterPolicy<'a> {
+    /// Blocking sends occupy the sender until injected.
+    pub flavor: P2pFlavor,
+    /// Zero-byte pairs still pay posting/completion overheads (a
+    /// collective must post every pair; heFFTe's hand-written P2P loop
+    /// skips them).
+    pub post_zero: bool,
+    /// Where the CPU-side receive completion (`RECV_OVERHEAD_NS` +
+    /// `extra_recv_ns`) is charged. `false`: one trailing pass after the
+    /// send loop (post all, `MPI_Waitall`) — nothing is usable before the
+    /// call exits, so every chunk is ready at the exit. `true`: inline per
+    /// message as it lands (`MPI_Waitany` per partition), which is what
+    /// lets a chunk's unpack overlap the remaining receives.
+    pub inline_recv: bool,
+    /// Extra send cost of one message, from `(sender, bytes)` (datatype
+    /// assembly, GPU registration).
+    pub extra_send_ns: &'a dyn Fn(usize, usize) -> u64,
+    /// Extra receive-completion cost of one message, from `(sender, bytes)`.
+    pub extra_recv_ns: &'a dyn Fn(usize, usize) -> u64,
+}
+
+/// Prices a **scatter phase**: every member posts one message to every peer
+/// (peer order `(me+1) mod p, (me+2) mod p, …`), then drains its receives in
+/// arrival order. This is simultaneously:
 ///
-/// The receive side mirrors [`scatter_times`]' RX-drain model but
-/// attributes each completed message to its chunk, charging the CPU-side
-/// completion cost (`RECV_OVERHEAD_NS` + `extra_recv_ns`) inline per
-/// message: a chunked wait loop (`MPI_Waitany` per partition) completes
-/// messages as they land rather than in one trailing pass, which is
-/// exactly what lets unpack overlap the remaining receives.
+/// * SpectrumMPI's basic-linear `MPI_Alltoallv` (post all, wait all),
+/// * the naive `Isend`/`Irecv` loop that implements `MPI_Alltoallw` in
+///   MPICH/SpectrumMPI for *any* size (paper §II),
+/// * the heFFTe point-to-point backend (blocking or non-blocking flavor), and
+/// * every **partitioned** exchange behind the pipelined reshapes.
+///
+/// `part_entries` holds `nparts = len / p` entry times per member
+/// (member-major): member `i`'s messages are split into chunks by
+/// [`partition_of_step`] and chunk `k` may not post before
+/// `part_entries[i·nparts + k]` (its pack completion). The send chain
+/// serializes on the member's NIC in peer order, so early chunks inject
+/// while late chunks are still packing; `nparts = 1` is the plain scatter.
+///
+/// The receive pass charges an **RX drain** per message — the receiving
+/// NIC/link absorbs bytes no faster than the sending one injects them — so
+/// naive scatters see incast pressure instead of free parallelism.
 ///
 /// Time-shift invariant like every walker here (required by the memo).
-#[allow(clippy::too_many_arguments)]
-pub fn partitioned_scatter_times(
+pub fn scatter_times(
     np: &NetParams,
     env: &PhaseEnv,
     group: &[usize],
-    part_entries: &[Vec<SimTime>],
+    part_entries: &[SimTime],
     bytes: &dyn Fn(usize, usize) -> usize,
-    flavor: P2pFlavor,
-    post_zero: bool,
-    extra_send_ns: &dyn Fn(usize, usize) -> u64,
-    extra_recv_ns: &dyn Fn(usize, usize) -> u64,
+    policy: &ScatterPolicy,
 ) -> PartitionedTimes {
     let p = group.len();
-    assert_eq!(part_entries.len(), p);
-    let nparts = part_entries.first().map(|pe| pe.len()).unwrap_or(0);
+    if p == 0 {
+        return PartitionedTimes::from_flat(Vec::new(), 1);
+    }
+    let nparts = part_entries.len() / p;
     assert!(
-        part_entries.iter().all(|pe| pe.len() == nparts) && (p == 0 || nparts >= 1),
+        nparts >= 1 && part_entries.len() == p * nparts,
         "every member must supply one entry time per partition"
     );
-    if p == 0 {
-        return PartitionedTimes {
-            part_ready: Vec::new(),
-            exits: Vec::new(),
-        };
-    }
 
-    // Send pass: per-sender NIC serialization as in `scatter_times`, with
-    // each message additionally gated on its own chunk's entry time.
-    let mut arrivals: Vec<Vec<(SimTime, usize, usize)>> = vec![Vec::new(); p]; // (arrival, src, part)
+    // Send pass: serialize each sender's injections, each message gated
+    // on its own chunk's entry; record arrivals.
+    let mut arrivals: Vec<Vec<(SimTime, u32, u32)>> = vec![Vec::new(); p]; // (arrival, src, part)
     let mut send_done = vec![SimTime::ZERO; p];
     for i in 0..p {
-        let pe = &part_entries[i];
+        let pe = &part_entries[i * nparts..(i + 1) * nparts];
         let mut t = pe[0] + SimTime::from_ns(selfcopy_ns(np, env, group[i], bytes(i, i)));
         let mut nic = t;
         for k in 1..p {
             let j = (i + k) % p;
-            let part = partition_of_step(k, p, nparts);
+            let part = match nparts {
+                1 => 0,
+                _ => partition_of_step(k, p, nparts),
+            };
             t = t.max(pe[part]);
             let b = bytes(i, j);
-            if b == 0 && !post_zero {
+            if b == 0 && !policy.post_zero {
                 continue;
             }
-            let post = t + SimTime::from_ns(SEND_OVERHEAD_NS + extra_send_ns(i, j));
+            let post = t + SimTime::from_ns(SEND_OVERHEAD_NS + (policy.extra_send_ns)(i, b));
             let (inject, lat) = msg_parts(np, env, b, group[i], group[j]);
             let start = post.max(nic);
             let end = start + SimTime::from_ns(inject);
             nic = end;
-            arrivals[j].push((end + SimTime::from_ns(lat), i, part));
-            t = match flavor {
+            arrivals[j].push((end + SimTime::from_ns(lat), i as u32, part as u32));
+            t = match policy.flavor {
                 P2pFlavor::Blocking => end,
                 P2pFlavor::NonBlocking => post,
             };
@@ -529,22 +515,38 @@ pub fn partitioned_scatter_times(
         send_done[i] = t.max(nic);
     }
 
-    // Receive pass: drain in arrival order, completing each message (CPU
-    // matching cost inline) and stamping its chunk's ready time.
-    let mut part_ready: Vec<Vec<SimTime>> =
-        part_entries.iter().map(|pe| vec![pe[0]; nparts]).collect();
-    let mut exits = vec![SimTime::ZERO; p];
+    // Receive pass. The RX direction of the NIC drains arrivals in arrival
+    // order, concurrently with the member's own injections (links are full
+    // duplex); the CPU-side completion work (waitany matching, datatype
+    // unpack) lands inline or in one trailing pass per the policy.
+    let mut flat = vec![SimTime::ZERO; p * nparts + p];
     for j in 0..p {
+        let entry = part_entries[j * nparts];
+        let ready = &mut flat[j * nparts..(j + 1) * nparts];
+        ready.fill(entry);
+        let mut rx = entry;
+        let mut trailing_ns = 0u64;
         arrivals[j].sort_unstable();
-        let mut rx = part_entries[j][0];
         for &(arr, src, part) in &arrivals[j] {
-            let (drain, _lat) = msg_parts(np, env, bytes(src, j), group[src], group[j]);
-            rx = rx.max(arr) + SimTime::from_ns(drain + RECV_OVERHEAD_NS + extra_recv_ns(src, j));
-            part_ready[j][part] = part_ready[j][part].max(rx);
+            let (src, part) = (src as usize, part as usize);
+            let b = bytes(src, j);
+            let (drain, _lat) = msg_parts(np, env, b, group[src], group[j]);
+            let done_ns = RECV_OVERHEAD_NS + (policy.extra_recv_ns)(src, b);
+            rx = rx.max(arr) + SimTime::from_ns(drain);
+            if policy.inline_recv {
+                rx += SimTime::from_ns(done_ns);
+            } else {
+                trailing_ns += done_ns;
+            }
+            ready[part] = ready[part].max(rx);
         }
-        exits[j] = send_done[j].max(rx);
+        let exit = send_done[j].max(rx) + SimTime::from_ns(trailing_ns);
+        if !policy.inline_recv {
+            ready.fill(exit);
+        }
+        flat[p * nparts + j] = exit;
     }
-    PartitionedTimes { part_ready, exits }
+    PartitionedTimes::from_flat(flat, nparts)
 }
 
 /// Prices a dissemination **barrier**: `⌈log₂ p⌉` zero-byte rounds.
@@ -684,35 +686,36 @@ mod tests {
         assert!(pw.iter().max().unwrap() < br.iter().max().unwrap());
     }
 
+    /// Plain (`nparts = 1`, trailing completion) scatter of `per_pair`
+    /// bytes between every pair of `p` ranks.
+    fn plain_scatter(p: usize, per_pair: usize, flavor: P2pFlavor, env: &PhaseEnv) -> Vec<SimTime> {
+        let spec = MachineSpec::summit();
+        let group: Vec<usize> = (0..p).collect();
+        scatter_times(
+            &np(&spec),
+            env,
+            &group,
+            &zeros(p),
+            &|_, _| per_pair,
+            &ScatterPolicy {
+                flavor,
+                post_zero: false,
+                inline_recv: false,
+                extra_send_ns: &|_, _| 0,
+                extra_recv_ns: &|_, _| 0,
+            },
+        )
+        .exits()
+        .to_vec()
+    }
+
     #[test]
     fn scatter_blocking_and_nonblocking_are_close() {
         // Fig. 3/7: "not much difference when using blocking and
         // non-blocking approaches".
-        let spec = MachineSpec::summit();
-        let group: Vec<usize> = (0..24).collect();
-        let env = PhaseEnv::machine_wide(&spec, 24, 23, true, 2);
-        let b = scatter_times(
-            &np(&spec),
-            &env,
-            &group,
-            &zeros(24),
-            &|_, _| 1 << 20,
-            P2pFlavor::Blocking,
-            false,
-            &|_, _| 0,
-            &|_, _| 0,
-        );
-        let nb = scatter_times(
-            &np(&spec),
-            &env,
-            &group,
-            &zeros(24),
-            &|_, _| 1 << 20,
-            P2pFlavor::NonBlocking,
-            false,
-            &|_, _| 0,
-            &|_, _| 0,
-        );
+        let env = PhaseEnv::machine_wide(&MachineSpec::summit(), 24, 23, true, 2);
+        let b = plain_scatter(24, 1 << 20, P2pFlavor::Blocking, &env);
+        let nb = plain_scatter(24, 1 << 20, P2pFlavor::NonBlocking, &env);
         let bm = b.iter().max().unwrap().as_ns() as f64;
         let nbm = nb.iter().max().unwrap().as_ns() as f64;
         assert!(
@@ -723,20 +726,7 @@ mod tests {
 
     #[test]
     fn scatter_skips_zero_byte_pairs() {
-        let spec = MachineSpec::summit();
-        let group: Vec<usize> = (0..8).collect();
-        let env = PhaseEnv::quiet(true);
-        let empty = scatter_times(
-            &np(&spec),
-            &env,
-            &group,
-            &zeros(8),
-            &|_, _| 0,
-            P2pFlavor::NonBlocking,
-            false,
-            &|_, _| 0,
-            &|_, _| 0,
-        );
+        let empty = plain_scatter(8, 0, P2pFlavor::NonBlocking, &PhaseEnv::quiet(true));
         assert!(empty.iter().all(|t| *t == SimTime::ZERO));
     }
 
@@ -797,38 +787,65 @@ mod tests {
         }
     }
 
-    fn part_zeros(p: usize, k: usize) -> Vec<Vec<SimTime>> {
-        vec![vec![SimTime::ZERO; k]; p]
+    /// Flat per-partition entries: `p` members × `k` chunks, all at zero.
+    fn part_zeros(p: usize, k: usize) -> Vec<SimTime> {
+        zeros(p * k)
     }
 
-    fn run_part(
+    fn run_scatter(
         spec: &MachineSpec,
-        part_entries: &[Vec<SimTime>],
+        p: usize,
+        part_entries: &[SimTime],
         per_pair: usize,
+        inline_recv: bool,
     ) -> PartitionedTimes {
-        let p = part_entries.len();
         let group: Vec<usize> = (0..p).collect();
         let env = PhaseEnv::machine_wide(spec, p, p - 1, true, 1);
-        partitioned_scatter_times(
+        scatter_times(
             &np(spec),
             &env,
             &group,
             part_entries,
             &|_, _| per_pair,
-            P2pFlavor::NonBlocking,
-            true,
-            &|_, _| 0,
-            &|_, _| 0,
+            &ScatterPolicy {
+                flavor: P2pFlavor::NonBlocking,
+                post_zero: true,
+                inline_recv,
+                extra_send_ns: &|_, _| 0,
+                extra_recv_ns: &|_, _| 0,
+            },
         )
+    }
+
+    fn run_part(spec: &MachineSpec, part_entries: &[SimTime], per_pair: usize) -> PartitionedTimes {
+        run_scatter(spec, 8, part_entries, per_pair, true)
+    }
+
+    #[test]
+    fn trailing_and_inline_completion_differ_only_in_the_receive_pass() {
+        // Same single-chunk send pass; the trailing policy holds every
+        // completion until the send loop is over, so its one chunk is
+        // ready exactly at the exit, while inline completion stamps the
+        // chunk as its last message is matched. Seven messages complete
+        // either way, so the two exits differ by at most that CPU work.
+        let spec = MachineSpec::summit();
+        let trailing = run_scatter(&spec, 8, &zeros(8), 1 << 16, false);
+        let inline = run_scatter(&spec, 8, &zeros(8), 1 << 16, true);
+        for i in 0..8 {
+            assert_eq!(trailing.ready(i), &[trailing.exit(i)]);
+            assert!(inline.ready(i)[0] <= inline.exit(i));
+            assert!(inline.exit(i) <= trailing.exit(i));
+            assert!(trailing.exit(i).as_ns() - inline.exit(i).as_ns() <= 7 * RECV_OVERHEAD_NS);
+        }
     }
 
     #[test]
     fn partitioned_exits_bound_every_chunk_ready() {
         let spec = MachineSpec::summit();
         let t = run_part(&spec, &part_zeros(8, 4), 1 << 18);
-        for (i, pr) in t.part_ready.iter().enumerate() {
-            for r in pr {
-                assert!(*r <= t.exits[i], "chunk ready after exit on member {i}");
+        for i in 0..8 {
+            for r in t.ready(i) {
+                assert!(*r <= t.exit(i), "chunk ready after exit on member {i}");
             }
         }
     }
@@ -838,7 +855,7 @@ mod tests {
         let spec = MachineSpec::summit();
         let small = run_part(&spec, &part_zeros(8, 4), 1 << 12);
         let large = run_part(&spec, &part_zeros(8, 4), 1 << 20);
-        for (s, l) in small.exits.iter().zip(&large.exits) {
+        for (s, l) in small.exits().iter().zip(large.exits()) {
             assert!(l > s);
         }
     }
@@ -847,18 +864,9 @@ mod tests {
     fn partitioned_entries_shift_everything() {
         let spec = MachineSpec::summit();
         let base = run_part(&spec, &part_zeros(8, 4), 1 << 16);
-        let shifted_pe: Vec<Vec<SimTime>> = part_zeros(8, 4)
-            .into_iter()
-            .map(|pe| pe.into_iter().map(|t| t + SimTime::from_us(100)).collect())
-            .collect();
-        let shifted = run_part(&spec, &shifted_pe, 1 << 16);
-        for (b, s) in base.exits.iter().zip(&shifted.exits) {
+        let shifted = run_part(&spec, &vec![SimTime::from_us(100); 32], 1 << 16);
+        for (b, s) in base.clone().into_flat().iter().zip(&shifted.into_flat()) {
             assert_eq!(s.as_ns() - b.as_ns(), 100_000);
-        }
-        for (bp, sp) in base.part_ready.iter().zip(&shifted.part_ready) {
-            for (b, s) in bp.iter().zip(sp) {
-                assert_eq!(s.as_ns() - b.as_ns(), 100_000);
-            }
         }
     }
 
@@ -873,16 +881,21 @@ mod tests {
         let base = run_part(&spec, &part_zeros(8, k), 1 << 18);
         let late = SimTime::from_ms(1);
         let mut pe = part_zeros(8, k);
-        for row in &mut pe {
+        for row in pe.chunks_mut(k) {
             row[k - 1] = late;
         }
         let staggered = run_part(&spec, &pe, 1 << 18);
-        for (b, s) in base.part_ready.iter().zip(&staggered.part_ready) {
-            assert_eq!(s[0], b[0], "chunk 0 must not wait on chunk {}", k - 1);
+        for i in 0..8 {
+            assert_eq!(
+                staggered.ready(i)[0],
+                base.ready(i)[0],
+                "chunk 0 must not wait on chunk {}",
+                k - 1
+            );
         }
         // Monolithic equivalent: every message gated on the last pack.
-        let all_late = run_part(&spec, &vec![vec![late; k]; 8], 1 << 18);
-        for (s, m) in staggered.exits.iter().zip(&all_late.exits) {
+        let all_late = run_part(&spec, &vec![late; 8 * k], 1 << 18);
+        for (s, m) in staggered.exits().iter().zip(all_late.exits()) {
             assert!(
                 s < m,
                 "pipelined exit {s} should beat pack-barrier exit {m}"

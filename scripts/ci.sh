@@ -108,6 +108,28 @@ cmp "$TDIR/plain.out" "$TDIR/replay.out" || {
     exit 1
 }
 
+echo "== figures vs committed results (release) =="
+# Every figure harness must reproduce its committed results/*.txt byte for
+# byte — the absolute pin on simulated time for the monolithic path of all
+# four backends, at paper scale. ~90 s in release, fig5 taking most of it;
+# `exascale` (~12 min) is left out.
+cargo build --release --offline -q -p fft-bench
+for b in table1 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 \
+    fig12 fig13 sweep models_compare; do
+    "./target/release/$b" >"$TDIR/$b.out"
+    cmp "$TDIR/$b.out" "results/$b.txt" || {
+        echo "FAIL: $b stdout differs from results/$b.txt" >&2
+        exit 1
+    }
+done
+
+echo "== benchmark smoke =="
+# The repo's benchmark (BENCHMARK.json) on a fiftieth of its measuring
+# time: every workload's ops must succeed and its self-checks hold (seven
+# simulated phases tile the op, byte counters agree, exec == dry-run on
+# c2c), plus fmt and clippy on the benchmark package.
+bash benchmark/run.sh --smoke
+
 echo "== profiler smoke test =="
 # Same invisibility contract for the critical-path profiler: fig5 with
 # --profile-out must keep stdout byte-identical, and the emitted fftprof

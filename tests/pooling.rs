@@ -13,6 +13,15 @@ use fftkern::{Direction, C64};
 use mpisim::comm::{Comm, World, WorldOpts};
 use simgrid::MachineSpec;
 
+/// The 1-D plan cache is process-global and
+/// `plan_cache_serves_repeated_executions` compares its miss counter across
+/// two runs, so the tests of this file must not interleave (the default
+/// parallel test runner otherwise fails it a few times in twenty).
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Forward+inverse round trip, run `reps` times through the same `ExecCtx`.
 /// Returns per-run output bits, the number of buffers left in the pool, and
 /// the pool's hit/miss/eviction statistics.
@@ -68,6 +77,7 @@ fn repeated_roundtrips(
 
 #[test]
 fn warm_pool_bit_identical_to_cold_for_every_decomp_and_backend() {
+    let _serial = serial();
     let n = [8usize, 12, 10];
     let ranks = 4;
     for decomp in [Decomp::Slabs, Decomp::Pencils, Decomp::Bricks] {
@@ -99,6 +109,7 @@ fn warm_pool_bit_identical_to_cold_for_every_decomp_and_backend() {
 
 #[test]
 fn warm_pool_bit_identical_with_subarray_datatypes() {
+    let _serial = serial();
     // Alltoallw + brick I/O exercises the no-pack path and both boundary
     // reshapes — the most reshape-heavy plan shape.
     let opts = FftOptions {
@@ -119,6 +130,7 @@ fn warm_pool_bit_identical_with_subarray_datatypes() {
 
 #[test]
 fn plan_cache_serves_repeated_executions() {
+    let _serial = serial();
     // After any distributed run, every 1-D plan the executor needs is in the
     // global cache; a second run must not miss.
     let _ = repeated_roundtrips(FftOptions::default(), [8, 8, 8], 4, 1);
@@ -139,6 +151,7 @@ fn plan_cache_serves_repeated_executions() {
 
 #[test]
 fn steady_state_pool_never_evicts_and_mostly_hits() {
+    let _serial = serial();
     // Eviction regression guard: a single-plan steady state must cycle
     // entirely through recycled buffers. Any eviction means the executor
     // holds more live buffers than POOL_CAP and is silently deallocating on
