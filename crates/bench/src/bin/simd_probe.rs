@@ -7,7 +7,7 @@
 //! of the full `simd_equivalence` suite, cheap enough for every CI run.
 //! Respects `FFT_SIMD`, so CI can probe each setting's resolved tier.
 
-use fftkern::plan::{Layout, Plan1d};
+use fftkern::plan::Plan1d;
 use fftkern::simd::{self, SimdTier};
 use fftkern::{Direction, C64};
 
@@ -20,19 +20,26 @@ fn main() {
     );
     println!("active tier  : {}", simd::active_tier().name());
 
-    let n = 512;
-    let plan = Plan1d::with_layout(n, 4, Layout::contiguous(n), Layout::contiguous(n));
-    println!("kernel (512×4): {}", plan.kernel_desc());
-
-    let x: Vec<C64> = (0..plan.required_input_len())
-        .map(|i| C64::new((0.3 * i as f64).sin(), (0.7 * i as f64).cos()))
+    // 512 = 8·8·8 covers the pow2 kernels; 60 = 4·3·5 and 480 = 8·4·3·5 put
+    // the radix-3/5 stage bodies and an odd-`m` first stage in front of
+    // whatever tier this host has.
+    let plans: Vec<Plan1d> = [512, 60, 480]
+        .into_iter()
+        .map(|n| Plan1d::contiguous(n, 4))
         .collect();
+    println!("kernel (512×4): {}", plans[0].kernel_desc());
     let run = |tier: SimdTier| {
         simd::force_tier(Some(tier));
-        let mut d = x.clone();
-        plan.execute_inplace(&mut d, Direction::Forward);
+        let mut out = Vec::new();
+        for plan in &plans {
+            let mut d: Vec<C64> = (0..plan.required_input_len())
+                .map(|i| C64::new((0.3 * i as f64).sin(), (0.7 * i as f64).cos()))
+                .collect();
+            plan.execute_inplace(&mut d, Direction::Forward);
+            out.extend(d);
+        }
         simd::force_tier(None);
-        d
+        out
     };
     let reference = run(SimdTier::Scalar);
     let mut ok = true;
@@ -50,7 +57,7 @@ fn main() {
             "tier {:<7}: {}",
             tier.name(),
             if identical {
-                "bit-identical to scalar"
+                "bit-identical to scalar (n = 512, 60, 480)"
             } else {
                 "DIVERGES from scalar"
             }

@@ -18,7 +18,8 @@
 //! the functional and analytic executors (and their exact-consistency
 //! guarantee) apply unchanged.
 
-use fftkern::real::{retangle_half_into, untangle_half_into};
+use fftkern::real::{retangle_half_with, untangle_half_with};
+use fftkern::twiddle::forward_table;
 use fftkern::{Direction, C64};
 use mpisim::comm::{Comm, Rank};
 use simgrid::SimTime;
@@ -237,8 +238,9 @@ impl Real3dPlan {
             let rows = zbox.volume() / m;
             let mut out = ctx.take_buffer();
             out.reserve(rows * self.h);
+            let roots = forward_table(self.n[2]);
             for row in data[0].chunks_exact(m) {
-                untangle_half_into(row, self.n[2], &mut out);
+                untangle_half_with(row, &roots, &mut out);
             }
             rank.compute_ns(km.pointwise_ns(rows * self.h, 12.0));
             out
@@ -298,8 +300,9 @@ impl Real3dPlan {
             let rows = data_c[0].len() / self.h;
             let mut out = ctx.take_buffer();
             out.reserve(rows * m);
+            let roots = forward_table(self.n[2]);
             for row in data_c[0].chunks_exact(self.h) {
-                retangle_half_into(row, self.n[2], &mut out);
+                retangle_half_with(row, &roots, &mut out);
             }
             rank.compute_ns(km.pointwise_ns(rows * m, 12.0));
             out

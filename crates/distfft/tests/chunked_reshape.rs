@@ -5,7 +5,7 @@
 //! but the same buffers go on the wire and one index-ordered deposit pass
 //! merges them — so distributed output must stay bit-identical to the
 //! monolithic path across chunk counts {1, 2, peers/2, peers, auto} ×
-//! executor thread counts {1, 4}, over pow2, mixed-radix, and Bluestein
+//! executor thread counts {1, 4}, over pow2, smooth non-pow2, and Bluestein
 //! grids, on both partitionable backends. The transform-ahead schedule
 //! (ISSUE 9) additionally runs next-axis butterflies line-by-line as
 //! chunks land, so this matrix also pins that per-line execution matches
@@ -21,8 +21,9 @@ use fftkern::{Direction, C64};
 use mpisim::comm::{Comm, World, WorldOpts};
 use simgrid::{MachineSpec, SimTime};
 
-/// Pow2 axes (Stockham), smooth non-pow2 axes (mixed-radix), and a prime
-/// axis (Bluestein) — the same grid triple `simd_invariance` sweeps.
+/// Pow2 axes (Stockham), smooth non-pow2 axes (Stockham with 3/5/7 stages),
+/// and a prime axis (Bluestein) — the same grid triple `simd_invariance`
+/// sweeps.
 const GRIDS: [[usize; 3]; 3] = [[16, 16, 8], [12, 10, 14], [13, 16, 8]];
 
 /// 8 ranks with the default brick I/O layout: the brick→pencil reshape

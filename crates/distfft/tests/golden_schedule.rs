@@ -59,7 +59,7 @@ const CHUNKS: [(&str, usize); 3] = [("k1", 1), ("k4", 4), ("auto", 0)];
 /// (label, extents, ranks, decomp, io, shrink): pencils with brick I/O on
 /// 24 ranks (uneven boxes, groups of 24, 6 and 4, pairwise-sized blocks,
 /// large enough that `auto` picks k ≥ 2 on some groups and 1 on others),
-/// slabs on 6 ranks at 60³ (mixed-radix lines), and a shrunk pencil plan
+/// slabs on 6 ranks at 60³ (smooth non-pow2 lines), and a shrunk pencil plan
 /// (idle ranks, Bruck-sized blocks).
 #[allow(clippy::type_complexity)]
 const PLANS: [(&str, [usize; 3], usize, Decomp, IoLayout, Option<usize>); 3] = [

@@ -5,7 +5,7 @@
 //! functional executor must produce bit-identical distributed data — and,
 //! with `--features sanitize`, identical replay digests — across
 //! `FFT_SIMD=off/avx2/avx512` (tiers the host lacks are skipped) crossed
-//! with executor thread counts {1, 4}, over pow2, mixed-radix, and
+//! with executor thread counts {1, 4}, over pow2, smooth non-pow2, and
 //! Bluestein per-axis lengths in both packed and strided local-FFT modes.
 //!
 //! Tier forcing is process-global; all tests in this file serialize on
@@ -30,10 +30,11 @@ fn available_tiers() -> Vec<SimdTier> {
         .collect()
 }
 
-/// The grids under test: pow2 axes (Stockham direct), smooth non-pow2 axes
-/// (mixed-radix, whose pow2 sub-lengths ride Stockham), and a prime axis
-/// (Bluestein, whose chirp convolution is a pow2 Stockham transform). Axis
-/// 2 runs packed, axes 0/1 strided — both local-FFT modes per grid.
+/// The grids under test: pow2 axes (Stockham 8/4/2 stages), smooth non-pow2
+/// axes (Stockham with radix-3/5/7 stages: 12 = 4·3, 10 = 2·5, 14 = 2·7,
+/// so per-stage tier dispatch sees odd `m` and non-pow2 `s`), and a prime
+/// axis (Bluestein, whose chirp convolution is a pow2 Stockham transform).
+/// Axis 2 runs packed, axes 0/1 strided — both local-FFT modes per grid.
 const GRIDS: [[usize; 3]; 3] = [[16, 16, 8], [12, 10, 14], [13, 16, 8]];
 
 /// Distributed forward+inverse under a forced tier; returns the final

@@ -54,8 +54,8 @@ fn bench_3d(c: &mut Criterion) {
 }
 
 fn bench_non_pow2(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fft_1d_awkward");
-    // Smooth (mixed-radix) vs prime (Bluestein) near the same size.
+    let mut group = c.benchmark_group("fft_1d_smooth_vs_prime");
+    // Smooth (Stockham 8·4·3·5 stages) vs prime (Bluestein) near the same size.
     for &n in &[480usize, 499] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let plan = Plan1d::contiguous(n, 1);

@@ -20,12 +20,12 @@
 //!   *contiguous (transposed)* and *strided* local-FFT modes of the paper
 //!   (Figs. 6, 7, 10) are expressible.
 //! * [`Plan2d`] / [`Plan3d`] — local multi-dimensional transforms.
-//! * [`StockhamPlan`] — the power-of-two workhorse: a Stockham autosort
-//!   engine with radix-4/8 butterflies and no bit-reversal pass, selected by
-//!   default ([`Engine::Auto`]); the scalar radix-2 path survives as
-//!   [`Engine::Legacy`] for reference and A/B benchmarking.
-//! * Mixed-radix Cooley–Tukey for smooth sizes and Bluestein's chirp-z
-//!   algorithm for arbitrary (including prime) sizes.
+//! * [`StockhamPlan`] — the workhorse for every 2/3/5/7-smooth size: a
+//!   Stockham autosort engine with radix-8/4/2 and radix-3/5/7 butterflies
+//!   and no digit-reversal pass, selected by default ([`Engine::Auto`]); the
+//!   scalar radix-2 path survives as [`Engine::Legacy`] for reference and
+//!   A/B benchmarking.
+//! * Bluestein's chirp-z algorithm for every other (including prime) size.
 //! * [`real`] — real-to-complex / complex-to-real transforms via the
 //!   packed-complex trick (the "real transforms" LAMMPS KSPACE uses, §IV-D).
 //! * [`dft`] — a naive O(N²) reference DFT used as the correctness oracle.
@@ -41,7 +41,6 @@ pub mod cache;
 pub mod complex;
 pub mod dft;
 pub mod kernel_model;
-pub mod mixed;
 pub mod nd;
 pub mod plan;
 pub mod radix;
@@ -58,7 +57,7 @@ pub use simd::SimdTier;
 pub use stockham::StockhamPlan;
 
 /// Returns true if `n` factors entirely into 2, 3, 5 and 7 — the sizes the
-/// mixed-radix path handles without Bluestein.
+/// Stockham engine handles without Bluestein.
 pub fn is_smooth(mut n: usize) -> bool {
     if n == 0 {
         return false;

@@ -8,7 +8,6 @@
 
 use crate::bluestein::BluesteinPlan;
 use crate::complex::C64;
-use crate::mixed::MixedPlan;
 use crate::radix::Radix2Plan;
 use crate::stockham::StockhamPlan;
 
@@ -60,9 +59,9 @@ impl Direction {
 /// baseline instead of a synthetic slowdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Engine {
-    /// Planner's choice: Stockham autosort (radix-8/4/2) for powers of two,
-    /// mixed-radix for smooth sizes, Bluestein otherwise — with cache-blocked
-    /// batched/strided execution.
+    /// Planner's choice: Stockham autosort (radix-8/4/2, then 3/5/7 stages)
+    /// for every 2/3/5/7-smooth size, Bluestein otherwise — with
+    /// cache-blocked batched/strided execution.
     #[default]
     Auto,
     /// The seed engine: scalar radix-2 Cooley–Tukey with a bit-reversal pass
@@ -85,47 +84,37 @@ impl Engine {
 enum Algo {
     Stockham(StockhamPlan),
     Radix2(Radix2Plan),
-    Mixed(MixedPlan),
     Bluestein(BluesteinPlan),
 }
 
 impl Algo {
     fn for_len(n: usize, engine: Engine) -> Algo {
-        if n.is_power_of_two() {
-            match engine {
-                Engine::Auto => Algo::Stockham(StockhamPlan::new(n)),
-                Engine::Legacy => Algo::Radix2(Radix2Plan::new(n)),
-            }
+        if engine == Engine::Legacy && n.is_power_of_two() {
+            Algo::Radix2(Radix2Plan::new(n))
         } else if crate::is_smooth(n) {
-            Algo::Mixed(MixedPlan::new(n))
+            Algo::Stockham(StockhamPlan::new(n))
         } else {
             Algo::Bluestein(BluesteinPlan::new(n))
         }
     }
 
-    /// Scratch sizes (elements) this algorithm needs per transform:
-    /// `(out_buf, aux_buf)`.
-    fn scratch_len(&self) -> (usize, usize) {
+    /// Scratch elements this algorithm needs per transform.
+    fn scratch_len(&self) -> usize {
         match self {
-            Algo::Stockham(p) => (p.scratch_elems(), 0),
-            Algo::Radix2(_) => (0, 0),
-            Algo::Mixed(p) => (p.len(), p.len()),
-            Algo::Bluestein(p) => (p.scratch_elems(), 0),
+            Algo::Stockham(p) => p.scratch_elems(),
+            Algo::Radix2(_) => 0,
+            Algo::Bluestein(p) => p.scratch_elems(),
         }
     }
 
     /// Executes one transform reusing caller-provided scratch (sized by
     /// [`scratch_len`](Algo::scratch_len)) — no allocation per row, which
-    /// matters in batched executions of non-power-of-two lengths.
-    fn execute_scratch(&self, data: &mut [C64], dir: Direction, a: &mut [C64], b: &mut [C64]) {
+    /// matters in batched executions.
+    fn execute_scratch(&self, data: &mut [C64], dir: Direction, work: &mut [C64]) {
         match self {
-            Algo::Stockham(p) => p.execute_scratch(data, dir, a),
+            Algo::Stockham(p) => p.execute_scratch(data, dir, work),
             Algo::Radix2(p) => p.execute(data, dir),
-            Algo::Mixed(p) => {
-                p.execute_strided(data, 1, a, b, dir);
-                data.copy_from_slice(&a[..data.len()]);
-            }
-            Algo::Bluestein(p) => p.execute_with_scratch(data, dir, a),
+            Algo::Bluestein(p) => p.execute_with_scratch(data, dir, work),
         }
     }
 
@@ -133,7 +122,6 @@ impl Algo {
         match self {
             Algo::Stockham(_) => "stockham",
             Algo::Radix2(_) => "radix2",
-            Algo::Mixed(_) => "mixed-radix",
             Algo::Bluestein(_) => "bluestein",
         }
     }
@@ -257,14 +245,13 @@ impl Plan1d {
     /// Algorithm plus the butterfly tier the dispatcher would use *right
     /// now* (e.g. `"stockham+avx512"`), for probes and bench stamps. The
     /// tier is resolved per transform, not baked into the plan, so this
-    /// reflects the current `FFT_SIMD`/force state; the legacy engine and
-    /// the non-Stockham algorithms never dispatch, so they report plain
-    /// `"<algo>+scalar"`.
+    /// reflects the current `FFT_SIMD`/force state; only the legacy radix-2
+    /// path never dispatches (Bluestein's convolution rides Stockham), so it
+    /// reports plain `"radix2+scalar"`.
     pub fn kernel_desc(&self) -> String {
-        let tier = if matches!(self.engine, Engine::Auto) {
-            crate::simd::active_tier()
-        } else {
-            crate::simd::SimdTier::Scalar
+        let tier = match self.algo {
+            Algo::Radix2(_) => crate::simd::SimdTier::Scalar,
+            Algo::Stockham(_) | Algo::Bluestein(_) => crate::simd::active_tier(),
         };
         format!("{}+{}", self.algo.name(), tier.name())
     }
@@ -305,8 +292,7 @@ impl Plan1d {
     /// the algorithm's work buffers plus one gather/scatter tile (which also
     /// serves as the row buffer of the unblocked fallback path).
     pub fn scratch_elems(&self) -> usize {
-        let (la, lb) = self.algo.scratch_len();
-        la + lb + self.tile_lines() * self.n
+        self.algo.scratch_len() + self.tile_lines() * self.n
     }
 
     /// Executes the batch out of place.
@@ -337,7 +323,7 @@ impl Plan1d {
             output.len(),
             self.required_output_len()
         );
-        let (sa, sb, tile) = self.split_scratch(scratch);
+        let (work, tile) = self.split_scratch(scratch);
         if self.engine != Engine::Legacy {
             if self.packed_rows() {
                 // Contiguous rows in and out: copy each row once, transform
@@ -345,7 +331,7 @@ impl Plan1d {
                 for b in 0..self.batch {
                     let row = &mut output[b * self.n..(b + 1) * self.n];
                     row.copy_from_slice(&input[b * self.n..(b + 1) * self.n]);
-                    self.algo.execute_scratch(row, dir, sa, sb);
+                    self.algo.execute_scratch(row, dir, work);
                 }
                 return;
             }
@@ -356,7 +342,7 @@ impl Plan1d {
                     let t = t_lines.min(self.batch - lo);
                     gather_tile(input, self.input.stride, lo, t, self.n, tile);
                     for r in tile[..t * self.n].chunks_exact_mut(self.n) {
-                        self.algo.execute_scratch(r, dir, sa, sb);
+                        self.algo.execute_scratch(r, dir, work);
                     }
                     scatter_tile(output, self.output.stride, lo, t, self.n, tile);
                     lo += t;
@@ -370,7 +356,7 @@ impl Plan1d {
             for (j, r) in row.iter_mut().enumerate() {
                 *r = input[ibase + j * self.input.stride];
             }
-            self.algo.execute_scratch(row, dir, sa, sb);
+            self.algo.execute_scratch(row, dir, work);
             let obase = b * self.output.dist;
             for (k, r) in row.iter().enumerate() {
                 output[obase + k * self.output.stride] = *r;
@@ -393,14 +379,14 @@ impl Plan1d {
             data.len() >= self.required_input_len().max(self.required_output_len()),
             "buffer too small for in-place batch"
         );
-        let (sa, sb, tile) = self.split_scratch(scratch);
+        let (work, tile) = self.split_scratch(scratch);
         if self.engine != Engine::Legacy {
             if self.packed_rows() {
                 // Packed contiguous rows transform directly in place — the
                 // whole batch runs with zero data movement beyond the
                 // butterflies themselves.
                 for row in data[..self.batch * self.n].chunks_exact_mut(self.n) {
-                    self.algo.execute_scratch(row, dir, sa, sb);
+                    self.algo.execute_scratch(row, dir, work);
                 }
                 return;
             }
@@ -411,7 +397,7 @@ impl Plan1d {
                     let t = t_lines.min(self.batch - lo);
                     gather_tile(data, self.input.stride, lo, t, self.n, tile);
                     for r in tile[..t * self.n].chunks_exact_mut(self.n) {
-                        self.algo.execute_scratch(r, dir, sa, sb);
+                        self.algo.execute_scratch(r, dir, work);
                     }
                     scatter_tile(data, self.output.stride, lo, t, self.n, tile);
                     lo += t;
@@ -425,7 +411,7 @@ impl Plan1d {
             for (j, r) in row.iter_mut().enumerate() {
                 *r = data[ibase + j * self.input.stride];
             }
-            self.algo.execute_scratch(row, dir, sa, sb);
+            self.algo.execute_scratch(row, dir, work);
             let obase = b * self.output.dist;
             for (k, r) in row.iter().enumerate() {
                 data[obase + k * self.output.stride] = *r;
@@ -456,11 +442,11 @@ impl Plan1d {
             data.len() >= self.required_input_len().max(self.required_output_len()),
             "buffer too small for in-place batch"
         );
-        let (sa, sb, tile) = self.split_scratch(scratch);
+        let (work, tile) = self.split_scratch(scratch);
         if self.engine != Engine::Legacy {
             if self.packed_rows() {
                 for row in data[lo * self.n..hi * self.n].chunks_exact_mut(self.n) {
-                    self.algo.execute_scratch(row, dir, sa, sb);
+                    self.algo.execute_scratch(row, dir, work);
                 }
                 return;
             }
@@ -471,7 +457,7 @@ impl Plan1d {
                     let t = t_lines.min(hi - base);
                     gather_tile(data, self.input.stride, base, t, self.n, tile);
                     for r in tile[..t * self.n].chunks_exact_mut(self.n) {
-                        self.algo.execute_scratch(r, dir, sa, sb);
+                        self.algo.execute_scratch(r, dir, work);
                     }
                     scatter_tile(data, self.output.stride, base, t, self.n, tile);
                     base += t;
@@ -485,7 +471,7 @@ impl Plan1d {
             for (j, r) in row.iter_mut().enumerate() {
                 *r = data[ibase + j * self.input.stride];
             }
-            self.algo.execute_scratch(row, dir, sa, sb);
+            self.algo.execute_scratch(row, dir, work);
             let obase = b * self.output.dist;
             for (k, r) in row.iter().enumerate() {
                 data[obase + k * self.output.stride] = *r;
@@ -511,21 +497,16 @@ impl Plan1d {
             && self.output.stride >= self.batch
     }
 
-    /// Splits caller scratch into the algorithm buffers and the tile buffer.
-    fn split_scratch<'s>(
-        &self,
-        scratch: &'s mut [C64],
-    ) -> (&'s mut [C64], &'s mut [C64], &'s mut [C64]) {
+    /// Splits caller scratch into the algorithm buffer and the tile buffer.
+    fn split_scratch<'s>(&self, scratch: &'s mut [C64]) -> (&'s mut [C64], &'s mut [C64]) {
         assert!(
             scratch.len() >= self.scratch_elems(),
             "scratch too small: {} < {}",
             scratch.len(),
             self.scratch_elems()
         );
-        let (la, lb) = self.algo.scratch_len();
-        let (sa, rest) = scratch.split_at_mut(la);
-        let (sb, rest) = rest.split_at_mut(lb);
-        (sa, sb, &mut rest[..self.tile_lines() * self.n])
+        let (work, rest) = scratch.split_at_mut(self.algo.scratch_len());
+        (work, &mut rest[..self.tile_lines() * self.n])
     }
 }
 
@@ -704,7 +685,7 @@ mod tests {
     #[test]
     fn algorithm_selection() {
         assert_eq!(Plan1d::contiguous(64, 1).algo_name(), "stockham");
-        assert_eq!(Plan1d::contiguous(60, 1).algo_name(), "mixed-radix");
+        assert_eq!(Plan1d::contiguous(60, 1).algo_name(), "stockham");
         assert_eq!(Plan1d::contiguous(13, 1).algo_name(), "bluestein");
         let legacy = Plan1d::with_engine(
             64,
@@ -740,11 +721,25 @@ mod tests {
     fn line_ranges_are_bit_identical_to_full_batch() {
         // Every execute path (packed rows, blocked tiles, per-line
         // gather/scatter) must give byte-identical results whether the batch
-        // runs whole or as disjoint line ranges in order — the contract the
-        // distributed transform-ahead schedule depends on.
+        // runs whole or as disjoint line ranges in any order — the contract
+        // the distributed transform-ahead schedule depends on. Pow2 and
+        // smooth lengths on each path.
+        let gapped = |n: usize, batch: usize| {
+            // Neither packed nor tileable: rows 2·n apart, elements 2 apart.
+            let l = Layout {
+                stride: 2,
+                dist: 2 * n,
+            };
+            Plan1d::with_layout(n, batch, l, l)
+        };
         let cases: Vec<Plan1d> = vec![
             Plan1d::contiguous(16, 37),
+            Plan1d::contiguous(60, 37),
+            Plan1d::contiguous(45, 11),
             Plan1d::with_layout(16, 100, Layout::strided(100), Layout::strided(100)),
+            Plan1d::with_layout(30, 100, Layout::strided(100), Layout::strided(100)),
+            Plan1d::with_layout(480, 19, Layout::strided(19), Layout::strided(19)),
+            gapped(40, 7),
             Plan1d::with_engine(
                 16,
                 9,
@@ -761,7 +756,8 @@ mod tests {
             let mut split = x;
             let batch = plan.batch();
             let cuts = [0, batch / 3, batch / 3 + 1, (2 * batch) / 3, batch];
-            for w in cuts.windows(2) {
+            // Last range first: lines are independent, so order is free.
+            for w in cuts.windows(2).rev() {
                 plan.execute_lines_inplace_scratch(
                     &mut split,
                     Direction::Forward,
@@ -771,9 +767,14 @@ mod tests {
                 );
             }
             assert!(
-                max_abs_diff(&whole, &split) == 0.0,
-                "line-range execution diverged for {}",
-                plan.algo_name()
+                whole
+                    .iter()
+                    .zip(&split)
+                    .all(|(a, b)| a.re.to_bits() == b.re.to_bits()
+                        && a.im.to_bits() == b.im.to_bits()),
+                "line-range execution diverged for {} n={}",
+                plan.algo_name(),
+                plan.len()
             );
         }
     }
@@ -806,17 +807,20 @@ mod tests {
 
     #[test]
     fn strided_batch_transforms_columns() {
-        // A 4×8 row-major matrix; transform its 8 columns (length 4, stride 8).
-        let (rows, cols) = (4usize, 8usize);
-        let data = signal(rows * cols);
-        let plan = Plan1d::with_layout(rows, cols, Layout::strided(cols), Layout::strided(cols));
-        let mut out = vec![C64::ZERO; rows * cols];
-        plan.execute(&data, &mut out, Direction::Forward);
-        for c in 0..cols {
-            let col: Vec<C64> = (0..rows).map(|r| data[r * cols + c]).collect();
-            let reference = dft_1d(&col, Direction::Forward);
-            let got: Vec<C64> = (0..rows).map(|r| out[r * cols + c]).collect();
-            assert!(max_abs_diff(&got, &reference) < 1e-9 * rows as f64);
+        // A rows×cols row-major matrix; transform its columns (length rows,
+        // stride cols) — pow2 and smooth column lengths.
+        for (rows, cols) in [(4usize, 8usize), (12, 3), (60, 7)] {
+            let data = signal(rows * cols);
+            let plan =
+                Plan1d::with_layout(rows, cols, Layout::strided(cols), Layout::strided(cols));
+            let mut out = vec![C64::ZERO; rows * cols];
+            plan.execute(&data, &mut out, Direction::Forward);
+            for c in 0..cols {
+                let col: Vec<C64> = (0..rows).map(|r| data[r * cols + c]).collect();
+                let reference = dft_1d(&col, Direction::Forward);
+                let got: Vec<C64> = (0..rows).map(|r| out[r * cols + c]).collect();
+                assert!(max_abs_diff(&got, &reference) < 1e-9 * rows as f64);
+            }
         }
     }
 

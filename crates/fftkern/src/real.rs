@@ -13,6 +13,7 @@
 
 use crate::complex::C64;
 use crate::plan::{Direction, Plan1d};
+use crate::twiddle;
 
 /// Forward real-to-complex transform: `n` reals → `n/2 + 1` complex bins
 /// (the remaining bins are the conjugate mirror). `n` must be even and ≥ 2.
@@ -45,17 +46,25 @@ pub fn untangle_half(z: &[C64], n: usize) -> Vec<C64> {
 }
 
 /// Appending form of [`untangle_half`] for callers that untangle many rows
-/// into one buffer (the distributed r2c pipeline) — no per-row allocation.
+/// into one buffer — no per-row allocation. Looks the length-`n` root table
+/// up per call; a caller with many rows of one length fetches
+/// [`twiddle::forward_table`] once and calls [`untangle_half_with`].
 pub fn untangle_half_into(z: &[C64], n: usize, out: &mut Vec<C64>) {
-    let h = n / 2;
+    untangle_half_with(z, &twiddle::forward_table(n), out);
+}
+
+/// [`untangle_half_into`] over a caller-held root table
+/// (`roots = forward_table(n)`, so `n == roots.len()`): the row-local
+/// kernel of the distributed r2c pipeline, one table read per bin.
+pub fn untangle_half_with(z: &[C64], roots: &[C64], out: &mut Vec<C64>) {
+    let h = roots.len() / 2;
     assert_eq!(z.len(), h, "packed spectrum must have n/2 bins");
     out.reserve(h + 1);
-    for k in 0..=h {
+    for (k, &w) in roots.iter().enumerate().take(h + 1) {
         let zk = if k == h { z[0] } else { z[k] };
         let zmk = z[(h - k % h) % h].conj();
         let e = (zk + zmk).scale(0.5);
         let o = (zk - zmk).scale(0.5) * C64::new(0.0, -1.0);
-        let w = C64::expi(-2.0 * std::f64::consts::PI * k as f64 / n as f64);
         out.push(e + w * o);
     }
 }
@@ -70,16 +79,21 @@ pub fn retangle_half(spectrum: &[C64], n: usize) -> Vec<C64> {
 
 /// Appending form of [`retangle_half`] — see [`untangle_half_into`].
 pub fn retangle_half_into(spectrum: &[C64], n: usize, z: &mut Vec<C64>) {
-    let h = n / 2;
+    retangle_half_with(spectrum, &twiddle::forward_table(n), z);
+}
+
+/// [`retangle_half_into`] over a caller-held root table — see
+/// [`untangle_half_with`].
+pub fn retangle_half_with(spectrum: &[C64], roots: &[C64], z: &mut Vec<C64>) {
+    let h = roots.len() / 2;
     assert_eq!(spectrum.len(), h + 1, "half spectrum must have n/2+1 bins");
     z.reserve(h);
-    for k in 0..h {
+    for (k, w) in roots.iter().enumerate().take(h) {
         let xk = spectrum[k];
         let xmk = spectrum[h - k].conj();
         let e = (xk + xmk).scale(0.5);
         // O[k] = (X[k] − conj(X[h−k]))/2 · w^{−k}, with w = e^{−2πi/n}.
-        let w_inv = C64::expi(2.0 * std::f64::consts::PI * k as f64 / n as f64);
-        let o = (xk - xmk).scale(0.5) * w_inv;
+        let o = (xk - xmk).scale(0.5) * w.conj();
         z.push(e + o * C64::I);
     }
 }
@@ -144,6 +158,49 @@ mod tests {
             assert!(
                 max_abs_diff(&half, &full[..n / 2 + 1]) < 1e-8 * n as f64,
                 "mismatch at n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn table_twiddles_are_bit_identical_to_the_expi_formula() {
+        // The untangle used to evaluate `expi(∓2πk/n)` per bin; the root
+        // table is built from the same expression, and conjugation must
+        // reproduce the `+` sign exactly (sin is odd in libm, −0.0 aside).
+        use std::f64::consts::PI;
+        let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        for n in [2usize, 6, 60, 64, 250] {
+            let h = n / 2;
+            let z: Vec<C64> = (0..h)
+                .map(|i| C64::new((0.9 * i as f64).sin() + 0.3, (0.37 * i as f64).cos()))
+                .collect();
+            let want_half: Vec<C64> = (0..=h)
+                .map(|k| {
+                    let zk = z[k % h];
+                    let zmk = z[(h - k % h) % h].conj();
+                    let e = (zk + zmk).scale(0.5);
+                    let o = (zk - zmk).scale(0.5) * C64::new(0.0, -1.0);
+                    e + C64::expi(-2.0 * PI * k as f64 / n as f64) * o
+                })
+                .collect();
+            let half = untangle_half(&z, n);
+            assert_eq!(bits(&half), bits(&want_half), "untangle n={n}");
+
+            let want_z: Vec<C64> = (0..h)
+                .map(|k| {
+                    let xk = half[k];
+                    let xmk = half[h - k].conj();
+                    let e = (xk + xmk).scale(0.5);
+                    let o = (xk - xmk).scale(0.5) * C64::expi(2.0 * PI * k as f64 / n as f64);
+                    e + o * C64::I
+                })
+                .collect();
+            assert_eq!(
+                bits(&retangle_half(&half, n)),
+                bits(&want_z),
+                "retangle n={n}"
             );
         }
     }

@@ -13,11 +13,15 @@
 //! (`tests/simd_equivalence.rs`).
 //!
 //! Dispatch is per stage: the widest tier whose lane count divides the
-//! stage geometry runs, everything else falls back to scalar. Because every
-//! Stockham stage has power-of-two `s` (and `s ≥ 8` after the first stage),
-//! the vector loops never see a tail; the `s == 1` first stage gets its own
-//! kernel that vectorizes across the butterfly index `p` instead (loads are
-//! contiguous there, stores split per 128-bit complex).
+//! stage geometry runs, everything else falls back to scalar. A stage is
+//! admitted on `s % LANES == 0`, so the vector loops never see a tail — for
+//! a power of two that is every stage after the first, for a smooth length
+//! (60 = 4·3·5 has `s` = 1, 4, 12; 45 = 3·3·5 has 1, 3, 9) whichever stages
+//! happen to divide. The radix-8 `s == 1` first stage gets its own kernel
+//! that vectorizes across the butterfly index `p` instead (loads are
+//! contiguous there, stores split per 128-bit complex), admitted on
+//! `m % LANES == 0` (40 = 8·5 has `m` = 5 and stays scalar). Radix 2, 4, 8,
+//! 3 and 5 have vector kernels; radix 7 has only the scalar body.
 //!
 //! The active tier is resolved once per process from CPU feature detection
 //! (`is_x86_feature_detected!`, cached in a [`OnceLock`]) and the `FFT_SIMD`
@@ -181,9 +185,9 @@ pub fn detected_features() -> String {
 }
 
 /// Runs one Stockham stage through the widest kernel `tier` allows, falling
-/// back per stage: AVX-512 handles `s ≥ 4` (and `s == 1` radix-8 with
-/// `m ≥ 4`), AVX2 handles `s ≥ 2` (and `s == 1` radix-8 with `m ≥ 2`),
-/// everything else — tiny first stages, non-x86 hosts, the scalar tier —
+/// back per stage: AVX-512 handles `s` divisible by 4 (and `s == 1` radix-8
+/// with `m` divisible by 4), AVX2 the same with 2, everything else — odd
+/// `s` or `m`, radix 7, tiny first stages, non-x86 hosts, the scalar tier —
 /// returns `false` so the caller runs the scalar stage body.
 // fftlint:hot — dispatched once per Stockham stage of every line.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
@@ -203,7 +207,7 @@ pub(crate) fn run_stage(
             // request and override to `detected_tier()`, so the required
             // CPU features are present at runtime.
             // fftlint:allow(no-unsafe): feature-gated kernel entry, tier proven by runtime detection
-            SimdTier::Avx2 => unsafe { x86::run_avx2(src, dst, st, tw, inverse) },
+            SimdTier::Avx2 => unsafe { x86::k256::run(src, dst, st, tw, inverse) },
             // SAFETY: as above — Avx512 is only ever active when avx512f
             // was detected on this host.
             // fftlint:allow(no-unsafe): feature-gated kernel entry, tier proven by runtime detection
@@ -231,6 +235,7 @@ fn cj<const INV: bool>(w: C64) -> C64 {
 mod x86 {
     use super::cj;
     use crate::complex::C64;
+    use crate::stockham::{C5_1, C5_2, S3, S5_1, S5_2};
     use crate::twiddle::StockhamStage;
 
     /// cos(π/4) = sin(π/4), the radix-8 `ω₈` constant (same as scalar).
@@ -506,8 +511,8 @@ mod x86 {
     /// `to_bits` equivalence suite catches divergence).
     macro_rules! stockham_simd_kernels {
         ($kname:ident, $p:ident, $feat:literal) => {
-            mod $kname {
-                use super::{cj, $p, StockhamStage, C64, H};
+            pub(super) mod $kname {
+                use super::{cj, $p, StockhamStage, C5_1, C5_2, C64, H, S3, S5_1, S5_2};
 
                 /// `±i·z` per lane: swap re/im, flip the sign the scalar
                 /// `rot` flips. Copies and negations only — exact.
@@ -550,7 +555,7 @@ mod x86 {
                     tw: &[C64],
                 ) {
                     let (m, s) = (st.m, st.s);
-                    debug_assert!(s >= $p::LANES && s % $p::LANES == 0);
+                    debug_assert!(s % $p::LANES == 0);
                     let (lo, hi) = src.split_at(m * s);
                     for (p_row, &twp) in tw.iter().enumerate().take(m) {
                         let (wr, wi) = tw_splat::<INV>(twp);
@@ -578,7 +583,7 @@ mod x86 {
                     tw: &[C64],
                 ) {
                     let (m, s) = (st.m, st.s);
-                    debug_assert!(s >= $p::LANES && s % $p::LANES == 0);
+                    debug_assert!(s % $p::LANES == 0);
                     let ms = m * s;
                     for p_row in 0..m {
                         let (w1r, w1i) = tw_splat::<INV>(tw[3 * p_row]);
@@ -611,6 +616,97 @@ mod x86 {
                     }
                 }
 
+                /// Radix-3 stage, vectorized across the contiguous `q` loop
+                /// (`bfly3` of the scalar engine, one operation at a time).
+                #[target_feature(enable = $feat)]
+                pub fn stage3<const INV: bool>(
+                    src: &[C64],
+                    dst: &mut [C64],
+                    st: &StockhamStage,
+                    tw: &[C64],
+                ) {
+                    let (m, s) = (st.m, st.s);
+                    debug_assert!(s % $p::LANES == 0);
+                    let ms = m * s;
+                    let (s3, half) = ($p::splat(S3), $p::splat(0.5));
+                    for p_row in 0..m {
+                        let (w1r, w1i) = tw_splat::<INV>(tw[2 * p_row]);
+                        let (w2r, w2i) = tw_splat::<INV>(tw[2 * p_row + 1]);
+                        let o = p_row * s;
+                        let x0 = &src[o..o + s];
+                        let x1 = &src[ms + o..ms + o + s];
+                        let x2 = &src[2 * ms + o..2 * ms + o + s];
+                        let (d0, d12) = dst[3 * o..3 * o + 3 * s].split_at_mut(s);
+                        let (d1, d2) = d12.split_at_mut(s);
+                        let mut q = 0;
+                        while q < s {
+                            let a = $p::load(x0, q);
+                            let b = $p::load(x1, q);
+                            let c = $p::load(x2, q);
+                            let t = $p::add(b, c);
+                            let u = rot::<INV>($p::mul($p::sub(b, c), s3));
+                            let h = $p::sub(a, $p::mul(t, half));
+                            $p::store(d0, q, $p::add(a, t));
+                            $p::store(d1, q, cmul($p::add(h, u), w1r, w1i));
+                            $p::store(d2, q, cmul($p::sub(h, u), w2r, w2i));
+                            q += $p::LANES;
+                        }
+                    }
+                }
+
+                /// Radix-5 stage, vectorized across the contiguous `q` loop
+                /// (`bfly5` of the scalar engine, one operation at a time).
+                #[target_feature(enable = $feat)]
+                pub fn stage5<const INV: bool>(
+                    src: &[C64],
+                    dst: &mut [C64],
+                    st: &StockhamStage,
+                    tw: &[C64],
+                ) {
+                    let (m, s) = (st.m, st.s);
+                    debug_assert!(s % $p::LANES == 0);
+                    let ms = m * s;
+                    let (c1, c2) = ($p::splat(C5_1), $p::splat(C5_2));
+                    let (s1, s2) = ($p::splat(S5_1), $p::splat(S5_2));
+                    for p_row in 0..m {
+                        let t = &tw[4 * p_row..4 * p_row + 4];
+                        let w: [($p::V, $p::V); 4] = [
+                            tw_splat::<INV>(t[0]),
+                            tw_splat::<INV>(t[1]),
+                            tw_splat::<INV>(t[2]),
+                            tw_splat::<INV>(t[3]),
+                        ];
+                        let o = p_row * s;
+                        let x0 = &src[o..o + s];
+                        let x1 = &src[ms + o..ms + o + s];
+                        let x2 = &src[2 * ms + o..2 * ms + o + s];
+                        let x3 = &src[3 * ms + o..3 * ms + o + s];
+                        let x4 = &src[4 * ms + o..4 * ms + o + s];
+                        let (d0, rest) = dst[5 * o..5 * o + 5 * s].split_at_mut(s);
+                        let (d12, d34) = rest.split_at_mut(2 * s);
+                        let (d1, d2) = d12.split_at_mut(s);
+                        let (d3, d4) = d34.split_at_mut(s);
+                        let mut q = 0;
+                        while q < s {
+                            let a = $p::load(x0, q);
+                            let t1 = $p::add($p::load(x1, q), $p::load(x4, q));
+                            let t2 = $p::add($p::load(x2, q), $p::load(x3, q));
+                            let u1 = $p::sub($p::load(x1, q), $p::load(x4, q));
+                            let u2 = $p::sub($p::load(x2, q), $p::load(x3, q));
+                            let a1 = $p::add($p::add(a, $p::mul(t1, c1)), $p::mul(t2, c2));
+                            let a2 = $p::add($p::add(a, $p::mul(t1, c2)), $p::mul(t2, c1));
+                            let b1 = rot::<INV>($p::add($p::mul(u1, s1), $p::mul(u2, s2)));
+                            let b2 = rot::<INV>($p::sub($p::mul(u1, s2), $p::mul(u2, s1)));
+                            $p::store(d0, q, $p::add($p::add(a, t1), t2));
+                            $p::store(d1, q, cmul($p::add(a1, b1), w[0].0, w[0].1));
+                            $p::store(d2, q, cmul($p::add(a2, b2), w[1].0, w[1].1));
+                            $p::store(d3, q, cmul($p::sub(a2, b2), w[2].0, w[2].1));
+                            $p::store(d4, q, cmul($p::sub(a1, b1), w[3].0, w[3].1));
+                            q += $p::LANES;
+                        }
+                    }
+                }
+
                 /// Radix-8 stage (general `s`), vectorized across `q`.
                 #[target_feature(enable = $feat)]
                 pub fn stage8<const INV: bool>(
@@ -620,7 +716,7 @@ mod x86 {
                     tw: &[C64],
                 ) {
                     let (m, s) = (st.m, st.s);
-                    debug_assert!(s >= $p::LANES && s % $p::LANES == 0);
+                    debug_assert!(s % $p::LANES == 0);
                     let ms = m * s;
                     let (w81, w83) = if INV {
                         (C64::new(H, H), C64::new(-H, H))
@@ -702,7 +798,7 @@ mod x86 {
                     tw: &[C64],
                 ) {
                     let m = st.m;
-                    debug_assert!(st.s == 1 && m >= $p::LANES && m % $p::LANES == 0);
+                    debug_assert!(st.s == 1 && m % $p::LANES == 0);
                     let (w81, w83) = if INV {
                         (C64::new(H, H), C64::new(-H, H))
                     } else {
@@ -757,6 +853,48 @@ mod x86 {
                         p += $p::LANES;
                     }
                 }
+
+                /// Runs the stage on this tier if its lane count divides
+                /// the stage geometry — `s` for the vector-across-`q`
+                /// kernels, `m` for the `s == 1` radix-8 first stage — so
+                /// no vector loop ever sees a tail. Smooth lengths bring
+                /// odd `m` (40 = 8·5) and odd `s` (45 = 3·3·5); those
+                /// stages, and radix 7, return `false` for the caller to
+                /// try a narrower tier or the scalar body.
+                #[target_feature(enable = $feat)]
+                pub fn run(
+                    src: &[C64],
+                    dst: &mut [C64],
+                    st: &StockhamStage,
+                    tw: &[C64],
+                    inverse: bool,
+                ) -> bool {
+                    if st.radix == 8 && st.s == 1 && st.m.is_multiple_of($p::LANES) {
+                        if inverse {
+                            stage8_s1::<true>(src, dst, st, tw)
+                        } else {
+                            stage8_s1::<false>(src, dst, st, tw)
+                        }
+                        return true;
+                    }
+                    if !st.s.is_multiple_of($p::LANES) {
+                        return false;
+                    }
+                    match (st.radix, inverse) {
+                        (2, false) => stage2::<false>(src, dst, st, tw),
+                        (2, true) => stage2::<true>(src, dst, st, tw),
+                        (4, false) => stage4::<false>(src, dst, st, tw),
+                        (4, true) => stage4::<true>(src, dst, st, tw),
+                        (8, false) => stage8::<false>(src, dst, st, tw),
+                        (8, true) => stage8::<true>(src, dst, st, tw),
+                        (3, false) => stage3::<false>(src, dst, st, tw),
+                        (3, true) => stage3::<true>(src, dst, st, tw),
+                        (5, false) => stage5::<false>(src, dst, st, tw),
+                        (5, true) => stage5::<true>(src, dst, st, tw),
+                        _ => return false,
+                    }
+                    true
+                }
             }
         };
     }
@@ -764,40 +902,9 @@ mod x86 {
     stockham_simd_kernels!(k256, p256, "avx2");
     stockham_simd_kernels!(k512, p512, "avx512f");
 
-    /// AVX2 per-stage dispatch: `s ≥ 2` runs the vector-across-`q` kernels
-    /// (stage `s` is a power of two, so no tails exist), the `s == 1`
-    /// radix-8 first stage runs the butterfly-batched kernel when at least
-    /// one full vector of butterflies exists. Returns `false` when only the
-    /// scalar body fits (n ≤ 8 first stages on this tier).
-    #[target_feature(enable = "avx2")]
-    pub(super) fn run_avx2(
-        src: &[C64],
-        dst: &mut [C64],
-        st: &StockhamStage,
-        tw: &[C64],
-        inverse: bool,
-    ) -> bool {
-        let s = st.s;
-        match (st.radix, inverse) {
-            (2, false) if s >= p256::LANES => k256::stage2::<false>(src, dst, st, tw),
-            (2, true) if s >= p256::LANES => k256::stage2::<true>(src, dst, st, tw),
-            (4, false) if s >= p256::LANES => k256::stage4::<false>(src, dst, st, tw),
-            (4, true) if s >= p256::LANES => k256::stage4::<true>(src, dst, st, tw),
-            (8, false) if s >= p256::LANES => k256::stage8::<false>(src, dst, st, tw),
-            (8, true) if s >= p256::LANES => k256::stage8::<true>(src, dst, st, tw),
-            (8, false) if s == 1 && st.m >= p256::LANES => {
-                k256::stage8_s1::<false>(src, dst, st, tw)
-            }
-            (8, true) if s == 1 && st.m >= p256::LANES => k256::stage8_s1::<true>(src, dst, st, tw),
-            _ => return false,
-        }
-        true
-    }
-
-    /// AVX-512 per-stage dispatch: full-width kernels where four butterflies
-    /// fit (`s ≥ 4`, or `m ≥ 4` in the first stage), otherwise the stage
-    /// drops to the AVX2 kernels (legal: `avx512f` implies `avx2`), and
-    /// from there to scalar.
+    /// AVX-512 per-stage dispatch: full-width kernels where four
+    /// butterflies fit, otherwise the stage drops to the AVX2 kernels
+    /// (legal: `avx512f` implies `avx2`), and from there to scalar.
     #[target_feature(enable = "avx512f")]
     pub(super) fn run_avx512(
         src: &[C64],
@@ -806,21 +913,7 @@ mod x86 {
         tw: &[C64],
         inverse: bool,
     ) -> bool {
-        let s = st.s;
-        match (st.radix, inverse) {
-            (2, false) if s >= p512::LANES => k512::stage2::<false>(src, dst, st, tw),
-            (2, true) if s >= p512::LANES => k512::stage2::<true>(src, dst, st, tw),
-            (4, false) if s >= p512::LANES => k512::stage4::<false>(src, dst, st, tw),
-            (4, true) if s >= p512::LANES => k512::stage4::<true>(src, dst, st, tw),
-            (8, false) if s >= p512::LANES => k512::stage8::<false>(src, dst, st, tw),
-            (8, true) if s >= p512::LANES => k512::stage8::<true>(src, dst, st, tw),
-            (8, false) if s == 1 && st.m >= p512::LANES => {
-                k512::stage8_s1::<false>(src, dst, st, tw)
-            }
-            (8, true) if s == 1 && st.m >= p512::LANES => k512::stage8_s1::<true>(src, dst, st, tw),
-            _ => return run_avx2(src, dst, st, tw, inverse),
-        }
-        true
+        k512::run(src, dst, st, tw, inverse) || k256::run(src, dst, st, tw, inverse)
     }
 }
 

@@ -1,19 +1,24 @@
-//! Stockham autosort FFT for power-of-two sizes.
+//! Stockham autosort FFT for every 2/3/5/7-smooth size.
 //!
-//! The workhorse of the overhauled kernel engine. Unlike the textbook
-//! Cooley–Tukey in [`radix`](crate::radix) (kept as the legacy/reference
-//! path), the Stockham formulation folds the reordering into the butterfly
-//! stages themselves: each stage reads one buffer and writes the other in
-//! permuted order, so no bit-reversal pass ever touches the data. The inner
-//! loop of every stage walks `s` *contiguous* elements with the twiddle
-//! factors hoisted out of it entirely — they are precomputed per stage at
-//! plan-build time and interned process-wide (see
+//! The workhorse of the kernel engine: any `n = 2^a·3^b·5^c·7^d` — the
+//! powers of two the paper benchmarks and the small-prime products PPPM
+//! grids use (§IV-D) — runs here; everything else goes through Bluestein.
+//! Unlike the textbook Cooley–Tukey in [`radix`](crate::radix) (kept as the
+//! legacy/reference path), the Stockham formulation folds the reordering
+//! into the butterfly stages themselves: each stage reads one buffer and
+//! writes the other in permuted order, so no digit-reversal pass ever
+//! touches the data. The inner loop of every stage walks `s` *contiguous*
+//! elements with the twiddle factors hoisted out of it entirely — they are
+//! precomputed per stage at plan-build time and interned process-wide (see
 //! [`twiddle::stockham_tables`]).
 //!
-//! Stage radices are chosen by [`radix_decomposition`]: greedy radix-8
-//! butterflies (3 data passes for 512, the paper's production length,
-//! instead of 9 radix-2 passes), a radix-4 stage for the `4^k` tail, and a
-//! radix-2 cleanup stage when one factor of two remains.
+//! Stage radices are chosen by [`radix_decomposition`]: the factors of two
+//! first — greedy radix-8 butterflies (3 data passes for 512, the paper's
+//! production length, instead of 9 radix-2 passes), then a radix-4 or
+//! radix-2 cleanup stage — followed by the radix-3, radix-5 and radix-7
+//! stages. A power of two therefore has only the 8/4/2 stages, and its
+//! stage list, twiddle table and output bits do not depend on the odd
+//! radices existing.
 //!
 //! [`twiddle::stockham_tables`]: crate::twiddle::stockham_tables
 
@@ -26,10 +31,30 @@ use std::sync::Arc;
 /// butterfly (`ω₈ = (FRAC_1_SQRT_2, -FRAC_1_SQRT_2)`).
 const H: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
-/// Splits `log₂ n` into butterfly radices: greedy 8s, then a radix-4 or
-/// radix-2 cleanup stage. `k = 0` (n = 1) yields no stages.
-pub fn radix_decomposition(mut k: u32) -> Vec<usize> {
+/// sin(2π/3), the radix-3 butterfly's one irrational constant
+/// (cos(2π/3) = −½ is exact).
+pub(crate) const S3: f64 = 0.8660254037844386;
+/// cos(2πk/5) and sin(2πk/5) for k = 1, 2: the radix-5 butterfly constants.
+pub(crate) const C5_1: f64 = 0.30901699437494745;
+pub(crate) const C5_2: f64 = -0.8090169943749475;
+pub(crate) const S5_1: f64 = 0.9510565162951535;
+pub(crate) const S5_2: f64 = 0.5877852522924731;
+/// cos(2πk/7) and sin(2πk/7) for k = 1, 2, 3: the radix-7 constants.
+const C7_1: f64 = 0.6234898018587335;
+const C7_2: f64 = -0.2225209339563144;
+const C7_3: f64 = -0.9009688679024191;
+const S7_1: f64 = 0.7818314824680298;
+const S7_2: f64 = 0.9749279121818236;
+const S7_3: f64 = 0.4338837391175581;
+
+/// Splits a smooth `n` into butterfly radices, first stage first: the
+/// factors of two as greedy 8s then one radix-4 or radix-2 cleanup stage,
+/// followed by the 3s, the 5s and the 7s. `n = 1` yields no stages.
+pub fn radix_decomposition(n: usize) -> Vec<usize> {
+    assert!(n > 0, "cannot decompose zero");
     let mut v = Vec::new();
+    let mut k = n.trailing_zeros();
+    let mut rest = n >> k;
     while k >= 3 {
         v.push(8);
         k -= 3;
@@ -39,10 +64,17 @@ pub fn radix_decomposition(mut k: u32) -> Vec<usize> {
     } else if k == 1 {
         v.push(2);
     }
+    for r in [3usize, 5, 7] {
+        while rest.is_multiple_of(r) {
+            v.push(r);
+            rest /= r;
+        }
+    }
+    assert_eq!(rest, 1, "Stockham requires a 2/3/5/7-smooth size, got {n}");
     v
 }
 
-/// Precomputed state for a power-of-two Stockham transform of fixed size.
+/// Precomputed state for a Stockham transform of fixed smooth size.
 ///
 /// The per-stage twiddle tables are shared process-wide: two plans of equal
 /// length hold the same `Arc`, so a fresh plan build after the first costs
@@ -54,12 +86,9 @@ pub struct StockhamPlan {
 }
 
 impl StockhamPlan {
-    /// Builds a plan for size `n`, which must be a power of two.
+    /// Builds a plan for size `n`, which must be 2/3/5/7-smooth
+    /// ([`is_smooth`](crate::is_smooth)).
     pub fn new(n: usize) -> Self {
-        assert!(
-            n.is_power_of_two(),
-            "StockhamPlan requires a power of two, got {n}"
-        );
         StockhamPlan {
             n,
             tables: twiddle::stockham_tables(n),
@@ -76,7 +105,7 @@ impl StockhamPlan {
         self.n <= 1
     }
 
-    /// Number of butterfly stages (3 per radix-8, 2 per radix-4, …).
+    /// Number of butterfly stages (one per radix of [`radix_decomposition`]).
     pub fn stages(&self) -> usize {
         self.tables.stages.len()
     }
@@ -134,6 +163,12 @@ impl StockhamPlan {
                 (4, true) => stage4::<true>(src, dst, st, tw),
                 (8, false) => stage8::<false>(src, dst, st, tw),
                 (8, true) => stage8::<true>(src, dst, st, tw),
+                (3, false) => stage3::<false>(src, dst, st, tw),
+                (3, true) => stage3::<true>(src, dst, st, tw),
+                (5, false) => stage5::<false>(src, dst, st, tw),
+                (5, true) => stage5::<true>(src, dst, st, tw),
+                (7, false) => stage7::<false>(src, dst, st, tw),
+                (7, true) => stage7::<true>(src, dst, st, tw),
                 (r, _) => unreachable!("unsupported Stockham radix {r}"),
             }
             std::mem::swap(&mut src, &mut dst);
@@ -168,12 +203,38 @@ fn cj<const INV: bool>(w: C64) -> C64 {
     }
 }
 
+/// First stage (`s == 1`) of any radix: one butterfly per `p`, gathered
+/// from `src[p + a·m]` and written as `R` contiguous elements. Without it
+/// the general bodies below would slice `2R` one-element rows per
+/// butterfly and run every `q` loop once (cf. `stage8`'s own first stage).
+#[inline(always)]
+fn first_stage<const R: usize, const INV: bool>(
+    src: &[C64],
+    dst: &mut [C64],
+    m: usize,
+    tw: &[C64],
+    bfly: impl Fn([C64; R]) -> [C64; R],
+) {
+    let x: [&[C64]; R] = std::array::from_fn(|a| &src[a * m..(a + 1) * m]);
+    for (p, d) in dst.as_chunks_mut::<R>().0.iter_mut().enumerate().take(m) {
+        let t = &tw[(R - 1) * p..(R - 1) * (p + 1)];
+        let y = bfly(std::array::from_fn(|a| x[a][p]));
+        d[0] = y[0];
+        for j in 1..R {
+            d[j] = y[j] * cj::<INV>(t[j - 1]);
+        }
+    }
+}
+
 /// Radix-2 Stockham stage: `dst[s(2p+j)+q] = w^{jp}·DFT₂(src[s(p+am)+q])`.
 ///
 /// All stage bodies slice their operands to exactly `s` elements before the
 /// `q` loop so the bounds checks hoist out and the loop vectorizes.
 fn stage2<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
     let (m, s) = (st.m, st.s);
+    if s == 1 {
+        return first_stage::<2, INV>(src, dst, m, tw, |[x, y]| [x + y, x - y]);
+    }
     let (lo, hi) = src.split_at(m * s);
     for (p, &twp) in tw.iter().enumerate().take(m) {
         let w = cj::<INV>(twp);
@@ -190,11 +251,24 @@ fn stage2<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw:
     }
 }
 
+/// Untwiddled 4-point DFT, outputs in natural order.
+#[inline(always)]
+fn bfly4<const INV: bool>([a, b, c, d]: [C64; 4]) -> [C64; 4] {
+    let apc = a + c;
+    let amc = a - c;
+    let bpd = b + d;
+    let ibmd = rot::<INV>(b - d);
+    [apc + bpd, amc + ibmd, apc - bpd, amc - ibmd]
+}
+
 /// Radix-4 Stockham stage. Twiddles per butterfly row: `tw[3p..3p+3]` =
 /// `w^p, w^{2p}, w^{3p}`.
 fn stage4<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
     let (m, s) = (st.m, st.s);
     let ms = m * s;
+    if s == 1 {
+        return first_stage::<4, INV>(src, dst, m, tw, bfly4::<INV>);
+    }
     for p in 0..m {
         let w1 = cj::<INV>(tw[3 * p]);
         let w2 = cj::<INV>(tw[3 * p + 1]);
@@ -208,18 +282,11 @@ fn stage4<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw:
         let (d0, d1) = d01.split_at_mut(s);
         let (d2, d3) = d23.split_at_mut(s);
         for q in 0..s {
-            let a = x0[q];
-            let b = x1[q];
-            let c = x2[q];
-            let d = x3[q];
-            let apc = a + c;
-            let amc = a - c;
-            let bpd = b + d;
-            let ibmd = rot::<INV>(b - d);
-            d0[q] = apc + bpd;
-            d1[q] = (amc + ibmd) * w1;
-            d2[q] = (apc - bpd) * w2;
-            d3[q] = (amc - ibmd) * w3;
+            let [y0, y1, y2, y3] = bfly4::<INV>([x0[q], x1[q], x2[q], x3[q]]);
+            d0[q] = y0;
+            d1[q] = y1 * w1;
+            d2[q] = y2 * w2;
+            d3[q] = y3 * w3;
         }
     }
 }
@@ -339,6 +406,154 @@ fn stage8<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw:
     }
 }
 
+/// Untwiddled 3-point DFT. The two conjugate outputs pair up:
+/// `y₁,₂ = (x₀ − ½(x₁+x₂)) ∓ i·sin(2π/3)·(x₁−x₂)`.
+#[inline(always)]
+fn bfly3<const INV: bool>([x0, x1, x2]: [C64; 3]) -> [C64; 3] {
+    let t = x1 + x2;
+    let u = rot::<INV>((x1 - x2).scale(S3));
+    let h = x0 - t.scale(0.5);
+    [x0 + t, h + u, h - u]
+}
+
+/// Untwiddled 5-point DFT: outputs `k` and `5−k` share a cosine part `a_k`
+/// and differ in the sign of the sine part `b_k`.
+#[inline(always)]
+fn bfly5<const INV: bool>([x0, x1, x2, x3, x4]: [C64; 5]) -> [C64; 5] {
+    let t1 = x1 + x4;
+    let t2 = x2 + x3;
+    let u1 = x1 - x4;
+    let u2 = x2 - x3;
+    let a1 = x0 + t1.scale(C5_1) + t2.scale(C5_2);
+    let a2 = x0 + t1.scale(C5_2) + t2.scale(C5_1);
+    let b1 = rot::<INV>(u1.scale(S5_1) + u2.scale(S5_2));
+    let b2 = rot::<INV>(u1.scale(S5_2) - u2.scale(S5_1));
+    [x0 + t1 + t2, a1 + b1, a2 + b2, a2 - b2, a1 - b1]
+}
+
+/// Untwiddled 7-point DFT; same conjugate-pair structure as [`bfly5`].
+#[inline(always)]
+fn bfly7<const INV: bool>([x0, x1, x2, x3, x4, x5, x6]: [C64; 7]) -> [C64; 7] {
+    let t1 = x1 + x6;
+    let t2 = x2 + x5;
+    let t3 = x3 + x4;
+    let u1 = x1 - x6;
+    let u2 = x2 - x5;
+    let u3 = x3 - x4;
+    let a1 = x0 + t1.scale(C7_1) + t2.scale(C7_2) + t3.scale(C7_3);
+    let a2 = x0 + t1.scale(C7_2) + t2.scale(C7_3) + t3.scale(C7_1);
+    let a3 = x0 + t1.scale(C7_3) + t2.scale(C7_1) + t3.scale(C7_2);
+    let b1 = rot::<INV>(u1.scale(S7_1) + u2.scale(S7_2) + u3.scale(S7_3));
+    let b2 = rot::<INV>(u1.scale(S7_2) - u2.scale(S7_3) - u3.scale(S7_1));
+    let b3 = rot::<INV>(u1.scale(S7_3) - u2.scale(S7_1) + u3.scale(S7_2));
+    [
+        x0 + t1 + t2 + t3,
+        a1 + b1,
+        a2 + b2,
+        a3 + b3,
+        a3 - b3,
+        a2 - b2,
+        a1 - b1,
+    ]
+}
+
+/// Radix-3 Stockham stage. Twiddles per butterfly row: `tw[2p..2p+2]` =
+/// `w^p, w^{2p}`.
+fn stage3<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
+    let (m, s) = (st.m, st.s);
+    let ms = m * s;
+    if s == 1 {
+        return first_stage::<3, INV>(src, dst, m, tw, bfly3::<INV>);
+    }
+    for p in 0..m {
+        let w1 = cj::<INV>(tw[2 * p]);
+        let w2 = cj::<INV>(tw[2 * p + 1]);
+        let o = p * s;
+        let x0 = &src[o..o + s];
+        let x1 = &src[ms + o..ms + o + s];
+        let x2 = &src[2 * ms + o..2 * ms + o + s];
+        let (d0, d12) = dst[3 * o..3 * o + 3 * s].split_at_mut(s);
+        let (d1, d2) = d12.split_at_mut(s);
+        for q in 0..s {
+            let [y0, y1, y2] = bfly3::<INV>([x0[q], x1[q], x2[q]]);
+            d0[q] = y0;
+            d1[q] = y1 * w1;
+            d2[q] = y2 * w2;
+        }
+    }
+}
+
+/// Radix-5 Stockham stage. Twiddles per butterfly row: `tw[4p..4p+4]` =
+/// `w^p … w^{4p}`.
+fn stage5<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
+    let (m, s) = (st.m, st.s);
+    let ms = m * s;
+    if s == 1 {
+        return first_stage::<5, INV>(src, dst, m, tw, bfly5::<INV>);
+    }
+    for p in 0..m {
+        let t = &tw[4 * p..4 * p + 4];
+        let w: [C64; 4] = std::array::from_fn(|j| cj::<INV>(t[j]));
+        let o = p * s;
+        let x0 = &src[o..o + s];
+        let x1 = &src[ms + o..ms + o + s];
+        let x2 = &src[2 * ms + o..2 * ms + o + s];
+        let x3 = &src[3 * ms + o..3 * ms + o + s];
+        let x4 = &src[4 * ms + o..4 * ms + o + s];
+        let (d0, rest) = dst[5 * o..5 * o + 5 * s].split_at_mut(s);
+        let (d12, d34) = rest.split_at_mut(2 * s);
+        let (d1, d2) = d12.split_at_mut(s);
+        let (d3, d4) = d34.split_at_mut(s);
+        for q in 0..s {
+            let [y0, y1, y2, y3, y4] = bfly5::<INV>([x0[q], x1[q], x2[q], x3[q], x4[q]]);
+            d0[q] = y0;
+            d1[q] = y1 * w[0];
+            d2[q] = y2 * w[1];
+            d3[q] = y3 * w[2];
+            d4[q] = y4 * w[3];
+        }
+    }
+}
+
+/// Radix-7 Stockham stage. Twiddles per butterfly row: `tw[6p..6p+6]` =
+/// `w^p … w^{6p}`.
+fn stage7<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
+    let (m, s) = (st.m, st.s);
+    let ms = m * s;
+    if s == 1 {
+        return first_stage::<7, INV>(src, dst, m, tw, bfly7::<INV>);
+    }
+    for p in 0..m {
+        let t = &tw[6 * p..6 * p + 6];
+        let w: [C64; 6] = std::array::from_fn(|j| cj::<INV>(t[j]));
+        let o = p * s;
+        let x0 = &src[o..o + s];
+        let x1 = &src[ms + o..ms + o + s];
+        let x2 = &src[2 * ms + o..2 * ms + o + s];
+        let x3 = &src[3 * ms + o..3 * ms + o + s];
+        let x4 = &src[4 * ms + o..4 * ms + o + s];
+        let x5 = &src[5 * ms + o..5 * ms + o + s];
+        let x6 = &src[6 * ms + o..6 * ms + o + s];
+        let (d0, rest) = dst[7 * o..7 * o + 7 * s].split_at_mut(s);
+        let (d123, d456) = rest.split_at_mut(3 * s);
+        let (d1, d23) = d123.split_at_mut(s);
+        let (d2, d3) = d23.split_at_mut(s);
+        let (d4, d56) = d456.split_at_mut(s);
+        let (d5, d6) = d56.split_at_mut(s);
+        for q in 0..s {
+            let [y0, y1, y2, y3, y4, y5, y6] =
+                bfly7::<INV>([x0[q], x1[q], x2[q], x3[q], x4[q], x5[q], x6[q]]);
+            d0[q] = y0;
+            d1[q] = y1 * w[0];
+            d2[q] = y2 * w[1];
+            d3[q] = y3 * w[2];
+            d4[q] = y4 * w[3];
+            d5[q] = y5 * w[4];
+            d6[q] = y6 * w[5];
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,18 +567,98 @@ mod tests {
     }
 
     #[test]
-    fn decomposition_covers_all_exponents() {
-        for k in 0..=16u32 {
-            let r = radix_decomposition(k);
-            let prod: usize = r.iter().product::<usize>().max(1);
-            assert_eq!(prod, 1usize << k, "k={k}: {r:?}");
-            // At most one non-radix-8 stage, and only at the end.
-            let tail: Vec<_> = r.iter().filter(|&&x| x != 8).collect();
-            assert!(tail.len() <= 1, "k={k}: {r:?}");
+    fn pow2_stage_lists_are_pinned() {
+        // Literal on purpose: a power of two's output bits are a function of
+        // its stage list and twiddle table, so pinning the lists makes
+        // "pow2 results never moved" structural rather than numerical.
+        const POW2: [&[usize]; 16] = [
+            &[2],
+            &[4],
+            &[8],
+            &[8, 2],
+            &[8, 4],
+            &[8, 8],
+            &[8, 8, 2],
+            &[8, 8, 4],
+            &[8, 8, 8],
+            &[8, 8, 8, 2],
+            &[8, 8, 8, 4],
+            &[8, 8, 8, 8],
+            &[8, 8, 8, 8, 2],
+            &[8, 8, 8, 8, 4],
+            &[8, 8, 8, 8, 8],
+            &[8, 8, 8, 8, 8, 2],
+        ];
+        assert!(radix_decomposition(1).is_empty());
+        for (k, want) in POW2.iter().enumerate() {
+            assert_eq!(radix_decomposition(2usize << k), *want, "n=2^{}", k + 1);
         }
-        assert_eq!(radix_decomposition(9), vec![8, 8, 8]);
-        assert_eq!(radix_decomposition(4), vec![8, 2]);
-        assert_eq!(radix_decomposition(2), vec![4]);
+    }
+
+    #[test]
+    fn smooth_decomposition_puts_pow2_radices_first() {
+        assert_eq!(radix_decomposition(60), vec![4, 3, 5]);
+        assert_eq!(radix_decomposition(480), vec![8, 4, 3, 5]);
+        assert_eq!(radix_decomposition(210), vec![2, 3, 5, 7]);
+        assert_eq!(radix_decomposition(2401), vec![7, 7, 7, 7]);
+        for n in (1..=2048usize).filter(|&n| crate::is_smooth(n)) {
+            let r = radix_decomposition(n);
+            assert_eq!(r.iter().product::<usize>(), n, "{r:?}");
+            // Same stage list as the bare power of two, then ascending odd
+            // radices: every 2/4/8 stage sees a power-of-two `s`.
+            let k = n.trailing_zeros();
+            let pow2 = radix_decomposition(1 << k);
+            assert_eq!(r[..pow2.len()], pow2[..], "n={n}");
+            let odd = &r[pow2.len()..];
+            assert!(odd.iter().all(|x| [3, 5, 7].contains(x)), "n={n}: {r:?}");
+            assert!(odd.windows(2).all(|w| w[0] <= w[1]), "n={n}: {r:?}");
+        }
+    }
+
+    #[test]
+    fn butterfly_constants_match_libm() {
+        use std::f64::consts::PI;
+        let near = |c: f64, want: f64| (c - want).abs() < 2e-16;
+        assert!(near(S3, (2.0 * PI / 3.0).sin()));
+        for (k, (c, s)) in [(C5_1, S5_1), (C5_2, S5_2)].into_iter().enumerate() {
+            let th = 2.0 * PI * (k + 1) as f64 / 5.0;
+            assert!(near(c, th.cos()) && near(s, th.sin()), "5: k={}", k + 1);
+        }
+        for (k, (c, s)) in [(C7_1, S7_1), (C7_2, S7_2), (C7_3, S7_3)]
+            .into_iter()
+            .enumerate()
+        {
+            let th = 2.0 * PI * (k + 1) as f64 / 7.0;
+            assert!(near(c, th.cos()) && near(s, th.sin()), "7: k={}", k + 1);
+        }
+    }
+
+    #[test]
+    fn every_smooth_length_matches_dft_both_directions_and_round_trips() {
+        // The whole smooth plan space the distributed tests can reach, plus
+        // pure powers of each odd radix and the deep mixed sizes.
+        let sizes = (1..=512usize)
+            .filter(|&n| crate::is_smooth(n))
+            .chain([625, 729, 1000, 1920, 2187, 2401, 3125]);
+        for n in sizes {
+            let plan = StockhamPlan::new(n);
+            let x = ramp(n);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut fast = x.clone();
+                plan.execute(&mut fast, dir);
+                let slow = dft_1d(&x, dir);
+                assert!(
+                    max_abs_diff(&fast, &slow) < 1e-9 * n as f64,
+                    "n={n} {dir:?}: {}",
+                    max_abs_diff(&fast, &slow)
+                );
+            }
+            let mut y = x.clone();
+            plan.execute(&mut y, Direction::Forward);
+            plan.execute(&mut y, Direction::Inverse);
+            let expected: Vec<C64> = x.iter().map(|v| v.scale(n as f64)).collect();
+            assert!(max_abs_diff(&y, &expected) < 1e-10 * n as f64, "n={n}");
+        }
     }
 
     #[test]
@@ -434,9 +729,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
-    fn rejects_non_pow2() {
-        let _ = StockhamPlan::new(12);
+    #[should_panic(expected = "smooth")]
+    fn rejects_non_smooth() {
+        let _ = StockhamPlan::new(22);
     }
 
     #[test]

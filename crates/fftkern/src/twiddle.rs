@@ -8,10 +8,10 @@
 //! trig cost, every later plan shares the same allocation via `Arc`.
 //!
 //! The table for length `n` holds all `n` roots. The radix-2 engine only
-//! reads the first `n/2` entries; the mixed-radix engine reads all of them.
-//! Both index into the same shared table so a `Radix2Plan` and a
-//! `MixedPlan` of equal size share storage, as does the power-of-two
-//! convolution plan inside every Bluestein plan.
+//! reads the first `n/2` entries, the r2c untangle the first `n/2 + 1`; the
+//! Stockham stage tables are gathered from all of them. All index into the
+//! same shared table, so a `Radix2Plan`, a `StockhamPlan` and the real
+//! transforms of equal size agree on every twiddle to the last bit.
 
 use crate::complex::C64;
 use std::collections::BTreeMap;
@@ -48,7 +48,7 @@ pub fn forward_table(n: usize) -> Arc<[C64]> {
 /// `m` twiddle rows of `s` contiguous elements each (`radix·m·s == n`).
 #[derive(Debug, Clone, Copy)]
 pub struct StockhamStage {
-    /// Butterfly width: 2, 4, or 8.
+    /// Butterfly width: 2, 4, 8, 3, 5, or 7.
     pub radix: usize,
     /// Number of distinct twiddle rows in this stage (`n_cur / radix`).
     pub m: usize,
@@ -63,8 +63,8 @@ pub struct StockhamStage {
 /// Stage `{radix: r, m, s}` stores `(r-1)` forward twiddles per row `p`:
 /// `w^{jp}` for `j = 1..r` where `w = e^{-2πi/(r·m)}`. Every entry is taken
 /// verbatim from the length-`n` root table (`w^{jp} = root_n[(j·p·s) % n]`,
-/// using `n_cur·s == n`), so Stockham, radix-2, and mixed-radix plans of
-/// equal size agree on twiddles to the last bit.
+/// using `n_cur·s == n`), whatever the radix, so Stockham and radix-2 plans
+/// of equal size agree on twiddles to the last bit.
 #[derive(Debug)]
 pub struct StockhamTables {
     /// Stage descriptors, outermost (s = 1) first.
@@ -73,16 +73,12 @@ pub struct StockhamTables {
     pub tw: Vec<C64>,
 }
 
-/// Returns the shared Stockham stage tables for power-of-two length `n`.
+/// Returns the shared Stockham stage tables for 2/3/5/7-smooth length `n`.
 ///
 /// First request per length builds the tables from [`forward_table`] (one
 /// shared trig computation); later requests are an intern-map lookup. Hits
 /// and misses fold into the same counters as the root tables.
 pub fn stockham_tables(n: usize) -> Arc<StockhamTables> {
-    assert!(
-        n.is_power_of_two(),
-        "Stockham tables require a power of two, got {n}"
-    );
     let tables = STAGE_TABLES.get_or_init(|| Mutex::new(BTreeMap::new()));
     {
         let map = tables.lock().unwrap_or_else(|e| e.into_inner());
@@ -93,7 +89,9 @@ pub fn stockham_tables(n: usize) -> Arc<StockhamTables> {
         }
     }
     // Build outside the lock: forward_table takes the same mutex family and
-    // the trig work should not serialize unrelated lookups.
+    // the trig work should not serialize unrelated lookups. Decomposing
+    // first rejects a non-smooth `n` before anything is counted or built.
+    let radices = crate::stockham::radix_decomposition(n);
     MISSES.fetch_add(1, Ordering::Relaxed);
     fftobs::count("fftkern.twiddle.stage_miss", 1);
     let root = forward_table(n);
@@ -101,7 +99,7 @@ pub fn stockham_tables(n: usize) -> Arc<StockhamTables> {
     let mut tw = Vec::new();
     let mut s = 1usize;
     let mut n_cur = n;
-    for r in crate::stockham::radix_decomposition(n.trailing_zeros()) {
+    for r in radices {
         let m = n_cur / r;
         stages.push(StockhamStage {
             radix: r,

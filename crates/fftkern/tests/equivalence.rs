@@ -4,7 +4,8 @@
 //! {contiguous, strided} and checks that the Stockham engine, the legacy
 //! radix-2 engine, and (for small sizes) the naive O(N²) DFT all agree, and
 //! that forward∘inverse is the identity within `1e-9·log₂(n)` after
-//! normalization.
+//! normalization. Smooth non-pow2 lengths get the same batch × layout sweep
+//! against the DFT oracle.
 
 use fftkern::dft::dft_1d;
 use fftkern::plan::{Layout, Plan1d};
@@ -83,6 +84,37 @@ fn stockham_vs_radix2_vs_dft_all_pow2_batches_layouts() {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn smooth_lengths_vs_dft_and_roundtrip_all_batches_layouts() {
+    for n in [6usize, 12, 24, 30, 40, 45, 60, 120, 210, 360, 480] {
+        for batch in [1usize, 3, 16] {
+            for (layout, layout_name) in layouts(n, batch) {
+                let x = signal(n * batch);
+                let plan = Plan1d::with_layout(n, batch, layout, layout);
+                assert_eq!(plan.algo_name(), "stockham");
+                let mut y = x.clone();
+                plan.execute_inplace(&mut y, Direction::Forward);
+                for b in 0..batch {
+                    let oracle = dft_1d(&gather(&x, layout, n, b), Direction::Forward);
+                    assert!(
+                        max_abs_diff(&gather(&y, layout, n, b), &oracle) < 1e-9 * n as f64,
+                        "stockham vs DFT diverge: n={n} batch={batch} {layout_name} line={b}"
+                    );
+                }
+                plan.execute_inplace(&mut y, Direction::Inverse);
+                let inv_n = 1.0 / n as f64;
+                for v in y.iter_mut() {
+                    *v = v.scale(inv_n);
+                }
+                assert!(
+                    max_abs_diff(&y, &x) < 1e-9 * (n as f64).log2(),
+                    "roundtrip drift: n={n} batch={batch} {layout_name}"
+                );
             }
         }
     }

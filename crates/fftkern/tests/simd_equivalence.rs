@@ -6,7 +6,7 @@
 //! elementwise, the complex multiply differs only by a commutative IEEE
 //! addition, rotations are sign flips). This suite holds them to it with
 //! `to_bits` comparisons across every tier the host supports, over packed
-//! and strided layouts, pow2 / mixed-radix / Bluestein lengths, both
+//! and strided layouts, pow2 / smooth / Bluestein lengths, both
 //! directions — and cross-checks the values against the O(N²) DFT oracle
 //! so "all tiers agree on garbage" cannot pass.
 //!
@@ -68,12 +68,11 @@ fn max_abs_diff(a: &[C64], b: &[C64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-#[test]
-fn stockham_bitwise_identical_across_tiers_all_pow2() {
-    let _g = TIER_LOCK.lock().unwrap();
+/// Every available tier's `StockhamPlan` output must equal the scalar
+/// tier's, bit for bit, in both directions, for each size.
+fn assert_stockham_tiers_bitwise_identical(sizes: impl Iterator<Item = usize>) {
     let tiers = available_tiers();
-    for log in 1..=13 {
-        let n = 1usize << log;
+    for n in sizes {
         let plan = StockhamPlan::new(n);
         let x = signal(n);
         for dir in [Direction::Forward, Direction::Inverse] {
@@ -100,12 +99,33 @@ fn stockham_bitwise_identical_across_tiers_all_pow2() {
 }
 
 #[test]
+fn stockham_bitwise_identical_across_tiers_all_pow2() {
+    let _g = TIER_LOCK.lock().unwrap();
+    assert_stockham_tiers_bitwise_identical((1..=13).map(|log| 1usize << log));
+}
+
+#[test]
+fn stockham_bitwise_identical_across_tiers_smooth_lengths() {
+    // Non-pow2 smooth lengths put odd `s` and odd `m` in front of the
+    // dispatcher: 24 = 8·3 and 40 = 8·5 have a radix-8 first stage with
+    // m = 3 / 5 (no full vector of butterflies), 45 = 3·3·5 never has an
+    // even `s`, 60 = 4·3·5 and 480 = 8·4·3·5 run the vector radix-3/5
+    // kernels at s = 4, 12 and 32, 96. Every smooth n ≤ 512 rides along.
+    let _g = TIER_LOCK.lock().unwrap();
+    assert_stockham_tiers_bitwise_identical(
+        (3..=512usize)
+            .filter(|&n| fftkern::is_smooth(n) && !n.is_power_of_two())
+            .chain([1000, 1920, 2401, 3125]),
+    );
+}
+
+#[test]
 fn simd_matches_naive_dft_not_just_itself() {
     // Bit-identity across tiers alone would also pass if every tier were
     // wrong the same way; anchor the values to the O(N²) oracle.
     let _g = TIER_LOCK.lock().unwrap();
     for &tier in &available_tiers() {
-        for n in [8usize, 64, 512] {
+        for n in [8usize, 64, 512, 24, 40, 45, 60, 480] {
             let plan = StockhamPlan::new(n);
             let x = signal(n);
             let fast = with_tier(tier, || {
@@ -125,12 +145,12 @@ fn simd_matches_naive_dft_not_just_itself() {
 
 #[test]
 fn plan1d_bitwise_identical_across_tiers_layouts_and_algorithms() {
-    // End-to-end through Plan1d: pow2 (Stockham direct + cache-blocked
-    // strided tiles), mixed-radix smooth sizes, and Bluestein primes (whose
-    // pow2 convolution rides the Stockham engine) — packed and strided.
+    // End-to-end through Plan1d: pow2 and smooth sizes (Stockham direct +
+    // cache-blocked strided tiles) and Bluestein primes (whose pow2
+    // convolution rides the Stockham engine) — packed and strided.
     let _g = TIER_LOCK.lock().unwrap();
     let tiers = available_tiers();
-    for n in [16usize, 512, 1024, 60, 360, 499, 97] {
+    for n in [16usize, 512, 1024, 24, 40, 45, 60, 360, 480, 499, 97] {
         for batch in [1usize, 3, 16] {
             for layout in [Layout::contiguous(n), Layout::strided(batch)] {
                 let plan = Plan1d::with_layout(n, batch, layout, layout);
