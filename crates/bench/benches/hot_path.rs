@@ -58,8 +58,8 @@ fn bench_plan_reuse(c: &mut Criterion) {
 
 /// Strided-axis batch (the mid-axis of a pencil decomposition): 64
 /// interleaved lines of 512 points at stride 64. Cold = legacy per-line
-/// gather/scatter radix-2, built per call; warm = cached Stockham plan with
-/// cache-blocked tile gather/scatter.
+/// gather/scatter radix-2, built per call; warm = cached Stockham plan
+/// running lane-interleaved panels of adjacent lines.
 fn bench_strided_axis(c: &mut Criterion) {
     let (n, stride) = (512usize, 64usize);
     let mut group = c.benchmark_group("strided_axis_512x64");
@@ -78,7 +78,7 @@ fn bench_strided_axis(c: &mut Criterion) {
         });
     });
     let mut scratch = Vec::new();
-    group.bench_function("warm_blocked_tiles", |b| {
+    group.bench_function("warm_panels", |b| {
         b.iter(|| {
             let plan =
                 plan_cache().plan1d(n, stride, Layout::strided(stride), Layout::strided(stride));

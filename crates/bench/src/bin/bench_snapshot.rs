@@ -411,9 +411,9 @@ fn main() {
             Layout::contiguous(512),
             200,
         ),
-        // Strided-axis tile path: interleaved lines (stride = batch), the
+        // Strided-axis panel path: interleaved lines (stride = batch), the
         // layout the distributed executor uses for axes 0/1. Cold runs the
-        // legacy per-line gather/scatter; warm the cache-blocked tiles.
+        // legacy per-line gather/scatter; warm the lane-interleaved panels.
         plan_reuse_row("strided_axis_512x64", 512, 64, Layout::strided(64), 40),
         reshape_pool_row(64),
         sweep_parallel_row(),

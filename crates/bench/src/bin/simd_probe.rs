@@ -7,7 +7,7 @@
 //! of the full `simd_equivalence` suite, cheap enough for every CI run.
 //! Respects `FFT_SIMD`, so CI can probe each setting's resolved tier.
 
-use fftkern::plan::Plan1d;
+use fftkern::plan::{Layout, Plan1d};
 use fftkern::simd::{self, SimdTier};
 use fftkern::{Direction, C64};
 
@@ -22,10 +22,17 @@ fn main() {
 
     // 512 = 8·8·8 covers the pow2 kernels; 60 = 4·3·5 and 480 = 8·4·3·5 put
     // the radix-3/5 stage bodies and an odd-`m` first stage in front of
-    // whatever tier this host has.
+    // whatever tier this host has. The two strided batches run as
+    // lane-interleaved panels: 64 × 70 is full panels plus a ragged tail,
+    // 60 × 6 one panel narrower than two AVX-512 vectors.
+    let strided = |n, batch| {
+        let l = Layout::strided(batch);
+        Plan1d::with_layout(n, batch, l, l)
+    };
     let plans: Vec<Plan1d> = [512, 60, 480]
         .into_iter()
         .map(|n| Plan1d::contiguous(n, 4))
+        .chain([strided(64, 70), strided(60, 6)])
         .collect();
     println!("kernel (512×4): {}", plans[0].kernel_desc());
     let run = |tier: SimdTier| {
@@ -57,7 +64,7 @@ fn main() {
             "tier {:<7}: {}",
             tier.name(),
             if identical {
-                "bit-identical to scalar (n = 512, 60, 480)"
+                "bit-identical to scalar (n = 512, 60, 480; strided 64×70, 60×6)"
             } else {
                 "DIVERGES from scalar"
             }

@@ -567,7 +567,9 @@ pub fn execute(
 /// The cached (or, in baseline mode, freshly built legacy-engine) 1-D plan
 /// for the lines along `axis` of a box of shape `s`: contiguous rows for
 /// axis 2, one strided batch per axis-0 plane for axis 1, one strided
-/// batch over the whole item for axis 0.
+/// batch over the whole item for axis 0. A strided batch is `dist == 1`, so
+/// `fftkern` transforms it a panel of adjacent lines at a time — the lines
+/// are the vector lanes of every butterfly stage, with no transpose.
 fn axis_plan(s: [usize; 3], axis: usize, baseline: bool) -> std::sync::Arc<Plan1d> {
     let n = s[axis];
     let (batch, layout) = match axis {
@@ -600,7 +602,9 @@ fn axis_plan(s: [usize; 3], axis: usize, baseline: bool) -> std::sync::Arc<Plan1
 /// planes (axis 1), whole batch items (axis 0) — and fanned across
 /// [`mpisim::par::par_parts`].
 /// Every row is still transformed by the same plan math against the same
-/// interned twiddles, so the parallel result is bit-identical to serial.
+/// interned twiddles — on the strided axes as one lane of a panel, which is
+/// the per-line operation sequence whatever its neighbours and the panel
+/// width are — so the parallel result is bit-identical to serial.
 // fftlint:hot — steady-state local transform; one call per (axis, rank)
 // of every execute, all buffers must come from the arena pool.
 fn run_local_fft(

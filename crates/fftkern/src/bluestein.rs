@@ -148,6 +148,56 @@ impl BluesteinPlan {
             data[k] = a[k].scale(scale) * c;
         }
     }
+
+    /// Transforms `w` lines at once on a `[conv_len][w]` panel whose first
+    /// `n` rows hold the data (element `j` of line `l` at `x[j·w + l]`; rows
+    /// `n..conv_len` are overwritten). The chirp, kernel and scale·chirp
+    /// passes are elementwise with one factor per row, and the two inner
+    /// transforms are [`StockhamPlan::execute_interleaved`], so lane `l` sees
+    /// the operation sequence of [`execute_with_scratch`] on a lone line.
+    /// Returns `(result, other)` like the inner engine: the first `n` rows
+    /// of `result` are the transformed lines.
+    ///
+    /// [`execute_with_scratch`]: BluesteinPlan::execute_with_scratch
+    // fftlint:hot — the strided-batch path of every non-smooth axis.
+    pub fn execute_interleaved<'a>(
+        &self,
+        x: &'a mut [C64],
+        y: &'a mut [C64],
+        w: usize,
+        dir: Direction,
+    ) -> (&'a mut [C64], &'a mut [C64]) {
+        assert_eq!(x.len(), self.m * w, "panel is not conv_len × w");
+        if self.n == 1 {
+            return (x, y);
+        }
+        let inverse = matches!(dir, Direction::Inverse);
+        let kernel = if inverse {
+            &self.kernel_inv
+        } else {
+            &self.kernel_fwd
+        };
+        let cj = |c: C64| if inverse { c.conj() } else { c };
+        let (head, pad) = x.split_at_mut(self.n * w);
+        for (row, &c) in head.chunks_exact_mut(w).zip(&self.chirp) {
+            let c = cj(c);
+            row.iter_mut().for_each(|v| *v *= c);
+        }
+        pad.fill(C64::ZERO);
+        let (a, work) = self.inner.execute_interleaved(x, y, w, Direction::Forward);
+        for (row, kv) in a.chunks_exact_mut(w).zip(kernel) {
+            row.iter_mut().for_each(|v| *v *= *kv);
+        }
+        let (a, work) = self
+            .inner
+            .execute_interleaved(a, work, w, Direction::Inverse);
+        let scale = 1.0 / self.m as f64;
+        for (row, &c) in a.chunks_exact_mut(w).zip(&self.chirp) {
+            let c = cj(c);
+            row.iter_mut().for_each(|v| *v = v.scale(scale) * c);
+        }
+        (a, work)
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Key identifying a batched, strided 1-D plan.
 ///
-/// The [`Engine`] is part of the key so that `Auto` (Stockham + tiled) and
+/// The [`Engine`] is part of the key so that `Auto` (Stockham + panels) and
 /// `Legacy` (seed radix-2) plans for the same shape coexist — A/B
 /// benchmarks can warm both without either evicting or shadowing the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

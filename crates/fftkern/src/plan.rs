@@ -11,15 +11,20 @@ use crate::complex::C64;
 use crate::radix::Radix2Plan;
 use crate::stockham::StockhamPlan;
 
-/// Maximum lines transformed per cache tile in the blocked strided path. 64
-/// rows of 16-byte elements keep a gather column inside one 4 KiB page worth
-/// of writes while the reads stay perfectly sequential.
-const TILE_LINES: usize = 64;
+/// Elements in each half — panel, ping-pong buffer — of the strided-batch
+/// scratch: 32 KiB of complex doubles per half. Both halves together are at
+/// most the `n + lines·n` the transposing tile engine asked for at every
+/// `n ≤ 512`, so no arena grows.
+const PANEL_ELEMS: usize = 2048;
 
-/// Target tile footprint in elements (~64 KiB of complex doubles): large
-/// enough to amortize the transpose, small enough that the whole tile stays
-/// L1/L2-resident from gather through transform to scatter.
-const TILE_TARGET_ELEMS: usize = 4096;
+/// Panel width bounds, in lines. Widths are multiples of 4 — one AVX-512
+/// vector of complex doubles, one 64-byte cache line per copied run — so
+/// only the last panel of a range is ragged. Measured GFLOP/s stops rising
+/// at 12–16 lines for n ∈ {32, 60, 64, 128}, where 16 keeps panel and
+/// ping-pong buffer L1-resident together up to n = 64; 4 is what the
+/// footprint leaves at n = 512 (EXPERIMENTS.md, panel-width table).
+const PANEL_MIN_LINES: usize = 4;
+const PANEL_MAX_LINES: usize = 16;
 
 /// Transform direction. Both are unnormalized (cuFFT/FFTW convention): a
 /// forward followed by an inverse multiplies the data by `N`.
@@ -60,8 +65,8 @@ impl Direction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Engine {
     /// Planner's choice: Stockham autosort (radix-8/4/2, then 3/5/7 stages)
-    /// for every 2/3/5/7-smooth size, Bluestein otherwise — with
-    /// cache-blocked batched/strided execution.
+    /// for every 2/3/5/7-smooth size, Bluestein otherwise — strided batches
+    /// run as lane-interleaved panels of adjacent lines.
     #[default]
     Auto,
     /// The seed engine: scalar radix-2 Cooley–Tukey with a bit-reversal pass
@@ -115,6 +120,34 @@ impl Algo {
             Algo::Stockham(p) => p.execute_scratch(data, dir, work),
             Algo::Radix2(p) => p.execute(data, dir),
             Algo::Bluestein(p) => p.execute_with_scratch(data, dir, work),
+        }
+    }
+
+    /// Rows of the `[rows][w]` panel [`execute_interleaved`] works on: the
+    /// transform length, or Bluestein's padded convolution length.
+    ///
+    /// [`execute_interleaved`]: Algo::execute_interleaved
+    fn panel_rows(&self) -> usize {
+        match self {
+            Algo::Stockham(p) => p.len(),
+            Algo::Radix2(p) => p.len(),
+            Algo::Bluestein(p) => p.conv_len(),
+        }
+    }
+
+    /// Transforms the `w` lane-interleaved lines of panel `x`, ping-ponging
+    /// through `y`; returns `(result, other)`.
+    fn execute_interleaved<'a>(
+        &self,
+        x: &'a mut [C64],
+        y: &'a mut [C64],
+        w: usize,
+        dir: Direction,
+    ) -> (&'a mut [C64], &'a mut [C64]) {
+        match self {
+            Algo::Stockham(p) => p.execute_interleaved(x, y, w, dir),
+            Algo::Bluestein(p) => p.execute_interleaved(x, y, w, dir),
+            Algo::Radix2(_) => unreachable!("the legacy engine runs line by line"),
         }
     }
 
@@ -261,15 +294,13 @@ impl Plan1d {
         self.engine
     }
 
-    /// Lines per cache tile in the blocked strided path: `TILE_LINES` capped
-    /// by the batch (and at least 1, so the tile doubles as the row buffer
-    /// of the general gather/scatter path).
-    fn tile_lines(&self) -> usize {
-        // Adapt the tile to the transform length so gather → transform →
-        // scatter all run against a cache-resident tile: lines × n × 16 B
-        // stays around 64 KiB (L1-ish), between 4 and TILE_LINES lines.
-        let fit = (TILE_TARGET_ELEMS / self.n.max(1)).clamp(4, TILE_LINES);
-        fit.min(self.batch.max(1))
+    /// Lines per panel of the strided-batch path: as many as fit
+    /// `PANEL_ELEMS`, rounded down to a multiple of 4, within
+    /// `PANEL_MIN_LINES..=PANEL_MAX_LINES` and the batch.
+    fn panel_lines(&self) -> usize {
+        let fit = PANEL_ELEMS / self.algo.panel_rows() / 4 * 4;
+        fit.clamp(PANEL_MIN_LINES, PANEL_MAX_LINES)
+            .min(self.batch.max(1))
     }
 
     /// Minimum input buffer length required by the layout.
@@ -288,11 +319,12 @@ impl Plan1d {
         (self.batch - 1) * self.output.dist + (self.n - 1) * self.output.stride + 1
     }
 
-    /// Number of scratch elements the `_scratch` execution variants need:
-    /// the algorithm's work buffers plus one gather/scatter tile (which also
-    /// serves as the row buffer of the unblocked fallback path).
+    /// Number of scratch elements the `_scratch` execution variants need: a
+    /// panel and its ping-pong buffer for the strided-batch path, which also
+    /// cover the algorithm's per-line work buffers plus one row buffer for
+    /// the other layouts.
     pub fn scratch_elems(&self) -> usize {
-        self.algo.scratch_len() + self.tile_lines() * self.n
+        (2 * self.panel_lines() * self.algo.panel_rows()).max(self.algo.scratch_len() + self.n)
     }
 
     /// Executes the batch out of place.
@@ -323,45 +355,7 @@ impl Plan1d {
             output.len(),
             self.required_output_len()
         );
-        let (work, tile) = self.split_scratch(scratch);
-        if self.engine != Engine::Legacy {
-            if self.packed_rows() {
-                // Contiguous rows in and out: copy each row once, transform
-                // it in place in the output buffer — no gather/scatter.
-                for b in 0..self.batch {
-                    let row = &mut output[b * self.n..(b + 1) * self.n];
-                    row.copy_from_slice(&input[b * self.n..(b + 1) * self.n]);
-                    self.algo.execute_scratch(row, dir, work);
-                }
-                return;
-            }
-            if self.tileable() {
-                let t_lines = self.tile_lines();
-                let mut lo = 0;
-                while lo < self.batch {
-                    let t = t_lines.min(self.batch - lo);
-                    gather_tile(input, self.input.stride, lo, t, self.n, tile);
-                    for r in tile[..t * self.n].chunks_exact_mut(self.n) {
-                        self.algo.execute_scratch(r, dir, work);
-                    }
-                    scatter_tile(output, self.output.stride, lo, t, self.n, tile);
-                    lo += t;
-                }
-                return;
-            }
-        }
-        let row = &mut tile[..self.n];
-        for b in 0..self.batch {
-            let ibase = b * self.input.dist;
-            for (j, r) in row.iter_mut().enumerate() {
-                *r = input[ibase + j * self.input.stride];
-            }
-            self.algo.execute_scratch(row, dir, work);
-            let obase = b * self.output.dist;
-            for (k, r) in row.iter().enumerate() {
-                output[obase + k * self.output.stride] = *r;
-            }
-        }
+        self.run_lines(Bufs::Split(input, output), dir, scratch, 0, self.batch);
     }
 
     /// Executes the batch in place (input and output layouts must describe
@@ -375,48 +369,7 @@ impl Plan1d {
     /// Executes the batch in place reusing caller-provided scratch of at
     /// least [`scratch_elems`](Plan1d::scratch_elems) elements.
     pub fn execute_inplace_scratch(&self, data: &mut [C64], dir: Direction, scratch: &mut [C64]) {
-        assert!(
-            data.len() >= self.required_input_len().max(self.required_output_len()),
-            "buffer too small for in-place batch"
-        );
-        let (work, tile) = self.split_scratch(scratch);
-        if self.engine != Engine::Legacy {
-            if self.packed_rows() {
-                // Packed contiguous rows transform directly in place — the
-                // whole batch runs with zero data movement beyond the
-                // butterflies themselves.
-                for row in data[..self.batch * self.n].chunks_exact_mut(self.n) {
-                    self.algo.execute_scratch(row, dir, work);
-                }
-                return;
-            }
-            if self.tileable() {
-                let t_lines = self.tile_lines();
-                let mut lo = 0;
-                while lo < self.batch {
-                    let t = t_lines.min(self.batch - lo);
-                    gather_tile(data, self.input.stride, lo, t, self.n, tile);
-                    for r in tile[..t * self.n].chunks_exact_mut(self.n) {
-                        self.algo.execute_scratch(r, dir, work);
-                    }
-                    scatter_tile(data, self.output.stride, lo, t, self.n, tile);
-                    lo += t;
-                }
-                return;
-            }
-        }
-        let row = &mut tile[..self.n];
-        for b in 0..self.batch {
-            let ibase = b * self.input.dist;
-            for (j, r) in row.iter_mut().enumerate() {
-                *r = data[ibase + j * self.input.stride];
-            }
-            self.algo.execute_scratch(row, dir, work);
-            let obase = b * self.output.dist;
-            for (k, r) in row.iter().enumerate() {
-                data[obase + k * self.output.stride] = *r;
-            }
-        }
+        self.execute_lines_inplace_scratch(data, dir, scratch, 0, self.batch);
     }
 
     /// Executes only batch lines `lo..hi` in place, leaving every other
@@ -435,46 +388,82 @@ impl Plan1d {
         hi: usize,
     ) {
         assert!(lo <= hi && hi <= self.batch, "line range out of bounds");
-        if lo == hi {
-            return;
-        }
         assert!(
             data.len() >= self.required_input_len().max(self.required_output_len()),
             "buffer too small for in-place batch"
         );
-        let (work, tile) = self.split_scratch(scratch);
-        if self.engine != Engine::Legacy {
-            if self.packed_rows() {
-                for row in data[lo * self.n..hi * self.n].chunks_exact_mut(self.n) {
-                    self.algo.execute_scratch(row, dir, work);
+        self.run_lines(Bufs::InPlace(data), dir, scratch, lo, hi);
+    }
+
+    /// The one line-range walker behind every execute entry: transforms
+    /// lines `lo..hi` from `io`'s source to its destination by whichever of
+    /// the three routes the layouts admit.
+    fn run_lines(&self, mut io: Bufs, dir: Direction, scratch: &mut [C64], lo: usize, hi: usize) {
+        assert!(
+            scratch.len() >= self.scratch_elems(),
+            "scratch too small: {} < {}",
+            scratch.len(),
+            self.scratch_elems()
+        );
+        let n = self.n;
+        // The legacy engine is the seed's per-line gather/scatter throughout.
+        let auto = self.engine != Engine::Legacy;
+        if auto && self.packed_rows() {
+            // Packed contiguous rows transform where they land: no data
+            // movement beyond the butterflies (and, out of place, one copy).
+            for b in lo..hi {
+                let (r0, r1) = (b * n, (b + 1) * n);
+                if let Bufs::Split(input, output) = &mut io {
+                    output[r0..r1].copy_from_slice(&input[r0..r1]);
                 }
-                return;
+                self.algo
+                    .execute_scratch(&mut io.dst()[r0..r1], dir, scratch);
             }
-            if self.tileable() {
-                let t_lines = self.tile_lines();
-                let mut base = lo;
-                while base < hi {
-                    let t = t_lines.min(hi - base);
-                    gather_tile(data, self.input.stride, base, t, self.n, tile);
-                    for r in tile[..t * self.n].chunks_exact_mut(self.n) {
-                        self.algo.execute_scratch(r, dir, work);
-                    }
-                    scatter_tile(data, self.output.stride, base, t, self.n, tile);
-                    base += t;
-                }
-                return;
-            }
+            return;
         }
-        let row = &mut tile[..self.n];
+        if auto && self.panelable() {
+            // `dist == 1`: element `j` of lines `base..base+w` is one
+            // contiguous run, i.e. row `j` of a lane-interleaved panel. Copy
+            // the `n` runs in, transform all `w` lines at once, copy the
+            // runs back from whichever buffer the result landed in.
+            let (rows, width) = (self.algo.panel_rows(), self.panel_lines());
+            let mut base = lo;
+            while base < hi {
+                let w = width.min(hi - base);
+                let (x, y) = scratch[..2 * w * rows].split_at_mut(w * rows);
+                for (run, row) in io.src()[base..]
+                    .chunks(self.input.stride)
+                    .zip(x.chunks_exact_mut(w))
+                    .take(n)
+                {
+                    // Element loops, not `copy_from_slice`: a run is 4–16
+                    // elements and a `memcpy` call per run costs a fifth of
+                    // the 512 × 64 batch at `w = 4`.
+                    row.iter_mut().zip(run).for_each(|(d, v)| *d = *v);
+                }
+                let (out, _) = self.algo.execute_interleaved(x, y, w, dir);
+                for (run, row) in io.dst()[base..]
+                    .chunks_mut(self.output.stride)
+                    .zip(out.chunks_exact(w))
+                    .take(n)
+                {
+                    run.iter_mut().zip(row).for_each(|(d, v)| *d = *v);
+                }
+                base += w;
+            }
+            return;
+        }
+        let (work, rest) = scratch.split_at_mut(self.algo.scratch_len());
+        let row = &mut rest[..n];
         for b in lo..hi {
-            let ibase = b * self.input.dist;
+            let src = &io.src()[b * self.input.dist..];
             for (j, r) in row.iter_mut().enumerate() {
-                *r = data[ibase + j * self.input.stride];
+                *r = src[j * self.input.stride];
             }
             self.algo.execute_scratch(row, dir, work);
-            let obase = b * self.output.dist;
+            let dst = &mut io.dst()[b * self.output.dist..];
             for (k, r) in row.iter().enumerate() {
-                data[obase + k * self.output.stride] = *r;
+                dst[k * self.output.stride] = *r;
             }
         }
     }
@@ -489,49 +478,33 @@ impl Plan1d {
     }
 
     /// True when both layouts are the classic transposed access (`dist == 1`,
-    /// columns `stride` apart, non-overlapping) — the blocked tile path.
-    fn tileable(&self) -> bool {
+    /// columns `stride` apart, non-overlapping) — the panel path.
+    fn panelable(&self) -> bool {
         self.input.dist == 1
             && self.output.dist == 1
             && self.input.stride >= self.batch
             && self.output.stride >= self.batch
     }
-
-    /// Splits caller scratch into the algorithm buffer and the tile buffer.
-    fn split_scratch<'s>(&self, scratch: &'s mut [C64]) -> (&'s mut [C64], &'s mut [C64]) {
-        assert!(
-            scratch.len() >= self.scratch_elems(),
-            "scratch too small: {} < {}",
-            scratch.len(),
-            self.scratch_elems()
-        );
-        let (work, rest) = scratch.split_at_mut(self.algo.scratch_len());
-        (work, &mut rest[..self.tile_lines() * self.n])
-    }
 }
 
-/// Copies lines `lo..lo+t` of a `dist == 1` layout into `tile` as `t`
-/// contiguous rows of length `n`. The source walk is sequential per element
-/// index `j` (one contiguous read of `t` elements), so the strided side of
-/// the transpose happens in the cache-resident tile, not in main memory
-/// (the tile is sized by `tile_lines` to stay L1-resident).
-fn gather_tile(src: &[C64], stride: usize, lo: usize, t: usize, n: usize, tile: &mut [C64]) {
-    for j in 0..n {
-        let base = j * stride + lo;
-        for (ti, v) in src[base..base + t].iter().enumerate() {
-            tile[ti * n + j] = *v;
+/// Where a batch reads and writes: one buffer in place, or two out of place.
+enum Bufs<'a> {
+    InPlace(&'a mut [C64]),
+    Split(&'a [C64], &'a mut [C64]),
+}
+
+impl Bufs<'_> {
+    fn src(&self) -> &[C64] {
+        match self {
+            Bufs::InPlace(d) => d,
+            Bufs::Split(input, _) => input,
         }
     }
-}
 
-/// Inverse of [`gather_tile`]: writes `t` tile rows back to lines
-/// `lo..lo+t` of a `dist == 1` layout with one contiguous store per element
-/// index.
-fn scatter_tile(dst: &mut [C64], stride: usize, lo: usize, t: usize, n: usize, tile: &[C64]) {
-    for j in 0..n {
-        let base = j * stride + lo;
-        for (ti, slot) in dst[base..base + t].iter_mut().enumerate() {
-            *slot = tile[ti * n + j];
+    fn dst(&mut self) -> &mut [C64] {
+        match self {
+            Bufs::InPlace(d) => d,
+            Bufs::Split(_, output) => output,
         }
     }
 }
@@ -703,8 +676,9 @@ mod tests {
 
     #[test]
     fn engines_agree_on_strided_batches() {
-        // Exercises the blocked tile path (batch > TILE_LINES) against the
-        // legacy per-line gather/scatter on the same transposed layout.
+        // Exercises the panel path (several full panels and a ragged tail)
+        // against the legacy per-line gather/scatter on the same transposed
+        // layout.
         let (n, batch) = (16usize, 100usize);
         let layout = Layout::strided(batch);
         let auto = Plan1d::with_layout(n, batch, layout, layout);
@@ -719,13 +693,13 @@ mod tests {
 
     #[test]
     fn line_ranges_are_bit_identical_to_full_batch() {
-        // Every execute path (packed rows, blocked tiles, per-line
+        // Every execute path (packed rows, lane-interleaved panels, per-line
         // gather/scatter) must give byte-identical results whether the batch
         // runs whole or as disjoint line ranges in any order — the contract
         // the distributed transform-ahead schedule depends on. Pow2 and
         // smooth lengths on each path.
         let gapped = |n: usize, batch: usize| {
-            // Neither packed nor tileable: rows 2·n apart, elements 2 apart.
+            // Neither packed nor panelable: rows 2·n apart, elements 2 apart.
             let l = Layout {
                 stride: 2,
                 dist: 2 * n,
@@ -780,7 +754,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_place_tiled_matches_inplace() {
+    fn out_of_place_panels_match_inplace() {
         let (n, batch) = (32usize, 70usize);
         let layout = Layout::strided(batch);
         let plan = Plan1d::with_layout(n, batch, layout, layout);
@@ -790,6 +764,24 @@ mod tests {
         let mut inplace = x;
         plan.execute_inplace(&mut inplace, Direction::Forward);
         assert!(max_abs_diff(&out, &inplace) == 0.0);
+    }
+
+    #[test]
+    fn scratch_never_exceeds_the_transposing_tile_engine() {
+        // `n + tile_lines·n` of the engine this one replaced, for the axis
+        // shapes of the functional benchmark workloads and the 512 × 64
+        // strided probe: arenas are sized from this and `peak_rss_mb` is
+        // gated, so the panel pair has to fit where the tile did.
+        for (n, batch, tile_engine) in [
+            (32usize, 1024usize, 2080usize),
+            (64, 4096, 4160),
+            (128, 16384, 4224),
+            (512, 64, 4608),
+        ] {
+            let l = Layout::strided(batch);
+            let got = Plan1d::with_layout(n, batch, l, l).scratch_elems();
+            assert!(got <= tile_engine, "n={n}: {got} > {tile_engine}");
+        }
     }
 
     #[test]

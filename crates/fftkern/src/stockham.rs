@@ -12,6 +12,12 @@
 //! precomputed per stage at plan-build time and interned process-wide (see
 //! [`twiddle::stockham_tables`]).
 //!
+//! Those `s` inner elements are independent lanes, which is also how a
+//! strided batch is transformed: `w` adjacent lines laid out as an `[n][w]`
+//! panel run the same stage list with every `s` multiplied by `w`
+//! ([`StockhamPlan::execute_interleaved`]) — no transpose, lane `l` sees the
+//! operation sequence of line `l` alone, and a lone line is `w = 1`.
+//!
 //! Stage radices are chosen by [`radix_decomposition`]: the factors of two
 //! first — greedy radix-8 butterflies (3 data passes for 512, the paper's
 //! production length, instead of 9 radix-2 passes), then a radix-4 or
@@ -121,25 +127,43 @@ impl StockhamPlan {
     /// In-place unnormalized transform of `data` (length must equal `n`),
     /// ping-ponging through `work` (at least `n` elements). The result
     /// always lands back in `data`; `work` is clobbered.
-    // fftlint:hot — the per-line butterfly path; allocation here multiplies
-    // by every (line, axis, rank) of every distributed transform.
     pub fn execute_scratch(&self, data: &mut [C64], dir: Direction, work: &mut [C64]) {
         assert_eq!(data.len(), self.n, "buffer length does not match plan size");
         assert!(work.len() >= self.n, "work buffer smaller than n");
-        if self.n <= 1 {
-            return;
-        }
-        let inverse = matches!(dir, Direction::Inverse);
         let work = &mut work[..self.n];
-        // An odd stage count would leave the result in `work`; seeding the
-        // ping-pong from `work` instead makes every size end in `data`.
-        let odd = self.tables.stages.len() % 2 == 1;
-        let (mut src, mut dst): (&mut [C64], &mut [C64]) = if odd {
+        // An odd stage count ends in the buffer it did not start in;
+        // seeding the ping-pong from `work` makes every size end in `data`.
+        if self.tables.stages.len() % 2 == 1 {
             work.copy_from_slice(data);
-            (work, data)
+            self.execute_interleaved(work, data, 1, dir);
         } else {
-            (data, work)
-        };
+            self.execute_interleaved(data, work, 1, dir);
+        }
+    }
+
+    /// Transforms `w` lines at once, laid out as an `[n][w]` panel: element
+    /// `j` of line `l` at `x[j·w + l]`. Stage `{radix, m, s}` already treats
+    /// its `s` inner elements as independent lanes — the twiddle depends on
+    /// `p` only — so the panel is the plan's own stage list run with every
+    /// `s` multiplied by `w`: lane `l` sees exactly the operation sequence
+    /// of a lone line, and every stage (the first included) has `s ≥ w`
+    /// contiguous elements for the vector-across-`q` kernels. The stages
+    /// ping-pong between `x` and `y` (`n·w` elements each); returns
+    /// `(result, other)` — `result` is `x` after an even stage count, `y`
+    /// after an odd one — so callers chain transforms without a copy.
+    // fftlint:hot — the butterfly path of every line; allocation here
+    // multiplies by every (line, axis, rank) of every distributed transform.
+    pub fn execute_interleaved<'a>(
+        &self,
+        x: &'a mut [C64],
+        y: &'a mut [C64],
+        w: usize,
+        dir: Direction,
+    ) -> (&'a mut [C64], &'a mut [C64]) {
+        assert_eq!(x.len(), self.n * w, "panel is not n × w");
+        assert_eq!(y.len(), self.n * w, "work panel is not n × w");
+        let inverse = matches!(dir, Direction::Inverse);
+        let (mut src, mut dst) = (x, y);
         // Resolved once per transform, not per stage: the tier is a pair of
         // atomic loads and every stage of one transform must agree with the
         // others only for speed, not correctness (all tiers are
@@ -147,6 +171,7 @@ impl StockhamPlan {
         let tier = crate::simd::active_tier();
         for st in &self.tables.stages {
             let tw = &self.tables.tw[st.tw_off..];
+            let st = &StockhamStage { s: st.s * w, ..*st };
             // Widest vector kernel the tier and stage geometry admit;
             // `run_stage` returns false (tiny stages, scalar tier, non-x86)
             // to fall through to the portable bodies below.
@@ -173,6 +198,7 @@ impl StockhamPlan {
             }
             std::mem::swap(&mut src, &mut dst);
         }
+        (src, dst)
     }
 
     /// Allocating convenience wrapper around [`execute_scratch`].

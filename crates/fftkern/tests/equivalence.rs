@@ -6,6 +6,12 @@
 //! that forward∘inverse is the identity within `1e-9·log₂(n)` after
 //! normalization. Smooth non-pow2 lengths get the same batch × layout sweep
 //! against the DFT oracle.
+//!
+//! The strided-batch path transforms panels of adjacent lines at once
+//! (lane `l` of a Stockham stage run at `s·w` is line `l`), so a second
+//! family of tests pins it `to_bits`-equal to transforming each line alone
+//! through the packed per-line engine: in place, out of place, and as
+//! shuffled line ranges.
 
 use fftkern::dft::dft_1d;
 use fftkern::plan::{Layout, Plan1d};
@@ -158,15 +164,122 @@ fn out_of_place_matches_inplace_both_engines() {
                 let mut inplace = x;
                 plan.execute_inplace(&mut inplace, Direction::Forward);
                 assert_eq!(
-                    out.iter()
-                        .map(|c| (c.re.to_bits(), c.im.to_bits()))
-                        .collect::<Vec<_>>(),
-                    inplace
-                        .iter()
-                        .map(|c| (c.re.to_bits(), c.im.to_bits()))
-                        .collect::<Vec<_>>(),
+                    bits(&out),
+                    bits(&inplace),
                     "in/out-of-place differ: {engine:?} n={n} batch={batch} {layout_name}"
                 );
+            }
+        }
+    }
+}
+
+/// Exact bit pattern of a complex buffer.
+fn bits(data: &[C64]) -> Vec<(u64, u64)> {
+    data.iter()
+        .map(|c| (c.re.to_bits(), c.im.to_bits()))
+        .collect()
+}
+
+/// The oracle of the panel tests: every line of a `Layout::strided(batch)`
+/// array gathered and transformed alone by `Plan1d::contiguous(n, 1)`.
+fn lone_lines(x: &[C64], n: usize, batch: usize, dir: Direction) -> Vec<C64> {
+    let one = Plan1d::contiguous(n, 1);
+    let mut scratch = vec![C64::ZERO; one.scratch_elems()];
+    let mut out = x.to_vec();
+    for b in 0..batch {
+        let mut line = gather(x, Layout::strided(batch), n, b);
+        one.execute_inplace_scratch(&mut line, dir, &mut scratch);
+        for (j, v) in line.into_iter().enumerate() {
+            out[j * batch + b] = v;
+        }
+    }
+    out
+}
+
+/// Disjoint `[lo, hi)` ranges covering `0..batch` with ends that fall off
+/// every panel-width multiple, in a scrambled order.
+fn scrambled_ranges(batch: usize) -> Vec<(usize, usize)> {
+    let mut cuts = vec![
+        0,
+        1,
+        batch / 4 + 1,
+        batch / 2,
+        batch / 2 + 3,
+        batch - 1,
+        batch,
+    ];
+    cuts.iter_mut().for_each(|c| *c = (*c).min(batch));
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut ranges: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
+    let mid = ranges.len() / 2;
+    ranges.rotate_left(mid);
+    ranges.reverse();
+    ranges
+}
+
+#[test]
+fn strided_batches_are_bitwise_the_lone_line_engine() {
+    // Every smooth length up to 128 (radix-7 stages are scalar-only, 45 and
+    // 49 never have an even `s`), the deep pow2/mixed sizes, and Bluestein
+    // primes whose `[conv_len][w]` panel rides the same engine. Batches put
+    // full panels, ragged tails narrower than a vector (1, 2, 3, 5) and odd
+    // `s·w` in front of every stage kernel.
+    let sizes = (1..=128usize)
+        .filter(|&n| fftkern::is_smooth(n))
+        .chain([250, 480, 512, 1000, 13, 97, 499]);
+    for n in sizes {
+        for batch in [1usize, 2, 3, 5, 64, 70, 131] {
+            let layout = Layout::strided(batch);
+            let plan = Plan1d::with_layout(n, batch, layout, layout);
+            let mut scratch = vec![C64::ZERO; plan.scratch_elems()];
+            let x = signal(n * batch);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let want = bits(&lone_lines(&x, n, batch, dir));
+                let what = format!("n={n} batch={batch} {dir:?}");
+
+                let mut inplace = x.clone();
+                plan.execute_inplace_scratch(&mut inplace, dir, &mut scratch);
+                assert_eq!(bits(&inplace), want, "in place: {what}");
+
+                let mut out = vec![C64::ZERO; n * batch];
+                plan.execute_scratch(&x, &mut out, dir, &mut scratch);
+                assert_eq!(bits(&out), want, "out of place: {what}");
+
+                // The transform-ahead contract: any disjoint cover, any order.
+                let mut ranged = x.clone();
+                for (lo, hi) in scrambled_ranges(batch) {
+                    plan.execute_lines_inplace_scratch(&mut ranged, dir, &mut scratch, lo, hi);
+                }
+                assert_eq!(bits(&ranged), want, "line ranges: {what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn axis1_planes_with_fewer_lines_than_lanes() {
+    // The middle axis of an `[n0][n1][n2]` box as `distfft` walks it: one
+    // `Layout::strided(n2)` batch of `n2` lines per axis-0 plane. With
+    // n2 ∈ {1, 3, 6} every panel is narrower than an AVX-512 vector or
+    // ragged against it.
+    let n0 = 3;
+    for n1 in [8usize, 12, 35, 60, 64] {
+        for n2 in [1usize, 3, 6] {
+            let layout = Layout::strided(n2);
+            let plan = Plan1d::with_layout(n1, n2, layout, layout);
+            let mut scratch = vec![C64::ZERO; plan.scratch_elems()];
+            let x = signal(n0 * n1 * n2);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut got = x.clone();
+                for plane in got.chunks_mut(n1 * n2) {
+                    plan.execute_inplace_scratch(plane, dir, &mut scratch);
+                }
+                let want: Vec<C64> = x
+                    .chunks(n1 * n2)
+                    .flat_map(|plane| lone_lines(plane, n1, n2, dir))
+                    .collect();
+                assert_eq!(bits(&got), bits(&want), "n1={n1} n2={n2} {dir:?}");
             }
         }
     }

@@ -145,13 +145,17 @@ fn simd_matches_naive_dft_not_just_itself() {
 
 #[test]
 fn plan1d_bitwise_identical_across_tiers_layouts_and_algorithms() {
-    // End-to-end through Plan1d: pow2 and smooth sizes (Stockham direct +
-    // cache-blocked strided tiles) and Bluestein primes (whose pow2
-    // convolution rides the Stockham engine) — packed and strided.
+    // End-to-end through Plan1d: pow2 and smooth sizes (Stockham per line
+    // on packed rows, lane-interleaved panels on strided batches) and
+    // Bluestein primes (whose pow2 convolution rides the Stockham engine).
+    // On the strided layout the batch sets the panel widths: 64 is full
+    // panels, 70 and 131 leave ragged tails, 1–5 are narrower than a vector.
     let _g = TIER_LOCK.lock().unwrap();
     let tiers = available_tiers();
-    for n in [16usize, 512, 1024, 24, 40, 45, 60, 360, 480, 499, 97] {
-        for batch in [1usize, 3, 16] {
+    for n in [
+        16usize, 128, 512, 1024, 24, 40, 45, 49, 60, 250, 360, 480, 499, 97, 13,
+    ] {
+        for batch in [1usize, 2, 3, 5, 16, 64, 70, 131] {
             for layout in [Layout::contiguous(n), Layout::strided(batch)] {
                 let plan = Plan1d::with_layout(n, batch, layout, layout);
                 let x = signal(plan.required_input_len());

@@ -153,7 +153,7 @@ cmp "$TDIR/fig5.plain.out" "$TDIR/fig5.prof.out" || {
 echo "== perf smoke: bench_compare =="
 # Regenerates a fresh bench_snapshot and compares it against the committed
 # BENCH_engine.json: a >25% regression of the acceptance headline or of the
-# strided-axis bench (the cache-blocked gather/scatter path) fails the gate.
+# strided-axis bench (the lane-interleaved panel path) fails the gate.
 scripts/bench_compare
 
 echo "== ledger smoke: fftdash self-diff =="
