@@ -38,28 +38,12 @@ pub fn timed_average(
     opts: FftOptions,
     gpu_aware: bool,
 ) -> SimTime {
-    timed_average_memo(machine, n, ranks, opts, gpu_aware, true)
-}
-
-/// [`timed_average`] with explicit control over the dry runner's
-/// collective-schedule memo. Memoization is exact (memo on/off agree to the
-/// nanosecond — asserted by `sched_memo_is_time_exact`), so this knob only
-/// exists for honest A/B wall-clock benches of the memo itself.
-pub fn timed_average_memo(
-    machine: &MachineSpec,
-    n: [usize; 3],
-    ranks: usize,
-    opts: FftOptions,
-    gpu_aware: bool,
-    sched_memo: bool,
-) -> SimTime {
     let plan = FftPlan::build(n, ranks, opts);
     let mut runner = DryRunner::new(
         &plan,
         machine,
         DryRunOpts {
             gpu_aware,
-            sched_memo,
             ..DryRunOpts::default()
         },
     );
@@ -336,7 +320,7 @@ impl Obs {
             .unwrap_or(0);
         let env = fftledger::EnvStamp {
             rustc: run_stamp("rustc", &["-V"]),
-            git_rev: run_stamp("git", &["rev-parse", "--short", "HEAD"]),
+            git_rev: git_rev(),
             cpu: fftkern::simd::detected_features(),
             threads: fftmodels::sweep_threads() as u64,
         };
@@ -385,10 +369,9 @@ impl Obs {
     }
 }
 
-/// Runs a command and returns its trimmed stdout, or `"unknown"` — used
-/// for `rustc -V` / `git rev-parse` environment stamps on snapshots and
-/// ledger records.
-pub fn run_stamp(cmd: &str, args: &[&str]) -> String {
+/// Runs a command and returns its trimmed stdout (possibly empty), or
+/// `None` when it cannot be run or exits non-zero.
+fn command_stdout(cmd: &str, args: &[&str]) -> Option<String> {
     std::process::Command::new(cmd)
         .args(args)
         .output()
@@ -396,8 +379,35 @@ pub fn run_stamp(cmd: &str, args: &[&str]) -> String {
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
+}
+
+/// Runs a command and returns its trimmed stdout, or `"unknown"` — used
+/// for the `rustc -V` environment stamp on ledger records.
+pub fn run_stamp(cmd: &str, args: &[&str]) -> String {
+    command_stdout(cmd, args)
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The `git_rev` environment stamp: the short `HEAD` revision, `-dirty`
+/// appended when the working tree differs from it, `"unknown"` outside a
+/// checkout.
+fn git_rev() -> String {
+    git_rev_label(
+        command_stdout("git", &["rev-parse", "--short", "HEAD"]).as_deref(),
+        command_stdout("git", &["status", "--porcelain"]).as_deref(),
+    )
+}
+
+/// [`git_rev`] from the two git outputs (`None` = the command failed):
+/// `rev-parse --short HEAD` and `status --porcelain`, which is empty
+/// exactly when the tree is clean.
+fn git_rev_label(rev: Option<&str>, porcelain: Option<&str>) -> String {
+    match rev {
+        None => "unknown".to_string(),
+        Some(r) if porcelain.is_some_and(|p| !p.is_empty()) => format!("{r}-dirty"),
+        Some(r) => r.to_string(),
+    }
 }
 
 /// A minimal aligned text table.
@@ -465,6 +475,17 @@ mod tests {
     use distfft::plan::FftOptions;
 
     #[test]
+    fn git_rev_label_marks_modified_trees() {
+        assert_eq!(git_rev_label(Some("d578152"), Some("")), "d578152");
+        assert_eq!(
+            git_rev_label(Some("d578152"), Some(" M ISSUE.md")),
+            "d578152-dirty"
+        );
+        // No git, or not a checkout: both commands fail.
+        assert_eq!(git_rev_label(None, None), "unknown");
+    }
+
+    #[test]
     fn text_table_aligns() {
         let mut t = TextTable::new(&["a", "bb"]);
         t.row(vec!["1".into(), "2".into()]);
@@ -519,8 +540,8 @@ mod tests {
     fn sched_memo_is_time_exact() {
         // The dry runner's schedule memo replays relative exits; the
         // walkers are time-shift invariant, so memo on/off must agree to
-        // the nanosecond — the memoized warm bench leg measures the same
-        // simulation as the cold one, just faster.
+        // the nanosecond — the memoized run is the same simulation, just
+        // faster.
         let m = MachineSpec::summit();
         let plan = FftPlan::build([32, 32, 32], 24, FftOptions::default());
         let t = |memo: bool| {

@@ -35,8 +35,8 @@ pub struct DryRunOpts {
     /// like the functional world). An iterated dry run — `timed_average`
     /// re-walks the identical O(p²) schedule on every transform — replays
     /// cached relative exits instead. Memoized times are exact (the walkers
-    /// are time-shift invariant), so this is a pure speedup; benches turn
-    /// it off on their cold leg for an honest A/B.
+    /// are time-shift invariant), so this is a pure speedup; memo-off is
+    /// the reference that exactness is tested against.
     pub sched_memo: bool,
 }
 

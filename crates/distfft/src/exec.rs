@@ -140,9 +140,6 @@ pub struct ExecCtx {
     /// One scratch arena per executor worker; `arenas[0]` doubles as the
     /// serial/chunk-level pool (new layouts, retired arrays).
     arenas: Vec<ExecScratch>,
-    /// Pre-overhaul baseline mode: legacy radix-2 kernels, a fresh plan
-    /// built per call, no plan-cache participation. Benchmark-only.
-    baseline: bool,
     /// Completed [`execute`] calls through this context.
     runs: u64,
     /// Run-completion observer (see [`on_run_completion`]
@@ -160,7 +157,6 @@ impl std::fmt::Debug for ExecCtx {
             .field("strided_seen", &self.strided_seen)
             .field("call_counter", &self.call_counter)
             .field("arenas", &self.arenas)
-            .field("baseline", &self.baseline)
             .field("runs", &self.runs)
             .field("on_run", &self.on_run.as_ref().map(|_| "<hook>"))
             .finish()
@@ -205,7 +201,6 @@ impl ExecCtx {
             strided_seen: BTreeSet::new(),
             call_counter: 0,
             arenas: vec![ExecScratch::default(); threads.max(1)],
-            baseline: false,
             runs: 0,
             on_run: None,
         }
@@ -225,19 +220,6 @@ impl ExecCtx {
     /// Completed [`execute`] calls through this context.
     pub fn runs(&self) -> u64 {
         self.runs
-    }
-
-    /// A context that reproduces the **pre-overhaul** executor: serial,
-    /// legacy radix-2 kernels (`Engine::Legacy` — bit-reversal pass,
-    /// per-line gather/scatter), and a fresh 1-D plan built on every local
-    /// FFT instead of a plan-cache lookup. Exists so benchmarks compare the
-    /// engine overhaul against the real seed code path, not a synthetic
-    /// slowdown.
-    pub fn legacy_baseline() -> ExecCtx {
-        ExecCtx {
-            baseline: true,
-            ..ExecCtx::with_threads(1)
-        }
     }
 
     /// Executor worker count (≥ 1; 1 means fully serial).
@@ -520,14 +502,7 @@ pub fn execute(
                     // Real math on every item of this chunk.
                     let b = plan.dists[dist].rank_box(me);
                     if !b.is_empty() {
-                        run_local_fft(
-                            b,
-                            axis,
-                            &mut data[ilo..ihi],
-                            dir,
-                            &mut ctx.arenas,
-                            ctx.baseline,
-                        );
+                        run_local_fft(b, axis, &mut data[ilo..ihi], dir, &mut ctx.arenas);
                     }
                     si += 1;
                 }
@@ -564,13 +539,13 @@ pub fn execute(
     ExecResult { trace, total }
 }
 
-/// The cached (or, in baseline mode, freshly built legacy-engine) 1-D plan
-/// for the lines along `axis` of a box of shape `s`: contiguous rows for
-/// axis 2, one strided batch per axis-0 plane for axis 1, one strided
-/// batch over the whole item for axis 0. A strided batch is `dist == 1`, so
-/// `fftkern` transforms it a panel of adjacent lines at a time — the lines
-/// are the vector lanes of every butterfly stage, with no transpose.
-fn axis_plan(s: [usize; 3], axis: usize, baseline: bool) -> std::sync::Arc<Plan1d> {
+/// The cached 1-D plan for the lines along `axis` of a box of shape `s`:
+/// contiguous rows for axis 2, one strided batch per axis-0 plane for
+/// axis 1, one strided batch over the whole item for axis 0. A strided
+/// batch is `dist == 1`, so `fftkern` transforms it a panel of adjacent
+/// lines at a time — the lines are the vector lanes of every butterfly
+/// stage, with no transpose.
+fn axis_plan(s: [usize; 3], axis: usize) -> std::sync::Arc<Plan1d> {
     let n = s[axis];
     let (batch, layout) = match axis {
         2 => (s[0] * s[1], Layout::contiguous(n)),
@@ -578,13 +553,7 @@ fn axis_plan(s: [usize; 3], axis: usize, baseline: bool) -> std::sync::Arc<Plan1
         0 => (s[1] * s[2], Layout::strided(s[1] * s[2])),
         _ => unreachable!("axis out of range"),
     };
-    if baseline {
-        // The pre-overhaul executor, kept for honest A/B benches.
-        let engine = fftkern::plan::Engine::Legacy;
-        std::sync::Arc::new(Plan1d::with_engine(n, batch, layout, layout, engine))
-    } else {
-        fftkern::plan_cache().plan1d(n, batch, layout, layout)
-    }
+    fftkern::plan_cache().plan1d(n, batch, layout, layout)
 }
 
 /// Runs the real batched 1-D FFTs along `axis` over every item's local
@@ -613,7 +582,6 @@ fn run_local_fft(
     data: &mut [Vec<C64>],
     dir: Direction,
     arenas: &mut [ExecScratch],
-    baseline: bool,
 ) {
     let s = b.shape();
     let n = s[axis];
@@ -623,7 +591,7 @@ fn run_local_fft(
     let total_elems: usize = data.iter().map(|item| item.len()).sum();
     if arenas.len() <= 1 || total_elems < par_min_elems() {
         // Serial fast path: one plan lookup, one kernel buffer.
-        let plan1d = axis_plan(s, axis, baseline);
+        let plan1d = axis_plan(s, axis);
         let kernel = arenas[0].kernel_for(plan1d.scratch_elems());
         for item in data.iter_mut() {
             if axis == 1 {
@@ -659,7 +627,7 @@ fn run_local_fft(
                 .iter_mut()
                 .flat_map(|item| item.chunks_mut(s[1] * s[2]))
                 .collect(); // fftlint:allow(no-alloc-in-hot-path): O(workers) unit list for the fan-out, not payload
-            let plan = axis_plan(s, axis, false);
+            let plan = axis_plan(s, axis);
             mpisim::par::par_parts(arenas, units, |_, arena, seg| {
                 plan.execute_inplace_scratch(seg, dir, arena.kernel_for(plan.scratch_elems()));
             });
@@ -668,7 +636,7 @@ fn run_local_fft(
             // Axis 0 spans every plane of an item, so the finest safe `&mut`
             // split is one unit per batch item.
             let units: Vec<&mut Vec<C64>> = data.iter_mut().collect(); // fftlint:allow(no-alloc-in-hot-path): O(items) unit list for the fan-out, not payload
-            let plan = axis_plan(s, axis, false);
+            let plan = axis_plan(s, axis);
             mpisim::par::par_parts(arenas, units, |_, arena, item| {
                 plan.execute_inplace_scratch(item, dir, arena.kernel_for(plan.scratch_elems()));
             });
@@ -693,13 +661,12 @@ fn run_local_fft_lines(
     data: &mut [Vec<C64>],
     dir: Direction,
     arenas: &mut [ExecScratch],
-    baseline: bool,
 ) {
     let s = b.shape();
     if s[axis] == 0 || runs.is_empty() {
         return;
     }
-    let plan1d = axis_plan(s, axis, baseline);
+    let plan1d = axis_plan(s, axis);
     let kernel = arenas[0].kernel_for(plan1d.scratch_elems());
     for item in data.iter_mut() {
         for &(lo, hi) in runs {
@@ -850,8 +817,7 @@ fn run_reshape(
     let Some(ahead) = ahead else { return false };
     if !to_box.is_empty() {
         let flat: Vec<(usize, usize)> = ahead.runs.into_iter().flatten().collect(); // fftlint:allow(no-alloc-in-hot-path): O(lines) run list, built once per consumed chunk
-        let (arenas, baseline) = (&mut ctx.arenas, ctx.baseline);
-        run_local_fft_lines(to_box, ahead.axis, &flat, data, call.dir, arenas, baseline);
+        run_local_fft_lines(to_box, ahead.axis, &flat, data, call.dir, &mut ctx.arenas);
     }
     true
 }

@@ -5,7 +5,7 @@
 //! constructions per timed FFT, each recomputing twiddle tables and (for
 //! Bluestein sizes) whole convolution kernels. The cache interns plans by
 //! `(shape, batch, input layout, output layout)` and hands out `Arc`s, so a
-//! warm path pays one `HashMap` lookup instead of a plan build.
+//! warm path pays one `BTreeMap` lookup instead of a plan build.
 //!
 //! Plans are direction-agnostic by construction (twiddles are conjugated at
 //! execute time), so one cached plan serves both [`Direction::Forward`] and
@@ -16,16 +16,12 @@
 //! caches can be created with [`PlanCache::new`] where isolation matters
 //! (e.g. statistics in tests).
 
-use crate::plan::{Engine, Layout, Plan1d, Plan2d, Plan3d};
+use crate::plan::{Layout, Plan1d, Plan2d, Plan3d};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Key identifying a batched, strided 1-D plan.
-///
-/// The [`Engine`] is part of the key so that `Auto` (Stockham + panels) and
-/// `Legacy` (seed radix-2) plans for the same shape coexist — A/B
-/// benchmarks can warm both without either evicting or shadowing the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PlanKey1d {
     /// Transform length.
@@ -36,8 +32,6 @@ pub struct PlanKey1d {
     pub input: Layout,
     /// Output stride/distance layout.
     pub output: Layout,
-    /// Kernel engine the plan was built for.
-    pub engine: Engine,
 }
 
 /// Thread-safe cache of FFT plans, keyed by shape and layout.
@@ -57,27 +51,12 @@ impl PlanCache {
     }
 
     /// Returns the cached 1-D plan for the key, building it on first use.
-    /// Uses the default [`Engine::Auto`] kernel selection.
     pub fn plan1d(&self, n: usize, batch: usize, input: Layout, output: Layout) -> Arc<Plan1d> {
-        self.plan1d_engine(n, batch, input, output, Engine::Auto)
-    }
-
-    /// Engine-qualified form of [`plan1d`](PlanCache::plan1d): `Auto` and
-    /// `Legacy` plans for the same shape are cached independently.
-    pub fn plan1d_engine(
-        &self,
-        n: usize,
-        batch: usize,
-        input: Layout,
-        output: Layout,
-        engine: Engine,
-    ) -> Arc<Plan1d> {
         let key = PlanKey1d {
             n,
             batch,
             input,
             output,
-            engine,
         };
         let mut map = self.plans1d.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(p) = map.get(&key) {
@@ -87,7 +66,7 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         fftobs::count("fftkern.plan_cache.miss", 1);
-        let plan = Arc::new(Plan1d::with_engine(n, batch, input, output, engine));
+        let plan = Arc::new(Plan1d::with_layout(n, batch, input, output));
         map.insert(key, Arc::clone(&plan));
         plan
     }
@@ -202,28 +181,6 @@ mod tests {
         let _ = cache.plan1d_contiguous(16, 4);
         let _ = cache.plan1d(16, 4, Layout::strided(4), Layout::strided(4));
         assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn engines_get_distinct_plans_that_agree_numerically() {
-        let cache = PlanCache::new();
-        let lay = Layout::contiguous(64);
-        let auto = cache.plan1d_engine(64, 2, lay, lay, Engine::Auto);
-        let legacy = cache.plan1d_engine(64, 2, lay, lay, Engine::Legacy);
-        assert!(!Arc::ptr_eq(&auto, &legacy));
-        assert_eq!(auto.engine(), Engine::Auto);
-        assert_eq!(legacy.engine(), Engine::Legacy);
-        assert_eq!(cache.misses(), 2);
-        // Cached under separate keys: re-requesting either hits.
-        let again = cache.plan1d_engine(64, 2, lay, lay, Engine::Legacy);
-        assert!(Arc::ptr_eq(&legacy, &again));
-
-        let x = signal(128);
-        let mut a = x.clone();
-        let mut b = x;
-        auto.execute_inplace(&mut a, Direction::Forward);
-        legacy.execute_inplace(&mut b, Direction::Forward);
-        assert!(max_abs_diff(&a, &b) < 1e-9 * 64.0);
     }
 
     #[test]

@@ -22,9 +22,7 @@
 //! * [`Plan2d`] / [`Plan3d`] — local multi-dimensional transforms.
 //! * [`StockhamPlan`] — the workhorse for every 2/3/5/7-smooth size: a
 //!   Stockham autosort engine with radix-8/4/2 and radix-3/5/7 butterflies
-//!   and no digit-reversal pass, selected by default ([`Engine::Auto`]); the
-//!   scalar radix-2 path survives as [`Engine::Legacy`] for reference and
-//!   A/B benchmarking.
+//!   and no digit-reversal pass.
 //! * Bluestein's chirp-z algorithm for every other (including prime) size.
 //! * [`real`] — real-to-complex / complex-to-real transforms via the
 //!   packed-complex trick (the "real transforms" LAMMPS KSPACE uses, §IV-D).
@@ -52,7 +50,7 @@ pub mod twiddle;
 pub use cache::{plan_cache, PlanCache};
 pub use complex::C64;
 pub use kernel_model::{GpuModel, KernelTimeModel, LayoutKind};
-pub use plan::{Direction, Engine, Plan1d, Plan2d, Plan3d};
+pub use plan::{Direction, Plan1d, Plan2d, Plan3d};
 pub use simd::SimdTier;
 pub use stockham::StockhamPlan;
 

@@ -8,7 +8,6 @@
 
 use crate::bluestein::BluesteinPlan;
 use crate::complex::C64;
-use crate::radix::Radix2Plan;
 use crate::stockham::StockhamPlan;
 
 /// Elements in each half — panel, ping-pong buffer — of the strided-batch
@@ -56,47 +55,17 @@ impl Direction {
     }
 }
 
-/// Which kernel engine a plan builds on — the FFTW-style "planner" knob.
-///
-/// `Auto` is the production engine; `Legacy` pins the pre-overhaul scalar
-/// radix-2 path (bit-reversal permutation, per-line gather/scatter) so
-/// benchmarks and tests can A/B the engine overhaul against a faithful
-/// baseline instead of a synthetic slowdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum Engine {
-    /// Planner's choice: Stockham autosort (radix-8/4/2, then 3/5/7 stages)
-    /// for every 2/3/5/7-smooth size, Bluestein otherwise — strided batches
-    /// run as lane-interleaved panels of adjacent lines.
-    #[default]
-    Auto,
-    /// The seed engine: scalar radix-2 Cooley–Tukey with a bit-reversal pass
-    /// and per-line gather/scatter, kept as reference and benchmark baseline.
-    Legacy,
-}
-
-impl Engine {
-    /// Short name for traces and bench labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Auto => "auto",
-            Engine::Legacy => "legacy",
-        }
-    }
-}
-
-/// Algorithm selected for a given length.
+/// Algorithm selected for a given length: Stockham autosort (radix-8/4/2,
+/// then 3/5/7 stages) for every 2/3/5/7-smooth size, Bluestein otherwise.
 #[derive(Debug, Clone)]
 enum Algo {
     Stockham(StockhamPlan),
-    Radix2(Radix2Plan),
     Bluestein(BluesteinPlan),
 }
 
 impl Algo {
-    fn for_len(n: usize, engine: Engine) -> Algo {
-        if engine == Engine::Legacy && n.is_power_of_two() {
-            Algo::Radix2(Radix2Plan::new(n))
-        } else if crate::is_smooth(n) {
+    fn for_len(n: usize) -> Algo {
+        if crate::is_smooth(n) {
             Algo::Stockham(StockhamPlan::new(n))
         } else {
             Algo::Bluestein(BluesteinPlan::new(n))
@@ -107,7 +76,6 @@ impl Algo {
     fn scratch_len(&self) -> usize {
         match self {
             Algo::Stockham(p) => p.scratch_elems(),
-            Algo::Radix2(_) => 0,
             Algo::Bluestein(p) => p.scratch_elems(),
         }
     }
@@ -118,7 +86,6 @@ impl Algo {
     fn execute_scratch(&self, data: &mut [C64], dir: Direction, work: &mut [C64]) {
         match self {
             Algo::Stockham(p) => p.execute_scratch(data, dir, work),
-            Algo::Radix2(p) => p.execute(data, dir),
             Algo::Bluestein(p) => p.execute_with_scratch(data, dir, work),
         }
     }
@@ -130,7 +97,6 @@ impl Algo {
     fn panel_rows(&self) -> usize {
         match self {
             Algo::Stockham(p) => p.len(),
-            Algo::Radix2(p) => p.len(),
             Algo::Bluestein(p) => p.conv_len(),
         }
     }
@@ -147,14 +113,12 @@ impl Algo {
         match self {
             Algo::Stockham(p) => p.execute_interleaved(x, y, w, dir),
             Algo::Bluestein(p) => p.execute_interleaved(x, y, w, dir),
-            Algo::Radix2(_) => unreachable!("the legacy engine runs line by line"),
         }
     }
 
     fn name(&self) -> &'static str {
         match self {
             Algo::Stockham(_) => "stockham",
-            Algo::Radix2(_) => "radix2",
             Algo::Bluestein(_) => "bluestein",
         }
     }
@@ -209,34 +173,20 @@ pub struct Plan1d {
     batch: usize,
     input: Layout,
     output: Layout,
-    engine: Engine,
     algo: Algo,
 }
 
 impl Plan1d {
     /// Builds a plan for `batch` transforms of length `n` with explicit
-    /// input/output layouts, using the default [`Engine::Auto`].
+    /// input/output layouts.
     pub fn with_layout(n: usize, batch: usize, input: Layout, output: Layout) -> Plan1d {
-        Plan1d::with_engine(n, batch, input, output, Engine::Auto)
-    }
-
-    /// Builds a plan with an explicit kernel engine. [`Engine::Legacy`]
-    /// reproduces the pre-overhaul scalar path (reference/benchmark baseline).
-    pub fn with_engine(
-        n: usize,
-        batch: usize,
-        input: Layout,
-        output: Layout,
-        engine: Engine,
-    ) -> Plan1d {
         assert!(n > 0, "transform length must be positive");
         Plan1d {
             n,
             batch,
             input,
             output,
-            engine,
-            algo: Algo::for_len(n, engine),
+            algo: Algo::for_len(n),
         }
     }
 
@@ -278,20 +228,10 @@ impl Plan1d {
     /// Algorithm plus the butterfly tier the dispatcher would use *right
     /// now* (e.g. `"stockham+avx512"`), for probes and bench stamps. The
     /// tier is resolved per transform, not baked into the plan, so this
-    /// reflects the current `FFT_SIMD`/force state; only the legacy radix-2
-    /// path never dispatches (Bluestein's convolution rides Stockham), so it
-    /// reports plain `"radix2+scalar"`.
+    /// reflects the current `FFT_SIMD`/force state (Bluestein's convolution
+    /// rides Stockham, so it dispatches too).
     pub fn kernel_desc(&self) -> String {
-        let tier = match self.algo {
-            Algo::Radix2(_) => crate::simd::SimdTier::Scalar,
-            Algo::Stockham(_) | Algo::Bluestein(_) => crate::simd::active_tier(),
-        };
-        format!("{}+{}", self.algo.name(), tier.name())
-    }
-
-    /// Kernel engine this plan was built with.
-    pub fn engine(&self) -> Engine {
-        self.engine
+        format!("{}+{}", self.algo.name(), crate::simd::active_tier().name())
     }
 
     /// Lines per panel of the strided-batch path: as many as fit
@@ -406,9 +346,7 @@ impl Plan1d {
             self.scratch_elems()
         );
         let n = self.n;
-        // The legacy engine is the seed's per-line gather/scatter throughout.
-        let auto = self.engine != Engine::Legacy;
-        if auto && self.packed_rows() {
+        if self.packed_rows() {
             // Packed contiguous rows transform where they land: no data
             // movement beyond the butterflies (and, out of place, one copy).
             for b in lo..hi {
@@ -421,7 +359,7 @@ impl Plan1d {
             }
             return;
         }
-        if auto && self.panelable() {
+        if self.panelable() {
             // `dist == 1`: element `j` of lines `base..base+w` is one
             // contiguous run, i.e. row `j` of a lane-interleaved panel. Copy
             // the `n` runs in, transform all `w` lines at once, copy the
@@ -453,6 +391,8 @@ impl Plan1d {
             }
             return;
         }
+        // Gapped or mixed in≠out layouts: gather each line into a packed
+        // row, transform it, scatter it to the output layout.
         let (work, rest) = scratch.split_at_mut(self.algo.scratch_len());
         let row = &mut rest[..n];
         for b in lo..hi {
@@ -660,35 +600,26 @@ mod tests {
         assert_eq!(Plan1d::contiguous(64, 1).algo_name(), "stockham");
         assert_eq!(Plan1d::contiguous(60, 1).algo_name(), "stockham");
         assert_eq!(Plan1d::contiguous(13, 1).algo_name(), "bluestein");
-        let legacy = Plan1d::with_engine(
-            64,
-            1,
-            Layout::contiguous(64),
-            Layout::contiguous(64),
-            Engine::Legacy,
-        );
-        assert_eq!(legacy.algo_name(), "radix2");
-        assert_eq!(legacy.engine(), Engine::Legacy);
-        assert_eq!(Plan1d::contiguous(64, 1).engine(), Engine::Auto);
-        assert_eq!(Engine::Auto.name(), "auto");
-        assert_eq!(Engine::Legacy.name(), "legacy");
     }
 
     #[test]
-    fn engines_agree_on_strided_batches() {
+    fn strided_batches_agree_with_reference_radix2() {
         // Exercises the panel path (several full panels and a ragged tail)
-        // against the legacy per-line gather/scatter on the same transposed
-        // layout.
+        // against the reference radix-2 on each gathered line of the same
+        // transposed layout.
         let (n, batch) = (16usize, 100usize);
         let layout = Layout::strided(batch);
-        let auto = Plan1d::with_layout(n, batch, layout, layout);
-        let legacy = Plan1d::with_engine(n, batch, layout, layout, Engine::Legacy);
+        let plan = Plan1d::with_layout(n, batch, layout, layout);
+        let reference = crate::radix::Radix2Plan::new(n);
         let x = signal(n * batch);
         let mut a = x.clone();
-        let mut b = x;
-        auto.execute_inplace(&mut a, Direction::Forward);
-        legacy.execute_inplace(&mut b, Direction::Forward);
-        assert!(max_abs_diff(&a, &b) < 1e-9 * (n * batch) as f64);
+        plan.execute_inplace(&mut a, Direction::Forward);
+        for b in 0..batch {
+            let column = |v: &[C64]| -> Vec<C64> { (0..n).map(|j| v[j * batch + b]).collect() };
+            let mut want = column(&x);
+            reference.execute(&mut want, Direction::Forward);
+            assert!(max_abs_diff(&column(&a), &want) < 1e-9 * (n * batch) as f64);
+        }
     }
 
     #[test]
@@ -714,13 +645,6 @@ mod tests {
             Plan1d::with_layout(30, 100, Layout::strided(100), Layout::strided(100)),
             Plan1d::with_layout(480, 19, Layout::strided(19), Layout::strided(19)),
             gapped(40, 7),
-            Plan1d::with_engine(
-                16,
-                9,
-                Layout::strided(9),
-                Layout::strided(9),
-                Engine::Legacy,
-            ),
         ];
         for plan in cases {
             let x = signal(plan.required_input_len().max(plan.required_output_len()));

@@ -1,13 +1,11 @@
 //! Iterative radix-2 Cooley–Tukey transform for power-of-two sizes.
 //!
-//! Since the kernel-engine overhaul this is the **legacy reference
-//! engine**: the hot path for power-of-two lengths is the Stockham
-//! autosort kernel in [`stockham`](crate::stockham) (radix-8/4/2, no
-//! bit-reversal pass), which Bluestein's algorithm also uses for its inner
-//! convolutions. `Radix2Plan` is kept bit-exact as the seed baseline —
-//! selected by `Engine::Legacy` — so equivalence tests and A/B benchmarks
-//! compare the overhaul against the real original code, not a synthetic
-//! slowdown.
+//! A **test reference**, not an engine: every power-of-two length runs on
+//! the Stockham autosort kernel in [`stockham`](crate::stockham)
+//! (radix-8/4/2, no bit-reversal pass), which Bluestein's algorithm also
+//! uses for its inner convolutions, and no plan routes here. `Radix2Plan`
+//! stays as the independent oracle the equivalence suites call directly —
+//! the only one for 1024–4096 points, where the O(N²) DFT is too slow.
 
 use crate::complex::C64;
 use crate::plan::Direction;

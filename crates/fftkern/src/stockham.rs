@@ -3,8 +3,8 @@
 //! The workhorse of the kernel engine: any `n = 2^a·3^b·5^c·7^d` — the
 //! powers of two the paper benchmarks and the small-prime products PPPM
 //! grids use (§IV-D) — runs here; everything else goes through Bluestein.
-//! Unlike the textbook Cooley–Tukey in [`radix`](crate::radix) (kept as the
-//! legacy/reference path), the Stockham formulation folds the reordering
+//! Unlike the textbook Cooley–Tukey in [`radix`](crate::radix) (kept as a
+//! test reference), the Stockham formulation folds the reordering
 //! into the butterfly stages themselves: each stage reads one buffer and
 //! writes the other in permuted order, so no digit-reversal pass ever
 //! touches the data. The inner loop of every stage walks `s` *contiguous*

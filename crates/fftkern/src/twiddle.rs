@@ -7,7 +7,7 @@
 //! tables are interned here: the first request for a length pays the `O(n)`
 //! trig cost, every later plan shares the same allocation via `Arc`.
 //!
-//! The table for length `n` holds all `n` roots. The radix-2 engine only
+//! The table for length `n` holds all `n` roots. The radix-2 reference only
 //! reads the first `n/2` entries, the r2c untangle the first `n/2 + 1`; the
 //! Stockham stage tables are gathered from all of them. All index into the
 //! same shared table, so a `Radix2Plan`, a `StockhamPlan` and the real

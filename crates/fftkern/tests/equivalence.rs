@@ -1,11 +1,13 @@
 //! Exhaustive engine-equivalence suite (ISSUE 4 satellite).
 //!
 //! Sweeps every power of two in {2..4096} × batch {1, 3, 16} × layout
-//! {contiguous, strided} and checks that the Stockham engine, the legacy
-//! radix-2 engine, and (for small sizes) the naive O(N²) DFT all agree, and
-//! that forward∘inverse is the identity within `1e-9·log₂(n)` after
-//! normalization. Smooth non-pow2 lengths get the same batch × layout sweep
-//! against the DFT oracle.
+//! {contiguous, strided, gapped} and checks that the Stockham engine, the
+//! reference `Radix2Plan`, and (for small sizes) the naive O(N²) DFT all
+//! agree, and that forward∘inverse is the identity within `1e-9·log₂(n)`
+//! after normalization. Smooth non-pow2 lengths get the same batch × layout
+//! sweep against the DFT oracle, and the per-line gather/scatter route of
+//! `Plan1d` (gapped and mixed in≠out layouts) its own DFT check over pow2,
+//! smooth and Bluestein lengths.
 //!
 //! The strided-batch path transforms panels of adjacent lines at once
 //! (lane `l` of a Stockham stage run at `s·w` is line `l`), so a second
@@ -15,7 +17,8 @@
 
 use fftkern::dft::dft_1d;
 use fftkern::plan::{Layout, Plan1d};
-use fftkern::{Direction, Engine, C64};
+use fftkern::radix::Radix2Plan;
+use fftkern::{Direction, C64};
 
 /// Deterministic non-trivial signal (distinct per batch line).
 fn signal(len: usize) -> Vec<C64> {
@@ -37,12 +40,23 @@ fn max_abs_diff(a: &[C64], b: &[C64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Layouts under test for a given (n, batch): packed contiguous rows and the
-/// classic transposed access (stride = batch, dist = 1).
+/// Rows `2n` apart with elements 2 apart: neither packed nor `dist == 1`,
+/// so `Plan1d` gathers and scatters it line by line.
+fn gapped(n: usize) -> Layout {
+    Layout {
+        stride: 2,
+        dist: 2 * n,
+    }
+}
+
+/// Layouts under test for a given (n, batch), one per `Plan1d` route: packed
+/// contiguous rows, the classic transposed access (stride = batch,
+/// dist = 1), and a gapped one.
 fn layouts(n: usize, batch: usize) -> Vec<(Layout, &'static str)> {
     vec![
         (Layout::contiguous(n), "contiguous"),
         (Layout::strided(batch), "strided"),
+        (gapped(n), "gapped"),
     ]
 }
 
@@ -51,6 +65,20 @@ fn gather(data: &[C64], layout: Layout, n: usize, b: usize) -> Vec<C64> {
     (0..n)
         .map(|j| data[b * layout.dist + j * layout.stride])
         .collect()
+}
+
+/// Largest deviation of `y / n` from `x` over the lines of `layout`.
+fn roundtrip_err(x: &[C64], y: &[C64], layout: Layout, n: usize, batch: usize) -> f64 {
+    let inv_n = 1.0 / n as f64;
+    (0..batch)
+        .map(|b| {
+            let back: Vec<C64> = gather(y, layout, n, b)
+                .iter()
+                .map(|v| v.scale(inv_n))
+                .collect();
+            max_abs_diff(&back, &gather(x, layout, n, b))
+        })
+        .fold(0.0, f64::max)
 }
 
 #[test]
@@ -62,28 +90,24 @@ fn stockham_vs_radix2_vs_dft_all_pow2_batches_layouts() {
         let n = 1usize << log;
         for batch in [1usize, 3, 16] {
             for (layout, layout_name) in layouts(n, batch) {
-                let len = n * batch; // both layouts are dense in n·batch
-                let x = signal(len);
-                let auto = Plan1d::with_layout(n, batch, layout, layout);
-                let legacy = Plan1d::with_engine(n, batch, layout, layout, Engine::Legacy);
-                assert_eq!(auto.algo_name(), "stockham");
-                assert_eq!(legacy.algo_name(), "radix2");
-
+                let plan = Plan1d::with_layout(n, batch, layout, layout);
+                assert_eq!(plan.algo_name(), "stockham");
+                let reference = Radix2Plan::new(n);
+                let x = signal(plan.required_input_len());
                 let mut a = x.clone();
-                let mut l = x.clone();
-                auto.execute_inplace(&mut a, Direction::Forward);
-                legacy.execute_inplace(&mut l, Direction::Forward);
+                plan.execute_inplace(&mut a, Direction::Forward);
                 let tol = 1e-9 * (log as f64) * n as f64;
-                assert!(
-                    max_abs_diff(&a, &l) < tol,
-                    "stockham vs radix2 diverge: n={n} batch={batch} {layout_name}"
-                );
-
-                if n <= DFT_ORACLE_MAX {
-                    for b in 0..batch {
-                        let line = gather(&x, layout, n, b);
+                for b in 0..batch {
+                    let line = gather(&x, layout, n, b);
+                    let got = gather(&a, layout, n, b);
+                    let mut want = line.clone();
+                    reference.execute(&mut want, Direction::Forward);
+                    assert!(
+                        max_abs_diff(&got, &want) < tol,
+                        "stockham vs radix2 diverge: n={n} batch={batch} {layout_name} line={b}"
+                    );
+                    if n <= DFT_ORACLE_MAX {
                         let oracle = dft_1d(&line, Direction::Forward);
-                        let got = gather(&a, layout, n, b);
                         assert!(
                             max_abs_diff(&got, &oracle) < 1e-8 * n as f64,
                             "stockham vs DFT diverge: n={n} batch={batch} {layout_name} line={b}"
@@ -100,9 +124,9 @@ fn smooth_lengths_vs_dft_and_roundtrip_all_batches_layouts() {
     for n in [6usize, 12, 24, 30, 40, 45, 60, 120, 210, 360, 480] {
         for batch in [1usize, 3, 16] {
             for (layout, layout_name) in layouts(n, batch) {
-                let x = signal(n * batch);
                 let plan = Plan1d::with_layout(n, batch, layout, layout);
                 assert_eq!(plan.algo_name(), "stockham");
+                let x = signal(plan.required_input_len());
                 let mut y = x.clone();
                 plan.execute_inplace(&mut y, Direction::Forward);
                 for b in 0..batch {
@@ -113,12 +137,8 @@ fn smooth_lengths_vs_dft_and_roundtrip_all_batches_layouts() {
                     );
                 }
                 plan.execute_inplace(&mut y, Direction::Inverse);
-                let inv_n = 1.0 / n as f64;
-                for v in y.iter_mut() {
-                    *v = v.scale(inv_n);
-                }
                 assert!(
-                    max_abs_diff(&y, &x) < 1e-9 * (n as f64).log2(),
+                    roundtrip_err(&x, &y, layout, n, batch) < 1e-9 * (n as f64).log2(),
                     "roundtrip drift: n={n} batch={batch} {layout_name}"
                 );
             }
@@ -132,19 +152,15 @@ fn forward_inverse_identity_all_pow2_batches_layouts() {
         let n = 1usize << log;
         for batch in [1usize, 3, 16] {
             for (layout, layout_name) in layouts(n, batch) {
-                let x = signal(n * batch);
                 let plan = Plan1d::with_layout(n, batch, layout, layout);
+                let x = signal(plan.required_input_len());
                 let mut y = x.clone();
                 plan.execute_inplace(&mut y, Direction::Forward);
                 plan.execute_inplace(&mut y, Direction::Inverse);
-                let inv_n = 1.0 / n as f64;
-                for v in y.iter_mut() {
-                    *v = v.scale(inv_n);
-                }
                 // ISSUE 4 acceptance bound: identity within 1e-9·log2(n).
                 let tol = 1e-9 * log as f64;
                 assert!(
-                    max_abs_diff(&y, &x) < tol,
+                    roundtrip_err(&x, &y, layout, n, batch) < tol,
                     "roundtrip drift: n={n} batch={batch} {layout_name}"
                 );
             }
@@ -153,21 +169,61 @@ fn forward_inverse_identity_all_pow2_batches_layouts() {
 }
 
 #[test]
-fn out_of_place_matches_inplace_both_engines() {
-    for engine in [Engine::Auto, Engine::Legacy] {
-        for (n, batch) in [(256usize, 16usize), (64, 3)] {
-            for (layout, layout_name) in layouts(n, batch) {
-                let x = signal(n * batch);
-                let plan = Plan1d::with_engine(n, batch, layout, layout, engine);
-                let mut out = vec![C64::ZERO; n * batch];
-                plan.execute(&x, &mut out, Direction::Forward);
-                let mut inplace = x;
-                plan.execute_inplace(&mut inplace, Direction::Forward);
-                assert_eq!(
-                    bits(&out),
-                    bits(&inplace),
-                    "in/out-of-place differ: {engine:?} n={n} batch={batch} {layout_name}"
-                );
+fn out_of_place_matches_inplace() {
+    for (n, batch) in [(256usize, 16usize), (64, 3)] {
+        for (layout, layout_name) in layouts(n, batch) {
+            let plan = Plan1d::with_layout(n, batch, layout, layout);
+            let x = signal(plan.required_input_len());
+            // Out of place writes only the lines; start from the input so
+            // the gaps of a gapped layout compare equal too.
+            let mut out = x.clone();
+            plan.execute(&x, &mut out, Direction::Forward);
+            let mut inplace = x;
+            plan.execute_inplace(&mut inplace, Direction::Forward);
+            assert_eq!(
+                bits(&out),
+                bits(&inplace),
+                "in/out-of-place differ: n={n} batch={batch} {layout_name}"
+            );
+        }
+    }
+}
+
+#[test]
+fn gather_scatter_route_vs_dft() {
+    // The per-line route of `Plan1d::run_lines` — taken whenever the layouts
+    // are neither packed rows nor a `dist == 1` pair — against the O(N²)
+    // oracle: a gapped layout in place and out of place, and a mixed pair
+    // (strided in → contiguous out) that only exists out of place. Pow2,
+    // smooth and Bluestein lengths, both directions.
+    for n in [16usize, 60, 13] {
+        for batch in [1usize, 3, 16] {
+            let pairs = [
+                (gapped(n), gapped(n), "gapped"),
+                (Layout::strided(batch), Layout::contiguous(n), "mixed"),
+            ];
+            for (input, output, name) in pairs {
+                let plan = Plan1d::with_layout(n, batch, input, output);
+                let x = signal(plan.required_input_len());
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let check = |y: &[C64], how: &str| {
+                        for b in 0..batch {
+                            let oracle = dft_1d(&gather(&x, input, n, b), dir);
+                            assert!(
+                                max_abs_diff(&gather(y, output, n, b), &oracle) < 1e-9 * n as f64,
+                                "vs DFT: n={n} batch={batch} {name} {how} {dir:?} line={b}"
+                            );
+                        }
+                    };
+                    let mut out = vec![C64::ZERO; plan.required_output_len()];
+                    plan.execute(&x, &mut out, dir);
+                    check(&out, "out of place");
+                    if input == output {
+                        let mut inplace = x.clone();
+                        plan.execute_inplace(&mut inplace, dir);
+                        check(&inplace, "in place");
+                    }
+                }
             }
         }
     }

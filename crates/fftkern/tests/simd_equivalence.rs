@@ -19,7 +19,7 @@
 use fftkern::dft::dft_1d;
 use fftkern::plan::{Layout, Plan1d};
 use fftkern::simd::{self, SimdTier};
-use fftkern::{Direction, Engine, StockhamPlan, C64};
+use fftkern::{Direction, StockhamPlan, C64};
 use std::sync::Mutex;
 
 /// Serializes every test in this file around the process-global tier.
@@ -183,36 +183,6 @@ fn plan1d_bitwise_identical_across_tiers_layouts_and_algorithms() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn legacy_engine_ignores_simd_dispatch() {
-    // Engine::Legacy is the scalar radix-2 reference path; forcing a wide
-    // tier must not change a single bit of it (dispatch is wired into the
-    // Stockham engine only).
-    let _g = TIER_LOCK.lock().unwrap();
-    let n = 256;
-    let plan = Plan1d::with_engine(
-        n,
-        4,
-        Layout::contiguous(n),
-        Layout::contiguous(n),
-        Engine::Legacy,
-    );
-    let x = signal(plan.required_input_len());
-    let reference = with_tier(SimdTier::Scalar, || {
-        let mut d = x.clone();
-        plan.execute_inplace(&mut d, Direction::Forward);
-        d
-    });
-    for &tier in &available_tiers() {
-        let got = with_tier(tier, || {
-            let mut d = x.clone();
-            plan.execute_inplace(&mut d, Direction::Forward);
-            d
-        });
-        assert_eq!(bits(&got), bits(&reference), "tier {}", tier.name());
     }
 }
 

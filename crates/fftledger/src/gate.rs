@@ -1,6 +1,7 @@
 //! Phase-level regression gating against the ledger.
 //!
-//! `scripts/bench_compare` gates *totals*; this module gates *phases*.
+//! `fftbench`'s bounds gate *totals*; this module gates *phases*
+//! (`scripts/phase_gate` is its CI face).
 //! The difference matters exactly when a phase regression hides inside an
 //! unchanged makespan: on a wire-bound run, compute can inflate by 40%
 //! while the critical path still ends on the same recv-wait — total time
@@ -20,7 +21,7 @@ use crate::ledger::Ledger;
 use crate::record::LedgerRecord;
 
 /// Default regression threshold: fail when a phase grows by more than
-/// this fraction over baseline (matches `scripts/bench_compare`).
+/// this fraction over baseline (matches `scripts/phase_gate`).
 pub const DEFAULT_THRESHOLD: f64 = 0.25;
 
 /// One phase that regressed past the threshold.

@@ -42,7 +42,7 @@ pub const HOT_CRATES: [&str; 3] = ["fftkern", "distfft", "mpisim"];
 /// pooled scratch take/deposit and memoized plan/twiddle lookups. They may
 /// allocate on a cold miss by design (plan once, execute allocation-free),
 /// so the rule neither flags them nor descends into them.
-pub const HOT_EXEMPT_CALLEES: [&str; 14] = [
+pub const HOT_EXEMPT_CALLEES: [&str; 12] = [
     "take_empty",
     "take_zeroed",
     "take_buffer",
@@ -50,9 +50,7 @@ pub const HOT_EXEMPT_CALLEES: [&str; 14] = [
     "give",
     "kernel_for",
     "plan1d",
-    "plan1d_engine",
     "plan1d_contiguous",
-    "with_engine",
     "plan2d",
     "plan3d",
     "forward_table",

@@ -144,7 +144,7 @@ mod tests {
             ("mpisim".into(), FileKind::Test)
         );
         assert_eq!(
-            classify("crates/bench/benches/bench_snapshot.rs"),
+            classify("crates/bench/benches/sweep.rs"),
             ("bench".into(), FileKind::Bench)
         );
         assert_eq!(classify("src/lib.rs"), (String::new(), FileKind::Lib));

@@ -131,6 +131,40 @@ fn auto_chunking_profiles_like_a_tuned_fixed_k() {
 }
 
 #[test]
+fn overlap_protocol_times_are_pinned() {
+    // Absolute pin on the simulated clock of the two overlap paths: the
+    // paper's measurement protocol (2 warm-up + 4 timed transforms) on the
+    // 8-rank testbox pencil, monolithic vs chunked. Exact schedule-walker
+    // outputs, so any change to the overlap model, the walkers or the
+    // auto-k selection moves a literal here.
+    if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
+        return;
+    }
+    let machine = MachineSpec::testbox(2);
+    let sim_ns = |n: usize, chunks: usize| {
+        let opts = FftOptions {
+            reshape_chunks: chunks,
+            ..FftOptions::default()
+        };
+        let plan = FftPlan::build([n, n, n], RANKS, opts);
+        let mut runner = DryRunner::new(&plan, &machine, DryRunOpts::default());
+        runner.timed_average(2, 4).as_ns()
+    };
+    // (extent, chunked setting, monolithic ns, chunked ns): per-peer
+    // chunking at 64³ (pack/unpack hidden behind the wire), auto-k with
+    // transform-ahead at 128³ (next-axis butterflies hidden too).
+    for (n, chunks, mono_ns, chunked_ns) in [
+        (64, 8, 1_116_726, 1_092_732),
+        (128, 0, 8_278_108, 8_120_999),
+    ] {
+        let (mono, chunked) = (sim_ns(n, 1), sim_ns(n, chunks));
+        assert_eq!(mono, mono_ns, "{n}³ monolithic");
+        assert_eq!(chunked, chunked_ns, "{n}³ reshape_chunks = {chunks}");
+        assert!(chunked <= mono, "{n}³: overlap must not lengthen the run");
+    }
+}
+
+#[test]
 fn overlapping_chunk_spans_still_tile_the_window() {
     // The integer-nanosecond sweep must keep the per-rank partition exact
     // even when MPI-call and kernel spans overlap on one rank.

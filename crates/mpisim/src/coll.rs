@@ -428,8 +428,8 @@ pub fn alltoallw_partitioned_exit_times(
 ///
 /// Every member sends to every member anyway, so the metadata the pricer
 /// needs — the sender's entry times and byte row — rides on each payload
-/// in one rendezvous (`WorldOpts::fused_meta`; off = the pre-overhaul
-/// metadata allgather followed by the data round, kept for A/B benches).
+/// in one rendezvous (`WorldOpts::fused_meta`; off = a metadata allgather
+/// followed by the data round, the reference of the sanitizer A/B).
 pub fn exchange<T: Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,

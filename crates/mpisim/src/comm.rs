@@ -45,14 +45,14 @@ pub struct WorldOpts {
     pub compute_slowdown: Vec<(usize, f64)>,
     /// Memoize collective schedule pricing across calls (see
     /// [`crate::pattern::SchedMemo`]). Simulated times are identical either
-    /// way; disabling exists so A/B benchmarks can reproduce the
-    /// pre-memoization executor's wall-clock cost.
+    /// way; memo-off is the reference the sanitizer replay digests compare
+    /// the memoized run against.
     pub sched_memo: bool,
     /// Fuse the (entry time, byte row) metadata round of each data
     /// collective onto the data messages themselves (one rendezvous per
     /// collective instead of two). Results and simulated times are
-    /// identical either way; disabling exists for pre-overhaul A/B
-    /// benchmarks.
+    /// identical either way; the unfused two-round form is the reference
+    /// of the same sanitizer A/B.
     pub fused_meta: bool,
 }
 

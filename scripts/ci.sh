@@ -150,33 +150,11 @@ cmp "$TDIR/fig5.plain.out" "$TDIR/fig5.prof.out" || {
     exit 1
 }
 
-echo "== perf smoke: bench_compare =="
-# Regenerates a fresh bench_snapshot and compares it against the committed
-# BENCH_engine.json: a >25% regression of the acceptance headline or of the
-# strided-axis bench (the lane-interleaved panel path) fails the gate.
-scripts/bench_compare
-
-echo "== ledger smoke: fftdash self-diff =="
-# The run ledger must be invisible on stdout (same contract as traces and
-# profiles): fig5 with --ledger has to match the plain run byte-for-byte.
-# Then two identical ledgered runs must append records whose phase-level
-# diff is exactly zero — the dashboard's self-diff is the replay canary at
-# the attribution level.
-FFT_FIG5_MAX_NODES=8 ./target/debug/fig5 --ledger "$TDIR/ledger.jsonl" \
-    >"$TDIR/fig5.led.out" 2>"$TDIR/fig5.led.err"
-cmp "$TDIR/fig5.plain.out" "$TDIR/fig5.led.out" || {
-    echo "FAIL: --ledger changed figure stdout" >&2
-    exit 1
-}
-FFT_FIG5_MAX_NODES=8 ./target/debug/fig5 --ledger "$TDIR/ledger.jsonl" \
-    >/dev/null 2>>"$TDIR/fig5.led.err"
-cargo run --offline -q -p fftledger --bin fftdash -- \
-    --ledger "$TDIR/ledger.jsonl" --history --diff --assert-zero
-
-echo "== phase gate: bench_compare --phases =="
-# Phase-level regression gate against the committed ledger: fails naming
-# the phase that grew >25%, catching compensating shifts the total-time
-# gate above cannot see.
-scripts/bench_compare --phases
+echo "== ledger smoke + phase gate =="
+# One fig5 producer for every ledger check: `--ledger` invisible on stdout,
+# the fresh record's phases within 25% of the committed baseline of the same
+# config fingerprint (fails naming the phase), and two identical runs
+# self-diffing to exactly zero.
+scripts/phase_gate
 
 echo "CI green."
