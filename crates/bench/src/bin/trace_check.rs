@@ -8,11 +8,6 @@
 //!   document: `fftprof-profile-v1` schema, per-rank phase rows that sum
 //!   exactly to the makespan, a critical path, a contention account, and
 //!   the model-residual block.
-//! * `trace_check --sarif <report.sarif>` — an `fftlint --sarif` export:
-//!   SARIF 2.1.0 with the fftlint driver, a populated rule registry, and
-//!   every result carrying a known `ruleId` plus a physical location with
-//!   a positive line/column. This is an *independent* parser
-//!   (`fftobs::json`) cross-checking fftlint's hand-written emitter.
 //!
 //! Exits non-zero with a message on stderr on the first violation.
 
@@ -174,131 +169,20 @@ fn check_profile(doc: &Json) {
     );
 }
 
-fn check_sarif(doc: &Json) {
-    if doc.get("version").and_then(Json::as_str) != Some("2.1.0") {
-        fail("not a SARIF 2.1.0 document");
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_array)
-        .unwrap_or_else(|| fail("missing runs array"));
-    if runs.len() != 1 {
-        fail(&format!("expected exactly one run, found {}", runs.len()));
-    }
-    let run = &runs[0];
-    let driver = run
-        .get("tool")
-        .and_then(|t| t.get("driver"))
-        .unwrap_or_else(|| fail("missing tool.driver"));
-    if driver.get("name").and_then(Json::as_str) != Some("fftlint") {
-        fail("tool.driver.name is not fftlint");
-    }
-    let rules = driver
-        .get("rules")
-        .and_then(Json::as_array)
-        .unwrap_or_else(|| fail("missing tool.driver.rules"));
-    let mut rule_ids = std::collections::BTreeSet::new();
-    for r in rules {
-        let id = r
-            .get("id")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| fail("rule without an id"));
-        if r.get("shortDescription")
-            .and_then(|d| d.get("text"))
-            .and_then(Json::as_str)
-            .is_none_or(str::is_empty)
-        {
-            fail(&format!("rule '{id}' has no shortDescription text"));
-        }
-        rule_ids.insert(id.to_string());
-    }
-    if rule_ids.is_empty() {
-        fail("rule registry is empty");
-    }
-
-    let results = run
-        .get("results")
-        .and_then(Json::as_array)
-        .unwrap_or_else(|| fail("missing results array"));
-    let mut by_state = std::collections::BTreeMap::new();
-    for res in results {
-        let rule_id = res
-            .get("ruleId")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| fail("result without a ruleId"));
-        if !rule_ids.contains(rule_id) {
-            fail(&format!("result rule '{rule_id}' not in the registry"));
-        }
-        if res
-            .get("message")
-            .and_then(|m| m.get("text"))
-            .and_then(Json::as_str)
-            .is_none_or(str::is_empty)
-        {
-            fail(&format!("'{rule_id}' result has no message text"));
-        }
-        let region = res
-            .get("locations")
-            .and_then(Json::as_array)
-            .and_then(|l| l.first())
-            .and_then(|l| l.get("physicalLocation"))
-            .unwrap_or_else(|| fail(&format!("'{rule_id}' result has no physicalLocation")));
-        if region
-            .get("artifactLocation")
-            .and_then(|a| a.get("uri"))
-            .and_then(Json::as_str)
-            .is_none_or(str::is_empty)
-        {
-            fail(&format!("'{rule_id}' result has no artifact uri"));
-        }
-        for field in ["startLine", "startColumn"] {
-            let v = region
-                .get("region")
-                .and_then(|r| r.get(field))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            if v < 1.0 || v.fract() != 0.0 {
-                fail(&format!("'{rule_id}' result has a bad {field}: {v}"));
-            }
-        }
-        let state = res
-            .get("baselineState")
-            .and_then(Json::as_str)
-            .unwrap_or("(none)")
-            .to_string();
-        if !matches!(state.as_str(), "new" | "unchanged" | "(none)") {
-            fail(&format!("unknown baselineState '{state}'"));
-        }
-        *by_state.entry(state).or_insert(0usize) += 1;
-    }
-    let states: Vec<String> = by_state.iter().map(|(s, n)| format!("{n} {s}")).collect();
-    println!(
-        "ok: SARIF run with {} rules, {} results ({})",
-        rule_ids.len(),
-        results.len(),
-        if states.is_empty() {
-            "empty".to_string()
-        } else {
-            states.join(", ")
-        }
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mode, path) = match args.as_slice() {
-        [p] => ("trace", p.clone()),
-        [flag, p] if flag == "--profile" => ("profile", p.clone()),
-        [flag, p] if flag == "--sarif" => ("sarif", p.clone()),
-        _ => fail("usage: trace_check [--profile | --sarif] <file.json>"),
+    let (profile, path) = match args.as_slice() {
+        [p] => (false, p.clone()),
+        [flag, p] if flag == "--profile" => (true, p.clone()),
+        _ => fail("usage: trace_check [--profile] <file.json>"),
     };
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let doc =
         json::parse(&text).unwrap_or_else(|e| fail(&format!("{path} is not valid JSON: {e}")));
-    match mode {
-        "profile" => check_profile(&doc),
-        "sarif" => check_sarif(&doc),
-        _ => check_trace(&path, &doc),
+    if profile {
+        check_profile(&doc)
+    } else {
+        check_trace(&path, &doc)
     }
 }

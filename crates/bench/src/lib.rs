@@ -199,8 +199,7 @@ pub fn fmt_ms(t: SimTime) -> String {
 ///
 /// * `--trace-out <file>` — export the harness's per-rank timeline as
 ///   Chrome-trace JSON (load in `chrome://tracing` / <https://ui.perfetto.dev>).
-/// * `--metrics` (or env `FFT_METRICS=1`) — print the span summary and the
-///   global metrics snapshot.
+/// * `--metrics` — print the span summary and the global metrics snapshot.
 /// * `--profile-out <file>` — write the harness's [`fftprof::Profile`]
 ///   (phase attribution, critical path, contention, model residual) as JSON
 ///   to `<file>` and collapsed stacks to `<file>.folded`.
@@ -221,8 +220,7 @@ pub struct Obs {
 impl Obs {
     /// Parses `--trace-out <file>` / `--profile-out <file>` /
     /// `--ledger <file>` / `--metrics` from `std::env::args` and enables
-    /// metric recording when any is requested. `FFT_LEDGER=<file>` is the
-    /// env-var spelling of `--ledger` for harnesses driven by scripts.
+    /// metric recording when any is requested.
     pub fn from_env() -> Obs {
         let mut obs = Obs::default();
         let mut args = std::env::args().skip(1);
@@ -249,16 +247,6 @@ impl Obs {
                 "--metrics" => obs.metrics = true,
                 _ => {}
             }
-        }
-        if obs.ledger_out.is_none() {
-            if let Some(path) = fftobs::env::raw_var("FFT_LEDGER") {
-                if !path.trim().is_empty() {
-                    obs.ledger_out = Some(std::path::PathBuf::from(path));
-                }
-            }
-        }
-        if fftobs::env::raw_var("FFT_METRICS").is_some_and(|v| v == "1") {
-            obs.metrics = true;
         }
         if obs.active() {
             fftobs::set_enabled(true);

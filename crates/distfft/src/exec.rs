@@ -45,22 +45,10 @@ pub fn exec_threads() -> usize {
 /// (a 16³ per-rank grid is 4 096 elements — microseconds of math), so small
 /// problems run inline on worker 0 even when the context owns several
 /// arenas. The gate is a pure function of the data sizes, so scheduling —
-/// and therefore per-arena [`PoolStats`] — stays deterministic.
-const PAR_MIN_ELEMS: usize = 8192;
-
-/// The grain gate, overridable via `FFT_EXEC_GRAIN` (parsed like
-/// `FFT_EXEC_THREADS`: integer, clamped ≥ 1, warn-once on garbage) so bench
-/// sweeps can probe the fan-out threshold without rebuilds. Read once per
-/// process: both the take side (`run_local_fft`/`run_reshape` deciding
-/// worker count) and the recycle side consult this value, and they must
-/// agree for the arena pools to stay balanced — a per-call env read could
-/// in principle see a mutated environment mid-transform.
-pub fn par_min_elems() -> usize {
-    static GRAIN: OnceLock<usize> = OnceLock::new();
-    *GRAIN.get_or_init(|| {
-        fftobs::env::positive_var("FFT_EXEC_GRAIN", "the built-in grain (8192)")
-            .unwrap_or(PAR_MIN_ELEMS)
-    })
+/// and therefore per-arena [`PoolStats`] — stays deterministic. Ledger
+/// records carry the value in their fingerprint (`exec_grain`).
+pub const fn par_min_elems() -> usize {
+    8192
 }
 
 /// How the per-peer reshape chunk count is chosen.
@@ -133,53 +121,13 @@ pub fn effective_group_chunks(setting: usize, group_size: usize) -> usize {
 /// ([`mpisim::par::par_parts`]). Work unit `i` always runs on worker
 /// `i % threads` against that worker's arena, so results stay bit-identical
 /// to the serial path and per-arena [`PoolStats`] stay deterministic.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ExecCtx {
     strided_seen: BTreeSet<(usize, usize, bool)>,
     call_counter: u64,
     /// One scratch arena per executor worker; `arenas[0]` doubles as the
     /// serial/chunk-level pool (new layouts, retired arrays).
     arenas: Vec<ExecScratch>,
-    /// Completed [`execute`] calls through this context.
-    runs: u64,
-    /// Run-completion observer (see [`on_run_completion`]
-    /// (ExecCtx::on_run_completion)).
-    on_run: Option<RunHook>,
-}
-
-/// A run-completion observer: shared so a cloned context keeps reporting
-/// to the same sink.
-pub type RunHook = std::sync::Arc<dyn Fn(&ExecRunSummary) + Send + Sync>;
-
-impl std::fmt::Debug for ExecCtx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecCtx")
-            .field("strided_seen", &self.strided_seen)
-            .field("call_counter", &self.call_counter)
-            .field("arenas", &self.arenas)
-            .field("runs", &self.runs)
-            .field("on_run", &self.on_run.as_ref().map(|_| "<hook>"))
-            .finish()
-    }
-}
-
-/// What one completed [`execute`] call looked like from its context —
-/// handed to the [`ExecCtx::on_run_completion`] observer. Everything here
-/// is already-computed bookkeeping: assembling the summary adds no timing
-/// work, and the observer runs after `rank.clock` has synced, so it can
-/// never perturb simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecRunSummary {
-    /// 1-based sequence number of this run within the context.
-    pub seq: u64,
-    /// Local complex elements transformed (per-rank volume × batch).
-    pub elems: usize,
-    /// Executor worker count of the context.
-    pub threads: usize,
-    /// Simulated duration of this run, ns.
-    pub elapsed_ns: u64,
-    /// Cumulative scratch-pool statistics (all arenas, all runs so far).
-    pub pool: PoolStats,
 }
 
 impl Default for ExecCtx {
@@ -201,25 +149,7 @@ impl ExecCtx {
             strided_seen: BTreeSet::new(),
             call_counter: 0,
             arenas: vec![ExecScratch::default(); threads.max(1)],
-            runs: 0,
-            on_run: None,
         }
-    }
-
-    /// Installs an observer called once at the end of every [`execute`]
-    /// through this context, with that run's [`ExecRunSummary`]. This is
-    /// the emit hook the performance ledger rides on: a bench harness
-    /// installs a closure that forwards pool/throughput numbers into its
-    /// ledger record, and the executor itself stays free of any ledger
-    /// dependency. Observers observe — the summary is computed after the
-    /// rank clock has synced, so a hook can never alter simulated time.
-    pub fn on_run_completion(&mut self, hook: RunHook) {
-        self.on_run = Some(hook);
-    }
-
-    /// Completed [`execute`] calls through this context.
-    pub fn runs(&self) -> u64 {
-        self.runs
     }
 
     /// Executor worker count (≥ 1; 1 means fully serial).
@@ -525,17 +455,6 @@ pub fn execute(
         .max(rank.now())
         .max(data_ready.iter().copied().fold(SimTime::ZERO, SimTime::max));
     rank.clock.sync_to(total);
-    ctx.runs += 1;
-    if let Some(hook) = &ctx.on_run {
-        let summary = ExecRunSummary {
-            seq: ctx.runs,
-            elems: expect * plan.opts.batch,
-            threads: ctx.threads(),
-            elapsed_ns: total.as_ns() - t0.as_ns(),
-            pool: ctx.pool_stats(),
-        };
-        hook(&summary);
-    }
     ExecResult { trace, total }
 }
 
@@ -768,7 +687,7 @@ fn run_reshape(
         } else {
             // Grain gate: pack/unpack of a tiny chunk runs inline on
             // arena 0 — the same decision on take and recycle sides, so
-            // per-arena pool traffic stays balanced (see PAR_MIN_ELEMS).
+            // per-arena pool traffic stays balanced (see `par_min_elems`).
             let vol = call.items * from_box.volume().max(to_box.volume());
             let w = if vol < par_min_elems() {
                 1
@@ -956,14 +875,6 @@ mod tests {
         assert_eq!(fftobs::env::parse_positive("4"), Some(4));
         assert_eq!(fftobs::env::parse_positive("0"), Some(1));
         assert_eq!(fftobs::env::parse_positive("fourteen"), None);
-    }
-
-    #[test]
-    fn grain_gate_is_stable_within_a_process() {
-        // Take and recycle sides of the executor both consult this; a
-        // flapping value would unbalance the per-arena pools.
-        assert_eq!(super::par_min_elems(), super::par_min_elems());
-        assert!(super::par_min_elems() >= 1);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, Value};
+use fftobs::json::{self, Json};
+
 use crate::rules::{Finding, ALL_RULES};
 
 /// Schema tag written into (and required from) every baseline file.
@@ -104,17 +105,17 @@ pub fn render(findings: &[Finding]) -> String {
 /// malformed members are hard errors — a corrupt baseline must never be
 /// silently treated as empty.
 pub fn parse(text: &str) -> Result<Vec<Finding>, String> {
-    let doc = json::parse(text)?;
-    match doc.get("schema").and_then(Value::as_str) {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    match doc.get("schema").and_then(Json::as_str) {
         Some(s) if s == SCHEMA => {}
         other => return Err(format!("bad baseline schema {other:?}, want \"{SCHEMA}\"")),
     }
-    let Some(items) = doc.get("findings").and_then(Value::as_arr) else {
+    let Some(items) = doc.get("findings").and_then(Json::as_array) else {
         return Err("baseline missing \"findings\" array".to_string());
     };
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        let field = |k: &str| -> Result<&Value, String> {
+        let field = |k: &str| -> Result<&Json, String> {
             item.get(k)
                 .ok_or_else(|| format!("baseline finding #{i} missing \"{k}\""))
         };
@@ -134,7 +135,7 @@ pub fn parse(text: &str) -> Result<Vec<Finding>, String> {
         };
         let n = |k: &str| -> Result<u32, String> {
             field(k)?
-                .as_num()
+                .as_f64()
                 .filter(|x| *x >= 0.0 && x.fract() == 0.0)
                 .map(|x| x as u32)
                 .ok_or_else(|| format!("baseline finding #{i}: \"{k}\" not a u32"))

@@ -1,6 +1,7 @@
 //! `fftlint` — workspace determinism linter.
 //!
-//! A dependency-free static analyzer (hand-written lexer, no syn/proc-macro)
+//! A static analyzer with no third-party dependency (hand-written lexer, no
+//! syn/proc-macro; JSON through the equally dependency-free `fftobs::json`)
 //! that enforces the project's simulated-time contract at build time:
 //! simulated durations, trace events, and figure stdout must be bit-identical
 //! across executor thread counts, scheduler memoization modes, and reruns,
@@ -10,8 +11,7 @@
 //! workspace-wide call graph for the interprocedural rules. The rules (see
 //! [`rules`]) are deny-by-default; the escape hatches are an inline
 //! `// fftlint:allow(<rule-id>): <justification>` comment and, for the
-//! reviewed pre-existing stock, the committed [`baseline`]. Findings can
-//! also be exported as SARIF 2.1.0 ([`sarif`]).
+//! reviewed pre-existing stock, the committed [`baseline`].
 //!
 //! The companion *runtime* half of the contract lives behind
 //! `--features sanitize` in `mpisim`/`distfft` (replay digests, pool leak
@@ -22,10 +22,8 @@
 
 pub mod baseline;
 pub mod graph;
-pub mod json;
 pub mod lex;
 pub mod rules;
-pub mod sarif;
 pub mod tree;
 
 pub use graph::Analysis;

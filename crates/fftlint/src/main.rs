@@ -5,9 +5,8 @@
 //! fftlint <file.rs>...                    lint specific files
 //! fftlint --workspace --baseline B        suppress findings pinned in B; stale pins fail
 //! fftlint --workspace --write-baseline B  regenerate the baseline from current findings
-//! fftlint --workspace --sarif OUT         also export SARIF 2.1.0 to OUT
 //! fftlint --workspace --diff REF          report only files changed vs git REF
-//! fftlint --list-rules                    print rule ids and one-line summaries
+//! fftlint --list-rules                    print the rule ids
 //! ```
 //!
 //! `--diff` narrows *reporting*, not analysis: the call graph is always
@@ -21,15 +20,11 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fftlint::sarif::BaselineState;
-use fftlint::Finding;
-
 struct Opts {
     workspace: bool,
     explicit: Vec<PathBuf>,
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
-    sarif: Option<PathBuf>,
     diff: Option<String>,
 }
 
@@ -39,7 +34,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         explicit: Vec::new(),
         baseline: None,
         write_baseline: None,
-        sarif: None,
         diff: None,
     };
     let mut i = 0;
@@ -57,7 +51,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--write-baseline" => {
                 o.write_baseline = Some(PathBuf::from(value("--write-baseline")?))
             }
-            "--sarif" => o.sarif = Some(PathBuf::from(value("--sarif")?)),
             "--diff" => o.diff = Some(value("--diff")?),
             _ if a.starts_with("--") => return Err(format!("unknown flag {a}")),
             _ => o.explicit.push(PathBuf::from(a)),
@@ -193,24 +186,6 @@ fn main() -> ExitCode {
         stale.clear();
     }
 
-    if let Some(path) = &opts.sarif {
-        let mut results: Vec<(Finding, Option<BaselineState>)> = Vec::new();
-        let classify = opts.baseline.is_some();
-        for f in &new {
-            results.push((f.clone(), classify.then_some(BaselineState::New)));
-        }
-        for f in &unchanged {
-            results.push((f.clone(), classify.then_some(BaselineState::Unchanged)));
-        }
-        results.sort_by(|a, b| {
-            (&a.0.path, a.0.line, a.0.col, a.0.rule).cmp(&(&b.0.path, b.0.line, b.0.col, b.0.rule))
-        });
-        if let Err(e) = std::fs::write(path, fftlint::sarif::render(&results)) {
-            eprintln!("fftlint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
     for f in &new {
         println!("{f}");
     }
@@ -243,7 +218,6 @@ USAGE:
     fftlint <file.rs>...                    lint specific files
     fftlint --workspace --baseline B        suppress findings pinned in B; stale pins fail
     fftlint --workspace --write-baseline B  regenerate the baseline from current findings
-    fftlint --workspace --sarif OUT         also export SARIF 2.1.0 to OUT
     fftlint --workspace --diff REF          report only files changed vs git REF
     fftlint --list-rules                    print the rule ids
 

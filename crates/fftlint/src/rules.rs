@@ -17,7 +17,7 @@
 //! The four interprocedural rules (`no-alloc-in-hot-path`,
 //! `env-read-outside-fftobs`, `lock-order`, `panic-reachable-from-exec`)
 //! live in [`crate::graph`]; their ids are registered here so every
-//! consumer (CLI, SARIF, baseline) sees one list.
+//! consumer (CLI, baseline) sees one list.
 
 use crate::lex::{Scanned, Tok};
 
@@ -40,7 +40,7 @@ pub const LOCK_ORDER: &str = "lock-order";
 /// Rule id: panic site transitively reachable from executor entry points.
 pub const PANIC_REACHABLE_FROM_EXEC: &str = "panic-reachable-from-exec";
 
-/// Every rule id, for `--list-rules`, SARIF metadata, and fixture tests.
+/// Every rule id, for `--list-rules`, the baseline parser and fixture tests.
 /// The first five are per-file token rules (this module); the last four
 /// are the interprocedural call-graph rules in [`crate::graph`].
 pub const ALL_RULES: [&str; 9] = [
@@ -54,29 +54,6 @@ pub const ALL_RULES: [&str; 9] = [
     LOCK_ORDER,
     PANIC_REACHABLE_FROM_EXEC,
 ];
-
-/// One-line summary per rule id, for SARIF `rules` metadata and
-/// `--list-rules` consumers.
-pub fn summary(rule: &str) -> &'static str {
-    match rule {
-        _ if rule == NO_WALLCLOCK => "host-clock read in a simulated-time crate",
-        _ if rule == NO_UNORDERED_ITER => "HashMap/HashSet iteration order is nondeterministic",
-        _ if rule == NO_UNSAFE => "unsafe code is forbidden across the workspace",
-        _ if rule == NO_PANIC_IN_LIB => "unwrap/expect in library code",
-        _ if rule == FLOAT_REDUCTION_ORDER => {
-            "parallel f64 reduction without an index-ordered merge"
-        }
-        _ if rule == NO_ALLOC_IN_HOT_PATH => {
-            "allocation inside or transitively below a fftlint:hot function"
-        }
-        _ if rule == ENV_READ_OUTSIDE_FFTOBS => "process environment read outside fftobs::env",
-        _ if rule == LOCK_ORDER => "locks acquired in an order seen reversed elsewhere",
-        _ if rule == PANIC_REACHABLE_FROM_EXEC => {
-            "panic site transitively reachable from an executor entry point"
-        }
-        _ => "unknown rule",
-    }
-}
 
 /// Crates whose timelines are simulated: a host-clock read there can leak
 /// wall time into simulated results, the exact failure class the replay

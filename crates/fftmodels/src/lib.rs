@@ -15,10 +15,8 @@ pub mod literature;
 pub mod par;
 pub mod phase;
 pub mod tuner;
-pub mod wisdom;
 
 pub use bandwidth::ModelParams;
 pub use par::{par_map, sweep_threads};
 pub use phase::{phase_diagram, predict_decomp, PhasePoint};
 pub use tuner::{tune, TunedChoice};
-pub use wisdom::{Wisdom, WisdomEntry};

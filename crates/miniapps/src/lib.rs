@@ -3,7 +3,7 @@
 //! # miniapps — application workloads over the distributed FFT
 //!
 //! Section IV-D of the paper shows the FFT tuning pays off inside real
-//! applications. This crate rebuilds the three application shapes the paper
+//! applications. This crate rebuilds three application shapes the paper
 //! names:
 //!
 //! * [`md`] — a LAMMPS-like molecular-dynamics mini-app whose KSPACE
@@ -17,14 +17,10 @@
 //! * [`spectral`] — a pseudo-spectral turbulence-style step (forward
 //!   transform, dealiasing, spectral derivative, inverse), the workload
 //!   class of reference \[28\] that motivates batched transforms.
-//! * [`warpx`] — a WarpX-style PSATD field push, the `MPI_Alltoallw` +
-//!   derived-datatype application the paper says benefits from GPU-aware
-//!   MPI.
 
 pub mod md;
 pub mod poisson;
 pub mod spectral;
-pub mod warpx;
 
 pub use md::{run_rhodopsin, MdBreakdown, RhodopsinConfig};
 pub use poisson::{solve_poisson_distributed, PoissonResult};

@@ -604,19 +604,12 @@ pub fn bcast<T: Clone + Send + 'static>(
         let v = value.expect("checked above");
         for i in 0..comm.size() {
             if i != comm.me() {
-                rank.post_raw(
-                    comm.id(),
-                    comm.member(i),
-                    tag,
-                    Box::new(v.clone()),
-                    SimTime::ZERO,
-                );
+                rank.post_raw(comm.id(), comm.member(i), tag, Box::new(v.clone()));
             }
         }
         v
     } else {
-        let (v, _) = rank.recv_typed::<T>((comm.id(), comm.member(root), tag));
-        v
+        rank.recv_typed::<T>((comm.id(), comm.member(root), tag))
     };
     let np = net_params(rank);
     let exit = pattern::tree_time(&np, &env, comm.members(), &entries, bytes, false);

@@ -1,31 +1,35 @@
 //! World, ranks, communicators and the mailbox transport.
 //!
 //! Rank programs execute on real threads and exchange real (typed) payloads
-//! through per-rank mailboxes. Simulated time is carried *on* the messages:
-//! an envelope holds the simulated arrival instant computed by the cost
-//! model, and a receive synchronizes the receiver's clock forward to it.
+//! through per-rank mailboxes. The mailbox is a zero-cost *control plane*
+//! (`control_allgather`, `control_exchange`): it moves data and lets
+//! collective implementations agree on entry times and byte counts, and it
+//! never touches a clock. No message carries a timestamp; simulated time
+//! advances only when [`crate::coll`] prices a whole operation with the
+//! pure schedule walkers in [`crate::pattern`] — identically on every rank,
+//! and identically to the analytic dry-run.
 //!
-//! A zero-cost *control plane* (`control_allgather`, `control_exchange`)
-//! lets collective implementations agree on entry times and byte counts so
-//! the pure schedule walkers in [`crate::pattern`] can price the operation
-//! identically on every rank — and identically to the analytic dry-run.
+//! Mailbox invariant: a rank's mailbox never holds two envelopes with the
+//! same `(communicator, source, tag)` key. Every collective draws a fresh
+//! per-communicator tag (`Rank::ctrl_tag`; all members call collectives
+//! on a communicator in the same order, so the counters agree) and a
+//! member posts at most one envelope per destination under it. A receive
+//! is therefore an exact key match: a rank that has raced several
+//! collectives ahead of a slow peer leaves envelopes under *later* tags in
+//! that peer's mailbox, and none of them can be taken for an earlier call.
+//! `World::post` checks the invariant in debug builds.
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use simgrid::{MachineSpec, SimClock, SimTime};
 
 use crate::distro::MpiDistro;
-use crate::pattern::PhaseEnv;
 
 /// Matching key of a message: (communicator id, source world rank, tag).
 pub(crate) type MatchKey = (u64, usize, u64);
-
-/// Tag bit marking zero-cost control-plane traffic.
-pub(crate) const CONTROL_BIT: u64 = 1 << 63;
 
 /// Global options of a simulated MPI world.
 #[derive(Debug, Clone)]
@@ -70,14 +74,10 @@ impl Default for WorldOpts {
     }
 }
 
-/// One in-flight message.
+/// One in-flight message; `key` is unique within the mailbox holding it.
 pub(crate) struct Envelope {
     pub key: MatchKey,
     pub payload: Box<dyn Any + Send>,
-    /// Simulated arrival instant ([`SimTime::ZERO`] for control traffic).
-    pub arrival: SimTime,
-    /// Global posting order, for FIFO tie-breaking.
-    pub seq: u64,
 }
 
 #[derive(Default)]
@@ -92,7 +92,6 @@ pub struct World {
     opts: WorldOpts,
     nranks: usize,
     mailboxes: Vec<Mailbox>,
-    seq: AtomicU64,
     /// Shared collective-schedule memo (spec/seed/noise are fixed per
     /// world, which is what makes one memo per world sound).
     sched_memo: crate::pattern::SchedMemo,
@@ -107,7 +106,6 @@ impl World {
             opts,
             nranks,
             mailboxes: (0..nranks).map(|_| Mailbox::default()).collect(),
-            seq: AtomicU64::new(0),
             sched_memo: crate::pattern::SchedMemo::default(),
         }
     }
@@ -144,13 +142,17 @@ impl World {
 
     pub(crate) fn post(&self, dst: usize, env: Envelope) {
         let mb = &self.mailboxes[dst];
-        mb.q.lock().push(env);
+        {
+            let mut q = mb.q.lock();
+            debug_assert!(
+                q.iter().all(|e| e.key != env.key),
+                "two in-flight envelopes under one (comm, src, tag) key {:?}",
+                env.key
+            );
+            q.push(env);
+        }
         // Exactly one thread (the owning rank) ever waits on a mailbox.
         mb.cv.notify_one();
-    }
-
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Runs one rank program per rank on its own thread and returns their
@@ -189,30 +191,24 @@ impl World {
     }
 }
 
-/// Per-rank execution handle: identity, simulated clock, NIC serialization
-/// state and the current phase environment for point-to-point pricing.
+/// Per-rank execution handle: identity, simulated clock and the
+/// per-communicator collective call counters.
 pub struct Rank<'w> {
     world: &'w World,
     rank: usize,
     /// The rank's simulated clock. Public so executors can advance it by
     /// modeled kernel durations.
     pub clock: SimClock,
-    /// Instant until which this rank's injection port is busy.
-    pub(crate) nic_free_at: SimTime,
     ctrl_counters: BTreeMap<u64, u64>,
-    phase_env: PhaseEnv,
 }
 
 impl<'w> Rank<'w> {
     fn new(world: &'w World, rank: usize) -> Rank<'w> {
-        let phase_env = PhaseEnv::quiet(world.opts.gpu_aware);
         Rank {
             world,
             rank,
             clock: SimClock::new(),
-            nic_free_at: SimTime::ZERO,
             ctrl_counters: BTreeMap::new(),
-            phase_env,
         }
     }
 
@@ -241,82 +237,58 @@ impl<'w> Rank<'w> {
         self.clock.advance_ns(ns);
     }
 
-    /// Sets the phase environment used to price subsequent point-to-point
-    /// traffic (NIC sharing, active node count, peer count, phase id).
-    pub fn set_phase_env(&mut self, env: PhaseEnv) {
-        self.phase_env = env;
-    }
-
-    /// Current phase environment.
-    pub fn phase_env(&self) -> PhaseEnv {
-        self.phase_env
-    }
-
-    /// Allocates the next control tag for a communicator. All members call
-    /// collectives in the same order (an MPI requirement), so the counters
-    /// agree across ranks.
+    /// Allocates the next collective tag for a communicator. All members
+    /// call collectives in the same order (an MPI requirement), so the
+    /// counters agree across ranks.
     pub(crate) fn ctrl_tag(&mut self, comm_id: u64) -> u64 {
         let c = self.ctrl_counters.entry(comm_id).or_insert(0);
-        let tag = CONTROL_BIT | *c;
+        let tag = *c;
         *c += 1;
         tag
     }
 
-    /// Posts a message to `dst` (world rank) with an explicit simulated
-    /// arrival time.
+    /// Posts a message to `dst` (world rank).
     pub(crate) fn post_raw(
         &self,
         comm_id: u64,
         dst_world: usize,
         tag: u64,
         payload: Box<dyn Any + Send>,
-        arrival: SimTime,
     ) {
         let env = Envelope {
             key: (comm_id, self.rank, tag),
             payload,
-            arrival,
-            seq: self.world.next_seq(),
         };
         self.world.post(dst_world, env);
     }
 
     /// Blocks until a message matching one of `keys` is available; returns
-    /// the index of the matched key and the envelope. Among simultaneously
-    /// available matches the earliest (arrival, seq) wins — the `waitany`
-    /// completion order.
+    /// the index of the matched key and the envelope. Keys are unique in a
+    /// mailbox, so which of several available matches comes back first only
+    /// decides harvest order, which no caller's result depends on.
     pub(crate) fn recv_matching(&mut self, keys: &[MatchKey]) -> (usize, Envelope) {
         let mb = &self.world.mailboxes[self.rank];
         let mut q = mb.q.lock();
         loop {
-            let mut best: Option<(usize, usize, SimTime, u64)> = None; // (q idx, key idx, arrival, seq)
-            for (qi, env) in q.iter().enumerate() {
-                if let Some(ki) = keys.iter().position(|k| *k == env.key) {
-                    let cand = (qi, ki, env.arrival, env.seq);
-                    best = match best {
-                        None => Some(cand),
-                        Some(b) if (cand.2, cand.3) < (b.2, b.3) => Some(cand),
-                        Some(b) => Some(b),
-                    };
-                }
-            }
-            if let Some((qi, ki, _, _)) = best {
-                let env = q.swap_remove(qi);
-                return (ki, env);
+            let hit = q.iter().enumerate().find_map(|(qi, env)| {
+                let ki = keys.iter().position(|k| *k == env.key)?;
+                Some((qi, ki))
+            });
+            if let Some((qi, ki)) = hit {
+                return (ki, q.swap_remove(qi));
             }
             mb.cv.wait(&mut q);
         }
     }
 
-    /// Receives a typed control/data payload for an exact key.
-    pub(crate) fn recv_typed<T: 'static>(&mut self, key: MatchKey) -> (T, SimTime) {
+    /// Receives a typed payload for an exact key.
+    pub(crate) fn recv_typed<T: 'static>(&mut self, key: MatchKey) -> T {
         let (_, env) = self.recv_matching(&[key]);
-        let arrival = env.arrival;
         let payload = env
             .payload
             .downcast::<T>()
             .unwrap_or_else(|_| panic!("type mismatch on message {key:?}"));
-        (*payload, arrival)
+        *payload
     }
 }
 
@@ -405,7 +377,7 @@ impl Comm {
         let tag = rank.ctrl_tag(self.id);
         for (i, &w) in self.members.iter().enumerate() {
             if i != self.my_index {
-                rank.post_raw(self.id, w, tag, Box::new(value.clone()), SimTime::ZERO);
+                rank.post_raw(self.id, w, tag, Box::new(value.clone()));
             }
         }
         let mut out: Vec<Option<T>> = vec![None; self.size()];
@@ -436,7 +408,7 @@ impl Comm {
             if i == self.my_index {
                 own = Some(item);
             } else {
-                rank.post_raw(self.id, self.member(i), tag, Box::new(item), SimTime::ZERO);
+                rank.post_raw(self.id, self.member(i), tag, Box::new(item));
             }
         }
         let mut out: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
@@ -597,24 +569,5 @@ mod tests {
         });
         assert_ne!(out[0].0, out[0].1);
         assert_eq!(out[0].0, out[1].0);
-    }
-
-    #[test]
-    fn messages_carry_arrival_times() {
-        let w = world(2);
-        let out = w.run(|r| {
-            let comm = Comm::world(r);
-            if r.rank() == 0 {
-                r.post_raw(comm.id(), 1, 42, Box::new(123u32), SimTime::from_us(5));
-                0
-            } else {
-                let (v, arrival) = r.recv_typed::<u32>((comm.id(), 0, 42));
-                assert_eq!(v, 123);
-                assert_eq!(arrival, SimTime::from_us(5));
-                r.clock.sync_to(arrival);
-                r.now().as_ns() as usize
-            }
-        });
-        assert_eq!(out[1], 5_000);
     }
 }

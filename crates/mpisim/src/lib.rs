@@ -8,13 +8,14 @@
 //! `simgrid` cost model, never wall-clock), so every run is deterministic.
 //!
 //! Provided surface (Table I of the paper — every routine used by the FFT
-//! libraries the paper surveys):
+//! libraries the paper surveys), each family timed as the paper times it:
+//! one whole exchange per reshape, never one message at a time.
 //!
 //! | family | routines |
 //! |---|---|
-//! | Point-to-point | `send`, `isend`, `irecv`, `sendrecv`, `wait`, `waitany` |
-//! | All-to-All | `alltoall`, `alltoallv`, `alltoallw` |
-//! | Support | `barrier`, `bcast`, `allreduce`, `allgather`, `comm.split` |
+//! | Point-to-point | [`coll::p2p_exchange`] / [`coll::p2p_exchange_partitioned`] under [`P2pFlavor::Blocking`] (`MPI_Send` + receive loop) or [`P2pFlavor::NonBlocking`] (posted sends, completion in arrival order) |
+//! | All-to-All | [`coll::exchange`] with [`coll::ExchangeKind::alltoall`], [`alltoallv`](coll::ExchangeKind::alltoallv), [`alltoallw`](coll::ExchangeKind::alltoallw) |
+//! | Support | `barrier`, `bcast`, `allreduce_sum`, `allgather`, `comm.split` |
 //! | Datatypes | contiguous, `Subarray` (`MPI_Type_create_subarray`) |
 //!
 //! Two behaviours the paper calls out are modeled explicitly:
@@ -29,17 +30,19 @@
 //!   implemented as a naive `Isend`/`Irecv` loop for any size, while
 //!   `MPI_Alltoall(v)` gets tuned algorithms selected by message size.
 //!
-//! Timing architecture: collective *data* flows through mailboxes, but the
-//! collective *clock advance* is computed by the pure schedule walkers in
-//! [`pattern`]. The analytic dry-run executor in the `distfft` crate calls
-//! the same walkers with the same arguments, which is what makes
+//! Timing architecture — there is exactly one: *data* moves through the
+//! zero-cost mailbox control plane of [`comm`] (no envelope carries a
+//! timestamp, no rank keeps NIC state), and the *clock* is advanced only by
+//! [`coll::exchange_times`] and the pure schedule walkers in [`pattern`],
+//! which price a whole operation from the members' entry times and byte
+//! rows. The analytic dry-run executor in the `distfft` crate calls the
+//! same walkers with the same arguments, which is what makes
 //! functional-mode and analytic-mode timings identical by construction.
 
 pub mod coll;
 pub mod comm;
 pub mod datatype;
 pub mod distro;
-pub mod p2p;
 pub mod par;
 pub mod pattern;
 #[cfg(feature = "sanitize")]

@@ -1,7 +1,8 @@
 //! Warn-once typed parsing of `FFT_*` tuning variables.
 //!
-//! Every runtime knob in the stack (`FFT_EXEC_THREADS`, `FFT_EXEC_GRAIN`,
-//! `FFT_RESHAPE_CHUNKS`, `FFT_SIMD`, …) has the same correctness needs: a
+//! Every runtime knob in the stack — there are five: `FFT_EXEC_THREADS`,
+//! `FFT_RESHAPE_CHUNKS`, `FFT_SIMD`, `FFT_SWEEP_THREADS` and the CI-only
+//! `FFT_FIG5_MAX_NODES` — has the same correctness needs: a
 //! typed parse with clamping, and a *loud but not noisy* failure mode — a
 //! silently ignored knob is worse than no knob (a typoed
 //! `FFT_EXEC_THREADS=fourteen` once quietly ran serial benchmarks), while

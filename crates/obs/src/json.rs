@@ -1,13 +1,15 @@
-//! A minimal JSON reader for validating exported artifacts.
+//! A minimal JSON reader for validating exported artifacts, and the one
+//! string escaper the hand-written emitters share.
 //!
 //! The build environment is offline (no serde), but the trace-export smoke
-//! test and the round-trip tests need to *parse* what [`crate::span`]
-//! writes. This is a small recursive-descent parser covering the full JSON
-//! grammar (objects, arrays, strings with escapes, numbers, literals); it
-//! is meant for validation of trusted, tool-generated documents, not as a
-//! general-purpose deserializer.
+//! test, the round-trip tests and `fftlint`'s committed baseline need to
+//! *parse* what the tools write. This is a small recursive-descent parser
+//! covering the full JSON grammar (objects, arrays, strings with escapes,
+//! numbers, literals); it is meant for validation of trusted,
+//! tool-generated documents, not as a general-purpose deserializer.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object members keep document order.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +78,30 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Escapes `s` for embedding in a JSON string literal (no surrounding
+/// quotes added); borrows when nothing needs escaping.
+pub fn escape(s: &str) -> Cow<'_, str> {
+    // Everything that needs escaping is ASCII.
+    if !s.bytes().any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f)) {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    Cow::Owned(out)
+}
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -340,9 +366,20 @@ mod tests {
             "1 2",
             "{\"a\":}",
             "\"\\ud800x\"",
+            "\"\\q\"",
+            "[1,]",
+            "{} x",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse() {
+        let original = "a \"quoted\" \\ path\nwith\tcontrol \u{0001} chars";
+        let doc = format!("\"{}\"", escape(original));
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(original));
+        assert!(matches!(escape("plain/path.rs"), Cow::Borrowed(_)));
     }
 
     #[test]

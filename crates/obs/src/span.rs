@@ -17,6 +17,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::escape;
+
 /// One interval on one rank's timeline. Times are simulated nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
@@ -38,19 +40,6 @@ pub struct Span {
 /// without going through `f64` (exact for the full `u64` range).
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// Renders spans as a Chrome-trace JSON document.
@@ -88,16 +77,16 @@ pub fn chrome_trace_json(spans: &[Span], lanes: &[(u32, &str)]) -> String {
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
                  \"args\":{{\"name\":\""
             );
-            push_escaped(&mut out, lane);
+            out.push_str(&escape(lane));
             out.push_str("\"}}");
         }
     }
     for s in spans {
         sep(&mut out, &mut first);
         out.push_str("{\"name\":\"");
-        push_escaped(&mut out, s.name);
+        out.push_str(&escape(s.name));
         out.push_str("\",\"cat\":\"");
-        push_escaped(&mut out, s.cat);
+        out.push_str(&escape(s.cat));
         let _ = write!(
             out,
             "\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{}}}",

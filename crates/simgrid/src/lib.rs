@@ -6,8 +6,9 @@
 //! dual-rail EDR InfiniBand at ≈23.5 GB/s practical) and Spock (36 nodes ×
 //! 4 MI100). This crate is the stand-in for that hardware: a deterministic
 //! analytic model of nodes, GPUs, intra-node links (NVLink / Infinity
-//! Fabric), NICs and the inter-node fabric, together with simulated clocks
-//! and device/host memory spaces.
+//! Fabric), NICs and the inter-node fabric, together with simulated clocks.
+//! Host staging for non-GPU-aware MPI is a flag of the transfer being
+//! priced ([`TransferCtx::gpu_aware`]), not a separate buffer type.
 //!
 //! Everything above this crate (the MPI layer, the distributed FFT, the
 //! benchmark harness) obtains *all* of its timing from the functions here —
@@ -24,13 +25,11 @@
 //!   §IV-A);
 //! * 6 GPUs/node on Summit, 4 GPUs/node on Spock, 1 MPI rank per GPU.
 
-pub mod device;
 pub mod link;
 pub mod machine;
 pub mod noise;
 pub mod time;
 
-pub use device::{DeviceBuffer, MemSpace};
 pub use link::{LinkPath, TransferCtx};
 pub use machine::MachineSpec;
 pub use noise::Noise;

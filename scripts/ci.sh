@@ -14,7 +14,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== fftlint --workspace (baseline + SARIF) =="
+echo "== fftlint --workspace (baseline) =="
 # Call-graph-aware determinism linter (DESIGN.md §12/§17): the five
 # per-file rules (wall-clock, hash iteration, unsafe, unwrap/expect, float
 # reductions) plus the four interprocedural ones (hot-path allocations, env
@@ -22,13 +22,9 @@ echo "== fftlint --workspace (baseline + SARIF) =="
 # Deny-by-default; the escapes are an inline justified
 # `// fftlint:allow(<rule>)` and the committed findings baseline — new
 # findings fail, and silently-fixed pins fail as stale. fftlint lints its
-# own crate in the same walk. The SARIF export is validated by
-# `trace_check --sarif`, an independent JSON parser (fftobs::json)
-# cross-checking fftlint's hand-written emitter.
-cargo build --offline -q -p fft-bench --bin trace_check
+# own crate in the same walk.
 cargo run --offline -q -p fftlint -- --workspace \
-    --baseline fftlint-baseline.json --sarif "$TDIR/fftlint.sarif"
-./target/debug/trace_check --sarif "$TDIR/fftlint.sarif"
+    --baseline fftlint-baseline.json
 
 echo "== fftlint baseline drift must fail =="
 # A doctored baseline (first pin's line edited) must fail the gate both
