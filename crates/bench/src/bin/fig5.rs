@@ -16,7 +16,7 @@ use fftprof::DiffReport;
 use simgrid::MachineSpec;
 
 fn main() {
-    let obs = fft_bench::Obs::from_env();
+    let (obs, _) = fft_bench::Obs::from_env();
     banner(
         "Fig. 5",
         "best-setting regions, 512^3 c2c strong scaling on Summit",
@@ -123,6 +123,5 @@ fn main() {
             a2a
         };
         obs.emit_profile(&winner);
-        obs.emit_ledger(&winner);
     }
 }

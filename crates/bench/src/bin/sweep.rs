@@ -12,23 +12,14 @@ use fft_bench::{banner, timed_average, TextTable};
 use simgrid::MachineSpec;
 
 fn main() {
-    let obs = fft_bench::Obs::from_env();
-    // Positional args, skipping the observability flags and their values.
-    let mut positional: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--trace-out" | "--profile-out" | "--ledger" => {
-                let _ = args.next();
-            }
-            "--metrics" => {}
-            other => positional.push(other.to_string()),
-        }
-    }
-    let n: usize = positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(512);
+    let (obs, positional) = fft_bench::Obs::from_env();
+    let n: usize = match positional.first() {
+        None => 512,
+        Some(s) => s.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+            eprintln!("invalid size '{s}': expected a positive integer");
+            std::process::exit(2);
+        }),
+    };
     let machine = match positional.get(1).map(|s| s.as_str()) {
         Some("spock") => MachineSpec::spock(),
         Some("summit") | None => MachineSpec::summit(),
@@ -121,6 +112,5 @@ fn main() {
             choice.gpu_aware,
         );
         obs.emit_profile(&profile);
-        obs.emit_ledger(&profile);
     }
 }

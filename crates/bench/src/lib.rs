@@ -184,17 +184,6 @@ pub fn print_breakdown_side(title: &str, rows: &[(String, SimTime)]) -> f64 {
     total
 }
 
-/// Formats a duration in the unit the paper's figures use (seconds with
-/// millisecond precision for totals, µs for kernels).
-pub fn fmt_s(t: SimTime) -> String {
-    format!("{:9.4}", t.as_secs())
-}
-
-/// Formats a duration in milliseconds.
-pub fn fmt_ms(t: SimTime) -> String {
-    format!("{:10.3}", t.as_ms())
-}
-
 /// Observability options of a figure harness, parsed from the command line.
 ///
 /// * `--trace-out <file>` — export the harness's per-rank timeline as
@@ -213,59 +202,60 @@ pub fn fmt_ms(t: SimTime) -> String {
 pub struct Obs {
     trace_out: Option<std::path::PathBuf>,
     profile_out: Option<std::path::PathBuf>,
-    ledger_out: Option<std::path::PathBuf>,
     metrics: bool,
 }
 
 impl Obs {
-    /// Parses `--trace-out <file>` / `--profile-out <file>` /
-    /// `--ledger <file>` / `--metrics` from `std::env::args` and enables
-    /// metric recording when any is requested.
-    pub fn from_env() -> Obs {
+    /// Parses the harness command line (`args` without the program name):
+    /// `--trace-out <file>` / `--profile-out <file>` / `--metrics`, plus
+    /// the positional arguments in order. An unknown `--flag` or a flag
+    /// missing its value is an error — a typo must not silently run the
+    /// whole figure and write nothing.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(Obs, Vec<String>), String> {
         let mut obs = Obs::default();
-        let mut args = std::env::args().skip(1);
+        let mut positional = Vec::new();
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            let mut file = || {
+                args.next()
+                    .map(std::path::PathBuf::from)
+                    .ok_or_else(|| format!("{a} requires a file argument"))
+            };
             match a.as_str() {
-                "--trace-out" => {
-                    let file = args
-                        .next()
-                        .unwrap_or_else(|| panic!("--trace-out requires a file argument"));
-                    obs.trace_out = Some(std::path::PathBuf::from(file));
-                }
-                "--profile-out" => {
-                    let file = args
-                        .next()
-                        .unwrap_or_else(|| panic!("--profile-out requires a file argument"));
-                    obs.profile_out = Some(std::path::PathBuf::from(file));
-                }
-                "--ledger" => {
-                    let file = args
-                        .next()
-                        .unwrap_or_else(|| panic!("--ledger requires a file argument"));
-                    obs.ledger_out = Some(std::path::PathBuf::from(file));
-                }
+                "--trace-out" => obs.trace_out = Some(file()?),
+                "--profile-out" => obs.profile_out = Some(file()?),
                 "--metrics" => obs.metrics = true,
-                _ => {}
+                flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+                _ => positional.push(a),
             }
         }
+        Ok((obs, positional))
+    }
+
+    /// [`parse`](Obs::parse) over `std::env::args`, returning the
+    /// positional arguments alongside; a parse error exits 2 with a
+    /// one-line message on stderr. Enables metric recording when any
+    /// output is requested.
+    pub fn from_env() -> (Obs, Vec<String>) {
+        let (obs, positional) = Obs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
         if obs.active() {
             fftobs::set_enabled(true);
         }
-        obs
+        (obs, positional)
     }
 
     /// True when any observability output was requested.
     pub fn active(&self) -> bool {
-        self.trace_out.is_some()
-            || self.profile_out.is_some()
-            || self.ledger_out.is_some()
-            || self.metrics
+        self.trace_out.is_some() || self.profile_out.is_some() || self.metrics
     }
 
-    /// True when `--profile-out` or `--ledger` was requested — both need
-    /// the harness to run the profiler.
+    /// True when `--profile-out` was requested — the harness then runs
+    /// the profiler.
     pub fn profiling(&self) -> bool {
-        self.profile_out.is_some() || self.ledger_out.is_some()
+        self.profile_out.is_some()
     }
 
     /// Writes a profile to the `--profile-out` file (JSON) and its
@@ -289,51 +279,6 @@ impl Obs {
         write(folded.into(), profile.to_collapsed(), "collapsed stacks");
     }
 
-    /// Appends one ledger record for `profile` to the `--ledger` file:
-    /// the profile's phase/contention/residual data, the current metrics
-    /// snapshot, an environment stamp, and a config fingerprint extended
-    /// with the runtime knobs that shape timing (SIMD tier, executor
-    /// threads, parallel grain, reshape chunking). No-op when no ledger
-    /// was requested; writes only to the ledger file and stderr, so the
-    /// harness's stdout stays byte-identical either way.
-    pub fn emit_ledger(&self, profile: &fftprof::Profile) {
-        let Some(path) = &self.ledger_out else {
-            return;
-        };
-        // Wall-clock is fine here: the bench harness is host-side tooling,
-        // not part of the simulation (fftledger itself never reads a clock).
-        let ts_ns = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let env = fftledger::EnvStamp {
-            rustc: run_stamp("rustc", &["-V"]),
-            git_rev: git_rev(),
-            cpu: fftkern::simd::detected_features(),
-            threads: fftmodels::sweep_threads() as u64,
-        };
-        let snapshot = fftobs::registry().snapshot();
-        let mut record =
-            fftledger::LedgerRecord::from_profile(ts_ns, &profile.label, env, profile, &snapshot);
-        record
-            .fingerprint
-            .set("simd", fftkern::simd::active_tier().name())
-            .set("exec_threads", distfft::exec::exec_threads())
-            .set("exec_grain", distfft::exec::par_min_elems())
-            .set("reshape_chunks", distfft::exec::reshape_chunks_setting(1));
-        match fftledger::Ledger::append(path, &record) {
-            Ok(()) => eprintln!(
-                "ledger record {} appended to {}",
-                record.fingerprint.digest(),
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("error: failed to append ledger to {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
     /// Emits the requested artifacts for the harness's per-rank traces:
     /// Chrome-trace JSON to the `--trace-out` file, span summary plus
     /// metrics snapshot to stderr under `--metrics`.
@@ -354,47 +299,6 @@ impl Obs {
             eprintln!("--- metrics");
             eprint!("{}", fftobs::registry().snapshot().render_text());
         }
-    }
-}
-
-/// Runs a command and returns its trimmed stdout (possibly empty), or
-/// `None` when it cannot be run or exits non-zero.
-fn command_stdout(cmd: &str, args: &[&str]) -> Option<String> {
-    std::process::Command::new(cmd)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-}
-
-/// Runs a command and returns its trimmed stdout, or `"unknown"` — used
-/// for the `rustc -V` environment stamp on ledger records.
-pub fn run_stamp(cmd: &str, args: &[&str]) -> String {
-    command_stdout(cmd, args)
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// The `git_rev` environment stamp: the short `HEAD` revision, `-dirty`
-/// appended when the working tree differs from it, `"unknown"` outside a
-/// checkout.
-fn git_rev() -> String {
-    git_rev_label(
-        command_stdout("git", &["rev-parse", "--short", "HEAD"]).as_deref(),
-        command_stdout("git", &["status", "--porcelain"]).as_deref(),
-    )
-}
-
-/// [`git_rev`] from the two git outputs (`None` = the command failed):
-/// `rev-parse --short HEAD` and `status --porcelain`, which is empty
-/// exactly when the tree is clean.
-fn git_rev_label(rev: Option<&str>, porcelain: Option<&str>) -> String {
-    match rev {
-        None => "unknown".to_string(),
-        Some(r) if porcelain.is_some_and(|p| !p.is_empty()) => format!("{r}-dirty"),
-        Some(r) => r.to_string(),
     }
 }
 
@@ -463,14 +367,34 @@ mod tests {
     use distfft::plan::FftOptions;
 
     #[test]
-    fn git_rev_label_marks_modified_trees() {
-        assert_eq!(git_rev_label(Some("d578152"), Some("")), "d578152");
+    fn obs_parse_accepts_known_flags_and_rejects_the_rest() {
+        let parse = |args: &[&str]| Obs::parse(args.iter().map(|s| s.to_string()));
+        // Known flags in any position; positionals come back in order.
+        let (obs, positional) = parse(&[
+            "1024",
+            "--trace-out",
+            "t.json",
+            "--metrics",
+            "spock",
+            "--profile-out",
+            "p.json",
+        ])
+        .expect("valid command line");
+        assert_eq!(obs.trace_out.as_deref(), Some("t.json".as_ref()));
+        assert_eq!(obs.profile_out.as_deref(), Some("p.json".as_ref()));
+        assert!(obs.metrics && obs.active() && obs.profiling());
+        assert_eq!(positional, ["1024", "spock"]);
+        let (obs, positional) = parse(&[]).expect("empty command line");
+        assert!(!obs.active() && positional.is_empty());
+        // A typo'd flag or a flag without its value is an error, not a no-op.
         assert_eq!(
-            git_rev_label(Some("d578152"), Some(" M ISSUE.md")),
-            "d578152-dirty"
+            parse(&["--profile-ou", "f"]).unwrap_err(),
+            "unknown flag '--profile-ou'"
         );
-        // No git, or not a checkout: both commands fail.
-        assert_eq!(git_rev_label(None, None), "unknown");
+        assert_eq!(
+            parse(&["512", "--trace-out"]).unwrap_err(),
+            "--trace-out requires a file argument"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Observability acceptance tests: the Chrome-trace export of a real
 //! protocol run must round-trip through the JSON reader with per-rank
 //! pids and the paper's phase names, and enabling metrics must not perturb
-//! the simulated timeline at all.
+//! the simulated timeline at all; and the harness command line must fail
+//! loudly on arguments it does not understand.
 
 use distfft::plan::FftOptions;
 use distfft::trace::{export_chrome_trace, phase_summary};
@@ -90,4 +91,25 @@ fn enabling_metrics_does_not_change_the_timeline() {
         snap.counter("distfft.events.mpi").unwrap_or(0) > 0,
         "instrumented run recorded no MPI events"
     );
+}
+
+#[test]
+fn sweep_rejects_bad_arguments_before_running() {
+    // A typo must not silently sweep the default size or drop an output:
+    // exit 2, one line on stderr, nothing on stdout.
+    for args in [
+        &["1O24"][..],
+        &["0"],
+        &["--profile-ou", "f"],
+        &["64", "--trace-out"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(args)
+            .output()
+            .expect("sweep binary runs");
+        assert_eq!(out.status.code(), Some(2), "sweep {args:?}");
+        assert!(out.stdout.is_empty(), "sweep {args:?} wrote to stdout");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(stderr.lines().count(), 1, "sweep {args:?}: {stderr}");
+    }
 }

@@ -45,11 +45,8 @@ pub fn exec_threads() -> usize {
 /// (a 16³ per-rank grid is 4 096 elements — microseconds of math), so small
 /// problems run inline on worker 0 even when the context owns several
 /// arenas. The gate is a pure function of the data sizes, so scheduling —
-/// and therefore per-arena [`PoolStats`] — stays deterministic. Ledger
-/// records carry the value in their fingerprint (`exec_grain`).
-pub const fn par_min_elems() -> usize {
-    8192
-}
+/// and therefore per-arena [`PoolStats`] — stays deterministic.
+const PAR_MIN_ELEMS: usize = 8192;
 
 /// How the per-peer reshape chunk count is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,17 +54,8 @@ pub enum ChunkSetting {
     /// A fixed chunk count (still clamped per group to `p − 1`).
     Fixed(usize),
     /// Model-driven: per group, k = argmin of the extended pipeline model
-    /// [`crate::schedule::t_pipelined_ext`] over a k-ladder (DESIGN.md §16).
+    /// [`crate::schedule::t_pipelined_ext`] over a k-ladder (DESIGN.md §14).
     Auto,
-}
-
-impl std::fmt::Display for ChunkSetting {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChunkSetting::Fixed(n) => write!(f, "{n}"),
-            ChunkSetting::Auto => write!(f, "auto"),
-        }
-    }
 }
 
 /// Resolves the reshape-chunking setting: the `FFT_RESHAPE_CHUNKS`
@@ -484,7 +472,7 @@ fn axis_plan(s: [usize; 3], axis: usize) -> std::sync::Arc<Plan1d> {
 /// kernel buffer (grown once per shape, reused across calls), so the steady
 /// state builds no plans and allocates no buffers.
 ///
-/// With more than one arena — and at least [`par_min_elems`] elements of
+/// With more than one arena — and at least `PAR_MIN_ELEMS` elements of
 /// work, below which the fan-out cost exceeds the math — the batch is split
 /// into disjoint `&mut` work units — contiguous row blocks (axis 2), axis-0
 /// planes (axis 1), whole batch items (axis 0) — and fanned across
@@ -508,7 +496,7 @@ fn run_local_fft(
         return;
     }
     let total_elems: usize = data.iter().map(|item| item.len()).sum();
-    if arenas.len() <= 1 || total_elems < par_min_elems() {
+    if arenas.len() <= 1 || total_elems < PAR_MIN_ELEMS {
         // Serial fast path: one plan lookup, one kernel buffer.
         let plan1d = axis_plan(s, axis);
         let kernel = arenas[0].kernel_for(plan1d.scratch_elems());
@@ -564,13 +552,13 @@ fn run_local_fft(
 }
 
 /// Runs the next-axis butterflies for an explicit set of `[lo, hi)` line
-/// runs of the rank's box — the transform-ahead math (DESIGN.md §16). Rows
+/// runs of the rank's box — the transform-ahead math (DESIGN.md §14). Rows
 /// transform independently through the same cached plan and interned
 /// twiddles, so executing the box's lines as disjoint sub-batches in chunk
 /// order is bit-identical to the full-batch pass in [`run_local_fft`].
 /// Runs execute serially against arena 0's kernel scratch: per-chunk
 /// batches are small slices of one rank's box, where fan-out cost exceeds
-/// the math (the same reasoning as [`par_min_elems`], applied per run).
+/// the math (the same reasoning as `PAR_MIN_ELEMS`, applied per run).
 // fftlint:hot — per-chunk transform-ahead sub-batches; runs once per
 // chunked reshape that consumes its next axis transform.
 fn run_local_fft_lines(
@@ -687,9 +675,9 @@ fn run_reshape(
         } else {
             // Grain gate: pack/unpack of a tiny chunk runs inline on
             // arena 0 — the same decision on take and recycle sides, so
-            // per-arena pool traffic stays balanced (see `par_min_elems`).
+            // per-arena pool traffic stays balanced (see `PAR_MIN_ELEMS`).
             let vol = call.items * from_box.volume().max(to_box.volume());
-            let w = if vol < par_min_elems() {
+            let w = if vol < PAR_MIN_ELEMS {
                 1
             } else {
                 ctx.arenas.len()

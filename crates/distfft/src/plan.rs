@@ -93,9 +93,9 @@ pub struct FftOptions {
     pub pipeline_chunks: usize,
     /// Per-peer chunks each reshape exchange is split into so packing,
     /// sends, unpacking, and the *next axis transform* overlap (pipelined
-    /// reshapes + transform-ahead; DESIGN.md §14/§16). `1` = the monolithic
+    /// reshapes + transform-ahead; DESIGN.md §14). `1` = the monolithic
     /// pack → exchange → unpack path. `0` = model-driven auto-selection
-    /// (argmin of the extended pipeline model; DESIGN.md §16). Clamped per
+    /// (argmin of the extended pipeline model; DESIGN.md §14). Clamped per
     /// group to `peers` (= group size − 1); groups of 2 never chunk.
     /// Overridable at runtime via `FFT_RESHAPE_CHUNKS` (a positive integer
     /// or `auto`). All four backends honor it: padded `AllToAll` chunks its
@@ -549,7 +549,7 @@ impl FftPlan {
     /// Modeled duration (ns) of a *partial* local FFT pass along `axis`:
     /// `lines` axis lines (per batch item) instead of the rank's full box.
     /// Used by the transform-ahead schedule, which runs the next-axis
-    /// butterflies per reshape chunk as its lines complete (DESIGN.md §16).
+    /// butterflies per reshape chunk as its lines complete (DESIGN.md §14).
     /// Returns 0 when `lines == 0` so empty chunks price (and emit) nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn local_fft_lines_ns(

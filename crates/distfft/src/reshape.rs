@@ -355,7 +355,7 @@ impl ReshapeSpec {
         m
     }
 
-    /// Transform-ahead chunk → complete-line map (DESIGN.md §16).
+    /// Transform-ahead chunk → complete-line map (DESIGN.md §14).
     ///
     /// When `rank` (group index `me_sub` within sorted `members`) chunks its
     /// reshape exchange into `k_eff` per-peer chunks, each axis line of the

@@ -19,7 +19,7 @@
 //! Pipelined reshapes (DESIGN.md §14) emit *overlapping* spans on one
 //! rank: a chunk's MPI call is still in flight while the next chunk's
 //! pack or an earlier chunk's unpack runs on the GPU — and under
-//! transform-ahead (DESIGN.md §16) even the *next axis'* butterflies run
+//! transform-ahead (DESIGN.md §14) even the *next axis'* butterflies run
 //! beneath the wire as completed lines arrive chunk by chunk. A cell
 //! covered by both a kernel span and an MPI span renders as `+` rather
 //! than letting one lane silently swallow the other; events may also

@@ -160,8 +160,8 @@ pub fn active_tier() -> SimdTier {
 }
 
 /// Space-separated list of the detected CPU SIMD features relevant to the
-/// kernels (stamped into ledger records and `fftbench` reports so
-/// cross-host comparisons are honest). `"baseline"` when none of them are
+/// kernels (`fftbench` stamps it into its reports so cross-host
+/// comparisons are honest). `"baseline"` when none of them are
 /// present.
 pub fn detected_features() -> String {
     #[cfg(target_arch = "x86_64")]

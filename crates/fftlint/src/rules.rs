@@ -59,17 +59,7 @@ pub const ALL_RULES: [&str; 9] = [
 /// wall time into simulated results, the exact failure class the replay
 /// digest sanitizer catches at runtime. (`crates/bench` is excluded — its
 /// harnesses legitimately measure host wall-clock for throughput numbers.)
-/// `fftledger` is listed even though it records history: record timestamps
-/// come from the caller, so the ledger itself stays clock-free and
-/// replayable.
-pub const SIM_CRATES: [&str; 6] = [
-    "mpisim",
-    "simgrid",
-    "distfft",
-    "fftmodels",
-    "fftprof",
-    "fftledger",
-];
+pub const SIM_CRATES: [&str; 5] = ["mpisim", "simgrid", "distfft", "fftmodels", "fftprof"];
 
 /// Module allowlist for `no-wallclock`: files whose *purpose* is wall-clock
 /// measurement may read the host clock (none exist today; the mechanism is

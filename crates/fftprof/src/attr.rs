@@ -83,7 +83,7 @@ pub struct PhaseBreakdown {
     /// Per-phase totals, indexed by `Phase as usize`.
     pub ns: [u64; 7],
     /// Compute time that ran *under an in-flight exchange* — the
-    /// transform-ahead butterflies (DESIGN.md §16) whose segments a
+    /// transform-ahead butterflies (DESIGN.md §14) whose segments a
     /// kernel won by priority while an MPI call also covered them. A side
     /// account, **not** an eighth phase: the seven `ns` entries alone tile
     /// the window, and `overlap_ns` is always ≤ the compute entry.

@@ -147,45 +147,6 @@ impl DiffReport {
         ));
         s
     }
-
-    /// The report as a dependency-free JSON document
-    /// (`schema: fftprof-diff-v1`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"schema\": \"fftprof-diff-v1\",\n");
-        s.push_str(&format!("  \"a\": \"{}\",\n", esc(&self.a_label)));
-        s.push_str(&format!("  \"b\": \"{}\",\n", esc(&self.b_label)));
-        s.push_str(&format!("  \"a_makespan_ns\": {},\n", self.a_makespan_ns));
-        s.push_str(&format!("  \"b_makespan_ns\": {},\n", self.b_makespan_ns));
-        s.push_str(&format!(
-            "  \"makespan_delta_ns\": {},\n",
-            self.makespan_delta_ns()
-        ));
-        s.push_str(&format!("  \"winner\": \"{}\",\n", esc(self.winner())));
-        s.push_str("  \"phases\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"a_ns\": {}, \"b_ns\": {}, \"delta_ns\": {}}}",
-                r.phase.label(),
-                r.a_ns,
-                r.b_ns,
-                r.delta_ns()
-            ));
-            s.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"model\": {{\"a_residual_ns\": {}, \"b_residual_ns\": {}}}\n",
-            self.a_residual.residual_ns(),
-            self.b_residual.residual_ns()
-        ));
-        s.push_str("}\n");
-        s
-    }
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -208,30 +169,5 @@ mod tests {
         let d = DiffReport::between(&p, &p);
         assert!(d.is_zero(), "{}", d.render_text());
         assert_eq!(d.winner(), "self");
-    }
-
-    #[test]
-    fn diff_json_parses() {
-        let machine = MachineSpec::summit();
-        let p = crate::report::profile_config(
-            "a",
-            &machine,
-            [32, 32, 32],
-            6,
-            FftOptions::default(),
-            true,
-        );
-        let d = DiffReport::between(&p, &p);
-        let doc = fftobs::json::parse(&d.to_json()).expect("diff JSON must parse");
-        assert_eq!(
-            doc.get("schema").and_then(|s| s.as_str()),
-            Some("fftprof-diff-v1")
-        );
-        assert_eq!(
-            doc.get("phases")
-                .and_then(|p| p.as_array())
-                .map(|a| a.len()),
-            Some(7)
-        );
     }
 }

@@ -14,7 +14,7 @@ use simgrid::MachineSpec;
 
 use crate::attr::Phase;
 use crate::diff::DiffReport;
-use crate::report::{profile_config, Profile};
+use crate::report::profile_config;
 
 /// Profiles the tuner's winner (and its best differently-decomposed
 /// rival, when one was evaluated) and renders a one-paragraph
@@ -142,11 +142,6 @@ fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns} ns")
     }
-}
-
-/// Re-exported for benches that want the same label formatting.
-pub fn profile_label(p: &Profile) -> String {
-    format!("{}/{}", p.decomp, p.routine)
 }
 
 #[cfg(test)]

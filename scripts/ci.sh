@@ -15,7 +15,7 @@ echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== fftlint --workspace (baseline) =="
-# Call-graph-aware determinism linter (DESIGN.md §12/§17): the five
+# Call-graph-aware determinism linter (DESIGN.md §12): the five
 # per-file rules (wall-clock, hash iteration, unsafe, unwrap/expect, float
 # reductions) plus the four interprocedural ones (hot-path allocations, env
 # discipline, lock order, panic reachability from the executor).
@@ -61,7 +61,7 @@ echo "== cargo test (FFT_RESHAPE_CHUNKS=1) =="
 FFT_RESHAPE_CHUNKS=1 cargo test --workspace --offline -q
 
 echo "== cargo test (FFT_RESHAPE_CHUNKS=auto) =="
-# Model-driven chunk selection forced on for every plan (DESIGN.md §16):
+# Model-driven chunk selection forced on for every plan (DESIGN.md §14):
 # auto-k plus transform-ahead butterflies must preserve every correctness,
 # consistency, and invariance property, whatever k the model picks per
 # group. A/B tests that compare specific chunk settings detect the
@@ -145,12 +145,15 @@ cmp "$TDIR/fig5.plain.out" "$TDIR/fig5.prof.out" || {
     echo "FAIL: collapsed-stack sidecar missing or empty" >&2
     exit 1
 }
-
-echo "== ledger smoke + phase gate =="
-# One fig5 producer for every ledger check: `--ledger` invisible on stdout,
-# the fresh record's phases within 25% of the committed baseline of the same
-# config fingerprint (fails naming the phase), and two identical runs
-# self-diffing to exactly zero.
-scripts/phase_gate
+# Replay canary at the attribution level: a second identical run must write
+# byte-identical profile documents (same style as "replay smoke" above).
+FFT_FIG5_MAX_NODES=8 ./target/debug/fig5 --profile-out "$TDIR/fig5.prof2.json" \
+    >/dev/null 2>&1
+for ext in "" .folded; do
+    cmp "$TDIR/fig5.prof.json$ext" "$TDIR/fig5.prof2.json$ext" || {
+        echo "FAIL: fig5 profile differs between two identical runs" >&2
+        exit 1
+    }
+done
 
 echo "CI green."
