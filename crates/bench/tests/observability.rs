@@ -1,14 +1,17 @@
 //! Observability acceptance tests: the Chrome-trace export of a real
 //! protocol run must round-trip through the JSON reader with per-rank
 //! pids and the paper's phase names, and enabling metrics must not perturb
-//! the simulated timeline at all; and the harness command line must fail
-//! loudly on arguments it does not understand.
+//! the simulated timeline at all; the harness command line must fail
+//! loudly on arguments it does not understand, and its `--trace-out` /
+//! `--profile-out` / `--metrics` flags must leave stdout untouched while
+//! writing exports that validate and replay byte for byte.
 
 use distfft::plan::FftOptions;
 use distfft::trace::{export_chrome_trace, phase_summary};
 use fft_bench::protocol_traces;
 use fftobs::json::{self, Json};
 use simgrid::MachineSpec;
+use std::process::Command;
 
 fn run_traces() -> Vec<distfft::Trace> {
     protocol_traces(
@@ -21,11 +24,11 @@ fn run_traces() -> Vec<distfft::Trace> {
     )
 }
 
-#[test]
-fn chrome_export_roundtrips_with_phases_and_ranks() {
-    let traces = run_traces();
-    let text = export_chrome_trace(&traces);
-    let doc = json::parse(&text).expect("export must be valid JSON");
+/// A Chrome-trace export of `ranks` ranks: valid JSON, complete events
+/// with every field, one pid per rank, both resource lanes, and the
+/// paper's phases (local kernels + the MPI routine).
+fn assert_chrome_trace(text: &str, ranks: i64) {
+    let doc = json::parse(text).expect("export must be valid JSON");
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_array)
@@ -48,14 +51,11 @@ fn chrome_export_roundtrips_with_phases_and_ranks() {
         names.insert(e.get("name").and_then(Json::as_str).unwrap().to_string());
     }
     assert!(n_complete > 0, "no complete events exported");
-    // One pid per rank.
     assert_eq!(
         pids.into_iter().collect::<Vec<_>>(),
-        (0..12).collect::<Vec<i64>>()
+        (0..ranks).collect::<Vec<i64>>()
     );
-    // Both resource lanes appear.
     assert_eq!(tids.into_iter().collect::<Vec<_>>(), vec![0, 1]);
-    // The paper's phases: local kernels + the MPI routine.
     for want in ["FFT", "pack", "unpack"] {
         assert!(names.contains(want), "missing phase {want}: {names:?}");
     }
@@ -63,6 +63,12 @@ fn chrome_export_roundtrips_with_phases_and_ranks() {
         names.iter().any(|n| n.starts_with("MPI_")),
         "missing MPI phase: {names:?}"
     );
+}
+
+#[test]
+fn chrome_export_roundtrips_with_phases_and_ranks() {
+    let traces = run_traces();
+    assert_chrome_trace(&export_chrome_trace(&traces), 12);
 
     // The summary table covers the same phases.
     let summary = phase_summary(&traces);
@@ -70,6 +76,91 @@ fn chrome_export_roundtrips_with_phases_and_ranks() {
         summary.contains("FFT") && summary.contains("pack"),
         "{summary}"
     );
+}
+
+/// Runs a figure binary to completion and returns its stdout.
+fn stdout_of(cmd: &mut Command) -> Vec<u8> {
+    let out = cmd.output().expect("figure binary runs");
+    assert!(out.status.success(), "{cmd:?} failed");
+    out.stdout
+}
+
+/// Reads and removes a file a figure binary was asked to write.
+fn take_file(path: &str) -> String {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    std::fs::remove_file(path).ok();
+    text
+}
+
+#[test]
+fn fig2_flags_are_invisible_on_stdout_and_export_validates() {
+    // The observability layer must be invisible on stdout, and what it
+    // writes through the real command line must be the validated export.
+    let fig2 = || Command::new(env!("CARGO_BIN_EXE_fig2"));
+    let trace = concat!(env!("CARGO_TARGET_TMPDIR"), "/fig2.json");
+    let flagged = stdout_of(fig2().args(["--trace-out", trace, "--metrics"]));
+    assert!(
+        stdout_of(&mut fig2()) == flagged,
+        "flags changed fig2 stdout"
+    );
+    assert_chrome_trace(&take_file(trace), 24);
+}
+
+#[test]
+fn fig5_profile_out_is_invisible_replayable_and_valid() {
+    // FFT_FIG5_MAX_NODES trims the 512-node ladder so this stays fast.
+    let fig5 = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig5"));
+        cmd.env("FFT_FIG5_MAX_NODES", "8");
+        cmd
+    };
+    let plain = stdout_of(&mut fig5());
+    let profiled = |path: &str| {
+        let flagged = stdout_of(fig5().args(["--profile-out", path]));
+        assert!(plain == flagged, "--profile-out changed fig5 stdout");
+        (take_file(path), take_file(&format!("{path}.folded")))
+    };
+    let (text, folded) = profiled(concat!(env!("CARGO_TARGET_TMPDIR"), "/fig5.a.json"));
+    assert!(!folded.is_empty(), "collapsed-stack sidecar is empty");
+    // Simulated time has no noise: a second run writes the same bytes.
+    let again = profiled(concat!(env!("CARGO_TARGET_TMPDIR"), "/fig5.b.json"));
+    assert!(
+        (text.clone(), folded) == again,
+        "fig5 profile is not replayable"
+    );
+
+    fn num(j: &Json, key: &str) -> f64 {
+        let n = j.get(key).and_then(Json::as_f64);
+        n.unwrap_or_else(|| panic!("missing numeric field {key}"))
+    }
+    fn rows<'a>(j: &'a Json, key: &str) -> &'a [Json] {
+        let a = j.get(key).and_then(Json::as_array);
+        a.unwrap_or_else(|| panic!("missing array {key}"))
+    }
+    let doc = json::parse(&text).expect("profile must be valid JSON");
+    let schema = doc.get("schema").and_then(Json::as_str);
+    assert_eq!(schema, Some("fftprof-profile-v1"));
+    let makespan = num(&doc, "makespan_ns");
+    assert_eq!(rows(&doc, "phases").len() as f64, num(&doc, "nranks"));
+    for row in rows(&doc, "phases") {
+        let sum: f64 = fftprof::PHASES.iter().map(|p| num(row, p.label())).sum();
+        assert_eq!(sum, makespan, "phase row does not tile the makespan");
+        assert_eq!(num(row, "total_ns"), makespan);
+    }
+    let cp = doc.get("critical_path").expect("critical_path block");
+    assert!(num(cp, "busy_ns") > 0.0);
+    assert!(num(cp, "busy_ns") + num(cp, "idle_ns") <= makespan);
+    assert!(!rows(cp, "segments").is_empty());
+    let model = doc.get("model").expect("model block");
+    let comm = |key| num(model, key);
+    assert_eq!(
+        comm("residual_ns"),
+        comm("measured_comm_ns") - comm("predicted_comm_ns")
+    );
+    let contention = doc.get("contention").expect("contention block");
+    for c in rows(contention, "by_reshape") {
+        assert_eq!(num(c, "actual_ns"), num(c, "ideal_ns") + num(c, "queue_ns"));
+    }
 }
 
 #[test]
@@ -103,7 +194,7 @@ fn sweep_rejects_bad_arguments_before_running() {
         &["--profile-ou", "f"],
         &["64", "--trace-out"],
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sweep"))
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
             .args(args)
             .output()
             .expect("sweep binary runs");

@@ -29,16 +29,6 @@ use crate::reshape::{apply_self_block, ReshapeSpec};
 use crate::schedule::{directed, ReshapeCall, RunEnv, Timeline};
 use crate::trace::Trace;
 
-/// Worker-thread count for the parallel executor: the `FFT_EXEC_THREADS`
-/// environment variable if set (and ≥ 1), otherwise 1 (serial). Unlike the
-/// sweep harnesses, the executor defaults to serial: rank programs already
-/// run one thread per rank, so oversubscription is an explicit opt-in.
-/// An unparsable value warns once to stderr (via the shared
-/// [`fftobs::env`] helper) instead of silently running serial.
-pub fn exec_threads() -> usize {
-    fftobs::env::positive_var("FFT_EXEC_THREADS", "1 (serial)").unwrap_or(1)
-}
-
 /// Minimum number of complex elements a local-FFT or pack/unpack call must
 /// touch before the executor fans it out across worker threads. Below this
 /// the per-call thread spawn/join cost of the scoped pool dwarfs the work
@@ -120,15 +110,17 @@ pub struct ExecCtx {
 
 impl Default for ExecCtx {
     fn default() -> ExecCtx {
-        ExecCtx::with_threads(exec_threads())
+        ExecCtx::new()
     }
 }
 
 impl ExecCtx {
-    /// Fresh state (next transform pays the strided first-call spikes and
-    /// the buffer-pool warm-up). Worker count comes from [`exec_threads`].
+    /// Fresh serial state (next transform pays the strided first-call
+    /// spikes and the buffer-pool warm-up). Rank programs already run one
+    /// thread per rank, so executor workers are an explicit opt-in through
+    /// [`ExecCtx::with_threads`].
     pub fn new() -> ExecCtx {
-        ExecCtx::default()
+        ExecCtx::with_threads(1)
     }
 
     /// Fresh state with an explicit executor worker count (`.max(1)`).
@@ -192,13 +184,12 @@ impl ExecCtx {
         self.arenas.iter().map(|a| a.stats).collect()
     }
 
-    /// Sanitizer leak counter: pool takes minus deposits across this
+    /// Leak counter (test seam): pool takes minus deposits across this
     /// context's arenas. Send buffers are deposited by the *receiving*
     /// rank's context, so a single context may legitimately be nonzero
     /// mid-world; summed over every rank of a world after `execute`
     /// returns, the balance must be exactly zero — anything else is a
     /// leaked (or double-deposited) pooled buffer.
-    #[cfg(feature = "sanitize")]
     pub fn outstanding_buffers(&self) -> i64 {
         self.arenas.iter().map(|a| a.outstanding).sum()
     }
@@ -241,11 +232,10 @@ struct ExecScratch {
     kernel: Vec<C64>,
     /// Hit/miss/eviction accounting (see [`PoolStats`]).
     stats: PoolStats,
-    /// Sanitizer leak accounting: pool takes minus deposits. Buffers
+    /// Leak accounting: pool takes minus deposits. Buffers
     /// migrate across ranks inside an exchange (a send buffer taken here is
     /// deposited by its receiver), so the invariant is on the *world* sum:
     /// zero after every completed `execute`.
-    #[cfg(feature = "sanitize")]
     outstanding: i64,
 }
 
@@ -263,10 +253,7 @@ impl ExecScratch {
     }
 
     fn take_empty(&mut self) -> Vec<C64> {
-        #[cfg(feature = "sanitize")]
-        {
-            self.outstanding += 1;
-        }
+        self.outstanding += 1;
         match self.arrays.pop() {
             Some(mut buf) => {
                 self.stats.hits += 1;
@@ -294,10 +281,7 @@ impl ExecScratch {
         // Leak accounting must see capacity-0 deposits too: a buffer taken
         // on a miss and never grown (e.g. an empty send region) is still a
         // matched take/deposit pair.
-        #[cfg(feature = "sanitize")]
-        {
-            self.outstanding -= 1;
-        }
+        self.outstanding -= 1;
         if buf.capacity() == 0 {
             // Nothing worth recycling; not an eviction.
             return;
@@ -855,16 +839,6 @@ fn alltoallw_types(
 }
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn exec_knobs_use_the_shared_clamping_parse() {
-        // The accept/reject behavior (integers clamped ≥ 1, garbage
-        // rejected with a warn-once at the call sites) lives in
-        // `fftobs::env` now — pin the contract the executor relies on.
-        assert_eq!(fftobs::env::parse_positive("4"), Some(4));
-        assert_eq!(fftobs::env::parse_positive("0"), Some(1));
-        assert_eq!(fftobs::env::parse_positive("fourteen"), None);
-    }
-
     #[test]
     fn group_chunks_clamp_to_peer_count() {
         // Groups of 2 have one send step — never chunkable.

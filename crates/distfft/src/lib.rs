@@ -41,8 +41,6 @@ pub mod plan;
 pub mod procgrid;
 pub mod real3d;
 pub mod reshape;
-#[cfg(feature = "sanitize")]
-pub mod sanitize;
 pub mod schedule;
 pub mod timeline;
 pub mod trace;

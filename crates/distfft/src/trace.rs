@@ -67,7 +67,7 @@ pub enum TraceEvent {
 }
 
 /// An append-only per-rank event log.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Events in execution order.
     pub events: Vec<TraceEvent>,

@@ -1,167 +1,74 @@
-//! Replay-digest and pool-leak sanitizer tests (`--features sanitize`,
-//! ISSUE 5).
+//! Replay and pool-leak tests (ISSUE 5): the runtime half of the
+//! determinism contract (DESIGN.md §12) as equalities on run records.
 //!
-//! The determinism contract (DESIGN.md §12) in executable form:
-//!
-//! * the **timing digest** (per-rank simulated completion times + the full
-//!   trace-event stream) is bit-identical across executor thread counts,
-//!   scheduler memoization modes, harvest-order permutations, and reruns;
-//! * the **full digest** (timing + pool statistics) is bit-identical
-//!   across memoization modes and reruns of one thread count;
+//! * the **full record** of every rank (data bits, completion time, trace,
+//!   pool statistics, leak balance) is identical across reruns, scheduler
+//!   memoization modes and harvest-order permutations at one thread count;
+//! * data, completion time and trace are identical across executor thread
+//!   counts (the pool half legitimately differs per arena count);
 //! * summed over the world, every pooled-buffer take is matched by a
 //!   deposit once `execute` returns (no leaks, no double deposits).
 
-#![cfg(feature = "sanitize")]
+mod common;
 
-use distfft::boxes::Box3;
-use distfft::exec::{bind, execute, ExecCtx, PoolStats};
-use distfft::plan::{CommBackend, FftOptions, FftPlan};
-use distfft::sanitize::{full_digest, set_shuffle_seed, timing_digest};
-use distfft::trace::Trace;
+use common::{jittered, observable, run_world, RankRun};
+use distfft::plan::{CommBackend, FftOptions};
 use distfft::Decomp;
-use fftkern::{Direction, C64};
-use mpisim::comm::{Comm, World, WorldOpts};
-use simgrid::{MachineSpec, SimTime};
+use mpisim::comm::WorldOpts;
+use mpisim::sanitize::set_shuffle_seed;
 
-/// One world run: forward + inverse transform on every rank. Returns the
-/// per-rank (completion time, combined trace), the per-rank pool stats,
-/// and the per-rank pool take/deposit balance.
-fn run(world_opts: WorldOpts, threads: usize) -> (Vec<(SimTime, Trace)>, Vec<PoolStats>, Vec<i64>) {
-    let n = [16usize, 16, 8];
-    let ranks = 4;
+fn run(world_opts: WorldOpts, threads: usize) -> Vec<RankRun> {
     let opts = FftOptions {
         decomp: Decomp::Pencils,
         backend: CommBackend::AllToAllV,
         ..FftOptions::default()
     };
-    let plan = FftPlan::build(n, ranks, opts);
-    let world = World::new(MachineSpec::testbox(2), ranks, world_opts);
-    let whole = Box3::whole(n);
-    let global: Vec<C64> = (0..n[0] * n[1] * n[2])
-        .map(|i| C64::new((i as f64 * 0.37).sin(), (i as f64 * 0.61).cos()))
-        .collect();
-    let per_rank = world.run(|rank| {
-        let comm = Comm::world(rank);
-        let bound = bind(&plan, rank, &comm);
-        let mut ctx = ExecCtx::with_threads(threads);
-        let b = plan.dists[0].rank_box(rank.rank());
-        let mut data = vec![whole.extract(&global, b)];
-        let fwd = execute(
-            &plan,
-            &bound,
-            &mut ctx,
-            rank,
-            &comm,
-            &mut data,
-            Direction::Forward,
-        );
-        let inv = execute(
-            &plan,
-            &bound,
-            &mut ctx,
-            rank,
-            &comm,
-            &mut data,
-            Direction::Inverse,
-        );
-        let mut trace = fwd.trace;
-        trace.events.extend(inv.trace.events);
-        (
-            (inv.total, trace),
-            ctx.pool_stats(),
-            ctx.outstanding_buffers(),
-        )
-    });
-    let mut ranks_out = Vec::new();
-    let mut pools = Vec::new();
-    let mut outstanding = Vec::new();
-    for (rt, p, o) in per_rank {
-        ranks_out.push(rt);
-        pools.push(p);
-        outstanding.push(o);
-    }
-    (ranks_out, pools, outstanding)
+    run_world([16, 16, 8], 4, opts, world_opts, threads)
 }
 
-fn jittery(sched_memo: bool, fused_meta: bool) -> WorldOpts {
+fn memo(sched_memo: bool, fused_meta: bool) -> WorldOpts {
     WorldOpts {
-        noise_amplitude: 0.05,
-        seed: 0xC0FFEE,
         sched_memo,
         fused_meta,
-        ..WorldOpts::default()
+        ..jittered()
     }
 }
 
 #[test]
-fn replay_digests_are_invariant_where_the_contract_says_so() {
-    // Memoized, cold-scheduler, and unfused worlds × serial and 4-thread
-    // executors; plus a rerun and a shuffled-harvest run of the baseline.
-    let (r11, p11, _) = run(jittery(true, true), 1);
-    let (r11b, p11b, _) = run(jittery(true, true), 1);
-    let (r10, p10, _) = run(jittery(false, true), 1);
-    let (r1f, p1f, _) = run(jittery(true, false), 1);
-    let (r41, p41, _) = run(jittery(true, true), 4);
-    let (r40, p40, _) = run(jittery(false, false), 4);
-
+fn replays_are_invariant_where_the_contract_says_so() {
+    let base = run(memo(true, true), 1);
     set_shuffle_seed(0x5EED);
-    let (rs, ps, _) = run(jittery(true, true), 1);
+    let shuffled = run(memo(true, true), 1);
     set_shuffle_seed(0);
-
-    // Timing digest: one value across every configuration axis.
-    let t = timing_digest(&r11);
     for (label, other) in [
-        ("rerun", &r11b),
-        ("sched_memo off", &r10),
-        ("fused_meta off", &r1f),
-        ("4 threads", &r41),
-        ("4 threads, cold scheduler, unfused", &r40),
-        ("shuffled harvest", &rs),
+        ("sched_memo off", run(memo(false, true), 1)),
+        ("fused_meta off", run(memo(true, false), 1)),
+        ("rerun", run(memo(true, true), 1)),
+        ("shuffled harvest", shuffled),
     ] {
-        assert_eq!(
-            t,
-            timing_digest(other),
-            "timing digest drifted under: {label}"
-        );
+        assert_eq!(base, other, "run record drifted under: {label}");
     }
 
-    // Full digest: invariant per thread count across reruns, memoization
-    // modes, and harvest shuffling…
-    let f1 = full_digest(&r11, &p11);
-    assert_eq!(
-        f1,
-        full_digest(&r11b, &p11b),
-        "full digest drifted on rerun"
-    );
-    assert_eq!(
-        f1,
-        full_digest(&r10, &p10),
-        "sched_memo must not change pool behavior"
-    );
-    assert_eq!(
-        f1,
-        full_digest(&r1f, &p1f),
-        "fused_meta must not change pool behavior"
-    );
-    assert_eq!(
-        f1,
-        full_digest(&rs, &ps),
-        "harvest shuffling must not change pool behavior"
-    );
-    // …while thread counts legitimately differ only in the pool half.
-    let f4 = full_digest(&r41, &p41);
-    assert_eq!(f4, full_digest(&r40, &p40));
+    // Thread counts may differ in the pool half only — and there not
+    // between memoization modes.
+    let mt = run(memo(true, true), 4);
+    let mt_cold = run(memo(false, false), 4);
+    assert_eq!(observable(&base), observable(&mt), "4 threads");
+    assert_eq!(mt, mt_cold, "4 threads, cold scheduler, unfused");
 }
 
 #[test]
 fn every_pool_take_is_matched_by_a_deposit() {
     for threads in [1, 4] {
-        let (_, _, outstanding) = run(jittery(true, true), threads);
         // Send buffers migrate between ranks inside an exchange, so the
         // leak invariant is on the world sum.
-        let total: i64 = outstanding.iter().sum();
+        let outstanding: Vec<i64> = run(jittered(), threads)
+            .iter()
+            .map(|r| r.outstanding)
+            .collect();
         assert_eq!(
-            total, 0,
+            outstanding.iter().sum::<i64>(),
+            0,
             "{threads}-thread world leaked pooled buffers (per-rank balance: {outstanding:?})"
         );
     }

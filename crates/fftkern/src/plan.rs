@@ -225,15 +225,6 @@ impl Plan1d {
         self.algo.name()
     }
 
-    /// Algorithm plus the butterfly tier the dispatcher would use *right
-    /// now* (e.g. `"stockham+avx512"`), for probes and bench stamps. The
-    /// tier is resolved per transform, not baked into the plan, so this
-    /// reflects the current `FFT_SIMD`/force state (Bluestein's convolution
-    /// rides Stockham, so it dispatches too).
-    pub fn kernel_desc(&self) -> String {
-        format!("{}+{}", self.algo.name(), crate::simd::active_tier().name())
-    }
-
     /// Lines per panel of the strided-batch path: as many as fit
     /// `PANEL_ELEMS`, rounded down to a multiple of 4, within
     /// `PANEL_MIN_LINES..=PANEL_MAX_LINES` and the batch.

@@ -13,9 +13,9 @@
 //! `// fftlint:allow(<rule-id>): <justification>` comment and, for the
 //! reviewed pre-existing stock, the committed [`baseline`].
 //!
-//! The companion *runtime* half of the contract lives behind
-//! `--features sanitize` in `mpisim`/`distfft` (replay digests, pool leak
-//! detection, schedule-permutation stress); this crate is the static half.
+//! The companion *runtime* half of the contract is ordinary equality
+//! tests in `mpisim`/`distfft` (replay, pool-leak balance,
+//! schedule-permutation stress); this crate is the static half.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -57,7 +57,7 @@ pub const ALL_RULES: [&str; 9] = [
 
 /// Crates whose timelines are simulated: a host-clock read there can leak
 /// wall time into simulated results, the exact failure class the replay
-/// digest sanitizer catches at runtime. (`crates/bench` is excluded — its
+/// equality tests catch at runtime. (`crates/bench` is excluded — its
 /// harnesses legitimately measure host wall-clock for throughput numbers.)
 pub const SIM_CRATES: [&str; 5] = ["mpisim", "simgrid", "distfft", "fftmodels", "fftprof"];
 

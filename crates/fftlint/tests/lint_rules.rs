@@ -91,7 +91,7 @@ fn unsafe_rule_has_no_simd_module_carveout() {
         "crates/fftkern/src/stockham.rs",
         "crates/fftkern/src/lib.rs",
         "crates/fftkern/tests/simd_equivalence.rs",
-        "crates/bench/src/bin/simd_probe.rs",
+        "crates/bench/src/bin/fig2.rs",
     ] {
         let f = fftlint::lint_source(path, &src);
         assert_eq!(

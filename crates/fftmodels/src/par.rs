@@ -9,15 +9,11 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Worker count for sweeps: the `FFT_SWEEP_THREADS` environment variable if
-/// set (and ≥ 1), otherwise the machine's available parallelism.
+/// Worker count for sweeps: the machine's available parallelism.
 pub fn sweep_threads() -> usize {
-    fftobs::env::positive_var("FFT_SWEEP_THREADS", "the machine's available parallelism")
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Maps `f` over `items` on up to [`sweep_threads`] scoped threads,

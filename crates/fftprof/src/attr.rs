@@ -23,7 +23,8 @@
 
 use distfft::plan::FftPlan;
 use distfft::trace::{KernelKind, Trace, TraceEvent};
-use simgrid::MachineSpec;
+use simgrid::link::message_time_est_ns;
+use simgrid::{MachineSpec, TransferCtx};
 
 /// One attribution phase, in priority order (lower discriminant wins a
 /// contested segment).
@@ -209,46 +210,18 @@ impl RunShape {
 }
 
 /// Quiet-network cost (ns) of one exchange call moving `bytes` of this
-/// rank's payload: latency + per-message protocol ramp + wire time at the
-/// un-contended per-flow bandwidth. Mirrors `simgrid::link::message_time_ns`
-/// under [`simgrid::TransferCtx::quiet`] but records no metrics — the
-/// profiler observes, it never perturbs counters.
+/// rank's payload: the simulator's own link law between rank 0 and a peer
+/// on the same (`!inter`) or the next node, under
+/// [`TransferCtx::quiet`] with the run's GPU-awareness. The uncounted
+/// `message_time_est_ns` form — the profiler observes, it never perturbs
+/// counters.
 pub fn ideal_call_ns(spec: &MachineSpec, bytes: usize, inter: bool, gpu_aware: bool) -> u64 {
-    let staged_hops_ns = |bytes: usize| -> f64 {
-        // device → host and host → device at ~40% of the host link.
-        2.0 * bytes as f64 / (spec.host_link_gbs / 2.5)
+    let peer = if inter { spec.gpus_per_node } else { 1 };
+    let ctx = TransferCtx {
+        gpu_aware,
+        ..TransferCtx::quiet()
     };
-    if inter {
-        let proto = if bytes > 0 {
-            (spec.proto_ramp_inter_bytes as f64 / spec.nic_gbs).ceil() as u64
-        } else {
-            0
-        };
-        let wire = bytes as f64 / (spec.nic_gbs * spec.fabric.efficiency(2));
-        if gpu_aware {
-            spec.inter_latency_ns + proto + wire.ceil() as u64
-        } else {
-            spec.inter_latency_ns
-                + spec.staging_latency_ns
-                + proto
-                + (wire + staged_hops_ns(bytes)).ceil() as u64
-        }
-    } else {
-        let proto = if bytes > 0 {
-            (spec.proto_ramp_intra_bytes as f64 / spec.intra_link_gbs).ceil() as u64
-        } else {
-            0
-        };
-        let wire = bytes as f64 / spec.intra_link_gbs;
-        if gpu_aware {
-            spec.intra_latency_ns + proto + wire.ceil() as u64
-        } else {
-            spec.intra_latency_ns
-                + spec.staging_latency_ns
-                + proto
-                + (wire + staged_hops_ns(bytes)).ceil() as u64
-        }
-    }
+    message_time_est_ns(spec, bytes, 0, peer, &ctx)
 }
 
 /// Phase of a kernel event.
@@ -412,6 +385,34 @@ mod tests {
             dur: SimTime::from_ns(dur),
             bytes,
         }
+    }
+
+    #[test]
+    fn ideal_is_the_link_law() {
+        // The send/recv-wait split must use what the simulator charges a
+        // quiet message — on every path, GPU-aware or staged.
+        let spec = MachineSpec::summit();
+        for (inter, peer) in [(false, 1), (true, spec.gpus_per_node)] {
+            for gpu_aware in [true, false] {
+                let ctx = TransferCtx {
+                    gpu_aware,
+                    ..TransferCtx::quiet()
+                };
+                for bytes in [0, 8, 4 << 10, 1 << 20, 64 << 20] {
+                    assert_eq!(
+                        ideal_call_ns(&spec, bytes, inter, gpu_aware),
+                        simgrid::link::message_time_ns(&spec, bytes, 0, peer, &ctx),
+                        "inter={inter} gpu_aware={gpu_aware} bytes={bytes}"
+                    );
+                }
+            }
+        }
+        // Staged intra-node: two host hops, no NVLink wire term.
+        let staged = |bytes| ideal_call_ns(&spec, bytes, false, false);
+        assert_eq!(
+            [staged(4 << 10), staged(1 << 20), staged(64 << 20)],
+            [2_738, 107_186, 6_713_215]
+        );
     }
 
     #[test]

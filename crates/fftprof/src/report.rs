@@ -4,7 +4,9 @@
 //! contention account, model residual — for one run, and exports them as
 //!
 //! * a **dependency-free JSON document** (`schema: fftprof-profile-v1`,
-//!   parseable by `fftobs::json` — validated by `trace_check --profile`);
+//!   parseable by `fftobs::json` — validated by
+//!   `json_export_parses_and_has_schema` below and end to end by
+//!   `fig5_profile_out_is_invisible_replayable_and_valid` in `fft-bench`);
 //! * a **collapsed-stack text file** in the format flamegraph tooling
 //!   consumes: one `frame;frame;frame value` line per leaf, values in
 //!   simulated nanoseconds.

@@ -1,6 +1,6 @@
 //! Collectives: the one reshape [`exchange`] behind `MPI_Alltoall(v|w)` and
 //! the heFFTe-style point-to-point backend (an [`ExchangeKind`] policy row
-//! each), plus `barrier`, `bcast`, `allgather` and `allreduce`.
+//! each).
 //!
 //! Data moves through the zero-cost control plane; clock advances come from
 //! [`exchange_times`] over the schedule walkers in [`crate::pattern`] — the
@@ -33,8 +33,6 @@ const MEMO_ALLTOALL: u8 = 1;
 const MEMO_ALLTOALLV: u8 = 2;
 const MEMO_ALLTOALLW: u8 = 3;
 const MEMO_P2P: u8 = 4;
-const MEMO_BARRIER: u8 = 5;
-const MEMO_ALLGATHER: u8 = 6;
 
 /// Per-call setup cost of a tuned collective: algorithm dispatch plus an
 /// O(p) scan of the count arrays / internal request allocation.
@@ -429,7 +427,7 @@ pub fn alltoallw_partitioned_exit_times(
 /// Every member sends to every member anyway, so the metadata the pricer
 /// needs — the sender's entry times and byte row — rides on each payload
 /// in one rendezvous (`WorldOpts::fused_meta`; off = a metadata allgather
-/// followed by the data round, the reference of the sanitizer A/B).
+/// followed by the data round, the reference of the replay equality tests).
 pub fn exchange<T: Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,
@@ -559,103 +557,6 @@ pub fn p2p_exchange_partitioned<T: Copy + Send + 'static>(
 ) -> (Vec<Vec<T>>, PartitionedTimes) {
     let kind = ExchangeKind::p2p(flavor).partitioned(true);
     exchange(rank, comm, env, &kind, sends, my_part_entries)
-}
-
-/// `MPI_Barrier` (dissemination schedule).
-pub fn barrier(rank: &mut Rank, comm: &Comm, env: PhaseEnv) {
-    fftobs::count("mpisim.calls.barrier", 1);
-    let entries_raw = comm.control_allgather(rank, rank.now().as_ns());
-    let entries: Vec<SimTime> = entries_raw.into_iter().map(SimTime::from_ns).collect();
-    let np = net_params(rank);
-    let exits = pattern::memo_exits(
-        &np,
-        &env,
-        (MEMO_BARRIER, 0),
-        comm.members(),
-        &entries,
-        Vec::new(),
-        || pattern::barrier_times(&np, &env, comm.members(), &entries),
-    );
-    rank.clock.sync_to(exits[comm.me()]);
-}
-
-/// `MPI_Bcast` of one value from `root` (binomial tree).
-pub fn bcast<T: Clone + Send + 'static>(
-    rank: &mut Rank,
-    comm: &Comm,
-    env: PhaseEnv,
-    root: usize,
-    value: Option<T>,
-    bytes: usize,
-) -> T {
-    assert!(
-        (comm.me() == root) == value.is_some(),
-        "exactly the root must supply the value"
-    );
-    fftobs::count("mpisim.calls.bcast", 1);
-    fftobs::count("mpisim.bytes.bcast", bytes as u64);
-    let entries_raw = comm.control_allgather(rank, rank.now().as_ns());
-    let entries: Vec<SimTime> = entries_raw.into_iter().map(SimTime::from_ns).collect();
-
-    // Move the value through the control plane.
-    let tag = rank.ctrl_tag(comm.id());
-    let v = if comm.me() == root {
-        // fftlint:allow(no-panic-in-lib): root-ness asserted at function entry
-        let v = value.expect("checked above");
-        for i in 0..comm.size() {
-            if i != comm.me() {
-                rank.post_raw(comm.id(), comm.member(i), tag, Box::new(v.clone()));
-            }
-        }
-        v
-    } else {
-        rank.recv_typed::<T>((comm.id(), comm.member(root), tag))
-    };
-    let np = net_params(rank);
-    let exit = pattern::tree_time(&np, &env, comm.members(), &entries, bytes, false);
-    rank.clock.sync_to(exit);
-    v
-}
-
-/// `MPI_Allgather` of one fixed-size value per member (ring schedule cost).
-pub fn allgather<T: Clone + Send + 'static>(
-    rank: &mut Rank,
-    comm: &Comm,
-    env: PhaseEnv,
-    value: T,
-    bytes: usize,
-) -> Vec<T> {
-    fftobs::count("mpisim.calls.allgather", 1);
-    fftobs::count("mpisim.bytes.allgather", bytes as u64);
-    let entries_raw = comm.control_allgather(rank, rank.now().as_ns());
-    let entries: Vec<SimTime> = entries_raw.into_iter().map(SimTime::from_ns).collect();
-    let out = comm.control_allgather(rank, value);
-    let np = net_params(rank);
-    // p-1 rounds each carrying `bytes` (ring cost == pairwise cost here).
-    let exits = pattern::memo_exits(
-        &np,
-        &env,
-        (MEMO_ALLGATHER, 0),
-        comm.members(),
-        &entries,
-        vec![bytes],
-        || pattern::pairwise_times(&np, &env, comm.members(), &entries, &|_i, _j| bytes, 0),
-    );
-    rank.clock.sync_to(exits[comm.me()]);
-    out
-}
-
-/// `MPI_Allreduce(SUM)` over one `f64` per member.
-pub fn allreduce_sum(rank: &mut Rank, comm: &Comm, env: PhaseEnv, x: f64) -> f64 {
-    fftobs::count("mpisim.calls.allreduce", 1);
-    fftobs::count("mpisim.bytes.allreduce", 8);
-    let entries_raw = comm.control_allgather(rank, rank.now().as_ns());
-    let entries: Vec<SimTime> = entries_raw.into_iter().map(SimTime::from_ns).collect();
-    let values = comm.control_allgather(rank, x);
-    let np = net_params(rank);
-    let exit = pattern::tree_time(&np, &env, comm.members(), &entries, 8, true);
-    rank.clock.sync_to(exit);
-    values.iter().sum()
 }
 
 #[cfg(test)]
@@ -1005,66 +906,6 @@ mod tests {
                 assert!(*r <= times.exit(me));
             }
         }
-    }
-
-    #[test]
-    fn barrier_aligns_clocks() {
-        let n = 6;
-        let w = world_n(n);
-        let out = w.run(|r| {
-            let comm = Comm::world(r);
-            r.compute_ns((r.rank() as u64 + 1) * 10_000);
-            barrier(r, &comm, env_for(n));
-            r.now()
-        });
-        let max_entry = 6 * 10_000u64;
-        for t in &out {
-            assert!(
-                t.as_ns() >= max_entry,
-                "barrier exited before slowest entry"
-            );
-        }
-    }
-
-    #[test]
-    fn bcast_distributes_root_value() {
-        let n = 6;
-        let w = world_n(n);
-        let out = w.run(|r| {
-            let comm = Comm::world(r);
-            let v = bcast(
-                r,
-                &comm,
-                env_for(n),
-                2,
-                (comm.me() == 2).then_some(vec![1.5f64, 2.5]),
-                16,
-            );
-            v[1]
-        });
-        assert!(out.iter().all(|v| *v == 2.5));
-    }
-
-    #[test]
-    fn allreduce_sums_across_ranks() {
-        let n = 6;
-        let w = world_n(n);
-        let out = w.run(|r| {
-            let comm = Comm::world(r);
-            allreduce_sum(r, &comm, env_for(n), r.rank() as f64)
-        });
-        assert!(out.iter().all(|v| *v == 15.0));
-    }
-
-    #[test]
-    fn allgather_returns_member_order() {
-        let n = 4;
-        let w = world_n(n);
-        let out = w.run(|r| {
-            let comm = Comm::world(r);
-            allgather(r, &comm, env_for(n), r.rank() as u8, 1)
-        });
-        assert!(out.iter().all(|v| *v == vec![0u8, 1, 2, 3]));
     }
 
     #[test]

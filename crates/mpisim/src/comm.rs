@@ -49,14 +49,14 @@ pub struct WorldOpts {
     pub compute_slowdown: Vec<(usize, f64)>,
     /// Memoize collective schedule pricing across calls (see
     /// [`crate::pattern::SchedMemo`]). Simulated times are identical either
-    /// way; memo-off is the reference the sanitizer replay digests compare
-    /// the memoized run against.
+    /// way; memo-off is the reference the replay equality tests compare the
+    /// memoized run against.
     pub sched_memo: bool,
     /// Fuse the (entry time, byte row) metadata round of each data
     /// collective onto the data messages themselves (one rendezvous per
     /// collective instead of two). Results and simulated times are
     /// identical either way; the unfused two-round form is the reference
-    /// of the same sanitizer A/B.
+    /// of the same equality tests.
     pub fused_meta: bool,
 }
 
@@ -280,16 +280,6 @@ impl<'w> Rank<'w> {
             mb.cv.wait(&mut q);
         }
     }
-
-    /// Receives a typed payload for an exact key.
-    pub(crate) fn recv_typed<T: 'static>(&mut self, key: MatchKey) -> T {
-        let (_, env) = self.recv_matching(&[key]);
-        let payload = env
-            .payload
-            .downcast::<T>()
-            .unwrap_or_else(|_| panic!("type mismatch on message {key:?}"));
-        *payload
-    }
 }
 
 /// A communicator: an ordered group of world ranks with a distinct id.
@@ -437,7 +427,6 @@ impl Comm {
         // of arrival order. Exercises the invariant documented above — no
         // simulated time may depend on which order the host delivered
         // control-plane messages in.
-        #[cfg(feature = "sanitize")]
         if let Some(perm) = crate::sanitize::harvest_permutation(pending.len()) {
             for pi in perm {
                 let i = pending[pi];

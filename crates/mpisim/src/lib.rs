@@ -15,7 +15,7 @@
 //! |---|---|
 //! | Point-to-point | [`coll::p2p_exchange`] / [`coll::p2p_exchange_partitioned`] under [`P2pFlavor::Blocking`] (`MPI_Send` + receive loop) or [`P2pFlavor::NonBlocking`] (posted sends, completion in arrival order) |
 //! | All-to-All | [`coll::exchange`] with [`coll::ExchangeKind::alltoall`], [`alltoallv`](coll::ExchangeKind::alltoallv), [`alltoallw`](coll::ExchangeKind::alltoallw) |
-//! | Support | `barrier`, `bcast`, `allreduce_sum`, `allgather`, `comm.split` |
+//! | Support | `comm.split` |
 //! | Datatypes | contiguous, `Subarray` (`MPI_Type_create_subarray`) |
 //!
 //! Two behaviours the paper calls out are modeled explicitly:
@@ -45,7 +45,6 @@ pub mod datatype;
 pub mod distro;
 pub mod par;
 pub mod pattern;
-#[cfg(feature = "sanitize")]
 pub mod sanitize;
 
 pub use comm::{Comm, Rank, World, WorldOpts};

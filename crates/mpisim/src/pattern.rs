@@ -549,58 +549,6 @@ pub fn scatter_times(
     PartitionedTimes::from_flat(flat, nparts)
 }
 
-/// Prices a dissemination **barrier**: `⌈log₂ p⌉` zero-byte rounds.
-pub fn barrier_times(
-    np: &NetParams,
-    env: &PhaseEnv,
-    group: &[usize],
-    entries: &[SimTime],
-) -> Vec<SimTime> {
-    let p = group.len();
-    if p <= 1 {
-        return entries.to_vec();
-    }
-    let mut now = entries.to_vec();
-    let mut round = 1usize;
-    while round < p {
-        let mut arrive = vec![SimTime::ZERO; p];
-        for i in 0..p {
-            let dst = (i + round) % p;
-            let (_, lat) = msg_parts(np, env, 0, group[i], group[dst]);
-            arrive[dst] = arrive[dst].max(now[i] + SimTime::from_ns(SEND_OVERHEAD_NS + lat));
-        }
-        for i in 0..p {
-            now[i] = now[i].max(arrive[i]) + SimTime::from_ns(RECV_OVERHEAD_NS);
-        }
-        round <<= 1;
-    }
-    now
-}
-
-/// Prices a binomial-tree style collective carrying `bytes` per hop
-/// (broadcast, reduce, allreduce ≈ 2× this): `⌈log₂ p⌉` sequential hops on
-/// the critical path. Returns the common exit time applied to all members.
-pub fn tree_time(
-    np: &NetParams,
-    env: &PhaseEnv,
-    group: &[usize],
-    entries: &[SimTime],
-    bytes: usize,
-    doubled: bool,
-) -> SimTime {
-    let p = group.len();
-    let start = entries.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    if p <= 1 {
-        return start;
-    }
-    let rounds = (usize::BITS - (p - 1).leading_zeros()) as u64;
-    let factor = if doubled { 2 } else { 1 };
-    // Representative hop: worst-case pair in the group (first and last).
-    let (inject, lat) = msg_parts(np, env, bytes, group[0], group[p - 1]);
-    let hop = SEND_OVERHEAD_NS + inject + lat + RECV_OVERHEAD_NS;
-    start + SimTime::from_ns(factor * rounds * hop)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,29 +696,6 @@ mod tests {
         for (b, s) in base.iter().zip(&shifted) {
             assert_eq!(s.as_ns() - b.as_ns(), 100_000);
         }
-    }
-
-    #[test]
-    fn barrier_synchronizes_stragglers() {
-        let spec = MachineSpec::summit();
-        let group: Vec<usize> = (0..8).collect();
-        let mut entries = zeros(8);
-        entries[3] = SimTime::from_ms(1);
-        let exits = barrier_times(&np(&spec), &PhaseEnv::quiet(true), &group, &entries);
-        for e in &exits {
-            assert!(*e >= SimTime::from_ms(1), "exit {e} before straggler entry");
-        }
-    }
-
-    #[test]
-    fn tree_time_grows_with_group() {
-        let spec = MachineSpec::summit();
-        let env = PhaseEnv::quiet(true);
-        let g8: Vec<usize> = (0..8).collect();
-        let g64: Vec<usize> = (0..64).collect();
-        let t8 = tree_time(&np(&spec), &env, &g8, &zeros(8), 4096, false);
-        let t64 = tree_time(&np(&spec), &env, &g64, &zeros(64), 4096, false);
-        assert!(t64 > t8);
     }
 
     #[test]

@@ -1,73 +1,15 @@
-//! Runtime simulation sanitizer (compiled only with `--features sanitize`).
+//! The **schedule-permutation stress mode**, the one runtime test seam of
+//! the simulator: a process-global seed that makes [`crate::Comm`]'s
+//! control-plane harvest consume mailbox messages in a seeded pseudo-random
+//! member order instead of arrival order. Harvest order is a
+//! host-scheduling artifact that must never influence simulated time, so
+//! any seed — including none — must produce identical exit times and
+//! results. Tests flip seeds and `assert_eq!` the runs to prove it.
 //!
-//! The static half of the determinism contract lives in `fftlint`; this is
-//! the runtime half. It provides:
-//!
-//! * [`Digest`] — an order-sensitive FNV-1a replay digest. Hashing the
-//!   per-rank simulated completion times plus the full trace-event stream
-//!   yields a *timing digest* that must be bit-identical across executor
-//!   thread counts, scheduler memoization modes, and reruns; folding the
-//!   buffer-pool statistics in on top yields a *full digest* that must be
-//!   bit-identical across reruns of one configuration.
-//! * The **schedule-permutation stress mode**: a process-global seed that
-//!   makes [`crate::Comm`]'s control-plane harvest consume mailbox messages
-//!   in a seeded pseudo-random member order instead of arrival order.
-//!   Harvest order is a host-scheduling artifact that must never influence
-//!   simulated time, so any seed — including none — must produce identical
-//!   exit times. Tests flip seeds and compare digests to prove it.
-//!
-//! Everything here is observational: with the feature enabled and the
-//! shuffle seed unset (the default), behavior is unchanged.
+//! With the seed unset (the default) a harvest costs one relaxed atomic
+//! load and behaviour is unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Order-sensitive 64-bit FNV-1a hasher for replay digests.
-///
-/// Deliberately not `std::hash::Hasher`: replay digests must be stable
-/// across Rust versions and platforms, which the std `Hash` implementations
-/// do not promise.
-#[derive(Debug, Clone)]
-pub struct Digest(u64);
-
-impl Default for Digest {
-    fn default() -> Digest {
-        Digest::new()
-    }
-}
-
-impl Digest {
-    /// FNV-1a offset basis.
-    pub fn new() -> Digest {
-        Digest(0xcbf29ce484222325)
-    }
-
-    /// Folds one byte in.
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100000001b3);
-    }
-
-    /// Folds a `u64` in (little-endian byte order).
-    pub fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    /// Folds a byte string in, length-prefixed so concatenations cannot
-    /// collide.
-    pub fn bytes(&mut self, s: &[u8]) {
-        self.u64(s.len() as u64);
-        for &b in s {
-            self.byte(b);
-        }
-    }
-
-    /// The digest value accumulated so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Seed of the schedule-permutation stress mode. `0` (the default) keeps
 /// the production arrival-order harvest.
@@ -123,33 +65,6 @@ fn mix(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn digest_is_order_sensitive_and_stable() {
-        let mut a = Digest::new();
-        a.u64(1);
-        a.u64(2);
-        let mut b = Digest::new();
-        b.u64(2);
-        b.u64(1);
-        assert_ne!(a.finish(), b.finish());
-        // Known-answer: FNV-1a of eight zero bytes must never drift across
-        // refactors (replay digests are compared across builds).
-        let mut c = Digest::new();
-        c.u64(0);
-        assert_eq!(c.finish(), 0xa8c7f832281a39c5);
-    }
-
-    #[test]
-    fn length_prefix_separates_concatenations() {
-        let mut a = Digest::new();
-        a.bytes(b"ab");
-        a.bytes(b"c");
-        let mut b = Digest::new();
-        b.bytes(b"a");
-        b.bytes(b"bc");
-        assert_ne!(a.finish(), b.finish());
-    }
 
     #[test]
     fn permutation_off_by_default_and_seeded_on() {

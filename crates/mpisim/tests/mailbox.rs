@@ -3,9 +3,8 @@
 //! on the same or another communicator — that pile up in a slow rank's
 //! mailbox are never delivered to an earlier call.
 //!
-//! Runs in the default leg and, under `--features sanitize`, once more per
-//! harvest-shuffle seed (the seed is process-global, hence a test file of
-//! its own).
+//! Runs once in arrival order and once more per harvest-shuffle seed (the
+//! seed is process-global, hence a test file of its own).
 
 use std::sync::Barrier;
 
@@ -87,7 +86,6 @@ fn race() -> Vec<u64> {
 fn ranks_racing_ahead_of_a_late_peer_deliver_every_payload_to_its_call() {
     let clocks = race();
     assert!(clocks.iter().all(|&ns| ns > 0));
-    #[cfg(feature = "sanitize")]
     for seed in [1, 42, 0xDEAD_BEEF, u64::MAX] {
         mpisim::sanitize::set_shuffle_seed(seed);
         let shuffled = race();

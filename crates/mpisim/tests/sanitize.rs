@@ -1,20 +1,19 @@
-//! Schedule-permutation stress tests (`--features sanitize`, ISSUE 5).
+//! Schedule-permutation stress test (ISSUE 5; the seed is process-global,
+//! hence a test file of its own).
 //!
 //! The simulator's control plane consumes mailbox messages in arrival
 //! order — a host-scheduling artifact. The sanitizer's shuffle mode forces
 //! a seeded pseudo-random harvest order instead; simulated exit times and
-//! collective results must be bit-identical for every seed, including no
+//! exchange results must be bit-identical for every seed, including no
 //! shuffling at all.
-
-#![cfg(feature = "sanitize")]
 
 use mpisim::coll;
 use mpisim::comm::{Comm, World, WorldOpts};
 use mpisim::sanitize::set_shuffle_seed;
-use mpisim::PhaseEnv;
-use simgrid::MachineSpec;
+use mpisim::{P2pFlavor, PhaseEnv};
+use simgrid::{MachineSpec, SimTime};
 
-/// One mixed collective workload on 8 ranks with jitter enabled. Returns
+/// One mixed exchange workload on 8 ranks with jitter enabled. Returns
 /// per-rank (final simulated clock ns, checksum of every received value).
 fn run_workload(shuffle_seed: u64) -> Vec<(u64, u64)> {
     set_shuffle_seed(shuffle_seed);
@@ -43,20 +42,18 @@ fn run_workload(shuffle_seed: u64) -> Vec<(u64, u64)> {
                 .wrapping_add(block.iter().sum::<u64>());
         }
 
-        let gathered = coll::allgather(rank, &comm, env, me as u64 * 7, 8);
-        checksum = checksum
-            .wrapping_mul(1099511628211)
-            .wrapping_add(gathered.iter().sum::<u64>());
-
-        coll::barrier(rank, &comm, env);
-
-        let total = coll::allreduce_sum(rank, &comm, env, me as f64 + 0.25);
-        checksum = checksum
-            .wrapping_mul(1099511628211)
-            .wrapping_add(total.to_bits());
-
-        let b = coll::bcast(rank, &comm, env, 3, (me == 3).then_some(0xB0B_u64), 8);
-        checksum = checksum.wrapping_mul(1099511628211).wrapping_add(b);
+        // A point-to-point round (zero-length pairs skipped), then a
+        // partitioned alltoallv whose second chunk is packed 5 µs late.
+        let n = comm.size();
+        let sends = (0..n).map(|j| vec![me as u64 * 7; (me + j) % 3]).collect();
+        let p2p = coll::p2p_exchange(rank, &comm, env, P2pFlavor::NonBlocking, sends);
+        let sends = (0..n).map(|j| vec![(me ^ j) as u64; 4]).collect();
+        let entries = [rank.now(), rank.now() + SimTime::from_ns(5_000)];
+        let (parts, times) = coll::alltoallv_partitioned(rank, &comm, env, sends, &entries);
+        let ready = times.ready(me).iter().map(|t| t.as_ns());
+        for v in p2p.iter().chain(&parts).flatten().copied().chain(ready) {
+            checksum = checksum.wrapping_mul(1099511628211).wrapping_add(v);
+        }
 
         (rank.now().as_ns(), checksum)
     });
@@ -78,7 +75,7 @@ fn shuffled_harvest_order_never_moves_simulated_time() {
         assert_eq!(
             baseline, shuffled,
             "harvest order with shuffle seed {seed} changed simulated exit \
-             times or collective results"
+             times or exchange results"
         );
     }
 }

@@ -1,12 +1,11 @@
 //! Warn-once typed parsing of `FFT_*` tuning variables.
 //!
-//! Every runtime knob in the stack — there are five: `FFT_EXEC_THREADS`,
-//! `FFT_RESHAPE_CHUNKS`, `FFT_SIMD`, `FFT_SWEEP_THREADS` and the CI-only
-//! `FFT_FIG5_MAX_NODES` — has the same correctness needs: a
-//! typed parse with clamping, and a *loud but not noisy* failure mode — a
-//! silently ignored knob is worse than no knob (a typoed
-//! `FFT_EXEC_THREADS=fourteen` once quietly ran serial benchmarks), while
-//! a warning per read would spam a sweep that reads the knob thousands of
+//! Every runtime knob in the stack — there are three: `FFT_RESHAPE_CHUNKS`,
+//! `FFT_SIMD` and the CI-only `FFT_FIG5_MAX_NODES` — has the same
+//! correctness needs: a typed parse with clamping, and a *loud but not
+//! noisy* failure mode — a silently ignored knob is worse than no knob (a
+//! typoed thread count once quietly ran serial benchmarks), while a
+//! warning per read would spam a sweep that reads the knob thousands of
 //! times. This module is the single shared implementation: one parse
 //! shape, one message format, one warn-once registry keyed by variable
 //! name.
