@@ -40,6 +40,7 @@ fn best(machine: &MachineSpec, n: [usize; 3], ranks: usize) -> (f64, String) {
 }
 
 fn main() {
+    fft_bench::reject_args();
     banner(
         "exascale",
         "tuned FFT scaling projected onto a Frontier-class machine",

@@ -8,7 +8,7 @@ use fft_bench::{banner, protocol_traces, Obs, TextTable, N512};
 use simgrid::MachineSpec;
 
 fn main() {
-    let (obs, _) = Obs::from_env();
+    let (obs, _) = Obs::from_env(0);
     banner(
         "Fig. 10",
         "batched 1-D FFT (n=512) call times inside the 3-D FFT, 24 V100",

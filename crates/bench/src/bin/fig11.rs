@@ -7,6 +7,7 @@ use fft_bench::{banner, timed_average_with_comm, TextTable, N512};
 use simgrid::MachineSpec;
 
 fn main() {
+    fft_bench::reject_args();
     banner(
         "Fig. 11",
         "Alltoallv comm cost, GPU-aware vs not, 512^3 on 16 nodes (96 V100)",

@@ -9,6 +9,7 @@ use miniapps::md::{run_rhodopsin, RhodopsinConfig};
 use simgrid::MachineSpec;
 
 fn main() {
+    fft_bench::reject_args();
     banner(
         "Fig. 12",
         "LAMMPS Rhodopsin breakdown, 32K atoms, 512^3 grid, 32 nodes",

@@ -37,6 +37,7 @@ fn side(m: &MachineSpec, node_counts: &[usize], batch: usize) {
 }
 
 fn main() {
+    fft_bench::reject_args();
     banner(
         "Fig. 13",
         "batched 64^3 c2c FFT: per-transform cost, batched vs isolated",

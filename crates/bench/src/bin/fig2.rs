@@ -44,7 +44,7 @@ fn backend_traces(machine: &MachineSpec, backend: CommBackend, distro: MpiDistro
 }
 
 fn main() {
-    let (obs, _) = Obs::from_env();
+    let (obs, _) = Obs::from_env(0);
     banner(
         "Fig. 2",
         "GPU-aware All-to-All per-call comm runtime, 512^3 c2c on 24 V100 (4 nodes)",

@@ -10,7 +10,7 @@ use fft_bench::{banner, protocol_traces, Obs, TextTable, N512};
 use simgrid::MachineSpec;
 
 fn main() {
-    let (obs, _) = Obs::from_env();
+    let (obs, _) = Obs::from_env(0);
     banner(
         "Fig. 3",
         "GPU-aware Point-to-Point per-call comm runtime, 512^3 c2c on 24 V100",

@@ -58,7 +58,7 @@ fn pencil_comm_time(machine: &MachineSpec, ranks: usize, backend: CommBackend, a
 }
 
 fn main() {
-    let (obs, _) = fft_bench::Obs::from_env();
+    let (obs, _) = fft_bench::Obs::from_env(0);
     banner(
         "Fig. 4",
         "average bandwidth per process (eq. 5), 512^3 c2c, 1..128 Summit nodes",

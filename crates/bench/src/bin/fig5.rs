@@ -16,7 +16,7 @@ use fftprof::DiffReport;
 use simgrid::MachineSpec;
 
 fn main() {
-    let (obs, _) = fft_bench::Obs::from_env();
+    let (obs, _) = fft_bench::Obs::from_env(0);
     banner(
         "Fig. 5",
         "best-setting regions, 512^3 c2c strong scaling on Summit",

@@ -13,6 +13,7 @@ use fft_bench::{banner, print_breakdown_side, protocol_breakdown, N512};
 use simgrid::MachineSpec;
 
 fn main() {
+    fft_bench::reject_args();
     banner(
         "Fig. 6",
         "runtime breakdown, 512^3 on 24 V100, All-to-All backends (10 FFTs)",

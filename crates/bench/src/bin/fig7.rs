@@ -12,6 +12,7 @@ use fft_bench::{banner, print_breakdown_side, protocol_breakdown, N512};
 use simgrid::MachineSpec;
 
 fn main() {
+    fft_bench::reject_args();
     banner(
         "Fig. 7",
         "runtime breakdown, 512^3 on 24 V100, Point-to-Point backends (10 FFTs)",

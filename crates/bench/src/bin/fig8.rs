@@ -10,6 +10,7 @@ use fft_bench::{banner, table3_ranks, timed_average_with_comm, TextTable, N512};
 use simgrid::MachineSpec;
 
 fn main() {
+    fft_bench::reject_args();
     banner(
         "Fig. 8",
         "All-to-All comm and total time vs nodes, GPU-aware on/off, 512^3",

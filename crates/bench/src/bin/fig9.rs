@@ -11,6 +11,7 @@ use fft_bench::{banner, table3_ranks, timed_average_with_comm, TextTable, N512};
 use simgrid::MachineSpec;
 
 fn main() {
+    fft_bench::reject_args();
     banner(
         "Fig. 9",
         "Point-to-Point comm and total time vs nodes, GPU-aware on/off, 512^3",

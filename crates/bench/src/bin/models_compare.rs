@@ -13,6 +13,7 @@ use fftmodels::literature::{
 use simgrid::MachineSpec;
 
 fn main() {
+    fft_bench::reject_args();
     banner(
         "models",
         "measured 512^3 comm time vs the Section III cost models",

@@ -12,7 +12,7 @@ use fft_bench::{banner, timed_average, TextTable};
 use simgrid::MachineSpec;
 
 fn main() {
-    let (obs, positional) = fft_bench::Obs::from_env();
+    let (obs, positional) = fft_bench::Obs::from_env(2);
     let n: usize = match positional.first() {
         None => 512,
         Some(s) => s.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {

@@ -6,6 +6,7 @@ use distfft::plan::CommBackend;
 use fft_bench::{banner, TextTable};
 
 fn main() {
+    fft_bench::reject_args();
     banner(
         "Table I",
         "MPI routines in FFT libraries vs this reproduction",

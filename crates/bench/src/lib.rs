@@ -184,6 +184,24 @@ pub fn print_breakdown_side(title: &str, rows: &[(String, SimTime)]) -> f64 {
     total
 }
 
+/// The harness usage-error contract: one line on stderr, exit status 2,
+/// before anything runs.
+fn usage_error(cause: &str) -> ! {
+    eprintln!("error: {cause}");
+    std::process::exit(2);
+}
+
+/// For a harness that takes no arguments at all: exits 2 naming the first
+/// one, so `fig7 --trace-out f` cannot run the whole figure and write
+/// nothing.
+pub fn reject_args() {
+    if let Some(arg) = std::env::args().nth(1) {
+        usage_error(&format!(
+            "unexpected argument '{arg}' (this harness takes none)"
+        ));
+    }
+}
+
 /// Observability options of a figure harness, parsed from the command line.
 ///
 /// * `--trace-out <file>` — export the harness's per-rank timeline as
@@ -208,10 +226,14 @@ pub struct Obs {
 impl Obs {
     /// Parses the harness command line (`args` without the program name):
     /// `--trace-out <file>` / `--profile-out <file>` / `--metrics`, plus
-    /// the positional arguments in order. An unknown `--flag` or a flag
-    /// missing its value is an error — a typo must not silently run the
-    /// whole figure and write nothing.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(Obs, Vec<String>), String> {
+    /// up to `max_positional` positional arguments in order. An unknown
+    /// `--flag`, a flag missing its value or a positional the harness does
+    /// not consume is an error — a typo must not silently run the whole
+    /// figure and write nothing.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        max_positional: usize,
+    ) -> Result<(Obs, Vec<String>), String> {
         let mut obs = Obs::default();
         let mut positional = Vec::new();
         let mut args = args.into_iter();
@@ -226,6 +248,9 @@ impl Obs {
                 "--profile-out" => obs.profile_out = Some(file()?),
                 "--metrics" => obs.metrics = true,
                 flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+                _ if positional.len() == max_positional => {
+                    return Err(format!("unexpected argument '{a}'"))
+                }
                 _ => positional.push(a),
             }
         }
@@ -236,11 +261,9 @@ impl Obs {
     /// positional arguments alongside; a parse error exits 2 with a
     /// one-line message on stderr. Enables metric recording when any
     /// output is requested.
-    pub fn from_env() -> (Obs, Vec<String>) {
-        let (obs, positional) = Obs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
+    pub fn from_env(max_positional: usize) -> (Obs, Vec<String>) {
+        let (obs, positional) = Obs::parse(std::env::args().skip(1), max_positional)
+            .unwrap_or_else(|e| usage_error(&e));
         if obs.active() {
             fftobs::set_enabled(true);
         }
@@ -368,7 +391,7 @@ mod tests {
 
     #[test]
     fn obs_parse_accepts_known_flags_and_rejects_the_rest() {
-        let parse = |args: &[&str]| Obs::parse(args.iter().map(|s| s.to_string()));
+        let parse = |args: &[&str]| Obs::parse(args.iter().map(|s| s.to_string()), 2);
         // Known flags in any position; positionals come back in order.
         let (obs, positional) = parse(&[
             "1024",
@@ -394,6 +417,12 @@ mod tests {
         assert_eq!(
             parse(&["512", "--trace-out"]).unwrap_err(),
             "--trace-out requires a file argument"
+        );
+        // So is a positional past what the harness consumes — the first
+        // such argument is the one named.
+        assert_eq!(
+            parse(&["512", "spock", "extra", "--bogus"]).unwrap_err(),
+            "unexpected argument 'extra'"
         );
     }
 

@@ -184,23 +184,65 @@ fn enabling_metrics_does_not_change_the_timeline() {
     );
 }
 
+/// Asserts the usage-error contract on one binary: exit 2, one line on
+/// stderr naming `culprit`, nothing on stdout.
+fn assert_rejected(bin: &str, exe: &str, args: &[&str], culprit: &str) {
+    let out = Command::new(exe)
+        .args(args)
+        .output()
+        .expect("harness binary runs");
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+    assert!(out.stdout.is_empty(), "{bin} {args:?} wrote to stdout");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(stderr.lines().count(), 1, "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(culprit), "{bin} {args:?}: {stderr}");
+}
+
 #[test]
 fn sweep_rejects_bad_arguments_before_running() {
     // A typo must not silently sweep the default size or drop an output:
     // exit 2, one line on stderr, nothing on stdout.
-    for args in [
-        &["1O24"][..],
-        &["0"],
-        &["--profile-ou", "f"],
-        &["64", "--trace-out"],
+    for (args, culprit) in [
+        (&["1O24"][..], "1O24"),
+        (&["0"], "'0'"),
+        (&["--profile-ou", "f"], "--profile-ou"),
+        (&["64", "--trace-out"], "--trace-out"),
+        (&["64", "summit", "spock"], "'spock'"),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
-            .args(args)
-            .output()
-            .expect("sweep binary runs");
-        assert_eq!(out.status.code(), Some(2), "sweep {args:?}");
-        assert!(out.stdout.is_empty(), "sweep {args:?} wrote to stdout");
-        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
-        assert_eq!(stderr.lines().count(), 1, "sweep {args:?}: {stderr}");
+        assert_rejected("sweep", env!("CARGO_BIN_EXE_sweep"), args, culprit);
+    }
+}
+
+/// `(name, path)` of each named harness binary (`env!` needs literals).
+macro_rules! bins {
+    ($($bin:ident),*) => {
+        [$((stringify!($bin), env!(concat!("CARGO_BIN_EXE_", stringify!($bin))))),*]
+    };
+}
+
+#[test]
+fn figure_binaries_reject_arguments_they_do_not_consume() {
+    // The flag-taking figures drop no positional, and the harnesses that
+    // read no arguments at all do not run the whole figure on
+    // `fig7 --trace-out f` and write nothing: the first unconsumed
+    // argument is named.
+    for (bin, exe) in bins![fig2, fig3, fig4, fig5, fig10] {
+        assert_rejected(bin, exe, &["--metrics", "1O24", "--bogus"], "'1O24'");
+    }
+    for (bin, exe) in bins![
+        fig6,
+        fig7,
+        fig8,
+        fig9,
+        fig11,
+        fig12,
+        fig13,
+        table1,
+        table3,
+        models_compare,
+        exascale
+    ] {
+        assert_rejected(bin, exe, &["--trace-out", "f"], "'--trace-out'");
+        assert_rejected(bin, exe, &["1O24"], "'1O24'");
     }
 }

@@ -20,7 +20,6 @@ use fftkern::plan::{Layout, Plan1d};
 use fftkern::{Direction, C64};
 use mpisim::coll;
 use mpisim::comm::{Comm, Rank};
-use mpisim::Subarray;
 use simgrid::SimTime;
 
 use crate::boxes::Box3;
@@ -28,15 +27,6 @@ use crate::plan::{CommBackend, FftPlan, Step};
 use crate::reshape::{apply_self_block, ReshapeSpec};
 use crate::schedule::{directed, ReshapeCall, RunEnv, Timeline};
 use crate::trace::Trace;
-
-/// Minimum number of complex elements a local-FFT or pack/unpack call must
-/// touch before the executor fans it out across worker threads. Below this
-/// the per-call thread spawn/join cost of the scoped pool dwarfs the work
-/// (a 16³ per-rank grid is 4 096 elements — microseconds of math), so small
-/// problems run inline on worker 0 even when the context owns several
-/// arenas. The gate is a pure function of the data sizes, so scheduling —
-/// and therefore per-arena [`PoolStats`] — stays deterministic.
-const PAR_MIN_ELEMS: usize = 8192;
 
 /// How the per-peer reshape chunk count is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,50 +81,28 @@ pub fn effective_group_chunks(setting: usize, group_size: usize) -> usize {
 /// counter and the per-rank scratch pool. Create one per experiment and
 /// reuse it across warm-up and timed transforms so the Fig. 10 first-call
 /// spikes land in the warm-up — and so the steady state runs entirely out
-/// of recycled buffers, as on the real machine.
-///
-/// With [`with_threads`](ExecCtx::with_threads)` > 1` the context carries
-/// one scratch arena *per worker* and the executor fans local FFT and
-/// pack/unpack work across a statically-partitioned thread pool
-/// ([`mpisim::par::par_parts`]). Work unit `i` always runs on worker
-/// `i % threads` against that worker's arena, so results stay bit-identical
-/// to the serial path and per-arena [`PoolStats`] stay deterministic.
-#[derive(Debug, Clone)]
+/// of recycled buffers, as on the real machine. Everything runs on the
+/// rank's own thread (rank programs are already one thread per rank).
+#[derive(Debug, Clone, Default)]
 pub struct ExecCtx {
     strided_seen: BTreeSet<(usize, usize, bool)>,
     call_counter: u64,
-    /// One scratch arena per executor worker; `arenas[0]` doubles as the
-    /// serial/chunk-level pool (new layouts, retired arrays).
-    arenas: Vec<ExecScratch>,
-}
-
-impl Default for ExecCtx {
-    fn default() -> ExecCtx {
-        ExecCtx::new()
-    }
+    scratch: ExecScratch,
 }
 
 impl ExecCtx {
-    /// Fresh serial state (next transform pays the strided first-call
-    /// spikes and the buffer-pool warm-up). Rank programs already run one
-    /// thread per rank, so executor workers are an explicit opt-in through
-    /// [`ExecCtx::with_threads`].
+    /// Fresh state (next transform pays the strided first-call spikes and
+    /// the buffer-pool warm-up).
     pub fn new() -> ExecCtx {
-        ExecCtx::with_threads(1)
+        ExecCtx::default()
     }
 
-    /// Fresh state with an explicit executor worker count (`.max(1)`).
+    /// Benchmark-pinned spelling of [`ExecCtx::new`]: the frozen
+    /// `benchmark/` passes `1`; goes with fftbench v2 (ROADMAP H(3)).
+    #[doc(hidden)]
     pub fn with_threads(threads: usize) -> ExecCtx {
-        ExecCtx {
-            strided_seen: BTreeSet::new(),
-            call_counter: 0,
-            arenas: vec![ExecScratch::default(); threads.max(1)],
-        }
-    }
-
-    /// Executor worker count (≥ 1; 1 means fully serial).
-    pub fn threads(&self) -> usize {
-        self.arenas.len()
+        assert_eq!(threads, 1, "the executor runs on the rank's own thread");
+        ExecCtx::new()
     }
 
     pub(crate) fn first_strided(&mut self, dist: usize, axis: usize, dir: Direction) -> bool {
@@ -150,48 +118,34 @@ impl ExecCtx {
 
     /// Takes a pooled, empty staging buffer (recycled capacity, length 0).
     pub(crate) fn take_buffer(&mut self) -> Vec<C64> {
-        self.arenas[0].take_empty()
+        self.scratch.take_empty()
     }
 
     /// Returns a buffer to the pool for reuse by later calls.
     pub(crate) fn recycle(&mut self, buf: Vec<C64>) {
-        self.arenas[0].give(buf);
+        self.scratch.give(buf);
     }
 
-    /// Number of buffers currently parked across all arenas (diagnostics).
+    /// Number of buffers currently parked in the pool (diagnostics).
     pub fn pooled_buffers(&self) -> usize {
-        self.arenas.iter().map(|a| a.arrays.len()).sum()
+        self.scratch.arrays.len()
     }
 
     /// Cumulative hit/miss/eviction statistics of this context's scratch
-    /// pool, aggregated over all worker arenas. Per-context (deterministic
-    /// even when tests run in parallel); the same events also feed the
-    /// global `distfft.exec_pool.*` counters.
+    /// pool. Per-context (deterministic even when tests run in parallel);
+    /// the same events also feed the global `distfft.exec_pool.*` counters.
     pub fn pool_stats(&self) -> PoolStats {
-        self.arenas
-            .iter()
-            .fold(PoolStats::default(), |acc, a| PoolStats {
-                hits: acc.hits + a.stats.hits,
-                misses: acc.misses + a.stats.misses,
-                evictions: acc.evictions + a.stats.evictions,
-            })
+        self.scratch.stats
     }
 
-    /// Per-worker arena statistics, in worker order. With the static
-    /// round-robin partitioning these are a pure function of the workload
-    /// (asserted by `tests/parallel_exec.rs`).
-    pub fn pool_stats_per_worker(&self) -> Vec<PoolStats> {
-        self.arenas.iter().map(|a| a.stats).collect()
-    }
-
-    /// Leak counter (test seam): pool takes minus deposits across this
-    /// context's arenas. Send buffers are deposited by the *receiving*
-    /// rank's context, so a single context may legitimately be nonzero
+    /// Leak counter (test seam): pool takes minus deposits of this
+    /// context. Send buffers are deposited by the *receiving* rank's
+    /// context, so a single context may legitimately be nonzero
     /// mid-world; summed over every rank of a world after `execute`
     /// returns, the balance must be exactly zero — anything else is a
     /// leaked (or double-deposited) pooled buffer.
     pub fn outstanding_buffers(&self) -> i64 {
-        self.arenas.iter().map(|a| a.outstanding).sum()
+        self.scratch.outstanding
     }
 }
 
@@ -205,18 +159,6 @@ pub struct PoolStats {
     /// `give` calls that dropped a non-empty buffer because the pool was
     /// full (`POOL_CAP`) — silent deallocation churn on the hot path.
     pub evictions: u64,
-}
-
-impl PoolStats {
-    /// Hit rate over all takes (0.0 when nothing was taken).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// Pooled per-rank execution scratch: recycled local arrays / send buffers
@@ -404,7 +346,7 @@ pub fn execute(
                     // Real math on every item of this chunk.
                     let b = plan.dists[dist].rank_box(me);
                     if !b.is_empty() {
-                        run_local_fft(b, axis, &mut data[ilo..ihi], dir, &mut ctx.arenas);
+                        run_local_fft(b, axis, &mut data[ilo..ihi], dir, &mut ctx.scratch);
                     }
                     si += 1;
                 }
@@ -452,85 +394,32 @@ fn axis_plan(s: [usize; 3], axis: usize) -> std::sync::Arc<Plan1d> {
 /// strided distinction is a *timing* concern handled by the kernel model).
 ///
 /// Plans come out of the process-wide [`fftkern::plan_cache`] and the
-/// transform runs through the `_scratch` entry points against each arena's
+/// transform runs through the `_scratch` entry points against the pool's
 /// kernel buffer (grown once per shape, reused across calls), so the steady
 /// state builds no plans and allocates no buffers.
-///
-/// With more than one arena — and at least `PAR_MIN_ELEMS` elements of
-/// work, below which the fan-out cost exceeds the math — the batch is split
-/// into disjoint `&mut` work units — contiguous row blocks (axis 2), axis-0
-/// planes (axis 1), whole batch items (axis 0) — and fanned across
-/// [`mpisim::par::par_parts`].
-/// Every row is still transformed by the same plan math against the same
-/// interned twiddles — on the strided axes as one lane of a panel, which is
-/// the per-line operation sequence whatever its neighbours and the panel
-/// width are — so the parallel result is bit-identical to serial.
 // fftlint:hot — steady-state local transform; one call per (axis, rank)
-// of every execute, all buffers must come from the arena pool.
+// of every execute, all buffers must come from the scratch pool.
 fn run_local_fft(
     b: &Box3,
     axis: usize,
     data: &mut [Vec<C64>],
     dir: Direction,
-    arenas: &mut [ExecScratch],
+    scratch: &mut ExecScratch,
 ) {
     let s = b.shape();
-    let n = s[axis];
-    if n == 0 {
+    if s[axis] == 0 {
         return;
     }
-    let total_elems: usize = data.iter().map(|item| item.len()).sum();
-    if arenas.len() <= 1 || total_elems < PAR_MIN_ELEMS {
-        // Serial fast path: one plan lookup, one kernel buffer.
-        let plan1d = axis_plan(s, axis);
-        let kernel = arenas[0].kernel_for(plan1d.scratch_elems());
-        for item in data.iter_mut() {
-            if axis == 1 {
-                // Axis 1 is strided within each axis-0 plane.
-                for plane in item.chunks_mut(s[1] * s[2]) {
-                    plan1d.execute_inplace_scratch(plane, dir, kernel);
-                }
-            } else {
-                plan1d.execute_inplace_scratch(item, dir, kernel);
+    let plan1d = axis_plan(s, axis);
+    let kernel = scratch.kernel_for(plan1d.scratch_elems());
+    for item in data.iter_mut() {
+        if axis == 1 {
+            // Axis 1 is strided within each axis-0 plane.
+            for plane in item.chunks_mut(s[1] * s[2]) {
+                plan1d.execute_inplace_scratch(plane, dir, kernel);
             }
-        }
-        return;
-    }
-    match axis {
-        2 => {
-            // Contiguous rows: split each item into per-worker row blocks.
-            let rows = s[0] * s[1];
-            let per = rows.div_ceil(arenas.len()).max(1);
-            let units: Vec<&mut [C64]> = data
-                .iter_mut()
-                .flat_map(|item| item.chunks_mut(per * n))
-                .collect(); // fftlint:allow(no-alloc-in-hot-path): O(workers) unit list for the fan-out, not payload
-            let cache = fftkern::plan_cache();
-            mpisim::par::par_parts(arenas, units, |_, arena, seg| {
-                let rows_u = seg.len() / n;
-                let plan = cache.plan1d(n, rows_u, Layout::contiguous(n), Layout::contiguous(n));
-                plan.execute_inplace_scratch(seg, dir, arena.kernel_for(plan.scratch_elems()));
-            });
-        }
-        1 => {
-            // One strided batch per axis-0 plane; planes are disjoint slices.
-            let units: Vec<&mut [C64]> = data
-                .iter_mut()
-                .flat_map(|item| item.chunks_mut(s[1] * s[2]))
-                .collect(); // fftlint:allow(no-alloc-in-hot-path): O(workers) unit list for the fan-out, not payload
-            let plan = axis_plan(s, axis);
-            mpisim::par::par_parts(arenas, units, |_, arena, seg| {
-                plan.execute_inplace_scratch(seg, dir, arena.kernel_for(plan.scratch_elems()));
-            });
-        }
-        _ => {
-            // Axis 0 spans every plane of an item, so the finest safe `&mut`
-            // split is one unit per batch item.
-            let units: Vec<&mut Vec<C64>> = data.iter_mut().collect(); // fftlint:allow(no-alloc-in-hot-path): O(items) unit list for the fan-out, not payload
-            let plan = axis_plan(s, axis);
-            mpisim::par::par_parts(arenas, units, |_, arena, item| {
-                plan.execute_inplace_scratch(item, dir, arena.kernel_for(plan.scratch_elems()));
-            });
+        } else {
+            plan1d.execute_inplace_scratch(item, dir, kernel);
         }
     }
 }
@@ -540,9 +429,6 @@ fn run_local_fft(
 /// transform independently through the same cached plan and interned
 /// twiddles, so executing the box's lines as disjoint sub-batches in chunk
 /// order is bit-identical to the full-batch pass in [`run_local_fft`].
-/// Runs execute serially against arena 0's kernel scratch: per-chunk
-/// batches are small slices of one rank's box, where fan-out cost exceeds
-/// the math (the same reasoning as `PAR_MIN_ELEMS`, applied per run).
 // fftlint:hot — per-chunk transform-ahead sub-batches; runs once per
 // chunked reshape that consumes its next axis transform.
 fn run_local_fft_lines(
@@ -551,14 +437,14 @@ fn run_local_fft_lines(
     runs: &[(usize, usize)],
     data: &mut [Vec<C64>],
     dir: Direction,
-    arenas: &mut [ExecScratch],
+    scratch: &mut ExecScratch,
 ) {
     let s = b.shape();
     if s[axis] == 0 || runs.is_empty() {
         return;
     }
     let plan1d = axis_plan(s, axis);
-    let kernel = arenas[0].kernel_for(plan1d.scratch_elems());
+    let kernel = scratch.kernel_for(plan1d.scratch_elems());
     for item in data.iter_mut() {
         for &(lo, hi) in runs {
             if axis != 1 {
@@ -614,7 +500,7 @@ fn run_reshape(
     // New local arrays in the target layout, drawn zero-filled from the
     // rank's buffer pool (bit-identical to freshly allocated arrays).
     let mut new_data: Vec<Vec<C64>> = (0..call.items)
-        .map(|_| ctx.arenas[0].take_zeroed(to_box.volume()))
+        .map(|_| ctx.scratch.take_zeroed(to_box.volume()))
         .collect(); // fftlint:allow(no-alloc-in-hot-path): outer Vec of pooled buffers; payloads are take_zeroed
 
     // A rank outside every group has no flows at all: nothing to stamp.
@@ -637,47 +523,15 @@ fn run_reshape(
             *t = posted.max(*t);
         }
 
-        let times = if plan.opts.backend == CommBackend::AllToAllW {
-            // Sub-array datatype delivery straight into the new layout —
-            // no caller-side pack/unpack. Batched transforms are
-            // restricted to one item here (Algorithm 2 is not batched in
-            // the paper either).
-            assert_eq!(
-                plan.opts.batch, 1,
-                "the Alltoallw backend supports batch == 1 only"
-            );
-            let (send_types, recv_types) = alltoallw_types(call.spec, sub, from_box, to_box);
-            coll::exchange_subarrays(
-                rank,
-                sub,
-                sched.env,
-                &sched.kind,
-                (&data[0], &send_types),
-                (&mut new_data[0], &recv_types),
-                &entries,
-            )
-        } else {
-            // Grain gate: pack/unpack of a tiny chunk runs inline on
-            // arena 0 — the same decision on take and recycle sides, so
-            // per-arena pool traffic stays balanced (see `PAR_MIN_ELEMS`).
-            let vol = call.items * from_box.volume().max(to_box.volume());
-            let w = if vol < PAR_MIN_ELEMS {
-                1
-            } else {
-                ctx.arenas.len()
-            };
-            let arenas = &mut ctx.arenas[..w];
-            let sends = build_sends(plan, call.spec, sub, from_box, data, arenas);
-            let (recvd, times) = coll::exchange(rank, sub, sched.env, &sched.kind, sends, &entries);
-            deposit_recvs(plan, call.spec, sub, to_box, &recvd, &mut new_data, arenas);
-            // Recycle received blocks round-robin so per-arena give
-            // counts match the round-robin takes in `build_sends` —
-            // keeping every arena's free list balanced in steady state.
-            for (j, buf) in recvd.into_iter().enumerate() {
-                arenas[j % w].give(buf);
-            }
-            times
-        };
+        // One host data path for every backend: what a backend costs —
+        // routine, padding, whether a pack kernel is charged — is in
+        // `sched`; the bytes move the same way.
+        let sends = build_sends(plan, call.spec, sub, from_box, data, &mut ctx.scratch);
+        let (recvd, times) = coll::exchange(rank, sub, sched.env, &sched.kind, sends, &entries);
+        deposit_recvs(plan, call.spec, sub, to_box, &recvd, &mut new_data);
+        for buf in recvd {
+            ctx.scratch.give(buf);
+        }
         let first = match sched.ahead {
             Some(ref ahead) => ctx.first_strided(call.to_dist, ahead.axis, call.dir),
             None => false,
@@ -695,11 +549,10 @@ fn run_reshape(
     });
 
     // Swap the chunk's arrays to the new layout; the superseded arrays go
-    // back to the pool for the next reshape of this rank. They return to
-    // arena 0, which is also where `take_zeroed` drew the new layouts.
+    // back to the pool for the next reshape of this rank.
     for (old, new) in data.iter_mut().zip(new_data) {
         let prev = std::mem::replace(old, new);
-        ctx.arenas[0].give(prev);
+        ctx.scratch.give(prev);
     }
 
     // The real butterfly math for a consumed LocalFft step, on the
@@ -708,7 +561,7 @@ fn run_reshape(
     let Some(ahead) = ahead else { return false };
     if !to_box.is_empty() {
         let flat: Vec<(usize, usize)> = ahead.runs.into_iter().flatten().collect(); // fftlint:allow(no-alloc-in-hot-path): O(lines) run list, built once per consumed chunk
-        run_local_fft_lines(to_box, ahead.axis, &flat, data, call.dir, &mut ctx.arenas);
+        run_local_fft_lines(to_box, ahead.axis, &flat, data, call.dir, &mut ctx.scratch);
     }
     true
 }
@@ -716,11 +569,6 @@ fn run_reshape(
 /// Builds per-destination send buffers (items coalesced), in sub-comm member
 /// order, packing straight from the local arrays into pooled buffers. P2P
 /// skips the diagonal; padded Alltoall pads to the group maximum.
-///
-/// Destination `j` is packed by worker `j % arenas.len()` out of that
-/// worker's arena ([`par_parts`](mpisim::par::par_parts) round-robin), so
-/// the pack kernel parallelizes while per-arena take counts stay
-/// deterministic; with one arena this degenerates to the serial loop.
 // fftlint:hot — the pack kernel; send buffers must be pooled takes.
 fn build_sends(
     plan: &FftPlan,
@@ -728,7 +576,7 @@ fn build_sends(
     sub: &Comm,
     from_box: &Box3,
     data: &[Vec<C64>],
-    arenas: &mut [ExecScratch],
+    pool: &mut ExecScratch,
 ) -> Vec<Vec<C64>> {
     let members = sub.members();
     let me_sub = sub.me();
@@ -744,28 +592,27 @@ fn build_sends(
     // instead of an O(peers) `find` per destination.
     let send_idx = spec.send_region_index(members[me_sub], members);
 
-    let dests: Vec<usize> = (0..members.len()).collect(); // fftlint:allow(no-alloc-in-hot-path): O(group) destination list per reshape
-    mpisim::par::par_parts(arenas, dests, |_, pool, j| {
-        if is_p2p && j == me_sub {
-            return Vec::new(); // fftlint:allow(no-alloc-in-hot-path): capacity-0 sentinel, no heap
-        }
-        let mut buf = pool.take_empty();
-        if let Some(region) = send_idx[j] {
-            for item in data {
-                from_box.extract_into(item, region, &mut buf);
+    (0..members.len())
+        .map(|j| {
+            if is_p2p && j == me_sub {
+                return Vec::new(); // fftlint:allow(no-alloc-in-hot-path): capacity-0 sentinel, no heap
             }
-        }
-        if pad_elems > 0 {
-            buf.resize(pad_elems, C64::ZERO);
-        }
-        buf
-    })
+            let mut buf = pool.take_empty();
+            if let Some(region) = send_idx[j] {
+                for item in data {
+                    from_box.extract_into(item, region, &mut buf);
+                }
+            }
+            if pad_elems > 0 {
+                buf.resize(pad_elems, C64::ZERO);
+            }
+            buf
+        })
+        .collect() // fftlint:allow(no-alloc-in-hot-path): O(group) outer Vec of pooled send buffers
 }
 
 /// Deposits received (coalesced) blocks into the new local arrays — the
-/// unpack kernel. Batch items are disjoint destinations, so with multiple
-/// arenas the items fan out across workers; each item replays every block
-/// in sub-comm order, making the writes identical to the serial loop.
+/// unpack kernel: every item replays every block in sub-comm order.
 // fftlint:hot — the unpack kernel.
 fn deposit_recvs(
     plan: &FftPlan,
@@ -774,7 +621,6 @@ fn deposit_recvs(
     to_box: &Box3,
     recvd: &[Vec<C64>],
     new_data: &mut [Vec<C64>],
-    arenas: &mut [ExecScratch],
 ) {
     let members = sub.members();
     let me_sub = sub.me();
@@ -783,60 +629,30 @@ fn deposit_recvs(
     // Source→region index built once per reshape (O(p + peers)) instead of
     // the per-block linear `find` that made this loop O(peers²).
     let recv_idx = spec.recv_region_index(me_world, members);
-    let units: Vec<&mut Vec<C64>> = new_data.iter_mut().collect(); // fftlint:allow(no-alloc-in-hot-path): O(items) unit list for the fan-out
-    mpisim::par::par_parts(arenas, units, |b, _, item| {
-        for (j, block) in recvd.iter().enumerate() {
-            if is_p2p && j == me_sub {
-                continue; // self block handled by the device copy
-            }
-            let Some(region) = recv_idx[j] else {
-                // A non-empty block with no matching recv region means the
-                // spec is malformed — fail loudly instead of silently
-                // dropping received data (see ReshapeSpec::validate).
-                assert!(
-                    block.is_empty() || plan.opts.backend == CommBackend::AllToAll,
-                    "reshape spec: rank {me_world} received {} elements from rank \
-                     {} but has no recv region for it",
-                    block.len(),
-                    members[j]
-                );
-                continue;
-            };
-            let vol = region.volume();
+    for (j, block) in recvd.iter().enumerate() {
+        if is_p2p && j == me_sub {
+            continue; // self block handled by the device copy
+        }
+        let Some(region) = recv_idx[j] else {
+            // A non-empty block with no matching recv region means the
+            // spec is malformed — fail loudly instead of silently
+            // dropping received data (see ReshapeSpec::validate).
+            assert!(
+                block.is_empty() || plan.opts.backend == CommBackend::AllToAll,
+                "reshape spec: rank {me_world} received {} elements from rank \
+                 {} but has no recv region for it",
+                block.len(),
+                members[j]
+            );
+            continue;
+        };
+        let vol = region.volume();
+        for (b, item) in new_data.iter_mut().enumerate() {
             to_box.deposit(item, region, &block[b * vol..(b + 1) * vol]);
         }
-    });
+    }
 }
 
-/// Builds the per-member sub-array datatypes of the Alltoallw path: one
-/// send type per destination (a region of `from_box`) and one recv type
-/// per source (a region of `to_box`), empty where no flow exists.
-fn alltoallw_types(
-    spec: &ReshapeSpec,
-    sub: &Comm,
-    from_box: &Box3,
-    to_box: &Box3,
-) -> (Vec<Subarray>, Vec<Subarray>) {
-    let me_world = sub.member(sub.me());
-    let local = |owner: &Box3, region: Option<&Box3>| match region {
-        Some(r) => {
-            let offset = [0, 1, 2].map(|d| r.lo[d] - owner.lo[d]);
-            Subarray::new(owner.shape(), r.shape(), offset)
-        }
-        None => Subarray::new(owner.shape(), [0, 0, 0], [0, 0, 0]),
-    };
-    let send_types = spec
-        .send_region_index(me_world, sub.members())
-        .into_iter()
-        .map(|r| local(from_box, r))
-        .collect(); // fftlint:allow(no-alloc-in-hot-path): O(group) datatype table per exchange
-    let recv_types = spec
-        .recv_region_index(me_world, sub.members())
-        .into_iter()
-        .map(|r| local(to_box, r))
-        .collect(); // fftlint:allow(no-alloc-in-hot-path): O(group) datatype table per exchange
-    (send_types, recv_types)
-}
 #[cfg(test)]
 mod tests {
     #[test]

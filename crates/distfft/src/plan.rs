@@ -25,8 +25,8 @@ pub enum CommBackend {
     AllToAll,
     /// `MPI_Alltoallv` with exact counts.
     AllToAllV,
-    /// `MPI_Alltoallw` on sub-array datatypes (Algorithm 2) — no local
-    /// pack/unpack at all.
+    /// `MPI_Alltoallw` on sub-array datatypes (Algorithm 2) — no pack or
+    /// unpack kernel is charged; MPI pays per-message datatype assembly.
     AllToAllW,
     /// Non-blocking `MPI_Isend`/`MPI_Irecv`/`MPI_Waitany`.
     P2p,
@@ -256,8 +256,6 @@ pub enum PlanError {
         /// Maximum supported by the domain.
         limit: usize,
     },
-    /// The Alltoallw backend supports `batch == 1` only.
-    AlltoallwBatched,
     /// The r2c pipeline supports `batch == 1` only.
     R2cBatched {
         /// The rejected batch size.
@@ -285,9 +283,6 @@ impl std::fmt::Display for PlanError {
                 f,
                 "slab decomposition supports at most {limit} ranks, got {active}"
             ),
-            PlanError::AlltoallwBatched => {
-                write!(f, "the Alltoallw backend supports batch == 1 only")
-            }
             PlanError::R2cBatched { batch } => {
                 write!(
                     f,
@@ -349,9 +344,6 @@ impl FftPlan {
         }
         if opts.batch == 0 {
             return Err(PlanError::EmptyBatch);
-        }
-        if opts.backend == CommBackend::AllToAllW && opts.batch > 1 {
-            return Err(PlanError::AlltoallwBatched);
         }
         let active = match opts.shrink_to {
             Some(l) => {

@@ -4,13 +4,13 @@
 //! *timing* optimization: per-peer chunks overlap pack, send, and unpack,
 //! but the same buffers go on the wire and one index-ordered deposit pass
 //! merges them — so distributed output must stay bit-identical to the
-//! monolithic path across chunk counts {1, 2, peers/2, peers, auto} ×
-//! executor thread counts {1, 4}, over pow2, smooth non-pow2, and Bluestein
-//! grids, on both partitionable backends. The transform-ahead schedule
+//! monolithic path across chunk counts {1, 2, peers/2, peers, auto}, over
+//! pow2, smooth non-pow2, and Bluestein grids, on both partitionable
+//! backends. The transform-ahead schedule
 //! (ISSUE 9) additionally runs next-axis butterflies line-by-line as
 //! chunks land, so this matrix also pins that per-line execution matches
-//! the whole-batch kernel bit for bit. Simulated times must be invariant to
-//! thread count *within* a chunk setting, and (unless the
+//! the whole-batch kernel bit for bit. A rerun must reproduce the full
+//! record *within* a chunk setting, and (unless the
 //! `FFT_RESHAPE_CHUNKS` env override flattens every config to one
 //! setting) chunking must actually change the schedule somewhere.
 
@@ -33,20 +33,14 @@ fn chunks_env_forced() -> bool {
     fftobs::env::is_set("FFT_RESHAPE_CHUNKS")
 }
 
-/// Distributed forward+inverse at one (backend, chunks, threads) setting.
-fn run(
-    n: [usize; 3],
-    backend: CommBackend,
-    chunks: usize,
-    world_opts: WorldOpts,
-    threads: usize,
-) -> Vec<RankRun> {
+/// Distributed forward+inverse at one (backend, chunks) setting.
+fn run(n: [usize; 3], backend: CommBackend, chunks: usize, world_opts: WorldOpts) -> Vec<RankRun> {
     let opts = FftOptions {
         backend,
         reshape_chunks: chunks,
         ..FftOptions::default()
     };
-    run_world(n, RANKS, opts, world_opts, threads)
+    run_world(n, RANKS, opts, world_opts)
 }
 
 fn bits(runs: &[RankRun]) -> Vec<&Bits> {
@@ -59,28 +53,21 @@ fn chunked_output_bit_identical_to_monolithic() {
     for backend in [CommBackend::AllToAllV, CommBackend::P2p] {
         let mut any_schedule_diff = false;
         for n in GRIDS {
-            let mono = run(n, backend, 1, quiet(), 1);
+            let mono = run(n, backend, 1, quiet());
             // 2, peers/2, and peers for the 8-rank boundary group (the
             // larger two clamp per group to `size - 1`, exercising mixed
             // chunked/monolithic groups within one reshape), plus the
             // `0 = auto` sentinel whose model-picked k must be just as
             // invariant.
             for chunks in [2usize, 4, 8, 0] {
-                let serial = run(n, backend, chunks, quiet(), 1);
+                let chunked = run(n, backend, chunks, quiet());
                 assert_eq!(
-                    bits(&serial),
+                    bits(&chunked),
                     bits(&mono),
                     "data diverged: n={n:?} backend={backend:?} chunks={chunks}"
                 );
                 // Data is equal, so this is times or trace moving.
-                any_schedule_diff |= observable(&serial) != observable(&mono);
-                let mt = run(n, backend, chunks, quiet(), 4);
-                assert_eq!(
-                    observable(&mt),
-                    observable(&serial),
-                    "data, simulated times and trace must not depend on executor threads: \
-                     n={n:?} backend={backend:?} chunks={chunks}"
-                );
+                any_schedule_diff |= observable(&chunked) != observable(&mono);
             }
         }
         if !chunks_env_forced() {
@@ -94,28 +81,12 @@ fn chunked_output_bit_identical_to_monolithic() {
 }
 
 #[test]
-fn chunked_replays_invariant_across_threads() {
-    // The chunked schedule is deterministic under jitter: data, times and
-    // trace must not move with the executor thread count, and a repeated
-    // run must reproduce the full record (pool accounting included)
-    // exactly — including under the transform-ahead auto sentinel
-    // (chunks = 0).
+fn chunked_replays_are_reproducible() {
+    // The chunked schedule is deterministic under jitter: a repeated run
+    // must reproduce the full record (pool accounting included) exactly —
+    // including under the transform-ahead auto sentinel (chunks = 0).
     for chunks in [1usize, 4, 0] {
-        let run = |threads| {
-            run(
-                [16, 16, 8],
-                CommBackend::AllToAllV,
-                chunks,
-                jittered(),
-                threads,
-            )
-        };
-        let serial = run(1);
-        assert_eq!(
-            observable(&serial),
-            observable(&run(4)),
-            "data, times or trace drifted with threads at chunks={chunks}"
-        );
-        assert_eq!(serial, run(1), "rerun not reproducible at chunks={chunks}");
+        let run = || run([16, 16, 8], CommBackend::AllToAllV, chunks, jittered());
+        assert_eq!(run(), run(), "rerun not reproducible at chunks={chunks}");
     }
 }

@@ -50,7 +50,6 @@ pub fn run_world(
     ranks: usize,
     opts: FftOptions,
     world_opts: WorldOpts,
-    threads: usize,
 ) -> Vec<RankRun> {
     let plan = FftPlan::build(n, ranks, opts);
     let world = World::new(MachineSpec::testbox(2), ranks, world_opts);
@@ -61,7 +60,7 @@ pub fn run_world(
     world.run(|rank| {
         let comm = Comm::world(rank);
         let bound = bind(&plan, rank, &comm);
-        let mut ctx = ExecCtx::with_threads(threads);
+        let mut ctx = ExecCtx::new();
         let mut data = vec![whole.extract(&global, plan.dists[0].rank_box(rank.rank()))];
         let mut run = |dir| execute(&plan, &bound, &mut ctx, rank, &comm, &mut data, dir);
         let mut trace = run(Direction::Forward).trace;
@@ -80,9 +79,8 @@ pub fn run_world(
     })
 }
 
-/// The part of a world run that must not move with the executor thread
-/// count: data, completion time and trace. (The pool half legitimately
-/// does — each worker arena warms its own free list.)
+/// Data, completion time and trace of a world run — everything but the
+/// pool accounting.
 pub fn observable(runs: &[RankRun]) -> Vec<(SimTime, &Trace, &Bits)> {
     runs.iter().map(|r| (r.total, &r.trace, &r.bits)).collect()
 }

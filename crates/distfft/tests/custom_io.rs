@@ -165,19 +165,18 @@ fn try_build_reports_precise_errors() {
             limit: 8
         }
     );
-    assert_eq!(
-        FftPlan::try_build(
-            [8, 8, 8],
-            4,
-            FftOptions {
-                backend: CommBackend::AllToAllW,
-                batch: 2,
-                ..FftOptions::default()
-            }
-        )
-        .unwrap_err(),
-        PlanError::AlltoallwBatched
+    // Batched Alltoallw is a plan like any other: items coalesce per
+    // destination exactly as they do for the other backends.
+    let batched_w = FftPlan::try_build(
+        [8, 8, 8],
+        4,
+        FftOptions {
+            backend: CommBackend::AllToAllW,
+            batch: 2,
+            ..FftOptions::default()
+        },
     );
+    assert_eq!(batched_w.map(|p| p.opts.batch), Ok(2));
     // Errors display as readable messages.
     let msg = PlanError::SlabLimit {
         active: 12,

@@ -2,6 +2,9 @@
 //! combination must compute exactly the same 3-D FFT as the local engine
 //! (which is itself validated against the naive DFT).
 
+mod common;
+
+use common::{Bits, GRIDS};
 use distfft::exec::{bind, execute, ExecCtx};
 use distfft::plan::{CommBackend, FftOptions, FftPlan, IoLayout};
 use distfft::Decomp;
@@ -121,6 +124,102 @@ fn check_roundtrip(n: [usize; 3], nranks: usize, opts: FftOptions) {
             err < 1e-7 * total,
             "roundtrip mismatch in batch item {b}: err={err:.3e}"
         );
+    }
+}
+
+const ALL_BACKENDS: [CommBackend; 5] = [
+    CommBackend::AllToAll,
+    CommBackend::AllToAllV,
+    CommBackend::AllToAllW,
+    CommBackend::P2p,
+    CommBackend::P2pBlocking,
+];
+
+/// Forward and round-trip output bits of every batch item on every rank
+/// (`out[rank][item] = [forward, round trip]`). Item `b` of the batch is
+/// the field scaled by `first_item + b + 1`, so a batched run and a loop of
+/// unbatched ones see the same inputs.
+fn transform_bits(
+    n: [usize; 3],
+    nranks: usize,
+    opts: FftOptions,
+    first_item: usize,
+) -> Vec<Vec<[Bits; 2]>> {
+    let plan = FftPlan::build(n, nranks, opts);
+    let world = World::new(MachineSpec::testbox(2), nranks, WorldOpts::default());
+    let global = field(n);
+    let bits = |item: &Vec<C64>| -> Bits {
+        item.iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    };
+    world.run(|rank| {
+        let comm = Comm::world(rank);
+        let bound = bind(&plan, rank, &comm);
+        let mut ctx = ExecCtx::new();
+        let mine = scatter(&global, &plan, 0, rank.rank());
+        let mut data: Vec<Vec<C64>> = (0..plan.opts.batch)
+            .map(|b| {
+                let scale = (first_item + b + 1) as f64;
+                mine.iter().map(|v| v.scale(scale)).collect()
+            })
+            .collect();
+        let mut run = |data: &mut Vec<Vec<C64>>, dir| {
+            execute(&plan, &bound, &mut ctx, rank, &comm, data, dir);
+            data.iter().map(bits).collect::<Vec<Bits>>()
+        };
+        let fwd = run(&mut data, Direction::Forward);
+        let back = run(&mut data, Direction::Inverse);
+        fwd.into_iter().zip(back).map(|(f, b)| [f, b]).collect()
+    })
+}
+
+#[test]
+fn backends_move_the_clock_never_the_bytes() {
+    // One host data path: on the same plan geometry the five backends
+    // differ in what the exchange *costs*, so forward and round-trip data
+    // must agree bit for bit.
+    for n in GRIDS {
+        let of = |backend| {
+            let opts = FftOptions {
+                backend,
+                ..FftOptions::default()
+            };
+            transform_bits(n, 4, opts, 0)
+        };
+        let reference = of(CommBackend::AllToAllV);
+        for backend in ALL_BACKENDS {
+            assert_eq!(
+                of(backend),
+                reference,
+                "n={n:?}: {backend:?} data differs from AllToAllV"
+            );
+        }
+    }
+}
+
+#[test]
+fn batched_alltoallw_equals_looped() {
+    // Items coalesce per destination; each must come out exactly as its
+    // own unbatched transform would, at either reshape chunking.
+    for reshape_chunks in [1, 4] {
+        let opts = |batch, pipeline_chunks| FftOptions {
+            backend: CommBackend::AllToAllW,
+            batch,
+            pipeline_chunks,
+            reshape_chunks,
+            ..FftOptions::default()
+        };
+        let batched = transform_bits([8, 6, 10], 8, opts(3, 2), 0);
+        for item in 0..3 {
+            let looped = transform_bits([8, 6, 10], 8, opts(1, 1), item);
+            for (rank, (b, l)) in batched.iter().zip(&looped).enumerate() {
+                assert_eq!(
+                    b[item], l[0],
+                    "rank {rank} item {item} reshape_chunks={reshape_chunks}"
+                );
+            }
+        }
     }
 }
 
@@ -316,13 +415,7 @@ fn alltoallw_matching_io_roundtrip() {
 
 #[test]
 fn slabs_with_every_backend() {
-    for backend in [
-        CommBackend::AllToAll,
-        CommBackend::AllToAllV,
-        CommBackend::AllToAllW,
-        CommBackend::P2p,
-        CommBackend::P2pBlocking,
-    ] {
+    for backend in ALL_BACKENDS {
         check_forward(
             [8, 8, 8],
             4,

@@ -145,9 +145,9 @@ fn digest(plan: &FftPlan, noisy: bool) -> u64 {
     h.0
 }
 
-/// Every configuration of the matrix, in table order. `AllToAllW` is
-/// unbatched by contract (`PlanError::AlltoallwBatched`), so its batched
-/// rows do not exist.
+/// Every configuration of the matrix, in table order. The table was pinned
+/// while `AllToAllW` was still unbatched, so its batched rows do not exist
+/// (`mode_consistency.rs` covers them against the functional executor).
 fn observed() -> Vec<(String, u64)> {
     let mut rows = Vec::new();
     for (pname, n, ranks, decomp, io, shrink_to) in PLANS {

@@ -452,6 +452,30 @@ fn chunked_batched_pipeline_consistent() {
 }
 
 #[test]
+fn batched_alltoallw_consistent() {
+    // Batched Alltoallw coalesces items per destination like every other
+    // backend; with no pack/unpack kernel bracketing the exchange, the
+    // later pipeline chunk gates on data alone (monolithic) or on the GPU
+    // too (chunked) — both executors must agree on either.
+    for reshape_chunks in [1, 4] {
+        check_consistency(
+            MachineSpec::summit(),
+            [8, 8, 8],
+            8,
+            FftOptions {
+                backend: CommBackend::AllToAllW,
+                batch: 3,
+                pipeline_chunks: 2,
+                reshape_chunks,
+                ..FftOptions::default()
+            },
+            summit_opts(),
+            1,
+        );
+    }
+}
+
+#[test]
 fn contiguous_fft_mode_consistent() {
     check_consistency(
         MachineSpec::summit(),

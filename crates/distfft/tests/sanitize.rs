@@ -3,27 +3,25 @@
 //!
 //! * the **full record** of every rank (data bits, completion time, trace,
 //!   pool statistics, leak balance) is identical across reruns, scheduler
-//!   memoization modes and harvest-order permutations at one thread count;
-//! * data, completion time and trace are identical across executor thread
-//!   counts (the pool half legitimately differs per arena count);
+//!   memoization modes and harvest-order permutations;
 //! * summed over the world, every pooled-buffer take is matched by a
 //!   deposit once `execute` returns (no leaks, no double deposits).
 
 mod common;
 
-use common::{jittered, observable, run_world, RankRun};
+use common::{jittered, run_world, RankRun};
 use distfft::plan::{CommBackend, FftOptions};
 use distfft::Decomp;
 use mpisim::comm::WorldOpts;
 use mpisim::sanitize::set_shuffle_seed;
 
-fn run(world_opts: WorldOpts, threads: usize) -> Vec<RankRun> {
+fn run(world_opts: WorldOpts) -> Vec<RankRun> {
     let opts = FftOptions {
         decomp: Decomp::Pencils,
         backend: CommBackend::AllToAllV,
         ..FftOptions::default()
     };
-    run_world([16, 16, 8], 4, opts, world_opts, threads)
+    run_world([16, 16, 8], 4, opts, world_opts)
 }
 
 fn memo(sched_memo: bool, fused_meta: bool) -> WorldOpts {
@@ -36,40 +34,29 @@ fn memo(sched_memo: bool, fused_meta: bool) -> WorldOpts {
 
 #[test]
 fn replays_are_invariant_where_the_contract_says_so() {
-    let base = run(memo(true, true), 1);
+    let base = run(memo(true, true));
     set_shuffle_seed(0x5EED);
-    let shuffled = run(memo(true, true), 1);
+    let shuffled = run(memo(true, true));
     set_shuffle_seed(0);
     for (label, other) in [
-        ("sched_memo off", run(memo(false, true), 1)),
-        ("fused_meta off", run(memo(true, false), 1)),
-        ("rerun", run(memo(true, true), 1)),
+        ("sched_memo off", run(memo(false, true))),
+        ("fused_meta off", run(memo(true, false))),
+        ("cold scheduler, unfused", run(memo(false, false))),
+        ("rerun", run(memo(true, true))),
         ("shuffled harvest", shuffled),
     ] {
         assert_eq!(base, other, "run record drifted under: {label}");
     }
-
-    // Thread counts may differ in the pool half only — and there not
-    // between memoization modes.
-    let mt = run(memo(true, true), 4);
-    let mt_cold = run(memo(false, false), 4);
-    assert_eq!(observable(&base), observable(&mt), "4 threads");
-    assert_eq!(mt, mt_cold, "4 threads, cold scheduler, unfused");
 }
 
 #[test]
 fn every_pool_take_is_matched_by_a_deposit() {
-    for threads in [1, 4] {
-        // Send buffers migrate between ranks inside an exchange, so the
-        // leak invariant is on the world sum.
-        let outstanding: Vec<i64> = run(jittered(), threads)
-            .iter()
-            .map(|r| r.outstanding)
-            .collect();
-        assert_eq!(
-            outstanding.iter().sum::<i64>(),
-            0,
-            "{threads}-thread world leaked pooled buffers (per-rank balance: {outstanding:?})"
-        );
-    }
+    // Send buffers migrate between ranks inside an exchange, so the leak
+    // invariant is on the world sum.
+    let outstanding: Vec<i64> = run(jittered()).iter().map(|r| r.outstanding).collect();
+    assert_eq!(
+        outstanding.iter().sum::<i64>(),
+        0,
+        "world leaked pooled buffers (per-rank balance: {outstanding:?})"
+    );
 }

@@ -4,17 +4,16 @@
 //! results: scalar, AVX2 and AVX-512 butterflies are bit-identical, and
 //! simulated timing comes from the kernel model and the schedule walkers,
 //! never from the data values. So the run record must be identical across
-//! `FFT_SIMD=off/avx2/avx512` (tiers the host lacks are skipped) crossed
-//! with executor thread counts {1, 4} — the full record at one thread,
-//! data + completion time + trace at four — over pow2, smooth non-pow2 and
-//! Bluestein per-axis lengths in both packed and strided local-FFT modes.
+//! `FFT_SIMD=off/avx2/avx512` (tiers the host lacks are skipped) over
+//! pow2, smooth non-pow2 and Bluestein per-axis lengths in both packed and
+//! strided local-FFT modes.
 //!
 //! Tier forcing is process-global; all tests in this file serialize on
 //! [`TIER_LOCK`] and restore auto dispatch before releasing it.
 
 mod common;
 
-use common::{jittered, observable, run_world, RankRun, GRIDS};
+use common::{jittered, run_world, RankRun, GRIDS};
 use distfft::plan::{CommBackend, FftOptions};
 use distfft::Decomp;
 use fftkern::simd::{self, SimdTier};
@@ -23,40 +22,36 @@ use std::sync::Mutex;
 
 static TIER_LOCK: Mutex<()> = Mutex::new(());
 
-fn run(n: [usize; 3], world_opts: WorldOpts, tier: SimdTier, threads: usize) -> Vec<RankRun> {
+fn run(n: [usize; 3], world_opts: WorldOpts, tier: SimdTier) -> Vec<RankRun> {
     let opts = FftOptions {
         decomp: Decomp::Pencils,
         backend: CommBackend::AllToAllV,
         ..FftOptions::default()
     };
     simd::force_tier(Some(tier));
-    let out = run_world(n, 4, opts, world_opts, threads);
+    let out = run_world(n, 4, opts, world_opts);
     simd::force_tier(None);
     out
 }
 
 fn assert_tier_invariant(n: [usize; 3], world_opts: WorldOpts) {
     let _g = TIER_LOCK.lock().unwrap();
-    let reference = run(n, world_opts.clone(), SimdTier::Scalar, 1);
+    let reference = run(n, world_opts.clone(), SimdTier::Scalar);
     for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
         if !simd::tier_available(tier) {
             continue;
         }
-        let at = |threads| format!("n={n:?} tier={} threads={threads}", tier.name());
-        let serial = run(n, world_opts.clone(), tier, 1);
-        assert_eq!(serial, reference, "run record diverged: {}", at(1));
-        let mt = run(n, world_opts.clone(), tier, 4);
         assert_eq!(
-            observable(&mt),
-            observable(&reference),
-            "data, times or trace diverged: {}",
-            at(4)
+            run(n, world_opts.clone(), tier),
+            reference,
+            "run record diverged: n={n:?} tier={}",
+            tier.name()
         );
     }
 }
 
 #[test]
-fn distributed_output_bit_identical_across_tiers_and_threads() {
+fn distributed_output_bit_identical_across_tiers() {
     for n in GRIDS {
         assert_tier_invariant(n, WorldOpts::default());
     }

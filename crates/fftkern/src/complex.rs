@@ -57,16 +57,6 @@ impl C64 {
         C64 { re: c, im: s }
     }
 
-    /// Creates a complex number from polar form `r·e^{i·theta}`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        let (s, c) = theta.sin_cos();
-        C64 {
-            re: r * c,
-            im: r * s,
-        }
-    }
-
     /// Complex conjugate.
     #[inline(always)]
     pub fn conj(self) -> Self {

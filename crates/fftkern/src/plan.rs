@@ -210,16 +210,6 @@ impl Plan1d {
         self.batch
     }
 
-    /// Input layout.
-    pub fn input_layout(&self) -> Layout {
-        self.input
-    }
-
-    /// Output layout.
-    pub fn output_layout(&self) -> Layout {
-        self.output
-    }
-
     /// Name of the algorithm chosen for this length (for traces and tests).
     pub fn algo_name(&self) -> &'static str {
         self.algo.name()

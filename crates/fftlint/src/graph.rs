@@ -445,7 +445,7 @@ impl Analysis {
                     site.col,
                     format!(
                         "std::env::{} outside fftobs::env; route FFT_* reads through its \
-                         warn-once helpers (parse_var/positive_var/raw_var/is_set)",
+                         warn-once helpers (parse_var/positive_var/is_set)",
                         site.what
                     ),
                 );

@@ -314,9 +314,9 @@ const ORDER_TOKENS: [&str; 6] = [
 /// `float-reduction-order`: a parallel iterator chain that reduces `f64`s
 /// without an index-ordered merge. Float addition is not associative, so
 /// `par_iter().sum::<f64>()` produces run-to-run different bits depending
-/// on which worker finishes first. The blessed primitives
-/// (`mpisim::par::par_parts`, `fftmodels::par::par_map`) merge in input
-/// order before any caller-side reduction and are not flagged.
+/// on which worker finishes first. The blessed primitive
+/// (`fftmodels::par::par_map`) merges in input order before any
+/// caller-side reduction and is not flagged.
 ///
 /// Detection is statement-scoped: from a parallel entry token to the next
 /// `;` at brace depth zero relative to the match.
@@ -370,7 +370,7 @@ fn float_reduction_order(scan: &Scanned, ctx: &FileCtx, mask: &[bool], out: &mut
                 FLOAT_REDUCTION_ORDER,
                 i,
                 "parallel f64 reduction without an index-ordered merge; collect in input \
-                 order (par_parts/par_map) and reduce serially, or sort before reducing"
+                 order (par_map) and reduce serially, or sort before reducing"
                     .to_string(),
             );
         }

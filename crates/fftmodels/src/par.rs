@@ -79,16 +79,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Statically-partitioned parallel map with per-worker mutable state.
-///
-/// Unlike [`par_map_with`], which lets workers *steal* items through an
-/// atomic cursor (deterministic output, nondeterministic worker→item
-/// assignment), `par_parts` pins item `i` to worker `i % states.len()`
-/// forever — per-worker side effects become a pure function of the
-/// workload. The implementation is shared with the distributed executor;
-/// see [`mpisim::par::par_parts`] for the full contract.
-pub use mpisim::par::par_parts;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,61 +111,5 @@ mod tests {
     #[test]
     fn sweep_threads_is_at_least_one() {
         assert!(sweep_threads() >= 1);
-    }
-
-    #[test]
-    fn par_parts_output_matches_serial_for_all_worker_counts() {
-        let items: Vec<u64> = (0..123).collect();
-        let serial: Vec<u64> = {
-            let mut st = [0u64];
-            par_parts(&mut st, items.clone(), |i, acc, x| {
-                *acc += x;
-                x.wrapping_mul(31).rotate_left((i % 7) as u32)
-            })
-        };
-        for w in [2usize, 3, 5, 8] {
-            let mut states = vec![0u64; w];
-            let out = par_parts(&mut states, items.clone(), |i, acc, x| {
-                *acc += x;
-                x.wrapping_mul(31).rotate_left((i % 7) as u32)
-            });
-            assert_eq!(out, serial, "w={w}");
-            // Static round-robin assignment ⇒ per-worker accumulators are a
-            // pure function of the workload.
-            let expect: Vec<u64> = (0..w)
-                .map(|wi| items.iter().filter(|&&x| x as usize % w == wi).sum())
-                .collect();
-            assert_eq!(states, expect, "w={w}");
-        }
-    }
-
-    #[test]
-    fn par_parts_deterministic_states_across_runs() {
-        let items: Vec<usize> = (0..64).collect();
-        let run = || {
-            let mut states = vec![Vec::<usize>::new(); 4];
-            let _ = par_parts(&mut states, items.clone(), |i, seen, x| {
-                seen.push(i);
-                x * 2
-            });
-            states
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        // Worker 0 sees exactly the indices ≡ 0 (mod 4), in order.
-        assert_eq!(a[0], (0..64).step_by(4).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_parts_single_item_runs_inline() {
-        let mut states = vec![0u32; 8];
-        let out = par_parts(&mut states, vec![7u32], |_, s, x| {
-            *s += 1;
-            x + 1
-        });
-        assert_eq!(out, vec![8]);
-        assert_eq!(states[0], 1);
-        assert!(states[1..].iter().all(|&s| s == 0));
     }
 }

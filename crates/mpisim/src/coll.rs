@@ -14,7 +14,6 @@
 use simgrid::SimTime;
 
 use crate::comm::{Comm, Rank};
-use crate::datatype::Subarray;
 use crate::distro::{AlltoallAlgo, MpiDistro};
 use crate::pattern::{self, NetParams, P2pFlavor, PartitionedTimes, PhaseEnv, ScatterPolicy};
 
@@ -471,41 +470,6 @@ pub fn exchange<T: Send + 'static>(
     (recvd, times)
 }
 
-/// `MPI_Alltoallw` with sub-array datatypes — Algorithm 2 of the paper —
-/// as an adaptor over [`exchange`]: each member describes its outgoing
-/// block to member `j` as a [`Subarray`] of the send parent and its
-/// incoming block from `j` as a [`Subarray`] of the receive parent; MPI
-/// packs and unpacks the datatypes internally, so no caller-side packing
-/// happens. Packing advances no simulated clock (its cost is the
-/// per-message datatype assembly inside [`ExchangeKind::alltoallw`]), so
-/// doing it before the exchange leaves every entry time unchanged.
-pub fn exchange_subarrays<T: Copy + Send + 'static>(
-    rank: &mut Rank,
-    comm: &Comm,
-    env: PhaseEnv,
-    kind: &ExchangeKind,
-    (send_parent, send_types): (&[T], &[Subarray]),
-    (recv_parent, recv_types): (&mut [T], &[Subarray]),
-    my_part_entries: &[SimTime],
-) -> PartitionedTimes {
-    assert_eq!(
-        send_types.len(),
-        comm.size(),
-        "one send datatype per member"
-    );
-    assert_eq!(
-        recv_types.len(),
-        comm.size(),
-        "one recv datatype per member"
-    );
-    let sends = send_types.iter().map(|t| t.pack(send_parent)).collect();
-    let (recvd, times) = exchange(rank, comm, env, kind, sends, my_part_entries);
-    for (ty, block) in recv_types.iter().zip(&recvd) {
-        ty.unpack(block, recv_parent);
-    }
-    times
-}
-
 /// `MPI_Alltoallv` — a delegate to [`exchange`] with
 /// [`ExchangeKind::alltoallv`]. `sends[j]` is the payload for member `j`;
 /// returns one payload per source member.
@@ -574,25 +538,16 @@ mod tests {
         PhaseEnv::machine_wide(&MachineSpec::summit(), n, n - 1, true, 1)
     }
 
-    /// Monolithic `MPI_Alltoallw` under the default distro.
-    fn alltoallw<T: Copy + Send + 'static>(
-        r: &mut Rank,
-        comm: &Comm,
-        n: usize,
-        (send, recv): (&[T], &mut [T]),
-        types: &[Subarray],
-    ) {
+    /// Monolithic `MPI_Alltoallw` under the world's distro.
+    fn alltoallw<T: Send + 'static>(r: &mut Rank, comm: &Comm, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
         let kind = ExchangeKind::alltoallw(r.world().opts().distro);
         let entry = [r.now()];
-        exchange_subarrays(
-            r,
-            comm,
-            env_for(n),
-            &kind,
-            (send, types),
-            (recv, types),
-            &entry,
-        );
+        exchange(r, comm, env_for(comm.size()), &kind, sends, &entry).0
+    }
+
+    /// Rank `me`'s payload for member `j`: `len` distinct values.
+    fn block(me: usize, j: usize, len: usize) -> Vec<u64> {
+        (0..len).map(|i| (1000 * me + 100 * j + i) as u64).collect()
     }
 
     #[test]
@@ -667,55 +622,19 @@ mod tests {
     }
 
     #[test]
-    fn alltoallw_moves_subarrays_without_caller_packing() {
-        // 2 ranks; each owns a 2x2x4 parent; sends left half to 0, right to 1.
-        let w = world_n(2);
-        let out = w.run(|r| {
-            let comm = Comm::world(r);
-            let me = r.rank() as u32;
-            let parent: Vec<u32> = (0..16).map(|i| 100 * me + i).collect();
-            // Receive into a 2x2x4 parent: block from rank 0 in the left
-            // half, from rank 1 in the right half.
-            let types = vec![
-                Subarray::new([2, 2, 4], [2, 2, 2], [0, 0, 0]),
-                Subarray::new([2, 2, 4], [2, 2, 2], [0, 0, 2]),
-            ];
-            let mut recv_parent = vec![0u32; 16];
-            alltoallw(r, &comm, 2, (&parent, &mut recv_parent), &types);
-            (recv_parent, r.now())
-        });
-        // Rank 0 received rank 0's left half in its left half and rank 1's
-        // left half in its right half.
-        let (r0, t0) = &out[0];
-        assert_eq!(r0[0], 0); // own element (0,0,0)
-        assert_eq!(r0[2], 100); // rank 1's (0,0,0) lands at (0,0,2)
-        assert!(t0.as_ns() > 0);
-        let (r1, _) = &out[1];
-        assert_eq!(r1[0], 2); // rank 0's (0,0,2) lands at (0,0,0)
-        assert_eq!(r1[2], 102); // rank 1's own right half
-    }
-
-    #[test]
     fn alltoallw_slower_than_alltoallv_on_gpu_arrays() {
         // Fig. 2's headline: Alltoallw (unoptimized, not GPU-aware under
-        // SpectrumMPI) loses to Alltoall(v).
+        // SpectrumMPI) loses to Alltoall(v) on the same byte rows.
         let n = 12;
         let w = world_n(n);
         let out = w.run(|r| {
             let comm = Comm::world(r);
-            let side = 24usize;
-            let parent: Vec<u64> = (0..side * side * n).map(|i| i as u64).collect();
-            let sizes = [side, side, n];
-            let types: Vec<Subarray> = (0..n)
-                .map(|j| Subarray::new(sizes, [side, side, 1], [0, 0, j]))
-                .collect();
-            let mut recv_parent = vec![0u64; side * side * n];
-
+            let me = r.rank();
+            let sends = || (0..n).map(|j| block(me, j, 24 * 24)).collect::<Vec<_>>();
             let t0 = r.now();
-            let sends: Vec<Vec<u64>> = types.iter().map(|t| t.pack(&parent)).collect();
-            let _ = alltoallv(r, &comm, env_for(n), sends);
+            let _ = alltoallv(r, &comm, env_for(n), sends());
             let t1 = r.now();
-            alltoallw(r, &comm, n, (&parent, &mut recv_parent), &types);
+            let _ = alltoallw(r, &comm, sends());
             let t2 = r.now();
             ((t1 - t0).as_ns(), (t2 - t1).as_ns())
         });
@@ -869,38 +788,25 @@ mod tests {
     #[test]
     fn partitioned_alltoallw_matches_monolithic_data() {
         let n = 6;
-        let side = 8usize;
         let w = world_n(n);
         let out = w.run(|r| {
             let comm = Comm::world(r);
-            let parent: Vec<u64> = (0..side * side * n)
-                .map(|i| (r.rank() * 1000 + i) as u64)
-                .collect();
-            let sizes = [side, side, n];
-            let types: Vec<Subarray> = (0..n)
-                .map(|j| Subarray::new(sizes, [side, side, 1], [0, 0, j]))
-                .collect();
-            let mut mono = vec![0u64; side * side * n];
-            alltoallw(r, &comm, n, (&parent, &mut mono), &types);
-            let mut part = vec![0u64; side * side * n];
+            let me = r.rank();
+            let sends = || (0..n).map(|j| block(me, j, 64)).collect::<Vec<_>>();
+            let mono = alltoallw(r, &comm, sends());
             let pe = vec![r.now(); 3];
             let kind = ExchangeKind::alltoallw(MpiDistro::SpectrumMpi).partitioned(true);
-            let times = exchange_subarrays(
-                r,
-                &comm,
-                env_for(n),
-                &kind,
-                (&parent, &types),
-                (&mut part, &types),
-                &pe,
-            );
+            let (part, times) = exchange(r, &comm, env_for(n), &kind, sends(), &pe);
             (mono, part, times, r.now())
         });
         for (me, (mono, part, times, t)) in out.iter().enumerate() {
             assert_eq!(
                 mono, part,
-                "partitioned alltoallw changed the deposited data"
+                "partitioned alltoallw changed the delivered data"
             );
+            for (src, got) in mono.iter().enumerate() {
+                assert_eq!(*got, block(src, me, 64), "block from {src} to {me}");
+            }
             assert_eq!(*t, times.exit(me));
             for r in times.ready(me) {
                 assert!(*r <= times.exit(me));
@@ -922,14 +828,8 @@ mod tests {
             );
             let out = w.run(|r| {
                 let comm = Comm::world(r);
-                let side = 16usize;
-                let parent: Vec<u64> = vec![1; side * side * n];
-                let sizes = [side, side, n];
-                let types: Vec<Subarray> = (0..n)
-                    .map(|j| Subarray::new(sizes, [side, side, 1], [0, 0, j]))
-                    .collect();
-                let mut recv = vec![0u64; side * side * n];
-                alltoallw(r, &comm, n, (&parent, &mut recv), &types);
+                let sends: Vec<Vec<u64>> = (0..n).map(|_| vec![1; 16 * 16]).collect();
+                let _ = alltoallw(r, &comm, sends);
                 r.now().as_ns()
             });
             out[0]

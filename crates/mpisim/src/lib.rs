@@ -16,7 +16,6 @@
 //! | Point-to-point | [`coll::p2p_exchange`] / [`coll::p2p_exchange_partitioned`] under [`P2pFlavor::Blocking`] (`MPI_Send` + receive loop) or [`P2pFlavor::NonBlocking`] (posted sends, completion in arrival order) |
 //! | All-to-All | [`coll::exchange`] with [`coll::ExchangeKind::alltoall`], [`alltoallv`](coll::ExchangeKind::alltoallv), [`alltoallw`](coll::ExchangeKind::alltoallw) |
 //! | Support | `comm.split` |
-//! | Datatypes | contiguous, `Subarray` (`MPI_Type_create_subarray`) |
 //!
 //! Two behaviours the paper calls out are modeled explicitly:
 //!
@@ -41,13 +40,11 @@
 
 pub mod coll;
 pub mod comm;
-pub mod datatype;
 pub mod distro;
 pub mod par;
 pub mod pattern;
 pub mod sanitize;
 
 pub use comm::{Comm, Rank, World, WorldOpts};
-pub use datatype::Subarray;
 pub use distro::MpiDistro;
 pub use pattern::{P2pFlavor, PhaseEnv};

@@ -78,14 +78,6 @@ pub fn positive_var(var: &'static str, fallback: &str) -> Option<usize> {
     parse_var(var, "a positive integer", fallback, parse_positive)
 }
 
-/// Reads `var` raw, `None` when unset or not valid UTF-8. The sanctioned
-/// accessor for knobs with no grammar to enforce (file paths, free-form
-/// pass-through values echoed in diagnostics) — anything with a typed
-/// shape should go through [`parse_var`] so garbage warns.
-pub fn raw_var(var: &str) -> Option<String> {
-    std::env::var(var).ok()
-}
-
 /// True when `var` is set (to anything, including empty). For presence
 /// gates — e.g. tests that skip themselves while a CI sweep forces an
 /// override — where the *value* is owned by some other reader.
@@ -114,8 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_and_presence_accessors_see_unset_vars() {
-        assert_eq!(raw_var("FFT_ENV_TEST_NEVER_SET"), None);
+    fn presence_accessor_sees_unset_vars() {
         assert!(!is_set("FFT_ENV_TEST_NEVER_SET"));
     }
 

@@ -110,8 +110,8 @@ fn warm_pool_bit_identical_to_cold_for_every_decomp_and_backend() {
 #[test]
 fn warm_pool_bit_identical_with_subarray_datatypes() {
     let _serial = serial();
-    // Alltoallw + brick I/O exercises the no-pack path and both boundary
-    // reshapes — the most reshape-heavy plan shape.
+    // Alltoallw + brick I/O: the schedule that charges no pack kernel, over
+    // both boundary reshapes — the most reshape-heavy plan shape.
     let opts = FftOptions {
         decomp: Decomp::Pencils,
         backend: CommBackend::AllToAllW,
