@@ -13,7 +13,7 @@ use simgrid::{MachineSpec, SimTime};
 
 use crate::boxes::Box3;
 use crate::exec::ExecCtx;
-use crate::plan::{CommBackend, FftPlan, Step};
+use crate::plan::{FftPlan, Step};
 use crate::schedule::{directed, ReshapeCall, ReshapeSchedule, RunEnv, Timeline};
 use crate::trace::Trace;
 
@@ -173,7 +173,6 @@ impl<'a> DryRunner<'a> {
         let (steps, specs) = directed(plan, dir);
         let chunks = plan.chunks();
         let mut data_ready: Vec<Vec<SimTime>> = (0..chunks).map(|_| t0.clone()).collect();
-        let backend = plan.opts.backend;
         // Scratch reused across groups and reshapes: the current group's
         // schedules and flat entry times, and which ranks the current
         // reshape runs chunked (all false between steps).
@@ -233,29 +232,11 @@ impl<'a> DryRunner<'a> {
                                 scheds.push(sched);
                             }
 
-                            // What the members would have gathered: padded
-                            // blocks are uniform, P2P moves its self block
-                            // by device copy, everything scales with items.
-                            let pad = match backend {
-                                CommBackend::AllToAll => call.spec.padded_block_bytes(group),
-                                _ => 0,
-                            };
-                            let mut matrix = match backend {
-                                CommBackend::AllToAll => Vec::new(),
-                                _ => call.spec.group_byte_matrix(group),
-                            };
-                            for (i, row) in matrix.iter_mut().enumerate() {
-                                for b in row.iter_mut() {
-                                    *b *= items;
-                                }
-                                if backend.is_p2p() {
-                                    row[i] = 0;
-                                }
-                            }
-                            let bytes = |i: usize, j: usize| match matrix.get(i) {
-                                Some(row) => row[j],
-                                None => pad * items,
-                            };
+                            // The byte rows the members would have gathered.
+                            let wire_bytes = env.wire_bytes(&call, group);
+                            let rows: Vec<Vec<usize>> =
+                                group.iter().map(|&r| wire_bytes(r, group)).collect();
+                            let bytes = |i: usize, j: usize| rows[i][j];
                             let sched_env = scheds[0].env;
                             let kind = scheds[0].kind;
                             let times = coll::exchange_times(

@@ -14,7 +14,9 @@
 //! Fig. 13.
 
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
 
 use fftkern::plan::{Layout, Plan1d};
 use fftkern::{Direction, C64};
@@ -23,7 +25,7 @@ use mpisim::comm::{Comm, Rank};
 use simgrid::SimTime;
 
 use crate::boxes::Box3;
-use crate::plan::{CommBackend, FftPlan, Step};
+use crate::plan::{FftPlan, Step};
 use crate::reshape::{apply_self_block, ReshapeSpec};
 use crate::schedule::{directed, ReshapeCall, RunEnv, Timeline};
 use crate::trace::Trace;
@@ -78,7 +80,8 @@ pub fn effective_group_chunks(setting: usize, group_size: usize) -> usize {
 }
 
 /// Cross-call executor state: strided-plan warmup tracking, the phase-id
-/// counter and the per-rank scratch pool. Create one per experiment and
+/// counter, the per-rank scratch pool and the arrays the rank's reshapes
+/// retired and share with their groups. Create one per experiment and
 /// reuse it across warm-up and timed transforms so the Fig. 10 first-call
 /// spikes land in the warm-up — and so the steady state runs entirely out
 /// of recycled buffers, as on the real machine. Everything runs on the
@@ -88,6 +91,70 @@ pub struct ExecCtx {
     strided_seen: BTreeSet<(usize, usize, bool)>,
     call_counter: u64,
     scratch: ExecScratch,
+    /// By phase-id parity: a reshape refills the slot of the one before
+    /// its predecessor, whose readers are almost always done.
+    retired: [Slot; 2],
+}
+
+/// The arrays one reshape moved out of this rank's layout, shared
+/// read-only with its group: each receiver copies its sub-boxes straight
+/// out of them ([`run_reshape`]) through a [`Reader`].
+#[derive(Debug, Default)]
+struct Retired {
+    arrays: Vec<Vec<C64>>,
+    /// The rank thread that reclaims the arrays; the last reader wakes it.
+    owner: Option<Thread>,
+    /// Readers shared with the group and not yet dropped.
+    readers: AtomicUsize,
+}
+
+/// A group member's read-only handle on a [`Retired`]. Dropping it — after
+/// the copy, or while unwinding — releases it. The last release wakes the
+/// owner, parked in [`Slot::reclaim`], only after letting go of its `Arc`:
+/// waking it first leaves the owner spinning on a count its preempted
+/// waker still holds (EXPERIMENTS.md "One copy per reshaped byte").
+struct Reader(Option<Arc<Retired>>);
+
+impl Drop for Reader {
+    fn drop(&mut self) {
+        let Some(retired) = self.0.take() else { return };
+        if retired.readers.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let owner = Option::clone(&retired.owner);
+            drop(retired);
+            owner.iter().for_each(Thread::unpark);
+        }
+    }
+}
+
+/// The context's own handle on a [`Retired`]: allocated once per context
+/// and empty whenever `execute` is not running.
+#[derive(Debug, Default)]
+struct Slot(Arc<Retired>);
+
+impl Clone for Slot {
+    /// Never shares the handle: two contexts on one could never reclaim it.
+    fn clone(&self) -> Slot {
+        Slot::default()
+    }
+}
+
+impl Slot {
+    /// Returns the arrays to `pool` once no receiver holds a handle on
+    /// them: parked until the last release, then yielding while released
+    /// handles finish dropping (nothing can block in between). Receivers
+    /// drop their [`Reader`] as soon as they have copied, and copying waits
+    /// on nothing, so the wait always ends.
+    fn reclaim(&mut self, pool: &mut ExecScratch) {
+        while self.0.readers.load(Ordering::Acquire) > 0 {
+            thread::park();
+        }
+        while Arc::strong_count(&self.0) > 1 {
+            thread::yield_now();
+        }
+        if let Some(retired) = Arc::get_mut(&mut self.0) {
+            retired.arrays.drain(..).for_each(|buf| pool.give(buf));
+        }
+    }
 }
 
 impl ExecCtx {
@@ -118,7 +185,7 @@ impl ExecCtx {
 
     /// Takes a pooled, empty staging buffer (recycled capacity, length 0).
     pub(crate) fn take_buffer(&mut self) -> Vec<C64> {
-        self.scratch.take_empty()
+        self.scratch.take_len(0)
     }
 
     /// Returns a buffer to the pool for reuse by later calls.
@@ -139,13 +206,31 @@ impl ExecCtx {
     }
 
     /// Leak counter (test seam): pool takes minus deposits of this
-    /// context. Send buffers are deposited by the *receiving* rank's
-    /// context, so a single context may legitimately be nonzero
-    /// mid-world; summed over every rank of a world after `execute`
-    /// returns, the balance must be exactly zero — anything else is a
-    /// leaked (or double-deposited) pooled buffer.
+    /// context. Buffers never leave the rank that took them — receivers
+    /// copy out of a sender's retired arrays and the sender reclaims them —
+    /// so once `execute` returns this is exactly zero on every rank;
+    /// anything else is a leaked (or double-deposited) pooled buffer.
     pub fn outstanding_buffers(&self) -> i64 {
         self.scratch.outstanding
+    }
+
+    /// Retires `data`'s arrays into reshape `phase`'s slot, once reclaimed,
+    /// swapping in pooled arrays of `len` elements, un-zeroed: a reshape
+    /// writes every element of its target layout exactly once. Returns one
+    /// [`Reader`] per member of a group of `n`.
+    fn retire(&mut self, phase: u64, data: &mut [Vec<C64>], len: usize, n: usize) -> Vec<Reader> {
+        let [even, odd] = &mut self.retired;
+        let slot = if phase.is_multiple_of(2) { even } else { odd };
+        slot.reclaim(&mut self.scratch);
+        if let Some(retired) = Arc::get_mut(&mut slot.0) {
+            retired.owner = Some(thread::current());
+            *retired.readers.get_mut() = n;
+            for item in data {
+                let new = self.scratch.take_len(len);
+                retired.arrays.push(std::mem::replace(item, new));
+            }
+        }
+        (0..n).map(|_| Reader(Some(Arc::clone(&slot.0)))).collect() // fftlint:allow(no-alloc-in-hot-path): O(group) outer Vec of handles
     }
 }
 
@@ -161,10 +246,10 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
-/// Pooled per-rank execution scratch: recycled local arrays / send buffers
-/// plus the shared 1-D kernel scratch. After one warm transform, the hot
-/// path allocates nothing — every buffer the executor needs comes out of
-/// (and goes back into) this free list.
+/// Pooled per-rank execution scratch: recycled local arrays plus the shared
+/// 1-D kernel scratch. After one warm transform, the hot path allocates
+/// nothing — every buffer the executor needs comes out of (and goes back
+/// into) this free list.
 #[derive(Debug, Default, Clone)]
 struct ExecScratch {
     /// Free list of recycled `Vec<C64>` buffers, any capacity.
@@ -174,33 +259,31 @@ struct ExecScratch {
     kernel: Vec<C64>,
     /// Hit/miss/eviction accounting (see [`PoolStats`]).
     stats: PoolStats,
-    /// Leak accounting: pool takes minus deposits. Buffers
-    /// migrate across ranks inside an exchange (a send buffer taken here is
-    /// deposited by its receiver), so the invariant is on the *world* sum:
-    /// zero after every completed `execute`.
+    /// Leak accounting: pool takes minus deposits, zero on every rank after
+    /// every completed `execute`.
     outstanding: i64,
 }
 
-/// Free-list bound: batch items + send/recv buffers per reshape stay well
-/// under this; the cap only guards against pathological churn.
+/// Free-list bound: a rank holds three arrays per batch item (its layout
+/// and two retired ones) plus r2c staging, well under this; the cap only
+/// guards against pathological churn.
 const POOL_CAP: usize = 64;
 
-impl ExecScratch {
-    /// A pooled buffer zero-filled to `len` — bit-identical to
-    /// `vec![C64::ZERO; len]` without the allocation.
-    fn take_zeroed(&mut self, len: usize) -> Vec<C64> {
-        let mut buf = self.take_empty();
-        buf.resize(len, C64::ZERO);
-        buf
-    }
+/// What a pooled array holds before its reshape writes it, in debug
+/// builds: an element the copies miss stays NaN and fails every
+/// correctness check downstream.
+const POISON: C64 = C64::new(f64::NAN, f64::NAN);
 
-    fn take_empty(&mut self) -> Vec<C64> {
+impl ExecScratch {
+    /// A pooled buffer of `len` elements whose contents are unspecified —
+    /// stale in release builds, [`POISON`] in debug ones — for a caller
+    /// that overwrites every one (`len == 0`: an empty staging buffer).
+    fn take_len(&mut self, len: usize) -> Vec<C64> {
         self.outstanding += 1;
-        match self.arrays.pop() {
-            Some(mut buf) => {
+        let mut buf = match self.arrays.pop() {
+            Some(buf) => {
                 self.stats.hits += 1;
                 fftobs::count("distfft.exec_pool.hit", 1);
-                buf.clear();
                 buf
             }
             None => {
@@ -208,7 +291,12 @@ impl ExecScratch {
                 fftobs::count("distfft.exec_pool.miss", 1);
                 Vec::new()
             }
+        };
+        buf.resize(len, POISON);
+        if cfg!(debug_assertions) {
+            buf.fill(POISON);
         }
+        buf
     }
 
     /// The per-arena 1-D kernel scratch, grown to at least `elems`.
@@ -221,7 +309,7 @@ impl ExecScratch {
 
     fn give(&mut self, buf: Vec<C64>) {
         // Leak accounting must see capacity-0 deposits too: a buffer taken
-        // on a miss and never grown (e.g. an empty send region) is still a
+        // on a miss and never grown (e.g. an empty box's layout) is still a
         // matched take/deposit pair.
         self.outstanding -= 1;
         if buf.capacity() == 0 {
@@ -346,7 +434,8 @@ pub fn execute(
                     // Real math on every item of this chunk.
                     let b = plan.dists[dist].rank_box(me);
                     if !b.is_empty() {
-                        run_local_fft(b, axis, &mut data[ilo..ihi], dir, &mut ctx.scratch);
+                        let all = [(0, b.volume() / b.len(axis))];
+                        run_local_fft(b, axis, &all, &mut data[ilo..ihi], dir, &mut ctx.scratch);
                     }
                     si += 1;
                 }
@@ -365,6 +454,10 @@ pub fn execute(
         }
     }
 
+    // Retired arrays go home before user code can see (or clone) the context.
+    ctx.retired
+        .iter_mut()
+        .for_each(|s| s.reclaim(&mut ctx.scratch));
     let total = gpu_clock
         .max(rank.now())
         .max(data_ready.iter().copied().fold(SimTime::ZERO, SimTime::max));
@@ -389,9 +482,14 @@ fn axis_plan(s: [usize; 3], axis: usize) -> std::sync::Arc<Plan1d> {
     fftkern::plan_cache().plan1d(n, batch, layout, layout)
 }
 
-/// Runs the real batched 1-D FFTs along `axis` over every item's local
-/// array (always on the canonical row-major box layout; the contiguous /
-/// strided distinction is a *timing* concern handled by the kernel model).
+/// Runs the real batched 1-D FFTs along `axis` over the `[lo, hi)` line
+/// runs of every item's local array (always on the canonical row-major box
+/// layout; the contiguous / strided distinction is a *timing* concern
+/// handled by the kernel model). The whole box is the one run of all its
+/// lines; transform-ahead (DESIGN.md §14) passes the lines each reshape
+/// chunk completed. Rows transform independently through the same cached
+/// plan and interned twiddles, so any partition of the lines into runs is
+/// bit-identical to the whole-box pass.
 ///
 /// Plans come out of the process-wide [`fftkern::plan_cache`] and the
 /// transform runs through the `_scratch` entry points against the pool's
@@ -400,38 +498,6 @@ fn axis_plan(s: [usize; 3], axis: usize) -> std::sync::Arc<Plan1d> {
 // fftlint:hot — steady-state local transform; one call per (axis, rank)
 // of every execute, all buffers must come from the scratch pool.
 fn run_local_fft(
-    b: &Box3,
-    axis: usize,
-    data: &mut [Vec<C64>],
-    dir: Direction,
-    scratch: &mut ExecScratch,
-) {
-    let s = b.shape();
-    if s[axis] == 0 {
-        return;
-    }
-    let plan1d = axis_plan(s, axis);
-    let kernel = scratch.kernel_for(plan1d.scratch_elems());
-    for item in data.iter_mut() {
-        if axis == 1 {
-            // Axis 1 is strided within each axis-0 plane.
-            for plane in item.chunks_mut(s[1] * s[2]) {
-                plan1d.execute_inplace_scratch(plane, dir, kernel);
-            }
-        } else {
-            plan1d.execute_inplace_scratch(item, dir, kernel);
-        }
-    }
-}
-
-/// Runs the next-axis butterflies for an explicit set of `[lo, hi)` line
-/// runs of the rank's box — the transform-ahead math (DESIGN.md §14). Rows
-/// transform independently through the same cached plan and interned
-/// twiddles, so executing the box's lines as disjoint sub-batches in chunk
-/// order is bit-identical to the full-batch pass in [`run_local_fft`].
-// fftlint:hot — per-chunk transform-ahead sub-batches; runs once per
-// chunked reshape that consumes its next axis transform.
-fn run_local_fft_lines(
     b: &Box3,
     axis: usize,
     runs: &[(usize, usize)],
@@ -470,18 +536,19 @@ fn run_local_fft_lines(
 
 /// Executes one reshape for one pipeline chunk — the functional
 /// interpreter of the rank's [`ReshapeSchedule`](crate::schedule): stamp
-/// the pack chain, move every item's data through the one `mpisim`
-/// exchange on the group sub-communicator, stamp the MPI calls, unpacks
-/// and transform-ahead butterflies. Returns `true` when the schedule also
-/// ran the following axis transform (per chunk, as lines completed) — the
-/// caller must then skip that LocalFft step.
+/// the pack chain, share the chunk's retired arrays with the group through
+/// the one `mpisim` exchange, copy this rank's sub-boxes out of every
+/// member's, then stamp the MPI calls, unpacks and transform-ahead
+/// butterflies. Returns `true` when the schedule also ran the following
+/// axis transform (per chunk, as lines completed) — the caller must then
+/// skip that LocalFft step.
 ///
-/// Data is bit-identical at every chunk count: the same `build_sends`
-/// buffers go on the wire, one index-ordered `deposit_recvs` pass merges
-/// every received block, and the line-granular FFT batches partition the
-/// rank's rows exactly (rows transform independently), so chunk-completion
-/// order affects timing only.
-// fftlint:hot — pack/exchange/unpack; runs once per pipeline chunk of
+/// The host moves each byte once, the same way for every backend, while
+/// the clock still charges Algorithm 1's pack → wire → unpack. Data is
+/// bit-identical at every chunk count: each element of the new layout is
+/// copied once from the one rank that held it, and the line runs partition
+/// the rank's rows exactly, so chunk-completion order affects timing only.
+// fftlint:hot — retire/exchange/copy; runs once per pipeline chunk of
 // every reshape.
 fn run_reshape(
     env: &RunEnv,
@@ -494,27 +561,17 @@ fn run_reshape(
 ) -> bool {
     let plan = env.plan;
     let me_world = rank.rank();
-    let from_box = plan.dists[call.from_dist].rank_box(me_world);
     let to_box = plan.dists[call.to_dist].rank_box(me_world);
-
-    // New local arrays in the target layout, drawn zero-filled from the
-    // rank's buffer pool (bit-identical to freshly allocated arrays).
-    let mut new_data: Vec<Vec<C64>> = (0..call.items)
-        .map(|_| ctx.scratch.take_zeroed(to_box.volume()))
-        .collect(); // fftlint:allow(no-alloc-in-hot-path): outer Vec of pooled buffers; payloads are take_zeroed
+    let n = sub.map_or(0, Comm::size);
+    let handles = ctx.retire(call.phase_id, data, to_box.volume(), n);
 
     // A rank outside every group has no flows at all: nothing to stamp.
     let ahead = sub.and_then(|sub| {
-        let k = env.group_chunks(call, sub.members());
-        let sched = env.lower(call, sub.members(), sub.me(), k);
+        let members = sub.members();
+        let k = env.group_chunks(call, members);
+        let sched = env.lower(call, members, sub.me(), k);
         let mut entries = Vec::with_capacity(k); // fftlint:allow(no-alloc-in-hot-path): O(chunks) schedule table
         sched.before_exchange(env, tl, &mut entries);
-        if sched.self_bytes > 0 {
-            // P2P self block: device copy outside MPI.
-            for (old, new) in data.iter().zip(new_data.iter_mut()) {
-                apply_self_block(from_box, old, to_box, new);
-            }
-        }
         // The call posts as soon as the *first* chunk is packed; later
         // chunks post when their own pack is done.
         rank.clock.sync_to(entries[0]);
@@ -523,134 +580,34 @@ fn run_reshape(
             *t = posted.max(*t);
         }
 
-        // One host data path for every backend: what a backend costs —
-        // routine, padding, whether a pack kernel is charged — is in
-        // `sched`; the bytes move the same way.
-        let sends = build_sends(plan, call.spec, sub, from_box, data, &mut ctx.scratch);
-        let (recvd, times) = coll::exchange(rank, sub, sched.env, &sched.kind, sends, &entries);
-        deposit_recvs(plan, call.spec, sub, to_box, &recvd, &mut new_data);
-        for buf in recvd {
-            ctx.scratch.give(buf);
+        // What a backend costs — routine, padding, pack kernels — is in
+        // `sched` and the byte row; the bytes move the same way.
+        let row = env.wire_bytes(call, members)(me_world, members);
+        let (recvd, times) =
+            coll::exchange(rank, sub, sched.env, &sched.kind, handles, &row, &entries);
+        for (&src, reader) in members.iter().zip(recvd) {
+            let from_box = plan.dists[call.from_dist].rank_box(src);
+            let arrays = reader.0.iter().flat_map(|retired| &retired.arrays);
+            for (old, new) in arrays.zip(data.iter_mut()) {
+                apply_self_block(from_box, old, to_box, new);
+            }
         }
-        let first = match sched.ahead {
-            Some(ref ahead) => ctx.first_strided(call.to_dist, ahead.axis, call.dir),
-            None => false,
-        };
-        let me_sub = sub.me();
-        sched.after_exchange(
-            env,
-            tl,
-            &entries,
-            times.ready(me_sub),
-            times.exit(me_sub),
-            first,
-        );
+        let first = (sched.ahead.as_ref())
+            .is_some_and(|a| ctx.first_strided(call.to_dist, a.axis, call.dir));
+        let (ready, exit) = (times.ready(sub.me()), times.exit(sub.me()));
+        sched.after_exchange(env, tl, &entries, ready, exit, first);
         sched.ahead
     });
 
-    // Swap the chunk's arrays to the new layout; the superseded arrays go
-    // back to the pool for the next reshape of this rank.
-    for (old, new) in data.iter_mut().zip(new_data) {
-        let prev = std::mem::replace(old, new);
-        ctx.scratch.give(prev);
-    }
-
-    // The real butterfly math for a consumed LocalFft step, on the
-    // swapped-in arrays: every line in chunk order. Row transforms are
-    // independent, so this is bit-identical to the full-batch pass.
+    // The real butterfly math for a consumed LocalFft step, on the new
+    // arrays: every line in chunk order. Row transforms are independent,
+    // so this is bit-identical to the full-batch pass.
     let Some(ahead) = ahead else { return false };
     if !to_box.is_empty() {
         let flat: Vec<(usize, usize)> = ahead.runs.into_iter().flatten().collect(); // fftlint:allow(no-alloc-in-hot-path): O(lines) run list, built once per consumed chunk
-        run_local_fft_lines(to_box, ahead.axis, &flat, data, call.dir, &mut ctx.scratch);
+        run_local_fft(to_box, ahead.axis, &flat, data, call.dir, &mut ctx.scratch);
     }
     true
-}
-
-/// Builds per-destination send buffers (items coalesced), in sub-comm member
-/// order, packing straight from the local arrays into pooled buffers. P2P
-/// skips the diagonal; padded Alltoall pads to the group maximum.
-// fftlint:hot — the pack kernel; send buffers must be pooled takes.
-fn build_sends(
-    plan: &FftPlan,
-    spec: &ReshapeSpec,
-    sub: &Comm,
-    from_box: &Box3,
-    data: &[Vec<C64>],
-    pool: &mut ExecScratch,
-) -> Vec<Vec<C64>> {
-    let members = sub.members();
-    let me_sub = sub.me();
-    let is_p2p = plan.opts.backend.is_p2p();
-    let pad_elems = match plan.opts.backend {
-        CommBackend::AllToAll => {
-            spec.padded_block_bytes(members) / crate::reshape::ELEM_BYTES * data.len()
-        }
-        _ => 0,
-    };
-
-    // Source→region index built once per reshape: one O(p + peers) merge
-    // instead of an O(peers) `find` per destination.
-    let send_idx = spec.send_region_index(members[me_sub], members);
-
-    (0..members.len())
-        .map(|j| {
-            if is_p2p && j == me_sub {
-                return Vec::new(); // fftlint:allow(no-alloc-in-hot-path): capacity-0 sentinel, no heap
-            }
-            let mut buf = pool.take_empty();
-            if let Some(region) = send_idx[j] {
-                for item in data {
-                    from_box.extract_into(item, region, &mut buf);
-                }
-            }
-            if pad_elems > 0 {
-                buf.resize(pad_elems, C64::ZERO);
-            }
-            buf
-        })
-        .collect() // fftlint:allow(no-alloc-in-hot-path): O(group) outer Vec of pooled send buffers
-}
-
-/// Deposits received (coalesced) blocks into the new local arrays — the
-/// unpack kernel: every item replays every block in sub-comm order.
-// fftlint:hot — the unpack kernel.
-fn deposit_recvs(
-    plan: &FftPlan,
-    spec: &ReshapeSpec,
-    sub: &Comm,
-    to_box: &Box3,
-    recvd: &[Vec<C64>],
-    new_data: &mut [Vec<C64>],
-) {
-    let members = sub.members();
-    let me_sub = sub.me();
-    let me_world = members[me_sub];
-    let is_p2p = plan.opts.backend.is_p2p();
-    // Source→region index built once per reshape (O(p + peers)) instead of
-    // the per-block linear `find` that made this loop O(peers²).
-    let recv_idx = spec.recv_region_index(me_world, members);
-    for (j, block) in recvd.iter().enumerate() {
-        if is_p2p && j == me_sub {
-            continue; // self block handled by the device copy
-        }
-        let Some(region) = recv_idx[j] else {
-            // A non-empty block with no matching recv region means the
-            // spec is malformed — fail loudly instead of silently
-            // dropping received data (see ReshapeSpec::validate).
-            assert!(
-                block.is_empty() || plan.opts.backend == CommBackend::AllToAll,
-                "reshape spec: rank {me_world} received {} elements from rank \
-                 {} but has no recv region for it",
-                block.len(),
-                members[j]
-            );
-            continue;
-        };
-        let vol = region.volume();
-        for (b, item) in new_data.iter_mut().enumerate() {
-            to_box.deposit(item, region, &block[b * vol..(b + 1) * vol]);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -421,8 +421,9 @@ impl ReshapeSpec {
     }
 }
 
-/// Applies the local (self) part of a reshape: copies the overlap of the
-/// rank's old and new boxes with no intermediate staging buffer.
+/// Copies the overlap of `old_box` and `new_box` from one array into the
+/// other with no intermediate staging buffer — every block of a reshape,
+/// the rank's own or a peer's, takes this one copy (`exec::run_reshape`).
 ///
 /// Like `Box3::extract_into`/`deposit`, runs are coalesced: when the
 /// overlap spans the full fastest axis of *both* boxes, whole `j`-planes

@@ -284,6 +284,32 @@ impl RunEnv<'_> {
         .partitioned(k >= 2)
     }
 
+    /// What each member of `group` puts on the wire in `call`'s exchange,
+    /// as `(rank, group) →` its row in group order — the one rule the
+    /// executor, the dry run and [`auto_chunks`](Self::auto_chunks) share:
+    /// padded `AllToAll` sends every member, itself included, the group's
+    /// largest block; P2P sends itself nothing (its self block is a device
+    /// copy outside MPI); every other pair sends its region; all of it
+    /// scales with the items.
+    pub(crate) fn wire_bytes<'a>(
+        &self,
+        call: &ReshapeCall<'a>,
+        group: &[usize],
+    ) -> impl Fn(usize, &[usize]) -> Vec<usize> + 'a {
+        let (spec, items, backend) = (call.spec, call.items, self.plan.opts.backend);
+        let padded = (backend == CommBackend::AllToAll).then(|| spec.padded_block_bytes(group));
+        move |rank, group| {
+            let regions = spec.send_region_index(rank, group);
+            let pair = |(region, &dst): (&Option<&Box3>, &usize)| match (padded, region) {
+                (Some(block), _) => block,
+                (None, Some(r)) if !(backend.is_p2p() && dst == rank) => r.volume() * ELEM_BYTES,
+                _ => 0,
+            };
+            let row = regions.iter().zip(group).map(|p| pair(p) * items);
+            row.collect() // fftlint:allow(no-alloc-in-hot-path): O(group) byte row, once per reshape
+        }
+    }
+
     /// Effective chunk count of one communication group (`1` = the
     /// exchange runs monolithically). All four backends are partitionable;
     /// `Fixed` settings pass through the per-group clamp, `Auto` evaluates
@@ -315,32 +341,22 @@ impl RunEnv<'_> {
         if p <= 2 {
             return 1;
         }
-        let backend = plan.opts.backend;
-        let matrix = spec.group_byte_matrix(group);
-        let pad = match backend {
-            CommBackend::AllToAll => spec.padded_block_bytes(group),
-            _ => 0,
-        };
+        let wire_bytes = self.wire_bytes(call, group);
         let ctx = simgrid::link::TransferCtx {
             gpu_aware: self.gpu_aware,
             offnode_flows_per_nic: machine.gpus_per_node.min(plan.nranks),
             nodes_involved: machine.nodes_for(plan.nranks),
         };
         let (mut t_pack, mut t_comm, mut t_unpack, mut t_fft) = (0u64, 0u64, 0u64, 0u64);
-        for (i, &r) in group.iter().enumerate() {
-            if backend.needs_pack() {
+        for &r in group {
+            if plan.opts.backend.needs_pack() {
                 let (pb, ub, _) = plan.reshape_local_bytes(spec, r);
                 t_pack = t_pack.max(plan.pack_ns(&self.km, pb * call.items));
                 t_unpack = t_unpack.max(plan.unpack_ns(&self.km, ub * call.items));
             }
             let mut wire = 0u64;
-            for (j, &dst) in group.iter().enumerate() {
-                let bytes = match backend {
-                    _ if j == i => 0,
-                    CommBackend::AllToAll => pad * call.items,
-                    _ => matrix[i][j] * call.items,
-                };
-                if bytes > 0 {
+            for (&dst, bytes) in group.iter().zip(wire_bytes(r, group)) {
+                if dst != r && bytes > 0 {
                     wire += simgrid::link::message_time_est_ns(machine, bytes, r, dst, &ctx);
                 }
             }

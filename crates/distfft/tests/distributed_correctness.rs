@@ -7,7 +7,8 @@ mod common;
 use common::{Bits, GRIDS};
 use distfft::exec::{bind, execute, ExecCtx};
 use distfft::plan::{CommBackend, FftOptions, FftPlan, IoLayout};
-use distfft::Decomp;
+use distfft::procgrid::Distribution;
+use distfft::{Box3, Decomp};
 use fftkern::complex::max_abs_diff;
 use fftkern::{Direction, Plan3d, C64};
 use mpisim::comm::{Comm, World, WorldOpts};
@@ -46,17 +47,23 @@ fn gather(locals: &[Vec<C64>], plan: &FftPlan, dist_idx: usize) -> Vec<C64> {
 /// Runs a forward transform of `n` over `nranks` ranks and compares with the
 /// local 3-D FFT of the same field.
 fn check_forward(n: [usize; 3], nranks: usize, opts: FftOptions) {
-    let plan = FftPlan::build(n, nranks, opts);
+    forward_matches_oracle(&FftPlan::build(n, nranks, opts));
+}
+
+/// Runs `plan` forward on the same field in every batch item and compares
+/// each item with the local 3-D FFT of it.
+fn forward_matches_oracle(plan: &FftPlan) {
+    let (n, nranks) = (plan.n, plan.nranks);
     let world = World::new(MachineSpec::testbox(2), nranks, WorldOpts::default());
     let global = field(n);
 
     let locals = world.run(|rank| {
         let comm = Comm::world(rank);
-        let bound = bind(&plan, rank, &comm);
+        let bound = bind(plan, rank, &comm);
         let mut ctx = ExecCtx::new();
-        let mut data = vec![scatter(&global, &plan, 0, rank.rank())];
+        let mut data = vec![scatter(&global, plan, 0, rank.rank()); plan.opts.batch];
         let res = execute(
-            &plan,
+            plan,
             &bound,
             &mut ctx,
             rank,
@@ -65,64 +72,58 @@ fn check_forward(n: [usize; 3], nranks: usize, opts: FftOptions) {
             Direction::Forward,
         );
         assert!(res.total.as_ns() > 0 || plan.total_elems() == 0);
-        data.remove(0)
+        data
     });
 
-    let got = gather(&locals, &plan, plan.dists.len() - 1);
     let mut expect = global;
     Plan3d::new(n[0], n[1], n[2]).execute(&mut expect, Direction::Forward);
-    let err = max_abs_diff(&got, &expect);
-    let scale = plan.total_elems() as f64;
-    assert!(
-        err < 1e-8 * scale,
-        "forward mismatch: err={err:.3e} for n={n:?} ranks={nranks} opts={:?}",
-        plan.opts
-    );
+    for b in 0..plan.opts.batch {
+        let per_rank: Vec<Vec<C64>> = locals.iter().map(|d| d[b].clone()).collect();
+        let got = gather(&per_rank, plan, plan.dists.len() - 1);
+        let err = max_abs_diff(&got, &expect);
+        let scale = plan.total_elems() as f64;
+        assert!(
+            err < 1e-8 * scale,
+            "forward mismatch in batch item {b}: err={err:.3e} for n={n:?} ranks={nranks} opts={:?}",
+            plan.opts
+        );
+    }
 }
 
 /// Forward then inverse must reproduce the input scaled by N.
 fn check_roundtrip(n: [usize; 3], nranks: usize, opts: FftOptions) {
-    let plan = FftPlan::build(n, nranks, opts);
-    let world = World::new(MachineSpec::testbox(2), nranks, WorldOpts::default());
-    let global = field(n);
+    roundtrip_matches(&FftPlan::build(n, nranks, opts));
+}
+
+/// Forward then inverse of `plan` must reproduce every batch item's input
+/// scaled by N.
+fn roundtrip_matches(plan: &FftPlan) {
+    let world = World::new(MachineSpec::testbox(2), plan.nranks, WorldOpts::default());
+    let global = field(plan.n);
     let batch = plan.opts.batch;
 
     let locals = world.run(|rank| {
         let comm = Comm::world(rank);
-        let bound = bind(&plan, rank, &comm);
+        let bound = bind(plan, rank, &comm);
         let mut ctx = ExecCtx::new();
-        let mine = scatter(&global, &plan, 0, rank.rank());
+        let mine = scatter(&global, plan, 0, rank.rank());
         let mut data = vec![mine; batch];
-        execute(
-            &plan,
-            &bound,
-            &mut ctx,
-            rank,
-            &comm,
-            &mut data,
-            Direction::Forward,
-        );
-        execute(
-            &plan,
-            &bound,
-            &mut ctx,
-            rank,
-            &comm,
-            &mut data,
-            Direction::Inverse,
-        );
+        for dir in [Direction::Forward, Direction::Inverse] {
+            execute(plan, &bound, &mut ctx, rank, &comm, &mut data, dir);
+        }
         data
     });
 
     let total = plan.total_elems() as f64;
     for b in 0..batch {
         let per_rank: Vec<Vec<C64>> = locals.iter().map(|d| d[b].clone()).collect();
-        let got = gather(&per_rank, &plan, 0);
+        let got = gather(&per_rank, plan, 0);
         let expect: Vec<C64> = global.iter().map(|v| v.scale(total)).collect();
         let err = max_abs_diff(&got, &expect);
         assert!(
             err < 1e-7 * total,
-            "roundtrip mismatch in batch item {b}: err={err:.3e}"
+            "roundtrip mismatch in batch item {b}: err={err:.3e} opts={:?}",
+            plan.opts
         );
     }
 }
@@ -468,4 +469,67 @@ fn shrink_to_single_rank() {
             ..FftOptions::default()
         },
     );
+}
+
+#[test]
+fn sparse_and_irregular_layouts_every_backend_and_decomp() {
+    // Shapes where some ranks hold empty boxes or sit outside every
+    // reshape group. Target arrays come out of the pool un-zeroed (NaN in
+    // debug builds), so a box a copy misses fails the oracle here.
+    let n = [8, 8, 8];
+    // custom_io.rs's L-shaped split, which no processor grid can express.
+    let user_boxes = || {
+        Distribution::from_boxes(
+            n,
+            vec![
+                Box3::new([0, 0, 0], [8, 8, 3]),
+                Box3::new([0, 0, 3], [5, 8, 8]),
+                Box3::new([5, 0, 3], [8, 4, 8]),
+                Box3::new([5, 4, 3], [8, 8, 8]),
+            ],
+        )
+    };
+    let mut outside_a_group = false;
+    let mut check = |plan: &FftPlan| {
+        outside_a_group |= plan.reshapes.iter().any(|s| s.group_of.contains(&None));
+        forward_matches_oracle(plan);
+        roundtrip_matches(plan);
+    };
+    for decomp in [Decomp::Slabs, Decomp::Pencils, Decomp::Bricks] {
+        for backend in ALL_BACKENDS {
+            let opts = FftOptions {
+                decomp,
+                backend,
+                ..FftOptions::default()
+            };
+            let shrunk = FftOptions {
+                shrink_to: Some(3),
+                ..opts.clone()
+            };
+            // More ranks than pencils; a shrink count that divides nothing.
+            for plan in [
+                FftPlan::try_build([3, 4, 5], 8, opts.clone()),
+                FftPlan::try_build(n, 8, shrunk),
+            ] {
+                plan.iter().for_each(&mut check);
+            }
+            check(&FftPlan::build_with_io(
+                n,
+                4,
+                opts,
+                user_boxes(),
+                user_boxes(),
+            ));
+        }
+    }
+    check(&FftPlan::build(
+        [3, 4, 5],
+        8,
+        FftOptions {
+            batch: 3,
+            pipeline_chunks: 2,
+            ..FftOptions::default()
+        },
+    ));
+    assert!(outside_a_group, "no shape left a rank outside every group");
 }

@@ -228,13 +228,14 @@ impl fmt::Display for C64 {
 }
 
 /// Maximum absolute component-wise difference between two complex slices.
-/// The error metric used throughout the test suite.
+/// The error metric used throughout the test suite. A NaN on either side
+/// makes the result NaN, so no `err < tol` check can pass over one.
 pub fn max_abs_diff(a: &[C64], b: &[C64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch in max_abs_diff");
     a.iter()
         .zip(b)
         .map(|(x, y)| (*x - *y).abs())
-        .fold(0.0, f64::max)
+        .fold(0.0, |m, d| if d.is_nan() || d > m { d } else { m })
 }
 
 /// Relative L2 error `||a - b|| / ||b||`, with an absolute fallback when `b`
@@ -322,5 +323,10 @@ mod tests {
         assert_eq!(rel_l2_error(&a, &b), 0.0);
         let c = vec![C64::ONE, C64::ZERO];
         assert!((max_abs_diff(&a, &c) - 1.0).abs() < 1e-15);
+        // A NaN anywhere poisons the metric instead of being skipped.
+        let nan = C64::new(f64::NAN, 0.0);
+        let (nan_first, nan_last) = ([nan, C64::I], [C64::ONE, nan]);
+        assert!(max_abs_diff(&nan_first, &c).is_nan());
+        assert!(max_abs_diff(&c, &nan_last).is_nan());
     }
 }

@@ -42,9 +42,8 @@ pub const HOT_CRATES: [&str; 3] = ["fftkern", "distfft", "mpisim"];
 /// pooled scratch take/deposit and memoized plan/twiddle lookups. They may
 /// allocate on a cold miss by design (plan once, execute allocation-free),
 /// so the rule neither flags them nor descends into them.
-pub const HOT_EXEMPT_CALLEES: [&str; 12] = [
-    "take_empty",
-    "take_zeroed",
+pub const HOT_EXEMPT_CALLEES: [&str; 11] = [
+    "take_len",
     "take_buffer",
     "recycle",
     "give",

@@ -416,8 +416,10 @@ pub fn alltoallw_partitioned_exit_times(
 /// through the zero-cost control plane, prices the call with
 /// [`exchange_times`] and advances the rank clock to this member's exit.
 ///
-/// `my_part_entries[k]` is when this member's chunk-`k` payload is packed
-/// and postable (one entry for a monolithic call; chunks are assigned by
+/// A payload is any value (a packed block, a handle on the sender's array);
+/// what it costs is the caller's byte row, `my_bytes[j]` to member `j`.
+/// `my_part_entries[k]` is when this member's chunk-`k` payload is
+/// postable (one entry for a monolithic call; chunks are assigned by
 /// [`pattern::partition_of_step`]). Returns one payload per source member
 /// plus the group's [`PartitionedTimes`], so the caller can begin
 /// unpacking chunk `k` at `ready(me)[k]`; chunk-level overlap is the
@@ -427,27 +429,28 @@ pub fn alltoallw_partitioned_exit_times(
 /// needs — the sender's entry times and byte row — rides on each payload
 /// in one rendezvous (`WorldOpts::fused_meta`; off = a metadata allgather
 /// followed by the data round, the reference of the replay equality tests).
-pub fn exchange<T: Send + 'static>(
+pub fn exchange<P: Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,
     env: PhaseEnv,
     kind: &ExchangeKind,
-    sends: Vec<Vec<T>>,
+    sends: Vec<P>,
+    my_bytes: &[usize],
     my_part_entries: &[SimTime],
-) -> (Vec<Vec<T>>, PartitionedTimes) {
+) -> (Vec<P>, PartitionedTimes) {
     let p = comm.size();
     let nparts = my_part_entries.len();
-    assert_eq!(sends.len(), p, "one send buffer per member");
+    assert_eq!(sends.len(), p, "one payload per member");
+    assert_eq!(my_bytes.len(), p, "one byte count per member");
     assert!(nparts >= 1, "at least one partition");
     assert!(
-        kind.tuned.is_none() || sends.iter().all(|s| s.len() == sends[0].len()),
+        kind.tuned.is_none() || my_bytes.iter().all(|b| *b == my_bytes[0]),
         "MPI_Alltoall requires equal block sizes; use alltoallv"
     );
-    let elem = std::mem::size_of::<T>();
     // Metadata: this member's entry times (ns), then its byte row.
     let mut meta: Vec<u64> = my_part_entries.iter().map(|t| t.as_ns()).collect();
-    meta.extend(sends.iter().map(|s| (s.len() * elem) as u64));
-    let (metas, recvd): (Vec<Vec<u64>>, Vec<Vec<T>>) = if rank.world().opts().fused_meta {
+    meta.extend(my_bytes.iter().map(|b| *b as u64));
+    let (metas, recvd): (Vec<Vec<u64>>, Vec<P>) = if rank.world().opts().fused_meta {
         let combined = sends.into_iter().map(|s| (meta.clone(), s)).collect();
         comm.control_exchange(rank, combined).into_iter().unzip()
     } else {
@@ -470,6 +473,11 @@ pub fn exchange<T: Send + 'static>(
     (recvd, times)
 }
 
+/// What the delegates below price: each packed payload's length in bytes.
+fn packed_row<T>(sends: &[Vec<T>]) -> Vec<usize> {
+    sends.iter().map(|s| s.len() * size_of::<T>()).collect()
+}
+
 /// `MPI_Alltoallv` — a delegate to [`exchange`] with
 /// [`ExchangeKind::alltoallv`]. `sends[j]` is the payload for member `j`;
 /// returns one payload per source member.
@@ -479,8 +487,8 @@ pub fn alltoallv<T: Copy + Send + 'static>(
     env: PhaseEnv,
     sends: Vec<Vec<T>>,
 ) -> Vec<Vec<T>> {
-    let entry = [rank.now()];
-    exchange(rank, comm, env, &ExchangeKind::alltoallv(), sends, &entry).0
+    let (kind, entry, row) = (ExchangeKind::alltoallv(), [rank.now()], packed_row(&sends));
+    exchange(rank, comm, env, &kind, sends, &row, &entry).0
 }
 
 /// The heFFTe point-to-point backend — a delegate to [`exchange`] with
@@ -492,8 +500,8 @@ pub fn p2p_exchange<T: Copy + Send + 'static>(
     flavor: P2pFlavor,
     sends: Vec<Vec<T>>,
 ) -> Vec<Vec<T>> {
-    let entry = [rank.now()];
-    exchange(rank, comm, env, &ExchangeKind::p2p(flavor), sends, &entry).0
+    let (kind, entry, row) = (ExchangeKind::p2p(flavor), [rank.now()], packed_row(&sends));
+    exchange(rank, comm, env, &kind, sends, &row, &entry).0
 }
 
 /// Partitioned `MPI_Alltoallv` — a delegate to [`exchange`] with the
@@ -506,7 +514,8 @@ pub fn alltoallv_partitioned<T: Copy + Send + 'static>(
     my_part_entries: &[SimTime],
 ) -> (Vec<Vec<T>>, PartitionedTimes) {
     let kind = ExchangeKind::alltoallv().partitioned(true);
-    exchange(rank, comm, env, &kind, sends, my_part_entries)
+    let row = packed_row(&sends);
+    exchange(rank, comm, env, &kind, sends, &row, my_part_entries)
 }
 
 /// Partitioned heFFTe point-to-point exchange — a delegate to [`exchange`]
@@ -520,7 +529,8 @@ pub fn p2p_exchange_partitioned<T: Copy + Send + 'static>(
     my_part_entries: &[SimTime],
 ) -> (Vec<Vec<T>>, PartitionedTimes) {
     let kind = ExchangeKind::p2p(flavor).partitioned(true);
-    exchange(rank, comm, env, &kind, sends, my_part_entries)
+    let row = packed_row(&sends);
+    exchange(rank, comm, env, &kind, sends, &row, my_part_entries)
 }
 
 #[cfg(test)]
@@ -542,7 +552,8 @@ mod tests {
     fn alltoallw<T: Send + 'static>(r: &mut Rank, comm: &Comm, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
         let kind = ExchangeKind::alltoallw(r.world().opts().distro);
         let entry = [r.now()];
-        exchange(r, comm, env_for(comm.size()), &kind, sends, &entry).0
+        let row = packed_row(&sends);
+        exchange(r, comm, env_for(comm.size()), &kind, sends, &row, &entry).0
     }
 
     /// Rank `me`'s payload for member `j`: `len` distinct values.
@@ -581,7 +592,7 @@ mod tests {
             let sends: Vec<Vec<u64>> = (0..n).map(|_| vec![7; 256]).collect();
             let kind = ExchangeKind::alltoall(MpiDistro::SpectrumMpi);
             let entry = [r.now()];
-            let _ = exchange(r, &comm, env_for(n), &kind, sends, &entry);
+            let _ = exchange(r, &comm, env_for(n), &kind, sends, &[256 * 8; 6], &entry);
             r.now()
         });
         // One intra-node group with symmetric payloads: identical exits.
@@ -767,7 +778,8 @@ mod tests {
                 .collect();
             let pe = vec![r.now(); 4];
             let kind = ExchangeKind::alltoall(MpiDistro::SpectrumMpi).partitioned(true);
-            let (got, times) = exchange(r, &comm, env_for(n), &kind, sends, &pe);
+            let row = packed_row(&sends);
+            let (got, times) = exchange(r, &comm, env_for(n), &kind, sends, &row, &pe);
             (got, times, r.now())
         });
         for (me, (got, times, t)) in out.iter().enumerate() {
@@ -796,7 +808,8 @@ mod tests {
             let mono = alltoallw(r, &comm, sends());
             let pe = vec![r.now(); 3];
             let kind = ExchangeKind::alltoallw(MpiDistro::SpectrumMpi).partitioned(true);
-            let (part, times) = exchange(r, &comm, env_for(n), &kind, sends(), &pe);
+            let row = packed_row(&sends());
+            let (part, times) = exchange(r, &comm, env_for(n), &kind, sends(), &row, &pe);
             (mono, part, times, r.now())
         });
         for (me, (mono, part, times, t)) in out.iter().enumerate() {
@@ -811,6 +824,87 @@ mod tests {
             for r in times.ready(me) {
                 assert!(*r <= times.exit(me));
             }
+        }
+    }
+
+    #[test]
+    fn exchange_prices_the_callers_row_not_the_payload() {
+        // The same 4-byte payloads under two byte rows: the row sets the
+        // simulated time and feeds the byte counters; size_of::<P>() is
+        // never consulted. Own counter names, so no concurrently running
+        // test adds to them while recording is on.
+        let n = 4;
+        let kind = ExchangeKind {
+            counters: [("coll_test.calls", "coll_test.bytes"); 2],
+            ..ExchangeKind::alltoallv()
+        };
+        let exit_with_row = |bytes: usize| {
+            world_n(n).run(|r| {
+                let comm = Comm::world(r);
+                let entry = [r.now()];
+                let (got, _) = exchange(
+                    r,
+                    &comm,
+                    env_for(n),
+                    &kind,
+                    vec![[7u8; 4]; n],
+                    &[bytes; 4],
+                    &entry,
+                );
+                assert_eq!(got, vec![[7u8; 4]; n], "payloads arrive untouched");
+                r.now()
+            })[0]
+        };
+        let counted = || fftobs::registry().snapshot().counter("coll_test.bytes");
+        fftobs::set_enabled(true);
+        let before = counted().unwrap_or(0);
+        let (small, large) = (exit_with_row(1 << 10), exit_with_row(1 << 20));
+        let after = counted().unwrap_or(0);
+        fftobs::set_enabled(false);
+        assert!(
+            large > small,
+            "a 1 MiB row ({large}) must cost more than a 1 KiB one ({small})"
+        );
+        // Each member prices the whole n × n matrix once per call.
+        assert_eq!(after - before, (n * n * n * ((1 << 10) + (1 << 20))) as u64);
+    }
+
+    #[test]
+    fn alltoall_checks_equal_blocks_on_the_row() {
+        let n = 3;
+        let kind = ExchangeKind::alltoall(MpiDistro::SpectrumMpi);
+        // Unequal payloads under an equal row are a valid padded call.
+        let ragged = world_n(n).run(|r| {
+            let comm = Comm::world(r);
+            let sends: Vec<Vec<u8>> = (0..n).map(|j| vec![1; j]).collect();
+            let entry = [r.now()];
+            exchange(r, &comm, env_for(n), &kind, sends, &[64; 3], &entry).0
+        });
+        assert_eq!(ragged[2], vec![vec![1; 2]; n]);
+        // Equal payloads under an unequal row are not. Every member fails
+        // before posting anything, so no peer is left waiting.
+        let rejected = world_n(n).run(|r| {
+            let comm = Comm::world(r);
+            let entry = [r.now()];
+            let call = std::panic::AssertUnwindSafe(|| {
+                exchange(
+                    r,
+                    &comm,
+                    env_for(n),
+                    &kind,
+                    vec![[0u8; 8]; n],
+                    &[64, 64, 128],
+                    &entry,
+                )
+            });
+            let err = std::panic::catch_unwind(call).expect_err("unequal row must be rejected");
+            err.downcast_ref::<&str>().map(|m| m.to_string())
+        });
+        for msg in rejected {
+            assert_eq!(
+                msg.as_deref(),
+                Some("MPI_Alltoall requires equal block sizes; use alltoallv")
+            );
         }
     }
 

@@ -107,11 +107,15 @@ fn warm_pool_bit_identical_to_cold_for_every_decomp_and_backend() {
     }
 }
 
+/// Alltoallw is priced as sub-array datatypes but moves its bytes like
+/// every backend (the name predates the single host data path): receivers
+/// copy straight out of the sender's retired arrays.
 #[test]
 fn warm_pool_bit_identical_with_subarray_datatypes() {
     let _serial = serial();
     // Alltoallw + brick I/O: the schedule that charges no pack kernel, over
-    // both boundary reshapes — the most reshape-heavy plan shape.
+    // both boundary reshapes — the most reshape-heavy plan shape. Every
+    // reshape's retired arrays must come home to the pool.
     let opts = FftOptions {
         decomp: Decomp::Pencils,
         backend: CommBackend::AllToAllW,
