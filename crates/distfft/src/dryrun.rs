@@ -2,8 +2,13 @@
 //!
 //! Reproduces the exact timing of the functional executor — same kernel
 //! model, same schedule walkers, same phase-id sequence — but holds only
-//! per-rank clocks, so 512³ on 3072 simulated GPUs costs milliseconds of
-//! host time. This is what every large-scale figure harness runs on.
+//! per-rank clocks. This is what every large-scale figure harness runs on.
+//! Measured on a 2-core x86-64 host (release build), one 512³ transform on
+//! 192 simulated GPUs costs 0.4–6.4 ms of host time across the four
+//! backends × {1, 4} chunks once the runner has lowered its reshapes, and
+//! 1.6–18 ms for the first transform, which lowers them.
+
+use std::collections::BTreeMap;
 
 use fftkern::Direction;
 use mpisim::coll;
@@ -32,11 +37,16 @@ pub struct DryRunOpts {
     /// slower), mirroring `WorldOpts::compute_slowdown`.
     pub compute_slowdown: Vec<(usize, f64)>,
     /// Memoize collective exit schedules across transforms (on by default,
-    /// like the functional world). An iterated dry run — `timed_average`
-    /// re-walks the identical O(p²) schedule on every transform — replays
-    /// cached relative exits instead. Memoized times are exact (the walkers
-    /// are time-shift invariant), so this is a pure speedup; memo-off is
-    /// the reference that exactness is tested against.
+    /// like the functional world). A hit needs the members' entry offsets
+    /// to repeat exactly, and in a dry run they drift from transform to
+    /// transform. Census of a 512³ × 192 pencil runner over the 10
+    /// transforms of `timed_average(2, 4)` (30 lookups each): padded
+    /// `AllToAll` k=1 hits from the 3rd transform on; `AllToAll` k=4 in
+    /// part from the 4th and fully from the 9th; `AllToAllV` k=1 in part
+    /// from the 5th, 23 of 30 at the 9th and fully at the 10th;
+    /// `AllToAllV` k=4, `AllToAllW` and `P2p` (k=1 and k=4) never.
+    /// Memoized times are exact (the walkers are time-shift invariant);
+    /// memo-off is the reference that exactness is tested against.
     pub sched_memo: bool,
 }
 
@@ -104,6 +114,13 @@ impl Ranks<'_> {
     }
 }
 
+/// One communication group of one reshape call, lowered: its effective
+/// chunk count and every member's schedule, in group order.
+struct LoweredGroup {
+    k: usize,
+    scheds: Vec<ReshapeSchedule>,
+}
+
 /// Stateful dry runner: clocks persist across transforms exactly like the
 /// rank clocks of the functional world.
 pub struct DryRunner<'a> {
@@ -117,6 +134,11 @@ pub struct DryRunner<'a> {
     /// one machine spec, one seed, one jitter amplitude — exactly the
     /// sharing boundary [`SchedMemo`] requires.
     memo: SchedMemo,
+    /// Every reshape call's lowered groups, keyed by (direction, reshape,
+    /// items), filled on first use. Chunk counts and schedules are pure
+    /// functions of the plan and that key; the only per-call field,
+    /// `env.phase_id`, is re-stamped on every use.
+    lowered: BTreeMap<(Direction, usize, usize), Vec<LoweredGroup>>,
 }
 
 impl<'a> DryRunner<'a> {
@@ -130,6 +152,7 @@ impl<'a> DryRunner<'a> {
             net_clock: vec![SimTime::ZERO; plan.nranks],
             gpu_clock: vec![SimTime::ZERO; plan.nranks],
             memo: SchedMemo::default(),
+            lowered: BTreeMap::new(),
         }
     }
 
@@ -174,9 +197,8 @@ impl<'a> DryRunner<'a> {
         let chunks = plan.chunks();
         let mut data_ready: Vec<Vec<SimTime>> = (0..chunks).map(|_| t0.clone()).collect();
         // Scratch reused across groups and reshapes: the current group's
-        // schedules and flat entry times, and which ranks the current
-        // reshape runs chunked (all false between steps).
-        let mut scheds: Vec<ReshapeSchedule> = Vec::new();
+        // flat entry times, and which ranks the current reshape runs
+        // chunked (all false between steps).
         let mut entries: Vec<SimTime> = Vec::new();
         let mut chunked = vec![false; n];
 
@@ -213,23 +235,35 @@ impl<'a> DryRunner<'a> {
                             .next_axis
                             .map(|axis| self.ctx.first_strided(call.to_dist, axis, dir));
 
+                        let lowered = self.lowered.entry((dir, ri, items)).or_insert_with(|| {
+                            let lower = |group: &Vec<usize>| {
+                                let k = env.group_chunks(&call, group);
+                                let scheds = (0..group.len())
+                                    .map(|i| env.lower(&call, group, i, k))
+                                    .collect();
+                                LoweredGroup { k, scheds }
+                            };
+                            call.spec.groups.iter().map(lower).collect()
+                        });
+
                         // Ranks outside every group have no flows: nothing
                         // to stamp. Each group runs pack chains → one priced
                         // exchange → unpack chains.
-                        for group in &call.spec.groups {
-                            let k = env.group_chunks(&call, group);
-                            scheds.clear();
+                        for (group, LoweredGroup { k, scheds }) in
+                            call.spec.groups.iter().zip(lowered.iter_mut())
+                        {
+                            let k = *k;
                             entries.clear();
-                            for (i, &r) in group.iter().enumerate() {
+                            for (i, (&r, sched)) in group.iter().zip(scheds.iter_mut()).enumerate()
+                            {
+                                sched.env.phase_id = phase_id;
                                 chunked[r] = k >= 2;
-                                let sched = env.lower(&call, group, i, k);
                                 sched.before_exchange(&env, &mut ranks.timeline(r), &mut entries);
                                 // A chunk posts once packed *and* once the
                                 // rank's previous call has left the network.
                                 for t in &mut entries[i * k..] {
                                     *t = net_clock[r].max(*t);
                                 }
-                                scheds.push(sched);
                             }
 
                             // The byte rows the members would have gathered.
@@ -243,7 +277,7 @@ impl<'a> DryRunner<'a> {
                                 &np, &sched_env, &kind, group, &entries, &bytes,
                             );
 
-                            for (i, (&r, sched)) in group.iter().zip(&scheds).enumerate() {
+                            for (i, (&r, sched)) in group.iter().zip(scheds.iter()).enumerate() {
                                 sched.after_exchange(
                                     &env,
                                     &mut ranks.timeline(r),

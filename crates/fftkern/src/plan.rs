@@ -27,7 +27,7 @@ const PANEL_MAX_LINES: usize = 16;
 
 /// Transform direction. Both are unnormalized (cuFFT/FFTW convention): a
 /// forward followed by an inverse multiplies the data by `N`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Direction {
     /// `e^{-2πi…}` kernel — the paper's "Forward FFT".
     Forward,

@@ -8,10 +8,13 @@
 //! dry-run executor in `distfft` calls the *same functions* with the same
 //! arguments — which is why both modes report identical times.
 //!
-//! All pricing bottoms out in `simgrid::link::message_time_ns`, with an
-//! optional deterministic per-message jitter (`simgrid::noise::hash_jitter`).
+//! All pricing bottoms out in `simgrid::link`, with an optional
+//! deterministic per-message jitter (`simgrid::noise::hash_jitter`). Within
+//! one walk every message shares the phase's [`TransferCtx`], so its
+//! transport cost depends only on (bytes, link path): a `Pricer` prices
+//! each distinct pair once and applies the jitter per message.
 
-use simgrid::link::{self, TransferCtx};
+use simgrid::link::{self, LinkPath, TransferCtx};
 use simgrid::noise::hash_jitter;
 use simgrid::{MachineSpec, SimTime};
 
@@ -239,21 +242,88 @@ pub enum P2pFlavor {
     NonBlocking,
 }
 
-/// Splits a message's cost into (injection, latency) parts, with jitter
-/// applied to the injection. `src`/`dst` are **world** ranks.
-pub fn msg_parts(
-    np: &NetParams,
-    env: &PhaseEnv,
+/// One distinct (bytes, link path) price of a walk, and how many messages
+/// it has priced.
+struct Price {
     bytes: usize,
-    src: usize,
-    dst: usize,
-) -> (u64, u64) {
-    let ctx = env.transfer_ctx();
-    let total = link::message_time_ns(np.spec, bytes, src, dst, &ctx);
-    let lat = link::message_time_ns(np.spec, 0, src, dst, &ctx);
-    let inject = total.saturating_sub(lat);
-    let j = hash_jitter(np.seed, env.phase_id, src as u64, dst as u64, np.noise_amp);
-    ((inject as f64 * j).round() as u64, lat)
+    link: LinkPath,
+    inject: u64,
+    lat: u64,
+    uses: u64,
+}
+
+/// The message pricer of one walk: splits a message's cost into
+/// (injection, latency) parts, with jitter applied to the injection.
+/// `src`/`dst` are **world** ranks.
+///
+/// Transport is priced once per distinct (bytes, link path), found by a
+/// linear scan: a walk over a block distribution sees only a handful of
+/// distinct prices however many pairs it has. Prices live for one walk
+/// only. The `simgrid.msgs.*` / `simgrid.bytes.*` counters get, on drop,
+/// exactly what pricing every message from scratch would have counted:
+/// two link prices (payload, then the zero-byte latency probe) per message.
+struct Pricer<'a> {
+    np: &'a NetParams<'a>,
+    env: &'a PhaseEnv,
+    ctx: TransferCtx,
+    prices: Vec<Price>,
+}
+
+impl<'a> Pricer<'a> {
+    fn new(np: &'a NetParams<'a>, env: &'a PhaseEnv) -> Pricer<'a> {
+        Pricer {
+            np,
+            env,
+            ctx: env.transfer_ctx(),
+            // fftlint:allow(no-alloc-in-hot-path): Vec::new does not allocate; one push per distinct price
+            prices: Vec::new(),
+        }
+    }
+
+    fn parts(&mut self, bytes: usize, src: usize, dst: usize) -> (u64, u64) {
+        let spec = self.np.spec;
+        let link = link::path(spec, src, dst);
+        let hit = self
+            .prices
+            .iter_mut()
+            .find(|p| p.bytes == bytes && p.link == link);
+        let (inject, lat) = match hit {
+            Some(price) => {
+                price.uses += 1;
+                (price.inject, price.lat)
+            }
+            None => {
+                let total = link::message_time_est_ns(spec, bytes, src, dst, &self.ctx);
+                let lat = link::message_time_est_ns(spec, 0, src, dst, &self.ctx);
+                let inject = total.saturating_sub(lat);
+                self.prices.push(Price {
+                    bytes,
+                    link,
+                    inject,
+                    lat,
+                    uses: 1,
+                });
+                (inject, lat)
+            }
+        };
+        let np = self.np;
+        let j = hash_jitter(
+            np.seed,
+            self.env.phase_id,
+            src as u64,
+            dst as u64,
+            np.noise_amp,
+        );
+        ((inject as f64 * j).round() as u64, lat)
+    }
+}
+
+impl Drop for Pricer<'_> {
+    fn drop(&mut self) {
+        for p in &self.prices {
+            link::count_messages(p.link, 2 * p.uses, p.bytes as u64 * p.uses);
+        }
+    }
 }
 
 /// Cost (ns) of the local self-copy on the diagonal of an exchange.
@@ -276,6 +346,20 @@ pub fn pairwise_times(
     bytes: &dyn Fn(usize, usize) -> usize,
     extra_per_msg_ns: u64,
 ) -> Vec<SimTime> {
+    let mut pricer = Pricer::new(np, env);
+    let mut price = |b, src, dst| pricer.parts(b, src, dst);
+    pairwise_walk(np, env, group, entries, bytes, extra_per_msg_ns, &mut price)
+}
+
+fn pairwise_walk(
+    np: &NetParams,
+    env: &PhaseEnv,
+    group: &[usize],
+    entries: &[SimTime],
+    bytes: &dyn Fn(usize, usize) -> usize,
+    extra_per_msg_ns: u64,
+    price: &mut impl FnMut(usize, usize, usize) -> (u64, u64),
+) -> Vec<SimTime> {
     let p = group.len();
     assert_eq!(entries.len(), p);
     if p == 0 {
@@ -292,14 +376,14 @@ pub fn pairwise_times(
         let mut arrival_at = vec![SimTime::ZERO; p]; // arrival of the msg *received* this step
         for i in 0..p {
             let dst = (i + step) % p;
-            let (inject, _lat) = msg_parts(np, env, bytes(i, dst), group[i], group[dst]);
+            let (inject, _lat) = price(bytes(i, dst), group[i], group[dst]);
             let start =
                 (now[i] + SimTime::from_ns(SEND_OVERHEAD_NS + extra_per_msg_ns)).max(nic[i]);
             inj_end[i] = start + SimTime::from_ns(inject);
         }
         for i in 0..p {
             let src = (i + p - step) % p;
-            let (_inject, lat) = msg_parts(np, env, bytes(src, i), group[src], group[i]);
+            let (_inject, lat) = price(bytes(src, i), group[src], group[i]);
             arrival_at[i] = inj_end[src] + SimTime::from_ns(lat);
         }
         // Completion pass: sendrecv finishes when both directions are done.
@@ -322,6 +406,18 @@ pub fn bruck_times(
     entries: &[SimTime],
     total_send_bytes: &[usize],
 ) -> Vec<SimTime> {
+    let mut pricer = Pricer::new(np, env);
+    let mut price = |b, src, dst| pricer.parts(b, src, dst);
+    bruck_walk(np, group, entries, total_send_bytes, &mut price)
+}
+
+fn bruck_walk(
+    np: &NetParams,
+    group: &[usize],
+    entries: &[SimTime],
+    total_send_bytes: &[usize],
+    price: &mut impl FnMut(usize, usize, usize) -> (u64, u64),
+) -> Vec<SimTime> {
     let p = group.len();
     assert_eq!(entries.len(), p);
     if p <= 1 {
@@ -337,7 +433,7 @@ pub fn bruck_times(
         for i in 0..p {
             let dst = (i + hop) % p;
             let b = total_send_bytes[i] / 2;
-            let (inject, _lat) = msg_parts(np, env, b, group[i], group[dst]);
+            let (inject, _lat) = price(b, group[i], group[dst]);
             // Bruck reorders locally before each round: charge a pack pass.
             let pack = np.spec.kernel_model().pack_ns(b);
             let start = (now[i] + SimTime::from_ns(SEND_OVERHEAD_NS + pack)).max(nic[i]);
@@ -346,7 +442,7 @@ pub fn bruck_times(
         for i in 0..p {
             let src = (i + p - hop) % p;
             let b = total_send_bytes[src] / 2;
-            let (_inject, lat) = msg_parts(np, env, b, group[src], group[i]);
+            let (_inject, lat) = price(b, group[src], group[i]);
             let arrival = inj_end[src] + SimTime::from_ns(lat);
             nic[i] = inj_end[i];
             now[i] = inj_end[i].max(arrival) + SimTime::from_ns(RECV_OVERHEAD_NS);
@@ -472,6 +568,20 @@ pub fn scatter_times(
     bytes: &dyn Fn(usize, usize) -> usize,
     policy: &ScatterPolicy,
 ) -> PartitionedTimes {
+    let mut pricer = Pricer::new(np, env);
+    let mut price = |b, src, dst| pricer.parts(b, src, dst);
+    scatter_walk(np, env, group, part_entries, bytes, policy, &mut price)
+}
+
+fn scatter_walk(
+    np: &NetParams,
+    env: &PhaseEnv,
+    group: &[usize],
+    part_entries: &[SimTime],
+    bytes: &dyn Fn(usize, usize) -> usize,
+    policy: &ScatterPolicy,
+    price: &mut impl FnMut(usize, usize, usize) -> (u64, u64),
+) -> PartitionedTimes {
     let p = group.len();
     if p == 0 {
         return PartitionedTimes::from_flat(Vec::new(), 1);
@@ -502,7 +612,7 @@ pub fn scatter_times(
                 continue;
             }
             let post = t + SimTime::from_ns(SEND_OVERHEAD_NS + (policy.extra_send_ns)(i, b));
-            let (inject, lat) = msg_parts(np, env, b, group[i], group[j]);
+            let (inject, lat) = price(b, group[i], group[j]);
             let start = post.max(nic);
             let end = start + SimTime::from_ns(inject);
             nic = end;
@@ -530,7 +640,7 @@ pub fn scatter_times(
         for &(arr, src, part) in &arrivals[j] {
             let (src, part) = (src as usize, part as usize);
             let b = bytes(src, j);
-            let (drain, _lat) = msg_parts(np, env, b, group[src], group[j]);
+            let (drain, _lat) = price(b, group[src], group[j]);
             let done_ns = RECV_OVERHEAD_NS + (policy.extra_recv_ns)(src, b);
             rx = rx.max(arr) + SimTime::from_ns(drain);
             if policy.inline_recv {
@@ -825,6 +935,81 @@ mod tests {
                 s < m,
                 "pipelined exit {s} should beat pack-barrier exit {m}"
             );
+        }
+    }
+
+    /// Per-message reference pricing: every message priced from scratch
+    /// through the counted `message_time_ns`.
+    fn msg_parts(
+        np: &NetParams,
+        env: &PhaseEnv,
+        bytes: usize,
+        src: usize,
+        dst: usize,
+    ) -> (u64, u64) {
+        let ctx = env.transfer_ctx();
+        let total = link::message_time_ns(np.spec, bytes, src, dst, &ctx);
+        let lat = link::message_time_ns(np.spec, 0, src, dst, &ctx);
+        let inject = total.saturating_sub(lat);
+        let j = hash_jitter(np.seed, env.phase_id, src as u64, dst as u64, np.noise_amp);
+        ((inject as f64 * j).round() as u64, lat)
+    }
+
+    #[test]
+    fn deduplicated_pricing_equals_per_message_reference() {
+        let spec = MachineSpec::summit();
+        // Three nodes' worth of world ranks (6 per node), not contiguous,
+        // so intra- and inter-node pairs both occur.
+        let group = [0usize, 2, 5, 6, 9, 13, 14, 17];
+        let p = group.len();
+        let entries: Vec<SimTime> = (0..3 * p)
+            .map(|x| SimTime::from_ns(x as u64 * 37 % 500))
+            .collect();
+        let sizes = [0usize, 4096, 4096, 12_288, 1 << 20];
+        let repeated = |i: usize, j: usize| sizes[(i * 7 + j * 4) % sizes.len()];
+        let distinct = |i: usize, j: usize| (i * p + j) * 1000;
+        let matrices: [&dyn Fn(usize, usize) -> usize; 3] = [&repeated, &distinct, &|_, _| 0];
+        let totals: Vec<usize> = (0..p).map(|i| sizes[i % sizes.len()] * p).collect();
+        for noise_amp in [0.0, 0.05] {
+            let np = NetParams {
+                spec: &spec,
+                seed: 7,
+                noise_amp,
+                memo: None,
+            };
+            for gpu_aware in [true, false] {
+                let env = PhaseEnv::machine_wide(&spec, 18, p - 1, gpu_aware, 11);
+                let mut reference = |b, src, dst| msg_parts(&np, &env, b, src, dst);
+                let e = &entries[..p];
+                assert_eq!(
+                    bruck_times(&np, &env, &group, e, &totals),
+                    bruck_walk(&np, &group, e, &totals, &mut reference),
+                );
+                for bytes in matrices {
+                    assert_eq!(
+                        pairwise_times(&np, &env, &group, e, bytes, 50),
+                        pairwise_walk(&np, &env, &group, e, bytes, 50, &mut reference),
+                    );
+                    for (nparts, flavor, post_zero) in [1, 3]
+                        .into_iter()
+                        .flat_map(|k| [P2pFlavor::Blocking, P2pFlavor::NonBlocking].map(|f| (k, f)))
+                        .flat_map(|(k, f)| [false, true].map(|z| (k, f, z)))
+                    {
+                        let policy = ScatterPolicy {
+                            flavor,
+                            post_zero,
+                            inline_recv: nparts > 1,
+                            extra_send_ns: &|i, b| (i + b % 97) as u64,
+                            extra_recv_ns: &|i, b| (2 * i + b % 31) as u64,
+                        };
+                        let e = &entries[..p * nparts];
+                        assert_eq!(
+                            scatter_times(&np, &env, &group, e, bytes, &policy),
+                            scatter_walk(&np, &env, &group, e, bytes, &policy, &mut reference),
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -89,16 +89,25 @@ pub fn message_time_ns(
     ctx: &TransferCtx,
 ) -> u64 {
     let link = path(spec, src, dst);
+    count_messages(link, 1, bytes as u64);
+    priced_time_ns(spec, bytes, link, ctx)
+}
+
+/// The `simgrid.msgs.*` / `simgrid.bytes.*` counter bumps of `msgs`
+/// messages on `link` carrying `bytes` in total: the counting half of
+/// [`message_time_ns`], for callers that price a repeated (bytes, link)
+/// pair once with [`message_time_est_ns`] and count every message it
+/// stands for.
+pub fn count_messages(link: LinkPath, msgs: u64, bytes: u64) {
     if fftobs::enabled() {
-        let (msgs, byte_cnt) = match link {
+        let (msg_cnt, byte_cnt) = match link {
             LinkPath::SelfCopy => ("simgrid.msgs.self_copy", "simgrid.bytes.self_copy"),
             LinkPath::IntraNode => ("simgrid.msgs.intra_node", "simgrid.bytes.intra_node"),
             LinkPath::InterNode => ("simgrid.msgs.inter_node", "simgrid.bytes.inter_node"),
         };
-        fftobs::count(msgs, 1);
-        fftobs::count(byte_cnt, bytes as u64);
+        fftobs::count(msg_cnt, msgs);
+        fftobs::count(byte_cnt, bytes);
     }
-    priced_time_ns(spec, bytes, link, ctx)
 }
 
 /// [`message_time_ns`] without the `simgrid.msgs.*` counter bumps: for

@@ -72,7 +72,8 @@ echo "== figures vs committed results (release) =="
 # Every figure harness must reproduce its committed results/*.txt byte for
 # byte — the absolute pin on simulated time for the monolithic path of all
 # four backends, at paper scale. ~90 s in release, fig5 taking most of it;
-# `exascale` (~12 min) is left out.
+# `exascale` (~4.5 min on a 2-core host) is left out until it runs in
+# under 60 s.
 cargo build --release --offline -q -p fft-bench
 for b in table1 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 \
     fig12 fig13 sweep models_compare; do
