@@ -240,18 +240,6 @@ impl ReshapeSpec {
         Ok(())
     }
 
-    /// The region rank `r` sends to rank `s`, as a typed error when the
-    /// flow is absent — for callers that *require* the flow to exist
-    /// (deposit paths), unlike [`ReshapeSpec::bytes`] whose 0-for-no-flow
-    /// contract serves byte accounting over arbitrary pairs.
-    pub fn region_to(&self, r: usize, s: usize) -> Result<&Box3, ReshapeError> {
-        self.sends[r]
-            .iter()
-            .find(|(d, _)| *d == s)
-            .map(|(_, b)| b)
-            .ok_or(ReshapeError::MissingSendRegion { rank: r, dst: s })
-    }
-
     /// Per-member index of rank `rank`'s send regions: `out[i]` is the
     /// region destined to `members[i]`, `None` when there is no flow.
     /// Built with a two-pointer merge (both sides sorted ascending), so one
@@ -292,8 +280,7 @@ impl ReshapeSpec {
     }
 
     /// Bytes rank `r` sends to rank `s` (0 if no flow — callers sum this
-    /// over arbitrary pairs; use [`ReshapeSpec::region_to`] when the flow
-    /// must exist).
+    /// over arbitrary pairs).
     pub fn bytes(&self, r: usize, s: usize) -> usize {
         self.sends[r]
             .iter()
@@ -717,31 +704,6 @@ mod tests {
             Err(ReshapeError::DuplicatePeer {
                 rank: 3,
                 peer: dup.0
-            })
-        );
-    }
-
-    #[test]
-    fn region_to_reports_missing_flow() {
-        let a = Distribution::new(n64(), [1, 2, 4], 8);
-        let b = Distribution::new(n64(), [2, 1, 4], 8);
-        let rs = ReshapeSpec::build(&a, &b);
-        // Pencil groups of 2: rank 0 sends to exactly the members of its
-        // own group and to nobody in the other groups.
-        let peer = rs.sends[0]
-            .iter()
-            .map(|(d, _)| *d)
-            .find(|d| *d != 0)
-            .unwrap();
-        let stranger = (0..8)
-            .find(|s| !rs.sends[0].iter().any(|(d, _)| d == s))
-            .unwrap();
-        assert!(rs.region_to(0, peer).is_ok());
-        assert_eq!(
-            rs.region_to(0, stranger),
-            Err(ReshapeError::MissingSendRegion {
-                rank: 0,
-                dst: stranger
             })
         );
     }

@@ -412,9 +412,10 @@ pub fn alltoallw_partitioned_exit_times(
     exchange_times(np, env, &kind, group, &entries, &matrix_bytes(matrix))
 }
 
-/// The one functional reshape exchange: moves `sends[j]` to member `j`
-/// through the zero-cost control plane, prices the call with
-/// [`exchange_times`] and advances the rank clock to this member's exit.
+/// The one functional reshape exchange: moves `sends[j]` to member `j` in
+/// one round on the communicator's rendezvous board (zero simulated cost),
+/// prices the call with [`exchange_times`] and advances the rank clock to
+/// this member's exit.
 ///
 /// A payload is any value (a packed block, a handle on the sender's array);
 /// what it costs is the caller's byte row, `my_bytes[j]` to member `j`.
@@ -427,8 +428,8 @@ pub fn alltoallw_partitioned_exit_times(
 ///
 /// Every member sends to every member anyway, so the metadata the pricer
 /// needs — the sender's entry times and byte row — rides on each payload
-/// in one rendezvous (`WorldOpts::fused_meta`; off = a metadata allgather
-/// followed by the data round, the reference of the replay equality tests).
+/// in the same round (`WorldOpts::fused_meta`; off = a metadata allgather
+/// round before the data round, the reference of the replay equality tests).
 pub fn exchange<P: Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,

@@ -1,35 +1,37 @@
-//! World, ranks, communicators and the mailbox transport.
+//! World, ranks, communicators and the rendezvous board.
 //!
 //! Rank programs execute on real threads and exchange real (typed) payloads
-//! through per-rank mailboxes. The mailbox is a zero-cost *control plane*
-//! (`control_allgather`, `control_exchange`): it moves data and lets
-//! collective implementations agree on entry times and byte counts, and it
-//! never touches a clock. No message carries a timestamp; simulated time
-//! advances only when [`crate::coll`] prices a whole operation with the
-//! pure schedule walkers in [`crate::pattern`] — identically on every rank,
-//! and identically to the analytic dry-run.
+//! through one rendezvous board per communicator. The board is a zero-cost
+//! *control plane* (`control_allgather`, `control_exchange`): it moves data
+//! and lets collective implementations agree on entry times and byte
+//! counts, and it never touches a clock. No payload carries a timestamp;
+//! simulated time advances only when [`crate::coll`] prices a whole
+//! operation with the pure schedule walkers in [`crate::pattern`] —
+//! identically on every rank, and identically to the analytic dry-run.
 //!
-//! Mailbox invariant: a rank's mailbox never holds two envelopes with the
-//! same `(communicator, source, tag)` key. Every collective draws a fresh
-//! per-communicator tag (`Rank::ctrl_tag`; all members call collectives
-//! on a communicator in the same order, so the counters agree) and a
-//! member posts at most one envelope per destination under it. A receive
-//! is therefore an exact key match: a rank that has raced several
-//! collectives ahead of a slow peer leaves envelopes under *later* tags in
-//! that peer's mailbox, and none of them can be taken for an earlier call.
-//! `World::post` checks the invariant in debug builds.
+//! Round invariant: every collective is one round on its communicator's
+//! board, keyed by a fresh per-communicator tag (`Rank::ctrl_tag`; all
+//! members call collectives on a communicator in the same order, so the
+//! counters agree). Each member deposits its whole row once, waits once
+//! until all rows are in, and takes its column in member order; the last
+//! taker removes the round. A rank racing ahead of a slow peer deposits
+//! under a *later* tag, so no earlier call can take its row.
+//!
+//! A panicking rank fails its world instead of hanging it: its drop guard
+//! records it, clears every board's rounds and wakes every waiter, which
+//! panics naming it; [`World::run`] re-panics with its index and message.
 
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 use parking_lot::{Condvar, Mutex};
 use simgrid::{MachineSpec, SimClock, SimTime};
 
 use crate::distro::MpiDistro;
-
-/// Matching key of a message: (communicator id, source world rank, tag).
-pub(crate) type MatchKey = (u64, usize, u64);
 
 /// Global options of a simulated MPI world.
 #[derive(Debug, Clone)]
@@ -53,7 +55,7 @@ pub struct WorldOpts {
     /// memoized run against.
     pub sched_memo: bool,
     /// Fuse the (entry time, byte row) metadata round of each data
-    /// collective onto the data messages themselves (one rendezvous per
+    /// collective onto the data payloads themselves (one rendezvous per
     /// collective instead of two). Results and simulated times are
     /// identical either way; the unfused two-round form is the reference
     /// of the same equality tests.
@@ -74,15 +76,28 @@ impl Default for WorldOpts {
     }
 }
 
-/// One in-flight message; `key` is unique within the mailbox holding it.
-pub(crate) struct Envelope {
-    pub key: MatchKey,
-    pub payload: Box<dyn Any + Send>,
+/// One collective in flight on a [`Board`].
+struct Round {
+    /// A `Vec<Option<T>>` of `p × p` cells, row-major by source member.
+    cells: Box<dyn Any + Send>,
+    deposited: usize,
+    taken: usize,
 }
 
+impl Round {
+    /// The cells, typed as every member of the round must agree.
+    fn cells<T: Send + 'static>(&mut self) -> &mut [Option<T>] {
+        match self.cells.downcast_mut::<Vec<Option<T>>>() {
+            Some(cells) => cells,
+            None => panic!("members disagree on a collective's payload type"),
+        }
+    }
+}
+
+/// A communicator's rendezvous board: its in-flight rounds by tag.
 #[derive(Default)]
-struct Mailbox {
-    q: Mutex<Vec<Envelope>>,
+struct Board {
+    rounds: Mutex<BTreeMap<u64, Round>>,
     cv: Condvar,
 }
 
@@ -91,7 +106,10 @@ pub struct World {
     spec: MachineSpec,
     opts: WorldOpts,
     nranks: usize,
-    mailboxes: Vec<Mailbox>,
+    /// One board per communicator id, reset by every [`World::run`].
+    boards: Mutex<BTreeMap<u64, Arc<Board>>>,
+    /// First failing rank + 1 of the current run; 0 while none has failed.
+    failed: AtomicUsize,
     /// Shared collective-schedule memo (spec/seed/noise are fixed per
     /// world, which is what makes one memo per world sound).
     sched_memo: crate::pattern::SchedMemo,
@@ -105,7 +123,8 @@ impl World {
             spec,
             opts,
             nranks,
-            mailboxes: (0..nranks).map(|_| Mailbox::default()).collect(),
+            boards: Mutex::default(),
+            failed: AtomicUsize::new(0),
             sched_memo: crate::pattern::SchedMemo::default(),
         }
     }
@@ -140,55 +159,90 @@ impl World {
         self.spec.nodes_for(self.nranks)
     }
 
-    pub(crate) fn post(&self, dst: usize, env: Envelope) {
-        let mb = &self.mailboxes[dst];
-        {
-            let mut q = mb.q.lock();
-            debug_assert!(
-                q.iter().all(|e| e.key != env.key),
-                "two in-flight envelopes under one (comm, src, tag) key {:?}",
-                env.key
-            );
-            q.push(env);
+    /// The board of communicator `comm_id`, created on first use.
+    fn board(&self, comm_id: u64) -> Arc<Board> {
+        Arc::clone(self.boards.lock().entry(comm_id).or_default())
+    }
+
+    /// The first rank of the current run that failed, if any has.
+    fn failure(&self) -> Option<usize> {
+        self.failed.load(Ordering::Acquire).checked_sub(1)
+    }
+
+    /// Fails the current run on behalf of the unwinding rank `rank`: records
+    /// it unless an earlier rank failed first, and drops every in-flight
+    /// round (waking any owner parked on a deposited handle) before waking
+    /// every waiter to observe the failure.
+    fn abort(&self, rank: usize) {
+        let _ = self
+            .failed
+            .compare_exchange(0, rank + 1, Ordering::AcqRel, Ordering::Acquire);
+        for board in self.boards.lock().values() {
+            board.rounds.lock().clear();
+            board.cv.notify_all();
         }
-        // Exactly one thread (the owning rank) ever waits on a mailbox.
-        mb.cv.notify_one();
     }
 
     /// Runs one rank program per rank on its own thread and returns their
     /// results in rank order. This is the functional execution mode; the
     /// closure receives a [`Rank`] handle carrying the rank's simulated
-    /// clock.
+    /// clock. If a rank panics, its peers abandon their collectives instead
+    /// of waiting for it, and `run` panics with the failing rank's index and
+    /// message once every rank has stopped.
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&mut Rank) -> R + Sync,
         R: Send,
     {
-        crossbeam::thread::scope(|scope| {
+        self.boards.lock().clear();
+        self.failed.store(0, Ordering::Release);
+        let results: Vec<thread::Result<R>> = thread::scope(|scope| {
             let handles: Vec<_> = (0..self.nranks)
                 .map(|r| {
-                    let fref = &f;
-                    scope
-                        .builder()
+                    let f = &f;
+                    thread::Builder::new()
                         .name(format!("rank-{r}"))
                         .stack_size(8 << 20)
-                        .spawn(move |_| {
-                            let mut rank = Rank::new(self, r);
-                            fref(&mut rank)
+                        .spawn_scoped(scope, move || {
+                            let _abort = AbortOnUnwind(self, r);
+                            f(&mut Rank::new(self, r))
                         })
                         // fftlint:allow(no-panic-in-lib): thread spawn failure is unrecoverable
                         .expect("failed to spawn rank thread")
                 })
                 .collect();
-            handles
-                .into_iter()
-                // fftlint:allow(no-panic-in-lib): propagating a rank panic is the contract
-                .map(|h| h.join().expect("rank thread panicked"))
-                .collect()
-        })
-        // fftlint:allow(no-panic-in-lib): propagating a rank panic is the contract
-        .expect("world scope panicked")
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        if let Some(f) = self.failure() {
+            if let Err(cause) = &results[f] {
+                panic!("rank {f} failed: {}", panic_message(&**cause));
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|cause| panic::resume_unwind(cause)))
+            .collect()
     }
+}
+
+/// Aborts the world when the rank closure it guards unwinds.
+struct AbortOnUnwind<'w>(&'w World, usize);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.abort(self.1);
+        }
+    }
+}
+
+/// The text a panic was raised with.
+fn panic_message(cause: &(dyn Any + Send)) -> &str {
+    cause
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| cause.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Per-rank execution handle: identity, simulated clock and the
@@ -246,40 +300,6 @@ impl<'w> Rank<'w> {
         *c += 1;
         tag
     }
-
-    /// Posts a message to `dst` (world rank).
-    pub(crate) fn post_raw(
-        &self,
-        comm_id: u64,
-        dst_world: usize,
-        tag: u64,
-        payload: Box<dyn Any + Send>,
-    ) {
-        let env = Envelope {
-            key: (comm_id, self.rank, tag),
-            payload,
-        };
-        self.world.post(dst_world, env);
-    }
-
-    /// Blocks until a message matching one of `keys` is available; returns
-    /// the index of the matched key and the envelope. Keys are unique in a
-    /// mailbox, so which of several available matches comes back first only
-    /// decides harvest order, which no caller's result depends on.
-    pub(crate) fn recv_matching(&mut self, keys: &[MatchKey]) -> (usize, Envelope) {
-        let mb = &self.world.mailboxes[self.rank];
-        let mut q = mb.q.lock();
-        loop {
-            let hit = q.iter().enumerate().find_map(|(qi, env)| {
-                let ki = keys.iter().position(|k| *k == env.key)?;
-                Some((qi, ki))
-            });
-            if let Some((qi, ki)) = hit {
-                return (ki, q.swap_remove(qi));
-            }
-            mb.cv.wait(&mut q);
-        }
-    }
 }
 
 /// A communicator: an ordered group of world ranks with a distinct id.
@@ -288,6 +308,7 @@ pub struct Comm {
     id: u64,
     members: Arc<Vec<usize>>,
     my_index: usize,
+    board: Arc<Board>,
 }
 
 impl Comm {
@@ -297,6 +318,7 @@ impl Comm {
             id: 0,
             members: Arc::new((0..rank.size()).collect()),
             my_index: rank.rank(),
+            board: rank.world.board(0),
         }
     }
 
@@ -353,6 +375,7 @@ impl Comm {
             id,
             members: Arc::new(members),
             my_index,
+            board: rank.world.board(id),
         }
     }
 
@@ -364,96 +387,53 @@ impl Comm {
         rank: &mut Rank,
         value: T,
     ) -> Vec<T> {
-        let tag = rank.ctrl_tag(self.id);
-        for (i, &w) in self.members.iter().enumerate() {
-            if i != self.my_index {
-                rank.post_raw(self.id, w, tag, Box::new(value.clone()));
-            }
-        }
-        let mut out: Vec<Option<T>> = vec![None; self.size()];
-        out[self.my_index] = Some(value);
-        self.harvest_any_order(rank, tag, &mut out);
-        out.into_iter()
-            // fftlint:allow(no-panic-in-lib): harvest_any_order fills every non-self slot
-            .map(|v| v.expect("allgather hole"))
-            .collect()
+        self.rendezvous(rank, vec![value; self.size()])
     }
 
     /// Moves one payload to each member (index-addressed) and receives one
     /// from each, with zero simulated cost. The caller is responsible for
     /// advancing clocks via a schedule walker.
-    pub fn control_exchange<T: Send + 'static>(
-        &self,
-        rank: &mut Rank,
-        mut sends: Vec<T>,
-    ) -> Vec<T> {
-        assert_eq!(sends.len(), self.size(), "one payload per member required");
-        let tag = rank.ctrl_tag(self.id);
-        // Keep own payload; post the rest (drain from the back to keep
-        // indices stable).
-        let mut own: Option<T> = None;
-        for i in (0..self.size()).rev() {
-            // fftlint:allow(no-panic-in-lib): length asserted at function entry
-            let item = sends.pop().expect("length checked above");
-            if i == self.my_index {
-                own = Some(item);
-            } else {
-                rank.post_raw(self.id, self.member(i), tag, Box::new(item));
-            }
-        }
-        let mut out: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-        out[self.my_index] = own;
-        self.harvest_any_order(rank, tag, &mut out);
-        // fftlint:allow(no-panic-in-lib): harvest_any_order fills every non-self slot
-        out.into_iter().map(|v| v.expect("exchange hole")).collect()
+    pub fn control_exchange<T: Send + 'static>(&self, rank: &mut Rank, sends: Vec<T>) -> Vec<T> {
+        self.rendezvous(rank, sends)
     }
 
-    /// Collects one `tag`-keyed payload from every other member into `out`
-    /// (indexed by member), consuming messages in **arrival order** rather
-    /// than member order. Waiting for member `i` specifically while later
-    /// members' messages already sit in the mailbox would cost one spurious
-    /// sleep/wake per out-of-order arrival — on an oversubscribed host that
-    /// futex churn dominates small exchanges. The result is independent of
-    /// harvest order, so callers see identical outputs.
-    fn harvest_any_order<T: Send + 'static>(
-        &self,
-        rank: &mut Rank,
-        tag: u64,
-        out: &mut [Option<T>],
-    ) {
-        let mut pending: Vec<usize> = (0..self.size()).filter(|i| *i != self.my_index).collect();
-        // Schedule-permutation stress mode: force a seeded pseudo-random
-        // harvest order (blocking on one specific member at a time) instead
-        // of arrival order. Exercises the invariant documented above — no
-        // simulated time may depend on which order the host delivered
-        // control-plane messages in.
-        if let Some(perm) = crate::sanitize::harvest_permutation(pending.len()) {
-            for pi in perm {
-                let i = pending[pi];
-                let key = [(self.id, self.member(i), tag)];
-                let (_, env) = rank.recv_matching(&key);
-                let payload = env
-                    .payload
-                    .downcast::<T>()
-                    .unwrap_or_else(|_| panic!("type mismatch on message from member {i}"));
-                out[i] = Some(*payload);
+    /// One round on this communicator's board: deposits `row` (`row[j]` for
+    /// member `j`), waits until every member has deposited, and returns this
+    /// member's column (one payload per source member, in member order).
+    fn rendezvous<T: Send + 'static>(&self, rank: &mut Rank, row: Vec<T>) -> Vec<T> {
+        let (p, me) = (self.size(), self.my_index);
+        assert_eq!(row.len(), p, "one payload per member required");
+        let tag = rank.ctrl_tag(self.id);
+        let mut rounds = self.board.rounds.lock();
+        let round = rounds.entry(tag).or_insert_with(|| Round {
+            cells: Box::new((0..p * p).map(|_| None::<T>).collect::<Vec<_>>()),
+            deposited: 0,
+            taken: 0,
+        });
+        for (cell, v) in round.cells::<T>().iter_mut().skip(me * p).zip(row) {
+            *cell = Some(v);
+        }
+        round.deposited += 1;
+        if round.deposited == p {
+            self.board.cv.notify_all();
+        }
+        while rounds.get(&tag).is_none_or(|r| r.deposited < p) {
+            if let Some(f) = rank.world.failure() {
+                panic!("rank {} abandoned a collective: rank {f} failed", rank.rank);
             }
-            return;
+            self.board.cv.wait(&mut rounds);
         }
-        let mut keys: Vec<MatchKey> = pending
-            .iter()
-            .map(|&i| (self.id, self.member(i), tag))
-            .collect();
-        while !pending.is_empty() {
-            let (ki, env) = rank.recv_matching(&keys);
-            let i = pending.swap_remove(ki);
-            keys.swap_remove(ki);
-            let payload = env
-                .payload
-                .downcast::<T>()
-                .unwrap_or_else(|_| panic!("type mismatch on message from member {i}"));
-            out[i] = Some(*payload);
+        let Some(round) = rounds.get_mut(&tag) else {
+            unreachable!("a complete round stays until its last taker");
+        };
+        // Every row is in, so the column has one payload per member.
+        let column = round.cells::<T>().iter_mut().skip(me).step_by(p);
+        let column = column.filter_map(Option::take).collect();
+        round.taken += 1;
+        if round.taken == p {
+            rounds.remove(&tag);
         }
+        column
     }
 }
 
@@ -475,6 +455,7 @@ fn splitmix(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
     use simgrid::MachineSpec;
+    use std::sync::Barrier;
 
     fn world(n: usize) -> World {
         World::new(MachineSpec::testbox(2), n, WorldOpts::default())
@@ -523,6 +504,36 @@ mod tests {
             let expect: Vec<u64> = (0..4).map(|src| 100 * src as u64 + me as u64).collect();
             assert_eq!(*got, expect, "rank {me}");
         }
+    }
+
+    #[test]
+    fn lone_and_racing_rounds_complete_and_leave_no_round() {
+        let w = world(2);
+        let gate = Barrier::new(2);
+        w.run(|r| {
+            let me = r.rank();
+            let world = Comm::world(r);
+            // A 1-member communicator completes each round on its own.
+            let alone = world.split(r, me as u64, 0);
+            assert_eq!(alone.control_exchange(r, vec![me]), vec![me]);
+            // Rank 0 races three rounds ahead on its board while rank 1
+            // is held back, then both meet on the world board.
+            if me == 1 {
+                gate.wait();
+            }
+            for round in 0..3 {
+                assert_eq!(alone.control_allgather(r, (me, round)), vec![(me, round)]);
+            }
+            if me == 0 {
+                gate.wait();
+            }
+            for round in 0..3 {
+                assert_eq!(world.control_allgather(r, round), vec![round, round]);
+            }
+        });
+        let boards = w.boards.lock();
+        assert_eq!(boards.len(), 3, "the world board and two lone boards");
+        assert!(boards.values().all(|b| b.rounds.lock().is_empty()));
     }
 
     #[test]

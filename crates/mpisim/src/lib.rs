@@ -4,7 +4,7 @@
 //!
 //! The substitute for IBM SpectrumMPI and MVAPICH-GDR in the reproduction.
 //! Rank programs run as real threads; real data moves between them through
-//! mailboxes; **all timing is simulated** (data-driven timestamps from the
+//! one rendezvous board per communicator; **all timing is simulated** (data-driven timestamps from the
 //! `simgrid` cost model, never wall-clock), so every run is deterministic.
 //!
 //! Provided surface (Table I of the paper — every routine used by the FFT
@@ -30,8 +30,8 @@
 //!   `MPI_Alltoall(v)` gets tuned algorithms selected by message size.
 //!
 //! Timing architecture — there is exactly one: *data* moves through the
-//! zero-cost mailbox control plane of [`comm`] (no envelope carries a
-//! timestamp, no rank keeps NIC state), and the *clock* is advanced only by
+//! zero-cost control plane of [`comm`], one round per collective (no
+//! payload carries a timestamp, no rank keeps NIC state), and the *clock* is advanced only by
 //! [`coll::exchange_times`] and the pure schedule walkers in [`pattern`],
 //! which price a whole operation from the members' entry times and byte
 //! rows. The analytic dry-run executor in the `distfft` crate calls the
@@ -43,7 +43,6 @@ pub mod comm;
 pub mod distro;
 pub mod par;
 pub mod pattern;
-pub mod sanitize;
 
 pub use comm::{Comm, Rank, World, WorldOpts};
 pub use distro::MpiDistro;
