@@ -438,12 +438,9 @@ mod tests {
 
     #[test]
     fn protocol_helpers_are_consistent() {
-        // Forced chunking overlaps MPI-call spans, so summed call time can
+        // Chunking overlaps MPI-call spans, so summed call time can
         // legitimately exceed the makespan; this pins the monolithic
-        // protocol only (the CI chunking legs set the override).
-        if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
-            return;
-        }
+        // protocol only (the default options).
         let m = MachineSpec::summit();
         let avg = timed_average(&m, [32, 32, 32], 12, FftOptions::default(), true);
         let (avg2, comm) =
@@ -502,11 +499,7 @@ mod tests {
     #[test]
     fn traces_cover_all_protocol_calls() {
         // The 40-call count is the Fig. 2 protocol fact for monolithic
-        // exchanges; forced per-peer chunking multiplies it, so skip under
-        // the override (the CI chunking legs set it).
-        if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
-            return;
-        }
+        // exchanges (the default options); per-peer chunking multiplies it.
         let m = MachineSpec::summit();
         let traces = protocol_traces(&m, [32, 32, 32], 12, FftOptions::default(), true, 0.0);
         assert_eq!(traces.len(), 12);

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::{self, Thread};
 
 use fftkern::plan::{Layout, Plan1d};
@@ -29,48 +29,6 @@ use crate::plan::{FftPlan, Step};
 use crate::reshape::{apply_self_block, ReshapeSpec};
 use crate::schedule::{directed, ReshapeCall, RunEnv, Timeline};
 use crate::trace::Trace;
-
-/// How the per-peer reshape chunk count is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkSetting {
-    /// A fixed chunk count (still clamped per group to `p − 1`).
-    Fixed(usize),
-    /// Model-driven: per group, k = argmin of the extended pipeline model
-    /// [`crate::schedule::t_pipelined_ext`] over a k-ladder (DESIGN.md §14).
-    Auto,
-}
-
-/// Resolves the reshape-chunking setting: the `FFT_RESHAPE_CHUNKS`
-/// environment variable when set (`auto`, or an integer clamped ≥ 1;
-/// warn-once on garbage), otherwise the plan's `reshape_chunks` option
-/// (`0` is the auto sentinel). Read once per process so the functional
-/// executor and the analytic dry-run — which both call this — cannot
-/// disagree mid-run.
-pub fn reshape_chunks_setting(opt_chunks: usize) -> ChunkSetting {
-    static CHUNKS: OnceLock<Option<ChunkSetting>> = OnceLock::new();
-    let env = *CHUNKS.get_or_init(|| {
-        fftobs::env::parse_var(
-            "FFT_RESHAPE_CHUNKS",
-            "a positive integer or \"auto\"",
-            "the plan's reshape_chunks option",
-            |v| {
-                let v = v.trim();
-                if v.eq_ignore_ascii_case("auto") {
-                    Some(ChunkSetting::Auto)
-                } else {
-                    v.parse::<usize>()
-                        .ok()
-                        .map(|n| ChunkSetting::Fixed(n.max(1)))
-                }
-            },
-        )
-    });
-    env.unwrap_or(if opt_chunks == 0 {
-        ChunkSetting::Auto
-    } else {
-        ChunkSetting::Fixed(opt_chunks)
-    })
-}
 
 /// Effective chunk count for one communication group: the requested
 /// setting clamped to the number of off-diagonal send steps (`p - 1`).
@@ -587,8 +545,22 @@ fn run_reshape(
             coll::exchange(rank, sub, sched.env, &sched.kind, handles, &row, &entries);
         for (&src, reader) in members.iter().zip(recvd) {
             let from_box = plan.dists[call.from_dist].rank_box(src);
-            let arrays = reader.0.iter().flat_map(|retired| &retired.arrays);
-            for (old, new) in arrays.zip(data.iter_mut()) {
+            let arrays = reader
+                .0
+                .as_deref()
+                .map_or(&[] as &[_], |r| r.arrays.as_slice());
+            // A member built from a different plan shares the wrong blocks;
+            // copying what lines up would leave items stale, so fail the world.
+            let vol = from_box.volume();
+            if arrays.len() != data.len() || arrays.iter().any(|a| a.len() != vol) {
+                let lens: Vec<usize> = arrays.iter().map(Vec::len).collect(); // fftlint:allow(no-alloc-in-hot-path): failure path only
+                panic!(
+                    "reshape block from rank {src} does not match this rank's plan: \
+                     arrays of {lens:?} elements, expected {} of {vol}",
+                    data.len()
+                );
+            }
+            for (old, new) in arrays.iter().zip(data.iter_mut()) {
                 apply_self_block(from_box, old, to_box, new);
             }
         }

@@ -97,8 +97,8 @@ pub struct FftOptions {
     /// pack → exchange → unpack path. `0` = model-driven auto-selection
     /// (argmin of the extended pipeline model; DESIGN.md §14). Clamped per
     /// group to `peers` (= group size − 1); groups of 2 never chunk.
-    /// Overridable at runtime via `FFT_RESHAPE_CHUNKS` (a positive integer
-    /// or `auto`). All four backends honor it: padded `AllToAll` chunks its
+    /// The executor and the dry run both read it from here and nowhere
+    /// else. All four backends honor it: padded `AllToAll` chunks its
     /// uniform blocks and `AllToAllW` chunks sub-array datatype delivery
     /// (both on the posted-scatter schedule), alongside the `AllToAllV` and
     /// point-to-point paths from DESIGN.md §14.
@@ -261,6 +261,11 @@ pub enum PlanError {
         /// The rejected batch size.
         batch: usize,
     },
+    /// The r2c pipeline does not shrink the grid (`shrink_to` must be unset).
+    R2cShrink {
+        /// The rejected shrink target.
+        shrink_to: usize,
+    },
     /// A custom I/O distribution has the wrong rank count.
     IoRankMismatch {
         /// Ranks in the supplied distribution.
@@ -289,6 +294,10 @@ impl std::fmt::Display for PlanError {
                     "the r2c pipeline supports batch == 1 only, got batch {batch}"
                 )
             }
+            PlanError::R2cShrink { shrink_to } => write!(
+                f,
+                "the r2c pipeline does not shrink the grid, got shrink_to {shrink_to}"
+            ),
             PlanError::IoRankMismatch { got, expected } => {
                 write!(
                     f,

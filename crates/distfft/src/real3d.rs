@@ -52,7 +52,9 @@ impl Real3dPlan {
     /// pencils otherwise — the same Fig. 1 trade-off as the complex plan);
     /// `opts.io` is fixed by the r2c pipeline (brick I/O), and `opts.batch`
     /// must be 1 — batched r2c is unimplemented and rejected with
-    /// [`PlanError::R2cBatched`].
+    /// [`PlanError::R2cBatched`]. Likewise `opts.shrink_to` must be unset:
+    /// the pipeline always computes on every rank, so a grid-shrinking
+    /// request is rejected with [`PlanError::R2cShrink`].
     pub fn try_build(
         n: [usize; 3],
         nranks: usize,
@@ -70,16 +72,17 @@ impl Real3dPlan {
         if opts.batch > 1 {
             return Err(PlanError::R2cBatched { batch: opts.batch });
         }
+        // Nor is grid shrinking: the hand-rolled distributions below span
+        // all ranks, so a shrink request must fail instead of being ignored.
+        if let Some(shrink_to) = opts.shrink_to {
+            return Err(PlanError::R2cShrink { shrink_to });
+        }
         let m = n[2] / 2;
         let h = m + 1;
         let mp = [n[0], n[1], m];
         let mh = [n[0], n[1], h];
 
-        let base = FftOptions {
-            batch: 1,
-            shrink_to: None,
-            ..opts
-        };
+        let base = FftOptions { batch: 1, ..opts };
 
         if base.decomp == crate::Decomp::Slabs && nranks > 1 {
             let limit = mp[0].min(mp[1]);

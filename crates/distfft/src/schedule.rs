@@ -24,7 +24,7 @@ use mpisim::MpiDistro;
 use simgrid::{MachineSpec, SimTime};
 
 use crate::boxes::Box3;
-use crate::exec::{effective_group_chunks, reshape_chunks_setting, ChunkSetting};
+use crate::exec::effective_group_chunks;
 use crate::plan::{slowed_ns, CommBackend, FftPlan, Step};
 use crate::reshape::{ReshapeSpec, ELEM_BYTES};
 use crate::trace::{KernelKind, Trace, TraceEvent};
@@ -65,7 +65,7 @@ pub fn t_pipelined(t_pack: f64, t_comm: f64, t_unpack: f64, k: usize) -> f64 {
 /// `T(k) = T_pipe(k) + (k−1)·lat + T_fft − min(T_fft, T_comm)·(k−1)/k`
 ///
 /// `k = 1` recovers the strict chain `T_pack + T_comm + T_unpack + T_fft`.
-/// `FFT_RESHAPE_CHUNKS=auto` picks `argmin_k T(k)`. This is the single
+/// `reshape_chunks = 0` (auto) picks `argmin_k T(k)`. This is the single
 /// definition of the chunk-count model; `fftmodels::bandwidth` re-exports
 /// it (that crate depends on this one).
 pub fn t_pipelined_ext(
@@ -312,13 +312,14 @@ impl RunEnv<'_> {
 
     /// Effective chunk count of one communication group (`1` = the
     /// exchange runs monolithically). All four backends are partitionable;
-    /// `Fixed` settings pass through the per-group clamp, `Auto` evaluates
-    /// [`auto_chunks`](Self::auto_chunks) on group-level aggregates —
-    /// identical on every member and in the dry run.
+    /// the plan's `reshape_chunks` passes through the per-group clamp, its
+    /// `0 = auto` sentinel evaluates [`auto_chunks`](Self::auto_chunks) on
+    /// group-level aggregates — identical on every member and in the dry
+    /// run, which read the same plan.
     pub(crate) fn group_chunks(&self, call: &ReshapeCall, group: &[usize]) -> usize {
-        let requested = match reshape_chunks_setting(self.plan.opts.reshape_chunks) {
-            ChunkSetting::Fixed(n) => n,
-            ChunkSetting::Auto => self.auto_chunks(call, group),
+        let requested = match self.plan.opts.reshape_chunks {
+            0 => self.auto_chunks(call, group),
+            n => n,
         };
         effective_group_chunks(requested, group.len())
     }

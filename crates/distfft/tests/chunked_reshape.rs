@@ -10,9 +10,8 @@
 //! (ISSUE 9) additionally runs next-axis butterflies line-by-line as
 //! chunks land, so this matrix also pins that per-line execution matches
 //! the whole-batch kernel bit for bit. A rerun must reproduce the full
-//! record *within* a chunk setting, and (unless the
-//! `FFT_RESHAPE_CHUNKS` env override flattens every config to one
-//! setting) chunking must actually change the schedule somewhere.
+//! record *within* a chunk setting, and chunking must actually change the
+//! schedule somewhere.
 
 mod common;
 
@@ -24,14 +23,6 @@ use mpisim::comm::WorldOpts;
 /// exchanges in one group of 8, so per-group chunk counts up to 7 engage
 /// (pencil-stage groups of 2 stay monolithic — the mixed case).
 const RANKS: usize = 8;
-
-/// True when the `FFT_RESHAPE_CHUNKS` env override is active: it beats
-/// `FftOptions::reshape_chunks` everywhere, collapsing every config in
-/// this file to one setting (bit-identity still must hold; schedule
-/// *difference* assertions are skipped).
-fn chunks_env_forced() -> bool {
-    fftobs::env::is_set("FFT_RESHAPE_CHUNKS")
-}
 
 /// Distributed forward+inverse at one (backend, chunks) setting.
 fn run(n: [usize; 3], backend: CommBackend, chunks: usize, world_opts: WorldOpts) -> Vec<RankRun> {
@@ -70,13 +61,11 @@ fn chunked_output_bit_identical_to_monolithic() {
                 any_schedule_diff |= observable(&chunked) != observable(&mono);
             }
         }
-        if !chunks_env_forced() {
-            assert!(
-                any_schedule_diff,
-                "chunking never changed the schedule for {backend:?} — the pipelined path \
-                 did not engage"
-            );
-        }
+        assert!(
+            any_schedule_diff,
+            "chunking never changed the schedule for {backend:?} — the pipelined path \
+             did not engage"
+        );
     }
 }
 

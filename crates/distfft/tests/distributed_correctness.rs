@@ -44,10 +44,25 @@ fn gather(locals: &[Vec<C64>], plan: &FftPlan, dist_idx: usize) -> Vec<C64> {
     global
 }
 
+/// The reshape chunk counts every helper check runs at: monolithic, fixed
+/// per-peer chunks and the model-picked `0 = auto`.
+const RESHAPE_CHUNKS: [usize; 3] = [1, 4, 0];
+
+/// `opts`'s plan at each of [`RESHAPE_CHUNKS`].
+fn chunked_plans(n: [usize; 3], nranks: usize, opts: FftOptions) -> impl Iterator<Item = FftPlan> {
+    RESHAPE_CHUNKS.into_iter().map(move |reshape_chunks| {
+        let opts = FftOptions {
+            reshape_chunks,
+            ..opts.clone()
+        };
+        FftPlan::build(n, nranks, opts)
+    })
+}
+
 /// Runs a forward transform of `n` over `nranks` ranks and compares with the
-/// local 3-D FFT of the same field.
+/// local 3-D FFT of the same field, at every reshape chunk count.
 fn check_forward(n: [usize; 3], nranks: usize, opts: FftOptions) {
-    forward_matches_oracle(&FftPlan::build(n, nranks, opts));
+    chunked_plans(n, nranks, opts).for_each(|plan| forward_matches_oracle(&plan));
 }
 
 /// Runs `plan` forward on the same field in every batch item and compares
@@ -90,9 +105,10 @@ fn forward_matches_oracle(plan: &FftPlan) {
     }
 }
 
-/// Forward then inverse must reproduce the input scaled by N.
+/// Forward then inverse must reproduce the input scaled by N, at every
+/// reshape chunk count.
 fn check_roundtrip(n: [usize; 3], nranks: usize, opts: FftOptions) {
-    roundtrip_matches(&FftPlan::build(n, nranks, opts));
+    chunked_plans(n, nranks, opts).for_each(|plan| roundtrip_matches(&plan));
 }
 
 /// Forward then inverse of `plan` must reproduce every batch item's input
@@ -474,8 +490,9 @@ fn shrink_to_single_rank() {
 #[test]
 fn sparse_and_irregular_layouts_every_backend_and_decomp() {
     // Shapes where some ranks hold empty boxes or sit outside every
-    // reshape group. Target arrays come out of the pool un-zeroed (NaN in
-    // debug builds), so a box a copy misses fails the oracle here.
+    // reshape group, on every backend at every chunk count. Target arrays
+    // come out of the pool un-zeroed (NaN in debug builds), so a box a copy
+    // misses fails the oracle here.
     let n = [8, 8, 8];
     // custom_io.rs's L-shaped split, which no processor grid can express.
     let user_boxes = || {
@@ -496,10 +513,14 @@ fn sparse_and_irregular_layouts_every_backend_and_decomp() {
         roundtrip_matches(plan);
     };
     for decomp in [Decomp::Slabs, Decomp::Pencils, Decomp::Bricks] {
-        for backend in ALL_BACKENDS {
+        for (backend, reshape_chunks) in ALL_BACKENDS
+            .into_iter()
+            .flat_map(|b| RESHAPE_CHUNKS.map(|k| (b, k)))
+        {
             let opts = FftOptions {
                 decomp,
                 backend,
+                reshape_chunks,
                 ..FftOptions::default()
             };
             let shrunk = FftOptions {

@@ -184,11 +184,6 @@ fn observed() -> Vec<(String, u64)> {
 
 #[test]
 fn dry_run_traces_match_the_pre_refactor_goldens() {
-    if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
-        // The override beats `FftOptions::reshape_chunks`, collapsing the
-        // k1/k4/auto rows onto one setting; the default leg holds the pin.
-        return;
-    }
     let got = observed();
     let same = got.len() == GOLDEN.len()
         && got
@@ -213,9 +208,6 @@ fn dry_run_traces_match_the_pre_refactor_goldens() {
 /// did while each rank folded its own `peer_count` into the `PhaseEnv`.
 #[test]
 fn world_caches_one_schedule_per_reshape_group_and_direction() {
-    if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
-        return; // `auto` may split a group's entries differently per round
-    }
     let plan = FftPlan::build([32, 32, 32], 24, FftOptions::default());
     // The benchmark's `small-32x24` plan: its brick→pencil group mixes peer
     // counts {3,4,5,6}, its output groups {3,4,7}.

@@ -116,6 +116,10 @@ fn summit_opts() -> WorldOpts {
     WorldOpts::default()
 }
 
+/// Reshape chunk counts a config with no dedicated chunked test runs at:
+/// monolithic, fixed per-peer chunks and the model-picked `0 = auto`.
+const CHUNK_ROWS: [usize; 3] = [1, 4, 0];
+
 #[test]
 fn pencils_alltoallv_consistent() {
     check_consistency(
@@ -165,13 +169,54 @@ fn alltoallw_consistent_on_both_distros() {
 
 #[test]
 fn p2p_flavors_consistent() {
-    for backend in [CommBackend::P2p, CommBackend::P2pBlocking] {
+    for reshape_chunks in CHUNK_ROWS {
+        for backend in [CommBackend::P2p, CommBackend::P2pBlocking] {
+            check_consistency(
+                MachineSpec::summit(),
+                [8, 8, 8],
+                12,
+                FftOptions {
+                    backend,
+                    reshape_chunks,
+                    ..FftOptions::default()
+                },
+                summit_opts(),
+                1,
+            );
+        }
+    }
+}
+
+#[test]
+fn no_gpu_aware_consistent() {
+    for reshape_chunks in CHUNK_ROWS {
         check_consistency(
             MachineSpec::summit(),
             [8, 8, 8],
             12,
             FftOptions {
-                backend,
+                reshape_chunks,
+                ..FftOptions::default()
+            },
+            WorldOpts {
+                gpu_aware: false,
+                ..WorldOpts::default()
+            },
+            1,
+        );
+    }
+}
+
+#[test]
+fn slabs_consistent() {
+    for reshape_chunks in CHUNK_ROWS {
+        check_consistency(
+            MachineSpec::summit(),
+            [8, 8, 8],
+            8,
+            FftOptions {
+                decomp: Decomp::Slabs,
+                reshape_chunks,
                 ..FftOptions::default()
             },
             summit_opts(),
@@ -181,48 +226,21 @@ fn p2p_flavors_consistent() {
 }
 
 #[test]
-fn no_gpu_aware_consistent() {
-    check_consistency(
-        MachineSpec::summit(),
-        [8, 8, 8],
-        12,
-        FftOptions::default(),
-        WorldOpts {
-            gpu_aware: false,
-            ..WorldOpts::default()
-        },
-        1,
-    );
-}
-
-#[test]
-fn slabs_consistent() {
-    check_consistency(
-        MachineSpec::summit(),
-        [8, 8, 8],
-        8,
-        FftOptions {
-            decomp: Decomp::Slabs,
-            ..FftOptions::default()
-        },
-        summit_opts(),
-        1,
-    );
-}
-
-#[test]
 fn matching_io_consistent() {
-    check_consistency(
-        MachineSpec::summit(),
-        [8, 8, 8],
-        6,
-        FftOptions {
-            io: IoLayout::Matching,
-            ..FftOptions::default()
-        },
-        summit_opts(),
-        1,
-    );
+    for reshape_chunks in CHUNK_ROWS {
+        check_consistency(
+            MachineSpec::summit(),
+            [8, 8, 8],
+            6,
+            FftOptions {
+                io: IoLayout::Matching,
+                reshape_chunks,
+                ..FftOptions::default()
+            },
+            summit_opts(),
+            1,
+        );
+    }
 }
 
 #[test]
@@ -243,17 +261,20 @@ fn batched_pipeline_consistent() {
 
 #[test]
 fn shrink_consistent() {
-    check_consistency(
-        MachineSpec::summit(),
-        [8, 8, 8],
-        12,
-        FftOptions {
-            shrink_to: Some(4),
-            ..FftOptions::default()
-        },
-        summit_opts(),
-        1,
-    );
+    for reshape_chunks in CHUNK_ROWS {
+        check_consistency(
+            MachineSpec::summit(),
+            [8, 8, 8],
+            12,
+            FftOptions {
+                shrink_to: Some(4),
+                reshape_chunks,
+                ..FftOptions::default()
+            },
+            summit_opts(),
+            1,
+        );
+    }
 }
 
 #[test]
@@ -477,16 +498,19 @@ fn batched_alltoallw_consistent() {
 
 #[test]
 fn contiguous_fft_mode_consistent() {
-    check_consistency(
-        MachineSpec::summit(),
-        [8, 8, 8],
-        12,
-        FftOptions {
-            contiguous_fft: true,
-            backend: CommBackend::AllToAll,
-            ..FftOptions::default()
-        },
-        summit_opts(),
-        2,
-    );
+    for reshape_chunks in CHUNK_ROWS {
+        check_consistency(
+            MachineSpec::summit(),
+            [8, 8, 8],
+            12,
+            FftOptions {
+                contiguous_fft: true,
+                backend: CommBackend::AllToAll,
+                reshape_chunks,
+                ..FftOptions::default()
+            },
+            summit_opts(),
+            2,
+        );
+    }
 }

@@ -174,6 +174,74 @@ fn batched_r2c_rejected_with_typed_error() {
 }
 
 #[test]
+fn shrunk_r2c_rejected_with_typed_error() {
+    // The r2c pipeline computes on every rank; a grid-shrinking request
+    // used to be dropped silently.
+    let err = Real3dPlan::try_build(
+        [8, 8, 6],
+        4,
+        FftOptions {
+            shrink_to: Some(2),
+            ..FftOptions::default()
+        },
+    )
+    .unwrap_err();
+    assert_eq!(err, distfft::PlanError::R2cShrink { shrink_to: 2 });
+    assert!(
+        err.to_string().contains("shrink_to 2"),
+        "error must name the offending target: {err}"
+    );
+}
+
+#[test]
+fn chunked_slab_p2p_r2c_is_bit_identical_to_monolithic() {
+    // The benchmark's r2c shape (slabs + P2p on 6 ranks) at a fixed and the
+    // auto chunk count: chunking moves the clock, never the bytes.
+    let n = [12usize, 12, 10];
+    let ranks = 6;
+    let machine = MachineSpec::testbox(2);
+    let global = real_field(n);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let run = |reshape_chunks: usize| {
+        let opts = FftOptions {
+            decomp: distfft::Decomp::Slabs,
+            backend: distfft::CommBackend::P2p,
+            reshape_chunks,
+            ..FftOptions::default()
+        };
+        let plan = Real3dPlan::build(n, ranks, opts);
+        let world = World::new(machine.clone(), ranks, WorldOpts::default());
+        let out = world.run(|rank| {
+            let comm = Comm::world(rank);
+            let bound = plan.bind(rank, &comm);
+            let mut ctx = ExecCtx::new();
+            let mine = scatter_reals(&global, &plan, rank.rank());
+            let spec = plan.execute_forward(&bound, &mut ctx, rank, &comm, &mine);
+            let spec_bits: Vec<_> = spec.iter().flat_map(|c| bits(&[c.re, c.im])).collect();
+            let back = plan.execute_inverse(&bound, &mut ctx, rank, &comm, spec);
+            let norm = plan.normalization();
+            let err = back
+                .iter()
+                .zip(&mine)
+                .map(|(got, want)| (got / norm - want).abs())
+                .fold(0.0, f64::max);
+            assert!(err < 1e-9, "chunks={reshape_chunks}: roundtrip error {err}");
+            (spec_bits, bits(&back))
+        });
+        let t = plan.dryrun_forward(&machine, distfft::dryrun::DryRunOpts::default());
+        (out, t)
+    };
+    let (mono, t_mono) = run(1);
+    for chunks in [4, 0] {
+        let (got, t) = run(chunks);
+        assert_eq!(got, mono, "chunks={chunks}: data diverged from monolithic");
+        if chunks == 4 {
+            assert_ne!(t, t_mono, "4 chunks never changed the schedule");
+        }
+    }
+}
+
+#[test]
 fn slab_r2c_roundtrip_and_matches_pencils() {
     // The slab pipeline (one fewer reshape) must produce the same spectrum
     // as the pencil pipeline and round-trip to the input.

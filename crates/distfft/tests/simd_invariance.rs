@@ -4,7 +4,7 @@
 //! results: scalar, AVX2 and AVX-512 butterflies are bit-identical, and
 //! simulated timing comes from the kernel model and the schedule walkers,
 //! never from the data values. So the run record must be identical across
-//! `FFT_SIMD=off/avx2/avx512` (tiers the host lacks are skipped) over
+//! the scalar, AVX2 and AVX-512 tiers (tiers the host lacks are skipped) over
 //! pow2, smooth non-pow2 and Bluestein per-axis lengths in both packed and
 //! strided local-FFT modes.
 //!

@@ -23,12 +23,11 @@
 //! `m % LANES == 0` (40 = 8·5 has `m` = 5 and stays scalar). Radix 2, 4, 8,
 //! 3 and 5 have vector kernels; radix 7 has only the scalar body.
 //!
-//! The active tier is resolved once per process from CPU feature detection
-//! (`is_x86_feature_detected!`, cached in a [`OnceLock`]) and the `FFT_SIMD`
-//! environment variable (`off|avx2|avx512|auto`, clamped to what the host
-//! actually has). [`force_tier`] overrides it at runtime for in-process A/B
-//! measurements and the equivalence tests. Non-x86 targets compile the
-//! dispatcher to a scalar-only stub.
+//! The active tier is the widest one CPU feature detection finds
+//! (`is_x86_feature_detected!`, cached in a [`OnceLock`]). [`force_tier`]
+//! overrides it at runtime for in-process A/B measurements and the
+//! equivalence tests. Non-x86 targets compile the dispatcher to a
+//! scalar-only stub.
 //!
 //! This module is the crate's entire `unsafe` perimeter: `fftkern` is
 //! `#![deny(unsafe_code)]` and every `unsafe` block below carries a
@@ -59,7 +58,7 @@ pub enum SimdTier {
 }
 
 impl SimdTier {
-    /// Short name for env parsing, traces, and bench stamps.
+    /// Short name for traces and bench stamps.
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
@@ -78,8 +77,8 @@ impl SimdTier {
     }
 }
 
-/// Widest tier the host CPU supports, from feature detection alone (no
-/// environment override). Cached after the first call.
+/// Widest tier the host CPU supports, from feature detection. Cached after
+/// the first call.
 pub fn detected_tier() -> SimdTier {
     static DETECTED: OnceLock<SimdTier> = OnceLock::new();
     *DETECTED.get_or_init(|| {
@@ -105,41 +104,15 @@ pub fn tier_available(tier: SimdTier) -> bool {
     tier <= detected_tier()
 }
 
-/// The tier selected by `FFT_SIMD` ∧ feature detection, resolved once per
-/// process: `off`/`scalar` pins scalar, `avx2`/`avx512` request a tier
-/// (clamped to what the host has — requesting `avx512` on an AVX2 host runs
-/// AVX2, never an illegal instruction), anything else (or unset) is `auto`.
-pub fn env_tier() -> SimdTier {
-    static ENV: OnceLock<SimdTier> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let detected = detected_tier();
-        // Parsed through the shared warn-once helper: an unknown value
-        // warns once to stderr and falls back to auto (detection).
-        fftobs::env::parse_var(
-            "FFT_SIMD",
-            "off|scalar|avx2|avx512|auto",
-            "auto",
-            |v| match v.trim().to_ascii_lowercase().as_str() {
-                "off" | "scalar" => Some(SimdTier::Scalar),
-                "avx2" => Some(SimdTier::Avx2.min(detected)),
-                "avx512" => Some(SimdTier::Avx512.min(detected)),
-                "" | "auto" => Some(detected),
-                _ => None,
-            },
-        )
-        .unwrap_or(detected)
-    })
-}
-
-/// In-process tier override: 0 = none (use [`env_tier`]), otherwise the
-/// forced tier + 1. Lets benches and the equivalence suite A/B tiers inside
-/// one process, where `FFT_SIMD` (read once) cannot.
+/// In-process tier override: 0 = none (use [`detected_tier`]), otherwise
+/// the forced tier + 1. Lets benches and the equivalence suite A/B tiers
+/// inside one process.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
 /// Forces the dispatcher to `tier` (clamped to the detected tier so a
-/// forced kernel can always legally run), or restores `FFT_SIMD`/auto
-/// behavior with `None`. Outputs are bit-identical across tiers, so
-/// flipping this mid-process never changes results — only speed.
+/// forced kernel can always legally run), or restores the detected tier
+/// with `None`. Outputs are bit-identical across tiers, so flipping this
+/// mid-process never changes results — only speed.
 pub fn force_tier(tier: Option<SimdTier>) {
     let v = match tier {
         None => 0,
@@ -149,13 +122,13 @@ pub fn force_tier(tier: Option<SimdTier>) {
 }
 
 /// The tier the next stage dispatch will use: the [`force_tier`] override
-/// if set, otherwise the cached `FFT_SIMD` ∧ detection result.
+/// if set, otherwise [`detected_tier`].
 pub fn active_tier() -> SimdTier {
     match FORCED.load(Ordering::Acquire) {
         1 => SimdTier::Scalar,
         2 => SimdTier::Avx2,
         3 => SimdTier::Avx512,
-        _ => env_tier(),
+        _ => detected_tier(),
     }
 }
 
@@ -934,13 +907,12 @@ mod tests {
 
     #[test]
     fn forced_tier_clamps_to_detected_and_resets() {
-        let auto = active_tier();
         force_tier(Some(SimdTier::Avx512));
         assert!(active_tier() <= detected_tier());
         force_tier(Some(SimdTier::Scalar));
         assert_eq!(active_tier(), SimdTier::Scalar);
         force_tier(None);
-        assert_eq!(active_tier(), auto);
+        assert_eq!(active_tier(), detected_tier());
     }
 
     #[test]

@@ -100,6 +100,9 @@ fn assert_stockham_tiers_bitwise_identical(sizes: impl Iterator<Item = usize>) {
 
 #[test]
 fn stockham_bitwise_identical_across_tiers_all_pow2() {
+    // Every pow2 vector kernel on both tiers: 16 = 8·2, 32 = 8·4 and
+    // 64 = 8·8 run radix 2, 4 and 8 at s = 8, and 64's radix-8 `s == 1`
+    // first stage has m = 8.
     let _g = TIER_LOCK.lock().unwrap();
     assert_stockham_tiers_bitwise_identical((1..=13).map(|log| 1usize << log));
 }

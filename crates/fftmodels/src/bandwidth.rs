@@ -83,7 +83,7 @@ pub fn b_pencils(n: f64, pgrid: usize, qgrid: usize, t_measured: f64, latency_s:
 }
 
 /// The pipelined-reshape chunk-count model. Its single definition lives in
-/// `distfft` (which `FFT_RESHAPE_CHUNKS=auto` evaluates, and which this
+/// `distfft` (which `reshape_chunks = 0` (auto) evaluates, and which this
 /// crate depends on); re-exported here next to the paper's other models.
 pub use distfft::schedule::{t_pipelined, t_pipelined_ext};
 

@@ -232,11 +232,8 @@ fn committed_ledger_baselines_are_exact() {
     // The two configurations the retired run ledger held baselines for
     // (fig5's 8-node winner and the 4-node 64³ snapshot), pinned to the
     // nanosecond on every host: the simulated clock has no noise to
-    // tolerate. The chunk override moves these numbers (the CI chunking
-    // legs set it), so skip under it like `overlap.rs` does.
-    if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
-        return;
-    }
+    // tolerate.
+    //
     // (n, ranks, phase rows in `PHASES` order, [makespan, model-predicted
     // comm, measured comm, total queue, critical-path busy, idle]), all ns.
     for (n, ranks, phases, scalars) in [

@@ -44,11 +44,6 @@ fn stall_ns(p: &Profile) -> u64 {
 
 #[test]
 fn chunking_reduces_recv_wait_plus_idle() {
-    // The env override collapses both settings to one config; the A/B is
-    // meaningless then (the CI chunking legs set it), so skip.
-    if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
-        return;
-    }
     let off = profiled(1);
     let on = profiled(8);
     assert!(
@@ -72,9 +67,6 @@ fn transform_ahead_hides_butterflies_under_the_wire() {
     // overlap account, (b) recv-wait shrinks — waiting became compute —
     // and (c) the makespan strictly drops vs the monolithic exchange
     // (PR 7's overlap alone was nearly makespan-neutral here).
-    if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
-        return;
-    }
     let off = profiled(1);
     let on = profiled(8);
     let t_off = off.phases.totals();
@@ -115,9 +107,6 @@ fn transform_ahead_hides_butterflies_under_the_wire() {
 fn auto_chunking_profiles_like_a_tuned_fixed_k() {
     // `reshape_chunks: 0` is the auto sentinel: the model-picked k must
     // land within a whisker of the best fixed setting on this workload.
-    if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
-        return;
-    }
     let auto = profiled(0);
     let best = (1..=7)
         .map(|k| profiled(k).makespan_ns())
@@ -137,9 +126,6 @@ fn overlap_protocol_times_are_pinned() {
     // 8-rank testbox pencil, monolithic vs chunked. Exact schedule-walker
     // outputs, so any change to the overlap model, the walkers or the
     // auto-k selection moves a literal here.
-    if fftobs::env::is_set("FFT_RESHAPE_CHUNKS") {
-        return;
-    }
     let machine = MachineSpec::testbox(2);
     let sim_ns = |n: usize, chunks: usize| {
         let opts = FftOptions {

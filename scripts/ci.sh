@@ -39,34 +39,9 @@ if cargo run --offline -q -p fftlint -- --workspace \
 fi
 
 echo "== cargo test =="
+# Chunk counts {1, 4, auto} and SIMD tiers are explicit rows of the suite
+# (plan options and `fftkern::simd::force_tier`), so one leg covers them.
 cargo test --workspace --offline -q
-
-echo "== cargo test (FFT_SIMD=off) =="
-# The scalar fallback is a first-class code path, not a leftover: the full
-# suite must pass with SIMD dispatch pinned off, exactly as it would on a
-# non-x86 host. (The default leg above already exercised the widest
-# detected tier.)
-FFT_SIMD=off cargo test --workspace --offline -q
-
-echo "== cargo test (FFT_RESHAPE_CHUNKS=4) =="
-# Pipelined reshapes forced on for every plan (DESIGN.md §14): the whole
-# suite — correctness, mode consistency, invariants — must hold with every
-# eligible exchange split into per-peer chunks. A/B tests that compare
-# chunked vs monolithic detect the override and skip themselves.
-FFT_RESHAPE_CHUNKS=4 cargo test --workspace --offline -q
-
-echo "== cargo test (FFT_RESHAPE_CHUNKS=1) =="
-# And forced off: plans that ask for chunking fall back to the monolithic
-# path, which must stay the bit-identical baseline.
-FFT_RESHAPE_CHUNKS=1 cargo test --workspace --offline -q
-
-echo "== cargo test (FFT_RESHAPE_CHUNKS=auto) =="
-# Model-driven chunk selection forced on for every plan (DESIGN.md §14):
-# auto-k plus transform-ahead butterflies must preserve every correctness,
-# consistency, and invariance property, whatever k the model picks per
-# group. A/B tests that compare specific chunk settings detect the
-# override and skip themselves.
-FFT_RESHAPE_CHUNKS=auto cargo test --workspace --offline -q
 
 echo "== figures vs committed results (release) =="
 # Every figure harness must reproduce its committed results/*.txt byte for
