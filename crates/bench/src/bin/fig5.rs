@@ -6,6 +6,10 @@
 //! Paper shape: slabs + point-to-point at the smallest node counts, slabs +
 //! all-to-all in the middle, pencils + all-to-all from 64 nodes on; the
 //! fastest runtimes use GPU-aware SpectrumMPI.
+//!
+//! Usage: `fig5 [max_nodes]`; `max_nodes` trims the node ladder (the CI
+//! profiling smoke caps it so its runs stay fast). Without it the ladder
+//! runs to the paper's full 512 nodes.
 
 use distfft::plan::{CommBackend, FftOptions};
 use distfft::Decomp;
@@ -16,7 +20,14 @@ use fftprof::DiffReport;
 use simgrid::MachineSpec;
 
 fn main() {
-    let (obs, _) = fft_bench::Obs::from_env(0);
+    let (obs, positional) = fft_bench::Obs::from_env(1);
+    let max_nodes: usize = match positional.first() {
+        None => usize::MAX,
+        Some(s) => s.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+            eprintln!("invalid node cap '{s}': expected a positive integer");
+            std::process::exit(2);
+        }),
+    };
     banner(
         "Fig. 5",
         "best-setting regions, 512^3 c2c strong scaling on Summit",
@@ -33,10 +44,6 @@ fn main() {
     ]);
     // One ladder point per parallel task; within a task the candidate loop
     // stays serial so the first-wins tie-breaking matches the serial sweep.
-    // FFT_FIG5_MAX_NODES trims the ladder (the CI smoke test caps it so the
-    // three profiling runs stay fast); unset = the paper's full 512 nodes.
-    let max_nodes: usize =
-        fftobs::env::positive_var("FFT_FIG5_MAX_NODES", "the full ladder").unwrap_or(usize::MAX);
     let ladder: Vec<usize> = table3_ranks()
         .into_iter()
         .filter(|ranks| ranks / 6 <= max_nodes)

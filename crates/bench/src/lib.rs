@@ -475,28 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn sched_memo_is_time_exact() {
-        // The dry runner's schedule memo replays relative exits; the
-        // walkers are time-shift invariant, so memo on/off must agree to
-        // the nanosecond — the memoized run is the same simulation, just
-        // faster.
-        let m = MachineSpec::summit();
-        let plan = FftPlan::build([32, 32, 32], 24, FftOptions::default());
-        let t = |memo: bool| {
-            let mut r = DryRunner::new(
-                &plan,
-                &m,
-                DryRunOpts {
-                    sched_memo: memo,
-                    ..DryRunOpts::default()
-                },
-            );
-            r.timed_average(WARMUPS, PAIRS)
-        };
-        assert_eq!(t(true), t(false));
-    }
-
-    #[test]
     fn traces_cover_all_protocol_calls() {
         // The 40-call count is the Fig. 2 protocol fact for monolithic
         // exchanges (the default options); per-peer chunking multiplies it.

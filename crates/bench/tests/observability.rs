@@ -108,10 +108,10 @@ fn fig2_flags_are_invisible_on_stdout_and_export_validates() {
 
 #[test]
 fn fig5_profile_out_is_invisible_replayable_and_valid() {
-    // FFT_FIG5_MAX_NODES trims the 512-node ladder so this stays fast.
+    // The node cap trims the 512-node ladder so this stays fast.
     let fig5 = || {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig5"));
-        cmd.env("FFT_FIG5_MAX_NODES", "8");
+        cmd.arg("8");
         cmd
     };
     let plain = stdout_of(&mut fig5());
@@ -222,13 +222,17 @@ macro_rules! bins {
 
 #[test]
 fn figure_binaries_reject_arguments_they_do_not_consume() {
-    // The flag-taking figures drop no positional, and the harnesses that
-    // read no arguments at all do not run the whole figure on
-    // `fig7 --trace-out f` and write nothing: the first unconsumed
-    // argument is named.
-    for (bin, exe) in bins![fig2, fig3, fig4, fig5, fig10] {
+    // The flag-taking figures drop no positional, fig5 takes one node cap
+    // and rejects a bad one, and the harnesses that read no arguments at
+    // all do not run the whole figure on `fig7 --trace-out f` and write
+    // nothing: the first unconsumed argument is named.
+    for (bin, exe) in bins![fig2, fig3, fig4, fig10] {
         assert_rejected(bin, exe, &["--metrics", "1O24", "--bogus"], "'1O24'");
     }
+    let fig5 = env!("CARGO_BIN_EXE_fig5");
+    assert_rejected("fig5", fig5, &["--metrics", "1O24"], "'1O24'");
+    assert_rejected("fig5", fig5, &["0"], "'0'");
+    assert_rejected("fig5", fig5, &["8", "16"], "'16'");
     for (bin, exe) in bins![
         fig6,
         fig7,

@@ -2,18 +2,20 @@
 //!
 //! Reproduces the exact timing of the functional executor — same kernel
 //! model, same schedule walkers, same phase-id sequence — but holds only
-//! per-rank clocks. This is what every large-scale figure harness runs on.
-//! Measured on a 2-core x86-64 host (release build), one 512³ transform on
-//! 192 simulated GPUs costs 0.4–6.4 ms of host time across the four
-//! backends × {1, 4} chunks once the runner has lowered its reshapes, and
-//! 1.6–18 ms for the first transform, which lowers them.
+//! per-rank clocks. Like the functional exchange, it prices each group of
+//! each reshape call once, with the same `coll::exchange_times`. This is
+//! what every large-scale figure harness runs on. Measured on a 2-core
+//! x86-64 host (release build), one 512³ transform on 192 simulated GPUs
+//! costs 0.4–6.4 ms of host time across the four backends × {1, 4} chunks
+//! once the runner has lowered its reshapes, and 1.6–18 ms for the first
+//! transform, which lowers them.
 
 use std::collections::BTreeMap;
 
 use fftkern::Direction;
 use mpisim::coll;
 use mpisim::distro::MpiDistro;
-use mpisim::pattern::{NetParams, SchedMemo};
+use mpisim::pattern::NetParams;
 use simgrid::{MachineSpec, SimTime};
 
 use crate::boxes::Box3;
@@ -36,17 +38,8 @@ pub struct DryRunOpts {
     /// Failure injection: per-rank GPU compute slowdown factors (>1 =
     /// slower), mirroring `WorldOpts::compute_slowdown`.
     pub compute_slowdown: Vec<(usize, f64)>,
-    /// Memoize collective exit schedules across transforms (on by default,
-    /// like the functional world). A hit needs the members' entry offsets
-    /// to repeat exactly, and in a dry run they drift from transform to
-    /// transform. Census of a 512³ × 192 pencil runner over the 10
-    /// transforms of `timed_average(2, 4)` (30 lookups each): padded
-    /// `AllToAll` k=1 hits from the 3rd transform on; `AllToAll` k=4 in
-    /// part from the 4th and fully from the 9th; `AllToAllV` k=1 in part
-    /// from the 5th, 23 of 30 at the 9th and fully at the 10th;
-    /// `AllToAllV` k=4, `AllToAllW` and `P2p` (k=1 and k=4) never.
-    /// Memoized times are exact (the walkers are time-shift invariant);
-    /// memo-off is the reference that exactness is tested against.
+    /// Accepted and ignored; spelled by the frozen `benchmark/`.
+    #[doc(hidden)]
     pub sched_memo: bool,
 }
 
@@ -130,10 +123,6 @@ pub struct DryRunner<'a> {
     ctx: ExecCtx,
     net_clock: Vec<SimTime>,
     gpu_clock: Vec<SimTime>,
-    /// Collective-schedule cache, scoped to this runner: one runner means
-    /// one machine spec, one seed, one jitter amplitude — exactly the
-    /// sharing boundary [`SchedMemo`] requires.
-    memo: SchedMemo,
     /// Every reshape call's lowered groups, keyed by (direction, reshape,
     /// items), filled on first use. Chunk counts and schedules are pure
     /// functions of the plan and that key; the only per-call field,
@@ -151,7 +140,6 @@ impl<'a> DryRunner<'a> {
             ctx: ExecCtx::new(),
             net_clock: vec![SimTime::ZERO; plan.nranks],
             gpu_clock: vec![SimTime::ZERO; plan.nranks],
-            memo: SchedMemo::default(),
             lowered: BTreeMap::new(),
         }
     }
@@ -182,7 +170,6 @@ impl<'a> DryRunner<'a> {
             spec: self.machine,
             seed: self.opts.seed,
             noise_amp: self.opts.noise_amplitude,
-            memo: self.opts.sched_memo.then_some(&self.memo),
         };
         let n = plan.nranks;
         let mut traces = vec![Trace::new(); n];

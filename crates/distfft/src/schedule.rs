@@ -258,10 +258,10 @@ impl RunEnv<'_> {
     }
 
     /// How the machine is loaded while a reshape exchange runs. One value
-    /// per reshape, the same on every rank and in both modes, so all
-    /// members of a group share one schedule-memo entry (`p2p_peers` is
-    /// not read by any schedule walker; per-peer overheads derive from the
-    /// byte matrix).
+    /// per reshape, the same on every rank and in both modes, as the
+    /// exchange's member agreement check requires (`p2p_peers` is not read
+    /// by any schedule walker; per-peer overheads derive from the byte
+    /// matrix).
     fn phase_env(&self, phase_id: u64) -> PhaseEnv {
         PhaseEnv {
             gpu_aware: self.gpu_aware,

@@ -5,9 +5,9 @@
 //! simulated time. This table does: one FNV-1a digest per configuration
 //! over every rank's dry-run trace (event kind, start, duration, bytes)
 //! and completion time, for forward → inverse → forward on one runner, so
-//! the first-call spikes, the warm steady state and the schedule-memo
-//! replay are all inside the hash. `mode_consistency` carries the pin over
-//! to the functional executor.
+//! the first-call spikes and the warm steady state are both inside the
+//! hash. `mode_consistency` carries the pin over to the functional
+//! executor.
 //!
 //! The constants were generated from the commit *before* the reshape
 //! schedule was folded onto one record and one walker; they must never be
@@ -15,12 +15,10 @@
 //! the whole observed table in paste-ready form.
 
 use distfft::dryrun::{DryRunOpts, DryRunner};
-use distfft::exec::{bind, execute, ExecCtx};
 use distfft::plan::{CommBackend, FftOptions, FftPlan, IoLayout};
 use distfft::trace::{KernelKind, TraceEvent};
 use distfft::Decomp;
-use fftkern::{Direction, C64};
-use mpisim::comm::{Comm, World, WorldOpts};
+use fftkern::Direction;
 use simgrid::MachineSpec;
 
 struct Fnv(u64);
@@ -201,29 +199,6 @@ fn dry_run_traces_match_the_pre_refactor_goldens() {
         }
         panic!("dry-run schedule digests diverge from the goldens; observed table:\n{table}");
     }
-}
-
-/// Every member of a group prices the same schedule from the same inputs,
-/// so a world must cache it once — not once per distinct peer count, as it
-/// did while each rank folded its own `peer_count` into the `PhaseEnv`.
-#[test]
-fn world_caches_one_schedule_per_reshape_group_and_direction() {
-    let plan = FftPlan::build([32, 32, 32], 24, FftOptions::default());
-    // The benchmark's `small-32x24` plan: its brick→pencil group mixes peer
-    // counts {3,4,5,6}, its output groups {3,4,7}.
-    let groups: usize = plan.reshapes.iter().map(|s| s.groups.len()).sum();
-    let world = World::new(MachineSpec::summit(), 24, WorldOpts::default());
-    world.run(|rank| {
-        let comm = Comm::world(rank);
-        let bound = bind(&plan, rank, &comm);
-        let mut ctx = ExecCtx::new();
-        let b = plan.dists[0].rank_box(rank.rank());
-        let mut data = vec![vec![C64::ONE; b.volume()]];
-        for dir in [Direction::Forward, Direction::Inverse] {
-            execute(&plan, &bound, &mut ctx, rank, &comm, &mut data, dir);
-        }
-    });
-    assert_eq!(world.cached_schedules(), 2 * groups);
 }
 
 #[rustfmt::skip]

@@ -2,8 +2,7 @@
 //! determinism contract (DESIGN.md §12) as equalities on run records.
 //!
 //! * the **full record** of every rank (data bits, completion time, trace,
-//!   pool statistics, leak balance) is identical across reruns and
-//!   scheduler memoization and metadata-fusion modes;
+//!   pool statistics, leak balance) is identical across reruns;
 //! * on every rank, every pooled-buffer take is matched by a deposit once
 //!   `execute` returns (no leaks, no double deposits).
 
@@ -23,25 +22,13 @@ fn run(world_opts: WorldOpts) -> Vec<RankRun> {
     run_world([16, 16, 8], 4, opts, world_opts)
 }
 
-fn memo(sched_memo: bool, fused_meta: bool) -> WorldOpts {
-    WorldOpts {
-        sched_memo,
-        fused_meta,
-        ..jittered()
-    }
-}
-
 #[test]
 fn replays_are_invariant_where_the_contract_says_so() {
-    let base = run(memo(true, true));
-    for (label, other) in [
-        ("sched_memo off", run(memo(false, true))),
-        ("fused_meta off", run(memo(true, false))),
-        ("cold scheduler, unfused", run(memo(false, false))),
-        ("rerun", run(memo(true, true))),
-    ] {
-        assert_eq!(base, other, "run record drifted under: {label}");
-    }
+    assert_eq!(
+        run(jittered()),
+        run(jittered()),
+        "run record drifted on a rerun"
+    );
 }
 
 #[test]

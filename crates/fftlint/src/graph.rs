@@ -18,7 +18,7 @@
 //!   everything they transitively call within [`HOT_CRATES`]; the pooled
 //!   acquisition APIs in [`HOT_EXEMPT_CALLEES`] are not descended into.
 //! * `env-read-outside-fftobs` — `std::env::var`/`var_os` anywhere (all
-//!   file kinds, tests included) except `crates/obs/src/env.rs`.
+//!   file kinds, tests included).
 //! * `lock-order` — a fn that can hold lock A while acquiring lock B
 //!   (lexically later in the same body, or via a callee whose transitive
 //!   lockset contains B) is flagged when the pair is seen in the reverse
@@ -55,9 +55,6 @@ pub const HOT_EXEMPT_CALLEES: [&str; 11] = [
     "forward_table",
     "stockham_tables",
 ];
-
-/// The only file allowed to touch the process environment.
-pub const ENV_ALLOWED_FILES: [&str; 1] = ["crates/obs/src/env.rs"];
 
 /// Executor entry file: every Lib fn here seeds `panic-reachable-from-exec`.
 pub const EXEC_ENTRY_FILE: &str = "crates/distfft/src/exec.rs";
@@ -432,9 +429,6 @@ impl Analysis {
 
     fn env_read_outside_fftobs(&self, out: &mut Vec<Finding>) {
         for (fi, f) in self.files.iter().enumerate() {
-            if ENV_ALLOWED_FILES.contains(&f.rel.as_str()) {
-                continue;
-            }
             for site in &f.tree.env_reads {
                 self.emit(
                     out,
@@ -443,8 +437,8 @@ impl Analysis {
                     site.line,
                     site.col,
                     format!(
-                        "std::env::{} outside fftobs::env; route FFT_* reads through its \
-                         warn-once helper (positive_var)",
+                        "std::env::{} reads the process environment; take the value as a \
+                         plan option or a command-line argument instead",
                         site.what
                     ),
                 );
@@ -765,15 +759,15 @@ pub fn deep(p: &P) { p.x.unwrap(); }
     }
 
     #[test]
-    fn env_rule_fires_everywhere_but_fftobs_env() {
+    fn env_rule_fires_everywhere() {
         let src = "pub fn f() { let v = std::env::var(\"FFT_X\"); }";
-        let f = analyze(&[("crates/bench/src/lib.rs", src)]);
-        assert_eq!(
-            rule_spans(&f, rules::ENV_READ_OUTSIDE_FFTOBS),
-            vec![("crates/bench/src/lib.rs".to_string(), 1, 27)]
-        );
-        let f = analyze(&[("crates/obs/src/env.rs", src)]);
-        assert!(rule_spans(&f, rules::ENV_READ_OUTSIDE_FFTOBS).is_empty());
+        for path in ["crates/bench/src/lib.rs", "crates/obs/src/env.rs"] {
+            let f = analyze(&[(path, src)]);
+            assert_eq!(
+                rule_spans(&f, rules::ENV_READ_OUTSIDE_FFTOBS),
+                vec![(path.to_string(), 1, 27)]
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! syn/proc-macro; JSON through the equally dependency-free `fftobs::json`)
 //! that enforces the project's simulated-time contract at build time:
 //! simulated durations, trace events, and figure stdout must be bit-identical
-//! across executor thread counts, scheduler memoization modes, and reruns,
-//! and the executor's steady state must stay allocation-free (the paper's
+//! across reruns and SIMD tiers, and the executor's steady state must stay allocation-free (the paper's
 //! plan-once/execute contract). Analysis runs in two passes: [`lex`] +
 //! [`tree`] parse each file into an item tree, then [`graph`] builds a
 //! workspace-wide call graph for the interprocedural rules. The rules (see

@@ -33,7 +33,7 @@ pub const NO_PANIC_IN_LIB: &str = "no-panic-in-lib";
 pub const FLOAT_REDUCTION_ORDER: &str = "float-reduction-order";
 /// Rule id: allocation inside (or transitively below) a `fftlint:hot` fn.
 pub const NO_ALLOC_IN_HOT_PATH: &str = "no-alloc-in-hot-path";
-/// Rule id: `std::env::var`/`var_os` anywhere but `fftobs::env`.
+/// Rule id: `std::env::var`/`var_os` anywhere.
 pub const ENV_READ_OUTSIDE_FFTOBS: &str = "env-read-outside-fftobs";
 /// Rule id: two locks acquirable in an order seen reversed elsewhere.
 pub const LOCK_ORDER: &str = "lock-order";

@@ -410,8 +410,8 @@ fn collect_sites(t: &[Token], owner: &[usize], fns: &mut [FnItem], env_reads: &m
         .any(|x| matches!(&x.tok, Tok::Ident(s) if s == "RwLock"));
     for i in 0..t.len() {
         let own = owner.get(i).copied().unwrap_or(usize::MAX);
-        // std::env::var / var_os call (module-qualified, so `positive_var`
-        // and friends in fftobs::env never match).
+        // std::env::var / var_os call (module-qualified, so a method or fn
+        // merely named `var` never matches).
         if ident(t, i) == Some("env") && punct(t, i + 1, ':') && punct(t, i + 2, ':') {
             if let Some(what @ ("var" | "var_os")) = ident(t, i + 3) {
                 if punct(t, i + 4, '(') {

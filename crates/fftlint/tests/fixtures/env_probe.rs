@@ -1,6 +1,5 @@
 // Fixture: `env-read-outside-fftobs`. Both accessor shapes fire; the
-// second carries the inline justification. The same source linted as
-// `crates/obs/src/env.rs` is exempt (the sanctioned implementation file).
+// second carries the inline justification.
 
 pub fn knob() -> Option<String> {
     std::env::var("FFT_KNOB").ok()

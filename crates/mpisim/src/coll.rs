@@ -4,12 +4,14 @@
 //!
 //! Data moves through the zero-cost control plane; clock advances come from
 //! [`exchange_times`] over the schedule walkers in [`crate::pattern`] — the
-//! same function the analytic dry-run calls, so functional and analytic
-//! timings agree exactly.
+//! same function the analytic dry-run calls, once per collective in both
+//! modes, so functional and analytic timings agree exactly.
 //!
 //! Every collective takes an explicit [`PhaseEnv`] describing how the
-//! machine is loaded while the phase runs (NIC sharing, active nodes, peer
-//! counts); the distributed-FFT layer derives it from its reshape plan.
+//! machine is loaded while the phase runs (NIC sharing, active nodes); the
+//! distributed-FFT layer derives it from its reshape plan.
+
+use std::sync::Arc;
 
 use simgrid::SimTime;
 
@@ -23,15 +25,8 @@ fn net_params<'a>(rank: &Rank<'a>) -> NetParams<'a> {
         spec: w.spec(),
         seed: w.opts().seed,
         noise_amp: w.opts().noise_amplitude,
-        memo: w.opts().sched_memo.then(|| w.sched_memo()),
     }
 }
-
-// Schedule-memo collective discriminants (see `pattern::memo_exits`).
-const MEMO_ALLTOALL: u8 = 1;
-const MEMO_ALLTOALLV: u8 = 2;
-const MEMO_ALLTOALLW: u8 = 3;
-const MEMO_P2P: u8 = 4;
 
 /// Per-call setup cost of a tuned collective: algorithm dispatch plus an
 /// O(p) scan of the count arrays / internal request allocation.
@@ -68,7 +63,6 @@ enum MsgCost {
 pub struct ExchangeKind {
     /// `fftobs` counter names (calls, bytes): monolithic, then `_part`.
     counters: [(&'static str, &'static str); 2],
-    memo: (u8, u64),
     /// An MPI collective (tuned-dispatch setup, every pair posted, even
     /// empty ones) rather than heFFTe's hand-written loop (call sync only,
     /// empty pairs skipped).
@@ -98,7 +92,6 @@ impl ExchangeKind {
                 ("mpisim.calls.alltoall", "mpisim.bytes.alltoall"),
                 ("mpisim.calls.alltoall_part", "mpisim.bytes.alltoall_part"),
             ],
-            memo: (MEMO_ALLTOALL, distro as u64),
             tuned: Some(distro),
             ..ExchangeKind::alltoallv()
         }
@@ -113,7 +106,6 @@ impl ExchangeKind {
                 ("mpisim.calls.alltoallv", "mpisim.bytes.alltoallv"),
                 ("mpisim.calls.alltoallv_part", "mpisim.bytes.alltoallv_part"),
             ],
-            memo: (MEMO_ALLTOALLV, 0),
             collective: true,
             flavor: P2pFlavor::NonBlocking,
             msg_cost: MsgCost::None,
@@ -134,7 +126,6 @@ impl ExchangeKind {
                 ("mpisim.calls.alltoallw", "mpisim.bytes.alltoallw"),
                 ("mpisim.calls.alltoallw_part", "mpisim.bytes.alltoallw_part"),
             ],
-            memo: (MEMO_ALLTOALLW, distro as u64),
             msg_cost: MsgCost::Datatype { setup_ns, pack_gbs },
             gpu_aware: distro.alltoallw_gpu_aware(),
             ..ExchangeKind::alltoallv()
@@ -151,7 +142,6 @@ impl ExchangeKind {
                 ("mpisim.calls.p2p", "mpisim.bytes.p2p"),
                 ("mpisim.calls.p2p_part", "mpisim.bytes.p2p_part"),
             ],
-            memo: (MEMO_P2P, matches!(flavor, P2pFlavor::NonBlocking) as u64),
             collective: false,
             flavor,
             msg_cost: MsgCost::GpuRegistration,
@@ -176,10 +166,10 @@ impl ExchangeKind {
 /// (`part_entries.len() / group.len()` chunks each; one for a monolithic
 /// call) and the per-pair payload `bytes(i, j)` (group indices).
 ///
-/// This is the single pricer behind both execution modes: the functional
-/// [`exchange`] calls it with the entries and byte rows the members
-/// gathered, the analytic dry-run with the ones it computed — the
-/// mechanism that keeps the two in exact agreement.
+/// This is the single pricer behind both execution modes, called once per
+/// collective in each: the functional [`exchange`] with the entries and
+/// byte rows the members deposited, the analytic dry-run with the ones it
+/// computed — the mechanism that keeps the two in exact agreement.
 pub fn exchange_times<B: Fn(usize, usize) -> usize>(
     np: &NetParams,
     env: &PhaseEnv,
@@ -194,82 +184,66 @@ pub fn exchange_times<B: Fn(usize, usize) -> usize>(
         nparts >= 1 && (kind.partitioned || nparts == 1),
         "a monolithic exchange has exactly one entry per member"
     );
-    // Memo signature: the byte matrix (one block when uniform), then the
-    // partition count. Sized exactly — the memo keeps it as part of the key.
-    let mut sig: Vec<usize> = Vec::with_capacity(p * p + 1);
-    if kind.tuned.is_some() {
-        sig.push(bytes(0, 0));
-    } else {
-        for i in 0..p {
-            sig.extend((0..p).map(|j| bytes(i, j)));
-        }
-    }
     if fftobs::enabled() {
         let (calls, total) = kind.counters[kind.partitioned as usize];
-        let payload: usize = sig.iter().sum();
-        let pairs = if kind.tuned.is_some() { p * p } else { 1 };
+        let payload: usize = match kind.tuned {
+            Some(_) => bytes(0, 0) * p * p,
+            None => (0..p)
+                .map(|i| (0..p).map(|j| bytes(i, j)).sum::<usize>())
+                .sum(),
+        };
         fftobs::count(calls, 1);
-        fftobs::count(total, (payload * pairs) as u64);
+        fftobs::count(total, payload as u64);
     }
     let env = PhaseEnv {
         gpu_aware: env.gpu_aware && kind.gpu_aware,
         ..*env
     };
-    let (memo_kind, memo_extra) = kind.memo;
-    if kind.partitioned {
-        sig.push(nparts);
+    // One-time call entry costs: device sync (stream sync, handle lookup —
+    // amortized by batching, Fig. 13) plus, for a collective, the tuned
+    // dispatch. Setup happens once when the call is posted (a member's
+    // first entry) and no partition may inject before it completes.
+    let setup = SimTime::from_ns(
+        np.spec.gpu_call_sync_ns + if kind.collective { coll_setup_ns(p) } else { 0 },
+    );
+    let entries: Vec<SimTime> = part_entries
+        .chunks(nparts)
+        .flat_map(|pe| pe.iter().map(|t| (*t).max(pe[0] + setup)))
+        .collect();
+    if let (Some(distro), false) = (kind.tuned, kind.partitioned) {
+        let block = bytes(0, 0);
+        return PartitionedTimes::from_exits(match distro.alltoall_algo(block) {
+            AlltoallAlgo::Pairwise => {
+                pattern::pairwise_times(np, &env, group, &entries, &|_, _| block, 0)
+            }
+            AlltoallAlgo::Bruck => {
+                pattern::bruck_times(np, &env, group, &entries, &vec![block * p; p])
+            }
+        });
     }
-    let id = (memo_kind, memo_extra * 2 + kind.partitioned as u64);
-    let flat = pattern::memo_exits(np, &env, id, group, part_entries, sig, || {
-        // One-time call entry costs: device sync (stream sync, handle
-        // lookup — amortized by batching, Fig. 13) plus, for a collective,
-        // the tuned dispatch. Setup happens once when the call is posted
-        // (a member's first entry) and no partition may inject before it
-        // completes.
-        let setup = SimTime::from_ns(
-            np.spec.gpu_call_sync_ns + if kind.collective { coll_setup_ns(p) } else { 0 },
-        );
-        let entries: Vec<SimTime> = part_entries
-            .chunks(nparts)
-            .flat_map(|pe| pe.iter().map(|t| (*t).max(pe[0] + setup)))
-            .collect();
-        if let (Some(distro), false) = (kind.tuned, kind.partitioned) {
-            let block = bytes(0, 0);
-            return PartitionedTimes::from_exits(match distro.alltoall_algo(block) {
-                AlltoallAlgo::Pairwise => {
-                    pattern::pairwise_times(np, &env, group, &entries, &|_, _| block, 0)
-                }
-                AlltoallAlgo::Bruck => {
-                    pattern::bruck_times(np, &env, group, &entries, &vec![block * p; p])
-                }
-            })
-            .into_flat();
+    let peers: Vec<usize> = match kind.msg_cost {
+        MsgCost::GpuRegistration if env.gpu_aware => (0..p)
+            .map(|i| (0..p).filter(|&j| j != i && bytes(i, j) > 0).count())
+            .collect(),
+        _ => Vec::new(),
+    };
+    let msg_ns = |sender: usize, bytes: usize, sending: bool| match kind.msg_cost {
+        MsgCost::Datatype { setup_ns, pack_gbs } => {
+            setup_ns + (bytes as f64 / pack_gbs).ceil() as u64
         }
-        let peers: Vec<usize> = match kind.msg_cost {
-            MsgCost::GpuRegistration if env.gpu_aware => (0..p)
-                .map(|i| (0..p).filter(|&j| j != i && bytes(i, j) > 0).count())
-                .collect(),
-            _ => Vec::new(),
-        };
-        let msg_ns = |sender: usize, bytes: usize, sending: bool| match kind.msg_cost {
-            MsgCost::Datatype { setup_ns, pack_gbs } => {
-                setup_ns + (bytes as f64 / pack_gbs).ceil() as u64
-            }
-            MsgCost::GpuRegistration if sending && env.gpu_aware => {
-                np.spec.p2p_gpu_aware_overhead_ns(peers[sender].max(1))
-            }
-            _ => 0,
-        };
-        let policy = ScatterPolicy {
-            flavor: kind.flavor,
-            post_zero: kind.collective,
-            inline_recv: kind.partitioned,
-            extra_send_ns: &|i, b| msg_ns(i, b, true),
-            extra_recv_ns: &|i, b| msg_ns(i, b, false),
-        };
-        pattern::scatter_times(np, &env, group, &entries, bytes, &policy).into_flat()
-    });
-    PartitionedTimes::from_flat(flat, nparts)
+        MsgCost::GpuRegistration if sending && env.gpu_aware => {
+            np.spec.p2p_gpu_aware_overhead_ns(peers[sender].max(1))
+        }
+        _ => 0,
+    };
+    let policy = ScatterPolicy {
+        flavor: kind.flavor,
+        post_zero: kind.collective,
+        inline_recv: kind.partitioned,
+        extra_send_ns: &|i, b| msg_ns(i, b, true),
+        extra_recv_ns: &|i, b| msg_ns(i, b, false),
+    };
+    pattern::scatter_times(np, &env, group, &entries, bytes, &policy)
 }
 
 fn matrix_bytes(matrix: &[Vec<usize>]) -> impl Fn(usize, usize) -> usize + '_ {
@@ -426,10 +400,12 @@ pub fn alltoallw_partitioned_exit_times(
 /// unpacking chunk `k` at `ready(me)[k]`; chunk-level overlap is the
 /// caller's to exploit.
 ///
-/// Every member sends to every member anyway, so the metadata the pricer
-/// needs — the sender's entry times and byte row — rides on each payload
-/// in the same round (`WorldOpts::fused_meta`; off = a metadata allgather
-/// round before the data round, the reference of the replay equality tests).
+/// Each member deposits its pricing inputs once, beside its payloads; the
+/// last depositor prices the group once and every member shares the
+/// result. Members must agree on the kind, the phase environment (its
+/// unread `p2p_peers` aside) and the partition count: on a mismatch the
+/// pricing member panics naming the first member that disagrees, which
+/// fails the world. The group is priced with member 0's values.
 pub fn exchange<P: Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,
@@ -438,40 +414,63 @@ pub fn exchange<P: Send + 'static>(
     sends: Vec<P>,
     my_bytes: &[usize],
     my_part_entries: &[SimTime],
-) -> (Vec<P>, PartitionedTimes) {
+) -> (Vec<P>, Arc<PartitionedTimes>) {
     let p = comm.size();
-    let nparts = my_part_entries.len();
     assert_eq!(sends.len(), p, "one payload per member");
     assert_eq!(my_bytes.len(), p, "one byte count per member");
-    assert!(nparts >= 1, "at least one partition");
+    assert!(!my_part_entries.is_empty(), "at least one partition");
     assert!(
         kind.tuned.is_none() || my_bytes.iter().all(|b| *b == my_bytes[0]),
         "MPI_Alltoall requires equal block sizes; use alltoallv"
     );
-    // Metadata: this member's entry times (ns), then its byte row.
-    let mut meta: Vec<u64> = my_part_entries.iter().map(|t| t.as_ns()).collect();
-    meta.extend(my_bytes.iter().map(|b| *b as u64));
-    let (metas, recvd): (Vec<Vec<u64>>, Vec<P>) = if rank.world().opts().fused_meta {
-        let combined = sends.into_iter().map(|s| (meta.clone(), s)).collect();
-        comm.control_exchange(rank, combined).into_iter().unzip()
-    } else {
-        let metas = comm.control_allgather(rank, meta);
-        (metas, comm.control_exchange(rank, sends))
+    let meta = Meta {
+        kind: *kind,
+        env,
+        entries: my_part_entries.to_vec(),
+        bytes: my_bytes.to_vec(),
     };
-    assert!(
-        metas.iter().all(|m| m.len() == nparts + p),
-        "all members must agree on the partition count"
-    );
-    let entries: Vec<SimTime> = metas
-        .iter()
-        .flat_map(|m| m[..nparts].iter().map(|ns| SimTime::from_ns(*ns)))
-        .collect();
-    let np = net_params(rank);
-    let times = exchange_times(&np, &env, kind, comm.members(), &entries, &|i, j| {
-        metas[i][nparts + j] as usize
+    let (np, group) = (net_params(rank), comm.members());
+    let (recvd, times) = comm.rendezvous(rank, sends, meta, |metas| {
+        // No walker reads `p2p_peers`, so members may differ on it.
+        let env_of = |m: &Meta| PhaseEnv {
+            p2p_peers: 0,
+            ..m.env
+        };
+        let first = metas[0];
+        for (i, m) in metas.iter().enumerate().skip(1) {
+            let what = if m.kind != first.kind {
+                "exchange kind"
+            } else if env_of(m) != env_of(first) {
+                "phase environment"
+            } else if m.entries.len() != first.entries.len() {
+                "partition count"
+            } else {
+                continue;
+            };
+            panic!(
+                "exchange member {i} (rank {}) disagrees with member 0 on the {what}",
+                group[i]
+            );
+        }
+        let entries: Vec<SimTime> = metas
+            .iter()
+            .flat_map(|m| m.entries.iter().copied())
+            .collect();
+        exchange_times(&np, &first.env, &first.kind, group, &entries, &|i, j| {
+            metas[i].bytes[j]
+        })
     });
     rank.clock.sync_to(times.exit(comm.me()));
     (recvd, times)
+}
+
+/// What one member of an [`exchange`] deposits beside its payloads: its
+/// pricing inputs, once.
+struct Meta {
+    kind: ExchangeKind,
+    env: PhaseEnv,
+    entries: Vec<SimTime>,
+    bytes: Vec<usize>,
 }
 
 /// What the delegates below price: each packed payload's length in bytes.
@@ -513,7 +512,7 @@ pub fn alltoallv_partitioned<T: Copy + Send + 'static>(
     env: PhaseEnv,
     sends: Vec<Vec<T>>,
     my_part_entries: &[SimTime],
-) -> (Vec<Vec<T>>, PartitionedTimes) {
+) -> (Vec<Vec<T>>, Arc<PartitionedTimes>) {
     let kind = ExchangeKind::alltoallv().partitioned(true);
     let row = packed_row(&sends);
     exchange(rank, comm, env, &kind, sends, &row, my_part_entries)
@@ -528,7 +527,7 @@ pub fn p2p_exchange_partitioned<T: Copy + Send + 'static>(
     flavor: P2pFlavor,
     sends: Vec<Vec<T>>,
     my_part_entries: &[SimTime],
-) -> (Vec<Vec<T>>, PartitionedTimes) {
+) -> (Vec<Vec<T>>, Arc<PartitionedTimes>) {
     let kind = ExchangeKind::p2p(flavor).partitioned(true);
     let row = packed_row(&sends);
     exchange(rank, comm, env, &kind, sends, &row, my_part_entries)
@@ -866,8 +865,8 @@ mod tests {
             large > small,
             "a 1 MiB row ({large}) must cost more than a 1 KiB one ({small})"
         );
-        // Each member prices the whole n × n matrix once per call.
-        assert_eq!(after - before, (n * n * n * ((1 << 10) + (1 << 20))) as u64);
+        // The group prices the whole n × n matrix once per call.
+        assert_eq!(after - before, (n * n * ((1 << 10) + (1 << 20))) as u64);
     }
 
     #[test]

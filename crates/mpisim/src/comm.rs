@@ -3,19 +3,20 @@
 //! Rank programs execute on real threads and exchange real (typed) payloads
 //! through one rendezvous board per communicator. The board is a zero-cost
 //! *control plane* (`control_allgather`, `control_exchange`): it moves data
-//! and lets collective implementations agree on entry times and byte
-//! counts, and it never touches a clock. No payload carries a timestamp;
-//! simulated time advances only when [`crate::coll`] prices a whole
-//! operation with the pure schedule walkers in [`crate::pattern`] —
-//! identically on every rank, and identically to the analytic dry-run.
+//! and never touches a clock. No payload carries a timestamp; simulated
+//! time advances only when [`crate::coll`] prices a whole operation with
+//! the pure schedule walkers in [`crate::pattern`] — once per collective,
+//! and identically to the analytic dry-run.
 //!
 //! Round invariant: every collective is one round on its communicator's
 //! board, keyed by a fresh per-communicator tag (`Rank::ctrl_tag`; all
 //! members call collectives on a communicator in the same order, so the
-//! counters agree). Each member deposits its whole row once, waits once
-//! until all rows are in, and takes its column in member order; the last
-//! taker removes the round. A rank racing ahead of a slow peer deposits
-//! under a *later* tag, so no earlier call can take its row.
+//! counters agree). Each member deposits its whole row and one metadata
+//! value once; the last depositor derives the round's one result from
+//! every member's metadata. Each member waits once for that result, takes
+//! its column in member order and a handle on the result; the last taker
+//! removes the round. A rank racing ahead of a slow peer deposits under a
+//! *later* tag, so no earlier call can take its row.
 //!
 //! A panicking rank fails its world instead of hanging it: its drop guard
 //! records it, clears every board's rounds and wakes every waiter, which
@@ -49,16 +50,11 @@ pub struct WorldOpts {
     /// durations on the listed ranks are multiplied by the factor; the
     /// network model is unaffected.
     pub compute_slowdown: Vec<(usize, f64)>,
-    /// Memoize collective schedule pricing across calls (see
-    /// [`crate::pattern::SchedMemo`]). Simulated times are identical either
-    /// way; memo-off is the reference the replay equality tests compare the
-    /// memoized run against.
+    /// Accepted and ignored; spelled by the frozen `benchmark/`.
+    #[doc(hidden)]
     pub sched_memo: bool,
-    /// Fuse the (entry time, byte row) metadata round of each data
-    /// collective onto the data payloads themselves (one rendezvous per
-    /// collective instead of two). Results and simulated times are
-    /// identical either way; the unfused two-round form is the reference
-    /// of the same equality tests.
+    /// Accepted and ignored; spelled by the frozen `benchmark/`.
+    #[doc(hidden)]
     pub fused_meta: bool,
 }
 
@@ -78,17 +74,29 @@ impl Default for WorldOpts {
 
 /// One collective in flight on a [`Board`].
 struct Round {
-    /// A `Vec<Option<T>>` of `p × p` cells, row-major by source member.
-    cells: Box<dyn Any + Send>,
+    /// The round's [`Slots`].
+    slots: Box<dyn Any + Send>,
     deposited: usize,
     taken: usize,
 }
 
+/// What one round holds: payloads `T`, member metadata `M`, result `R`.
+struct Slots<T, M, R> {
+    /// `p × p` payload cells, row-major by source member.
+    cells: Vec<Option<T>>,
+    /// One metadata slot per member.
+    metas: Vec<Option<M>>,
+    /// Set once, by the last depositor.
+    result: Option<Arc<R>>,
+}
+
 impl Round {
-    /// The cells, typed as every member of the round must agree.
-    fn cells<T: Send + 'static>(&mut self) -> &mut [Option<T>] {
-        match self.cells.downcast_mut::<Vec<Option<T>>>() {
-            Some(cells) => cells,
+    /// The slots, typed as every member of the round must agree.
+    fn slots<T: Send + 'static, M: Send + 'static, R: Send + Sync + 'static>(
+        &mut self,
+    ) -> &mut Slots<T, M, R> {
+        match self.slots.downcast_mut::<Slots<T, M, R>>() {
+            Some(slots) => slots,
             None => panic!("members disagree on a collective's payload type"),
         }
     }
@@ -110,9 +118,6 @@ pub struct World {
     boards: Mutex<BTreeMap<u64, Arc<Board>>>,
     /// First failing rank + 1 of the current run; 0 while none has failed.
     failed: AtomicUsize,
-    /// Shared collective-schedule memo (spec/seed/noise are fixed per
-    /// world, which is what makes one memo per world sound).
-    sched_memo: crate::pattern::SchedMemo,
 }
 
 impl World {
@@ -125,18 +130,7 @@ impl World {
             nranks,
             boards: Mutex::default(),
             failed: AtomicUsize::new(0),
-            sched_memo: crate::pattern::SchedMemo::default(),
         }
-    }
-
-    /// The world's collective-schedule memo.
-    pub(crate) fn sched_memo(&self) -> &crate::pattern::SchedMemo {
-        &self.sched_memo
-    }
-
-    /// Number of priced exchange schedules this world currently caches.
-    pub fn cached_schedules(&self) -> usize {
-        self.sched_memo.schedules()
     }
 
     /// Number of ranks.
@@ -380,60 +374,89 @@ impl Comm {
     }
 
     /// Gathers one value from every member, in member order. Zero simulated
-    /// cost: this is simulator control-plane traffic, used by collectives to
-    /// agree on entry times and byte counts.
+    /// cost: this is simulator control-plane traffic.
     pub fn control_allgather<T: Clone + Send + 'static>(
         &self,
         rank: &mut Rank,
         value: T,
     ) -> Vec<T> {
-        self.rendezvous(rank, vec![value; self.size()])
+        self.control_exchange(rank, vec![value; self.size()])
     }
 
     /// Moves one payload to each member (index-addressed) and receives one
     /// from each, with zero simulated cost. The caller is responsible for
     /// advancing clocks via a schedule walker.
     pub fn control_exchange<T: Send + 'static>(&self, rank: &mut Rank, sends: Vec<T>) -> Vec<T> {
-        self.rendezvous(rank, sends)
+        self.rendezvous(rank, sends, (), |_| ()).0
     }
 
     /// One round on this communicator's board: deposits `row` (`row[j]` for
-    /// member `j`), waits until every member has deposited, and returns this
-    /// member's column (one payload per source member, in member order).
-    fn rendezvous<T: Send + 'static>(&self, rank: &mut Rank, row: Vec<T>) -> Vec<T> {
+    /// member `j`) and `meta`, waits until the round has its result, and
+    /// returns this member's column (one payload per source member, in
+    /// member order) with a handle on that result. The last member to
+    /// deposit computes it, once, by calling its `finish` on every member's
+    /// metadata in member order — so `finish` must not depend on which
+    /// member's closure runs.
+    pub(crate) fn rendezvous<T, M, R>(
+        &self,
+        rank: &mut Rank,
+        row: Vec<T>,
+        meta: M,
+        finish: impl FnOnce(&[&M]) -> R,
+    ) -> (Vec<T>, Arc<R>)
+    where
+        T: Send + 'static,
+        M: Send + 'static,
+        R: Send + Sync + 'static,
+    {
         let (p, me) = (self.size(), self.my_index);
         assert_eq!(row.len(), p, "one payload per member required");
         let tag = rank.ctrl_tag(self.id);
         let mut rounds = self.board.rounds.lock();
         let round = rounds.entry(tag).or_insert_with(|| Round {
-            cells: Box::new((0..p * p).map(|_| None::<T>).collect::<Vec<_>>()),
+            slots: Box::new(Slots::<T, M, R> {
+                cells: (0..p * p).map(|_| None).collect(),
+                metas: (0..p).map(|_| None).collect(),
+                result: None,
+            }),
             deposited: 0,
             taken: 0,
         });
-        for (cell, v) in round.cells::<T>().iter_mut().skip(me * p).zip(row) {
+        round.deposited += 1;
+        let last = round.deposited == p;
+        let slots = round.slots::<T, M, R>();
+        for (cell, v) in slots.cells.iter_mut().skip(me * p).zip(row) {
             *cell = Some(v);
         }
-        round.deposited += 1;
-        if round.deposited == p {
+        if let Some(slot) = slots.metas.get_mut(me) {
+            *slot = Some(meta);
+        }
+        if last {
+            // Every slot is filled, so this is one metadata value per member.
+            let metas: Vec<&M> = slots.metas.iter().flatten().collect();
+            slots.result = Some(Arc::new(finish(&metas)));
             self.board.cv.notify_all();
         }
-        while rounds.get(&tag).is_none_or(|r| r.deposited < p) {
+        loop {
+            if let Some(round) = rounds.get_mut(&tag) {
+                let slots = round.slots::<T, M, R>();
+                if let Some(result) = &slots.result {
+                    let result = Arc::clone(result);
+                    // Every row is in, so the column has one payload per member.
+                    let column = slots.cells.iter_mut().skip(me).step_by(p);
+                    let column = column.filter_map(Option::take).collect();
+                    round.taken += 1;
+                    if round.taken == p {
+                        rounds.remove(&tag);
+                    }
+                    return (column, result);
+                }
+            }
             if let Some(f) = rank.world.failure() {
                 panic!("rank {} abandoned a collective: rank {f} failed", rank.rank);
             }
             self.board.cv.wait(&mut rounds);
         }
-        let Some(round) = rounds.get_mut(&tag) else {
-            unreachable!("a complete round stays until its last taker");
-        };
-        // Every row is in, so the column has one payload per member.
-        let column = round.cells::<T>().iter_mut().skip(me).step_by(p);
-        let column = column.filter_map(Option::take).collect();
-        round.taken += 1;
-        if round.taken == p {
-            rounds.remove(&tag);
-        }
-        column
     }
 }
 

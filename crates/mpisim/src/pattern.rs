@@ -34,8 +34,8 @@ pub struct PhaseEnv {
     pub flows_per_nic: usize,
     /// Nodes participating machine-wide (fabric saturation input).
     pub nodes: usize,
-    /// Distinct peers each rank exchanges with in this phase (drives the
-    /// GPU-aware P2P per-message overhead of Fig. 9).
+    /// Accepted and ignored; spelled by the frozen `benchmark/`.
+    #[doc(hidden)]
     pub p2p_peers: usize,
     /// Phase identifier, part of the jitter key.
     pub phase_id: u64,
@@ -89,145 +89,17 @@ pub struct NetParams<'a> {
     pub seed: u64,
     /// Jitter amplitude (from `WorldOpts::noise_amplitude`).
     pub noise_amp: f64,
-    /// Optional schedule memo (see [`SchedMemo`]). `None` prices every call
-    /// from scratch; functional worlds pass their per-[`World`] memo so
-    /// steady-state iteration loops stop re-walking identical schedules.
-    pub memo: Option<&'a SchedMemo>,
 }
 
 impl<'a> NetParams<'a> {
-    /// Exact pricing (no jitter, no memo).
+    /// Exact pricing (no jitter).
     pub fn exact(spec: &'a MachineSpec) -> NetParams<'a> {
         NetParams {
             spec,
             seed: 0,
             noise_amp: 0.0,
-            memo: None,
         }
     }
-}
-
-/// Memo key for a collective's exit schedule: every input that can change
-/// the *relative* schedule. Entry times are stored relative to their
-/// minimum — all schedule walkers are time-shift invariant (asserted by the
-/// `entries_shift_exits` test), so two calls whose entries differ only by a
-/// common offset share one cached schedule. `phase_id` seeds the jitter and
-/// is folded to zero when the jitter amplitude is zero, which is what lets
-/// a steady-state transform loop (new phase id every reshape) hit.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-pub struct SchedKey {
-    kind: u8,
-    extra: u64,
-    gpu_aware: bool,
-    flows_per_nic: usize,
-    nodes: usize,
-    p2p_peers: usize,
-    phase_id: u64,
-    group: Vec<usize>,
-    rel_entries_ns: Vec<u64>,
-    sig: Vec<usize>,
-}
-
-/// Cache of priced collective schedules, owned by one functional `World`.
-///
-/// Pricing an exchange walks an O(p²) message schedule; in an iterated
-/// transform every rank re-walks the *identical* schedule on every call —
-/// on a p-rank world that is p redundant walks per collective per
-/// iteration. The memo stores exit times relative to the earliest entry and
-/// replays them shifted to the caller's base time.
-///
-/// A memo must never be shared across machine specs, seeds or jitter
-/// amplitudes: those inputs are deliberately absent from [`SchedKey`]
-/// because they are constant for the owning world.
-#[derive(Default)]
-pub struct SchedMemo {
-    map: parking_lot::Mutex<std::collections::BTreeMap<SchedKey, Vec<u64>>>,
-}
-
-impl std::fmt::Debug for SchedMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SchedMemo({} schedules)", self.schedules())
-    }
-}
-
-impl SchedMemo {
-    /// Number of schedules currently cached.
-    pub fn schedules(&self) -> usize {
-        self.map.lock().len()
-    }
-
-    /// Bound on retained schedules; a full map is simply cleared (steady
-    /// state re-warms in one iteration, and values are pure so dropping
-    /// them is always safe).
-    const CAP: usize = 4096;
-
-    /// Returns the exit times for `key`, either replayed from the cache
-    /// (shifted to `base`) or computed by `compute` and cached.
-    fn exits(
-        &self,
-        key: SchedKey,
-        base: SimTime,
-        compute: impl FnOnce() -> Vec<SimTime>,
-    ) -> Vec<SimTime> {
-        if let Some(rel) = self.map.lock().get(&key) {
-            fftobs::count("mpisim.sched_memo.hits", 1);
-            return rel.iter().map(|ns| base + SimTime::from_ns(*ns)).collect();
-        }
-        fftobs::count("mpisim.sched_memo.misses", 1);
-        let abs = compute();
-        let rel: Vec<u64> = abs.iter().map(|t| t.as_ns() - base.as_ns()).collect();
-        let mut map = self.map.lock();
-        if map.len() >= SchedMemo::CAP {
-            map.clear();
-        }
-        map.insert(key, rel);
-        abs
-    }
-}
-
-/// Memoizing wrapper used by the collective exit-time functions: computes
-/// through `np.memo` when present, otherwise calls `compute` directly.
-/// `id` is `(kind, extra)`: the collective discriminant plus any algorithm
-/// knob (distro, flavor); `sig` is the byte signature (flattened matrix /
-/// block size).
-pub(crate) fn memo_exits(
-    np: &NetParams,
-    env: &PhaseEnv,
-    id: (u8, u64),
-    group: &[usize],
-    entries: &[SimTime],
-    sig: Vec<usize>,
-    compute: impl FnOnce() -> Vec<SimTime>,
-) -> Vec<SimTime> {
-    let (kind, extra) = id;
-    let Some(memo) = np.memo else {
-        return compute();
-    };
-    let Some(&first) = entries.first() else {
-        return compute();
-    };
-    let base = entries.iter().copied().fold(first, SimTime::min);
-    // Destructured so a new PhaseEnv field cannot silently escape the key.
-    let &PhaseEnv {
-        gpu_aware,
-        flows_per_nic,
-        nodes,
-        p2p_peers,
-        phase_id,
-    } = env;
-    let key = SchedKey {
-        kind,
-        extra,
-        gpu_aware,
-        flows_per_nic,
-        nodes,
-        p2p_peers,
-        phase_id: if np.noise_amp == 0.0 { 0 } else { phase_id },
-        group: group.to_vec(),
-        rel_entries_ns: entries.iter().map(|t| t.as_ns() - base.as_ns()).collect(),
-        sig,
-    };
-    memo.exits(key, base, compute)
 }
 
 /// Point-to-point schedule flavor (Fig. 7: blocking `MPI_Send` vs
@@ -465,8 +337,6 @@ pub fn partition_of_step(step: usize, p: usize, nparts: usize) -> usize {
 
 /// Result of pricing one exchange: when each receive chunk has fully
 /// landed on each member, plus the per-member call-completion times.
-/// Stored flat in the layout the schedule memo caches, so a memo hit is
-/// one shifted copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionedTimes {
     nparts: usize,
@@ -475,7 +345,7 @@ pub struct PartitionedTimes {
 }
 
 impl PartitionedTimes {
-    pub(crate) fn from_flat(flat: Vec<SimTime>, nparts: usize) -> PartitionedTimes {
+    fn from_flat(flat: Vec<SimTime>, nparts: usize) -> PartitionedTimes {
         assert!(nparts >= 1 && flat.len().is_multiple_of(nparts + 1));
         PartitionedTimes { nparts, flat }
     }
@@ -486,10 +356,6 @@ impl PartitionedTimes {
         let mut flat = exits.clone();
         flat.extend(exits);
         PartitionedTimes { nparts: 1, flat }
-    }
-
-    pub(crate) fn into_flat(self) -> Vec<SimTime> {
-        self.flat
     }
 
     fn members(&self) -> usize {
@@ -559,7 +425,7 @@ pub struct ScatterPolicy<'a> {
 /// NIC/link absorbs bytes no faster than the sending one injects them — so
 /// naive scatters see incast pressure instead of free parallelism.
 ///
-/// Time-shift invariant like every walker here (required by the memo).
+/// Time-shift invariant like every walker here.
 pub fn scatter_times(
     np: &NetParams,
     env: &PhaseEnv,
@@ -900,7 +766,7 @@ mod tests {
         let spec = MachineSpec::summit();
         let base = run_part(&spec, &part_zeros(8, 4), 1 << 16);
         let shifted = run_part(&spec, &vec![SimTime::from_us(100); 32], 1 << 16);
-        for (b, s) in base.clone().into_flat().iter().zip(&shifted.into_flat()) {
+        for (b, s) in base.flat.iter().zip(&shifted.flat) {
             assert_eq!(s.as_ns() - b.as_ns(), 100_000);
         }
     }
@@ -975,7 +841,6 @@ mod tests {
                 spec: &spec,
                 seed: 7,
                 noise_amp,
-                memo: None,
             };
             for gpu_aware in [true, false] {
                 let env = PhaseEnv::machine_wide(&spec, 18, p - 1, gpu_aware, 11);
@@ -1020,7 +885,6 @@ mod tests {
             spec: &spec,
             seed: 99,
             noise_amp: 0.05,
-            memo: None,
         };
         let group: Vec<usize> = (0..12).collect();
         let env = PhaseEnv::quiet(true);

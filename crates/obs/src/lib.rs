@@ -16,8 +16,6 @@
 //!   plain-text summary table.
 //! * [`json`] — a minimal JSON reader used to validate exported traces in
 //!   tests and the CI smoke check (no serde dependency).
-//! * [`env`] — warn-once typed parsing for the `FFT_*` runtime tuning
-//!   variables, shared by every crate that reads one.
 //!
 //! Instrumented layers: `fftkern` (plan-cache and twiddle interning),
 //! `simgrid` (bytes per link class), `mpisim` (per-collective call counts
@@ -35,7 +33,6 @@
 //! fftobs::set_enabled(false);
 //! ```
 
-pub mod env;
 pub mod json;
 pub mod metrics;
 pub mod span;
