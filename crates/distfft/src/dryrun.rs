@@ -19,7 +19,7 @@ use mpisim::pattern::NetParams;
 use simgrid::{MachineSpec, SimTime};
 
 use crate::boxes::Box3;
-use crate::exec::ExecCtx;
+use crate::exec::{ExecCtx, ExecWork};
 use crate::plan::{FftPlan, Step};
 use crate::schedule::{directed, ReshapeCall, ReshapeSchedule, RunEnv, Timeline};
 use crate::trace::Trace;
@@ -149,6 +149,13 @@ impl<'a> DryRunner<'a> {
         self.net_clock[r].max(self.gpu_clock[r])
     }
 
+    /// The runner's host work so far: a dry run moves no data, so only
+    /// `lowered` counts — once per member of each group of each distinct
+    /// (direction, reshape, items), however many transforms run.
+    pub fn work(&self) -> ExecWork {
+        self.ctx.work()
+    }
+
     /// Executes one transform analytically, advancing the persistent clocks.
     ///
     /// The analytic interpreter of the reshape schedule: every rank's
@@ -222,8 +229,10 @@ impl<'a> DryRunner<'a> {
                             .next_axis
                             .map(|axis| self.ctx.first_strided(call.to_dist, axis, dir));
 
+                        let work = self.ctx.work_mut();
                         let lowered = self.lowered.entry((dir, ri, items)).or_insert_with(|| {
                             let lower = |group: &Vec<usize>| {
+                                work.lowered += group.len() as u64;
                                 let k = env.group_chunks(&call, group);
                                 let scheds = (0..group.len())
                                     .map(|i| env.lower(&call, group, i, k))

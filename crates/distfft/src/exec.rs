@@ -26,7 +26,7 @@ use simgrid::SimTime;
 
 use crate::boxes::Box3;
 use crate::plan::{FftPlan, Step};
-use crate::reshape::{apply_self_block, ReshapeSpec};
+use crate::reshape::{apply_self_block, ReshapeSpec, ELEM_BYTES};
 use crate::schedule::{directed, ReshapeCall, RunEnv, Timeline};
 use crate::trace::Trace;
 
@@ -157,10 +157,19 @@ impl ExecCtx {
     }
 
     /// Cumulative hit/miss/eviction statistics of this context's scratch
-    /// pool. Per-context (deterministic even when tests run in parallel);
-    /// the same events also feed the global `distfft.exec_pool.*` counters.
+    /// pool: the `pool` part of [`ExecCtx::work`].
     pub fn pool_stats(&self) -> PoolStats {
-        self.scratch.stats
+        self.scratch.work.pool
+    }
+
+    /// Everything this context's transforms have done on the host so far
+    /// (see [`ExecWork`]).
+    pub fn work(&self) -> ExecWork {
+        self.scratch.work
+    }
+
+    pub(crate) fn work_mut(&mut self) -> &mut ExecWork {
+        &mut self.scratch.work
     }
 
     /// Leak counter (test seam): pool takes minus deposits of this
@@ -192,6 +201,27 @@ impl ExecCtx {
     }
 }
 
+/// The host work of one rank's transforms, counted as it happened: plain
+/// always-on counters owned by its [`ExecCtx`], so a test can pin them and
+/// two runs of one program compare them exactly. Together with the rank's
+/// `mpisim::comm::RankWork` it is the rank's record of host work.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ExecWork {
+    /// How the scratch pool's free list behaved.
+    pub pool: PoolStats,
+    /// Bytes the pool wrote to grow a taken buffer to its length: fresh
+    /// capacity, or a recycled buffer shorter than asked for.
+    pub filled_bytes: u64,
+    /// Bytes reshapes copied into this rank's layouts
+    /// ([`apply_self_block`], one copy per reshaped byte).
+    pub copied_bytes: u64,
+    /// Points the butterflies transformed: each 1-D line's length, summed
+    /// over every line of every axis pass (5·n·log₂ n flops per n points).
+    pub fft_points: u64,
+    /// Reshape schedules lowered (`RunEnv::lower`).
+    pub lowered: u64,
+}
+
 /// Scratch-pool statistics: how the recycled-buffer free list behaved.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
@@ -215,8 +245,9 @@ struct ExecScratch {
     /// Scratch for the batched 1-D kernels (grown to the largest
     /// `Plan1d::scratch_elems` seen).
     kernel: Vec<C64>,
-    /// Hit/miss/eviction accounting (see [`PoolStats`]).
-    stats: PoolStats,
+    /// The context's work record (see [`ExecWork`]), kept here because
+    /// most of it is counted where the pool is at hand.
+    work: ExecWork,
     /// Leak accounting: pool takes minus deposits, zero on every rank after
     /// every completed `execute`.
     outstanding: i64,
@@ -240,16 +271,15 @@ impl ExecScratch {
         self.outstanding += 1;
         let mut buf = match self.arrays.pop() {
             Some(buf) => {
-                self.stats.hits += 1;
-                fftobs::count("distfft.exec_pool.hit", 1);
+                self.work.pool.hits += 1;
                 buf
             }
             None => {
-                self.stats.misses += 1;
-                fftobs::count("distfft.exec_pool.miss", 1);
+                self.work.pool.misses += 1;
                 Vec::new()
             }
         };
+        self.work.filled_bytes += (len.saturating_sub(buf.len()) * ELEM_BYTES) as u64;
         buf.resize(len, POISON);
         if cfg!(debug_assertions) {
             buf.fill(POISON);
@@ -280,8 +310,7 @@ impl ExecScratch {
             // The free list is full: this buffer's capacity is silently
             // deallocated. Recorded so a figure harness can prove the
             // steady state never churns (tests/pooling.rs asserts 0).
-            self.stats.evictions += 1;
-            fftobs::count("distfft.exec_pool.eviction", 1);
+            self.work.pool.evictions += 1;
         }
     }
 }
@@ -463,11 +492,13 @@ fn run_local_fft(
     dir: Direction,
     scratch: &mut ExecScratch,
 ) {
-    let s = b.shape();
-    if s[axis] == 0 || runs.is_empty() {
+    let (s, n) = (b.shape(), b.len(axis));
+    if n == 0 || runs.is_empty() {
         return;
     }
     let plan1d = axis_plan(s, axis);
+    let lines: usize = runs.iter().map(|&(lo, hi)| hi - lo).sum();
+    scratch.work.fft_points += (lines * n * data.len()) as u64;
     let kernel = scratch.kernel_for(plan1d.scratch_elems());
     for item in data.iter_mut() {
         for &(lo, hi) in runs {
@@ -528,6 +559,7 @@ fn run_reshape(
         let members = sub.members();
         let k = env.group_chunks(call, members);
         let sched = env.lower(call, members, sub.me(), k);
+        ctx.scratch.work.lowered += 1;
         let mut entries = Vec::with_capacity(k); // fftlint:allow(no-alloc-in-hot-path): O(chunks) schedule table
         sched.before_exchange(env, tl, &mut entries);
         // The call posts as soon as the *first* chunk is packed; later
@@ -561,7 +593,8 @@ fn run_reshape(
                 );
             }
             for (old, new) in arrays.iter().zip(data.iter_mut()) {
-                apply_self_block(from_box, old, to_box, new);
+                let copied = apply_self_block(from_box, old, to_box, new);
+                ctx.scratch.work.copied_bytes += (copied * ELEM_BYTES) as u64;
             }
         }
         let first = (sched.ahead.as_ref())

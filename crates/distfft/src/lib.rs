@@ -48,6 +48,6 @@ pub mod trace;
 pub use api::{Fft3d, Scale};
 pub use boxes::Box3;
 pub use decomp::Decomp;
-pub use exec::PoolStats;
+pub use exec::{ExecWork, PoolStats};
 pub use plan::{CommBackend, FftOptions, FftPlan, IoLayout, PlanError};
 pub use trace::{KernelKind, Trace, TraceEvent};

@@ -440,14 +440,8 @@ impl FftPlan {
                 .take(i)
                 .position(|p| p[0] == w[0] && p[1] == w[1]);
             let fwd = match prior {
-                Some(j) => {
-                    fftobs::count("distfft.reshape_memo.hit", 1);
-                    reshapes[j].clone()
-                }
-                None => {
-                    fftobs::count("distfft.reshape_memo.miss", 1);
-                    ReshapeSpec::build(&w[0], &w[1])
-                }
+                Some(j) => reshapes[j].clone(),
+                None => ReshapeSpec::build(&w[0], &w[1]),
             };
             reshapes_rev.push(fwd.reversed());
             reshapes.push(fwd);

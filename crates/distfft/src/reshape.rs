@@ -415,11 +415,17 @@ impl ReshapeSpec {
 /// Like `Box3::extract_into`/`deposit`, runs are coalesced: when the
 /// overlap spans the full fastest axis of *both* boxes, whole `j`-planes
 /// (and, if it also spans axis 1 of both, the entire overlap) collapse into
-/// single bulk copies. Slab self-blocks hit the fully-merged case.
-pub fn apply_self_block(old_box: &Box3, old_data: &[C64], new_box: &Box3, new_data: &mut [C64]) {
+/// single bulk copies. Slab self-blocks hit the fully-merged case. Returns
+/// the number of elements copied (the overlap's volume).
+pub fn apply_self_block(
+    old_box: &Box3,
+    old_data: &[C64],
+    new_box: &Box3,
+    new_data: &mut [C64],
+) -> usize {
     let overlap = old_box.intersect(new_box);
     if overlap.is_empty() {
-        return;
+        return 0;
     }
     let full = |b: &Box3, d: usize| overlap.lo[d] == b.lo[d] && overlap.hi[d] == b.hi[d];
     let run = if full(old_box, 2) && full(new_box, 2) {
@@ -441,11 +447,12 @@ pub fn apply_self_block(old_box: &Box3, old_data: &[C64], new_box: &Box3, new_da
             new_data[dst..dst + run].copy_from_slice(&old_data[src..src + run]);
             copied += run;
             if copied >= vol {
-                return;
+                return copied;
             }
             j += (run / overlap.len(2)).max(1);
         }
     }
+    copied
 }
 
 struct UnionFind {

@@ -358,7 +358,7 @@ impl RunEnv<'_> {
             let mut wire = 0u64;
             for (&dst, bytes) in group.iter().zip(wire_bytes(r, group)) {
                 if dst != r && bytes > 0 {
-                    wire += simgrid::link::message_time_est_ns(machine, bytes, r, dst, &ctx);
+                    wire += simgrid::link::message_time_ns(machine, bytes, r, dst, &ctx);
                 }
             }
             t_comm = t_comm.max(wire);

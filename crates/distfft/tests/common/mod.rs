@@ -4,11 +4,11 @@
 #![allow(dead_code)] // each suite uses its own subset
 
 use distfft::boxes::Box3;
-use distfft::exec::{bind, execute, ExecCtx, PoolStats};
+use distfft::exec::{bind, execute, ExecCtx, ExecWork};
 use distfft::plan::{FftOptions, FftPlan};
 use distfft::trace::Trace;
 use fftkern::{Direction, C64};
-use mpisim::comm::{Comm, World, WorldOpts};
+use mpisim::comm::{Comm, RankWork, World, WorldOpts};
 use simgrid::{MachineSpec, SimTime};
 
 /// Pow2 axes (Stockham 8/4/2 stages), smooth non-pow2 axes (radix-3/5/7
@@ -25,7 +25,8 @@ pub type Bits = Vec<(u64, u64)>;
 pub struct RankRun {
     /// Simulated completion time of the inverse transform.
     pub total: SimTime,
-    pub pool: PoolStats,
+    /// The rank's host work: its `ExecCtx`'s and its `mpisim` rank's.
+    pub work: (ExecWork, RankWork),
     /// Pool takes minus deposits (`ExecCtx::outstanding_buffers`).
     pub outstanding: i64,
     /// Forward then inverse events.
@@ -68,7 +69,7 @@ pub fn run_world(
         trace.events.extend(inv.trace.events);
         RankRun {
             total: inv.total,
-            pool: ctx.pool_stats(),
+            work: (ctx.work(), rank.work()),
             outstanding: ctx.outstanding_buffers(),
             trace,
             bits: data[0]
@@ -80,7 +81,7 @@ pub fn run_world(
 }
 
 /// Data, completion time and trace of a world run — everything but the
-/// pool accounting.
+/// work record and the pool balance.
 pub fn observable(runs: &[RankRun]) -> Vec<(SimTime, &Trace, &Bits)> {
     runs.iter().map(|r| (r.total, &r.trace, &r.bits)).collect()
 }

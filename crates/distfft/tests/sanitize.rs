@@ -2,7 +2,7 @@
 //! determinism contract (DESIGN.md §12) as equalities on run records.
 //!
 //! * the **full record** of every rank (data bits, completion time, trace,
-//!   pool statistics, leak balance) is identical across reruns;
+//!   host work record, leak balance) is identical across reruns;
 //! * on every rank, every pooled-buffer take is matched by a deposit once
 //!   `execute` returns (no leaks, no double deposits).
 

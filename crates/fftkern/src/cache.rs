@@ -61,11 +61,9 @@ impl PlanCache {
         let mut map = self.plans1d.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(p) = map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            fftobs::count("fftkern.plan_cache.hit", 1);
             return Arc::clone(p);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        fftobs::count("fftkern.plan_cache.miss", 1);
         let plan = Arc::new(Plan1d::with_layout(n, batch, input, output));
         map.insert(key, Arc::clone(&plan));
         plan
@@ -81,11 +79,9 @@ impl PlanCache {
         let mut map = self.plans2d.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(p) = map.get(&(n0, n1)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            fftobs::count("fftkern.plan_cache.hit", 1);
             return Arc::clone(p);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        fftobs::count("fftkern.plan_cache.miss", 1);
         let plan = Arc::new(Plan2d::new(n0, n1));
         map.insert((n0, n1), Arc::clone(&plan));
         plan
@@ -96,11 +92,9 @@ impl PlanCache {
         let mut map = self.plans3d.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(p) = map.get(&(n0, n1, n2)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            fftobs::count("fftkern.plan_cache.hit", 1);
             return Arc::clone(p);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        fftobs::count("fftkern.plan_cache.miss", 1);
         let plan = Arc::new(Plan3d::new(n0, n1, n2));
         map.insert((n0, n1, n2), Arc::clone(&plan));
         plan

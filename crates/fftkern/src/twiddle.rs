@@ -32,11 +32,9 @@ pub fn forward_table(n: usize) -> Arc<[C64]> {
     let mut map = tables.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(t) = map.get(&n) {
         HITS.fetch_add(1, Ordering::Relaxed);
-        fftobs::count("fftkern.twiddle.hit", 1);
         return Arc::clone(t);
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    fftobs::count("fftkern.twiddle.miss", 1);
     let table: Arc<[C64]> = (0..n)
         .map(|j| C64::expi(-2.0 * std::f64::consts::PI * j as f64 / n as f64))
         .collect();
@@ -84,7 +82,6 @@ pub fn stockham_tables(n: usize) -> Arc<StockhamTables> {
         let map = tables.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(t) = map.get(&n) {
             HITS.fetch_add(1, Ordering::Relaxed);
-            fftobs::count("fftkern.twiddle.stage_hit", 1);
             return Arc::clone(t);
         }
     }
@@ -93,7 +90,6 @@ pub fn stockham_tables(n: usize) -> Arc<StockhamTables> {
     // first rejects a non-smooth `n` before anything is counted or built.
     let radices = crate::stockham::radix_decomposition(n);
     MISSES.fetch_add(1, Ordering::Relaxed);
-    fftobs::count("fftkern.twiddle.stage_miss", 1);
     let root = forward_table(n);
     let mut stages = Vec::new();
     let mut tw = Vec::new();

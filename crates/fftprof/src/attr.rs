@@ -23,7 +23,7 @@
 
 use distfft::plan::FftPlan;
 use distfft::trace::{KernelKind, Trace, TraceEvent};
-use simgrid::link::message_time_est_ns;
+use simgrid::link::message_time_ns;
 use simgrid::{MachineSpec, TransferCtx};
 
 /// One attribution phase, in priority order (lower discriminant wins a
@@ -212,16 +212,14 @@ impl RunShape {
 /// Quiet-network cost (ns) of one exchange call moving `bytes` of this
 /// rank's payload: the simulator's own link law between rank 0 and a peer
 /// on the same (`!inter`) or the next node, under
-/// [`TransferCtx::quiet`] with the run's GPU-awareness. The uncounted
-/// `message_time_est_ns` form — the profiler observes, it never perturbs
-/// counters.
+/// [`TransferCtx::quiet`] with the run's GPU-awareness.
 pub fn ideal_call_ns(spec: &MachineSpec, bytes: usize, inter: bool, gpu_aware: bool) -> u64 {
     let peer = if inter { spec.gpus_per_node } else { 1 };
     let ctx = TransferCtx {
         gpu_aware,
         ..TransferCtx::quiet()
     };
-    message_time_est_ns(spec, bytes, 0, peer, &ctx)
+    message_time_ns(spec, bytes, 0, peer, &ctx)
 }
 
 /// Phase of a kernel event.
@@ -401,7 +399,7 @@ mod tests {
                 for bytes in [0, 8, 4 << 10, 1 << 20, 64 << 20] {
                     assert_eq!(
                         ideal_call_ns(&spec, bytes, inter, gpu_aware),
-                        simgrid::link::message_time_ns(&spec, bytes, 0, peer, &ctx),
+                        message_time_ns(&spec, bytes, 0, peer, &ctx),
                         "inter={inter} gpu_aware={gpu_aware} bytes={bytes}"
                     );
                 }

@@ -129,7 +129,6 @@ const GHOST_BYTES: usize = 40;
 /// Runs the benchmark and returns the per-phase breakdown (totals over all
 /// steps, max across ranks).
 pub fn run_rhodopsin(machine: &MachineSpec, cfg: &RhodopsinConfig) -> MdBreakdown {
-    fftobs::count("miniapps.runs.rhodopsin", 1);
     let km = machine.kernel_model();
     let atoms_local = (cfg.atoms as f64 / cfg.ranks as f64).ceil();
 

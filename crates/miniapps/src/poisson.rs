@@ -99,7 +99,6 @@ pub fn solve_poisson_distributed(
     opts: FftOptions,
     rho: &[f64],
 ) -> PoissonResult {
-    fftobs::count("miniapps.runs.poisson", 1);
     assert_eq!(rho.len(), n[0] * n[1] * n[2]);
     let plan = Real3dPlan::build(n, nranks, opts);
     let world = World::new(machine.clone(), nranks, WorldOpts::default());

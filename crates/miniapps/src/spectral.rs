@@ -50,7 +50,6 @@ pub fn spectral_step(
     cfg: &SpectralConfig,
     fields: &[Vec<C64>],
 ) -> (Vec<Vec<C64>>, SimTime) {
-    fftobs::count("miniapps.runs.spectral_step", 1);
     let n = cfg.n;
     let total = n[0] * n[1] * n[2];
     assert!(!fields.is_empty());

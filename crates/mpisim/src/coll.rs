@@ -61,8 +61,6 @@ enum MsgCost {
 /// | [`p2p`](Self::p2p) | posted scatter, blocking or not | call sync | skipped | GPU registration, send side | as asked |
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExchangeKind {
-    /// `fftobs` counter names (calls, bytes): monolithic, then `_part`.
-    counters: [(&'static str, &'static str); 2],
     /// An MPI collective (tuned-dispatch setup, every pair posted, even
     /// empty ones) rather than heFFTe's hand-written loop (call sync only,
     /// empty pairs skipped).
@@ -88,10 +86,6 @@ impl ExchangeKind {
     /// step-synchronized rounds: chunking forces the posted scatter.
     pub fn alltoall(distro: MpiDistro) -> ExchangeKind {
         ExchangeKind {
-            counters: [
-                ("mpisim.calls.alltoall", "mpisim.bytes.alltoall"),
-                ("mpisim.calls.alltoall_part", "mpisim.bytes.alltoall_part"),
-            ],
             tuned: Some(distro),
             ..ExchangeKind::alltoallv()
         }
@@ -102,10 +96,6 @@ impl ExchangeKind {
     /// irregular collective — zero-count pairs are still posted.
     pub fn alltoallv() -> ExchangeKind {
         ExchangeKind {
-            counters: [
-                ("mpisim.calls.alltoallv", "mpisim.bytes.alltoallv"),
-                ("mpisim.calls.alltoallv_part", "mpisim.bytes.alltoallv_part"),
-            ],
             collective: true,
             flavor: P2pFlavor::NonBlocking,
             msg_cost: MsgCost::None,
@@ -122,10 +112,6 @@ impl ExchangeKind {
     pub fn alltoallw(distro: MpiDistro) -> ExchangeKind {
         let (setup_ns, pack_gbs) = distro.alltoallw_dtype_cost();
         ExchangeKind {
-            counters: [
-                ("mpisim.calls.alltoallw", "mpisim.bytes.alltoallw"),
-                ("mpisim.calls.alltoallw_part", "mpisim.bytes.alltoallw_part"),
-            ],
             msg_cost: MsgCost::Datatype { setup_ns, pack_gbs },
             gpu_aware: distro.alltoallw_gpu_aware(),
             ..ExchangeKind::alltoallv()
@@ -138,10 +124,6 @@ impl ExchangeKind {
     /// registration overhead.
     pub fn p2p(flavor: P2pFlavor) -> ExchangeKind {
         ExchangeKind {
-            counters: [
-                ("mpisim.calls.p2p", "mpisim.bytes.p2p"),
-                ("mpisim.calls.p2p_part", "mpisim.bytes.p2p_part"),
-            ],
             collective: false,
             flavor,
             msg_cost: MsgCost::GpuRegistration,
@@ -184,17 +166,6 @@ pub fn exchange_times<B: Fn(usize, usize) -> usize>(
         nparts >= 1 && (kind.partitioned || nparts == 1),
         "a monolithic exchange has exactly one entry per member"
     );
-    if fftobs::enabled() {
-        let (calls, total) = kind.counters[kind.partitioned as usize];
-        let payload: usize = match kind.tuned {
-            Some(_) => bytes(0, 0) * p * p,
-            None => (0..p)
-                .map(|i| (0..p).map(|j| bytes(i, j)).sum::<usize>())
-                .sum(),
-        };
-        fftobs::count(calls, 1);
-        fftobs::count(total, payload as u64);
-    }
     let env = PhaseEnv {
         gpu_aware: env.gpu_aware && kind.gpu_aware,
         ..*env
@@ -405,7 +376,9 @@ pub fn alltoallw_partitioned_exit_times(
 /// result. Members must agree on the kind, the phase environment (its
 /// unread `p2p_peers` aside) and the partition count: on a mismatch the
 /// pricing member panics naming the first member that disagrees, which
-/// fails the world. The group is priced with member 0's values.
+/// fails the world. The group is priced with member 0's values. The call
+/// counts one exchange and this member's row bytes in the rank's
+/// [`RankWork`](crate::comm::RankWork).
 pub fn exchange<P: Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,
@@ -461,6 +434,8 @@ pub fn exchange<P: Send + 'static>(
         })
     });
     rank.clock.sync_to(times.exit(comm.me()));
+    rank.work.exchanges += 1;
+    rank.work.exchange_bytes += my_bytes.iter().sum::<usize>() as u64;
     (recvd, times)
 }
 
@@ -536,7 +511,7 @@ pub fn p2p_exchange_partitioned<T: Copy + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{World, WorldOpts};
+    use crate::comm::{RankWork, World, WorldOpts};
     use crate::distro::MpiDistro;
     use simgrid::MachineSpec;
 
@@ -830,15 +805,11 @@ mod tests {
     #[test]
     fn exchange_prices_the_callers_row_not_the_payload() {
         // The same 4-byte payloads under two byte rows: the row sets the
-        // simulated time and feeds the byte counters; size_of::<P>() is
-        // never consulted. Own counter names, so no concurrently running
-        // test adds to them while recording is on.
+        // simulated time and the rank's byte count; size_of::<P>() is never
+        // consulted.
         let n = 4;
-        let kind = ExchangeKind {
-            counters: [("coll_test.calls", "coll_test.bytes"); 2],
-            ..ExchangeKind::alltoallv()
-        };
-        let exit_with_row = |bytes: usize| {
+        let kind = ExchangeKind::alltoallv();
+        let run_with_row = |bytes: usize| {
             world_n(n).run(|r| {
                 let comm = Comm::world(r);
                 let entry = [r.now()];
@@ -852,21 +823,27 @@ mod tests {
                     &entry,
                 );
                 assert_eq!(got, vec![[7u8; 4]; n], "payloads arrive untouched");
-                r.now()
-            })[0]
+                (r.now(), r.work())
+            })
         };
-        let counted = || fftobs::registry().snapshot().counter("coll_test.bytes");
-        fftobs::set_enabled(true);
-        let before = counted().unwrap_or(0);
-        let (small, large) = (exit_with_row(1 << 10), exit_with_row(1 << 20));
-        let after = counted().unwrap_or(0);
-        fftobs::set_enabled(false);
+        let (small, large) = (run_with_row(1 << 10), run_with_row(1 << 20));
         assert!(
-            large > small,
-            "a 1 MiB row ({large}) must cost more than a 1 KiB one ({small})"
+            large[0].0 > small[0].0,
+            "a 1 MiB row ({:?}) must cost more than a 1 KiB one ({:?})",
+            large[0].0,
+            small[0].0
         );
-        // The group prices the whole n × n matrix once per call.
-        assert_eq!(after - before, (n * n * ((1 << 10) + (1 << 20))) as u64);
+        // Every member counts one round, one exchange and its own row.
+        for (runs, bytes) in [(small, 1 << 10), (large, 1 << 20)] {
+            for (_, work) in runs {
+                let want = RankWork {
+                    rounds: 1,
+                    exchanges: 1,
+                    exchange_bytes: (n * bytes) as u64,
+                };
+                assert_eq!(work, want);
+            }
+        }
     }
 
     #[test]

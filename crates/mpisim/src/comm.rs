@@ -239,8 +239,8 @@ fn panic_message(cause: &(dyn Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Per-rank execution handle: identity, simulated clock and the
-/// per-communicator collective call counters.
+/// Per-rank execution handle: identity, simulated clock, the
+/// per-communicator collective call counters and the rank's work record.
 pub struct Rank<'w> {
     world: &'w World,
     rank: usize,
@@ -248,6 +248,23 @@ pub struct Rank<'w> {
     /// modeled kernel durations.
     pub clock: SimClock,
     ctrl_counters: BTreeMap<u64, u64>,
+    pub(crate) work: RankWork,
+}
+
+/// The host work one rank did in `mpisim`, counted as it happened: plain
+/// always-on counters owned by the [`Rank`], so a test can pin them and two
+/// runs of one program compare them exactly. Only work every schedule
+/// fixes is counted — how often a wait slept depends on the host's thread
+/// scheduling and is not.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RankWork {
+    /// Board rounds joined: one per collective, control or priced.
+    pub rounds: u64,
+    /// Priced exchanges joined ([`crate::coll::exchange`]).
+    pub exchanges: u64,
+    /// Bytes this rank's byte rows declared to those exchanges, its own
+    /// block included: what its group priced, not what the host moved.
+    pub exchange_bytes: u64,
 }
 
 impl<'w> Rank<'w> {
@@ -257,7 +274,13 @@ impl<'w> Rank<'w> {
             rank,
             clock: SimClock::new(),
             ctrl_counters: BTreeMap::new(),
+            work: RankWork::default(),
         }
+    }
+
+    /// What this rank has done so far (see [`RankWork`]).
+    pub fn work(&self) -> RankWork {
+        self.work
     }
 
     /// World this rank belongs to.
@@ -412,6 +435,7 @@ impl Comm {
         let (p, me) = (self.size(), self.my_index);
         assert_eq!(row.len(), p, "one payload per member required");
         let tag = rank.ctrl_tag(self.id);
+        rank.work.rounds += 1;
         let mut rounds = self.board.rounds.lock();
         let round = rounds.entry(tag).or_insert_with(|| Round {
             slots: Box::new(Slots::<T, M, R> {

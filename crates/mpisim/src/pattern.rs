@@ -114,14 +114,12 @@ pub enum P2pFlavor {
     NonBlocking,
 }
 
-/// One distinct (bytes, link path) price of a walk, and how many messages
-/// it has priced.
+/// One distinct (bytes, link path) price of a walk.
 struct Price {
     bytes: usize,
     link: LinkPath,
     inject: u64,
     lat: u64,
-    uses: u64,
 }
 
 /// The message pricer of one walk: splits a message's cost into
@@ -131,9 +129,7 @@ struct Price {
 /// Transport is priced once per distinct (bytes, link path), found by a
 /// linear scan: a walk over a block distribution sees only a handful of
 /// distinct prices however many pairs it has. Prices live for one walk
-/// only. The `simgrid.msgs.*` / `simgrid.bytes.*` counters get, on drop,
-/// exactly what pricing every message from scratch would have counted:
-/// two link prices (payload, then the zero-byte latency probe) per message.
+/// only.
 struct Pricer<'a> {
     np: &'a NetParams<'a>,
     env: &'a PhaseEnv,
@@ -157,23 +153,19 @@ impl<'a> Pricer<'a> {
         let link = link::path(spec, src, dst);
         let hit = self
             .prices
-            .iter_mut()
+            .iter()
             .find(|p| p.bytes == bytes && p.link == link);
         let (inject, lat) = match hit {
-            Some(price) => {
-                price.uses += 1;
-                (price.inject, price.lat)
-            }
+            Some(price) => (price.inject, price.lat),
             None => {
-                let total = link::message_time_est_ns(spec, bytes, src, dst, &self.ctx);
-                let lat = link::message_time_est_ns(spec, 0, src, dst, &self.ctx);
+                let total = link::message_time_ns(spec, bytes, src, dst, &self.ctx);
+                let lat = link::message_time_ns(spec, 0, src, dst, &self.ctx);
                 let inject = total.saturating_sub(lat);
                 self.prices.push(Price {
                     bytes,
                     link,
                     inject,
                     lat,
-                    uses: 1,
                 });
                 (inject, lat)
             }
@@ -187,14 +179,6 @@ impl<'a> Pricer<'a> {
             np.noise_amp,
         );
         ((inject as f64 * j).round() as u64, lat)
-    }
-}
-
-impl Drop for Pricer<'_> {
-    fn drop(&mut self) {
-        for p in &self.prices {
-            link::count_messages(p.link, 2 * p.uses, p.bytes as u64 * p.uses);
-        }
     }
 }
 
@@ -805,7 +789,7 @@ mod tests {
     }
 
     /// Per-message reference pricing: every message priced from scratch
-    /// through the counted `message_time_ns`.
+    /// through `message_time_ns`.
     fn msg_parts(
         np: &NetParams,
         env: &PhaseEnv,

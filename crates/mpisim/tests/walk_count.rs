@@ -1,13 +1,14 @@
 //! A functional exchange is priced exactly once per collective, however
-//! many members its group has and whatever order they arrive in: the
-//! `mpisim.calls.*` counter reads one per call, and the `simgrid.msgs.*` /
-//! `simgrid.bytes.*` counters read one schedule walk per call. Its own
-//! test binary, because the fftobs registry is process-global and any
-//! concurrently running walk would add to it.
+//! many members its group has and whatever order they arrive in: every
+//! member holds the one shared result, that result equals a direct pricing
+//! of the group's matrix from the entry times its members brought, and
+//! every rank's work record counts one round and one exchange per call.
 
-use mpisim::coll;
-use mpisim::comm::{Comm, World, WorldOpts};
-use mpisim::pattern::{NetParams, PhaseEnv};
+use std::sync::Arc;
+
+use mpisim::coll::{self, ExchangeKind};
+use mpisim::comm::{Comm, RankWork, World, WorldOpts};
+use mpisim::pattern::{NetParams, PartitionedTimes, PhaseEnv};
 use simgrid::{MachineSpec, SimTime};
 
 const RANKS: usize = 24;
@@ -18,67 +19,62 @@ fn len(i: usize, j: usize) -> usize {
     (i * 7 + j * 3 + 1) % 5 * 16
 }
 
-/// Every `mpisim.calls.*` and `simgrid.*` counter, by name.
-fn counters() -> Vec<(String, u64)> {
-    let snap = fftobs::registry().snapshot();
-    let simgrid = ["msgs", "bytes"].into_iter().flat_map(|what| {
-        ["self_copy", "intra_node", "inter_node"].map(|link| format!("simgrid.{what}.{link}"))
-    });
-    let calls = ["mpisim.calls.alltoallv".to_string()];
-    calls
-        .into_iter()
-        .chain(simgrid)
-        .map(|name| {
-            let n = snap.counter(&name).unwrap_or(0);
-            (name, n)
-        })
-        .collect()
-}
-
-/// Counts `body`'s counters from a clean registry.
-fn counted(body: impl FnOnce()) -> Vec<(String, u64)> {
-    fftobs::registry().reset();
-    body();
-    counters()
+/// Member `i`'s byte row.
+fn row(i: usize) -> Vec<usize> {
+    (0..RANKS).map(|j| len(i, j) * size_of::<u64>()).collect()
 }
 
 #[test]
 fn each_exchange_walks_its_schedule_exactly_once() {
     let spec = MachineSpec::summit();
     let group: Vec<usize> = (0..RANKS).collect();
-    let matrix: Vec<Vec<usize>> = (0..RANKS)
-        .map(|i| (0..RANKS).map(|j| len(i, j) * size_of::<u64>()).collect())
-        .collect();
+    let matrix: Vec<Vec<usize>> = (0..RANKS).map(row).collect();
     let env = |call: u64| PhaseEnv::machine_wide(&spec, RANKS, RANKS - 1, true, call);
-    fftobs::set_enabled(true);
     for noise_amplitude in [0.0, 0.05] {
         let opts = WorldOpts {
             noise_amplitude,
             ..WorldOpts::default()
         };
-        // One walk's census: the same matrix priced directly, once. What a
-        // walk counts depends on neither its entry times nor the jitter.
-        let entries = vec![SimTime::ZERO; RANKS];
-        let one = counted(|| {
-            let np = NetParams::exact(&spec);
-            coll::alltoallv_exit_times(&np, &env(0), &group, &entries, &matrix);
-        });
+        let np = NetParams {
+            spec: &spec,
+            seed: opts.seed,
+            noise_amp: noise_amplitude,
+        };
         let world = World::new(spec.clone(), RANKS, opts);
-        let functional = counted(|| {
-            world.run(|rank| {
-                let (comm, me) = (Comm::world(rank), rank.rank());
-                for call in 0..CALLS {
-                    let sends = (0..RANKS).map(|j| vec![0u64; len(me, j)]).collect();
-                    coll::alltoallv(rank, &comm, env(call), sends);
-                }
-            });
+        let runs = world.run(|rank| {
+            let (comm, me) = (Comm::world(rank), rank.rank());
+            let kind = ExchangeKind::alltoallv();
+            let calls: Vec<(SimTime, Arc<PartitionedTimes>)> = (0..CALLS)
+                .map(|call| {
+                    let entry = rank.now();
+                    let sends: Vec<Vec<u64>> = (0..RANKS).map(|j| vec![0; len(me, j)]).collect();
+                    let (_, times) =
+                        coll::exchange(rank, &comm, env(call), &kind, sends, &row(me), &[entry]);
+                    (entry, times)
+                })
+                .collect();
+            (calls, rank.work())
         });
-        assert!(
-            one.iter().all(|(_, n)| *n > 0),
-            "every counter moves: {one:?}"
-        );
-        let want: Vec<(String, u64)> = one.into_iter().map(|(name, n)| (name, n * CALLS)).collect();
-        assert_eq!(functional, want, "noise amplitude {noise_amplitude}");
+        for call in 0..CALLS as usize {
+            let shared = &runs[0].0[call].1;
+            for (me, (calls, _)) in runs.iter().enumerate() {
+                assert!(
+                    Arc::ptr_eq(&calls[call].1, shared),
+                    "member {me} of call {call} priced its own copy"
+                );
+            }
+            let entries: Vec<SimTime> = runs.iter().map(|(calls, _)| calls[call].0).collect();
+            let direct =
+                coll::alltoallv_exit_times(&np, &env(call as u64), &group, &entries, &matrix);
+            assert_eq!(shared.exits(), direct, "noise amplitude {noise_amplitude}");
+        }
+        for (me, (_, work)) in runs.iter().enumerate() {
+            let want = RankWork {
+                rounds: CALLS,
+                exchanges: CALLS,
+                exchange_bytes: CALLS * row(me).iter().sum::<usize>() as u64,
+            };
+            assert_eq!(*work, want, "rank {me}");
+        }
     }
-    fftobs::set_enabled(false);
 }

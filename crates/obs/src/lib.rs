@@ -17,10 +17,10 @@
 //! * [`json`] — a minimal JSON reader used to validate exported traces in
 //!   tests and the CI smoke check (no serde dependency).
 //!
-//! Instrumented layers: `fftkern` (plan-cache and twiddle interning),
-//! `simgrid` (bytes per link class), `mpisim` (per-collective call counts
-//! and bytes), `distfft` (scratch-pool hits/evictions, reshape-memo hits,
-//! pack/comm/FFT/unpack spans) and `miniapps` (solver invocations).
+//! The engine records into the registry from one site, `distfft`'s
+//! `Trace::push` (per-phase event counts, span histograms, MPI bytes).
+//! Host work is not counted here: each rank's `mpisim::comm::RankWork` and
+//! `distfft::ExecWork` count it exactly and always on.
 //!
 //! ## Usage
 //!

@@ -80,7 +80,9 @@ pub fn effective_internode_gbs(spec: &MachineSpec, ctx: &TransferCtx) -> f64 {
 /// Time (ns) to move `bytes` from rank `src` to rank `dst` under `ctx`.
 ///
 /// This is pure transport: per-message *protocol* overheads (e.g. GPU-aware
-/// P2P registration) are added by the MPI layer, not here.
+/// P2P registration) are added by the MPI layer, not here. A pure function
+/// of its arguments: pricing a message records nothing, so a model probe
+/// and a simulated message call the same law.
 pub fn message_time_ns(
     spec: &MachineSpec,
     bytes: usize,
@@ -88,44 +90,7 @@ pub fn message_time_ns(
     dst: usize,
     ctx: &TransferCtx,
 ) -> u64 {
-    let link = path(spec, src, dst);
-    count_messages(link, 1, bytes as u64);
-    priced_time_ns(spec, bytes, link, ctx)
-}
-
-/// The `simgrid.msgs.*` / `simgrid.bytes.*` counter bumps of `msgs`
-/// messages on `link` carrying `bytes` in total: the counting half of
-/// [`message_time_ns`], for callers that price a repeated (bytes, link)
-/// pair once with [`message_time_est_ns`] and count every message it
-/// stands for.
-pub fn count_messages(link: LinkPath, msgs: u64, bytes: u64) {
-    if fftobs::enabled() {
-        let (msg_cnt, byte_cnt) = match link {
-            LinkPath::SelfCopy => ("simgrid.msgs.self_copy", "simgrid.bytes.self_copy"),
-            LinkPath::IntraNode => ("simgrid.msgs.intra_node", "simgrid.bytes.intra_node"),
-            LinkPath::InterNode => ("simgrid.msgs.inter_node", "simgrid.bytes.inter_node"),
-        };
-        fftobs::count(msg_cnt, msgs);
-        fftobs::count(byte_cnt, bytes);
-    }
-}
-
-/// [`message_time_ns`] without the `simgrid.msgs.*` counter bumps: for
-/// *model probes* (e.g. the reshape auto-chunking argmin) that price a
-/// hypothetical message without simulating one — the observability
-/// counters must keep counting only traffic that actually moved.
-pub fn message_time_est_ns(
-    spec: &MachineSpec,
-    bytes: usize,
-    src: usize,
-    dst: usize,
-    ctx: &TransferCtx,
-) -> u64 {
-    priced_time_ns(spec, bytes, path(spec, src, dst), ctx)
-}
-
-fn priced_time_ns(spec: &MachineSpec, bytes: usize, link: LinkPath, ctx: &TransferCtx) -> u64 {
-    match link {
+    match path(spec, src, dst) {
         LinkPath::SelfCopy => {
             // Device-local copy: read + write at HBM bandwidth.
             let gbs = spec.gpu.mem_bw_gbs / 2.0;
