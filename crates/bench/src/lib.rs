@@ -6,7 +6,7 @@
 //! average runtime of 8 FFTs (4 forward and 4 backward), preceded by 2 FFTs
 //! to warm up"), Table III's rank ladder, and plain-text table output.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use distfft::dryrun::{DryRunOpts, DryRunner};
 use distfft::plan::{FftOptions, FftPlan};

@@ -403,11 +403,9 @@ impl FftPlan {
             // when the input grid coincides with a compute grid).
             if let Some(prev) = dists.last() {
                 if prev.boxes == d.boxes {
-                    stage_axes
-                        .last_mut()
-                        // fftlint:allow(no-panic-in-lib): a stage was pushed before any merge
-                        .expect("non-empty")
-                        .extend(st.axes.clone());
+                    #[expect(clippy::expect_used, reason = "a stage was pushed before any merge")]
+                    let last = stage_axes.last_mut().expect("non-empty");
+                    last.extend(st.axes.clone());
                     continue;
                 }
             }

@@ -215,7 +215,7 @@ pub fn min_surface_grid(n: usize, dims: [usize; 3]) -> [usize; 3] {
         }
         a += 1;
     }
-    // fftlint:allow(no-panic-in-lib): the 1 x n factorization always exists
+    #[expect(clippy::expect_used, reason = "the 1 x n factorization always exists")]
     best.expect("n >= 1 always has the trivial factorization").0
 }
 

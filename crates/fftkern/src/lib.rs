@@ -1,8 +1,9 @@
-// `deny`, not `forbid`: the SIMD butterfly kernels in `simd.rs` are the one
-// sanctioned `unsafe` perimeter (raw vector loads/stores + feature-gated
-// entry), opened with per-site justified allows. fftlint's `no-unsafe` rule
-// still fails `unsafe` anywhere else in the crate (DESIGN.md §13).
-#![deny(unsafe_code)]
+// `unsafe_code` is `deny`, not `forbid`, in this package's `[lints]`: the
+// SIMD butterfly kernels in `simd.rs` are the one sanctioned `unsafe`
+// perimeter (raw vector loads/stores + feature-gated entry), opened there
+// with a module-level allow; `unsafe` anywhere else in the crate still
+// fails the build (DESIGN.md §13).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 //! # fftkern — local FFT engine
 //!

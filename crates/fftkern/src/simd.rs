@@ -29,15 +29,16 @@
 //! equivalence tests. Non-x86 targets compile the dispatcher to a
 //! scalar-only stub.
 //!
-//! This module is the crate's entire `unsafe` perimeter: `fftkern` is
-//! `#![deny(unsafe_code)]` and every `unsafe` block below carries a
-//! justified `fftlint:allow(no-unsafe)` (DESIGN.md §13). Anything outside
-//! this file still fails `fftlint --workspace`.
+//! This module is the crate's entire `unsafe` perimeter: `fftkern`'s
+//! `[lints]` set `unsafe_code = "deny"` (every other package forbids it)
+//! and `clippy::undocumented_unsafe_blocks = "deny"`, so every `unsafe`
+//! block below carries a `// SAFETY:` comment (DESIGN.md §13). `unsafe`
+//! anywhere else in the crate still fails the build.
 
 // The one module allowed to use `unsafe`: raw-pointer vector loads/stores
-// and feature-gated kernel entry. Each site is individually justified for
-// fftlint; the rustc lint is opened up wholesale here so the crate root can
-// stay `deny(unsafe_code)`.
+// and feature-gated kernel entry. The rustc lint is opened up here only;
+// each block's justification is its `// SAFETY:` comment, which clippy
+// requires.
 #![allow(unsafe_code)]
 
 use crate::complex::C64;
@@ -180,11 +181,9 @@ pub(crate) fn run_stage(
             // SAFETY: the tier came from `active_tier`, which clamps every
             // request and override to `detected_tier()`, so the required
             // CPU features are present at runtime.
-            // fftlint:allow(no-unsafe): feature-gated kernel entry, tier proven by runtime detection
             SimdTier::Avx2 => unsafe { x86::k256::run(src, dst, st, tw, inverse) },
             // SAFETY: as above — Avx512 is only ever active when avx512f
             // was detected on this host.
-            // fftlint:allow(no-unsafe): feature-gated kernel entry, tier proven by runtime detection
             SimdTier::Avx512 => unsafe { x86::run_avx512(src, dst, st, tw, inverse) },
         }
     }
@@ -234,7 +233,6 @@ mod x86 {
             debug_assert!(i + LANES <= s.len());
             // SAFETY: bounds debug-asserted; callers (the stage kernels)
             // only index within the stage's pre-sliced rows.
-            // fftlint:allow(no-unsafe): unaligned vector load from a bounds-checked slice window
             unsafe { _mm256_loadu_pd(s.as_ptr().add(i) as *const f64) }
         }
 
@@ -244,7 +242,6 @@ mod x86 {
         pub fn store(d: &mut [super::C64], i: usize, v: V) {
             debug_assert!(i + LANES <= d.len());
             // SAFETY: bounds debug-asserted; exclusive `&mut` access.
-            // fftlint:allow(no-unsafe): unaligned vector store into a bounds-checked slice window
             unsafe { _mm256_storeu_pd(d.as_mut_ptr().add(i) as *mut f64, v) }
         }
 
@@ -257,7 +254,6 @@ mod x86 {
             debug_assert!(base + (LANES - 1) * stride < d.len());
             // SAFETY: bounds debug-asserted; exclusive `&mut` access; each
             // 128-bit half is one complex element.
-            // fftlint:allow(no-unsafe): per-lane 128-bit stores into a bounds-checked slice
             unsafe {
                 let p = d.as_mut_ptr();
                 _mm_storeu_pd(p.add(base) as *mut f64, _mm256_castpd256_pd128(v));
@@ -353,7 +349,6 @@ mod x86 {
             debug_assert!(i + LANES <= s.len());
             // SAFETY: bounds debug-asserted; callers only index within the
             // stage's pre-sliced rows.
-            // fftlint:allow(no-unsafe): unaligned vector load from a bounds-checked slice window
             unsafe { _mm512_loadu_pd(s.as_ptr().add(i) as *const f64) }
         }
 
@@ -363,7 +358,6 @@ mod x86 {
         pub fn store(d: &mut [super::C64], i: usize, v: V) {
             debug_assert!(i + LANES <= d.len());
             // SAFETY: bounds debug-asserted; exclusive `&mut` access.
-            // fftlint:allow(no-unsafe): unaligned vector store into a bounds-checked slice window
             unsafe { _mm512_storeu_pd(d.as_mut_ptr().add(i) as *mut f64, v) }
         }
 
@@ -376,7 +370,6 @@ mod x86 {
             let hi = _mm512_extractf64x4_pd::<1>(v);
             // SAFETY: bounds debug-asserted; exclusive `&mut` access; each
             // 128-bit quarter is one complex element.
-            // fftlint:allow(no-unsafe): per-lane 128-bit stores into a bounds-checked slice
             unsafe {
                 let p = d.as_mut_ptr();
                 _mm_storeu_pd(p.add(base) as *mut f64, _mm256_castpd256_pd128(lo));

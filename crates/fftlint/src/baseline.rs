@@ -170,7 +170,7 @@ mod tests {
     fn render_parse_round_trip() {
         let fs = vec![
             finding(
-                rules::NO_UNSAFE,
+                rules::PANIC_REACHABLE_FROM_EXEC,
                 "crates/a/src/x.rs",
                 3,
                 7,
@@ -187,7 +187,7 @@ mod tests {
         let text = render(&fs);
         let back = parse(&text).expect("round trip");
         assert_eq!(back.len(), 2);
-        // Sorted by key: lock-order < no-unsafe.
+        // Sorted by key: lock-order < panic-reachable-from-exec.
         assert_eq!(back[0].rule, rules::LOCK_ORDER);
         assert_eq!(back[1].msg, "msg \"quoted\"");
     }
@@ -195,12 +195,12 @@ mod tests {
     #[test]
     fn apply_classifies_new_unchanged_stale() {
         let pinned = vec![
-            finding(rules::NO_UNSAFE, "a.rs", 1, 1, "m"),
-            finding(rules::NO_UNSAFE, "b.rs", 2, 2, "gone"),
+            finding(rules::PANIC_REACHABLE_FROM_EXEC, "a.rs", 1, 1, "m"),
+            finding(rules::PANIC_REACHABLE_FROM_EXEC, "b.rs", 2, 2, "gone"),
         ];
         let current = vec![
-            finding(rules::NO_UNSAFE, "a.rs", 1, 1, "m"),
-            finding(rules::NO_UNSAFE, "c.rs", 3, 3, "fresh"),
+            finding(rules::PANIC_REACHABLE_FROM_EXEC, "a.rs", 1, 1, "m"),
+            finding(rules::PANIC_REACHABLE_FROM_EXEC, "c.rs", 3, 3, "fresh"),
         ];
         let r = apply(&current, &pinned);
         assert_eq!(r.unchanged.len(), 1);

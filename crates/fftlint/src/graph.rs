@@ -1,4 +1,4 @@
-//! Pass 2 of the workspace analyzer: the call graph and the four
+//! Pass 2 of the workspace analyzer: the call graph and the three
 //! interprocedural rules.
 //!
 //! [`Analysis::build`] scans every input file (pass 1, [`crate::tree`]),
@@ -17,8 +17,6 @@
 //! * `no-alloc-in-hot-path` — allocations inside `// fftlint:hot` fns and
 //!   everything they transitively call within [`HOT_CRATES`]; the pooled
 //!   acquisition APIs in [`HOT_EXEMPT_CALLEES`] are not descended into.
-//! * `env-read-outside-fftobs` — `std::env::var`/`var_os` anywhere (all
-//!   file kinds, tests included).
 //! * `lock-order` — a fn that can hold lock A while acquiring lock B
 //!   (lexically later in the same body, or via a callee whose transitive
 //!   lockset contains B) is flagged when the pair is seen in the reverse
@@ -360,7 +358,7 @@ impl Analysis {
         });
     }
 
-    /// Runs the per-file rules plus all four graph rules; findings sorted
+    /// Runs the per-file rule plus all three graph rules; findings sorted
     /// by (path, line, col, rule).
     pub fn findings(&self) -> Vec<Finding> {
         let mut out = Vec::new();
@@ -369,13 +367,11 @@ impl Analysis {
                 &f.scan,
                 &FileCtx {
                     path: &f.rel,
-                    crate_name: &f.crate_name,
                     kind: f.kind,
                 },
             ));
         }
         self.no_alloc_in_hot_path(&mut out);
-        self.env_read_outside_fftobs(&mut out);
         self.lock_order(&mut out);
         self.panic_reachable_from_exec(&mut out);
         out.sort_by(|a, b| {
@@ -420,25 +416,6 @@ impl Analysis {
                     format!(
                         "{} allocates on a hot path ({ctx}); take from the pooled \
                          scratch/plan APIs or justify with fftlint:allow",
-                        site.what
-                    ),
-                );
-            }
-        }
-    }
-
-    fn env_read_outside_fftobs(&self, out: &mut Vec<Finding>) {
-        for (fi, f) in self.files.iter().enumerate() {
-            for site in &f.tree.env_reads {
-                self.emit(
-                    out,
-                    fi,
-                    rules::ENV_READ_OUTSIDE_FFTOBS,
-                    site.line,
-                    site.col,
-                    format!(
-                        "std::env::{} reads the process environment; take the value as a \
-                         plan option or a command-line argument instead",
                         site.what
                     ),
                 );
@@ -608,15 +585,6 @@ impl Analysis {
             };
             let fi = self.fns[id].0;
             for site in &f.panics {
-                // An existing no-panic-in-lib justification covers the
-                // reachability claim too: the written invariant says the
-                // panic cannot fire, wherever it is called from.
-                if self.files[fi]
-                    .scan
-                    .allowed(rules::NO_PANIC_IN_LIB, site.line)
-                {
-                    continue;
-                }
                 self.emit(
                     out,
                     fi,
@@ -756,18 +724,6 @@ pub fn deep(p: &P) { p.x.unwrap(); }
         ]);
         let spans = rule_spans(&f, rules::PANIC_REACHABLE_FROM_EXEC);
         assert_eq!(spans, vec![("crates/fftkern/src/k.rs".to_string(), 2, 26)]);
-    }
-
-    #[test]
-    fn env_rule_fires_everywhere() {
-        let src = "pub fn f() { let v = std::env::var(\"FFT_X\"); }";
-        for path in ["crates/bench/src/lib.rs", "crates/obs/src/env.rs"] {
-            let f = analyze(&[(path, src)]);
-            assert_eq!(
-                rule_spans(&f, rules::ENV_READ_OUTSIDE_FFTOBS),
-                vec![(path.to_string(), 1, 27)]
-            );
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Hand-written Rust surface lexer.
 //!
-//! The linter does not need a real parser: every rule in [`crate::rules`]
-//! matches short token sequences (`Instant :: now`, `. unwrap (`, an
-//! identifier `HashMap`). What it *does* need is for those sequences never
+//! The linter does not need a real parser: every site the rules consume
+//! is a short token sequence (`. unwrap (`, `vec !`, `. lock ( )`, a
+//! `par_iter` chain). What it *does* need is for those sequences never
 //! to fire inside string literals, comments, char literals or doc text —
 //! which is exactly what a lexer provides and a regex sweep does not.
 //!
@@ -476,12 +476,12 @@ mod tests {
 
     #[test]
     fn allow_directives_parse_with_positions() {
-        let s = scan("let m = x; // fftlint:allow(no-unordered-iter, no-wallclock): why\n");
-        assert!(s.allowed("no-unordered-iter", 1));
-        assert!(s.allowed("no-wallclock", 1));
-        assert!(s.allowed("no-unordered-iter", 2)); // next line covered
-        assert!(!s.allowed("no-unordered-iter", 3));
-        assert!(!s.allowed("no-unsafe", 1));
+        let s = scan("let m = x; // fftlint:allow(lock-order, no-alloc-in-hot-path): why\n");
+        assert!(s.allowed("lock-order", 1));
+        assert!(s.allowed("no-alloc-in-hot-path", 1));
+        assert!(s.allowed("lock-order", 2)); // next line covered
+        assert!(!s.allowed("lock-order", 3));
+        assert!(!s.allowed("float-reduction-order", 1));
     }
 
     #[test]

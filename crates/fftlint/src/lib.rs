@@ -12,11 +12,16 @@
 //! `// fftlint:allow(<rule-id>): <justification>` comment and, for the
 //! reviewed pre-existing stock, the committed [`baseline`].
 //!
+//! Checks that need one token at a time — wall-clock and environment
+//! reads, hash containers, `unsafe`, `unwrap`/`expect` in libraries — are
+//! rustc/clippy lints instead: each package's `[lints]` table, the lib
+//! crate roots and `crates/clippy.toml` (DESIGN.md §12).
+//!
 //! The companion *runtime* half of the contract is ordinary equality
 //! tests in `mpisim`/`distfft` (replay, pool-leak balance,
 //! schedule-permutation stress); this crate is the static half.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod baseline;
@@ -158,12 +163,12 @@ mod tests {
     #[test]
     fn lint_source_end_to_end() {
         let f = lint_source(
-            "crates/mpisim/src/x.rs",
-            "fn f() { let t = Instant::now(); }",
+            "crates/fftmodels/src/x.rs",
+            "fn f() { let s = v.par_iter().sum::<f64>(); }",
         );
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, rules::NO_WALLCLOCK);
-        assert_eq!(f[0].path, "crates/mpisim/src/x.rs");
+        assert_eq!(f[0].rule, rules::FLOAT_REDUCTION_ORDER);
+        assert_eq!(f[0].path, "crates/fftmodels/src/x.rs");
     }
 
     #[test]

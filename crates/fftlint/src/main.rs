@@ -5,18 +5,11 @@
 //! fftlint <file.rs>...                    lint specific files
 //! fftlint --workspace --baseline B        suppress findings pinned in B; stale pins fail
 //! fftlint --workspace --write-baseline B  regenerate the baseline from current findings
-//! fftlint --workspace --diff REF          report only files changed vs git REF
 //! fftlint --list-rules                    print the rule ids
 //! ```
 //!
-//! `--diff` narrows *reporting*, not analysis: the call graph is always
-//! built workspace-wide so interprocedural findings in changed files stay
-//! sound, and stale-baseline failures are skipped (unchanged files may
-//! legitimately hold the pins).
-//!
 //! Exit status: 0 clean, 1 findings (new or stale), 2 usage/IO error.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -25,7 +18,6 @@ struct Opts {
     explicit: Vec<PathBuf>,
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
-    diff: Option<String>,
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
@@ -34,7 +26,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         explicit: Vec::new(),
         baseline: None,
         write_baseline: None,
-        diff: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -51,7 +42,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--write-baseline" => {
                 o.write_baseline = Some(PathBuf::from(value("--write-baseline")?))
             }
-            "--diff" => o.diff = Some(value("--diff")?),
             _ if a.starts_with("--") => return Err(format!("unknown flag {a}")),
             _ => o.explicit.push(PathBuf::from(a)),
         }
@@ -61,35 +51,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         return Err("nothing to lint: pass --workspace or files".to_string());
     }
     Ok(o)
-}
-
-/// Files changed vs `git_ref` (diff + untracked), workspace-relative.
-fn changed_files(root: &std::path::Path, git_ref: &str) -> Result<BTreeSet<String>, String> {
-    let mut out = BTreeSet::new();
-    for args in [
-        vec!["diff", "--name-only", git_ref, "--"],
-        vec!["ls-files", "--others", "--exclude-standard"],
-    ] {
-        let r = std::process::Command::new("git")
-            .args(&args)
-            .current_dir(root)
-            .output()
-            .map_err(|e| format!("running git: {e}"))?;
-        if !r.status.success() {
-            return Err(format!(
-                "git {} failed: {}",
-                args.join(" "),
-                String::from_utf8_lossy(&r.stderr).trim()
-            ));
-        }
-        for line in String::from_utf8_lossy(&r.stdout).lines() {
-            let line = line.trim();
-            if !line.is_empty() {
-                out.insert(line.replace('\\', "/"));
-            }
-        }
-    }
-    Ok(out)
 }
 
 fn main() -> ExitCode {
@@ -149,7 +110,7 @@ fn main() -> ExitCode {
     }
 
     // Classify against the baseline (everything is "new" without one).
-    let (mut new, unchanged, mut stale) = match &opts.baseline {
+    let (new, unchanged, stale) = match &opts.baseline {
         Some(path) => {
             let text = match std::fs::read_to_string(path) {
                 Ok(t) => t,
@@ -171,20 +132,6 @@ fn main() -> ExitCode {
         }
         None => (all.clone(), Vec::new(), Vec::new()),
     };
-
-    // --diff narrows reporting to changed files; stale pins are skipped
-    // because the unchanged remainder of the workspace may hold them.
-    if let Some(git_ref) = &opts.diff {
-        let changed = match changed_files(&root, git_ref) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("fftlint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        new.retain(|f| changed.contains(&f.path));
-        stale.clear();
-    }
 
     for f in &new {
         println!("{f}");
@@ -218,7 +165,6 @@ USAGE:
     fftlint <file.rs>...                    lint specific files
     fftlint --workspace --baseline B        suppress findings pinned in B; stale pins fail
     fftlint --workspace --write-baseline B  regenerate the baseline from current findings
-    fftlint --workspace --diff REF          report only files changed vs git REF
     fftlint --list-rules                    print the rule ids
 
 Findings print as `path:line:col: rule-id: message`; suppress one with an

@@ -45,7 +45,7 @@ const LOCK_PASSTHROUGH: [&str; 9] = [
 /// A flagged token position inside a function body.
 #[derive(Debug, Clone)]
 pub struct Site {
-    /// What was matched (e.g. `"Vec::new"`, `".clone()"`, `"var"`).
+    /// What was matched (e.g. `"Vec::new"`, `".clone()"`, `"unwrap"`).
     pub what: &'static str,
     /// 1-based line.
     pub line: u32,
@@ -125,9 +125,6 @@ pub struct FnItem {
 pub struct FileTree {
     /// Every `fn` item with a body, in source order.
     pub fns: Vec<FnItem>,
-    /// `std::env::var` / `var_os` call sites anywhere in the file
-    /// (including test modules — env discipline applies to tests too).
-    pub env_reads: Vec<Site>,
 }
 
 /// Builds the item tree for one scanned file.
@@ -139,9 +136,8 @@ pub fn build(scan: &Scanned) -> FileTree {
     let mut fns = discover_fns(t, &mask, &impls, &close);
     assign_hot(&scan.hots, &mut fns);
     let owner = owner_map(t.len(), &fns);
-    let mut env_reads = Vec::new();
-    collect_sites(t, &owner, &mut fns, &mut env_reads);
-    FileTree { fns, env_reads }
+    collect_sites(t, &owner, &mut fns);
+    FileTree { fns }
 }
 
 fn ident(t: &[Token], i: usize) -> Option<&str> {
@@ -402,29 +398,14 @@ fn owner_map(len: usize, fns: &[FnItem]) -> Vec<usize> {
     owner
 }
 
-/// One linear pass extracting call/alloc/panic/index/lock/env sites and
+/// One linear pass extracting call/alloc/panic/index/lock sites and
 /// attributing them to the owning fn.
-fn collect_sites(t: &[Token], owner: &[usize], fns: &mut [FnItem], env_reads: &mut Vec<Site>) {
+fn collect_sites(t: &[Token], owner: &[usize], fns: &mut [FnItem]) {
     let has_rwlock = t
         .iter()
         .any(|x| matches!(&x.tok, Tok::Ident(s) if s == "RwLock"));
     for i in 0..t.len() {
         let own = owner.get(i).copied().unwrap_or(usize::MAX);
-        // std::env::var / var_os call (module-qualified, so a method or fn
-        // merely named `var` never matches).
-        if ident(t, i) == Some("env") && punct(t, i + 1, ':') && punct(t, i + 2, ':') {
-            if let Some(what @ ("var" | "var_os")) = ident(t, i + 3) {
-                if punct(t, i + 4, '(') {
-                    let s = &t[i];
-                    env_reads.push(Site {
-                        what: if what == "var" { "var" } else { "var_os" },
-                        line: s.line,
-                        col: s.col,
-                    });
-                }
-            }
-        }
-        // Everything below is attributed to a fn body.
         let Some(f) = fns.get_mut(own) else { continue };
         match &t[i].tok {
             Tok::Punct('.') => {
@@ -686,18 +667,6 @@ fn c() { warned().lock(); }
             .flat_map(|f| f.locks.iter().map(|l| l.recv.as_str()))
             .collect();
         assert_eq!(recvs, vec!["plans1d", "TABLES", "warned"]);
-    }
-
-    #[test]
-    fn env_reads_found_everywhere_including_tests() {
-        let src = "\
-fn f() { let v = std::env::var(\"FFT_X\"); }
-#[cfg(test)]
-mod tests { fn t() { let v = std::env::var_os(\"FFT_Y\"); } }
-";
-        let t = tree_of(src);
-        let whats: Vec<&str> = t.env_reads.iter().map(|s| s.what).collect();
-        assert_eq!(whats, vec!["var", "var_os"]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 // Fixture: the callee half of the cross-crate panic chain (see
 // `exec_seed.rs`). `deep` panics two hops below the executor entry;
-// `indexed` shows the per-fn index summary; `justified` shows that a
-// written `no-panic-in-lib` invariant also discharges reachability.
+// `indexed` shows the per-fn index summary; `justified` shows an inline
+// allow discharging one site.
 
 pub fn kern_entry(p: &P) -> usize {
     deep(p) + indexed(p) + justified(p)
@@ -16,6 +16,6 @@ fn indexed(p: &P) -> usize {
 }
 
 fn justified(p: &P) -> usize {
-    // fftlint:allow(no-panic-in-lib): fixture: the invariant note covers reachability too
+    // fftlint:allow(panic-reachable-from-exec): fixture: the invariant note discharges the site
     p.checked.unwrap()
 }

@@ -44,7 +44,12 @@ where
     // records (index, result); the merge below restores input order.
     let next = AtomicUsize::new(0);
     let f = &f;
+    #[expect(
+        clippy::expect_used,
+        reason = "propagating a worker panic is the contract"
+    )]
     let per_worker: Vec<Vec<(usize, R)>> = crossbeam::thread::scope(|s| {
+        #[expect(clippy::expect_used, reason = "thread spawn failure is unrecoverable")]
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 let next = &next;
@@ -61,17 +66,18 @@ where
                         }
                         local
                     })
-                    // fftlint:allow(no-panic-in-lib): thread spawn failure is unrecoverable
                     .expect("failed to spawn sweep worker")
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "propagating a worker panic is the contract"
+        )]
         handles
             .into_iter()
-            // fftlint:allow(no-panic-in-lib): propagating a worker panic is the contract
             .map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     })
-    // fftlint:allow(no-panic-in-lib): propagating a worker panic is the contract
     .expect("sweep scope panicked");
 
     let mut indexed: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();

@@ -131,9 +131,9 @@ impl CritPath {
                         bytes,
                         ..
                     } => {
-                        let occ = *occ_count.entry(*reshape).or_insert(0);
-                        // fftlint:allow(no-panic-in-lib): key inserted on the previous line
-                        *occ_count.get_mut(reshape).unwrap() += 1;
+                        let count = occ_count.entry(*reshape).or_insert(0);
+                        let occ = *count;
+                        *count += 1;
                         v.push((
                             Ev {
                                 start: start.as_ns(),

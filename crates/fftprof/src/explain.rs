@@ -82,11 +82,14 @@ pub fn why_decomposition(
     match rival {
         Some(rival) => {
             let diff = DiffReport::between(&winner, &rival);
+            #[expect(
+                clippy::expect_used,
+                reason = "a differential report always has phase rows"
+            )]
             let worst = diff
                 .rows
                 .iter()
                 .max_by_key(|r| r.delta_ns())
-                // fftlint:allow(no-panic-in-lib): a differential report always has phase rows
                 .expect("seven rows");
             out.push_str(&format!(
                 "The best {} candidate is {} slower ({} vs {}); the gap is concentrated in \

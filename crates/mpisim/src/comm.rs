@@ -191,6 +191,7 @@ impl World {
         self.boards.lock().clear();
         self.failed.store(0, Ordering::Release);
         let results: Vec<thread::Result<R>> = thread::scope(|scope| {
+            #[expect(clippy::expect_used, reason = "thread spawn failure is unrecoverable")]
             let handles: Vec<_> = (0..self.nranks)
                 .map(|r| {
                     let f = &f;
@@ -201,7 +202,6 @@ impl World {
                             let _abort = AbortOnUnwind(self, r);
                             f(&mut Rank::new(self, r))
                         })
-                        // fftlint:allow(no-panic-in-lib): thread spawn failure is unrecoverable
                         .expect("failed to spawn rank thread")
                 })
                 .collect();
@@ -377,13 +377,11 @@ impl Comm {
             .filter(|(c, _, _)| *c == color)
             .map(|(_, k, w)| (*k, *w))
             .collect();
+        // This rank's place in the new group: how many same-color
+        // `(key, world)` entries sort below its own.
+        let my_index = mine.iter().filter(|&&e| e < (key, me_world)).count();
         mine.sort_unstable();
         let members: Vec<usize> = mine.iter().map(|(_, w)| *w).collect();
-        let my_index = members
-            .iter()
-            .position(|w| *w == me_world)
-            // fftlint:allow(no-panic-in-lib): split() inserted this rank two lines up
-            .expect("rank missing from its own split group");
 
         // Deterministic id from (parent, call sequence, color) — identical on
         // every member, distinct across splits.

@@ -45,7 +45,12 @@ where
     }
 
     let f = &f;
+    #[expect(
+        clippy::expect_used,
+        reason = "propagating a worker panic is the contract"
+    )]
     let per_worker: Vec<Vec<(usize, R)>> = crossbeam::thread::scope(|s| {
+        #[expect(clippy::expect_used, reason = "thread spawn failure is unrecoverable")]
         let handles: Vec<_> = states
             .iter_mut()
             .zip(buckets)
@@ -59,17 +64,18 @@ where
                             .map(|(i, item)| (i, f(i, state, item)))
                             .collect::<Vec<_>>()
                     })
-                    // fftlint:allow(no-panic-in-lib): thread spawn failure is unrecoverable
                     .expect("failed to spawn partition worker")
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "propagating a worker panic is the contract"
+        )]
         handles
             .into_iter()
-            // fftlint:allow(no-panic-in-lib): propagating a worker panic is the contract
             .map(|h| h.join().expect("partition worker panicked"))
             .collect()
     })
-    // fftlint:allow(no-panic-in-lib): propagating a worker panic is the contract
     .expect("partition scope panicked");
 
     let mut indexed: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();

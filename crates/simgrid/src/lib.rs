@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 //! # simgrid — simulated multi-GPU cluster
 //!

@@ -88,10 +88,13 @@ impl AddAssign for SimTime {
 impl Sub for SimTime {
     type Output = SimTime;
     fn sub(self, rhs: SimTime) -> SimTime {
+        #[expect(
+            clippy::expect_used,
+            reason = "underflow means simulator-clock corruption"
+        )]
         SimTime(
             self.0
                 .checked_sub(rhs.0)
-                // fftlint:allow(no-panic-in-lib): underflow means simulator-clock corruption
                 .expect("SimTime subtraction underflow"),
         )
     }

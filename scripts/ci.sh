@@ -12,14 +12,19 @@ echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
 echo "== cargo clippy -D warnings =="
+# Also the determinism rules a single token decides (DESIGN.md §12):
+# `unsafe_code` and `undocumented_unsafe_blocks` from each package's
+# [lints], `unwrap_used`/`expect_used` denied at every lib crate root, and
+# crates/clippy.toml's disallowed HashMap/HashSet, Instant::now/
+# SystemTime::now and std::env::var/var_os — on every target, tests
+# included. A stale `#[expect]` fails here too.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== fftlint --workspace (baseline) =="
-# Call-graph-aware determinism linter (DESIGN.md §12): the five
-# per-file rules (wall-clock, hash iteration, unsafe, unwrap/expect, float
-# reductions) plus the four interprocedural ones (hot-path allocations, env
-# discipline, lock order, panic reachability from the executor).
-# Deny-by-default; the escapes are an inline justified
+# Call-graph-aware determinism linter (DESIGN.md §12) for the rules the
+# compiler cannot see: float reductions in parallel chains, plus the three
+# interprocedural ones (hot-path allocations, lock order, panic
+# reachability from the executor). Deny-by-default; the escapes are an inline justified
 # `// fftlint:allow(<rule>)` and the committed findings baseline — new
 # findings fail, and silently-fixed pins fail as stale. fftlint lints its
 # own crate in the same walk.

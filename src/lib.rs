@@ -15,7 +15,7 @@
 //! See `README.md` for a guided tour and `DESIGN.md` for the experiment
 //! index mapping every table and figure of the paper to a harness binary.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub use distfft;
 pub use fftkern;
