@@ -10,20 +10,31 @@ use crate::bluestein::BluesteinPlan;
 use crate::complex::C64;
 use crate::stockham::StockhamPlan;
 
-/// Elements in each half — panel, ping-pong buffer — of the strided-batch
+/// Elements in each half — panel, ping-pong buffer — of the panel
 /// scratch: 32 KiB of complex doubles per half. Both halves together are at
 /// most the `n + lines·n` the transposing tile engine asked for at every
-/// `n ≤ 512`, so no arena grows.
+/// `n ≤ 512`, so no arena grows. At `n = 128` (16 lines) the pair is
+/// 64 KiB, over a 48 KiB L1d; halving this constant lifted that size from
+/// 6.9 to 10.0 GFLOP/s in cache but left a 128³ pencil transform flat end
+/// to end (EXPERIMENTS.md, panel-width table).
 const PANEL_ELEMS: usize = 2048;
 
 /// Panel width bounds, in lines. Widths are multiples of 4 — one AVX-512
 /// vector of complex doubles, one 64-byte cache line per copied run — so
 /// only the last panel of a range is ragged. Measured GFLOP/s stops rising
-/// at 12–16 lines for n ∈ {32, 60, 64, 128}, where 16 keeps panel and
-/// ping-pong buffer L1-resident together up to n = 64; 4 is what the
-/// footprint leaves at n = 512 (EXPERIMENTS.md, panel-width table).
+/// at 12–16 lines for n ∈ {32, 60, 64}, where 16 keeps panel and ping-pong
+/// buffer L1-resident together; 4 is what the footprint leaves at n = 512
+/// (EXPERIMENTS.md, panel-width table).
 const PANEL_MIN_LINES: usize = 4;
 const PANEL_MAX_LINES: usize = 16;
+
+/// Packed rows shorter than this ride the lane-interleaved panel (gathered
+/// `w` rows at a time); from here up the per-line loop, which moves no
+/// data, is as fast or faster. Best GFLOP/s, per-line loop against panel:
+/// n = 16: 5.8 / 10.2, 30: 5.4 / 11.3, 32: 9.6 / 12.5, 60: 8.6 / 10.5,
+/// 64: 12.7 / 13.4 (typical 12.2 / 11.7, a tie), 96: 13.6 / 9.0
+/// (DESIGN.md §11, "Short packed rows").
+const PACKED_PANEL_BELOW: usize = 64;
 
 /// Transform direction. Both are unnormalized (cuFFT/FFTW convention): a
 /// forward followed by an inverse multiplies the data by `N`.
@@ -215,7 +226,7 @@ impl Plan1d {
         self.algo.name()
     }
 
-    /// Lines per panel of the strided-batch path: as many as fit
+    /// Lines per panel of the panel route: as many as fit
     /// `PANEL_ELEMS`, rounded down to a multiple of 4, within
     /// `PANEL_MIN_LINES..=PANEL_MAX_LINES` and the batch.
     fn panel_lines(&self) -> usize {
@@ -241,7 +252,7 @@ impl Plan1d {
     }
 
     /// Number of scratch elements the `_scratch` execution variants need: a
-    /// panel and its ping-pong buffer for the strided-batch path, which also
+    /// panel and its ping-pong buffer for the panel route, which also
     /// cover the algorithm's per-line work buffers plus one row buffer for
     /// the other layouts.
     pub fn scratch_elems(&self) -> usize {
@@ -318,7 +329,7 @@ impl Plan1d {
 
     /// The one line-range walker behind every execute entry: transforms
     /// lines `lo..hi` from `io`'s source to its destination by whichever of
-    /// the three routes the layouts admit.
+    /// the three routes the layouts and `n` admit.
     fn run_lines(&self, mut io: Bufs, dir: Direction, scratch: &mut [C64], lo: usize, hi: usize) {
         assert!(
             scratch.len() >= self.scratch_elems(),
@@ -327,9 +338,11 @@ impl Plan1d {
             self.scratch_elems()
         );
         let n = self.n;
-        if self.packed_rows() {
-            // Packed contiguous rows transform where they land: no data
-            // movement beyond the butterflies (and, out of place, one copy).
+        let packed = self.packed_rows();
+        if packed && (n >= PACKED_PANEL_BELOW || self.batch == 1) {
+            // Long packed rows, and a lone row (no lanes to fill), transform
+            // where they land: no data movement beyond the butterflies (and,
+            // out of place, one copy).
             for b in lo..hi {
                 let (r0, r1) = (b * n, (b + 1) * n);
                 if let Bufs::Split(input, output) = &mut io {
@@ -340,33 +353,50 @@ impl Plan1d {
             }
             return;
         }
-        if self.panelable() {
-            // `dist == 1`: element `j` of lines `base..base+w` is one
-            // contiguous run, i.e. row `j` of a lane-interleaved panel. Copy
-            // the `n` runs in, transform all `w` lines at once, copy the
-            // runs back from whichever buffer the result landed in.
+        if packed || self.panelable() {
+            // Lines `base..base+w` become the lanes of an `[n][w]` panel
+            // (element `j` of line `l` at `j·w + l`). On a `dist == 1` layout
+            // row `j` is one contiguous run, copied as is; short packed rows
+            // are transposed in lane by lane. Transform all `w` lines at
+            // once, copy back from whichever buffer the result landed in.
             let (rows, width) = (self.algo.panel_rows(), self.panel_lines());
             let mut base = lo;
             while base < hi {
                 let w = width.min(hi - base);
                 let (x, y) = scratch[..2 * w * rows].split_at_mut(w * rows);
-                for (run, row) in io.src()[base..]
-                    .chunks(self.input.stride)
-                    .zip(x.chunks_exact_mut(w))
-                    .take(n)
-                {
-                    // Element loops, not `copy_from_slice`: a run is 4–16
-                    // elements and a `memcpy` call per run costs a fifth of
-                    // the 512 × 64 batch at `w = 4`.
-                    row.iter_mut().zip(run).for_each(|(d, v)| *d = *v);
+                if packed {
+                    let lines = io.src().chunks_exact(n).skip(base).take(w);
+                    for (l, line) in lines.enumerate() {
+                        let lane = x.iter_mut().skip(l).step_by(w);
+                        lane.zip(line).for_each(|(d, v)| *d = *v);
+                    }
+                } else {
+                    for (run, row) in io.src()[base..]
+                        .chunks(self.input.stride)
+                        .zip(x.chunks_exact_mut(w))
+                        .take(n)
+                    {
+                        // Element loops, not `copy_from_slice`: a run is 4–16
+                        // elements and a `memcpy` call per run costs a fifth
+                        // of the 512 × 64 batch at `w = 4`.
+                        row.iter_mut().zip(run).for_each(|(d, v)| *d = *v);
+                    }
                 }
                 let (out, _) = self.algo.execute_interleaved(x, y, w, dir);
-                for (run, row) in io.dst()[base..]
-                    .chunks_mut(self.output.stride)
-                    .zip(out.chunks_exact(w))
-                    .take(n)
-                {
-                    run.iter_mut().zip(row).for_each(|(d, v)| *d = *v);
+                if packed {
+                    let lines = io.dst().chunks_exact_mut(n).skip(base).take(w);
+                    for (l, line) in lines.enumerate() {
+                        let lane = out.iter().skip(l).step_by(w);
+                        line.iter_mut().zip(lane).for_each(|(d, v)| *d = *v);
+                    }
+                } else {
+                    for (run, row) in io.dst()[base..]
+                        .chunks_mut(self.output.stride)
+                        .zip(out.chunks_exact(w))
+                        .take(n)
+                    {
+                        run.iter_mut().zip(row).for_each(|(d, v)| *d = *v);
+                    }
                 }
                 base += w;
             }
@@ -389,8 +419,9 @@ impl Plan1d {
         }
     }
 
-    /// True when input and output are both packed contiguous rows — the
-    /// zero-copy fast path.
+    /// True when input and output are both packed contiguous rows: rows
+    /// of at least `PACKED_PANEL_BELOW` points transform in place, shorter
+    /// ones through the panel.
     fn packed_rows(&self) -> bool {
         self.input.is_contiguous()
             && self.output.is_contiguous()
@@ -399,7 +430,7 @@ impl Plan1d {
     }
 
     /// True when both layouts are the classic transposed access (`dist == 1`,
-    /// columns `stride` apart, non-overlapping) — the panel path.
+    /// columns `stride` apart, non-overlapping) — panels with no transpose.
     fn panelable(&self) -> bool {
         self.input.dist == 1
             && self.output.dist == 1

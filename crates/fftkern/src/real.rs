@@ -60,13 +60,22 @@ pub fn untangle_half_with(z: &[C64], roots: &[C64], out: &mut Vec<C64>) {
     let h = roots.len() / 2;
     assert_eq!(z.len(), h, "packed spectrum must have n/2 bins");
     out.reserve(h + 1);
-    for (k, &w) in roots.iter().enumerate().take(h + 1) {
-        let zk = if k == h { z[0] } else { z[k] };
-        let zmk = z[(h - k % h) % h].conj();
+    let bin = |zk: C64, zmk: C64, w: C64| {
+        let zmk = zmk.conj();
         let e = (zk + zmk).scale(0.5);
         let o = (zk - zmk).scale(0.5) * C64::new(0.0, -1.0);
-        out.push(e + w * o);
-    }
+        e + w * o
+    };
+    // Bins 0 and h both pair z[0] with itself; bin k in between pairs
+    // z[k] with z[h − k], read walking `z[1..]` forward and backward.
+    out.push(bin(z[0], z[0], roots[0]));
+    let pairs = z[1..].iter().zip(z[1..].iter().rev());
+    out.extend(
+        pairs
+            .zip(&roots[1..h])
+            .map(|((&zk, &zmk), &w)| bin(zk, zmk, w)),
+    );
+    out.push(bin(z[0], z[0], roots[h]));
 }
 
 /// Inverse of [`untangle_half`]: rebuilds the packed half-size spectrum from
@@ -171,7 +180,7 @@ mod tests {
         let bits = |v: &[C64]| -> Vec<(u64, u64)> {
             v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
         };
-        for n in [2usize, 6, 60, 64, 250] {
+        for n in [2usize, 4, 6, 60, 64, 100, 250] {
             let h = n / 2;
             let z: Vec<C64> = (0..h)
                 .map(|i| C64::new((0.9 * i as f64).sin() + 0.3, (0.37 * i as f64).cos()))

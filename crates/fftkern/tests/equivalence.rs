@@ -9,11 +9,11 @@
 //! `Plan1d` (gapped and mixed in≠out layouts) its own DFT check over pow2,
 //! smooth and Bluestein lengths.
 //!
-//! The strided-batch path transforms panels of adjacent lines at once
-//! (lane `l` of a Stockham stage run at `s·w` is line `l`), so a second
-//! family of tests pins it `to_bits`-equal to transforming each line alone
-//! through the packed per-line engine: in place, out of place, and as
-//! shuffled line ranges.
+//! Strided batches, and packed batches of rows under 64 points, transform
+//! panels of adjacent lines at once (lane `l` of a Stockham stage run at
+//! `s·w` is line `l`), so a second family of tests pins both layouts
+//! `to_bits`-equal to transforming each line alone through the per-line
+//! engine: in place, out of place, and as shuffled line ranges.
 
 use fftkern::dft::dft_1d;
 use fftkern::plan::{Layout, Plan1d};
@@ -236,17 +236,18 @@ fn bits(data: &[C64]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// The oracle of the panel tests: every line of a `Layout::strided(batch)`
-/// array gathered and transformed alone by `Plan1d::contiguous(n, 1)`.
-fn lone_lines(x: &[C64], n: usize, batch: usize, dir: Direction) -> Vec<C64> {
+/// The oracle of the panel tests: every line of `layout` gathered and
+/// transformed alone by `Plan1d::contiguous(n, 1)`, whose single line
+/// always takes the per-line loop.
+fn lone_lines(x: &[C64], layout: Layout, n: usize, batch: usize, dir: Direction) -> Vec<C64> {
     let one = Plan1d::contiguous(n, 1);
     let mut scratch = vec![C64::ZERO; one.scratch_elems()];
     let mut out = x.to_vec();
     for b in 0..batch {
-        let mut line = gather(x, Layout::strided(batch), n, b);
+        let mut line = gather(x, layout, n, b);
         one.execute_inplace_scratch(&mut line, dir, &mut scratch);
         for (j, v) in line.into_iter().enumerate() {
-            out[j * batch + b] = v;
+            out[b * layout.dist + j * layout.stride] = v;
         }
     }
     out
@@ -278,38 +279,64 @@ fn scrambled_ranges(batch: usize) -> Vec<(usize, usize)> {
 fn strided_batches_are_bitwise_the_lone_line_engine() {
     // Every smooth length up to 128 (radix-7 stages are scalar-only, 45 and
     // 49 never have an even `s`), the deep pow2/mixed sizes, and Bluestein
-    // primes whose `[conv_len][w]` panel rides the same engine. Batches put
-    // full panels, ragged tails narrower than a vector (1, 2, 3, 5) and odd
-    // `s·w` in front of every stage kernel.
+    // primes whose `[conv_len][w]` panel rides the same engine, at every
+    // one of `BATCHES`.
     let sizes = (1..=128usize)
         .filter(|&n| fftkern::is_smooth(n))
         .chain([250, 480, 512, 1000, 13, 97, 499]);
     for n in sizes {
-        for batch in [1usize, 2, 3, 5, 64, 70, 131] {
-            let layout = Layout::strided(batch);
-            let plan = Plan1d::with_layout(n, batch, layout, layout);
-            let mut scratch = vec![C64::ZERO; plan.scratch_elems()];
-            let x = signal(n * batch);
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let want = bits(&lone_lines(&x, n, batch, dir));
-                let what = format!("n={n} batch={batch} {dir:?}");
-
-                let mut inplace = x.clone();
-                plan.execute_inplace_scratch(&mut inplace, dir, &mut scratch);
-                assert_eq!(bits(&inplace), want, "in place: {what}");
-
-                let mut out = vec![C64::ZERO; n * batch];
-                plan.execute_scratch(&x, &mut out, dir, &mut scratch);
-                assert_eq!(bits(&out), want, "out of place: {what}");
-
-                // The transform-ahead contract: any disjoint cover, any order.
-                let mut ranged = x.clone();
-                for (lo, hi) in scrambled_ranges(batch) {
-                    plan.execute_lines_inplace_scratch(&mut ranged, dir, &mut scratch, lo, hi);
-                }
-                assert_eq!(bits(&ranged), want, "line ranges: {what}");
-            }
+        for batch in BATCHES {
+            assert_batch_is_lone_lines(n, batch, Layout::strided(batch));
         }
+    }
+}
+
+#[test]
+fn packed_batches_are_bitwise_the_lone_line_engine() {
+    // Packed rows shorter than 64 points are gathered into the same
+    // lane-interleaved panels, the rest run per line: every smooth length
+    // up to 128 (64 and up on the per-line side), three deep sizes and a
+    // Bluestein prime on each side, at every one of `BATCHES`.
+    let sizes = (1..=128usize)
+        .filter(|&n| fftkern::is_smooth(n))
+        .chain([13, 97, 250, 480, 512]);
+    for n in sizes {
+        for batch in BATCHES {
+            assert_batch_is_lone_lines(n, batch, Layout::contiguous(n));
+        }
+    }
+}
+
+/// Batches of the panel tests: full panels, ragged tails narrower than a
+/// vector (1, 2, 3, 5) and odd `s·w` in front of every stage kernel.
+const BATCHES: [usize; 7] = [1, 2, 3, 5, 64, 70, 131];
+
+/// A `batch × n` plan on `layout` (same in and out), run in place, out of
+/// place and as scrambled line ranges in both directions, must equal
+/// [`lone_lines`] bit for bit.
+fn assert_batch_is_lone_lines(n: usize, batch: usize, layout: Layout) {
+    let plan = Plan1d::with_layout(n, batch, layout, layout);
+    let mut scratch = vec![C64::ZERO; plan.scratch_elems()];
+    let len = plan.required_input_len();
+    let x = signal(len);
+    for dir in [Direction::Forward, Direction::Inverse] {
+        let want = bits(&lone_lines(&x, layout, n, batch, dir));
+        let what = format!("n={n} batch={batch} {layout:?} {dir:?}");
+
+        let mut inplace = x.clone();
+        plan.execute_inplace_scratch(&mut inplace, dir, &mut scratch);
+        assert_eq!(bits(&inplace), want, "in place: {what}");
+
+        let mut out = vec![C64::ZERO; len];
+        plan.execute_scratch(&x, &mut out, dir, &mut scratch);
+        assert_eq!(bits(&out), want, "out of place: {what}");
+
+        // The transform-ahead contract: any disjoint cover, any order.
+        let mut ranged = x.clone();
+        for (lo, hi) in scrambled_ranges(batch) {
+            plan.execute_lines_inplace_scratch(&mut ranged, dir, &mut scratch, lo, hi);
+        }
+        assert_eq!(bits(&ranged), want, "line ranges: {what}");
     }
 }
 
@@ -333,7 +360,7 @@ fn axis1_planes_with_fewer_lines_than_lanes() {
                 }
                 let want: Vec<C64> = x
                     .chunks(n1 * n2)
-                    .flat_map(|plane| lone_lines(plane, n1, n2, dir))
+                    .flat_map(|plane| lone_lines(plane, Layout::strided(n2), n1, n2, dir))
                     .collect();
                 assert_eq!(bits(&got), bits(&want), "n1={n1} n2={n2} {dir:?}");
             }

@@ -190,6 +190,58 @@ fn plan1d_bitwise_identical_across_tiers_layouts_and_algorithms() {
 }
 
 #[test]
+fn packed_batches_match_the_scalar_lone_line_engine_on_every_tier() {
+    // Packed rows under 64 points ride the lane-interleaved panel, longer
+    // ones the per-line loop: on every tier, in place, out of place and as
+    // two line ranges (upper half first), each batch must equal its lines
+    // transformed one at a time on the scalar tier.
+    let _g = TIER_LOCK.lock().unwrap();
+    let tiers = available_tiers();
+    let sizes = (1..=128usize)
+        .filter(|&n| fftkern::is_smooth(n))
+        .chain([13, 97, 250, 480, 512]);
+    for n in sizes {
+        let one = Plan1d::contiguous(n, 1);
+        for batch in [1usize, 2, 3, 5, 64, 70, 131] {
+            let plan = Plan1d::contiguous(n, batch);
+            let x = signal(n * batch);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let want = with_tier(SimdTier::Scalar, || {
+                    let mut d = x.clone();
+                    d.chunks_exact_mut(n)
+                        .for_each(|line| one.execute_inplace(line, dir));
+                    bits(&d)
+                });
+                for &tier in &tiers {
+                    let what = format!("tier {} n={n} batch={batch} {dir:?}", tier.name());
+                    let (inplace, out, ranged) = with_tier(tier, || {
+                        let mut scratch = vec![C64::ZERO; plan.scratch_elems()];
+                        let mut inplace = x.clone();
+                        plan.execute_inplace_scratch(&mut inplace, dir, &mut scratch);
+                        let mut out = vec![C64::ZERO; n * batch];
+                        plan.execute_scratch(&x, &mut out, dir, &mut scratch);
+                        let mut ranged = x.clone();
+                        for (lo, hi) in [(batch / 2, batch), (0, batch / 2)] {
+                            plan.execute_lines_inplace_scratch(
+                                &mut ranged,
+                                dir,
+                                &mut scratch,
+                                lo,
+                                hi,
+                            );
+                        }
+                        (inplace, out, ranged)
+                    });
+                    assert_eq!(bits(&inplace), want, "in place: {what}");
+                    assert_eq!(bits(&out), want, "out of place: {what}");
+                    assert_eq!(bits(&ranged), want, "line ranges: {what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn roundtrip_under_each_tier() {
     let _g = TIER_LOCK.lock().unwrap();
     for &tier in &available_tiers() {
