@@ -1,44 +1,4 @@
-//! Figure 12 — runtime breakdown of the LAMMPS Rhodopsin benchmark (32 K
-//! atoms, fixed 512³ PPPM grid) on 32 Summit nodes (192 V100, 1 MPI/GPU):
-//! default fftMPI (pencils, host-staged MPI) versus tuned heFFTe (settings
-//! guided by Fig. 5). Paper: "the runtime for the KSPACE computation is
-//! reduced around 40%".
-
-use fft_bench::{banner, TextTable};
-use miniapps::md::{run_rhodopsin, RhodopsinConfig};
-use simgrid::MachineSpec;
-
+//! Prints Fig. 12 ([`fft_bench::figs::fig12`]); takes no arguments.
 fn main() {
-    fft_bench::reject_args();
-    banner(
-        "Fig. 12",
-        "LAMMPS Rhodopsin breakdown, 32K atoms, 512^3 grid, 32 nodes",
-    );
-    let m = MachineSpec::summit();
-    let steps = 10;
-    let default = run_rhodopsin(&m, &RhodopsinConfig::fftmpi_default(steps));
-    let tuned = run_rhodopsin(&m, &RhodopsinConfig::heffte_tuned(steps));
-
-    let mut t = TextTable::new(&["phase", "fftMPI default (s)", "heFFTe tuned (s)"]);
-    for ((label, a), (_, b)) in default.rows().into_iter().zip(tuned.rows()) {
-        t.row(vec![
-            label.to_string(),
-            format!("{:.4}", a.as_secs()),
-            format!("{:.4}", b.as_secs()),
-        ]);
-    }
-    t.row(vec![
-        "TOTAL".into(),
-        format!("{:.4}", default.total().as_secs()),
-        format!("{:.4}", tuned.total().as_secs()),
-    ]);
-    println!("{}", t.render());
-    println!(
-        "KSPACE reduction: {:.1}%  (paper: ~40%)",
-        100.0 * (1.0 - tuned.kspace.as_ns() as f64 / default.kspace.as_ns() as f64)
-    );
-    println!(
-        "total reduction:  {:.1}%",
-        100.0 * (1.0 - tuned.total().as_ns() as f64 / default.total().as_ns() as f64)
-    );
+    fft_bench::run(fft_bench::figs::fig12);
 }

@@ -1,14 +1,8 @@
-//! Configuration sweep utility: the full (ranks × decomposition × backend ×
-//! GPU-awareness) timing landscape for a given transform size — the raw
-//! data behind Figs. 5, 8 and 9, in one table.
+//! Prints the configuration sweep ([`fft_bench::figs::sweep`]).
 //!
-//! Usage: `cargo run --release -p fft-bench --bin sweep [n] [machine]`
-//! with `n` the cubic transform extent (default 512) and `machine` one of
-//! `summit` (default) or `spock`.
+//! Usage: `sweep [n] [machine]` with `n` the cubic transform extent
+//! (default 512) and `machine` one of `summit` (default) or `spock`.
 
-use distfft::plan::{CommBackend, FftOptions};
-use distfft::Decomp;
-use fft_bench::{banner, timed_average, TextTable};
 use simgrid::MachineSpec;
 
 fn main() {
@@ -28,89 +22,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let size = [n, n, n];
-    banner(
-        "sweep",
-        &format!("{n}^3 c2c configuration landscape on {}", machine.name),
-    );
-
-    let node_counts: Vec<usize> = [1usize, 2, 4, 8, 16, 32, 64, 128]
-        .iter()
-        .copied()
-        .filter(|nodes| nodes * machine.gpus_per_node <= 4096)
-        .collect();
-
-    let mut t = TextTable::new(&[
-        "nodes",
-        "ranks",
-        "decomp",
-        "backend",
-        "gpu-aware",
-        "time/FFT (ms)",
-    ]);
-    // Flatten the whole configuration grid, dry-run every cell in parallel,
-    // and emit rows in grid order — byte-identical to the serial sweep.
-    let mut grid: Vec<(usize, usize, Decomp, CommBackend, bool)> = Vec::new();
-    for &nodes in &node_counts {
-        let ranks = nodes * machine.gpus_per_node;
-        for decomp in [Decomp::Slabs, Decomp::Pencils] {
-            if decomp == Decomp::Slabs && ranks > size[0].min(size[1]) {
-                continue;
-            }
-            for backend in [
-                CommBackend::AllToAll,
-                CommBackend::AllToAllV,
-                CommBackend::P2p,
-            ] {
-                for aware in [true, false] {
-                    grid.push((nodes, ranks, decomp, backend, aware));
-                }
-            }
+    match fft_bench::figs::sweep(n, &machine, &obs) {
+        Ok(sweep) => print!("{}", sweep.render()),
+        Err(e) => {
+            eprintln!("invalid size '{n}': {e}");
+            std::process::exit(2);
         }
-    }
-    let times = fftmodels::par_map(&grid, |&(_, ranks, decomp, backend, aware)| {
-        timed_average(
-            &machine,
-            size,
-            ranks,
-            FftOptions {
-                decomp,
-                backend,
-                ..FftOptions::default()
-            },
-            aware,
-        )
-    });
-    for (&(nodes, ranks, decomp, backend, aware), time) in grid.iter().zip(times) {
-        t.row(vec![
-            format!("{nodes}"),
-            format!("{ranks}"),
-            decomp.name().to_string(),
-            backend.routine().to_string(),
-            if aware { "yes" } else { "no" }.to_string(),
-            format!("{:.3}", time.as_ms()),
-        ]);
-    }
-    println!("{}", t.render());
-
-    // --profile-out: tune the largest swept configuration, print the
-    // tuner's one-paragraph "why this decomposition" to stderr, and write
-    // the winner's profile (JSON + collapsed stacks).
-    if obs.profiling() {
-        let ranks = *node_counts.last().expect("non-empty ladder") * machine.gpus_per_node;
-        let choice = fftmodels::tuner::tune(&machine, size, ranks);
-        eprintln!(
-            "why this decomposition: {}",
-            fftprof::why_decomposition(&machine, size, ranks, &choice)
-        );
-        let profile = fftprof::profile_config(
-            &format!("sweep_{n}cubed_{ranks}r_tuned"),
-            &machine,
-            size,
-            ranks,
-            choice.opts.clone(),
-            choice.gpu_aware,
-        );
-        obs.emit_profile(&profile);
     }
 }

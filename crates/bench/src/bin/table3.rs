@@ -1,27 +1,4 @@
-//! Table III — grid sequence for the scalability experiment: for each GPU
-//! count, the brick-shaped input/output grids (minimum-surface splitting)
-//! and the three pencil FFT grids, exactly as generated by the planner.
-
-use distfft::procgrid::table3_sequence;
-use fft_bench::{banner, table3_ranks, TextTable, N512};
-
+//! Prints Table III ([`fft_bench::figs::table3`]); takes no arguments.
 fn main() {
-    fft_bench::reject_args();
-    banner(
-        "Table III",
-        "grid sequence for the 512^3 scalability experiment",
-    );
-    let mut t = TextTable::new(&["# GPUs", "grid sequence (in, fft x3, out)"]);
-    for ranks in table3_ranks() {
-        let seq = table3_sequence(ranks, N512);
-        let body = seq
-            .iter()
-            .map(|g| format!("({}, {}, {})", g[0], g[1], g[2]))
-            .collect::<Vec<_>>()
-            .join(" ");
-        t.row(vec![format!("{ranks}"), body]);
-    }
-    println!("{}", t.render());
-    println!("brick grids come from minimum-surface splitting; pencil grids");
-    println!("use the closest factor pair P<=Q with P*Q = #GPUs (paper Table III).");
+    fft_bench::run(fft_bench::figs::table3);
 }

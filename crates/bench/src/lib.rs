@@ -1,14 +1,19 @@
-//! Shared support for the per-figure benchmark harnesses.
+//! The paper's tables and figures as data, plus the harness plumbing
+//! they share.
 //!
-//! Each binary in `src/bin` regenerates one table or figure of the paper
-//! (see DESIGN.md §3 for the index). The helpers here cover the shared
+//! Each table or figure is one function in [`figs`] returning a
+//! [`Figure`]: its text, byte for byte what its binary in `src/bin`
+//! prints, and the [`Anchor`]s where the paper states a number (see
+//! DESIGN.md §3 for the index). The helpers here cover the shared
 //! experimental protocol — the paper's measurement convention (§IV: "the
 //! average runtime of 8 FFTs (4 forward and 4 backward), preceded by 2 FFTs
 //! to warm up"), Table III's rank ladder, and plain-text table output.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use distfft::dryrun::{DryRunOpts, DryRunner};
+pub mod figs;
+
+use distfft::dryrun::{DryRunOpts, DryRunReport, DryRunner};
 use distfft::plan::{FftOptions, FftPlan};
 use distfft::trace::Trace;
 use fftkern::Direction;
@@ -50,8 +55,44 @@ pub fn timed_average(
     runner.timed_average(WARMUPS, PAIRS)
 }
 
-/// Runs the paper protocol and additionally returns the average per-transform
-/// communication time (max over ranks of summed MPI-call durations).
+/// The full paper protocol — 2 warm-ups, then 8 timed, alternating forward
+/// and inverse from a forward — keeping `each(report)` per transform.
+pub fn protocol_runs<T>(
+    machine: &MachineSpec,
+    n: [usize; 3],
+    ranks: usize,
+    opts: FftOptions,
+    run: DryRunOpts,
+    each: impl FnMut(DryRunReport) -> T,
+) -> Vec<T> {
+    let plan = FftPlan::build(n, ranks, opts);
+    let mut runner = DryRunner::new(&plan, machine, run);
+    [Direction::Forward, Direction::Inverse]
+        .into_iter()
+        .cycle()
+        .take(WARMUPS + 2 * PAIRS)
+        .map(|dir| runner.run(dir))
+        .map(each)
+        .collect()
+}
+
+/// Each rank's trace of the protocol's transforms, concatenated in
+/// execution order — the raw material of the per-call figures (Figs. 2, 3,
+/// 10).
+pub fn merged_traces(runs: Vec<Vec<Trace>>) -> Vec<Trace> {
+    let mut merged: Vec<Trace> = Vec::new();
+    for traces in runs {
+        merged.resize_with(traces.len(), Trace::new);
+        for (m, t) in merged.iter_mut().zip(traces) {
+            m.events.extend(t.events);
+        }
+    }
+    merged
+}
+
+/// Runs the paper protocol and returns the average per-transform time and
+/// communication time (max over ranks of summed MPI-call durations) of the
+/// 8 timed transforms.
 pub fn timed_average_with_comm(
     machine: &MachineSpec,
     n: [usize; 3],
@@ -59,129 +100,125 @@ pub fn timed_average_with_comm(
     opts: FftOptions,
     gpu_aware: bool,
 ) -> (SimTime, SimTime) {
-    let plan = FftPlan::build(n, ranks, opts);
-    let mut runner = DryRunner::new(
-        &plan,
-        machine,
-        DryRunOpts {
-            gpu_aware,
-            ..DryRunOpts::default()
-        },
-    );
-    for i in 0..WARMUPS {
-        let dir = if i % 2 == 0 {
-            Direction::Forward
-        } else {
-            Direction::Inverse
-        };
-        let _ = runner.run(dir);
-    }
-    let mut total = SimTime::ZERO;
-    let mut comm = SimTime::ZERO;
-    for _ in 0..PAIRS {
-        for dir in [Direction::Forward, Direction::Inverse] {
-            let rep = runner.run(dir);
-            total += rep.makespan();
-            comm += rep.comm_max();
+    let run = DryRunOpts {
+        gpu_aware,
+        ..DryRunOpts::default()
+    };
+    let runs = protocol_runs(machine, n, ranks, opts, run, |r| {
+        [r.makespan(), r.comm_max()]
+    });
+    let average = |i: usize| {
+        let timed = &runs[WARMUPS..];
+        SimTime::from_ns(timed.iter().map(|r| r[i]).sum::<SimTime>().as_ns() / timed.len() as u64)
+    };
+    (average(0), average(1))
+}
+
+/// How a value the paper states bounds ours.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
+    /// "≈ x": ours should be close.
+    About,
+    /// "> x": ours should exceed it.
+    Above,
+    /// "< x": ours should stay under it.
+    Below,
+}
+
+/// A number the paper states, next to ours.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Anchor {
+    /// Stable row id, `<figure>.<quantity>`.
+    pub id: &'static str,
+    /// What is compared, with its unit.
+    pub claim: &'static str,
+    /// How the paper's value bounds ours.
+    pub bound: Bound,
+    /// The paper's value.
+    pub paper: f64,
+    /// Largest relative [`error`](Anchor::error) inside tolerance.
+    pub tol: f64,
+    /// This reproduction's value.
+    pub ours: f64,
+}
+
+impl Anchor {
+    /// Relative error against the paper: the distance for [`Bound::About`],
+    /// how far ours falls on the wrong side for the other two.
+    pub fn error(&self) -> f64 {
+        let d = (self.ours - self.paper) / self.paper.abs();
+        match self.bound {
+            Bound::About => d.abs(),
+            Bound::Above => (-d).max(0.0),
+            Bound::Below => d.max(0.0),
         }
     }
-    let k = (2 * PAIRS) as u64;
-    (
-        SimTime::from_ns(total.as_ns() / k),
-        SimTime::from_ns(comm.as_ns() / k),
-    )
+
+    /// True when the error is inside the tolerance.
+    pub fn holds(&self) -> bool {
+        self.error() <= self.tol
+    }
 }
 
-/// Collects per-rank traces of the full 10-transform protocol (2 warm-up +
-/// 8 timed), concatenated in execution order per rank — the raw material of
-/// the per-call figures (Figs. 2, 3, 10).
-pub fn protocol_traces(
-    machine: &MachineSpec,
-    n: [usize; 3],
-    ranks: usize,
-    opts: FftOptions,
-    gpu_aware: bool,
-    noise: f64,
-) -> Vec<Trace> {
-    let plan = FftPlan::build(n, ranks, opts);
-    let mut runner = DryRunner::new(
-        &plan,
-        machine,
-        DryRunOpts {
-            gpu_aware,
-            noise_amplitude: noise,
-            ..DryRunOpts::default()
-        },
-    );
-    let mut merged: Vec<Trace> = vec![Trace::new(); ranks];
-    for i in 0..(WARMUPS + 2 * PAIRS) {
-        let dir = if i % 2 == 0 {
-            Direction::Forward
-        } else {
-            Direction::Inverse
+/// One table or figure: the text its harness prints and the paper anchors
+/// it measures.
+#[derive(Debug, Default)]
+pub struct Figure {
+    text: String,
+    /// The figure's anchors, in the order it states them.
+    pub anchors: Vec<Anchor>,
+}
+
+impl Figure {
+    /// Starts a figure with the standard experiment banner.
+    pub fn new(fig: &str, desc: &str) -> Figure {
+        let rule = "=".repeat(62);
+        let mut f = Figure::default();
+        f.line(&rule);
+        f.line(format!("{fig}: {desc}"));
+        f.line("(simulated Summit/Spock; paper protocol: 2 warm-up + 8 timed FFTs)");
+        f.line(&rule);
+        f
+    }
+
+    /// Appends one line.
+    pub fn line(&mut self, line: impl AsRef<str>) {
+        self.text.push_str(line.as_ref());
+        self.text.push('\n');
+    }
+
+    /// Appends a table and a blank line.
+    pub fn table(&mut self, t: &TextTable) {
+        self.line(t.render());
+    }
+
+    /// Records the anchor `id`: the paper's value for `claim`, how it
+    /// bounds `ours`, and the tolerance; returns it for the text to cite.
+    pub fn anchor(
+        &mut self,
+        id: &'static str,
+        claim: &'static str,
+        bound: Bound,
+        paper: f64,
+        tol: f64,
+        ours: f64,
+    ) -> Anchor {
+        let a = Anchor {
+            id,
+            claim,
+            bound,
+            paper,
+            tol,
+            ours,
         };
-        let rep = runner.run(dir);
-        for (m, t) in merged.iter_mut().zip(rep.traces) {
-            m.events.extend(t.events);
-        }
+        self.anchors.push(a);
+        a
     }
-    merged
-}
 
-/// Per-category runtime breakdown over the full protocol, max across ranks:
-/// the MPI routine total plus each kernel label (the Figs. 6/7 stacked bars).
-pub fn protocol_breakdown(
-    machine: &MachineSpec,
-    n: [usize; 3],
-    ranks: usize,
-    opts: distfft::plan::FftOptions,
-    gpu_aware: bool,
-    noise: f64,
-) -> Vec<(String, SimTime)> {
-    let routine = opts.backend.routine();
-    let traces = protocol_traces(machine, n, ranks, opts, gpu_aware, noise);
-    let mut rows: Vec<(String, SimTime)> = Vec::new();
-    let comm = traces
-        .iter()
-        .map(|t| t.comm_total())
-        .fold(SimTime::ZERO, SimTime::max);
-    rows.push((routine.to_string(), comm));
-    let mut labels: Vec<&'static str> = traces
-        .iter()
-        .flat_map(|t| t.kernel_breakdown().into_keys())
-        .collect();
-    labels.sort_unstable();
-    labels.dedup();
-    for label in labels {
-        let v = traces
-            .iter()
-            .map(|t| {
-                t.kernel_breakdown()
-                    .get(label)
-                    .copied()
-                    .unwrap_or(SimTime::ZERO)
-            })
-            .fold(SimTime::ZERO, SimTime::max);
-        rows.push((label.to_string(), v));
+    /// The figure's text, exactly as its harness prints it.
+    pub fn render(&self) -> &str {
+        &self.text
     }
-    rows
-}
-
-/// Prints one breakdown side (Figs. 6/7) and returns its total in seconds.
-pub fn print_breakdown_side(title: &str, rows: &[(String, SimTime)]) -> f64 {
-    println!("--- {title}");
-    let mut t = TextTable::new(&["kernel", "total (s)", "share"]);
-    let total: f64 = rows.iter().map(|(_, v)| v.as_secs()).sum();
-    for (label, v) in rows {
-        t.row(vec![
-            label.clone(),
-            format!("{:.4}", v.as_secs()),
-            format!("{:5.1}%", 100.0 * v.as_secs() / total),
-        ]);
-    }
-    t.row(vec!["TOTAL".into(), format!("{total:.4}"), "100.0%".into()]);
-    println!("{}", t.render());
-    total
 }
 
 /// The harness usage-error contract: one line on stderr, exit status 2,
@@ -191,15 +228,22 @@ fn usage_error(cause: &str) -> ! {
     std::process::exit(2);
 }
 
-/// For a harness that takes no arguments at all: exits 2 naming the first
-/// one, so `fig7 --trace-out f` cannot run the whole figure and write
-/// nothing.
-pub fn reject_args() {
+/// The `main` of a harness that takes no arguments: prints `figure`, or
+/// exits 2 naming the first argument, so `fig7 --trace-out f` cannot run
+/// the whole figure and write nothing.
+pub fn run(figure: fn() -> Figure) {
     if let Some(arg) = std::env::args().nth(1) {
         usage_error(&format!(
             "unexpected argument '{arg}' (this harness takes none)"
         ));
     }
+    print!("{}", figure().render());
+}
+
+/// The `main` of a harness whose only arguments are the [`Obs`] flags.
+pub fn run_with_obs(figure: fn(&Obs) -> Figure) {
+    let (obs, _) = Obs::from_env(0);
+    print!("{}", figure(&obs).render());
 }
 
 /// Observability options of a figure harness, parsed from the command line.
@@ -288,18 +332,10 @@ impl Obs {
         let Some(path) = &self.profile_out else {
             return;
         };
-        let write = |p: std::path::PathBuf, body: String, what: &str| match std::fs::write(&p, body)
-        {
-            Ok(()) => eprintln!("{what} written to {}", p.display()),
-            Err(e) => {
-                eprintln!("error: failed to write {what} to {}: {e}", p.display());
-                std::process::exit(1);
-            }
-        };
-        write(path.clone(), profile.to_json(), "profile");
+        write_or_exit(path.clone(), profile.to_json(), "profile");
         let mut folded = path.clone().into_os_string();
         folded.push(".folded");
-        write(folded.into(), profile.to_collapsed(), "collapsed stacks");
+        write_or_exit(folded.into(), profile.to_collapsed(), "collapsed stacks");
     }
 
     /// Emits the requested artifacts for the harness's per-rank traces:
@@ -308,19 +344,24 @@ impl Obs {
     pub fn emit(&self, traces: &[Trace]) {
         if let Some(path) = &self.trace_out {
             let json = distfft::trace::export_chrome_trace(traces);
-            match std::fs::write(path, json) {
-                Ok(()) => eprintln!("trace written to {}", path.display()),
-                Err(e) => {
-                    eprintln!("error: failed to write trace to {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
+            write_or_exit(path.clone(), json, "trace");
         }
         if self.metrics {
             eprintln!("--- phase summary (all ranks)");
             eprint!("{}", distfft::trace::phase_summary(traces));
             eprintln!("--- metrics");
             eprint!("{}", fftobs::registry().snapshot().render_text());
+        }
+    }
+}
+
+/// Writes `body` to `path` and says so on stderr, or exits 1 naming `what`.
+fn write_or_exit(path: std::path::PathBuf, body: String, what: &str) {
+    match std::fs::write(&path, body) {
+        Ok(()) => eprintln!("{what} written to {}", path.display()),
+        Err(e) => {
+            eprintln!("error: failed to write {what} to {}: {e}", path.display());
+            std::process::exit(1);
         }
     }
 }
@@ -374,14 +415,6 @@ impl TextTable {
         }
         out
     }
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(fig: &str, desc: &str) {
-    println!("==============================================================");
-    println!("{fig}: {desc}");
-    println!("(simulated Summit/Spock; paper protocol: 2 warm-up + 8 timed FFTs)");
-    println!("==============================================================");
 }
 
 #[cfg(test)]
@@ -479,7 +512,15 @@ mod tests {
         // The 40-call count is the Fig. 2 protocol fact for monolithic
         // exchanges (the default options); per-peer chunking multiplies it.
         let m = MachineSpec::summit();
-        let traces = protocol_traces(&m, [32, 32, 32], 12, FftOptions::default(), true, 0.0);
+        let runs = protocol_runs(
+            &m,
+            [32, 32, 32],
+            12,
+            FftOptions::default(),
+            Default::default(),
+            |r| r.traces,
+        );
+        let traces = merged_traces(runs);
         assert_eq!(traces.len(), 12);
         // 10 transforms × 4 reshapes = 40 MPI calls (the Fig. 2 x-axis).
         assert_eq!(traces[0].mpi_call_durations().len(), 40);

@@ -8,20 +8,16 @@
 
 use distfft::plan::FftOptions;
 use distfft::trace::{export_chrome_trace, phase_summary};
-use fft_bench::protocol_traces;
+use fft_bench::{merged_traces, protocol_runs};
 use fftobs::json::{self, Json};
 use simgrid::MachineSpec;
 use std::process::Command;
 
 fn run_traces() -> Vec<distfft::Trace> {
-    protocol_traces(
-        &MachineSpec::summit(),
-        [32, 32, 32],
-        12,
-        FftOptions::default(),
-        true,
-        0.0,
-    )
+    let m = MachineSpec::summit();
+    let opts = FftOptions::default();
+    let runs = protocol_runs(&m, [32, 32, 32], 12, opts, Default::default(), |r| r.traces);
+    merged_traces(runs)
 }
 
 /// A Chrome-trace export of `ranks` ranks: valid JSON, complete events
@@ -208,6 +204,8 @@ fn sweep_rejects_bad_arguments_before_running() {
         (&["--profile-ou", "f"], "--profile-ou"),
         (&["64", "--trace-out"], "--trace-out"),
         (&["64", "summit", "spock"], "'spock'"),
+        // Too small a domain for the largest cell's pencil grid.
+        (&["4"], "'4'"),
     ] {
         assert_rejected("sweep", env!("CARGO_BIN_EXE_sweep"), args, culprit);
     }
@@ -244,7 +242,8 @@ fn figure_binaries_reject_arguments_they_do_not_consume() {
         table1,
         table3,
         models_compare,
-        exascale
+        exascale,
+        fidelity
     ] {
         assert_rejected(bin, exe, &["--trace-out", "f"], "'--trace-out'");
         assert_rejected(bin, exe, &["1O24"], "'1O24'");

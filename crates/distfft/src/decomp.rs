@@ -4,6 +4,7 @@
 //! process grid, two exchanges), bricks (3-D input/output grids around the
 //! pencil compute path, four exchanges total).
 
+use crate::plan::PlanError;
 use crate::procgrid::closest_factor_pair;
 
 /// Algorithmic decomposition of the 3-D FFT.
@@ -40,6 +41,18 @@ pub struct ComputeStage {
     pub axes: Vec<usize>,
 }
 
+/// The `P × Q` pencil grid of `active` ranks (the closest factor pair), or
+/// [`PlanError::PencilLimit`] when it is too large to split a domain of
+/// extents `n`.
+pub fn pencil_grid(active: usize, n: [usize; 3]) -> Result<(usize, usize), PlanError> {
+    let (p, q) = closest_factor_pair(active);
+    if p <= n[0].max(1) * n[1].max(1) && q <= n[1].max(1) * n[2].max(1) {
+        Ok((p, q))
+    } else {
+        Err(PlanError::PencilLimit { grid: (p, q), n })
+    }
+}
+
 /// Builds the sequence of compute stages for `active` ranks over a domain of
 /// extents `n`. Consecutive stages with identical grids are merged (this
 /// happens for pencils when `P = 1`).
@@ -71,11 +84,7 @@ pub fn compute_stages(decomp: Decomp, active: usize, n: [usize; 3]) -> Vec<Compu
             ]
         }
         Decomp::Pencils | Decomp::Bricks => {
-            let (p, q) = closest_factor_pair(active);
-            assert!(
-                p <= n[0].max(1) * n[1].max(1) && q <= n[1].max(1) * n[2].max(1),
-                "pencil grid ({p},{q}) too large for domain {n:?}"
-            );
+            let (p, q) = pencil_grid(active, n).unwrap_or_else(|e| panic!("{e}"));
             vec![
                 ComputeStage {
                     grid: [1, p, q],

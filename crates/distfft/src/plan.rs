@@ -14,7 +14,7 @@
 use fftkern::kernel_model::{KernelTimeModel, LayoutKind};
 use simgrid::MachineSpec;
 
-use crate::decomp::{compute_stages, Decomp};
+use crate::decomp::{compute_stages, pencil_grid, Decomp};
 use crate::procgrid::{min_surface_grid, Distribution};
 use crate::reshape::ReshapeSpec;
 
@@ -256,6 +256,13 @@ pub enum PlanError {
         /// Maximum supported by the domain.
         limit: usize,
     },
+    /// Pencil grid past what the domain can split.
+    PencilLimit {
+        /// The `(P, Q)` grid of the active ranks.
+        grid: (usize, usize),
+        /// The transform extents.
+        n: [usize; 3],
+    },
     /// The r2c pipeline supports `batch == 1` only.
     R2cBatched {
         /// The rejected batch size.
@@ -288,6 +295,9 @@ impl std::fmt::Display for PlanError {
                 f,
                 "slab decomposition supports at most {limit} ranks, got {active}"
             ),
+            PlanError::PencilLimit { grid: (p, q), n } => {
+                write!(f, "pencil grid ({p},{q}) too large for domain {n:?}")
+            }
             PlanError::R2cBatched { batch } => {
                 write!(
                     f,
@@ -371,6 +381,8 @@ impl FftPlan {
             if active > limit {
                 return Err(PlanError::SlabLimit { active, limit });
             }
+        } else if active > 1 {
+            pencil_grid(active, n)?;
         }
         for d in io_in.iter().chain(io_out.iter()) {
             if d.boxes.len() != nranks {

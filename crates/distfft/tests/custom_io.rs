@@ -185,3 +185,16 @@ fn try_build_reports_precise_errors() {
     .to_string();
     assert!(msg.contains("12") && msg.contains("8"));
 }
+
+#[test]
+fn pencil_grid_past_the_domain_is_an_error_not_a_panic() {
+    // 384 ranks want a (16, 24) pencil grid; a 4³ domain splits at most
+    // 16 ways across either pair of axes.
+    assert_eq!(
+        FftPlan::try_build([4, 4, 4], 384, FftOptions::default()).unwrap_err(),
+        PlanError::PencilLimit {
+            grid: (16, 24),
+            n: [4, 4, 4]
+        }
+    );
+}

@@ -51,12 +51,13 @@ cargo test --workspace --offline -q
 echo "== figures vs committed results (release) =="
 # Every figure harness must reproduce its committed results/*.txt byte for
 # byte — the absolute pin on simulated time for the monolithic path of all
-# four backends, at paper scale. ~90 s in release, fig5 taking most of it;
-# `exascale` (~4.5 min on a 2-core host) is left out until it runs in
-# under 60 s.
+# four backends, at paper scale, plus `fidelity`'s paper-anchor table.
+# ~71 s in release on a 2-vCPU host, fig5 taking most of it and
+# `fidelity` ~4 s; `exascale` (~4.5 min there) is left out until it runs
+# in under 60 s.
 cargo build --release --offline -q -p fft-bench
 for b in table1 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 \
-    fig12 fig13 sweep models_compare; do
+    fig12 fig13 sweep models_compare fidelity; do
     "./target/release/$b" >"$TDIR/$b.out"
     cmp "$TDIR/$b.out" "results/$b.txt" || {
         echo "FAIL: $b stdout differs from results/$b.txt" >&2

@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 
 mkdir -p results
 # exascale takes ~10 minutes (8192-rank projections); the rest are fast.
-for target in table1 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 sweep models_compare exascale; do
+for target in table1 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 sweep models_compare exascale fidelity; do
     echo "== $target"
     cargo run --release -q -p fft-bench --bin "$target" > "results/$target.txt"
 done
