@@ -488,21 +488,43 @@ mod tests {
 
     #[test]
     fn parallel_sweep_byte_identical_to_serial() {
-        // The figure harnesses fan the configuration grid out with
-        // `fftmodels::par_map`; the rows they emit must not depend on the
-        // worker count. Evaluate the same grid serially and with several
-        // threads and require exact `SimTime` equality.
+        // The figure harnesses and the tuner fan the configuration grid out
+        // with `fftmodels::par_map`; the rows they emit must not depend on
+        // the worker count. Evaluate the same grids serially and with
+        // several threads and require exact `SimTime` equality: the
+        // harness protocol over rank counts, and the tuner's cell for
+        // each backend it tries.
+        use distfft::plan::CommBackend;
         let m = MachineSpec::summit();
         let grid: Vec<(usize, bool)> = vec![(6, true), (12, false), (24, true), (48, false)];
         let eval = |cfg: &(usize, bool)| {
             timed_average(&m, [32, 32, 32], cfg.0, FftOptions::default(), cfg.1)
         };
+        let backends = [
+            CommBackend::AllToAll,
+            CommBackend::AllToAllV,
+            CommBackend::P2p,
+            CommBackend::P2pBlocking,
+        ];
+        let tune_cell = |backend: &CommBackend| {
+            let opts = FftOptions {
+                backend: *backend,
+                ..FftOptions::default()
+            };
+            fftmodels::tuner::evaluate(&m, [32, 32, 32], 12, opts, true)
+        };
         let serial = fftmodels::par::par_map_with(1, &grid, eval);
+        let serial_cells = fftmodels::par::par_map_with(1, &backends, tune_cell);
         for threads in [2, 4] {
             let parallel = fftmodels::par::par_map_with(threads, &grid, eval);
             assert_eq!(
                 serial, parallel,
                 "{threads}-thread sweep diverged from serial"
+            );
+            let cells = fftmodels::par::par_map_with(threads, &backends, tune_cell);
+            assert_eq!(
+                serial_cells, cells,
+                "{threads}-thread tuner cells diverged from serial"
             );
         }
     }

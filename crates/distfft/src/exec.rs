@@ -197,7 +197,7 @@ impl ExecCtx {
                 retired.arrays.push(std::mem::replace(item, new));
             }
         }
-        (0..n).map(|_| Reader(Some(Arc::clone(&slot.0)))).collect() // fftlint:allow(no-alloc-in-hot-path): O(group) outer Vec of handles
+        (0..n).map(|_| Reader(Some(Arc::clone(&slot.0)))).collect()
     }
 }
 
@@ -235,9 +235,10 @@ pub struct PoolStats {
 }
 
 /// Pooled per-rank execution scratch: recycled local arrays plus the shared
-/// 1-D kernel scratch. After one warm transform, the hot path allocates
-/// nothing — every buffer the executor needs comes out of (and goes back
-/// into) this free list.
+/// 1-D kernel scratch. After one warm transform, no data buffer is
+/// allocated — every buffer the executor needs comes out of (and goes back
+/// into) this free list. The small tables a warm pair still allocates are
+/// counted and pinned by `tests/allocations.rs`.
 #[derive(Debug, Default, Clone)]
 struct ExecScratch {
     /// Free list of recycled `Vec<C64>` buffers, any capacity.
@@ -482,8 +483,6 @@ fn axis_plan(s: [usize; 3], axis: usize) -> std::sync::Arc<Plan1d> {
 /// transform runs through the `_scratch` entry points against the pool's
 /// kernel buffer (grown once per shape, reused across calls), so the steady
 /// state builds no plans and allocates no buffers.
-// fftlint:hot — steady-state local transform; one call per (axis, rank)
-// of every execute, all buffers must come from the scratch pool.
 fn run_local_fft(
     b: &Box3,
     axis: usize,
@@ -537,8 +536,6 @@ fn run_local_fft(
 /// bit-identical at every chunk count: each element of the new layout is
 /// copied once from the one rank that held it, and the line runs partition
 /// the rank's rows exactly, so chunk-completion order affects timing only.
-// fftlint:hot — retire/exchange/copy; runs once per pipeline chunk of
-// every reshape.
 fn run_reshape(
     env: &RunEnv,
     call: &ReshapeCall,
@@ -560,7 +557,7 @@ fn run_reshape(
         let k = env.group_chunks(call, members);
         let sched = env.lower(call, members, sub.me(), k);
         ctx.scratch.work.lowered += 1;
-        let mut entries = Vec::with_capacity(k); // fftlint:allow(no-alloc-in-hot-path): O(chunks) schedule table
+        let mut entries = Vec::with_capacity(k);
         sched.before_exchange(env, tl, &mut entries);
         // The call posts as soon as the *first* chunk is packed; later
         // chunks post when their own pack is done.
@@ -585,7 +582,7 @@ fn run_reshape(
             // copying what lines up would leave items stale, so fail the world.
             let vol = from_box.volume();
             if arrays.len() != data.len() || arrays.iter().any(|a| a.len() != vol) {
-                let lens: Vec<usize> = arrays.iter().map(Vec::len).collect(); // fftlint:allow(no-alloc-in-hot-path): failure path only
+                let lens: Vec<usize> = arrays.iter().map(Vec::len).collect();
                 panic!(
                     "reshape block from rank {src} does not match this rank's plan: \
                      arrays of {lens:?} elements, expected {} of {vol}",
@@ -609,7 +606,7 @@ fn run_reshape(
     // so this is bit-identical to the full-batch pass.
     let Some(ahead) = ahead else { return false };
     if !to_box.is_empty() {
-        let flat: Vec<(usize, usize)> = ahead.runs.into_iter().flatten().collect(); // fftlint:allow(no-alloc-in-hot-path): O(lines) run list, built once per consumed chunk
+        let flat: Vec<(usize, usize)> = ahead.runs.into_iter().flatten().collect();
         run_local_fft(to_box, ahead.axis, &flat, data, call.dir, &mut ctx.scratch);
     }
     true

@@ -265,7 +265,7 @@ impl ReshapeSpec {
 
     fn region_index<'a>(flows: &'a [(usize, Box3)], members: &[usize]) -> Vec<Option<&'a Box3>> {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members sorted");
-        let mut out = vec![None; members.len()]; // fftlint:allow(no-alloc-in-hot-path): O(group) region index, built once per reshape
+        let mut out = vec![None; members.len()];
         let mut f = 0;
         for (i, &m) in members.iter().enumerate() {
             while f < flows.len() && flows[f].0 < m {
@@ -330,8 +330,8 @@ impl ReshapeSpec {
     /// positions within `group`), for the schedule walkers.
     pub fn group_byte_matrix(&self, group: &[usize]) -> Vec<Vec<usize>> {
         let pos: std::collections::BTreeMap<usize, usize> =
-            group.iter().enumerate().map(|(i, &r)| (r, i)).collect(); // fftlint:allow(no-alloc-in-hot-path): position map for the dense group matrix
-        let mut m = vec![vec![0usize; group.len()]; group.len()]; // fftlint:allow(no-alloc-in-hot-path): dense O(p^2) byte matrix for the schedule walkers
+            group.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+        let mut m = vec![vec![0usize; group.len()]; group.len()];
         for (i, &r) in group.iter().enumerate() {
             for (d, b) in &self.sends[r] {
                 if let Some(&j) = pos.get(d) {
@@ -371,8 +371,8 @@ impl ReshapeSpec {
         } else {
             to_box.volume() / to_box.len(axis)
         };
-        let mut arrival = vec![0usize; total]; // fftlint:allow(no-alloc-in-hot-path): O(lines) arrival table, once per pipelined reshape
-                                               // The two dims spanning the line grid, and the fast-dim width.
+        let mut arrival = vec![0usize; total];
+        // The two dims spanning the line grid, and the fast-dim width.
         let (da, db) = match axis {
             2 => (0, 1),
             1 => (0, 2),
@@ -393,7 +393,7 @@ impl ReshapeSpec {
                 }
             }
         }
-        let mut runs = vec![Vec::new(); k_eff]; // fftlint:allow(no-alloc-in-hot-path): O(chunks) run lists, once per pipelined reshape
+        let mut runs = vec![Vec::new(); k_eff];
         let mut l = 0;
         while l < total {
             let c = arrival[l];

@@ -306,7 +306,7 @@ impl RunEnv<'_> {
                 _ => 0,
             };
             let row = regions.iter().zip(group).map(|p| pair(p) * items);
-            row.collect() // fftlint:allow(no-alloc-in-hot-path): O(group) byte row, once per reshape
+            row.collect()
         }
     }
 
@@ -394,7 +394,6 @@ impl RunEnv<'_> {
         let rank = group[me_sub];
         let (pack, unpack, self_bytes) = plan.reshape_local_bytes(spec, rank);
         let mut chunks = if k == 1 {
-            // fftlint:allow(no-alloc-in-hot-path): O(chunks) byte table
             vec![ChunkBytes {
                 pack: pack * items,
                 unpack: unpack * items,
@@ -567,7 +566,7 @@ pub(crate) fn chunk_byte_split(
         Some(r) => r.volume() * ELEM_BYTES * items,
         None => 0,
     };
-    let mut chunks = vec![ChunkBytes::default(); k]; // fftlint:allow(no-alloc-in-hot-path): O(chunks) byte table
+    let mut chunks = vec![ChunkBytes::default(); k];
     for j in 0..p {
         let (sent, recvd) = (bytes_of(send_idx[j]), bytes_of(recv_idx[j]));
         if j == me_sub {

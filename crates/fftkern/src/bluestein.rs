@@ -93,7 +93,7 @@ impl BluesteinPlan {
 
     /// In-place unnormalized transform of `data` (length must equal `n`).
     pub fn execute(&self, data: &mut [C64], dir: Direction) {
-        let mut scratch = vec![C64::ZERO; self.scratch_elems()]; // fftlint:allow(no-alloc-in-hot-path): allocating convenience wrapper; executor uses execute_with_scratch
+        let mut scratch = vec![C64::ZERO; self.scratch_elems()];
         self.execute_with_scratch(data, dir, &mut scratch);
     }
 
@@ -159,7 +159,6 @@ impl BluesteinPlan {
     /// of `result` are the transformed lines.
     ///
     /// [`execute_with_scratch`]: BluesteinPlan::execute_with_scratch
-    // fftlint:hot — the strided-batch path of every non-smooth axis.
     pub fn execute_interleaved<'a>(
         &self,
         x: &'a mut [C64],

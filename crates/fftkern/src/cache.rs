@@ -17,6 +17,7 @@
 //! (e.g. statistics in tests).
 
 use crate::plan::{Layout, Plan1d, Plan2d, Plan3d};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -58,15 +59,9 @@ impl PlanCache {
             input,
             output,
         };
-        let mut map = self.plans1d.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(p);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(Plan1d::with_layout(n, batch, input, output));
-        map.insert(key, Arc::clone(&plan));
-        plan
+        self.intern(&self.plans1d, key, || {
+            Plan1d::with_layout(n, batch, input, output)
+        })
     }
 
     /// Returns the cached contiguous 1-D plan (stride 1, rows back to back).
@@ -76,28 +71,42 @@ impl PlanCache {
 
     /// Returns the cached 2-D plan for an `n0 × n1` row-major array.
     pub fn plan2d(&self, n0: usize, n1: usize) -> Arc<Plan2d> {
-        let mut map = self.plans2d.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = map.get(&(n0, n1)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(p);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(Plan2d::new(n0, n1));
-        map.insert((n0, n1), Arc::clone(&plan));
-        plan
+        self.intern(&self.plans2d, (n0, n1), || Plan2d::new(n0, n1))
     }
 
     /// Returns the cached 3-D plan for an `n0 × n1 × n2` row-major array.
     pub fn plan3d(&self, n0: usize, n1: usize, n2: usize) -> Arc<Plan3d> {
-        let mut map = self.plans3d.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = map.get(&(n0, n1, n2)) {
+        self.intern(&self.plans3d, (n0, n1, n2), || Plan3d::new(n0, n1, n2))
+    }
+
+    /// The plan under `key` in `map`, built on first use. The build runs
+    /// with the map unlocked, because building takes the twiddle-table locks
+    /// and no lock is taken while another is held (DESIGN.md §12). If two
+    /// threads build one key at once, the first insert wins and the other
+    /// counts a hit, so misses still count the plans cached.
+    fn intern<K: Ord, P>(
+        &self,
+        map: &Mutex<BTreeMap<K, Arc<P>>>,
+        key: K,
+        make: impl FnOnce() -> P,
+    ) -> Arc<P> {
+        let lock = || map.lock().unwrap_or_else(|e| e.into_inner());
+        let cached = lock().get(&key).map(Arc::clone);
+        if let Some(plan) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(p);
+            return plan;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(Plan3d::new(n0, n1, n2));
-        map.insert((n0, n1, n2), Arc::clone(&plan));
-        plan
+        let built = Arc::new(make());
+        match lock().entry(key) {
+            Entry::Occupied(e) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(e.get())
+            }
+            Entry::Vacant(e) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(e.insert(built))
+            }
+        }
     }
 
     /// Cache hits since construction.

@@ -1,8 +1,9 @@
 // `unsafe_code` is `deny`, not `forbid`, in this package's `[lints]`: the
-// SIMD butterfly kernels in `simd.rs` are the one sanctioned `unsafe`
-// perimeter (raw vector loads/stores + feature-gated entry), opened there
-// with a module-level allow; `unsafe` anywhere else in the crate still
-// fails the build (DESIGN.md §13).
+// SIMD butterfly kernels in `simd.rs` (raw vector loads/stores +
+// feature-gated entry) and the test-only counting allocator in
+// `counting.rs` are the sanctioned `unsafe` perimeter, each opened with a
+// module-level allow; `unsafe` anywhere else in the crate still fails the
+// build (DESIGN.md §13).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 //! # fftkern — local FFT engine
@@ -38,6 +39,7 @@
 pub mod bluestein;
 pub mod cache;
 pub mod complex;
+pub mod counting;
 pub mod dft;
 pub mod kernel_model;
 pub mod nd;

@@ -261,7 +261,7 @@ impl Plan1d {
 
     /// Executes the batch out of place.
     pub fn execute(&self, input: &[C64], output: &mut [C64], dir: Direction) {
-        let mut scratch = vec![C64::ZERO; self.scratch_elems()]; // fftlint:allow(no-alloc-in-hot-path): allocating convenience wrapper; executor uses execute_scratch
+        let mut scratch = vec![C64::ZERO; self.scratch_elems()];
         self.execute_scratch(input, output, dir, &mut scratch);
     }
 
@@ -501,7 +501,7 @@ impl Plan2d {
 
     /// In-place unnormalized 2-D transform.
     pub fn execute(&self, data: &mut [C64], dir: Direction) {
-        let mut scratch = vec![C64::ZERO; self.scratch_elems()]; // fftlint:allow(no-alloc-in-hot-path): allocating convenience wrapper; executor uses execute_scratch
+        let mut scratch = vec![C64::ZERO; self.scratch_elems()];
         self.execute_scratch(data, dir, &mut scratch);
     }
 
@@ -574,7 +574,7 @@ impl Plan3d {
 
     /// In-place unnormalized 3-D transform.
     pub fn execute(&self, data: &mut [C64], dir: Direction) {
-        let mut scratch = vec![C64::ZERO; self.scratch_elems()]; // fftlint:allow(no-alloc-in-hot-path): allocating convenience wrapper; executor uses execute_scratch
+        let mut scratch = vec![C64::ZERO; self.scratch_elems()];
         self.execute_scratch(data, dir, &mut scratch);
     }
 

@@ -29,14 +29,16 @@
 //! equivalence tests. Non-x86 targets compile the dispatcher to a
 //! scalar-only stub.
 //!
-//! This module is the crate's entire `unsafe` perimeter: `fftkern`'s
-//! `[lints]` set `unsafe_code = "deny"` (every other package forbids it)
-//! and `clippy::undocumented_unsafe_blocks = "deny"`, so every `unsafe`
-//! block below carries a `// SAFETY:` comment (DESIGN.md §13). `unsafe`
-//! anywhere else in the crate still fails the build.
+//! This module and [`counting`](crate::counting) are the crate's `unsafe`
+//! perimeter: `fftkern`'s `[lints]` set `unsafe_code = "deny"` (every
+//! other package forbids it) and `clippy::undocumented_unsafe_blocks =
+//! "deny"`, so every `unsafe` block below carries a `// SAFETY:` comment
+//! (DESIGN.md §13). `unsafe` anywhere else in the crate still fails the
+//! build.
 
-// The one module allowed to use `unsafe`: raw-pointer vector loads/stores
-// and feature-gated kernel entry. The rustc lint is opened up here only;
+// One of the two modules allowed to use `unsafe`: raw-pointer vector
+// loads/stores and feature-gated kernel entry. The rustc lint is opened
+// up here and in `counting.rs` only;
 // each block's justification is its `// SAFETY:` comment, which clippy
 // requires.
 #![allow(unsafe_code)]
@@ -164,7 +166,6 @@ pub fn detected_features() -> String {
 /// with `m` divisible by 4), AVX2 the same with 2, everything else — odd
 /// `s` or `m`, radix 7, tiny first stages, non-x86 hosts, the scalar tier —
 /// returns `false` so the caller runs the scalar stage body.
-// fftlint:hot — dispatched once per Stockham stage of every line.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn run_stage(
     tier: SimdTier,

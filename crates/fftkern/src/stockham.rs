@@ -151,8 +151,6 @@ impl StockhamPlan {
     /// ping-pong between `x` and `y` (`n·w` elements each); returns
     /// `(result, other)` — `result` is `x` after an even stage count, `y`
     /// after an odd one — so callers chain transforms without a copy.
-    // fftlint:hot — the butterfly path of every line; allocation here
-    // multiplies by every (line, axis, rank) of every distributed transform.
     pub fn execute_interleaved<'a>(
         &self,
         x: &'a mut [C64],
@@ -205,7 +203,7 @@ impl StockhamPlan {
     ///
     /// [`execute_scratch`]: StockhamPlan::execute_scratch
     pub fn execute(&self, data: &mut [C64], dir: Direction) {
-        let mut work = vec![C64::ZERO; self.n]; // fftlint:allow(no-alloc-in-hot-path): allocating convenience wrapper; executor uses execute_scratch
+        let mut work = vec![C64::ZERO; self.n];
         self.execute_scratch(data, dir, &mut work);
     }
 }

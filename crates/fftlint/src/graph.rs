@@ -1,5 +1,5 @@
-//! Pass 2 of the workspace analyzer: the call graph and the three
-//! interprocedural rules.
+//! Pass 2 of the workspace analyzer: the call graph and the
+//! interprocedural panic rule.
 //!
 //! [`Analysis::build`] scans every input file (pass 1, [`crate::tree`]),
 //! then resolves each call site to candidate fn items workspace-wide.
@@ -12,47 +12,18 @@
 //! exactly what deny-by-default rules want — while the noise list keeps
 //! the false-edge rate low enough that findings stay reviewable.
 //!
-//! Rules (ids registered in [`crate::rules`]):
-//!
-//! * `no-alloc-in-hot-path` — allocations inside `// fftlint:hot` fns and
-//!   everything they transitively call within [`HOT_CRATES`]; the pooled
-//!   acquisition APIs in [`HOT_EXEMPT_CALLEES`] are not descended into.
-//! * `lock-order` — a fn that can hold lock A while acquiring lock B
-//!   (lexically later in the same body, or via a callee whose transitive
-//!   lockset contains B) is flagged when the pair is seen in the reverse
-//!   order anywhere else in the workspace.
-//! * `panic-reachable-from-exec` — `.unwrap()`/`.expect()` and indexing
-//!   sites in any fn transitively reachable from the executor entry file
-//!   (`crates/distfft/src/exec.rs`). Index sites are summarized as one
-//!   finding per fn at the first site to keep volume reviewable.
+//! The rule (its id is registered in [`crate::rules`]):
+//! `panic-reachable-from-exec` — `.unwrap()`/`.expect()` and indexing
+//! sites in any fn transitively reachable from the executor entry file
+//! (`crates/distfft/src/exec.rs`). Index sites are summarized as one
+//! finding per fn at the first site to keep volume reviewable.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::lex;
-use crate::rules::{self, FileCtx, FileKind, Finding};
+use crate::rules::{self, FileKind, Finding};
 use crate::tree::{self, FileTree, FnItem};
-
-/// Crates whose steady-state paths must not allocate: the kernel, the
-/// distributed executor, and the simulated wire between ranks.
-pub const HOT_CRATES: [&str; 3] = ["fftkern", "distfft", "mpisim"];
-
-/// Callee names the hot-path rule treats as sanctioned acquisition APIs:
-/// pooled scratch take/deposit and memoized plan/twiddle lookups. They may
-/// allocate on a cold miss by design (plan once, execute allocation-free),
-/// so the rule neither flags them nor descends into them.
-pub const HOT_EXEMPT_CALLEES: [&str; 11] = [
-    "take_len",
-    "take_buffer",
-    "recycle",
-    "give",
-    "kernel_for",
-    "plan1d",
-    "plan1d_contiguous",
-    "plan2d",
-    "plan3d",
-    "forward_table",
-    "stockham_tables",
-];
 
 /// Executor entry file: every Lib fn here seeds `panic-reachable-from-exec`.
 pub const EXEC_ENTRY_FILE: &str = "crates/distfft/src/exec.rs";
@@ -287,16 +258,15 @@ impl Analysis {
         self.resolved = resolved;
     }
 
-    /// BFS over resolved edges from `seeds`, restricted to fns passing
-    /// `keep`, never descending through callee names in `skip`. Seeds are
-    /// visited in the given order; edges in token order — deterministic
-    /// shortest chains.
-    fn reach(&self, seeds: &[usize], skip: &[&str], keep: impl Fn(usize) -> bool) -> ReachMap {
+    /// BFS over resolved edges from `seeds` through graph-eligible fns.
+    /// Seeds are visited in the given order; edges in token order —
+    /// deterministic shortest chains.
+    fn reach(&self, seeds: &[usize]) -> ReachMap {
         let mut map: ReachMap = BTreeMap::new();
         let mut queue = VecDeque::new();
         for &s in seeds {
-            if keep(s) && !map.contains_key(&s) {
-                map.insert(s, (None, s));
+            if let Entry::Vacant(e) = map.entry(s) {
+                e.insert((None, s));
                 queue.push_back(s);
             }
         }
@@ -305,13 +275,9 @@ impl Analysis {
                 Some(&(_, s)) => s,
                 None => continue,
             };
-            let item = self.item(cur);
-            for (ci, call) in item.calls.iter().enumerate() {
-                if skip.contains(&call.name.as_str()) {
-                    continue;
-                }
-                for &tgt in &self.resolved[cur][ci] {
-                    if keep(tgt) && !map.contains_key(&tgt) {
+            for targets in &self.resolved[cur] {
+                for &tgt in targets {
+                    if self.eligible(tgt) && !map.contains_key(&tgt) {
                         map.insert(tgt, (Some(cur), seed));
                         queue.push_back(tgt);
                     }
@@ -358,21 +324,9 @@ impl Analysis {
         });
     }
 
-    /// Runs the per-file rule plus all three graph rules; findings sorted
-    /// by (path, line, col, rule).
+    /// Runs the rule; findings sorted by (path, line, col, rule).
     pub fn findings(&self) -> Vec<Finding> {
         let mut out = Vec::new();
-        for f in &self.files {
-            out.extend(rules::lint(
-                &f.scan,
-                &FileCtx {
-                    path: &f.rel,
-                    kind: f.kind,
-                },
-            ));
-        }
-        self.no_alloc_in_hot_path(&mut out);
-        self.lock_order(&mut out);
         self.panic_reachable_from_exec(&mut out);
         out.sort_by(|a, b| {
             (&a.path, a.line, a.col, a.rule, &a.msg).cmp(&(&b.path, b.line, b.col, b.rule, &b.msg))
@@ -380,195 +334,11 @@ impl Analysis {
         out
     }
 
-    fn no_alloc_in_hot_path(&self, out: &mut Vec<Finding>) {
-        let seeds: Vec<usize> = (0..self.fns.len())
-            .filter(|&id| {
-                self.item(id).hot
-                    && self.eligible(id)
-                    && HOT_CRATES.contains(&self.file_of(id).crate_name.as_str())
-            })
-            .collect();
-        let map = self.reach(&seeds, &HOT_EXEMPT_CALLEES, |id| {
-            self.eligible(id) && HOT_CRATES.contains(&self.file_of(id).crate_name.as_str())
-        });
-        for (&id, &(_, seed)) in &map {
-            let f = self.item(id);
-            if f.allocs.is_empty() {
-                continue;
-            }
-            let ctx = if id == seed {
-                format!("`{}` is marked fftlint:hot", f.qual)
-            } else {
-                format!(
-                    "reachable from fftlint:hot `{}` via {}",
-                    self.item(seed).qual,
-                    self.chain(&map, id)
-                )
-            };
-            let fi = self.fns[id].0;
-            for site in &f.allocs {
-                self.emit(
-                    out,
-                    fi,
-                    rules::NO_ALLOC_IN_HOT_PATH,
-                    site.line,
-                    site.col,
-                    format!(
-                        "{} allocates on a hot path ({ctx}); take from the pooled \
-                         scratch/plan APIs or justify with fftlint:allow",
-                        site.what
-                    ),
-                );
-            }
-        }
-    }
-
-    fn lock_order(&self, out: &mut Vec<Finding>) {
-        let lock_name = |fi: usize, recv: &str| -> String {
-            let c = &self.files[fi].crate_name;
-            if c.is_empty() {
-                recv.to_string()
-            } else {
-                format!("{c}::{recv}")
-            }
-        };
-        // Transitive lockset per fn, to fixpoint (cycles converge because
-        // sets only grow).
-        let n = self.fns.len();
-        let mut sets: Vec<BTreeSet<String>> = (0..n)
-            .map(|id| {
-                if !self.eligible(id) {
-                    return BTreeSet::new();
-                }
-                let fi = self.fns[id].0;
-                self.item(id)
-                    .locks
-                    .iter()
-                    .map(|l| lock_name(fi, &l.recv))
-                    .collect()
-            })
-            .collect();
-        loop {
-            let mut changed = false;
-            for id in 0..n {
-                if !self.eligible(id) {
-                    continue;
-                }
-                for targets in &self.resolved[id] {
-                    for &tgt in targets {
-                        if tgt == id || sets[tgt].is_empty() {
-                            continue;
-                        }
-                        let add: Vec<String> = sets[tgt]
-                            .iter()
-                            .filter(|x| !sets[id].contains(*x))
-                            .cloned()
-                            .collect();
-                        if !add.is_empty() {
-                            sets[id].extend(add);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        // Ordered pairs with evidence: (held, acquired) → sites.
-        struct Ev {
-            fi: usize,
-            line: u32,
-            col: u32,
-            fn_qual: String,
-            via: Option<String>,
-        }
-        let mut pairs: BTreeMap<(String, String), Vec<Ev>> = BTreeMap::new();
-        for id in 0..n {
-            if !self.eligible(id) {
-                continue;
-            }
-            let fi = self.fns[id].0;
-            let f = self.item(id);
-            for (li, l) in f.locks.iter().enumerate() {
-                let a = lock_name(fi, &l.recv);
-                // Later locks in the same body (guard conservatively
-                // assumed held to the end of the fn).
-                for m in &f.locks[li + 1..] {
-                    let b = lock_name(fi, &m.recv);
-                    if a != b {
-                        pairs.entry((a.clone(), b)).or_default().push(Ev {
-                            fi,
-                            line: m.line,
-                            col: m.col,
-                            fn_qual: f.qual.clone(),
-                            via: None,
-                        });
-                    }
-                }
-                // Later calls whose transitive lockset acquires b.
-                for (ci, call) in f.calls.iter().enumerate() {
-                    if call.tok < l.tok {
-                        continue;
-                    }
-                    for &tgt in &self.resolved[id][ci] {
-                        for b in &sets[tgt] {
-                            if *b != a {
-                                pairs.entry((a.clone(), b.clone())).or_default().push(Ev {
-                                    fi,
-                                    line: call.line,
-                                    col: call.col,
-                                    fn_qual: f.qual.clone(),
-                                    via: Some(self.item(tgt).qual.clone()),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Flag every evidence site of a pair whose reverse also occurs.
-        let mut seen: BTreeSet<(usize, u32, u32, String, String)> = BTreeSet::new();
-        for ((a, b), evs) in &pairs {
-            let Some(rev) = pairs.get(&(b.clone(), a.clone())) else {
-                continue;
-            };
-            let Some(r) = rev
-                .iter()
-                .min_by_key(|e| (&self.files[e.fi].rel, e.line, e.col))
-            else {
-                continue;
-            };
-            let rev_at = format!("{}:{}", self.files[r.fi].rel, r.line);
-            for ev in evs {
-                if !seen.insert((ev.fi, ev.line, ev.col, a.clone(), b.clone())) {
-                    continue;
-                }
-                let via = match &ev.via {
-                    Some(v) => format!(" via call to `{v}`"),
-                    None => String::new(),
-                };
-                self.emit(
-                    out,
-                    ev.fi,
-                    rules::LOCK_ORDER,
-                    ev.line,
-                    ev.col,
-                    format!(
-                        "`{}` can acquire lock `{b}`{via} while `{a}` is held; the reverse \
-                         order appears at {rev_at} — pick one global order",
-                        ev.fn_qual
-                    ),
-                );
-            }
-        }
-    }
-
     fn panic_reachable_from_exec(&self, out: &mut Vec<Finding>) {
         let seeds: Vec<usize> = (0..self.fns.len())
             .filter(|&id| self.eligible(id) && self.file_of(id).rel == EXEC_ENTRY_FILE)
             .collect();
-        let map = self.reach(&seeds, &[], |id| self.eligible(id));
+        let map = self.reach(&seeds);
         for (&id, &(_, seed)) in &map {
             let f = self.item(id);
             if f.panics.is_empty() && f.indexes.is_empty() {
@@ -638,78 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_alloc_two_hop_chain() {
-        let a = "\
-// fftlint:hot
-pub fn driver(n: usize) { mid(n); }
-pub fn mid(n: usize) { leaf(n); }
-pub fn leaf(n: usize) { let v = vec![0u8; n]; }
-pub fn cold(n: usize) { let v = vec![0u8; n]; }
-";
-        let f = analyze(&[("crates/fftkern/src/k.rs", a)]);
-        let spans = rule_spans(&f, rules::NO_ALLOC_IN_HOT_PATH);
-        assert_eq!(spans, vec![("crates/fftkern/src/k.rs".to_string(), 4, 33)]);
-        let msg = &f
-            .iter()
-            .find(|x| x.rule == rules::NO_ALLOC_IN_HOT_PATH)
-            .map(|x| x.msg.clone())
-            .unwrap_or_default();
-        assert!(msg.contains("driver -> mid -> leaf"), "{msg}");
-    }
-
-    #[test]
-    fn hot_alloc_exempts_pool_apis_and_non_hot_crates() {
-        let a = "\
-// fftlint:hot
-pub fn driver(ctx: &mut C) { let b = ctx.take_buffer(4); helper(); }
-pub fn helper() {}
-";
-        let f = analyze(&[("crates/distfft/src/k.rs", a)]);
-        assert!(rule_spans(&f, rules::NO_ALLOC_IN_HOT_PATH).is_empty());
-        // Same source in a non-hot crate: marker is inert.
-        let b = "\
-// fftlint:hot
-pub fn driver(n: usize) { let v = vec![0u8; n]; }
-";
-        let f = analyze(&[("crates/fftprof/src/k.rs", b)]);
-        assert!(rule_spans(&f, rules::NO_ALLOC_IN_HOT_PATH).is_empty());
-    }
-
-    #[test]
-    fn lock_order_reversed_pair_across_fns() {
-        let a = "\
-pub fn ab(s: &S) { s.alpha.lock(); s.beta.lock(); }
-pub fn ba(s: &S) { s.beta.lock(); s.alpha.lock(); }
-pub fn single(s: &S) { s.alpha.lock(); }
-";
-        let f = analyze(&[("crates/fftkern/src/l.rs", a)]);
-        let spans = rule_spans(&f, rules::LOCK_ORDER);
-        assert_eq!(
-            spans,
-            vec![
-                ("crates/fftkern/src/l.rs".to_string(), 1, 43),
-                ("crates/fftkern/src/l.rs".to_string(), 2, 43),
-            ]
-        );
-    }
-
-    #[test]
-    fn lock_order_interprocedural_hold_and_call() {
-        let a = "\
-pub fn outer(s: &S) { s.alpha.lock(); inner(s); }
-pub fn inner(s: &S) { s.beta.lock(); }
-pub fn reversed(s: &S) { s.beta.lock(); s.alpha.lock(); }
-";
-        let f = analyze(&[("crates/fftkern/src/l.rs", a)]);
-        let spans = rule_spans(&f, rules::LOCK_ORDER);
-        // outer's call site + reversed's second lock both flagged.
-        assert_eq!(spans.len(), 2, "{f:?}");
-        assert!(f
-            .iter()
-            .any(|x| x.rule == rules::LOCK_ORDER && x.msg.contains("via call to `inner`")));
-    }
-
-    #[test]
     fn panic_reachable_cross_crate_chain() {
         let exec = "\
 pub fn execute(p: &P) { fftkern_entry(p); }
@@ -728,13 +426,19 @@ pub fn deep(p: &P) { p.x.unwrap(); }
 
     #[test]
     fn allows_suppress_graph_rules() {
-        let a = "\
-// fftlint:hot
-pub fn driver(n: usize) {
-    let v = vec![0u8; n]; // fftlint:allow(no-alloc-in-hot-path): startup only
+        // An allow two hops below the entry silences that site only.
+        let exec = "pub fn execute(p: &P) { mid(p); }";
+        let kern = "\
+pub fn mid(p: &P) { leaf(p); p.y.unwrap(); }
+pub fn leaf(p: &P) {
+    p.x.unwrap(); // fftlint:allow(panic-reachable-from-exec): invariant
 }
 ";
-        let f = analyze(&[("crates/fftkern/src/k.rs", a)]);
-        assert!(rule_spans(&f, rules::NO_ALLOC_IN_HOT_PATH).is_empty());
+        let f = analyze(&[
+            ("crates/distfft/src/exec.rs", exec),
+            ("crates/fftkern/src/k.rs", kern),
+        ]);
+        let spans = rule_spans(&f, rules::PANIC_REACHABLE_FROM_EXEC);
+        assert_eq!(spans, vec![("crates/fftkern/src/k.rs".to_string(), 1, 34)]);
     }
 }

@@ -1,13 +1,13 @@
 //! Hand-written Rust surface lexer.
 //!
-//! The linter does not need a real parser: every site the rules consume
-//! is a short token sequence (`. unwrap (`, `vec !`, `. lock ( )`, a
-//! `par_iter` chain). What it *does* need is for those sequences never
-//! to fire inside string literals, comments, char literals or doc text —
-//! which is exactly what a lexer provides and a regex sweep does not.
+//! The linter does not need a real parser: every site the rule consumes
+//! is a short token sequence (`. unwrap (`, `x [`, `name (`). What it
+//! *does* need is for those sequences never to fire inside string
+//! literals, comments, char literals or doc text — which is exactly what a
+//! lexer provides and a regex sweep does not.
 //!
-//! The lexer also carries the two pieces of non-token information the rules
-//! consume: `// fftlint:allow(<rule>, …)` escape directives (recognized in
+//! The lexer also carries the two pieces of non-token information the rule
+//! consumes: `// fftlint:allow(<rule>, …)` escape directives (recognized in
 //! both line and block comments) and a per-token "inside a `#[cfg(test)]`
 //! module" mask computed by brace matching.
 
@@ -18,8 +18,8 @@ pub enum Tok {
     Ident(String),
     /// Single punctuation character (`.`, `:`, `<`, `{`, …).
     Punct(char),
-    /// Literal: number (text kept for float detection), string, char.
-    /// String/char literal text is dropped — rules must never match it.
+    /// Literal: number (text kept), string, char. String/char literal
+    /// text is dropped — the rule must never match it.
     Lit(String),
 }
 
@@ -50,10 +50,6 @@ pub struct Scanned {
     pub tokens: Vec<Token>,
     /// Every allow directive found in comments.
     pub allows: Vec<Allow>,
-    /// Lines carrying a `// fftlint:hot` marker. A marker designates the
-    /// next `fn` item at or below its line as a hot-path root for the
-    /// `no-alloc-in-hot-path` rule (see [`crate::tree`]).
-    pub hots: Vec<u32>,
 }
 
 impl Scanned {
@@ -196,7 +192,6 @@ pub fn scan(src: &str) -> Scanned {
                 }
                 let text: String = b[start..i].iter().collect();
                 parse_allow(&text, tline, &mut out.allows);
-                parse_hot(&text, tline, &mut out.hots);
             }
             // Block comment, nested.
             '/' if b.get(i + 1) == Some(&'*') => {
@@ -220,7 +215,6 @@ pub fn scan(src: &str) -> Scanned {
                 }
                 let text: String = b[start..i.min(b.len())].iter().collect();
                 parse_allow(&text, tline, &mut out.allows);
-                parse_hot(&text, tline, &mut out.hots);
             }
             // String literals: plain, byte, raw (any hash count).
             '"' => {
@@ -407,24 +401,6 @@ fn parse_allow(comment: &str, line: u32, out: &mut Vec<Allow>) {
     }
 }
 
-/// Detects a `fftlint:hot` marker in comment text. The marker must stand
-/// alone (not be the prefix of `fftlint:hot-something`), so a following
-/// alphanumeric or `-`/`_` character disqualifies the match.
-fn parse_hot(comment: &str, line: u32, out: &mut Vec<u32>) {
-    let mut rest = comment;
-    while let Some(pos) = rest.find("fftlint:hot") {
-        let after = &rest[pos + "fftlint:hot".len()..];
-        let standalone = after
-            .chars()
-            .next()
-            .is_none_or(|c| !(c.is_alphanumeric() || c == '-' || c == '_'));
-        if standalone && !out.contains(&line) {
-            out.push(line);
-        }
-        rest = after;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,18 +452,12 @@ mod tests {
 
     #[test]
     fn allow_directives_parse_with_positions() {
-        let s = scan("let m = x; // fftlint:allow(lock-order, no-alloc-in-hot-path): why\n");
-        assert!(s.allowed("lock-order", 1));
-        assert!(s.allowed("no-alloc-in-hot-path", 1));
-        assert!(s.allowed("lock-order", 2)); // next line covered
-        assert!(!s.allowed("lock-order", 3));
-        assert!(!s.allowed("float-reduction-order", 1));
-    }
-
-    #[test]
-    fn hot_markers_record_their_line() {
-        let s = scan("// fftlint:hot — butterfly driver\nfn f() {}\nfn g() {} // fftlint:hot\n// fftlint:hotel has no marker\n");
-        assert_eq!(s.hots, vec![1, 3]);
+        let s = scan("let m = x; // fftlint:allow(panic-reachable-from-exec, other-rule): why\n");
+        assert!(s.allowed("panic-reachable-from-exec", 1));
+        assert!(s.allowed("other-rule", 1));
+        assert!(s.allowed("panic-reachable-from-exec", 2)); // next line covered
+        assert!(!s.allowed("panic-reachable-from-exec", 3));
+        assert!(!s.allowed("unlisted-rule", 1));
     }
 
     #[test]

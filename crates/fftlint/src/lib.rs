@@ -1,25 +1,22 @@
-//! `fftlint` — workspace determinism linter.
+//! `fftlint` — executor panic-reachability linter.
 //!
 //! A static analyzer with no third-party dependency (hand-written lexer, no
 //! syn/proc-macro; JSON through the equally dependency-free `fftobs::json`)
-//! that enforces the project's simulated-time contract at build time:
-//! simulated durations, trace events, and figure stdout must be bit-identical
-//! across reruns and SIMD tiers, and the executor's steady state must stay allocation-free (the paper's
-//! plan-once/execute contract). Analysis runs in two passes: [`lex`] +
-//! [`tree`] parse each file into an item tree, then [`graph`] builds a
-//! workspace-wide call graph for the interprocedural rules. The rules (see
-//! [`rules`]) are deny-by-default; the escape hatches are an inline
-//! `// fftlint:allow(<rule-id>): <justification>` comment and, for the
-//! reviewed pre-existing stock, the committed [`baseline`].
+//! for the one property of the project's contract that only a call graph
+//! can see: which `.unwrap()`/`.expect()` and index sites the executor can
+//! reach. Analysis runs in two passes: [`lex`] + [`tree`] parse each file
+//! into an item tree, then [`graph`] builds a workspace-wide call graph and
+//! runs the rule. Findings are deny-by-default; the escape hatches are an
+//! inline `// fftlint:allow(<rule-id>): <justification>` comment and, for
+//! the reviewed pre-existing stock, the committed [`baseline`].
 //!
 //! Checks that need one token at a time — wall-clock and environment
 //! reads, hash containers, `unsafe`, `unwrap`/`expect` in libraries — are
 //! rustc/clippy lints instead: each package's `[lints]` table, the lib
-//! crate roots and `crates/clippy.toml` (DESIGN.md §12).
-//!
-//! The companion *runtime* half of the contract is ordinary equality
-//! tests in `mpisim`/`distfft` (replay, pool-leak balance,
-//! schedule-permutation stress); this crate is the static half.
+//! crate roots and `crates/clippy.toml`. Properties that running the code
+//! decides exactly are tier-1 tests: the executor's steady-state
+//! allocations (`distfft/tests/allocations.rs`), lock nesting (there is
+//! none) and index-ordered parallel reductions (DESIGN.md §12).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
@@ -31,7 +28,7 @@ pub mod rules;
 pub mod tree;
 
 pub use graph::Analysis;
-pub use rules::{FileCtx, FileKind, Finding, ALL_RULES};
+pub use rules::{FileKind, Finding, ALL_RULES};
 
 use std::path::{Path, PathBuf};
 
@@ -59,15 +56,14 @@ pub fn classify(rel: &str) -> (String, FileKind) {
     (crate_name, kind)
 }
 
-/// Runs the full two-pass analysis (per-file rules + call-graph rules)
-/// over `(relative_path, source)` inputs.
+/// Runs the two-pass analysis (item trees, then the call-graph rule) over
+/// `(relative_path, source)` inputs.
 pub fn analyze(inputs: &[(String, String)]) -> Vec<Finding> {
     Analysis::build(inputs).findings()
 }
 
 /// Lints one source string as the given workspace-relative path. The call
-/// graph covers just this file — interprocedural rules still run, seeing
-/// only intra-file edges.
+/// graph covers just this file, so the rule sees only intra-file edges.
 pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
     analyze(&[(rel.to_string(), src.to_string())])
 }
@@ -163,12 +159,15 @@ mod tests {
     #[test]
     fn lint_source_end_to_end() {
         let f = lint_source(
-            "crates/fftmodels/src/x.rs",
-            "fn f() { let s = v.par_iter().sum::<f64>(); }",
+            "crates/distfft/src/exec.rs",
+            "pub fn execute(p: &P) { step(p); }\nfn step(p: &P) { p.x.unwrap(); }",
         );
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, rules::FLOAT_REDUCTION_ORDER);
-        assert_eq!(f[0].path, "crates/fftmodels/src/x.rs");
+        assert_eq!(f[0].rule, rules::PANIC_REACHABLE_FROM_EXEC);
+        assert_eq!(f[0].path, "crates/distfft/src/exec.rs");
+        assert_eq!((f[0].line, f[0].col), (2, 22));
+        // Every fn of the entry file is a root, `step` included.
+        assert!(f[0].msg.contains("`step` is an executor entry point"));
     }
 
     #[test]

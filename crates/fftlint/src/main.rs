@@ -5,7 +5,7 @@
 //! fftlint <file.rs>...                    lint specific files
 //! fftlint --workspace --baseline B        suppress findings pinned in B; stale pins fail
 //! fftlint --workspace --write-baseline B  regenerate the baseline from current findings
-//! fftlint --list-rules                    print the rule ids
+//! fftlint --list-rules                    print the rule id
 //! ```
 //!
 //! Exit status: 0 clean, 1 findings (new or stale), 2 usage/IO error.
@@ -158,18 +158,17 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-fftlint — workspace determinism linter (two-pass: item trees + call graph)
+fftlint — executor panic-reachability linter (two-pass: item trees + call graph)
 
 USAGE:
     fftlint --workspace                     lint all project sources under the cwd
     fftlint <file.rs>...                    lint specific files
     fftlint --workspace --baseline B        suppress findings pinned in B; stale pins fail
     fftlint --workspace --write-baseline B  regenerate the baseline from current findings
-    fftlint --list-rules                    print the rule ids
+    fftlint --list-rules                    print the rule id
 
 Findings print as `path:line:col: rule-id: message`; suppress one with an
 inline `// fftlint:allow(rule-id): reason` on the same or previous line, or
-pin reviewed pre-existing findings in the committed baseline. Mark hot-path
-roots with `// fftlint:hot` above the fn. Exit status: 0 clean, 1 findings
-(new or stale), 2 usage/IO error.
+pin reviewed pre-existing findings in the committed baseline. Exit status:
+0 clean, 1 findings (new or stale), 2 usage/IO error.
 ";

@@ -1,11 +1,10 @@
 //! Pass 1 of the workspace analyzer: the per-file item tree.
 //!
 //! [`build`] turns one scanned file into a [`FileTree`]: every `fn` item
-//! with its body token span, enclosing `impl` type, `fftlint:hot` / test
-//! markers, and the sites the interprocedural rules in [`crate::graph`]
-//! consume — call sites (with qualifier for resolution), allocation
-//! expressions, `.unwrap()`/`.expect()` sites, possibly-panicking index
-//! expressions, and lock acquisitions with a best-effort receiver identity.
+//! with its body token span, enclosing `impl` type, test marker, and the
+//! sites the panic rule in [`crate::graph`] consumes — call sites (with
+//! qualifier for resolution), `.unwrap()`/`.expect()` sites and
+//! possibly-panicking index expressions.
 //!
 //! Like the lexer this is a *surface* parse: brace matching plus short
 //! token patterns, no grammar. The known approximations are listed on each
@@ -27,25 +26,10 @@ pub fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
 }
 
-/// Method names the lock-receiver walk treats as transparent: they forward
-/// the same underlying lock object (`TABLES.get_or_init(..).lock()` locks
-/// `TABLES`, not the `get_or_init` temporary).
-const LOCK_PASSTHROUGH: [&str; 9] = [
-    "get_or_init",
-    "get_or_try_init",
-    "as_ref",
-    "as_mut",
-    "unwrap",
-    "expect",
-    "borrow",
-    "borrow_mut",
-    "deref",
-];
-
 /// A flagged token position inside a function body.
 #[derive(Debug, Clone)]
 pub struct Site {
-    /// What was matched (e.g. `"Vec::new"`, `".clone()"`, `"unwrap"`).
+    /// What was matched (`"unwrap"`, `"expect"` or `"index"`).
     pub what: &'static str,
     /// 1-based line.
     pub line: u32,
@@ -63,26 +47,6 @@ pub struct Call {
     pub qual: Option<String>,
     /// True for `.name(...)` method syntax.
     pub method: bool,
-    /// Token index of the callee name (orders calls against lock sites).
-    pub tok: usize,
-    /// 1-based line of the callee name.
-    pub line: u32,
-    /// 1-based column of the callee name.
-    pub col: u32,
-}
-
-/// A `.lock()` / RwLock `.read()` / `.write()` acquisition.
-#[derive(Debug, Clone)]
-pub struct LockSite {
-    /// Best-effort receiver identity: the nearest field, variable, static,
-    /// or producing-function name (`plans1d`, `TABLES`, `warned`).
-    pub recv: String,
-    /// Token index of the receiver's `.` (orders locks against calls).
-    pub tok: usize,
-    /// 1-based line of the lock method name.
-    pub line: u32,
-    /// 1-based column of the lock method name.
-    pub col: u32,
 }
 
 /// One `fn` item with a body.
@@ -95,29 +59,19 @@ pub struct FnItem {
     pub qual: String,
     /// Enclosing `impl` self-type, when any (resolves `Self::` calls).
     pub impl_type: Option<String>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
     /// Token index of the `fn` keyword.
     pub decl_tok: usize,
     /// Token indices of the body `{` and its matching `}`.
     pub body: (usize, usize),
-    /// Marked `// fftlint:hot` (hot-path allocation root).
-    pub hot: bool,
     /// Test code: inside a `#[cfg(test)]` module or under a `#[test]` /
     /// `#[cfg(test)]` attribute. Test fns never join the call graph.
     pub test: bool,
     /// Call sites, in token order.
     pub calls: Vec<Call>,
-    /// Allocation expressions (`Vec::new`, `vec![]`, `.clone()`, …).
-    pub allocs: Vec<Site>,
     /// `.unwrap()` / `.expect(` sites.
     pub panics: Vec<Site>,
     /// Possibly-panicking index expressions (`x[i]`, including slicing).
     pub indexes: Vec<Site>,
-    /// Lock acquisitions, in token order.
-    pub locks: Vec<LockSite>,
 }
 
 /// The item tree of one file.
@@ -134,7 +88,6 @@ pub fn build(scan: &Scanned) -> FileTree {
     let close = match_braces(t);
     let impls = impl_spans(t, &close);
     let mut fns = discover_fns(t, &mask, &impls, &close);
-    assign_hot(&scan.hots, &mut fns);
     let owner = owner_map(t.len(), &fns);
     collect_sites(t, &owner, &mut fns);
     FileTree { fns }
@@ -349,36 +302,17 @@ fn discover_fns(
             name: name.to_string(),
             qual,
             impl_type,
-            line: t[i].line,
-            col: t[i].col,
             decl_tok: i,
             body: (open, close[open]),
-            hot: false,
             test: pending_test || mask[i],
             calls: Vec::new(),
-            allocs: Vec::new(),
             panics: Vec::new(),
             indexes: Vec::new(),
-            locks: Vec::new(),
         });
         pending_test = false;
         i = open + 1; // descend: nested fns are separate items
     }
     out
-}
-
-/// Attaches each `fftlint:hot` marker to the first fn item at or below
-/// its line (attributes between the marker and the `fn` are fine).
-fn assign_hot(hots: &[u32], fns: &mut [FnItem]) {
-    for &h in hots {
-        if let Some(f) = fns
-            .iter_mut()
-            .filter(|f| f.line >= h)
-            .min_by_key(|f| f.line)
-        {
-            f.hot = true;
-        }
-    }
 }
 
 /// Maps each token index to the innermost enclosing fn item, if any.
@@ -398,56 +332,18 @@ fn owner_map(len: usize, fns: &[FnItem]) -> Vec<usize> {
     owner
 }
 
-/// One linear pass extracting call/alloc/panic/index/lock sites and
-/// attributing them to the owning fn.
+/// One linear pass extracting call/panic/index sites and attributing them
+/// to the owning fn.
 fn collect_sites(t: &[Token], owner: &[usize], fns: &mut [FnItem]) {
-    let has_rwlock = t
-        .iter()
-        .any(|x| matches!(&x.tok, Tok::Ident(s) if s == "RwLock"));
     for i in 0..t.len() {
         let own = owner.get(i).copied().unwrap_or(usize::MAX);
         let Some(f) = fns.get_mut(own) else { continue };
         match &t[i].tok {
             Tok::Punct('.') => {
-                let Some(m) = ident(t, i + 1) else { continue };
-                match m {
-                    "lock" | "read" | "write"
-                        if punct(t, i + 2, '(')
-                            && punct(t, i + 3, ')')
-                            && (m == "lock" || has_rwlock) =>
-                    {
-                        f.locks.push(LockSite {
-                            recv: receiver(t, i),
-                            tok: i,
-                            line: t[i + 1].line,
-                            col: t[i + 1].col,
-                        });
-                    }
-                    "unwrap" | "expect" if punct(t, i + 2, '(') => {
+                if let Some(m @ ("unwrap" | "expect")) = ident(t, i + 1) {
+                    if punct(t, i + 2, '(') {
                         f.panics.push(Site {
                             what: if m == "unwrap" { "unwrap" } else { "expect" },
-                            line: t[i + 1].line,
-                            col: t[i + 1].col,
-                        });
-                    }
-                    _ => {}
-                }
-                // Allocating method calls (turbofish allowed).
-                let what = match m {
-                    "to_vec" => Some(".to_vec()"),
-                    "to_owned" => Some(".to_owned()"),
-                    "clone" => Some(".clone()"),
-                    "collect" => Some(".collect()"),
-                    _ => None,
-                };
-                if let Some(what) = what {
-                    let mut k = i + 2;
-                    if punct(t, k, ':') && punct(t, k + 1, ':') && punct(t, k + 2, '<') {
-                        k = skip_angles(t, k + 2);
-                    }
-                    if punct(t, k, '(') {
-                        f.allocs.push(Site {
-                            what,
                             line: t[i + 1].line,
                             col: t[i + 1].col,
                         });
@@ -469,34 +365,6 @@ fn collect_sites(t: &[Token], owner: &[usize], fns: &mut [FnItem]) {
                 }
             }
             Tok::Ident(name) if !is_keyword(name) => {
-                // `vec![…]` macro.
-                if name == "vec" && punct(t, i + 1, '!') {
-                    f.allocs.push(Site {
-                        what: "vec![]",
-                        line: t[i].line,
-                        col: t[i].col,
-                    });
-                    continue;
-                }
-                // `Vec::new` / `Vec::with_capacity` / `Box::new`.
-                if (name == "Vec" || name == "Box") && punct(t, i + 1, ':') && punct(t, i + 2, ':')
-                {
-                    let what = match (name.as_str(), ident(t, i + 3)) {
-                        ("Vec", Some("new")) => Some("Vec::new"),
-                        ("Vec", Some("with_capacity")) => Some("Vec::with_capacity"),
-                        ("Box", Some("new")) => Some("Box::new"),
-                        _ => None,
-                    };
-                    if let Some(what) = what {
-                        if punct(t, i + 4, '(') {
-                            f.allocs.push(Site {
-                                what,
-                                line: t[i].line,
-                                col: t[i].col,
-                            });
-                        }
-                    }
-                }
                 // Call site: `name(` or `name::<…>(`, free or method.
                 if ident(t, i.wrapping_sub(1)) == Some("fn") {
                     continue; // the declaration itself
@@ -518,70 +386,9 @@ fn collect_sites(t: &[Token], owner: &[usize], fns: &mut [FnItem]) {
                     name: name.clone(),
                     qual,
                     method,
-                    tok: i,
-                    line: t[i].line,
-                    col: t[i].col,
                 });
             }
             _ => {}
-        }
-    }
-}
-
-/// Walks back from the `.` before a lock method to the receiver identity.
-fn receiver(t: &[Token], dot: usize) -> String {
-    let mut k = dot;
-    loop {
-        if k == 0 {
-            return "<expr>".to_string();
-        }
-        match &t[k - 1].tok {
-            Tok::Ident(x) => return x.clone(),
-            Tok::Punct(')') => {
-                // Skip the call's argument group backward.
-                let mut depth = 1usize;
-                let mut m = k - 1;
-                while m > 0 && depth > 0 {
-                    m -= 1;
-                    match t[m].tok {
-                        Tok::Punct(')') => depth += 1,
-                        Tok::Punct('(') => depth -= 1,
-                        _ => {}
-                    }
-                }
-                if m == 0 {
-                    return "<expr>".to_string();
-                }
-                match &t[m - 1].tok {
-                    Tok::Ident(f) => {
-                        if LOCK_PASSTHROUGH.contains(&f.as_str()) && m >= 2 && punct(t, m - 2, '.')
-                        {
-                            k = m - 2; // look through: inspect what `f` was called on
-                        } else {
-                            return f.clone(); // producing fn names the lock
-                        }
-                    }
-                    _ => return "<expr>".to_string(),
-                }
-            }
-            Tok::Punct(']') => {
-                // Index expression: skip back to `[` and keep walking.
-                let mut depth = 1usize;
-                let mut m = k - 1;
-                while m > 0 && depth > 0 {
-                    m -= 1;
-                    match t[m].tok {
-                        Tok::Punct(']') => depth += 1,
-                        Tok::Punct('[') => depth -= 1,
-                        _ => {}
-                    }
-                }
-                if m == 0 {
-                    return "<expr>".to_string();
-                }
-                k = m;
-            }
-            _ => return "<expr>".to_string(),
         }
     }
 }
@@ -611,62 +418,24 @@ fn sig() -> impl Iterator<Item = u8> { std::iter::empty() }
     }
 
     #[test]
-    fn hot_marker_attaches_to_next_fn() {
-        let src = "\
-// fftlint:hot
-#[inline]
-fn butterfly() {}
-fn cold() {}
-fn trailing() {} // fftlint:hot
-";
-        let t = tree_of(src);
-        let hot: Vec<(&str, bool)> = t.fns.iter().map(|f| (f.name.as_str(), f.hot)).collect();
-        assert_eq!(
-            hot,
-            vec![("butterfly", true), ("cold", false), ("trailing", true)]
-        );
-    }
-
-    #[test]
     fn sites_are_attributed_to_the_owning_fn() {
         let src = "\
 fn outer() {
-    let v = Vec::new();
     let b = vec![0u8; 4];
-    let c = b.clone();
     let x = b[0];
-    let u = c.first().unwrap();
-    fn inner() { let w = Box::new(1); }
+    let u = b.first().unwrap();
+    fn inner() { let w = v.expect(\"set\"); }
 }
 ";
         let t = tree_of(src);
         assert_eq!(t.fns.len(), 2);
         let outer = &t.fns[0];
         let inner = &t.fns[1];
-        let what: Vec<&str> = outer.allocs.iter().map(|s| s.what).collect();
-        assert_eq!(what, vec!["Vec::new", "vec![]", ".clone()"]);
-        assert_eq!(outer.panics.len(), 1);
+        let what = |f: &FnItem| f.panics.iter().map(|s| s.what).collect::<Vec<_>>();
+        assert_eq!(what(outer), vec!["unwrap"]);
         assert_eq!(outer.indexes.len(), 1);
-        assert_eq!(
-            inner.allocs.iter().map(|s| s.what).collect::<Vec<_>>(),
-            vec!["Box::new"]
-        );
-    }
-
-    #[test]
-    fn lock_receivers_walk_through_passthroughs() {
-        let src = "\
-fn a(s: &S) { s.plans1d.lock(); }
-fn b() { TABLES.get_or_init(make).lock(); }
-fn c() { warned().lock(); }
-";
-        let t = tree_of(src);
-        let recvs: Vec<&str> = t
-            .fns
-            .iter()
-            .flat_map(|f| f.locks.iter().map(|l| l.recv.as_str()))
-            .collect();
-        assert_eq!(recvs, vec!["plans1d", "TABLES", "warned"]);
+        assert_eq!(what(inner), vec!["expect"]);
+        assert!(inner.indexes.is_empty());
     }
 
     #[test]

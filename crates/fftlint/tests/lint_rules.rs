@@ -1,74 +1,23 @@
-//! Fixture tests: every rule fires on a seeded violation with an exact
-//! rule id and file:line:col span, and `fftlint:allow` silences it.
+//! Fixture tests: the rule fires on seeded violations with an exact rule
+//! id and file:line:col span, and `fftlint:allow` silences it.
 //!
 //! Fixtures live under `tests/fixtures/` (excluded from `--workspace`
-//! walks) and are linted *as if* they sat in a hot-path library crate, so
-//! every rule is in scope.
+//! walks) and are linted *as if* they sat in library crates, so the rule is
+//! in scope.
 
 use fftlint::{lint_source, rules};
 
 /// Reads a fixture and lints it under a pretend path inside `mpisim`'s
-/// library sources — a hot-path crate, so every rule applies.
+/// library sources.
 fn lint_fixture(name: &str) -> Vec<fftlint::Finding> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
     let src = std::fs::read_to_string(format!("{dir}/{name}")).expect("fixture readable");
     lint_source(&format!("crates/mpisim/src/{name}"), &src)
 }
 
-/// (rule, line, col) triples of the findings.
-fn spans(findings: &[fftlint::Finding]) -> Vec<(&'static str, u32, u32)> {
-    findings.iter().map(|f| (f.rule, f.line, f.col)).collect()
-}
-
-#[test]
-fn float_reduction_fixture_flags_only_the_unordered_parallel_sum() {
-    let f = lint_fixture("float_reduction.rs");
-    assert_eq!(
-        spans(&f),
-        vec![(rules::FLOAT_REDUCTION_ORDER, 3, 7)],
-        "integer parallel, serial float, index-sorted merge, and the \
-         allow-annotated sum must not fire"
-    );
-}
-
 #[test]
 fn clean_fixture_is_clean() {
     assert!(lint_fixture("clean.rs").is_empty());
-}
-
-#[test]
-fn hot_alloc_fixture_flags_the_two_hop_chain_only() {
-    // The pooled take is exempt, the annotated capacity-0 sentinel is
-    // suppressed, and `cold` allocates freely — only the allocation two
-    // hops below the `fftlint:hot` driver fires.
-    let f = lint_fixture("hot_alloc.rs");
-    assert_eq!(spans(&f), vec![(rules::NO_ALLOC_IN_HOT_PATH, 16, 17)]);
-    assert!(
-        f[0].msg.contains("driver -> stage -> deep"),
-        "finding must carry the call chain: {}",
-        f[0].msg
-    );
-}
-
-#[test]
-fn lock_pair_fixture_flags_both_shapes_and_allow_silences_backward() {
-    // `forward` (lexical pair) and `outer` (hold-and-call via `tail`) are
-    // flagged against `backward`'s reversed order; `backward`'s own site
-    // carries the inline justification.
-    let f = lint_fixture("lock_pair.rs");
-    assert_eq!(
-        spans(&f),
-        vec![(rules::LOCK_ORDER, 8, 20), (rules::LOCK_ORDER, 20, 5)]
-    );
-    assert!(
-        f[1].msg.contains("via call to `tail`"),
-        "interprocedural finding must name the callee: {}",
-        f[1].msg
-    );
-    assert!(
-        f.iter().all(|x| x.msg.contains("lock_pair.rs:14")),
-        "findings must point at the reversing site"
-    );
 }
 
 #[test]

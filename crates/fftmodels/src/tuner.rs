@@ -24,8 +24,8 @@ pub struct TunedChoice {
     pub candidates: Vec<(FftOptions, bool, SimTime)>,
 }
 
-/// Candidate backends the tuner tries (Alltoallw is never competitive on
-/// GPU arrays — §II — but is included so the data shows it).
+/// Candidate backends the tuner tries. Alltoallw is left out: it is never
+/// competitive on GPU arrays (§II), and Fig. 2 already shows it.
 fn backends() -> [CommBackend; 4] {
     [
         CommBackend::AllToAll,

@@ -166,12 +166,15 @@ impl World {
     /// Fails the current run on behalf of the unwinding rank `rank`: records
     /// it unless an earlier rank failed first, and drops every in-flight
     /// round (waking any owner parked on a deposited handle) before waking
-    /// every waiter to observe the failure.
+    /// every waiter to observe the failure. The boards are collected first
+    /// and the map lock released, so no lock is ever taken while another is
+    /// held (DESIGN.md §12).
     fn abort(&self, rank: usize) {
         let _ = self
             .failed
             .compare_exchange(0, rank + 1, Ordering::AcqRel, Ordering::Acquire);
-        for board in self.boards.lock().values() {
+        let boards: Vec<Arc<Board>> = self.boards.lock().values().cloned().collect();
+        for board in boards {
             board.rounds.lock().clear();
             board.cv.notify_all();
         }
@@ -576,9 +579,9 @@ mod tests {
                 assert_eq!(world.control_allgather(r, round), vec![round, round]);
             }
         });
-        let boards = w.boards.lock();
+        let boards: Vec<Arc<Board>> = w.boards.lock().values().cloned().collect();
         assert_eq!(boards.len(), 3, "the world board and two lone boards");
-        assert!(boards.values().all(|b| b.rounds.lock().is_empty()));
+        assert!(boards.iter().all(|b| b.rounds.lock().is_empty()));
     }
 
     #[test]

@@ -143,7 +143,6 @@ impl<'a> Pricer<'a> {
             np,
             env,
             ctx: env.transfer_ctx(),
-            // fftlint:allow(no-alloc-in-hot-path): Vec::new does not allocate; one push per distinct price
             prices: Vec::new(),
         }
     }

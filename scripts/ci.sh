@@ -21,10 +21,10 @@ echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== fftlint --workspace (baseline) =="
-# Call-graph-aware determinism linter (DESIGN.md §12) for the rules the
-# compiler cannot see: float reductions in parallel chains, plus the three
-# interprocedural ones (hot-path allocations, lock order, panic
-# reachability from the executor). Deny-by-default; the escapes are an inline justified
+# Call-graph linter (DESIGN.md §12) for the one rule neither the compiler
+# nor a test run can decide: panic sites reachable from the executor.
+# Allocations, lock nesting and reduction order are tier-1 tests now.
+# Deny-by-default; the escapes are an inline justified
 # `// fftlint:allow(<rule>)` and the committed findings baseline — new
 # findings fail, and silently-fixed pins fail as stale. fftlint lints its
 # own crate in the same walk.
@@ -32,9 +32,10 @@ cargo run --offline -q -p fftlint -- --workspace \
     --baseline fftlint-baseline.json
 
 echo "== fftlint baseline drift must fail =="
-# A doctored baseline (first pin's line edited) must fail the gate both
-# ways at once: the real finding surfaces as new and the doctored pin goes
-# stale. Guards the gate itself against silently accepting drift.
+# A doctored baseline (first pin's line edited — a panic-reachable-from-
+# exec pin in distfft's boxes.rs) must fail the gate both ways at once:
+# the real finding surfaces as new and the doctored pin goes stale.
+# Guards the gate itself against silently accepting drift.
 sed '0,/"line": [0-9]*/s//"line": 99999/' fftlint-baseline.json \
     >"$TDIR/doctored-baseline.json"
 if cargo run --offline -q -p fftlint -- --workspace \
