@@ -3,25 +3,23 @@
 //! Reproduces the exact timing of the functional executor — same kernel
 //! model, same schedule walkers, same phase-id sequence — but holds only
 //! per-rank clocks. Like the functional exchange, it prices each group of
-//! each reshape call once, with the same `coll::exchange_times`. This is
-//! what every large-scale figure harness runs on. Measured on a 2-core
-//! x86-64 host (release build), one 512³ transform on 192 simulated GPUs
-//! costs 0.4–6.4 ms of host time across the four backends × {1, 4} chunks
-//! once the runner has lowered its reshapes, and 1.6–18 ms for the first
-//! transform, which lowers them.
-
-use std::collections::BTreeMap;
+//! each reshape call once, with the same `coll::exchange_times`, on the
+//! byte rows lowered with the schedules. This is what every large-scale
+//! figure harness runs on. Measured on a 2-core x86-64 host (release
+//! build, best of 7), one 512³ transform on 192 simulated GPUs costs
+//! 1.2–5.8 ms of host time across the four backends × {1, 4} chunks once
+//! the runner has lowered that direction, and 1.7–15 ms for its first
+//! transform, which lowers it.
 
 use fftkern::Direction;
 use mpisim::coll;
 use mpisim::distro::MpiDistro;
-use mpisim::pattern::NetParams;
+use mpisim::pattern::{NetParams, PhaseEnv};
 use simgrid::{MachineSpec, SimTime};
 
-use crate::boxes::Box3;
 use crate::exec::{ExecCtx, ExecWork};
-use crate::plan::{FftPlan, Step};
-use crate::schedule::{directed, ReshapeCall, ReshapeSchedule, RunEnv, Timeline};
+use crate::plan::FftPlan;
+use crate::schedule::{directed, Op, RunEnv, Timeline};
 use crate::trace::Trace;
 
 /// The dry-run twin of `mpisim::WorldOpts`.
@@ -107,13 +105,6 @@ impl Ranks<'_> {
     }
 }
 
-/// One communication group of one reshape call, lowered: its effective
-/// chunk count and every member's schedule, in group order.
-struct LoweredGroup {
-    k: usize,
-    scheds: Vec<ReshapeSchedule>,
-}
-
 /// Stateful dry runner: clocks persist across transforms exactly like the
 /// rank clocks of the functional world.
 pub struct DryRunner<'a> {
@@ -123,11 +114,9 @@ pub struct DryRunner<'a> {
     ctx: ExecCtx,
     net_clock: Vec<SimTime>,
     gpu_clock: Vec<SimTime>,
-    /// Every reshape call's lowered groups, keyed by (direction, reshape,
-    /// items), filled on first use. Chunk counts and schedules are pure
-    /// functions of the plan and that key; the only per-call field,
-    /// `env.phase_id`, is re-stamped on every use.
-    lowered: BTreeMap<(Direction, usize, usize), Vec<LoweredGroup>>,
+    /// Each direction's ops, lowered for every rank on its first run.
+    fwd: Option<Vec<Op>>,
+    rev: Option<Vec<Op>>,
 }
 
 impl<'a> DryRunner<'a> {
@@ -140,7 +129,8 @@ impl<'a> DryRunner<'a> {
             ctx: ExecCtx::new(),
             net_clock: vec![SimTime::ZERO; plan.nranks],
             gpu_clock: vec![SimTime::ZERO; plan.nranks],
-            lowered: BTreeMap::new(),
+            fwd: None,
+            rev: None,
         }
     }
 
@@ -151,7 +141,7 @@ impl<'a> DryRunner<'a> {
 
     /// The runner's host work so far: a dry run moves no data, so only
     /// `lowered` counts — once per member of each group of each distinct
-    /// (direction, reshape, items), however many transforms run.
+    /// (direction, reshape, items), on each direction's first run.
     pub fn work(&self) -> ExecWork {
         self.ctx.work()
     }
@@ -187,114 +177,92 @@ impl<'a> DryRunner<'a> {
         self.gpu_clock.copy_from_slice(&t0);
         self.net_clock.copy_from_slice(&t0);
 
-        let (steps, specs) = directed(plan, dir);
+        let ops = match dir {
+            Direction::Forward => &mut self.fwd,
+            Direction::Inverse => &mut self.rev,
+        };
+        let work = self.ctx.work_mut();
+        let ops = ops.get_or_insert_with(|| {
+            let (ops, lowered) = env.program(dir, |_| true);
+            work.lowered += lowered;
+            ops
+        });
+        let (_, specs) = directed(plan, dir);
         let chunks = plan.chunks();
         let mut data_ready: Vec<Vec<SimTime>> = (0..chunks).map(|_| t0.clone()).collect();
-        // Scratch reused across groups and reshapes: the current group's
-        // flat entry times, and which ranks the current reshape runs
-        // chunked (all false between steps).
+        // The current group's flat entry times, reused across groups.
         let mut entries: Vec<SimTime> = Vec::new();
-        let mut chunked = vec![false; n];
 
         for (c, data_ready) in data_ready.iter_mut().enumerate() {
-            let (ilo, ihi) = Box3::chunk(plan.opts.batch, chunks, c);
-            let items = ihi - ilo;
+            let items = plan.chunk_items(c);
             let net_clock = &mut self.net_clock;
             let mut ranks = Ranks {
                 gpu_clock: &mut self.gpu_clock,
                 data_ready,
                 traces: &mut traces,
             };
-            // Whole-box local FFT pass on every rank not in `skip`.
-            let local_fft = |ranks: &mut Ranks, dist, axis, first, skip: &[bool]| {
-                for r in (0..n).filter(|&r| !skip[r]) {
-                    env.local_fft(&mut ranks.timeline(r), r, dist, axis, items, first);
-                }
-            };
-            let mut si = 0;
-            while si < steps.len() {
-                match *steps[si] {
-                    Step::LocalFft { dist, axis } => {
+            for op in ops.iter() {
+                let op = match *op {
+                    Op::Fft { dist, axis } => {
                         let first = self.ctx.first_strided(dist, axis, dir);
-                        local_fft(&mut ranks, dist, axis, first, &chunked);
-                        si += 1;
+                        for r in 0..n {
+                            env.local_fft(&mut ranks.timeline(r), r, dist, axis, items, first);
+                        }
+                        continue;
                     }
-                    Step::Reshape(ri) => {
-                        let next = steps.get(si + 1).copied();
-                        let phase_id = self.ctx.next_phase_id();
-                        let call = ReshapeCall::at(specs, dir, ri, next, items, phase_id);
-                        // One strided-warmup consumption per step position,
-                        // exactly where each functional rank would consume it.
-                        let next_first = call
-                            .next_axis
-                            .map(|axis| self.ctx.first_strided(call.to_dist, axis, dir));
+                    Op::Reshape(ref op) => op,
+                };
+                // One phase id and one strided-warmup consumption per step
+                // position, exactly where each functional rank takes them.
+                let phase_id = self.ctx.next_phase_id();
+                let first = (op.next_axis)
+                    .is_some_and(|axis| self.ctx.first_strided(op.to_dist, axis, dir));
+                let spec = &specs[op.reshape];
+                let groups = op.groups(items);
 
-                        let work = self.ctx.work_mut();
-                        let lowered = self.lowered.entry((dir, ri, items)).or_insert_with(|| {
-                            let lower = |group: &Vec<usize>| {
-                                work.lowered += group.len() as u64;
-                                let k = env.group_chunks(&call, group);
-                                let scheds = (0..group.len())
-                                    .map(|i| env.lower(&call, group, i, k))
-                                    .collect();
-                                LoweredGroup { k, scheds }
-                            };
-                            call.spec.groups.iter().map(lower).collect()
-                        });
-
-                        // Ranks outside every group have no flows: nothing
-                        // to stamp. Each group runs pack chains → one priced
-                        // exchange → unpack chains.
-                        for (group, LoweredGroup { k, scheds }) in
-                            call.spec.groups.iter().zip(lowered.iter_mut())
-                        {
-                            let k = *k;
-                            entries.clear();
-                            for (i, (&r, sched)) in group.iter().zip(scheds.iter_mut()).enumerate()
-                            {
-                                sched.env.phase_id = phase_id;
-                                chunked[r] = k >= 2;
-                                sched.before_exchange(&env, &mut ranks.timeline(r), &mut entries);
-                                // A chunk posts once packed *and* once the
-                                // rank's previous call has left the network.
-                                for t in &mut entries[i * k..] {
-                                    *t = net_clock[r].max(*t);
-                                }
-                            }
-
-                            // The byte rows the members would have gathered.
-                            let wire_bytes = env.wire_bytes(&call, group);
-                            let rows: Vec<Vec<usize>> =
-                                group.iter().map(|&r| wire_bytes(r, group)).collect();
-                            let bytes = |i: usize, j: usize| rows[i][j];
-                            let sched_env = scheds[0].env;
-                            let kind = scheds[0].kind;
-                            let times = coll::exchange_times(
-                                &np, &sched_env, &kind, group, &entries, &bytes,
-                            );
-
-                            for (i, (&r, sched)) in group.iter().zip(scheds.iter()).enumerate() {
-                                sched.after_exchange(
-                                    &env,
-                                    &mut ranks.timeline(r),
-                                    &entries[i * k..(i + 1) * k],
-                                    times.ready(i),
-                                    times.exit(i),
-                                    next_first.unwrap_or(false),
-                                );
-                                net_clock[r] = times.exit(i);
-                            }
+                // Ranks outside every group have no flows: nothing to
+                // stamp. Each group runs pack chains → one priced exchange
+                // → unpack chains.
+                for (group, lowered) in spec.groups.iter().zip(groups) {
+                    let k = lowered.k;
+                    entries.clear();
+                    for (i, (&r, sched)) in group.iter().zip(&lowered.scheds).enumerate() {
+                        sched.before_exchange(&env, &mut ranks.timeline(r), &mut entries);
+                        // A chunk posts once packed *and* once the rank's
+                        // previous call has left the network.
+                        for t in &mut entries[i * k..] {
+                            *t = net_clock[r].max(*t);
                         }
+                    }
 
-                        // The next-axis transform is consumed for every
-                        // rank: chunked groups ran it per chunk above, the
-                        // rest book the same event the standalone LocalFft
-                        // step would.
-                        if let (Some(axis), Some(first)) = (call.next_axis, next_first) {
-                            local_fft(&mut ranks, call.to_dist, axis, first, &chunked);
-                        }
-                        chunked.fill(false);
-                        si += if call.next_axis.is_some() { 2 } else { 1 };
+                    // Priced on the byte rows the members would have gathered.
+                    let phase = PhaseEnv {
+                        phase_id,
+                        ..lowered.env
+                    };
+                    let bytes = |i: usize, j: usize| lowered.scheds[i].row[j];
+                    let times =
+                        coll::exchange_times(&np, &phase, &lowered.kind, group, &entries, &bytes);
+
+                    for (i, (&r, sched)) in group.iter().zip(&lowered.scheds).enumerate() {
+                        sched.after_exchange(
+                            &env,
+                            &mut ranks.timeline(r),
+                            &entries[i * k..(i + 1) * k],
+                            times.ready(i),
+                            times.exit(i),
+                            first,
+                        );
+                        net_clock[r] = times.exit(i);
+                    }
+                }
+
+                // The owned step: chunked groups ran it per chunk above;
+                // every other rank books the whole-box pass.
+                if let Some(axis) = op.next_axis {
+                    let whole = |r: &usize| spec.group_of[*r].is_none_or(|g| groups[g].k == 1);
+                    for r in (0..n).filter(whole) {
+                        env.local_fft(&mut ranks.timeline(r), r, op.to_dist, axis, items, first);
                     }
                 }
             }

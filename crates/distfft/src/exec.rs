@@ -1,5 +1,8 @@
 //! Functional executor: runs a plan on `mpisim` rank threads with real data.
 //!
+//! [`bind`] lowers the plan once per rank into its [`BoundPlan`];
+//! [`execute`] only walks the lowered ops (plan once, execute many).
+//!
 //! Data correctness and simulated timing are both produced here. The timing
 //! bookkeeping mirrors a GPU + NIC pipeline per rank:
 //!
@@ -14,20 +17,21 @@
 //! Fig. 13.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, Thread};
 
 use fftkern::plan::{Layout, Plan1d};
 use fftkern::{Direction, C64};
 use mpisim::coll;
-use mpisim::comm::{Comm, Rank};
+use mpisim::comm::{Comm, Rank, World};
+use mpisim::PhaseEnv;
 use simgrid::SimTime;
 
 use crate::boxes::Box3;
-use crate::plan::{FftPlan, Step};
+use crate::plan::FftPlan;
 use crate::reshape::{apply_self_block, ReshapeSpec, ELEM_BYTES};
-use crate::schedule::{directed, ReshapeCall, RunEnv, Timeline};
+use crate::schedule::{Op, ReshapeOp, RunEnv, Timeline};
 use crate::trace::Trace;
 
 /// Effective chunk count for one communication group: the requested
@@ -218,7 +222,7 @@ pub struct ExecWork {
     /// Points the butterflies transformed: each 1-D line's length, summed
     /// over every line of every axis pass (5·n·log₂ n flops per n points).
     pub fft_points: u64,
-    /// Reshape schedules lowered (`RunEnv::lower`).
+    /// Reshape schedules lowered by [`bind`], counted by the first transform.
     pub lowered: u64,
 }
 
@@ -325,21 +329,25 @@ pub struct ExecResult {
     pub total: SimTime,
 }
 
-/// Pre-split sub-communicators for every reshape of a plan, per rank.
-/// Binding is collective: every rank must call [`bind`] at the same point.
+/// One rank's plan, bound: per direction, its lowered ops and each
+/// reshape's group sub-communicator. Binding is collective: every rank
+/// must call [`bind`] at the same point.
 pub struct BoundPlan {
-    fwd_comms: Vec<Option<Comm>>,
-    rev_comms: Vec<Option<Comm>>,
+    fwd: (Vec<Op>, Vec<Option<Comm>>),
+    rev: (Vec<Op>, Vec<Option<Comm>>),
+    /// Schedules `bind` lowered that no transform has counted yet.
+    uncounted: AtomicU64,
 }
 
 /// Splits the group sub-communicators of every reshape (forward and
-/// reverse). Collective over `comm`.
+/// reverse) and lowers both directions for this rank. Collective over
+/// `comm`.
 pub fn bind(plan: &FftPlan, rank: &mut Rank, comm: &Comm) -> BoundPlan {
+    let me = comm.me();
     let split_for = |rank: &mut Rank, specs: &[ReshapeSpec]| -> Vec<Option<Comm>> {
         specs
             .iter()
             .map(|spec| {
-                let me = comm.me();
                 let color = spec.group_of[me].map(|g| g as u64).unwrap_or(u64::MAX);
                 let sub = comm.split(rank, color, me as u64);
                 spec.group_of[me].map(|_| sub)
@@ -348,9 +356,25 @@ pub fn bind(plan: &FftPlan, rank: &mut Rank, comm: &Comm) -> BoundPlan {
     };
     let fwd_comms = split_for(rank, &plan.reshapes);
     let rev_comms = split_for(rank, &plan.reshapes_rev);
+    let env = run_env(plan, rank.world());
+    let (fwd, fwd_lowered) = env.program(Direction::Forward, |r| r == me);
+    let (rev, rev_lowered) = env.program(Direction::Inverse, |r| r == me);
     BoundPlan {
-        fwd_comms,
-        rev_comms,
+        fwd: (fwd, fwd_comms),
+        rev: (rev, rev_comms),
+        uncounted: AtomicU64::new(fwd_lowered + rev_lowered),
+    }
+}
+
+/// Everything constant while `plan` runs on `world`.
+fn run_env<'a>(plan: &'a FftPlan, world: &'a World) -> RunEnv<'a> {
+    RunEnv {
+        plan,
+        machine: world.spec(),
+        km: world.spec().kernel_model(),
+        gpu_aware: world.opts().gpu_aware,
+        distro: world.opts().distro,
+        slowdowns: &world.opts().compute_slowdown,
     }
 }
 
@@ -379,20 +403,12 @@ pub fn execute(
     let me = comm.me();
     // `Rank::world()` hands back `&'w World`, so the machine spec and the
     // slowdown table are borrowed for the whole call — no per-execute clone.
-    let world = rank.world();
-    let env = RunEnv {
-        plan,
-        machine: world.spec(),
-        km: world.spec().kernel_model(),
-        gpu_aware: world.opts().gpu_aware,
-        distro: world.opts().distro,
-        slowdowns: &world.opts().compute_slowdown,
+    let env = run_env(plan, rank.world());
+    let ((ops, comms), start_dist) = match dir {
+        Direction::Forward => (&bound.fwd, 0usize),
+        Direction::Inverse => (&bound.rev, plan.dists.len() - 1),
     };
-    let (steps, specs) = directed(plan, dir);
-    let (start_dist, comms) = match dir {
-        Direction::Forward => (0usize, &bound.fwd_comms),
-        Direction::Inverse => (plan.dists.len() - 1, &bound.rev_comms),
-    };
+    ctx.scratch.work.lowered += bound.uncounted.swap(0, Ordering::Relaxed);
 
     let expect = plan.dists[start_dist].rank_box(me).volume();
     for d in data.iter() {
@@ -408,36 +424,35 @@ pub fn execute(
     for (c, ready) in data_ready.iter_mut().enumerate() {
         // Chunk -> item range.
         let (ilo, ihi) = Box3::chunk(plan.opts.batch, chunks, c);
+        let data = &mut data[ilo..ihi];
         let mut tl = Timeline {
             gpu_clock: &mut gpu_clock,
             data_ready: ready,
             trace: &mut trace,
         };
-        let mut si = 0;
-        while si < steps.len() {
-            match *steps[si] {
-                Step::LocalFft { dist, axis } => {
-                    let first = ctx.first_strided(dist, axis, dir);
-                    env.local_fft(&mut tl, me, dist, axis, ihi - ilo, first);
-                    // Real math on every item of this chunk.
-                    let b = plan.dists[dist].rank_box(me);
-                    if !b.is_empty() {
-                        let all = [(0, b.volume() / b.len(axis))];
-                        run_local_fft(b, axis, &all, &mut data[ilo..ihi], dir, &mut ctx.scratch);
-                    }
-                    si += 1;
+        for op in ops {
+            // A whole-box pass: an `Op::Fft`, or the step a reshape op owns
+            // on a rank whose group did not chunk (or that is in no group;
+            // the rank's own program holds at most its own group).
+            let whole = match *op {
+                Op::Fft { dist, axis } => Some((dist, axis)),
+                Op::Reshape(ref op) => {
+                    let sub = comms.get(op.reshape).and_then(Option::as_ref);
+                    run_reshape(&env, op, sub, rank, ctx, &mut tl, data);
+                    let chunked = op.groups(data.len()).first().is_some_and(|g| g.k >= 2);
+                    op.next_axis
+                        .filter(|_| !chunked)
+                        .map(|axis| (op.to_dist, axis))
                 }
-                Step::Reshape(ri) => {
-                    // Phase id must advance identically on every rank and
-                    // in the dry run.
-                    let next = steps.get(si + 1).copied();
-                    let call =
-                        ReshapeCall::at(specs, dir, ri, next, ihi - ilo, ctx.next_phase_id());
-                    let sub = comms[ri].as_ref();
-                    let consumed =
-                        run_reshape(&env, &call, sub, rank, ctx, &mut tl, &mut data[ilo..ihi]);
-                    si += if consumed { 2 } else { 1 };
-                }
+            };
+            let Some((dist, axis)) = whole else { continue };
+            let first = ctx.first_strided(dist, axis, dir);
+            env.local_fft(&mut tl, me, dist, axis, data.len(), first);
+            // Real math on every item of this chunk.
+            let b = plan.dists[dist].rank_box(me);
+            if !b.is_empty() {
+                let all = [(0, b.volume() / b.len(axis))];
+                run_local_fft(b, axis, &all, data, dir, &mut ctx.scratch);
             }
         }
     }
@@ -522,14 +537,13 @@ fn run_local_fft(
     }
 }
 
-/// Executes one reshape for one pipeline chunk — the functional
-/// interpreter of the rank's [`ReshapeSchedule`](crate::schedule): stamp
-/// the pack chain, share the chunk's retired arrays with the group through
-/// the one `mpisim` exchange, copy this rank's sub-boxes out of every
-/// member's, then stamp the MPI calls, unpacks and transform-ahead
-/// butterflies. Returns `true` when the schedule also ran the following
-/// axis transform (per chunk, as lines completed) — the caller must then
-/// skip that LocalFft step.
+/// Executes one reshape op for one pipeline chunk — the functional
+/// interpreter of the rank's lowered [`ReshapeSchedule`](crate::schedule):
+/// stamp the pack chain, share the chunk's retired arrays with the group
+/// through the one `mpisim` exchange, copy this rank's sub-boxes out of
+/// every member's, then stamp the MPI calls, unpacks and transform-ahead
+/// butterflies. A chunked group runs the op's owned transform here, per
+/// chunk; otherwise [`execute`] runs it whole-box.
 ///
 /// The host moves each byte once, the same way for every backend, while
 /// the clock still charges Algorithm 1's pack → wire → unpack. Data is
@@ -538,78 +552,83 @@ fn run_local_fft(
 /// the rank's rows exactly, so chunk-completion order affects timing only.
 fn run_reshape(
     env: &RunEnv,
-    call: &ReshapeCall,
+    op: &ReshapeOp,
     sub: Option<&Comm>,
     rank: &mut Rank,
     ctx: &mut ExecCtx,
     tl: &mut Timeline,
     data: &mut [Vec<C64>],
-) -> bool {
+) {
     let plan = env.plan;
     let me_world = rank.rank();
-    let to_box = plan.dists[call.to_dist].rank_box(me_world);
+    let to_box = plan.dists[op.to_dist].rank_box(me_world);
     let n = sub.map_or(0, Comm::size);
-    let handles = ctx.retire(call.phase_id, data, to_box.volume(), n);
+    // Phase id must advance identically on every rank and in the dry run.
+    let phase_id = ctx.next_phase_id();
+    let handles = ctx.retire(phase_id, data, to_box.volume(), n);
 
     // A rank outside every group has no flows at all: nothing to stamp.
-    let ahead = sub.and_then(|sub| {
-        let members = sub.members();
-        let k = env.group_chunks(call, members);
-        let sched = env.lower(call, members, sub.me(), k);
-        ctx.scratch.work.lowered += 1;
-        let mut entries = Vec::with_capacity(k);
-        sched.before_exchange(env, tl, &mut entries);
-        // The call posts as soon as the *first* chunk is packed; later
-        // chunks post when their own pack is done.
-        rank.clock.sync_to(entries[0]);
-        let posted = rank.now();
-        for t in entries.iter_mut() {
-            *t = posted.max(*t);
-        }
-
-        // What a backend costs — routine, padding, pack kernels — is in
-        // `sched` and the byte row; the bytes move the same way.
-        let row = env.wire_bytes(call, members)(me_world, members);
-        let (recvd, times) =
-            coll::exchange(rank, sub, sched.env, &sched.kind, handles, &row, &entries);
-        for (&src, reader) in members.iter().zip(recvd) {
-            let from_box = plan.dists[call.from_dist].rank_box(src);
-            let arrays = reader
-                .0
-                .as_deref()
-                .map_or(&[] as &[_], |r| r.arrays.as_slice());
-            // A member built from a different plan shares the wrong blocks;
-            // copying what lines up would leave items stale, so fail the world.
-            let vol = from_box.volume();
-            if arrays.len() != data.len() || arrays.iter().any(|a| a.len() != vol) {
-                let lens: Vec<usize> = arrays.iter().map(Vec::len).collect();
-                panic!(
-                    "reshape block from rank {src} does not match this rank's plan: \
-                     arrays of {lens:?} elements, expected {} of {vol}",
-                    data.len()
-                );
-            }
-            for (old, new) in arrays.iter().zip(data.iter_mut()) {
-                let copied = apply_self_block(from_box, old, to_box, new);
-                ctx.scratch.work.copied_bytes += (copied * ELEM_BYTES) as u64;
-            }
-        }
-        let first = (sched.ahead.as_ref())
-            .is_some_and(|a| ctx.first_strided(call.to_dist, a.axis, call.dir));
-        let (ready, exit) = (times.ready(sub.me()), times.exit(sub.me()));
-        sched.after_exchange(env, tl, &entries, ready, exit, first);
-        sched.ahead
-    });
-
-    // The real butterfly math for a consumed LocalFft step, on the new
-    // arrays: every line in chunk order. Row transforms are independent,
-    // so this is bit-identical to the full-batch pass.
-    let Some(ahead) = ahead else { return false };
-    if !to_box.is_empty() {
-        let flat: Vec<(usize, usize)> = ahead.runs.into_iter().flatten().collect();
-        run_local_fft(to_box, ahead.axis, &flat, data, call.dir, &mut ctx.scratch);
+    // Its own program holds at most its own group and schedule.
+    let Some((sub, group)) = sub.zip(op.groups(data.len()).first()) else {
+        return;
+    };
+    let Some(sched) = group.scheds.first() else {
+        return;
+    };
+    let members = sub.members();
+    let mut entries = Vec::with_capacity(group.k);
+    sched.before_exchange(env, tl, &mut entries);
+    // The call posts as soon as the *first* chunk is packed; later
+    // chunks post when their own pack is done.
+    rank.clock.sync_to(entries[0]);
+    let posted = rank.now();
+    for t in entries.iter_mut() {
+        *t = posted.max(*t);
     }
-    true
+
+    // What a backend costs — routine, padding, pack kernels — is in
+    // `sched` and its byte row; the bytes move the same way.
+    let phase = PhaseEnv {
+        phase_id,
+        ..group.env
+    };
+    let (recvd, times) =
+        coll::exchange(rank, sub, phase, &group.kind, handles, &sched.row, &entries);
+    for (&src, reader) in members.iter().zip(recvd) {
+        let from_box = plan.dists[op.from_dist].rank_box(src);
+        let arrays = reader
+            .0
+            .as_deref()
+            .map_or(&[] as &[_], |r| r.arrays.as_slice());
+        // A member built from a different plan shares the wrong blocks;
+        // copying what lines up would leave items stale, so fail the world.
+        let vol = from_box.volume();
+        if arrays.len() != data.len() || arrays.iter().any(|a| a.len() != vol) {
+            let lens: Vec<usize> = arrays.iter().map(Vec::len).collect();
+            panic!(
+                "reshape block from rank {src} does not match this rank's plan: \
+                 arrays of {lens:?} elements, expected {} of {vol}",
+                data.len()
+            );
+        }
+        for (old, new) in arrays.iter().zip(data.iter_mut()) {
+            let copied = apply_self_block(from_box, old, to_box, new);
+            ctx.scratch.work.copied_bytes += (copied * ELEM_BYTES) as u64;
+        }
+    }
+    let first =
+        (sched.ahead.as_ref()).is_some_and(|a| ctx.first_strided(op.to_dist, a.axis, op.dir));
+    let (ready, exit) = (times.ready(sub.me()), times.exit(sub.me()));
+    sched.after_exchange(env, tl, &entries, ready, exit, first);
+
+    // The real butterfly math of the owned step, on the new arrays: every
+    // chunk's lines in chunk order. Row transforms are independent, so
+    // this is bit-identical to the whole-box pass.
+    if let Some(ahead) = &sched.ahead {
+        for runs in &ahead.runs {
+            run_local_fft(to_box, ahead.axis, runs, data, op.dir, &mut ctx.scratch);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,12 @@
 //!
 //! The paper's reshape is one thing — pack → MPI exchange → unpack, with
 //! the backends of Table I differing only in the routine called and
-//! whether a pack is needed. This module lowers each reshape once per
-//! (plan, direction, rank, items) into a plain-data [`ReshapeSchedule`] and
-//! stamps it onto a per-rank [`Timeline`] with exactly two functions:
+//! whether a pack is needed. [`RunEnv::program`] lowers each direction of
+//! a plan once into a list of [`Op`]s, each reshape holding a plain-data
+//! [`ReshapeSchedule`] per (rank, items): `exec::bind` lowers the binding
+//! rank's, the dry runner every rank's on each direction's first run, and
+//! every later transform only walks the ops. Each schedule is stamped onto
+//! a per-rank [`Timeline`] with exactly two functions:
 //! [`before_exchange`](ReshapeSchedule::before_exchange) (pack chain +
 //! self-copy → per-chunk entry times) and
 //! [`after_exchange`](ReshapeSchedule::after_exchange) (MPI-call events,
@@ -146,56 +149,6 @@ pub(crate) struct RunEnv<'a> {
     pub slowdowns: &'a [(usize, f64)],
 }
 
-/// One reshape step of one pipeline chunk, as every rank sees it.
-#[derive(Clone, Copy)]
-pub(crate) struct ReshapeCall<'a> {
-    pub spec: &'a ReshapeSpec,
-    pub dir: Direction,
-    /// Reshape index within the plan (the trace label).
-    pub reshape: usize,
-    pub from_dist: usize,
-    pub to_dist: usize,
-    /// Batch items in this pipeline chunk.
-    pub items: usize,
-    /// Axis of the LocalFft step right behind this reshape, when it runs
-    /// in `to_dist` — the transform-ahead candidate. A chunked exchange
-    /// runs it per chunk as lines complete and *consumes* the step.
-    pub next_axis: Option<usize>,
-    /// Must advance identically on every rank and in the dry run.
-    pub phase_id: u64,
-}
-
-impl<'a> ReshapeCall<'a> {
-    /// The call for `Step::Reshape(reshape)`, followed by step `next`.
-    pub(crate) fn at(
-        specs: &'a [ReshapeSpec],
-        dir: Direction,
-        reshape: usize,
-        next: Option<&Step>,
-        items: usize,
-        phase_id: u64,
-    ) -> ReshapeCall<'a> {
-        let (from_dist, to_dist) = match dir {
-            Direction::Forward => (reshape, reshape + 1),
-            Direction::Inverse => (reshape + 1, reshape),
-        };
-        let next_axis = match next {
-            Some(Step::LocalFft { dist, axis }) if *dist == to_dist => Some(*axis),
-            _ => None,
-        };
-        ReshapeCall {
-            spec: &specs[reshape],
-            dir,
-            reshape,
-            from_dist,
-            to_dist,
-            items,
-            next_axis,
-            phase_id,
-        }
-    }
-}
-
 /// Reshape bytes of one exchange chunk on one rank.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ChunkBytes {
@@ -207,7 +160,7 @@ pub(crate) struct ChunkBytes {
     pub wire: usize,
 }
 
-/// The next-axis transform a chunked reshape consumes, grouped by the
+/// The owned next-axis transform a chunked reshape runs, grouped by the
 /// chunk whose arrival completes each line (see
 /// [`ReshapeSpec::recv_line_runs`]).
 pub(crate) struct TransformAhead {
@@ -223,14 +176,57 @@ pub(crate) struct ReshapeSchedule {
     pub reshape: usize,
     pub to_dist: usize,
     pub items: usize,
-    pub routine: &'static str,
     pub chunks: Vec<ChunkBytes>,
     /// P2P self block, moved by device copy outside MPI.
     pub self_bytes: usize,
-    /// `Some` iff the schedule runs (and consumes) the next axis transform.
+    /// `Some` iff the schedule runs its op's owned transform per chunk.
     pub ahead: Option<TransformAhead>,
+    /// What the rank puts on the wire to each member, in group order: its
+    /// row of the byte matrix the group's exchange prices.
+    pub row: Vec<usize>,
+}
+
+/// One plan step of one direction, lowered by [`RunEnv::program`]: a
+/// whole-box `Step::LocalFft`, or a reshape.
+pub(crate) enum Op {
+    Fft { dist: usize, axis: usize },
+    Reshape(ReshapeOp),
+}
+
+/// One `Step::Reshape`, lowered at every distinct item count of the plan's
+/// pipeline chunks.
+pub(crate) struct ReshapeOp {
+    pub dir: Direction,
+    /// Reshape index within the plan (the trace label).
+    pub reshape: usize,
+    pub from_dist: usize,
+    pub to_dist: usize,
+    /// Axis of the `LocalFft` step right behind this reshape when it runs
+    /// in `to_dist`: the op owns that step. A chunked group runs it per
+    /// chunk (transform-ahead), every other rank whole-box after the wire.
+    pub next_axis: Option<usize>,
+    /// `(items, groups)`: the groups with a lowered member, in group order.
+    tables: Vec<(usize, Vec<LoweredGroup>)>,
+}
+
+impl ReshapeOp {
+    /// The lowered groups of a pipeline chunk of `items` batch items.
+    pub(crate) fn groups(&self, items: usize) -> &[LoweredGroup] {
+        let table = self.tables.iter().find(|(n, _)| *n == items);
+        table.map_or(&[], |(_, groups)| groups)
+    }
+}
+
+/// One communication group of one reshape at one item count.
+pub(crate) struct LoweredGroup {
+    /// Effective chunk count (`1` = monolithic).
+    pub k: usize,
     pub kind: ExchangeKind,
+    /// How the machine is loaded while the exchange runs, with `phase_id`
+    /// 0: each call applies its own as `PhaseEnv { phase_id, ..env }`.
     pub env: PhaseEnv,
+    /// The lowered members' schedules, in group order.
+    pub scheds: Vec<ReshapeSchedule>,
 }
 
 impl RunEnv<'_> {
@@ -241,7 +237,7 @@ impl RunEnv<'_> {
         }
     }
 
-    /// Stamps the whole-box local FFT pass of `Step::LocalFft`.
+    /// Stamps a whole-box local FFT pass.
     pub(crate) fn local_fft(
         &self,
         tl: &mut Timeline,
@@ -257,71 +253,58 @@ impl RunEnv<'_> {
         tl.kernel_on_data(self.fft_kind(axis), slowed_ns(self.slowdowns, rank, ns));
     }
 
-    /// How the machine is loaded while a reshape exchange runs. One value
-    /// per reshape, the same on every rank and in both modes, as the
-    /// exchange's member agreement check requires (`p2p_peers` is not read
-    /// by any schedule walker; per-peer overheads derive from the byte
-    /// matrix).
-    fn phase_env(&self, phase_id: u64) -> PhaseEnv {
-        PhaseEnv {
-            gpu_aware: self.gpu_aware,
-            flows_per_nic: self.machine.gpus_per_node.min(self.plan.nranks),
-            nodes: self.machine.nodes_for(self.plan.nranks),
-            p2p_peers: 1,
-            phase_id,
-        }
-    }
-
-    /// The pricing policy of this plan's backend at chunk count `k`.
-    pub(crate) fn exchange_kind(&self, k: usize) -> ExchangeKind {
-        match self.plan.opts.backend {
-            CommBackend::AllToAll => ExchangeKind::alltoall(self.distro),
-            CommBackend::AllToAllV => ExchangeKind::alltoallv(),
-            CommBackend::AllToAllW => ExchangeKind::alltoallw(self.distro),
-            CommBackend::P2p => ExchangeKind::p2p(P2pFlavor::NonBlocking),
-            CommBackend::P2pBlocking => ExchangeKind::p2p(P2pFlavor::Blocking),
-        }
-        .partitioned(k >= 2)
-    }
-
-    /// What each member of `group` puts on the wire in `call`'s exchange,
-    /// as `(rank, group) →` its row in group order — the one rule the
-    /// executor, the dry run and [`auto_chunks`](Self::auto_chunks) share:
-    /// padded `AllToAll` sends every member, itself included, the group's
-    /// largest block; P2P sends itself nothing (its self block is a device
-    /// copy outside MPI); every other pair sends its region; all of it
-    /// scales with the items.
-    pub(crate) fn wire_bytes<'a>(
-        &self,
-        call: &ReshapeCall<'a>,
-        group: &[usize],
-    ) -> impl Fn(usize, &[usize]) -> Vec<usize> + 'a {
-        let (spec, items, backend) = (call.spec, call.items, self.plan.opts.backend);
-        let padded = (backend == CommBackend::AllToAll).then(|| spec.padded_block_bytes(group));
-        move |rank, group| {
-            let regions = spec.send_region_index(rank, group);
-            let pair = |(region, &dst): (&Option<&Box3>, &usize)| match (padded, region) {
-                (Some(block), _) => block,
-                (None, Some(r)) if !(backend.is_p2p() && dst == rank) => r.volume() * ELEM_BYTES,
-                _ => 0,
+    /// Lowers `dir`'s plan walk once into [`Op`]s: every group with a
+    /// member `lowers` picks, at each distinct item count, with those
+    /// members' schedules. Returns the ops and the schedule count.
+    pub(crate) fn program(&self, dir: Direction, lowers: impl Fn(usize) -> bool) -> (Vec<Op>, u64) {
+        let plan = self.plan;
+        let (steps, specs) = directed(plan, dir);
+        // Balanced chunks: the larger item count comes first.
+        let mut item_counts: Vec<usize> = (0..plan.chunks()).map(|c| plan.chunk_items(c)).collect();
+        item_counts.dedup();
+        let (mut ops, mut lowered) = (Vec::new(), 0);
+        let mut steps = steps.into_iter().peekable();
+        while let Some(step) = steps.next() {
+            let reshape = match *step {
+                Step::LocalFft { dist, axis } => {
+                    ops.push(Op::Fft { dist, axis });
+                    continue;
+                }
+                Step::Reshape(reshape) => reshape,
             };
-            let row = regions.iter().zip(group).map(|p| pair(p) * items);
-            row.collect()
+            // Every reshape step names one of the plan's specs.
+            let Some(spec) = specs.get(reshape) else {
+                continue;
+            };
+            let (from_dist, to_dist) = match dir {
+                Direction::Forward => (reshape, reshape + 1),
+                Direction::Inverse => (reshape + 1, reshape),
+            };
+            let next_axis = match steps.peek() {
+                Some(&&Step::LocalFft { dist, axis }) if dist == to_dist => {
+                    steps.next().map(|_| axis)
+                }
+                _ => None,
+            };
+            let mut op = ReshapeOp {
+                dir,
+                reshape,
+                from_dist,
+                to_dist,
+                next_axis,
+                tables: Vec::new(),
+            };
+            for &items in &item_counts {
+                let picked = spec.groups.iter().filter(|g| g.iter().any(|&r| lowers(r)));
+                let groups: Vec<_> = picked
+                    .map(|g| self.lower(&op, spec, items, g, &lowers))
+                    .collect();
+                lowered += groups.iter().map(|g| g.scheds.len() as u64).sum::<u64>();
+                op.tables.push((items, groups));
+            }
+            ops.push(Op::Reshape(op));
         }
-    }
-
-    /// Effective chunk count of one communication group (`1` = the
-    /// exchange runs monolithically). All four backends are partitionable;
-    /// the plan's `reshape_chunks` passes through the per-group clamp, its
-    /// `0 = auto` sentinel evaluates [`auto_chunks`](Self::auto_chunks) on
-    /// group-level aggregates — identical on every member and in the dry
-    /// run, which read the same plan.
-    pub(crate) fn group_chunks(&self, call: &ReshapeCall, group: &[usize]) -> usize {
-        let requested = match self.plan.opts.reshape_chunks {
-            0 => self.auto_chunks(call, group),
-            n => n,
-        };
-        effective_group_chunks(requested, group.len())
+        (ops, lowered)
     }
 
     /// Model-driven chunk count for one communication group: evaluates the
@@ -330,40 +313,46 @@ impl RunEnv<'_> {
     /// time, and the next-axis FFT available for overlap — and returns the
     /// k-ladder argmin.
     ///
-    /// Every input is a group-level aggregate (max over members), so all
-    /// members — and the dry run pricing them — compute the same k without
-    /// communicating. Wire time is priced per message on the spec's own
+    /// Every input is a group-level aggregate (max over members), so every
+    /// caller computes the same k without communicating. Wire time is
+    /// priced per message from the members' byte `rows` on the spec's own
     /// latency/bandwidth figures; the per-chunk latency term charges two
     /// kernel launches (split pack + split unpack) plus one host sync per
     /// extra chunk.
-    fn auto_chunks(&self, call: &ReshapeCall, group: &[usize]) -> usize {
-        let (plan, spec, machine) = (self.plan, call.spec, self.machine);
+    fn auto_chunks(
+        &self,
+        op: &ReshapeOp,
+        spec: &ReshapeSpec,
+        items: usize,
+        group: &[usize],
+        rows: &[Vec<usize>],
+    ) -> usize {
+        let (plan, machine) = (self.plan, self.machine);
         let p = group.len();
         if p <= 2 {
             return 1;
         }
-        let wire_bytes = self.wire_bytes(call, group);
         let ctx = simgrid::link::TransferCtx {
             gpu_aware: self.gpu_aware,
             offnode_flows_per_nic: machine.gpus_per_node.min(plan.nranks),
             nodes_involved: machine.nodes_for(plan.nranks),
         };
         let (mut t_pack, mut t_comm, mut t_unpack, mut t_fft) = (0u64, 0u64, 0u64, 0u64);
-        for &r in group {
+        for (&r, row) in group.iter().zip(rows) {
             if plan.opts.backend.needs_pack() {
                 let (pb, ub, _) = plan.reshape_local_bytes(spec, r);
-                t_pack = t_pack.max(plan.pack_ns(&self.km, pb * call.items));
-                t_unpack = t_unpack.max(plan.unpack_ns(&self.km, ub * call.items));
+                t_pack = t_pack.max(plan.pack_ns(&self.km, pb * items));
+                t_unpack = t_unpack.max(plan.unpack_ns(&self.km, ub * items));
             }
             let mut wire = 0u64;
-            for (&dst, bytes) in group.iter().zip(wire_bytes(r, group)) {
+            for (&dst, &bytes) in group.iter().zip(row) {
                 if dst != r && bytes > 0 {
                     wire += simgrid::link::message_time_ns(machine, bytes, r, dst, &ctx);
                 }
             }
             t_comm = t_comm.max(wire);
-            if let Some(axis) = call.next_axis {
-                let ns = plan.local_fft_ns(&self.km, call.to_dist, axis, r, call.items, false);
+            if let Some(axis) = op.next_axis {
+                let ns = plan.local_fft_ns(&self.km, op.to_dist, axis, r, items, false);
                 t_fft = t_fft.max(ns);
             }
         }
@@ -374,59 +363,85 @@ impl RunEnv<'_> {
         )
     }
 
-    /// Lowers the reshape of `group[me_sub]` at chunk count `k`.
+    /// Lowers one group of `op` at `items` batch items: its chunk count `k`
+    /// (the plan's `reshape_chunks` through the per-group clamp, `0 = auto`
+    /// through [`auto_chunks`](Self::auto_chunks)), its pricing policy and
+    /// the schedule of each member `lowers` picks.
     ///
-    /// The monolithic schedule takes its kernel bytes from
+    /// A monolithic schedule takes its kernel bytes from
     /// [`FftPlan::reshape_local_bytes`] and traces the real off-rank
     /// payload; a chunked one splits them with [`chunk_byte_split`]. The
     /// two agree at `k = 1` for every backend but padded `AllToAll`, whose
     /// monolithic unpack is the amortized `real_recv.max(total/2)` while
     /// its chunks count whole padded blocks (on the wire too).
-    pub(crate) fn lower(
+    fn lower(
         &self,
-        call: &ReshapeCall,
+        op: &ReshapeOp,
+        spec: &ReshapeSpec,
+        items: usize,
         group: &[usize],
-        me_sub: usize,
-        k: usize,
-    ) -> ReshapeSchedule {
-        let (plan, spec, items) = (self.plan, call.spec, call.items);
+        lowers: impl Fn(usize) -> bool,
+    ) -> LoweredGroup {
+        let plan = self.plan;
         let backend = plan.opts.backend;
-        let rank = group[me_sub];
-        let (pack, unpack, self_bytes) = plan.reshape_local_bytes(spec, rank);
-        let mut chunks = if k == 1 {
-            vec![ChunkBytes {
-                pack: pack * items,
-                unpack: unpack * items,
-                wire: spec.offrank_send_bytes(rank) * items,
-            }]
-        } else {
-            let pad = match backend {
-                CommBackend::AllToAll => spec.padded_block_bytes(group),
-                _ => 0,
-            };
-            chunk_byte_split(spec, group, me_sub, k, backend.is_p2p(), pad * items, items)
+        let rows = byte_rows(spec, group, backend, items);
+        let requested = match plan.opts.reshape_chunks {
+            0 => self.auto_chunks(op, spec, items, group, &rows),
+            n => n,
         };
-        if !backend.needs_pack() {
-            for c in &mut chunks {
-                (c.pack, c.unpack) = (0, 0);
+        let k = effective_group_chunks(requested, group.len());
+        let members = group.iter().zip(&rows).enumerate();
+        let scheds = members.filter(|&(_, (&rank, _))| lowers(rank));
+        let scheds = scheds.map(|(me_sub, (&rank, row))| {
+            let (pack, unpack, self_bytes) = plan.reshape_local_bytes(spec, rank);
+            let mut chunks = if k == 1 {
+                vec![ChunkBytes {
+                    pack: pack * items,
+                    unpack: unpack * items,
+                    wire: spec.offrank_send_bytes(rank) * items,
+                }]
+            } else {
+                chunk_byte_split(&rows, me_sub, k)
+            };
+            if !backend.needs_pack() {
+                for c in &mut chunks {
+                    (c.pack, c.unpack) = (0, 0);
+                }
             }
-        }
-        let ahead = call.next_axis.filter(|_| k >= 2).map(|axis| {
-            let to_box = plan.dists[call.to_dist].rank_box(rank);
-            let runs = spec.recv_line_runs(rank, group, me_sub, k, to_box, axis);
-            TransformAhead { axis, runs }
+            let ahead = op.next_axis.filter(|_| k >= 2).map(|axis| {
+                let to_box = plan.dists[op.to_dist].rank_box(rank);
+                let runs = spec.recv_line_runs(rank, group, me_sub, k, to_box, axis);
+                TransformAhead { axis, runs }
+            });
+            ReshapeSchedule {
+                rank,
+                reshape: op.reshape,
+                to_dist: op.to_dist,
+                items,
+                chunks,
+                self_bytes: self_bytes * items,
+                ahead,
+                row: row.clone(),
+            }
         });
-        ReshapeSchedule {
-            rank,
-            reshape: call.reshape,
-            to_dist: call.to_dist,
-            items,
-            routine: backend.routine(),
-            chunks,
-            self_bytes: self_bytes * items,
-            ahead,
-            kind: self.exchange_kind(k),
-            env: self.phase_env(call.phase_id),
+        let kind = match backend {
+            CommBackend::AllToAll => ExchangeKind::alltoall(self.distro),
+            CommBackend::AllToAllV => ExchangeKind::alltoallv(),
+            CommBackend::AllToAllW => ExchangeKind::alltoallw(self.distro),
+            CommBackend::P2p => ExchangeKind::p2p(P2pFlavor::NonBlocking),
+            CommBackend::P2pBlocking => ExchangeKind::p2p(P2pFlavor::Blocking),
+        };
+        LoweredGroup {
+            k,
+            kind: kind.partitioned(k >= 2),
+            env: PhaseEnv {
+                gpu_aware: self.gpu_aware,
+                flows_per_nic: self.machine.gpus_per_node.min(plan.nranks),
+                nodes: self.machine.nodes_for(plan.nranks),
+                p2p_peers: 1,
+                phase_id: 0,
+            },
+            scheds: scheds.collect(),
         }
     }
 }
@@ -480,7 +495,7 @@ impl ReshapeSchedule {
     /// right behind it the butterflies of the lines it completed
     /// (transform-ahead). `first_ahead` charges the strided first-call
     /// spike to the first chunk that actually transforms lines, exactly as
-    /// the standalone LocalFft step would.
+    /// the whole-box pass would.
     pub(crate) fn after_exchange(
         &self,
         env: &RunEnv,
@@ -502,7 +517,7 @@ impl ReshapeSchedule {
             .max(start);
             tl.trace.push(TraceEvent::MpiCall {
                 reshape: self.reshape,
-                routine: self.routine,
+                routine: env.plan.opts.backend.routine(),
                 start,
                 dur: end - start,
                 bytes: chunk.wire,
@@ -538,42 +553,44 @@ impl ReshapeSchedule {
     }
 }
 
-/// Splits `group[me_sub]`'s reshape bytes into `k` per-chunk totals under
-/// the global partition function, so sender and receiver agree on every
-/// message's chunk. Collective self flows belong to chunk 0 on both sides;
-/// the P2P self block moves by device copy and stays outside these sums,
-/// exactly as in [`FftPlan::reshape_local_bytes`].
-///
-/// `pad_bytes > 0` selects padded-`AllToAll` accounting: every block —
-/// present or not, self included — is the group-maximum padded size
-/// (`items` already folded in), so each chunk's totals count whole padded
-/// blocks.
-pub(crate) fn chunk_byte_split(
+/// What each member of `group` puts on the wire to each member at `items`
+/// batch items, one row per member in group order: the byte matrix both
+/// interpreters price. Padded `AllToAll` sends every member, itself
+/// included, the group's largest block; P2P sends itself nothing (its self
+/// block is a device copy outside MPI); every other pair sends its region.
+pub(crate) fn byte_rows(
     spec: &ReshapeSpec,
     group: &[usize],
-    me_sub: usize,
-    k: usize,
-    is_p2p: bool,
-    pad_bytes: usize,
+    backend: CommBackend,
     items: usize,
-) -> Vec<ChunkBytes> {
-    let p = group.len();
-    let rank = group[me_sub];
-    let send_idx = spec.send_region_index(rank, group);
-    let recv_idx = spec.recv_region_index(rank, group);
-    let bytes_of = |region: Option<&Box3>| match region {
-        _ if pad_bytes > 0 => pad_bytes,
-        Some(r) => r.volume() * ELEM_BYTES * items,
-        None => 0,
+) -> Vec<Vec<usize>> {
+    let padded = (backend == CommBackend::AllToAll).then(|| spec.padded_block_bytes(group));
+    let row = |rank| {
+        let regions = spec.send_region_index(rank, group);
+        let pair = |(region, &dst): (&Option<&Box3>, &usize)| match (padded, region) {
+            (Some(block), _) => block,
+            (None, Some(r)) if !(backend.is_p2p() && dst == rank) => r.volume() * ELEM_BYTES,
+            _ => 0,
+        };
+        regions.iter().zip(group).map(|p| pair(p) * items).collect()
     };
+    group.iter().map(|&rank| row(rank)).collect()
+}
+
+/// Splits `group[me_sub]`'s reshape bytes, given the group's byte `rows`,
+/// into `k` per-chunk totals under the global partition function, so
+/// sender and receiver agree on every message's chunk. It packs and sends
+/// `rows[me_sub][j]` to member `j` and receives and unpacks `rows[j][me_sub]`;
+/// its self block belongs to chunk 0 on both sides (the P2P one is 0: it
+/// moves by device copy, exactly as in [`FftPlan::reshape_local_bytes`]).
+pub(crate) fn chunk_byte_split(rows: &[Vec<usize>], me_sub: usize, k: usize) -> Vec<ChunkBytes> {
+    let p = rows.len();
     let mut chunks = vec![ChunkBytes::default(); k];
-    for j in 0..p {
-        let (sent, recvd) = (bytes_of(send_idx[j]), bytes_of(recv_idx[j]));
+    for (j, (&sent, row)) in rows[me_sub].iter().zip(rows).enumerate() {
+        let recvd = row[me_sub];
         if j == me_sub {
-            if !is_p2p {
-                chunks[0].pack += sent;
-                chunks[0].unpack += recvd;
-            }
+            chunks[0].pack += sent;
+            chunks[0].unpack += recvd;
             continue;
         }
         let to = &mut chunks[partition_of_step((j + p - me_sub) % p, p, k)];
@@ -611,15 +628,10 @@ mod tests {
         let items = 3usize;
         for k in [1usize, 2, 4, 7] {
             for (me_sub, &me) in members.iter().enumerate() {
-                for is_p2p in [false, true] {
-                    let t = totals(&chunk_byte_split(
-                        &spec, &members, me_sub, k, is_p2p, 0, items,
-                    ));
-                    let self_b = if is_p2p {
-                        0
-                    } else {
-                        spec.bytes(me, me) * items
-                    };
+                for backend in [CommBackend::AllToAllV, CommBackend::P2p] {
+                    let rows = byte_rows(&spec, &members, backend, items);
+                    let t = totals(&chunk_byte_split(&rows, me_sub, k));
+                    let self_b = spec.bytes(me, me) * items * usize::from(!backend.is_p2p());
                     assert_eq!(t.wire, spec.offrank_send_bytes(me) * items);
                     assert_eq!(t.pack, t.wire + self_b);
                     assert_eq!(t.unpack, spec.offrank_recv_bytes(me) * items + self_b);
@@ -634,9 +646,10 @@ mod tests {
         let items = 2usize;
         let pad = spec.padded_block_bytes(&members) * items;
         let p = members.len();
+        let rows = byte_rows(&spec, &members, CommBackend::AllToAll, items);
         for k in [2usize, 4, 7] {
             for me_sub in 0..p {
-                let chunks = chunk_byte_split(&spec, &members, me_sub, k, false, pad, items);
+                let chunks = chunk_byte_split(&rows, me_sub, k);
                 // Padded accounting: every block is the group max — p packed
                 // and unpacked blocks (self included), p − 1 on the wire.
                 let t = totals(&chunks);

@@ -10,11 +10,11 @@ mod common;
 
 use common::run_world;
 use distfft::dryrun::{DryRunOpts, DryRunner};
-use distfft::exec::ExecWork;
+use distfft::exec::{bind, execute, ExecCtx, ExecWork};
 use distfft::plan::{FftOptions, FftPlan};
 use distfft::PoolStats;
-use fftkern::Direction;
-use mpisim::comm::{RankWork, WorldOpts};
+use fftkern::{Direction, C64};
+use mpisim::comm::{Comm, RankWork, World, WorldOpts};
 use simgrid::MachineSpec;
 
 /// The world's summed record of one forward + inverse pair of the default
@@ -98,10 +98,34 @@ fn small_32_on_24_ranks_does_pinned_host_work() {
 }
 
 #[test]
+fn a_warm_transform_lowers_nothing() {
+    // `bind` lowers each rank's 8 schedules (4 reshapes × 2 directions);
+    // the first transform counts them and a second pair adds none.
+    let plan = FftPlan::build([64; 3], 8, FftOptions::default());
+    let world = World::new(MachineSpec::testbox(2), 8, WorldOpts::default());
+    let lowered = world.run(|rank| {
+        let comm = Comm::world(rank);
+        let bound = bind(&plan, rank, &comm);
+        let mut ctx = ExecCtx::new();
+        let volume = plan.dists[0].rank_box(rank.rank()).volume();
+        let mut data = vec![vec![C64::new(0.5, -0.25); volume]];
+        let mut pair = |ctx: &mut ExecCtx| {
+            for dir in [Direction::Forward, Direction::Inverse] {
+                execute(&plan, &bound, ctx, rank, &comm, &mut data, dir);
+            }
+            ctx.work().lowered
+        };
+        [pair(&mut ctx), pair(&mut ctx)]
+    });
+    let sum = |i: usize| lowered.iter().map(|l| l[i]).sum::<u64>();
+    assert_eq!((sum(0), sum(1)), (64, 64));
+}
+
+#[test]
 fn a_dry_runner_lowers_each_reshape_once() {
     // The functional pair above lowers 64 schedules, one per rank per
-    // reshape call; a dry runner lowers the same 64 on its first pair and
-    // none after, however many transforms follow.
+    // reshape; a dry runner lowers the same 64 on its first pair and none
+    // after, however many transforms follow.
     let plan = FftPlan::build([64; 3], 8, FftOptions::default());
     let spec = MachineSpec::summit();
     let mut runner = DryRunner::new(&plan, &spec, DryRunOpts::default());

@@ -21,11 +21,14 @@
 //! A panicking rank fails its world instead of hanging it: its drop guard
 //! records it, clears every board's rounds and wakes every waiter, which
 //! panics naming it; [`World::run`] re-panics with its index and message.
+//! A rank that returns marks itself exited and wakes every waiter too: a
+//! round it never deposited in can no longer complete, so its waiters
+//! panic naming it.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -118,6 +121,10 @@ pub struct World {
     boards: Mutex<BTreeMap<u64, Arc<Board>>>,
     /// First failing rank + 1 of the current run; 0 while none has failed.
     failed: AtomicUsize,
+    /// Per rank: whether its closure has returned in the current run. Set
+    /// (`Release`) before the exiting rank takes any board lock to wake its
+    /// waiters, read (`Acquire`) by a waiter holding its board's lock.
+    exited: Vec<AtomicBool>,
 }
 
 impl World {
@@ -130,6 +137,7 @@ impl World {
             nranks,
             boards: Mutex::default(),
             failed: AtomicUsize::new(0),
+            exited: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -163,19 +171,43 @@ impl World {
         self.failed.load(Ordering::Acquire).checked_sub(1)
     }
 
+    /// Whether `rank`'s closure has returned in the current run.
+    fn exited(&self, rank: usize) -> bool {
+        self.exited
+            .get(rank)
+            .is_some_and(|e| e.load(Ordering::Acquire))
+    }
+
     /// Fails the current run on behalf of the unwinding rank `rank`: records
     /// it unless an earlier rank failed first, and drops every in-flight
     /// round (waking any owner parked on a deposited handle) before waking
-    /// every waiter to observe the failure. The boards are collected first
-    /// and the map lock released, so no lock is ever taken while another is
-    /// held (DESIGN.md §12).
+    /// every waiter to observe the failure.
     fn abort(&self, rank: usize) {
         let _ = self
             .failed
             .compare_exchange(0, rank + 1, Ordering::AcqRel, Ordering::Acquire);
+        self.wake_all(|rounds| rounds.clear());
+    }
+
+    /// Marks `rank` as returned and wakes every waiter to check whether it
+    /// was waiting on it.
+    fn exit(&self, rank: usize) {
+        if let Some(e) = self.exited.get(rank) {
+            e.store(true, Ordering::Release);
+        }
+        self.wake_all(|_| {});
+    }
+
+    /// Runs `f` on every board's rounds and wakes the board's waiters with
+    /// its lock held, so a waiter between its check and its wait cannot
+    /// miss the wake. The boards are collected first and the map lock
+    /// released, so no lock is ever taken while another is held
+    /// (DESIGN.md §12).
+    fn wake_all(&self, f: impl Fn(&mut BTreeMap<u64, Round>)) {
         let boards: Vec<Arc<Board>> = self.boards.lock().values().cloned().collect();
         for board in boards {
-            board.rounds.lock().clear();
+            let mut rounds = board.rounds.lock();
+            f(&mut rounds);
             board.cv.notify_all();
         }
     }
@@ -193,6 +225,9 @@ impl World {
     {
         self.boards.lock().clear();
         self.failed.store(0, Ordering::Release);
+        for e in &self.exited {
+            e.store(false, Ordering::Release);
+        }
         let results: Vec<thread::Result<R>> = thread::scope(|scope| {
             #[expect(clippy::expect_used, reason = "thread spawn failure is unrecoverable")]
             let handles: Vec<_> = (0..self.nranks)
@@ -202,7 +237,7 @@ impl World {
                         .name(format!("rank-{r}"))
                         .stack_size(8 << 20)
                         .spawn_scoped(scope, move || {
-                            let _abort = AbortOnUnwind(self, r);
+                            let _exit = ExitGuard(self, r);
                             f(&mut Rank::new(self, r))
                         })
                         .expect("failed to spawn rank thread")
@@ -222,13 +257,16 @@ impl World {
     }
 }
 
-/// Aborts the world when the rank closure it guards unwinds.
-struct AbortOnUnwind<'w>(&'w World, usize);
+/// Ends a rank closure's part in the run: aborts the world when the
+/// closure unwinds, and marks the rank exited when it returns.
+struct ExitGuard<'w>(&'w World, usize);
 
-impl Drop for AbortOnUnwind<'_> {
+impl Drop for ExitGuard<'_> {
     fn drop(&mut self) {
         if thread::panicking() {
             self.0.abort(self.1);
+        } else {
+            self.0.exit(self.1);
         }
     }
 }
@@ -475,6 +513,15 @@ impl Comm {
                         rounds.remove(&tag);
                     }
                     return (column, result);
+                }
+                // A member that returned without depositing never will.
+                let metas = self.members.iter().zip(&slots.metas);
+                let mut gone = metas.filter(|(_, m)| m.is_none()).map(|(&r, _)| r);
+                if let Some(r) = gone.find(|&r| rank.world.exited(r)) {
+                    panic!(
+                        "rank {} abandoned a collective: rank {r} returned without joining it",
+                        rank.rank
+                    );
                 }
             }
             if let Some(f) = rank.world.failure() {

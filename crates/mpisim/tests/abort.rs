@@ -1,7 +1,8 @@
 //! A rank that panics fails its world instead of hanging it: its peers
 //! abandon the collective they are waiting in, and `World::run` panics
-//! naming the failing rank and its message. Members that disagree on how
-//! an exchange is priced fail it the same way, naming the member. A
+//! naming the failing rank and its message. A rank that returns while its
+//! peers wait for it in a round, and members that disagree on how an
+//! exchange is priced, fail it the same way, naming that rank or member. A
 //! watchdog bounds each run.
 
 use std::panic::{self, AssertUnwindSafe};
@@ -62,6 +63,23 @@ fn a_member_pricing_another_exchange_kind_fails_the_world_naming_it() {
     });
     assert!(
         failure.contains("exchange member 2 (rank 2) disagrees with member 0 on the exchange kind"),
+        "{failure}"
+    );
+}
+
+#[test]
+fn a_rank_returning_between_two_rounds_fails_the_world_naming_it() {
+    let world = World::new(MachineSpec::testbox(2), 4, WorldOpts::default());
+    let failure = failure_of(world, |rank| {
+        let (comm, me) = (Comm::world(rank), rank.rank());
+        comm.control_exchange(rank, vec![me; 4]);
+        if me == 2 {
+            return;
+        }
+        comm.control_exchange(rank, vec![me; 4]);
+    });
+    assert!(
+        failure.contains("rank 2 returned without joining it"),
         "{failure}"
     );
 }
