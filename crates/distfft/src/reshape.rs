@@ -355,6 +355,10 @@ impl ReshapeSpec {
     /// the batch indices the next-axis FFT kernel sees (axis 2:
     /// `i0·s1 + i1`; axis 1: `i0·s2 + i2`; axis 0: `i1·s2 + i2`); every
     /// line of `to_box` appears in exactly one chunk.
+    ///
+    /// The arrival chunk is constant on every cell of the grid the regions'
+    /// boundaries cut the line grid into, so it is computed per cell, and
+    /// the runs are emitted a row of cells at a time.
     pub fn recv_line_runs(
         &self,
         rank: usize,
@@ -365,45 +369,73 @@ impl ReshapeSpec {
         axis: usize,
     ) -> Vec<Vec<(usize, usize)>> {
         assert!(k_eff >= 1, "need at least one chunk");
+        let mut runs = vec![Vec::new(); k_eff];
+        if to_box.is_empty() {
+            return runs;
+        }
         let p = members.len();
-        let total = if to_box.is_empty() {
-            0
-        } else {
-            to_box.volume() / to_box.len(axis)
-        };
-        let mut arrival = vec![0usize; total];
-        // The two dims spanning the line grid, and the fast-dim width.
+        // The two dims spanning the line grid (`db` the fast one).
         let (da, db) = match axis {
             2 => (0, 1),
             1 => (0, 2),
             _ => (1, 2),
         };
-        let width = to_box.len(db);
-        for (j, region) in self.recv_region_index(rank, members).iter().enumerate() {
-            let Some(r) = region else { continue };
-            let chunk = if j == me_sub {
-                0
-            } else {
-                mpisim::pattern::partition_of_step((me_sub + p - j) % p, p, k_eff)
-            };
-            for ia in (r.lo[da] - to_box.lo[da])..(r.hi[da] - to_box.lo[da]) {
-                for ib in (r.lo[db] - to_box.lo[db])..(r.hi[db] - to_box.lo[db]) {
-                    let l = ia * width + ib;
-                    arrival[l] = arrival[l].max(chunk);
+        // Each member's receive region with its arrival chunk, by a merge
+        // walk over the flows (both sides ascending).
+        let flows = &self.recvs[rank];
+        let regions = || {
+            let mut f = 0;
+            members.iter().enumerate().filter_map(move |(j, &m)| {
+                while flows.get(f).is_some_and(|&(src, _)| src < m) {
+                    f += 1;
+                }
+                let (_, region) = flows.get(f).filter(|&&(src, _)| src == m)?;
+                f += 1;
+                let chunk = if j == me_sub {
+                    0
+                } else {
+                    mpisim::pattern::partition_of_step((me_sub + p - j) % p, p, k_eff)
+                };
+                Some((chunk, region))
+            })
+        };
+        // Sorted, deduplicated region boundaries along `d`, box ends included.
+        let cuts = |d: usize| {
+            let mut cuts = vec![to_box.lo[d], to_box.hi[d]];
+            cuts.extend(regions().flat_map(|(_, r)| [r.lo[d], r.hi[d]]));
+            cuts.sort_unstable();
+            cuts.dedup();
+            cuts
+        };
+        let (cuts_a, cuts_b) = (cuts(da), cuts(db));
+        let index = |cuts: &[usize], x: usize| cuts.partition_point(|&c| c < x);
+        let nb = cuts_b.len() - 1;
+        let mut cell = vec![0usize; (cuts_a.len() - 1) * nb];
+        for (chunk, r) in regions() {
+            for ia in index(&cuts_a, r.lo[da])..index(&cuts_a, r.hi[da]) {
+                let row = &mut cell[ia * nb..(ia + 1) * nb];
+                for c in &mut row[index(&cuts_b, r.lo[db])..index(&cuts_b, r.hi[db])] {
+                    *c = (*c).max(chunk);
                 }
             }
         }
-        let mut runs = vec![Vec::new(); k_eff];
-        let mut l = 0;
-        while l < total {
-            let c = arrival[l];
-            let mut hi = l + 1;
-            while hi < total && arrival[hi] == c {
-                hi += 1;
+        // Walk the lines in order, one cell-row segment at a time, closing
+        // a run wherever the chunk changes.
+        let width = to_box.len(db);
+        let (mut lo, mut open) = (0, cell[0]);
+        for (ia, row) in cell.chunks(nb).enumerate() {
+            for a in cuts_a[ia]..cuts_a[ia + 1] {
+                let line = (a - to_box.lo[da]) * width;
+                for (&chunk, &b) in row.iter().zip(&cuts_b) {
+                    let start = line + b - to_box.lo[db];
+                    if chunk != open {
+                        runs[open].push((lo, start));
+                        (lo, open) = (start, chunk);
+                    }
+                }
             }
-            runs[c].push((l, hi));
-            l = hi;
         }
+        runs[open].push((lo, to_box.volume() / to_box.len(axis)));
         runs
     }
 }
@@ -756,6 +788,115 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-line reference of [`ReshapeSpec::recv_line_runs`]: every
+    /// line's arrival chunk filled one line at a time.
+    fn recv_line_runs_reference(
+        spec: &ReshapeSpec,
+        rank: usize,
+        members: &[usize],
+        me_sub: usize,
+        k_eff: usize,
+        to_box: &Box3,
+        axis: usize,
+    ) -> Vec<Vec<(usize, usize)>> {
+        assert!(k_eff >= 1, "need at least one chunk");
+        let p = members.len();
+        let total = if to_box.is_empty() {
+            0
+        } else {
+            to_box.volume() / to_box.len(axis)
+        };
+        let mut arrival = vec![0usize; total];
+        // The two dims spanning the line grid, and the fast-dim width.
+        let (da, db) = match axis {
+            2 => (0, 1),
+            1 => (0, 2),
+            _ => (1, 2),
+        };
+        let width = to_box.len(db);
+        for (j, region) in spec.recv_region_index(rank, members).iter().enumerate() {
+            let Some(r) = region else { continue };
+            let chunk = if j == me_sub {
+                0
+            } else {
+                mpisim::pattern::partition_of_step((me_sub + p - j) % p, p, k_eff)
+            };
+            for ia in (r.lo[da] - to_box.lo[da])..(r.hi[da] - to_box.lo[da]) {
+                for ib in (r.lo[db] - to_box.lo[db])..(r.hi[db] - to_box.lo[db]) {
+                    let l = ia * width + ib;
+                    arrival[l] = arrival[l].max(chunk);
+                }
+            }
+        }
+        let mut runs = vec![Vec::new(); k_eff];
+        let mut l = 0;
+        while l < total {
+            let c = arrival[l];
+            let mut hi = l + 1;
+            while hi < total && arrival[hi] == c {
+                hi += 1;
+            }
+            runs[c].push((l, hi));
+            l = hi;
+        }
+        runs
+    }
+
+    #[test]
+    fn grid_line_runs_equal_the_per_line_reference() {
+        // Prime and non-divisible extents, grids with more ranks along an
+        // axis than it has points (empty boxes, empty regions), idle ranks
+        // (grids of 3, 5 and 6 on 8), slabs, pencils and bricks, every
+        // axis and several chunk counts.
+        let domains = [
+            [8usize, 9, 10],
+            [7, 5, 11],
+            [13, 3, 2],
+            [2, 17, 5],
+            [1, 6, 4],
+        ];
+        let grids = [
+            [1usize, 2, 4],
+            [2, 1, 4],
+            [2, 4, 1],
+            [2, 2, 2],
+            [1, 1, 8],
+            [8, 1, 1],
+            [3, 1, 2],
+            [1, 3, 2],
+            [5, 1, 1],
+            [1, 1, 3],
+        ];
+        let mut cases = 0;
+        for n in domains {
+            for ga in grids {
+                for gb in grids.into_iter().filter(|&gb| gb != ga) {
+                    let a = Distribution::new(n, ga, 8);
+                    let b = Distribution::new(n, gb, 8);
+                    let rs = ReshapeSpec::build(&a, &b);
+                    for g in &rs.groups {
+                        for (me_sub, &r) in g.iter().enumerate() {
+                            let to_box = b.boxes[r];
+                            for axis in 0..3 {
+                                for k in [1usize, 2, 3, 4, 7] {
+                                    assert_eq!(
+                                        rs.recv_line_runs(r, g, me_sub, k, &to_box, axis),
+                                        recv_line_runs_reference(
+                                            &rs, r, g, me_sub, k, &to_box, axis
+                                        ),
+                                        "n {n:?}, {ga:?} -> {gb:?}, rank {r}, axis {axis}, k {k}"
+                                    );
+                                    cases += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 10_000, "{cases} cases");
     }
 
     #[test]

@@ -114,11 +114,11 @@ fn every_backend_and_chunking_allocates_a_pinned_amount() {
     use CommBackend::*;
     #[rustfmt::skip]
     let want = vec![
-        (AllToAll, 1, 754), (AllToAll, 4, 784), (AllToAll, 0, 765),
-        (AllToAllV, 1, 728), (AllToAllV, 4, 768), (AllToAllV, 0, 728),
-        (AllToAllW, 1, 712), (AllToAllW, 4, 752), (AllToAllW, 0, 712),
-        (P2p, 1, 750), (P2p, 4, 774), (P2p, 0, 750),
-        (P2pBlocking, 1, 750), (P2pBlocking, 4, 774), (P2pBlocking, 0, 750),
+        (AllToAll, 1, 692), (AllToAll, 4, 720), (AllToAll, 0, 700),
+        (AllToAllV, 1, 648), (AllToAllV, 4, 688), (AllToAllV, 0, 648),
+        (AllToAllW, 1, 632), (AllToAllW, 4, 672), (AllToAllW, 0, 632),
+        (P2p, 1, 686), (P2p, 4, 710), (P2p, 0, 686),
+        (P2pBlocking, 1, 686), (P2pBlocking, 4, 710), (P2pBlocking, 0, 686),
     ];
     assert_eq!(got, want);
 }
@@ -130,7 +130,7 @@ fn work_record_shapes_allocate_a_pinned_amount() {
         exec_allocations(64, 8, FftOptions::default()),
         exec_allocations(32, 24, FftOptions::default()),
     ];
-    assert_eq!(got, [728, 2282]);
+    assert_eq!(got, [648, 1802]);
 }
 
 /// An r2c → c2r pair (60³ on 6 ranks, slabs, P2p, 4 reshape chunks: the
@@ -153,7 +153,7 @@ fn real_and_batched_plans_allocate_a_pinned_amount() {
         real_allocations(60, 6, real),
         exec_allocations(32, 8, batched),
     ];
-    assert_eq!(got, [519, 1408]);
+    assert_eq!(got, [471, 1248]);
 }
 
 /// A warm dry-run pair on Summit: the schedule walkers' exit-time passes
@@ -162,7 +162,7 @@ fn real_and_batched_plans_allocate_a_pinned_amount() {
 fn warm_dry_runs_allocate_a_pinned_amount() {
     assert_eq!(
         [dryrun_allocations(64, 8), dryrun_allocations(32, 24)],
-        [256, 808]
+        [176, 328]
     );
 }
 
@@ -186,6 +186,6 @@ fn allocations_do_not_depend_on_the_simd_tier() {
             real_allocations(60, 6, real.clone()),
         ];
         simd::force_tier(None);
-        assert_eq!(got, [728, 519], "{tier:?}");
+        assert_eq!(got, [648, 471], "{tier:?}");
     }
 }

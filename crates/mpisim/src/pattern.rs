@@ -12,7 +12,10 @@
 //! deterministic per-message jitter (`simgrid::noise::hash_jitter`). Within
 //! one walk every message shares the phase's [`TransferCtx`], so its
 //! transport cost depends only on (bytes, link path): a `Pricer` prices
-//! each distinct pair once and applies the jitter per message.
+//! each distinct pair once and applies the jitter per message (none at
+//! zero amplitude). Each message is priced once per walk: its injection
+//! time is also the drain its receiver charges, and its latency is carried
+//! from the injecting pass to the arriving one.
 
 use simgrid::link::{self, LinkPath, TransferCtx};
 use simgrid::noise::hash_jitter;
@@ -122,13 +125,22 @@ struct Price {
     lat: u64,
 }
 
+/// A walk's view of one member: its world rank and its node, computed
+/// once per walk so no message divides by `gpus_per_node`.
+type Member = (usize, usize);
+
+fn members(spec: &MachineSpec, group: &[usize]) -> Vec<Member> {
+    group.iter().map(|&r| (r, spec.node_of(r))).collect()
+}
+
 /// The message pricer of one walk: splits a message's cost into
 /// (injection, latency) parts, with jitter applied to the injection.
-/// `src`/`dst` are **world** ranks.
 ///
 /// Transport is priced once per distinct (bytes, link path), found by a
 /// linear scan: a walk over a block distribution sees only a handful of
-/// distinct prices however many pairs it has. Prices live for one walk
+/// distinct prices however many pairs it has. Links are classified from
+/// the members' nodes. At zero noise amplitude the injection is returned
+/// as priced (`hash_jitter` would be exactly 1). Prices live for one walk
 /// only.
 struct Pricer<'a> {
     np: &'a NetParams<'a>,
@@ -147,9 +159,19 @@ impl<'a> Pricer<'a> {
         }
     }
 
-    fn parts(&mut self, bytes: usize, src: usize, dst: usize) -> (u64, u64) {
-        let spec = self.np.spec;
-        let link = link::path(spec, src, dst);
+    fn parts(
+        &mut self,
+        bytes: usize,
+        (src, src_node): Member,
+        (dst, dst_node): Member,
+    ) -> (u64, u64) {
+        let link = if src == dst {
+            LinkPath::SelfCopy
+        } else if src_node == dst_node {
+            LinkPath::IntraNode
+        } else {
+            LinkPath::InterNode
+        };
         let hit = self
             .prices
             .iter()
@@ -157,6 +179,7 @@ impl<'a> Pricer<'a> {
         let (inject, lat) = match hit {
             Some(price) => (price.inject, price.lat),
             None => {
+                let spec = self.np.spec;
                 let total = link::message_time_ns(spec, bytes, src, dst, &self.ctx);
                 let lat = link::message_time_ns(spec, 0, src, dst, &self.ctx);
                 let inject = total.saturating_sub(lat);
@@ -170,6 +193,9 @@ impl<'a> Pricer<'a> {
             }
         };
         let np = self.np;
+        if np.noise_amp == 0.0 {
+            return (inject, lat);
+        }
         let j = hash_jitter(
             np.seed,
             self.env.phase_id,
@@ -203,49 +229,54 @@ pub fn pairwise_times(
 ) -> Vec<SimTime> {
     let mut pricer = Pricer::new(np, env);
     let mut price = |b, src, dst| pricer.parts(b, src, dst);
-    pairwise_walk(np, env, group, entries, bytes, extra_per_msg_ns, &mut price)
+    pairwise_walk(
+        np,
+        env,
+        &members(np.spec, group),
+        entries,
+        bytes,
+        extra_per_msg_ns,
+        &mut price,
+    )
 }
 
+/// `price(bytes, src, dst)` is the (injection, latency) of one message;
+/// each step prices each message once.
 fn pairwise_walk(
     np: &NetParams,
     env: &PhaseEnv,
-    group: &[usize],
+    members: &[Member],
     entries: &[SimTime],
     bytes: &dyn Fn(usize, usize) -> usize,
     extra_per_msg_ns: u64,
-    price: &mut impl FnMut(usize, usize, usize) -> (u64, u64),
+    price: &mut impl FnMut(usize, Member, Member) -> (u64, u64),
 ) -> Vec<SimTime> {
-    let p = group.len();
+    let p = members.len();
     assert_eq!(entries.len(), p);
     if p == 0 {
         return Vec::new();
     }
     let mut now: Vec<SimTime> = (0..p)
-        .map(|i| entries[i] + SimTime::from_ns(selfcopy_ns(np, env, group[i], bytes(i, i))))
+        .map(|i| entries[i] + SimTime::from_ns(selfcopy_ns(np, env, members[i].0, bytes(i, i))))
         .collect();
-    let mut nic: Vec<SimTime> = now.clone();
+    // Per member: its NIC's free time (its injection end once a step's
+    // injection pass ran) and the latency of the message it sent.
+    let mut sent: Vec<(SimTime, u64)> = now.iter().map(|&t| (t, 0)).collect();
 
     for step in 1..p {
         // Injection pass: everyone prices its send of this step.
-        let mut inj_end = vec![SimTime::ZERO; p];
-        let mut arrival_at = vec![SimTime::ZERO; p]; // arrival of the msg *received* this step
-        for i in 0..p {
+        for (i, (nic, lat)) in sent.iter_mut().enumerate() {
             let dst = (i + step) % p;
-            let (inject, _lat) = price(bytes(i, dst), group[i], group[dst]);
-            let start =
-                (now[i] + SimTime::from_ns(SEND_OVERHEAD_NS + extra_per_msg_ns)).max(nic[i]);
-            inj_end[i] = start + SimTime::from_ns(inject);
-        }
-        for i in 0..p {
-            let src = (i + p - step) % p;
-            let (_inject, lat) = price(bytes(src, i), group[src], group[i]);
-            arrival_at[i] = inj_end[src] + SimTime::from_ns(lat);
+            let (inject, l) = price(bytes(i, dst), members[i], members[dst]);
+            let start = (now[i] + SimTime::from_ns(SEND_OVERHEAD_NS + extra_per_msg_ns)).max(*nic);
+            *nic = start + SimTime::from_ns(inject);
+            *lat = l;
         }
         // Completion pass: sendrecv finishes when both directions are done.
-        for i in 0..p {
-            nic[i] = inj_end[i];
-            now[i] = inj_end[i].max(arrival_at[i])
-                + SimTime::from_ns(RECV_OVERHEAD_NS + extra_per_msg_ns);
+        for (i, t) in now.iter_mut().enumerate() {
+            let (inj_end, lat) = sent[(i + p - step) % p];
+            let arrival = inj_end + SimTime::from_ns(lat);
+            *t = sent[i].0.max(arrival) + SimTime::from_ns(RECV_OVERHEAD_NS + extra_per_msg_ns);
         }
     }
     now
@@ -263,44 +294,48 @@ pub fn bruck_times(
 ) -> Vec<SimTime> {
     let mut pricer = Pricer::new(np, env);
     let mut price = |b, src, dst| pricer.parts(b, src, dst);
-    bruck_walk(np, group, entries, total_send_bytes, &mut price)
+    bruck_walk(
+        np,
+        &members(np.spec, group),
+        entries,
+        total_send_bytes,
+        &mut price,
+    )
 }
 
 fn bruck_walk(
     np: &NetParams,
-    group: &[usize],
+    members: &[Member],
     entries: &[SimTime],
     total_send_bytes: &[usize],
-    price: &mut impl FnMut(usize, usize, usize) -> (u64, u64),
+    price: &mut impl FnMut(usize, Member, Member) -> (u64, u64),
 ) -> Vec<SimTime> {
-    let p = group.len();
+    let p = members.len();
     assert_eq!(entries.len(), p);
     if p <= 1 {
         return entries.to_vec();
     }
     let rounds = usize::BITS - (p - 1).leading_zeros(); // ceil(log2 p)
     let mut now = entries.to_vec();
-    let mut nic = entries.to_vec();
+    // Per member: NIC free time / injection end, and its message's latency.
+    let mut sent: Vec<(SimTime, u64)> = entries.iter().map(|&t| (t, 0)).collect();
 
     for r in 0..rounds {
         let hop = 1usize << r;
-        let mut inj_end = vec![SimTime::ZERO; p];
-        for i in 0..p {
+        for (i, (nic, lat)) in sent.iter_mut().enumerate() {
             let dst = (i + hop) % p;
             let b = total_send_bytes[i] / 2;
-            let (inject, _lat) = price(b, group[i], group[dst]);
+            let (inject, l) = price(b, members[i], members[dst]);
             // Bruck reorders locally before each round: charge a pack pass.
             let pack = np.spec.kernel_model().pack_ns(b);
-            let start = (now[i] + SimTime::from_ns(SEND_OVERHEAD_NS + pack)).max(nic[i]);
-            inj_end[i] = start + SimTime::from_ns(inject);
+            let start = (now[i] + SimTime::from_ns(SEND_OVERHEAD_NS + pack)).max(*nic);
+            *nic = start + SimTime::from_ns(inject);
+            *lat = l;
         }
-        for i in 0..p {
-            let src = (i + p - hop) % p;
-            let b = total_send_bytes[src] / 2;
-            let (_inject, lat) = price(b, group[src], group[i]);
-            let arrival = inj_end[src] + SimTime::from_ns(lat);
-            nic[i] = inj_end[i];
-            now[i] = inj_end[i].max(arrival) + SimTime::from_ns(RECV_OVERHEAD_NS);
+        for (i, t) in now.iter_mut().enumerate() {
+            let (inj_end, lat) = sent[(i + p - hop) % p];
+            let arrival = inj_end + SimTime::from_ns(lat);
+            *t = sent[i].0.max(arrival) + SimTime::from_ns(RECV_OVERHEAD_NS);
         }
     }
     now
@@ -419,19 +454,56 @@ pub fn scatter_times(
 ) -> PartitionedTimes {
     let mut pricer = Pricer::new(np, env);
     let mut price = |b, src, dst| pricer.parts(b, src, dst);
-    scatter_walk(np, env, group, part_entries, bytes, policy, &mut price)
+    scatter_walk(
+        np,
+        env,
+        &members(np.spec, group),
+        part_entries,
+        bytes,
+        policy,
+        &mut price,
+    )
 }
 
+/// One message in its receiver's row of a scatter walk's arrival table.
+#[derive(Clone, Copy)]
+struct Arrival {
+    /// Arrival time, ns.
+    ns: u64,
+    /// `sender << 32 | partition`.
+    src_part: u64,
+    /// Injection time: the receiver drains the message as fast as it was
+    /// injected.
+    drain: u64,
+}
+
+impl Arrival {
+    const NONE: Arrival = Arrival {
+        ns: u64::MAX,
+        src_part: u64::MAX,
+        drain: 0,
+    };
+
+    /// Sorts as (arrival, sender, partition).
+    fn key(&self) -> u128 {
+        u128::from(self.ns) << 64 | u128::from(self.src_part)
+    }
+}
+
+/// The send pass prices each message once and records it in its
+/// receiver's row of one flat arrival table, with its injection time,
+/// which is also its receive-side drain. The receive pass sorts each row
+/// by arrival (then sender) and walks it without pricing anything.
 fn scatter_walk(
     np: &NetParams,
     env: &PhaseEnv,
-    group: &[usize],
+    members: &[Member],
     part_entries: &[SimTime],
     bytes: &dyn Fn(usize, usize) -> usize,
     policy: &ScatterPolicy,
-    price: &mut impl FnMut(usize, usize, usize) -> (u64, u64),
+    price: &mut impl FnMut(usize, Member, Member) -> (u64, u64),
 ) -> PartitionedTimes {
-    let p = group.len();
+    let p = members.len();
     if p == 0 {
         return PartitionedTimes::from_flat(Vec::new(), 1);
     }
@@ -440,14 +512,21 @@ fn scatter_walk(
         nparts >= 1 && part_entries.len() == p * nparts,
         "every member must supply one entry time per partition"
     );
+    // Receiver `j`'s row is `arrivals[j·(p−1)..][..p−1]`, one slot per
+    // sender; a slot nobody posts to keeps `Arrival::NONE`, which sorts last.
+    let width = p - 1;
+    let slot = |src: usize, dst: usize| dst * width + src - usize::from(src > dst);
+    let mut arrivals = vec![Arrival::NONE; p * width];
+    // `p · nparts` ready times, then the exits; the exit slots hold each
+    // member's send completion until the receive pass.
+    let mut flat = vec![SimTime::ZERO; p * nparts + p];
+    let (ready_all, exits) = flat.split_at_mut(p * nparts);
 
     // Send pass: serialize each sender's injections, each message gated
     // on its own chunk's entry; record arrivals.
-    let mut arrivals: Vec<Vec<(SimTime, u32, u32)>> = vec![Vec::new(); p]; // (arrival, src, part)
-    let mut send_done = vec![SimTime::ZERO; p];
-    for i in 0..p {
+    for (i, send_done) in exits.iter_mut().enumerate() {
         let pe = &part_entries[i * nparts..(i + 1) * nparts];
-        let mut t = pe[0] + SimTime::from_ns(selfcopy_ns(np, env, group[i], bytes(i, i)));
+        let mut t = pe[0] + SimTime::from_ns(selfcopy_ns(np, env, members[i].0, bytes(i, i)));
         let mut nic = t;
         for k in 1..p {
             let j = (i + k) % p;
@@ -461,36 +540,39 @@ fn scatter_walk(
                 continue;
             }
             let post = t + SimTime::from_ns(SEND_OVERHEAD_NS + (policy.extra_send_ns)(i, b));
-            let (inject, lat) = price(b, group[i], group[j]);
+            let (inject, lat) = price(b, members[i], members[j]);
             let start = post.max(nic);
             let end = start + SimTime::from_ns(inject);
             nic = end;
-            arrivals[j].push((end + SimTime::from_ns(lat), i as u32, part as u32));
+            arrivals[slot(i, j)] = Arrival {
+                ns: (end + SimTime::from_ns(lat)).as_ns(),
+                src_part: (i as u64) << 32 | part as u64,
+                drain: inject,
+            };
             t = match policy.flavor {
                 P2pFlavor::Blocking => end,
                 P2pFlavor::NonBlocking => post,
             };
         }
-        send_done[i] = t.max(nic);
+        *send_done = t.max(nic);
     }
 
     // Receive pass. The RX direction of the NIC drains arrivals in arrival
     // order, concurrently with the member's own injections (links are full
     // duplex); the CPU-side completion work (waitany matching, datatype
     // unpack) lands inline or in one trailing pass per the policy.
-    let mut flat = vec![SimTime::ZERO; p * nparts + p];
-    for j in 0..p {
+    for (j, exit) in exits.iter_mut().enumerate() {
         let entry = part_entries[j * nparts];
-        let ready = &mut flat[j * nparts..(j + 1) * nparts];
+        let ready = &mut ready_all[j * nparts..(j + 1) * nparts];
         ready.fill(entry);
         let mut rx = entry;
         let mut trailing_ns = 0u64;
-        arrivals[j].sort_unstable();
-        for &(arr, src, part) in &arrivals[j] {
-            let (src, part) = (src as usize, part as usize);
-            let b = bytes(src, j);
-            let (drain, _lat) = price(b, group[src], group[j]);
-            let done_ns = RECV_OVERHEAD_NS + (policy.extra_recv_ns)(src, b);
+        let row = &mut arrivals[j * width..(j + 1) * width];
+        row.sort_unstable_by_key(Arrival::key);
+        for a in row.iter().take_while(|a| a.key() != Arrival::NONE.key()) {
+            let (src, part) = ((a.src_part >> 32) as usize, a.src_part as u32 as usize);
+            let (arr, drain) = (SimTime::from_ns(a.ns), a.drain);
+            let done_ns = RECV_OVERHEAD_NS + (policy.extra_recv_ns)(src, bytes(src, j));
             rx = rx.max(arr) + SimTime::from_ns(drain);
             if policy.inline_recv {
                 rx += SimTime::from_ns(done_ns);
@@ -499,11 +581,10 @@ fn scatter_walk(
             }
             ready[part] = ready[part].max(rx);
         }
-        let exit = send_done[j].max(rx) + SimTime::from_ns(trailing_ns);
+        *exit = (*exit).max(rx) + SimTime::from_ns(trailing_ns);
         if !policy.inline_recv {
-            ready.fill(exit);
+            ready.fill(*exit);
         }
-        flat[p * nparts + j] = exit;
     }
     PartitionedTimes::from_flat(flat, nparts)
 }
@@ -788,7 +869,8 @@ mod tests {
     }
 
     /// Per-message reference pricing: every message priced from scratch
-    /// through `message_time_ns`.
+    /// through `message_time_ns`, with the jitter applied at every
+    /// amplitude.
     fn msg_parts(
         np: &NetParams,
         env: &PhaseEnv,
@@ -804,59 +886,208 @@ mod tests {
         ((inject as f64 * j).round() as u64, lat)
     }
 
+    /// The two-pass scatter walk: arrivals in one `Vec` per receiver, and
+    /// the receive pass prices every message again for its drain.
+    fn scatter_walk_reference(
+        np: &NetParams,
+        env: &PhaseEnv,
+        group: &[usize],
+        part_entries: &[SimTime],
+        bytes: &dyn Fn(usize, usize) -> usize,
+        policy: &ScatterPolicy,
+        price: &mut impl FnMut(usize, usize, usize) -> (u64, u64),
+    ) -> PartitionedTimes {
+        let p = group.len();
+        if p == 0 {
+            return PartitionedTimes::from_flat(Vec::new(), 1);
+        }
+        let nparts = part_entries.len() / p;
+        assert!(
+            nparts >= 1 && part_entries.len() == p * nparts,
+            "every member must supply one entry time per partition"
+        );
+
+        // Send pass: serialize each sender's injections, each message gated
+        // on its own chunk's entry; record arrivals.
+        let mut arrivals: Vec<Vec<(SimTime, u32, u32)>> = vec![Vec::new(); p]; // (arrival, src, part)
+        let mut send_done = vec![SimTime::ZERO; p];
+        for i in 0..p {
+            let pe = &part_entries[i * nparts..(i + 1) * nparts];
+            let mut t = pe[0] + SimTime::from_ns(selfcopy_ns(np, env, group[i], bytes(i, i)));
+            let mut nic = t;
+            for k in 1..p {
+                let j = (i + k) % p;
+                let part = match nparts {
+                    1 => 0,
+                    _ => partition_of_step(k, p, nparts),
+                };
+                t = t.max(pe[part]);
+                let b = bytes(i, j);
+                if b == 0 && !policy.post_zero {
+                    continue;
+                }
+                let post = t + SimTime::from_ns(SEND_OVERHEAD_NS + (policy.extra_send_ns)(i, b));
+                let (inject, lat) = price(b, group[i], group[j]);
+                let start = post.max(nic);
+                let end = start + SimTime::from_ns(inject);
+                nic = end;
+                arrivals[j].push((end + SimTime::from_ns(lat), i as u32, part as u32));
+                t = match policy.flavor {
+                    P2pFlavor::Blocking => end,
+                    P2pFlavor::NonBlocking => post,
+                };
+            }
+            send_done[i] = t.max(nic);
+        }
+
+        // Receive pass. The RX direction of the NIC drains arrivals in arrival
+        // order, concurrently with the member's own injections (links are full
+        // duplex); the CPU-side completion work (waitany matching, datatype
+        // unpack) lands inline or in one trailing pass per the policy.
+        let mut flat = vec![SimTime::ZERO; p * nparts + p];
+        for j in 0..p {
+            let entry = part_entries[j * nparts];
+            let ready = &mut flat[j * nparts..(j + 1) * nparts];
+            ready.fill(entry);
+            let mut rx = entry;
+            let mut trailing_ns = 0u64;
+            arrivals[j].sort_unstable();
+            for &(arr, src, part) in &arrivals[j] {
+                let (src, part) = (src as usize, part as usize);
+                let b = bytes(src, j);
+                let (drain, _lat) = price(b, group[src], group[j]);
+                let done_ns = RECV_OVERHEAD_NS + (policy.extra_recv_ns)(src, b);
+                rx = rx.max(arr) + SimTime::from_ns(drain);
+                if policy.inline_recv {
+                    rx += SimTime::from_ns(done_ns);
+                } else {
+                    trailing_ns += done_ns;
+                }
+                ready[part] = ready[part].max(rx);
+            }
+            let exit = send_done[j].max(rx) + SimTime::from_ns(trailing_ns);
+            if !policy.inline_recv {
+                ready.fill(exit);
+            }
+            flat[p * nparts + j] = exit;
+        }
+        PartitionedTimes::from_flat(flat, nparts)
+    }
+
     #[test]
     fn deduplicated_pricing_equals_per_message_reference() {
         let spec = MachineSpec::summit();
-        // Three nodes' worth of world ranks (6 per node), not contiguous,
-        // so intra- and inter-node pairs both occur.
-        let group = [0usize, 2, 5, 6, 9, 13, 14, 17];
-        let p = group.len();
-        let entries: Vec<SimTime> = (0..3 * p)
-            .map(|x| SimTime::from_ns(x as u64 * 37 % 500))
-            .collect();
+        // Up to five nodes' worth of world ranks (6 per node), not
+        // contiguous, so intra- and inter-node pairs both occur.
+        let ranks = [0usize, 2, 5, 6, 9, 13, 14, 17, 20, 23, 24, 26, 29];
         let sizes = [0usize, 4096, 4096, 12_288, 1 << 20];
-        let repeated = |i: usize, j: usize| sizes[(i * 7 + j * 4) % sizes.len()];
-        let distinct = |i: usize, j: usize| (i * p + j) * 1000;
-        let matrices: [&dyn Fn(usize, usize) -> usize; 3] = [&repeated, &distinct, &|_, _| 0];
-        let totals: Vec<usize> = (0..p).map(|i| sizes[i % sizes.len()] * p).collect();
-        for noise_amp in [0.0, 0.05] {
-            let np = NetParams {
-                spec: &spec,
-                seed: 7,
-                noise_amp,
-            };
-            for gpu_aware in [true, false] {
-                let env = PhaseEnv::machine_wide(&spec, 18, p - 1, gpu_aware, 11);
-                let mut reference = |b, src, dst| msg_parts(&np, &env, b, src, dst);
-                let e = &entries[..p];
-                assert_eq!(
-                    bruck_times(&np, &env, &group, e, &totals),
-                    bruck_walk(&np, &group, e, &totals, &mut reference),
-                );
-                for bytes in matrices {
+        for p in [1usize, 2, 3, 8, 13] {
+            let group = &ranks[..p];
+            let entries: Vec<SimTime> = (0..3 * p)
+                .map(|x| SimTime::from_ns(x as u64 * 37 % 500))
+                .collect();
+            let repeated = |i: usize, j: usize| sizes[(i * 7 + j * 4) % sizes.len()];
+            let distinct = |i: usize, j: usize| (i * p + j) * 1000;
+            let matrices: [&dyn Fn(usize, usize) -> usize; 3] = [&repeated, &distinct, &|_, _| 0];
+            let totals: Vec<usize> = (0..p).map(|i| sizes[i % sizes.len()] * p).collect();
+            for noise_amp in [0.0, 0.05] {
+                let np = NetParams {
+                    spec: &spec,
+                    seed: 7,
+                    noise_amp,
+                };
+                for gpu_aware in [true, false] {
+                    let env = PhaseEnv::machine_wide(&spec, 30, p.max(2) - 1, gpu_aware, 11);
+                    let mut reference =
+                        |b, (src, _): Member, (dst, _): Member| msg_parts(&np, &env, b, src, dst);
+                    let mut per_rank = |b, src, dst| msg_parts(&np, &env, b, src, dst);
+                    let members = members(&spec, group);
+                    let e = &entries[..p];
                     assert_eq!(
-                        pairwise_times(&np, &env, &group, e, bytes, 50),
-                        pairwise_walk(&np, &env, &group, e, bytes, 50, &mut reference),
+                        bruck_times(&np, &env, group, e, &totals),
+                        bruck_walk(&np, &members, e, &totals, &mut reference),
                     );
-                    for (nparts, flavor, post_zero) in [1, 3]
-                        .into_iter()
-                        .flat_map(|k| [P2pFlavor::Blocking, P2pFlavor::NonBlocking].map(|f| (k, f)))
-                        .flat_map(|(k, f)| [false, true].map(|z| (k, f, z)))
-                    {
-                        let policy = ScatterPolicy {
-                            flavor,
-                            post_zero,
-                            inline_recv: nparts > 1,
-                            extra_send_ns: &|i, b| (i + b % 97) as u64,
-                            extra_recv_ns: &|i, b| (2 * i + b % 31) as u64,
-                        };
-                        let e = &entries[..p * nparts];
+                    for bytes in matrices {
                         assert_eq!(
-                            scatter_times(&np, &env, &group, e, bytes, &policy),
-                            scatter_walk(&np, &env, &group, e, bytes, &policy, &mut reference),
+                            pairwise_times(&np, &env, group, e, bytes, 50),
+                            pairwise_walk(&np, &env, &members, e, bytes, 50, &mut reference),
                         );
+                        for (nparts, flavor, post_zero) in [1, 3]
+                            .into_iter()
+                            .flat_map(|k| {
+                                [P2pFlavor::Blocking, P2pFlavor::NonBlocking].map(|f| (k, f))
+                            })
+                            .flat_map(|(k, f)| [false, true].map(|z| (k, f, z)))
+                        {
+                            let policy = ScatterPolicy {
+                                flavor,
+                                post_zero,
+                                inline_recv: nparts > 1,
+                                extra_send_ns: &|i, b| (i + b % 97) as u64,
+                                extra_recv_ns: &|i, b| (2 * i + b % 31) as u64,
+                            };
+                            let e = &entries[..p * nparts];
+                            let walked = scatter_times(&np, &env, group, e, bytes, &policy);
+                            assert_eq!(
+                                walked,
+                                scatter_walk(
+                                    &np,
+                                    &env,
+                                    &members,
+                                    e,
+                                    bytes,
+                                    &policy,
+                                    &mut reference
+                                ),
+                            );
+                            assert_eq!(
+                                walked,
+                                scatter_walk_reference(
+                                    &np,
+                                    &env,
+                                    group,
+                                    e,
+                                    bytes,
+                                    &policy,
+                                    &mut per_rank
+                                ),
+                            );
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    /// Messages that land at the same instant drain in sender order: every
+    /// member sits on its own node and enters one send overhead after the
+    /// previous one, so each receiver's lower-numbered senders all arrive
+    /// together, in different partitions.
+    #[test]
+    fn tied_arrivals_drain_in_sender_order() {
+        let spec = MachineSpec::summit();
+        let np = NetParams::exact(&spec);
+        for p in [1usize, 2, 3, 8, 13] {
+            let group: Vec<usize> = (0..p).map(|i| i * spec.gpus_per_node).collect();
+            let env = PhaseEnv::machine_wide(&spec, p * spec.gpus_per_node, p.max(2) - 1, true, 3);
+            let mut reference = |b, src, dst| msg_parts(&np, &env, b, src, dst);
+            for (nparts, inline_recv) in [(1, false), (1, true), (3, true), (4, true)] {
+                let e: Vec<SimTime> = (0..p * nparts)
+                    .map(|x| SimTime::from_ns((x / nparts) as u64 * SEND_OVERHEAD_NS))
+                    .collect();
+                let policy = ScatterPolicy {
+                    flavor: P2pFlavor::NonBlocking,
+                    post_zero: true,
+                    inline_recv,
+                    extra_send_ns: &|_, _| 0,
+                    extra_recv_ns: &|i, _| i as u64,
+                };
+                let bytes = |_: usize, _: usize| 0;
+                assert_eq!(
+                    scatter_times(&np, &env, &group, &e, &bytes, &policy),
+                    scatter_walk_reference(&np, &env, &group, &e, &bytes, &policy, &mut reference),
+                    "p = {p}, nparts = {nparts}"
+                );
             }
         }
     }

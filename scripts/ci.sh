@@ -53,17 +53,20 @@ echo "== figures vs committed results (release) =="
 # Every figure harness must reproduce its committed results/*.txt byte for
 # byte — the absolute pin on simulated time for the monolithic path of all
 # four backends, at paper scale, plus `fidelity`'s paper-anchor table.
-# ~71 s in release on a 2-vCPU host, fig5 taking most of it and
-# `fidelity` ~4 s; `exascale` (~4.5 min there) is left out until it runs
-# in under 60 s.
+# ~49 s in release on a 2-vCPU host, fig5 taking ~35 s of it and
+# `fidelity` ~2 s; each binary's wall seconds print beside its check.
+# `exascale` (~6.7 min there) is left out until it runs in under 60 s.
 cargo build --release --offline -q -p fft-bench
 for b in table1 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 \
     fig12 fig13 sweep models_compare fidelity; do
+    t0=$(date +%s)
     "./target/release/$b" >"$TDIR/$b.out"
+    secs=$(($(date +%s) - t0))
     cmp "$TDIR/$b.out" "results/$b.txt" || {
-        echo "FAIL: $b stdout differs from results/$b.txt" >&2
+        echo "FAIL: $b stdout differs from results/$b.txt (${secs} s)" >&2
         exit 1
     }
+    echo "$b: ${secs} s, matches results/$b.txt"
 done
 
 echo "== benchmark smoke =="
