@@ -83,11 +83,19 @@ impl Fft3d {
     }
 
     /// Number of local elements this rank holds on the input side.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a plan always holds its input distribution and `me` is one of its ranks"
+    )]
     pub fn input_len(&self) -> usize {
         self.plan.dists[0].rank_box(self.me).volume()
     }
 
     /// Number of local elements this rank holds on the output side.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a plan always holds its output distribution and `me` is one of its ranks"
+    )]
     pub fn output_len(&self) -> usize {
         self.plan.dists[self.plan.dists.len() - 1]
             .rank_box(self.me)

@@ -39,6 +39,10 @@ impl Box3 {
     }
 
     /// Extent along dimension `d`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`d` is an axis, below 3, the length of `lo` and `hi`"
+    )]
     pub fn len(&self, d: usize) -> usize {
         self.hi[d].saturating_sub(self.lo[d])
     }
@@ -54,6 +58,10 @@ impl Box3 {
     }
 
     /// True when the box holds no elements.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`d` ranges over 0..3, the length of `lo` and `hi`"
+    )]
     pub fn is_empty(&self) -> bool {
         (0..3).any(|d| self.hi[d] <= self.lo[d])
     }
@@ -66,6 +74,10 @@ impl Box3 {
     }
 
     /// Intersection of two boxes (empty if disjoint).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`d` ranges over 0..3, the length of every corner"
+    )]
     pub fn intersect(&self, other: &Box3) -> Box3 {
         let mut lo = [0; 3];
         let mut hi = [0; 3];
@@ -80,6 +92,10 @@ impl Box3 {
     }
 
     /// True when `p` lies inside the box.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`d` ranges over 0..3, the length of `p`, `lo` and `hi`"
+    )]
     pub fn contains(&self, p: [usize; 3]) -> bool {
         (0..3).all(|d| self.lo[d] <= p[d] && p[d] < self.hi[d])
     }
@@ -127,6 +143,10 @@ impl Box3 {
     /// [`run_len`](Box3::run_len).
     ///
     /// [`extract`]: Box3::extract
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`region` is a sub-box of `self`, so each run from `local_index` stays inside `data`'s `self.volume()` elements"
+    )]
     pub fn extract_into(&self, data: &[C64], region: &Box3, out: &mut Vec<C64>) {
         debug_assert_eq!(data.len(), self.volume());
         let vol = region.volume();
@@ -155,6 +175,10 @@ impl Box3 {
     /// [`run_len`](Box3::run_len).
     ///
     /// [`extract`]: Box3::extract
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`region` is a sub-box of `self`, so each run stays inside `data` and inside `block`'s `region.volume()` elements"
+    )]
     pub fn deposit(&self, data: &mut [C64], region: &Box3, block: &[C64]) {
         debug_assert_eq!(data.len(), self.volume());
         debug_assert_eq!(block.len(), region.volume());

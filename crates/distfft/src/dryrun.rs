@@ -96,6 +96,10 @@ struct Ranks<'a> {
 }
 
 impl Ranks<'_> {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r` is a rank of the plan, below the length of every per-rank slice"
+    )]
     fn timeline(&mut self, r: usize) -> Timeline<'_> {
         Timeline {
             gpu_clock: &mut self.gpu_clock[r],
@@ -135,6 +139,10 @@ impl<'a> DryRunner<'a> {
     }
 
     /// Current completion time of rank `r` (both resources drained).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r` is a rank of the plan; both clocks hold one time per rank"
+    )]
     pub fn rank_time(&self, r: usize) -> SimTime {
         self.net_clock[r].max(self.gpu_clock[r])
     }
@@ -153,6 +161,10 @@ impl<'a> DryRunner<'a> {
     /// stamps it, and each group's exchange is priced by the same
     /// `coll::exchange_times` the functional exchange calls, fed the
     /// entries and byte rows the members would have gathered.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ranks stay below `plan.nranks`, `op.reshape` indexes this direction's specs, `group_of` holds group indices and each member pushes `k` entries"
+    )]
     pub fn run(&mut self, dir: Direction) -> DryRunReport {
         let plan = self.plan;
         let env = RunEnv {

@@ -342,6 +342,10 @@ pub struct BoundPlan {
 /// Splits the group sub-communicators of every reshape (forward and
 /// reverse) and lowers both directions for this rank. Collective over
 /// `comm`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`me` is a rank of `comm`, which spans the plan's ranks, and `group_of` holds one entry per rank"
+)]
 pub fn bind(plan: &FftPlan, rank: &mut Rank, comm: &Comm) -> BoundPlan {
     let me = comm.me();
     let split_for = |rank: &mut Rank, specs: &[ReshapeSpec]| -> Vec<Option<Comm>> {
@@ -385,6 +389,10 @@ fn run_env<'a>(plan: &'a FftPlan, world: &'a World) -> RunEnv<'a> {
 /// on return it holds the transformed elements in the opposite boundary
 /// layout. Transforms are unnormalized in both directions.
 #[allow(clippy::ptr_arg)] // batch items are swapped wholesale; &mut Vec is the honest type
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`plan.dists` is never empty, `me` is below the asserted `comm.size() == plan.nranks`, and `Box3::chunk` keeps `ilo..ihi` inside the batch"
+)]
 pub fn execute(
     plan: &FftPlan,
     bound: &BoundPlan,
@@ -474,6 +482,10 @@ pub fn execute(
 /// batch is `dist == 1`, so `fftkern` transforms it a panel of adjacent
 /// lines at a time — the lines are the vector lanes of every butterfly
 /// stage, with no transpose.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`axis` is 0, 1 or 2 and `s` is a 3-D shape"
+)]
 fn axis_plan(s: [usize; 3], axis: usize) -> std::sync::Arc<Plan1d> {
     let n = s[axis];
     let (batch, layout) = match axis {
@@ -498,6 +510,10 @@ fn axis_plan(s: [usize; 3], axis: usize) -> std::sync::Arc<Plan1d> {
 /// transform runs through the `_scratch` entry points against the pool's
 /// kernel buffer (grown once per shape, reused across calls), so the steady
 /// state builds no plans and allocates no buffers.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "axis-1 line runs stay below `s[0] * s[2]`, so each plane slice lies inside the item's box volume"
+)]
 fn run_local_fft(
     b: &Box3,
     axis: usize,
@@ -550,6 +566,10 @@ fn run_local_fft(
 /// bit-identical at every chunk count: each element of the new layout is
 /// copied once from the one rank that held it, and the line runs partition
 /// the rank's rows exactly, so chunk-completion order affects timing only.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the op's distributions index `plan.dists`, members are plan ranks, and `before_exchange` pushes one entry per chunk, at least one"
+)]
 fn run_reshape(
     env: &RunEnv,
     op: &ReshapeOp,

@@ -188,6 +188,10 @@ pub struct FftPlan {
 impl std::fmt::Display for FftPlan {
     /// heFFTe-style plan summary: the distribution sequence with the axes
     /// transformed at each stage and the exchange backend.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i + 1 < dists.len()` and there is one reshape per consecutive distribution pair"
+    )]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
@@ -348,6 +352,10 @@ impl FftPlan {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`windows(2)` yields pairs, and `j` is the position of an earlier window whose spec is already pushed"
+    )]
     fn try_build_impl(
         n: [usize; 3],
         nranks: usize,
@@ -523,6 +531,10 @@ impl FftPlan {
     /// Modeled duration (ns) of the local FFT pass along `axis` for `rank`
     /// in distribution `dist`, covering `items` batch items. `first_call`
     /// charges the strided plan-setup spike (Fig. 10).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`dist` indexes `self.dists`, `rank` is below `nranks` and `axis` below 3"
+    )]
     pub fn local_fft_ns(
         &self,
         km: &KernelTimeModel,
@@ -557,6 +569,10 @@ impl FftPlan {
     /// butterflies per reshape chunk as its lines complete (DESIGN.md §14).
     /// Returns 0 when `lines == 0` so empty chunks price (and emit) nothing.
     #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`dist` indexes `self.dists`, `rank` is below `nranks` and `axis` below 3"
+    )]
     pub fn local_fft_lines_ns(
         &self,
         km: &KernelTimeModel,
@@ -595,6 +611,10 @@ impl FftPlan {
     /// * Padded `AllToAll` packs the full padded send matrix row and unpacks
     ///   from padded receive blocks.
     /// * P2P moves the self block by device copy outside MPI.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`rank` is below `nranks`, the length of `sends`, `recvs` and `group_of`, which holds indices into `groups`"
+    )]
     pub fn reshape_local_bytes(&self, spec: &ReshapeSpec, rank: usize) -> (usize, usize, usize) {
         match self.opts.backend {
             CommBackend::AllToAllW => (0, 0, 0),

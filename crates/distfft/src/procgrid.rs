@@ -25,6 +25,10 @@ pub struct Distribution {
 impl Distribution {
     /// Splits `n` over `grid` for `nranks` ranks. `grid` must multiply to at
     /// most `nranks`; ranks past the product are inactive (empty boxes).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`d` ranges over 0..3, the length of `n`, `grid`, `coords`, `lo` and `hi`"
+    )]
     pub fn new(n: [usize; 3], grid: [usize; 3], nranks: usize) -> Distribution {
         let active: usize = grid.iter().product();
         assert!(active > 0, "degenerate processor grid {grid:?}");
@@ -61,6 +65,10 @@ impl Distribution {
     /// SWFFT", §III). The boxes must be pairwise disjoint and exactly cover
     /// the `n` domain; empty boxes mark ranks that hold no data. The `grid`
     /// field is recorded as `[0, 0, 0]` (irregular).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` and `j` range below `boxes.len()`"
+    )]
     pub fn from_boxes(n: [usize; 3], boxes: Vec<Box3>) -> Distribution {
         let domain = Box3::whole(n);
         let mut covered = 0usize;
@@ -104,6 +112,10 @@ impl Distribution {
     /// Ranks whose boxes overlap `b`, via direct chunk-index arithmetic for
     /// regular grids (O(peers)) with a linear-scan fallback for irregular
     /// box sets. The returned ranks are sorted ascending.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r` ranges below `boxes.len()` and `d` over the three axes"
+    )]
     pub fn ranks_overlapping(&self, n: [usize; 3], b: &Box3) -> Vec<usize> {
         if b.is_empty() {
             return Vec::new();
@@ -137,12 +149,20 @@ impl Distribution {
     }
 
     /// The box of rank `r`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r` is a rank of the distribution, which holds one box per rank"
+    )]
     pub fn rank_box(&self, r: usize) -> &Box3 {
         &self.boxes[r]
     }
 
     /// Axes fully local to every active rank (grid extent 1) — the axes a
     /// local FFT can transform in this distribution.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`d` ranges over 0..3, the length of `grid`"
+    )]
     pub fn local_axes(&self) -> Vec<usize> {
         (0..3).filter(|&d| self.grid[d] == 1).collect()
     }
@@ -173,6 +193,10 @@ pub fn closest_factor_pair(n: usize) -> (usize, usize) {
 /// (lexicographically smallest sorted) triple. For cubic domains this
 /// reduces to minimizing `a + b + c`, which reproduces every brick grid in
 /// Table III.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`dsort` has three entries, so `k` and `axis` stay below 3"
+)]
 pub fn min_surface_grid(n: usize, dims: [usize; 3]) -> [usize; 3] {
     assert!(n > 0);
     let mut best: Option<([usize; 3], f64)> = None;

@@ -164,6 +164,10 @@ impl Real3dPlan {
 
     /// The rank's REAL-domain input box (the packed input box scaled ×2
     /// along axis 2 — always even-aligned by construction).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`plan_a` holds the input and z-pencil distributions and `rank` is one of its ranks"
+    )]
     pub fn real_input_box(&self, rank: usize) -> Box3 {
         let b = self.plan_a.dists[0].rank_box(rank);
         if b.is_empty() {
@@ -177,6 +181,10 @@ impl Real3dPlan {
 
     /// The rank's half-spectrum output box (brick layout over
     /// `[n0, n1, h]`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`plan_c` always holds its output distribution and `rank` is one of its ranks"
+    )]
     pub fn spectrum_box(&self, rank: usize) -> Box3 {
         *self.plan_c.dists[self.plan_c.dists.len() - 1].rank_box(rank)
     }
@@ -201,6 +209,10 @@ impl Real3dPlan {
     /// [`real_input_box`]: Real3dPlan::real_input_box
     /// [`spectrum_box`]: Real3dPlan::spectrum_box
     #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`plan_a` holds two distributions, `chunks_exact(2)` yields pairs, and `data` holds the one item `execute` transformed"
+    )]
     pub fn execute_forward(
         &self,
         bound: &(BoundPlan, BoundPlan),
@@ -271,6 +283,10 @@ impl Real3dPlan {
     ///
     /// [`normalization`]: Real3dPlan::normalization
     #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`plan_a` holds two distributions and `data_c` and `data` each hold the one item `execute` transformed"
+    )]
     pub fn execute_inverse(
         &self,
         bound: &(BoundPlan, BoundPlan),
@@ -340,6 +356,10 @@ impl Real3dPlan {
     }
 
     /// Busiest-rank packed volume (the fold/unfold pointwise extent).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`plan_a` holds its input distribution and `r` ranges below `nranks`"
+    )]
     fn max_packed(&self) -> usize {
         (0..self.plan_a.nranks)
             .map(|r| self.plan_a.dists[0].rank_box(r).volume())
@@ -349,6 +369,10 @@ impl Real3dPlan {
 
     /// Busiest-rank axis-2 line count in the z-pencil layout (the
     /// untangle/retangle pointwise extent is `rows × h` / `rows × m`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`plan_a` holds its z-pencil distribution and `r` ranges below `nranks`"
+    )]
     fn max_rows(&self) -> usize {
         let m = self.n[2] / 2;
         (0..self.plan_a.nranks)
@@ -407,6 +431,7 @@ impl Real3dPlan {
 /// Builds an [`FftPlan`] directly from an explicit distribution sequence and
 /// per-distribution transform axes (the r2c pipeline's stage order differs
 /// from the standard c2c plan, so it cannot come from `compute_stages`).
+#[expect(clippy::indexing_slicing, reason = "`windows(2)` yields pairs")]
 fn hand_rolled(
     n: [usize; 3],
     nranks: usize,

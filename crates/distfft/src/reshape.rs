@@ -95,6 +95,10 @@ pub struct ReshapeSpec {
 impl ReshapeSpec {
     /// Plans the reshape `from → to`. Both distributions must cover the same
     /// domain with the same rank count.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r` and `s` are ranks below `n`, the length of both box lists and every per-rank vector, and `d` is an axis"
+    )]
     pub fn build(from: &Distribution, to: &Distribution) -> ReshapeSpec {
         let n = from.boxes.len();
         assert_eq!(n, to.boxes.len(), "distributions disagree on rank count");
@@ -198,6 +202,10 @@ impl ReshapeSpec {
     /// [`ReshapeSpec::reversed`] assert this, so a spec corrupted after
     /// construction fails at the next validation point rather than
     /// producing an empty exchange.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`windows(2)` yields pairs and every recorded peer is a rank below the flow lists' length"
+    )]
     pub fn validate(&self) -> Result<(), ReshapeError> {
         for (r, v) in self.sends.iter().enumerate() {
             for w in v.windows(2) {
@@ -245,6 +253,10 @@ impl ReshapeSpec {
     /// Built with a two-pointer merge (both sides sorted ascending), so one
     /// O(p + peers) pass replaces the O(peers) `find` per member that made
     /// deposit/pack loops O(peers²).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`rank` is below `nranks`, the length of `sends`"
+    )]
     pub fn send_region_index<'a>(
         &'a self,
         rank: usize,
@@ -255,6 +267,10 @@ impl ReshapeSpec {
 
     /// Per-member index of rank `rank`'s recv regions (see
     /// [`ReshapeSpec::send_region_index`]).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`rank` is below `nranks`, the length of `recvs`"
+    )]
     pub fn recv_region_index<'a>(
         &'a self,
         rank: usize,
@@ -263,6 +279,10 @@ impl ReshapeSpec {
         Self::region_index(&self.recvs[rank], members)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`f < flows.len()` is checked before each read, `i` is below `out.len()`, and `windows(2)` yields pairs"
+    )]
     fn region_index<'a>(flows: &'a [(usize, Box3)], members: &[usize]) -> Vec<Option<&'a Box3>> {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members sorted");
         let mut out = vec![None; members.len()];
@@ -281,6 +301,10 @@ impl ReshapeSpec {
 
     /// Bytes rank `r` sends to rank `s` (0 if no flow — callers sum this
     /// over arbitrary pairs).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r` is below `nranks`, the length of `sends`"
+    )]
     pub fn bytes(&self, r: usize, s: usize) -> usize {
         self.sends[r]
             .iter()
@@ -291,6 +315,10 @@ impl ReshapeSpec {
 
     /// Total bytes rank `r` sends to *other* ranks (the MPI payload; the
     /// self block moves by device copy).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r` is below `nranks`, the length of `sends`"
+    )]
     pub fn offrank_send_bytes(&self, r: usize) -> usize {
         self.sends[r]
             .iter()
@@ -300,6 +328,10 @@ impl ReshapeSpec {
     }
 
     /// Total bytes rank `r` receives from other ranks.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r` is below `nranks`, the length of `recvs`"
+    )]
     pub fn offrank_recv_bytes(&self, r: usize) -> usize {
         self.recvs[r]
             .iter()
@@ -309,6 +341,10 @@ impl ReshapeSpec {
     }
 
     /// Number of off-rank destinations of rank `r`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r` is below `nranks`, the length of `sends`"
+    )]
     pub fn peer_count(&self, r: usize) -> usize {
         self.sends[r].iter().filter(|(d, _)| *d != r).count()
     }
@@ -316,6 +352,10 @@ impl ReshapeSpec {
     /// The largest per-pair block (bytes) within rank `r`'s group — what a
     /// padded `MPI_Alltoall` must size every block to (§IV-B: "the cost
     /// associated with padding").
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "group members are ranks below `nranks`, the length of `sends`"
+    )]
     pub fn padded_block_bytes(&self, group: &[usize]) -> usize {
         let mut max = 0;
         for &r in group {
@@ -328,6 +368,10 @@ impl ReshapeSpec {
 
     /// Builds the dense per-pair byte matrix of one group (indices are
     /// positions within `group`), for the schedule walkers.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "members are ranks below `nranks`, and `i` and `j` are positions within the group, the matrix's size"
+    )]
     pub fn group_byte_matrix(&self, group: &[usize]) -> Vec<Vec<usize>> {
         let pos: std::collections::BTreeMap<usize, usize> =
             group.iter().enumerate().map(|(i, &r)| (r, i)).collect();
@@ -359,6 +403,10 @@ impl ReshapeSpec {
     /// The arrival chunk is constant on every cell of the grid the regions'
     /// boundaries cut the line grid into, so it is computed per cell, and
     /// the runs are emitted a row of cells at a time.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`rank` is below `nranks`; both cut lists hold the box ends, so `cell` is non-empty and region bounds map to cut indices; chunk indices stay below `k_eff`"
+    )]
     pub fn recv_line_runs(
         &self,
         rank: usize,
@@ -449,6 +497,10 @@ impl ReshapeSpec {
 /// (and, if it also spans axis 1 of both, the entire overlap) collapse into
 /// single bulk copies. Slab self-blocks hit the fully-merged case. Returns
 /// the number of elements copied (the overlap's volume).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the overlap is a sub-box of both boxes, so each run from `local_index` lies inside both arrays, which hold one element per box cell"
+)]
 pub fn apply_self_block(
     old_box: &Box3,
     old_data: &[C64],
@@ -498,6 +550,10 @@ impl UnionFind {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`parent` holds `n` entries and only ever stores indices below `n`"
+    )]
     fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
@@ -506,6 +562,10 @@ impl UnionFind {
         x
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`find` returns an index below `n`, the length of `parent`"
+    )]
     fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {

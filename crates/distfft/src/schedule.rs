@@ -374,6 +374,10 @@ impl RunEnv<'_> {
     /// two agree at `k = 1` for every backend but padded `AllToAll`, whose
     /// monolithic unpack is the amortized `real_recv.max(total/2)` while
     /// its chunks count whole padded blocks (on the wire too).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`op.to_dist` indexes `plan.dists` and `rank` is a group member, below `nranks`"
+    )]
     fn lower(
         &self,
         op: &ReshapeOp,
@@ -496,6 +500,10 @@ impl ReshapeSchedule {
     /// (transform-ahead). `first_ahead` charges the strided first-call
     /// spike to the first chunk that actually transforms lines, exactly as
     /// the whole-box pass would.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`entries`, `ready` and the transform-ahead runs hold one entry per chunk of this schedule, which has at least one"
+    )]
     pub(crate) fn after_exchange(
         &self,
         env: &RunEnv,
@@ -583,6 +591,10 @@ pub(crate) fn byte_rows(
 /// `rows[me_sub][j]` to member `j` and receives and unpacks `rows[j][me_sub]`;
 /// its self block belongs to chunk 0 on both sides (the P2P one is 0: it
 /// moves by device copy, exactly as in [`FftPlan::reshape_local_bytes`]).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`rows` is the group's square byte matrix, `me_sub` a position in it, and `partition_of_step` returns a chunk below `k`"
+)]
 pub(crate) fn chunk_byte_split(rows: &[Vec<usize>], me_sub: usize, k: usize) -> Vec<ChunkBytes> {
     let p = rows.len();
     let mut chunks = vec![ChunkBytes::default(); k];

@@ -60,6 +60,10 @@ fn span(e: &TraceEvent) -> (SimTime, SimTime) {
 /// by *both* lanes renders as `+` (the pipelined-reshape overlap). Gaps
 /// between a rank's events render as `~` (stall); time outside the rank's
 /// own first/last event renders as `.` (idle).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`c` stays below `width`, the length of `base`, `kern` and `comm`"
+)]
 pub fn render(traces: &[Trace], width: usize) -> String {
     assert!(width > 0, "timeline width must be positive");
     let mut t_min = SimTime(u64::MAX);

@@ -27,6 +27,10 @@ pub struct BluesteinPlan {
 
 impl BluesteinPlan {
     /// Builds a plan for any `n ≥ 1`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`j < n <= m`: `chirp` holds `n` entries and `b` holds `m >= 2n - 1`, so `m - j` is in range"
+    )]
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "BluesteinPlan requires n >= 1");
         let m = (2 * n - 1).next_power_of_two();
@@ -100,6 +104,10 @@ impl BluesteinPlan {
     /// In-place transform reusing a caller-provided buffer of at least
     /// [`scratch_elems`](BluesteinPlan::scratch_elems) elements — avoids the
     /// per-row allocation in batched executions.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`data.len() == n` and `scratch.len() >= 2m` are asserted, and `j, k < n <= m` index `chirp` and `a`"
+    )]
     pub fn execute_with_scratch(&self, data: &mut [C64], dir: Direction, scratch: &mut [C64]) {
         assert_eq!(data.len(), self.n);
         assert!(

@@ -36,6 +36,10 @@ pub fn dft_1d(input: &[C64], dir: Direction) -> Vec<C64> {
 /// `i0·n1·n2 + i1·n2 + i2`. This evaluates the full m-dimensional sum of the
 /// paper's equation (1) — exponential in nothing, but O((ΠNᵢ)²) in work, so
 /// keep it to small test sizes.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`d` ranges below `m = dims.len()`, the length of every coordinate vector"
+)]
 pub fn dft_nd(input: &[C64], dims: &[usize], dir: Direction) -> Vec<C64> {
     let total: usize = dims.iter().product();
     assert_eq!(

@@ -5,6 +5,7 @@
 // module-level allow; `unsafe` anywhere else in the crate still fails the
 // build (DESIGN.md §13).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 //! # fftkern — local FFT engine
 //!

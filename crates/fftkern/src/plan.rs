@@ -330,6 +330,10 @@ impl Plan1d {
     /// The one line-range walker behind every execute entry: transforms
     /// lines `lo..hi` from `io`'s source to its destination by whichever of
     /// the three routes the layouts and `n` admit.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lines `lo..hi` lie in the batch, so every row and strided walk stays inside buffers the entry points checked against the layouts; the scratch size is asserted"
+    )]
     fn run_lines(&self, mut io: Bufs, dir: Direction, scratch: &mut [C64], lo: usize, hi: usize) {
         assert!(
             scratch.len() >= self.scratch_elems(),
@@ -580,6 +584,10 @@ impl Plan3d {
 
     /// In-place transform reusing caller-provided scratch of at least
     /// [`scratch_elems`](Plan3d::scratch_elems) elements.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`data.len() == n0 * n1 * n2` is asserted, so every `i0 < n0` plane lies inside it"
+    )]
     pub fn execute_scratch(&self, data: &mut [C64], dir: Direction, scratch: &mut [C64]) {
         assert_eq!(data.len(), self.len(), "buffer does not match plan shape");
         self.axis2.execute_inplace_scratch(data, dir, scratch);

@@ -61,6 +61,10 @@ impl Radix2Plan {
     }
 
     /// In-place unnormalized transform of `data` (length must equal `n`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`data.len() == n` is asserted, `bitrev` and the root table hold `n` entries, `k + half < n` and `tw_idx < n / 2`"
+    )]
     pub fn execute(&self, data: &mut [C64], dir: Direction) {
         assert_eq!(data.len(), self.n, "buffer length does not match plan size");
         if self.n <= 1 {

@@ -17,6 +17,10 @@ use crate::twiddle;
 
 /// Forward real-to-complex transform: `n` reals → `n/2 + 1` complex bins
 /// (the remaining bins are the conjugate mirror). `n` must be even and ≥ 2.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`n = input.len()` is even, so `2j + 1 < n` for every `j < n / 2`"
+)]
 pub fn r2c_1d(input: &[f64]) -> Vec<C64> {
     let n = input.len();
     assert!(
@@ -56,6 +60,10 @@ pub fn untangle_half_into(z: &[C64], n: usize, out: &mut Vec<C64>) {
 /// [`untangle_half_into`] over a caller-held root table
 /// (`roots = forward_table(n)`, so `n == roots.len()`): the row-local
 /// kernel of the distributed r2c pipeline, one table read per bin.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`z.len() == h` is asserted, with `h >= 1` for the even length `n = roots.len()`, and `h < n`"
+)]
 pub fn untangle_half_with(z: &[C64], roots: &[C64], out: &mut Vec<C64>) {
     let h = roots.len() / 2;
     assert_eq!(z.len(), h, "packed spectrum must have n/2 bins");
@@ -93,6 +101,10 @@ pub fn retangle_half_into(spectrum: &[C64], n: usize, z: &mut Vec<C64>) {
 
 /// [`retangle_half_into`] over a caller-held root table — see
 /// [`untangle_half_with`].
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`spectrum.len() == h + 1` is asserted and `k < h`"
+)]
 pub fn retangle_half_with(spectrum: &[C64], roots: &[C64], z: &mut Vec<C64>) {
     let h = roots.len() / 2;
     assert_eq!(spectrum.len(), h + 1, "half spectrum must have n/2+1 bins");
@@ -135,6 +147,10 @@ pub fn c2r_1d(spectrum: &[C64], n: usize) -> Vec<f64> {
 }
 
 /// Full real spectrum via Hermitian extension — handy for verification.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`half.len() == n / 2 + 1` is asserted and `n - k <= n / 2` for `k > n / 2`"
+)]
 pub fn extend_hermitian(half: &[C64], n: usize) -> Vec<C64> {
     assert_eq!(half.len(), n / 2 + 1);
     let mut full = half.to_vec();

@@ -270,6 +270,10 @@ mod x86 {
         /// Conjugation happens scalar-side (a sign flip — exact).
         #[inline]
         #[target_feature(enable = "avx2")]
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the radix-8 first stage passes `base + stride` below `7m`, the twiddle table's length"
+        )]
         pub fn tw_lanes<const INV: bool>(t: &[super::C64], base: usize, stride: usize) -> (V, V) {
             let w0 = super::cj::<INV>(t[base]);
             let w1 = super::cj::<INV>(t[base + stride]);
@@ -392,6 +396,10 @@ mod x86 {
         /// `(wr, wi)` twiddle vectors: lane `l` gets `cj(t[base+l·stride])`.
         #[inline]
         #[target_feature(enable = "avx512f")]
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the radix-8 first stage passes `base + 3 * stride` below `7m`, the twiddle table's length"
+        )]
         pub fn tw_lanes<const INV: bool>(t: &[super::C64], base: usize, stride: usize) -> (V, V) {
             let w0 = super::cj::<INV>(t[base]);
             let w1 = super::cj::<INV>(t[base + stride]);
@@ -516,6 +524,10 @@ mod x86 {
 
                 /// Radix-2 stage, vectorized across the contiguous `q` loop.
                 #[target_feature(enable = $feat)]
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`src` and `dst` hold `2 * m * s` elements, so `2 * o + 2 * s` stays within them for `p_row < m`"
+                )]
                 pub fn stage2<const INV: bool>(
                     src: &[C64],
                     dst: &mut [C64],
@@ -544,6 +556,10 @@ mod x86 {
 
                 /// Radix-4 stage, vectorized across the contiguous `q` loop.
                 #[target_feature(enable = $feat)]
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`src` and `dst` hold `4 * m * s` elements and `tw` holds `3 * m` twiddles"
+                )]
                 pub fn stage4<const INV: bool>(
                     src: &[C64],
                     dst: &mut [C64],
@@ -587,6 +603,10 @@ mod x86 {
                 /// Radix-3 stage, vectorized across the contiguous `q` loop
                 /// (`bfly3` of the scalar engine, one operation at a time).
                 #[target_feature(enable = $feat)]
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`src` and `dst` hold `3 * m * s` elements and `tw` holds `2 * m` twiddles"
+                )]
                 pub fn stage3<const INV: bool>(
                     src: &[C64],
                     dst: &mut [C64],
@@ -625,6 +645,10 @@ mod x86 {
                 /// Radix-5 stage, vectorized across the contiguous `q` loop
                 /// (`bfly5` of the scalar engine, one operation at a time).
                 #[target_feature(enable = $feat)]
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`src` and `dst` hold `5 * m * s` elements and `tw` holds `4 * m` twiddles"
+                )]
                 pub fn stage5<const INV: bool>(
                     src: &[C64],
                     dst: &mut [C64],
@@ -677,6 +701,10 @@ mod x86 {
 
                 /// Radix-8 stage (general `s`), vectorized across `q`.
                 #[target_feature(enable = $feat)]
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`src` and `dst` hold `8 * m * s` elements and `tw` holds `7 * m` twiddles"
+                )]
                 pub fn stage8<const INV: bool>(
                     src: &[C64],
                     dst: &mut [C64],

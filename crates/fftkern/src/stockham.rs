@@ -127,6 +127,10 @@ impl StockhamPlan {
     /// In-place unnormalized transform of `data` (length must equal `n`),
     /// ping-ponging through `work` (at least `n` elements). The result
     /// always lands back in `data`; `work` is clobbered.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`work.len() >= n` is asserted above"
+    )]
     pub fn execute_scratch(&self, data: &mut [C64], dir: Direction, work: &mut [C64]) {
         assert_eq!(data.len(), self.n, "buffer length does not match plan size");
         assert!(work.len() >= self.n, "work buffer smaller than n");
@@ -151,6 +155,10 @@ impl StockhamPlan {
     /// ping-pong between `x` and `y` (`n·w` elements each); returns
     /// `(result, other)` — `result` is `x` after an even stage count, `y`
     /// after an odd one — so callers chain transforms without a copy.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "each stage's `tw_off` is at most the table length: its twiddles are pushed right after it"
+    )]
     pub fn execute_interleaved<'a>(
         &self,
         x: &'a mut [C64],
@@ -232,6 +240,10 @@ fn cj<const INV: bool>(w: C64) -> C64 {
 /// the general bodies below would slice `2R` one-element rows per
 /// butterfly and run every `q` loop once (cf. `stage8`'s own first stage).
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`src` holds `R * m` elements and `tw` holds `(R - 1) * m` twiddles, with `p < m` and `j < R`"
+)]
 fn first_stage<const R: usize, const INV: bool>(
     src: &[C64],
     dst: &mut [C64],
@@ -254,6 +266,10 @@ fn first_stage<const R: usize, const INV: bool>(
 ///
 /// All stage bodies slice their operands to exactly `s` elements before the
 /// `q` loop so the bounds checks hoist out and the loop vectorizes.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`src` and `dst` hold `2 * m * s` elements and `q < s`"
+)]
 fn stage2<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
     let (m, s) = (st.m, st.s);
     if s == 1 {
@@ -287,6 +303,10 @@ fn bfly4<const INV: bool>([a, b, c, d]: [C64; 4]) -> [C64; 4] {
 
 /// Radix-4 Stockham stage. Twiddles per butterfly row: `tw[3p..3p+3]` =
 /// `w^p, w^{2p}, w^{3p}`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`src` and `dst` hold `4 * m * s` elements, `tw` holds `3 * m` twiddles and `q < s`"
+)]
 fn stage4<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
     let (m, s) = (st.m, st.s);
     let ms = m * s;
@@ -318,6 +338,10 @@ fn stage4<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw:
 /// Radix-8 Stockham stage: an 8-point DFT (split into two 4-point DFTs and
 /// a twiddled combine with the `ω₈` constants) followed by the stage
 /// twiddles `tw[7p..7p+7]` = `w^p … w^{7p}`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`src` and `dst` hold `8 * m * s` elements, `tw` holds `7 * m` twiddles and `q < s`"
+)]
 fn stage8<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
     let (m, s) = (st.m, st.s);
     let ms = m * s;
@@ -483,6 +507,10 @@ fn bfly7<const INV: bool>([x0, x1, x2, x3, x4, x5, x6]: [C64; 7]) -> [C64; 7] {
 
 /// Radix-3 Stockham stage. Twiddles per butterfly row: `tw[2p..2p+2]` =
 /// `w^p, w^{2p}`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`src` and `dst` hold `3 * m * s` elements, `tw` holds `2 * m` twiddles and `q < s`"
+)]
 fn stage3<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
     let (m, s) = (st.m, st.s);
     let ms = m * s;
@@ -509,6 +537,10 @@ fn stage3<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw:
 
 /// Radix-5 Stockham stage. Twiddles per butterfly row: `tw[4p..4p+4]` =
 /// `w^p … w^{4p}`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`src` and `dst` hold `5 * m * s` elements, `tw` holds `4 * m` twiddles and `q < s`"
+)]
 fn stage5<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
     let (m, s) = (st.m, st.s);
     let ms = m * s;
@@ -541,6 +573,10 @@ fn stage5<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw:
 
 /// Radix-7 Stockham stage. Twiddles per butterfly row: `tw[6p..6p+6]` =
 /// `w^p … w^{6p}`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`src` and `dst` hold `7 * m * s` elements, `tw` holds `6 * m` twiddles and `q < s`"
+)]
 fn stage7<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw: &[C64]) {
     let (m, s) = (st.m, st.s);
     let ms = m * s;

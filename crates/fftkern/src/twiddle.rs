@@ -76,6 +76,10 @@ pub struct StockhamTables {
 /// First request per length builds the tables from [`forward_table`] (one
 /// shared trig computation); later requests are an intern-map lookup. Hits
 /// and misses fold into the same counters as the root tables.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`(j * p * s) % n` is below `n`, the root table's length"
+)]
 pub fn stockham_tables(n: usize) -> Arc<StockhamTables> {
     let tables = STAGE_TABLES.get_or_init(|| Mutex::new(BTreeMap::new()));
     {

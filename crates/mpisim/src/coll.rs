@@ -152,6 +152,10 @@ impl ExchangeKind {
 /// collective in each: the functional [`exchange`] with the entries and
 /// byte rows the members deposited, the analytic dry-run with the ones it
 /// computed — the mechanism that keeps the two in exact agreement.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`pe` is a chunk of `nparts >= 1` entries, and `peers` holds one count per member whenever `msg_ns` reads it"
+)]
 pub fn exchange_times<B: Fn(usize, usize) -> usize>(
     np: &NetParams,
     env: &PhaseEnv,
@@ -217,6 +221,10 @@ pub fn exchange_times<B: Fn(usize, usize) -> usize>(
     pattern::scatter_times(np, &env, group, &entries, bytes, &policy)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the walkers ask only for member pairs below the square matrix's size"
+)]
 fn matrix_bytes(matrix: &[Vec<usize>]) -> impl Fn(usize, usize) -> usize + '_ {
     |i, j| matrix[i][j]
 }
@@ -379,6 +387,10 @@ pub fn alltoallw_partitioned_exit_times(
 /// fails the world. The group is priced with member 0's values. The call
 /// counts one exchange and this member's row bytes in the rank's
 /// [`RankWork`](crate::comm::RankWork).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`my_bytes` holds `p >= 1` entries, the rendezvous hands over one meta per member, and the walkers index members below `p`"
+)]
 pub fn exchange<P: Send + 'static>(
     rank: &mut Rank,
     comm: &Comm,

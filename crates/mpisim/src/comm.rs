@@ -218,6 +218,10 @@ impl World {
     /// clock. If a rank panics, its peers abandon their collectives instead
     /// of waiting for it, and `run` panics with the failing rank's index and
     /// message once every rank has stopped.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`failure()` reports a rank below `nranks` and `results` holds one entry per rank"
+    )]
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&mut Rank) -> R + Sync,
@@ -396,6 +400,10 @@ impl Comm {
     }
 
     /// World rank of member `i`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` is a member index, below the length of `members`"
+    )]
     pub fn member(&self, i: usize) -> usize {
         self.members[i]
     }

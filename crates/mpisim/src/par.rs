@@ -21,6 +21,10 @@
 /// The round-robin assignment balances heterogeneous item costs across
 /// workers and — because it is a function of `i` and `states.len()` only —
 /// makes per-worker side effects deterministic run to run.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`states` is asserted non-empty and `i % w` is below `w = buckets.len()`"
+)]
 pub fn par_parts<S, T, R, F>(states: &mut [S], items: Vec<T>, f: F) -> Vec<R>
 where
     S: Send,

@@ -242,6 +242,10 @@ pub fn pairwise_times(
 
 /// `price(bytes, src, dst)` is the (injection, latency) of one message;
 /// each step prices each message once.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`entries` holds `p` entries (asserted) and peer indices are taken modulo `p`"
+)]
 fn pairwise_walk(
     np: &NetParams,
     env: &PhaseEnv,
@@ -303,6 +307,10 @@ pub fn bruck_times(
     )
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`entries` and `total_send_bytes` hold one entry per member and peer indices are taken modulo `p`"
+)]
 fn bruck_walk(
     np: &NetParams,
     members: &[Member],
@@ -384,17 +392,29 @@ impl PartitionedTimes {
     /// matched) every chunk-`k` message destined to it. Unpack for chunk
     /// `k` may start here — before later chunks (or the member's own
     /// sends) have finished. Never later than [`exit`](Self::exit)`(i)`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` is a member index, so its `nparts` ready times lie inside the `p * nparts` block"
+    )]
     pub fn ready(&self, i: usize) -> &[SimTime] {
         &self.flat[i * self.nparts..(i + 1) * self.nparts]
     }
 
     /// Per-member call-completion times: all sends injected and all
     /// receives drained.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`flat` holds `p * nparts` ready times followed by `p` exits"
+    )]
     pub fn exits(&self) -> &[SimTime] {
         &self.flat[self.members() * self.nparts..]
     }
 
     /// Call-completion time of member `i`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` is a member index, below the `p` exits"
+    )]
     pub fn exit(&self, i: usize) -> SimTime {
         self.exits()[i]
     }
@@ -494,6 +514,10 @@ impl Arrival {
 /// receiver's row of one flat arrival table, with its injection time,
 /// which is also its receive-side drain. The receive pass sorts each row
 /// by arrival (then sender) and walks it without pricing anything.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`part_entries` holds `p * nparts` entries (asserted), partition indices stay below `nparts` and `slot(i, j)` below `p * (p - 1)` for `i != j`"
+)]
 fn scatter_walk(
     np: &NetParams,
     env: &PhaseEnv,

@@ -2,11 +2,11 @@
 //! string escaper the hand-written emitters share.
 //!
 //! The build environment is offline (no serde), but the trace-export smoke
-//! test, the round-trip tests and `fftlint`'s committed baseline need to
-//! *parse* what the tools write. This is a small recursive-descent parser
-//! covering the full JSON grammar (objects, arrays, strings with escapes,
-//! numbers, literals); it is meant for validation of trusted,
-//! tool-generated documents, not as a general-purpose deserializer.
+//! test and the round-trip tests need to *parse* what the tools write.
+//! This is a small recursive-descent parser covering the full JSON grammar
+//! (objects, arrays, strings with escapes, numbers, literals); it is meant
+//! for validation of trusted, tool-generated documents, not as a
+//! general-purpose deserializer.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};

@@ -1,4 +1,5 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 //! # simgrid — simulated multi-GPU cluster
 //!

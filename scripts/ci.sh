@@ -12,37 +12,16 @@ echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
 echo "== cargo clippy -D warnings =="
-# Also the determinism rules a single token decides (DESIGN.md §12):
-# `unsafe_code` and `undocumented_unsafe_blocks` from each package's
-# [lints], `unwrap_used`/`expect_used` denied at every lib crate root, and
-# crates/clippy.toml's disallowed HashMap/HashSet, Instant::now/
-# SystemTime::now and std::env::var/var_os — on every target, tests
-# included. A stale `#[expect]` fails here too.
+# Also the determinism and panic rules a single token decides (DESIGN.md
+# §12): `unsafe_code` and `undocumented_unsafe_blocks` from each package's
+# [lints], `unwrap_used`/`expect_used` denied at every lib crate root,
+# `indexing_slicing` denied at the four engine roots (distfft, fftkern,
+# mpisim, simgrid; each indexing function carries a justified `#[expect]`,
+# and crates/clippy.toml lets their unit tests index), and clippy.toml's
+# disallowed HashMap/HashSet, Instant::now/SystemTime::now and
+# std::env::var/var_os — on every target, tests included. A stale
+# `#[expect]` fails here too.
 cargo clippy --workspace --all-targets --offline -- -D warnings
-
-echo "== fftlint --workspace (baseline) =="
-# Call-graph linter (DESIGN.md §12) for the one rule neither the compiler
-# nor a test run can decide: panic sites reachable from the executor.
-# Allocations, lock nesting and reduction order are tier-1 tests now.
-# Deny-by-default; the escapes are an inline justified
-# `// fftlint:allow(<rule>)` and the committed findings baseline — new
-# findings fail, and silently-fixed pins fail as stale. fftlint lints its
-# own crate in the same walk.
-cargo run --offline -q -p fftlint -- --workspace \
-    --baseline fftlint-baseline.json
-
-echo "== fftlint baseline drift must fail =="
-# A doctored baseline (first pin's line edited — a panic-reachable-from-
-# exec pin in distfft's boxes.rs) must fail the gate both ways at once:
-# the real finding surfaces as new and the doctored pin goes stale.
-# Guards the gate itself against silently accepting drift.
-sed '0,/"line": [0-9]*/s//"line": 99999/' fftlint-baseline.json \
-    >"$TDIR/doctored-baseline.json"
-if cargo run --offline -q -p fftlint -- --workspace \
-    --baseline "$TDIR/doctored-baseline.json" >/dev/null 2>&1; then
-    echo "FAIL: doctored baseline did not fail the lint gate" >&2
-    exit 1
-fi
 
 echo "== cargo test =="
 # Chunk counts {1, 4, auto} and SIMD tiers are explicit rows of the suite
