@@ -7,8 +7,8 @@
 //! byte rows lowered with the schedules. This is what every large-scale
 //! figure harness runs on. Measured on a 2-core x86-64 host (release
 //! build, best of 7), one 512³ transform on 192 simulated GPUs costs
-//! 0.8–3.6 ms of host time across the four backends × {1, 4} chunks once
-//! the runner has lowered that direction, and 2.4–6.5 ms for its first
+//! 0.7–2.3 ms of host time across the four backends × {1, 4} chunks once
+//! the runner has lowered that direction, and 1.2–4.3 ms for its first
 //! transform, which lowers it.
 
 use fftkern::Direction;

@@ -613,18 +613,37 @@ impl FftPlan {
     /// * P2P moves the self block by device copy outside MPI.
     #[expect(
         clippy::indexing_slicing,
-        reason = "`rank` is below `nranks`, the length of `sends`, `recvs` and `group_of`, which holds indices into `groups`"
+        reason = "`rank` is below `nranks`, the length of `group_of`, which holds indices into `groups`"
     )]
     pub fn reshape_local_bytes(&self, spec: &ReshapeSpec, rank: usize) -> (usize, usize, usize) {
+        let group = spec.group_of[rank].map(|gi| &spec.groups[gi]);
+        let pad = match (self.opts.backend, group) {
+            (CommBackend::AllToAll, Some(group)) => spec.padded_block_bytes(group),
+            _ => 0,
+        };
+        self.group_local_bytes(spec, rank, pad)
+    }
+
+    /// [`reshape_local_bytes`](Self::reshape_local_bytes) given `pad`, the
+    /// padded block of `rank`'s group, which a caller lowering a whole
+    /// group computes once (only padded `AllToAll` reads it).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`rank` is below `nranks`, the length of `sends`, `recvs` and `group_of`, which holds indices into `groups`"
+    )]
+    pub(crate) fn group_local_bytes(
+        &self,
+        spec: &ReshapeSpec,
+        rank: usize,
+        pad: usize,
+    ) -> (usize, usize, usize) {
         match self.opts.backend {
             CommBackend::AllToAllW => (0, 0, 0),
             CommBackend::AllToAll => {
                 let Some(gi) = spec.group_of[rank] else {
                     return (0, 0, 0);
                 };
-                let group = &spec.groups[gi];
-                let pad = spec.padded_block_bytes(group);
-                let total = pad * group.len();
+                let total = pad * spec.groups[gi].len();
                 // Unpadding on receive only touches the real bytes plus one
                 // pass over the padding.
                 let real_recv: usize = spec.recvs[rank]

@@ -326,6 +326,7 @@ impl RunEnv<'_> {
         items: usize,
         group: &[usize],
         rows: &[Vec<usize>],
+        pad: usize,
     ) -> usize {
         let (plan, machine) = (self.plan, self.machine);
         let p = group.len();
@@ -340,7 +341,7 @@ impl RunEnv<'_> {
         let (mut t_pack, mut t_comm, mut t_unpack, mut t_fft) = (0u64, 0u64, 0u64, 0u64);
         for (&r, row) in group.iter().zip(rows) {
             if plan.opts.backend.needs_pack() {
-                let (pb, ub, _) = plan.reshape_local_bytes(spec, r);
+                let (pb, ub, _) = plan.group_local_bytes(spec, r, pad);
                 t_pack = t_pack.max(plan.pack_ns(&self.km, pb * items));
                 t_unpack = t_unpack.max(plan.unpack_ns(&self.km, ub * items));
             }
@@ -389,15 +390,19 @@ impl RunEnv<'_> {
         let plan = self.plan;
         let backend = plan.opts.backend;
         let rows = byte_rows(spec, group, backend, items);
+        let pad = match backend {
+            CommBackend::AllToAll => spec.padded_block_bytes(group),
+            _ => 0,
+        };
         let requested = match plan.opts.reshape_chunks {
-            0 => self.auto_chunks(op, spec, items, group, &rows),
+            0 => self.auto_chunks(op, spec, items, group, &rows, pad),
             n => n,
         };
         let k = effective_group_chunks(requested, group.len());
         let members = group.iter().zip(&rows).enumerate();
         let scheds = members.filter(|&(_, (&rank, _))| lowers(rank));
         let scheds = scheds.map(|(me_sub, (&rank, row))| {
-            let (pack, unpack, self_bytes) = plan.reshape_local_bytes(spec, rank);
+            let (pack, unpack, self_bytes) = plan.group_local_bytes(spec, rank, pad);
             let mut chunks = if k == 1 {
                 vec![ChunkBytes {
                     pack: pack * items,

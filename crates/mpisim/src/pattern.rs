@@ -16,6 +16,13 @@
 //! zero amplitude). Each message is priced once per walk: its injection
 //! time is also the drain its receiver charges, and its latency is carried
 //! from the injecting pass to the arriving one.
+//!
+//! The scatter walk orders its receives only where the order decides the
+//! result. A receiver's row holds the messages actually posted to it, in
+//! sender order. Completion charged in one trailing pass is a max-plus
+//! fold that needs no order at all, and completion charged inline sorts
+//! the row with a stable radix sort on arrival alone, which reproduces the
+//! (arrival, sender) drain order exactly (see [`scatter_times`]).
 
 use simgrid::link::{self, LinkPath, TransferCtx};
 use simgrid::noise::hash_jitter;
@@ -461,7 +468,24 @@ pub struct ScatterPolicy<'a> {
 ///
 /// The receive pass charges an **RX drain** per message — the receiving
 /// NIC/link absorbs bytes no faster than the sending one injects them — so
-/// naive scatters see incast pressure instead of free parallelism.
+/// naive scatters see incast pressure instead of free parallelism. A
+/// receiver drains its messages in (arrival, sender) order, `rx ←
+/// max(rx, arr) + drain` each, starting at its entry. How much of that
+/// order the walk computes depends on where completion is charged:
+///
+/// * **trailing** (`inline_recv: false`): only the final `rx` is used, and
+///   the max-plus recurrence unrolls to
+///   `rx = max(entry + D, max_a(arr_a + D(≥ arr_a)))`, where `D(≥ t)` is
+///   the sum of the drains of the messages arriving at or after `t` and
+///   `D` of all of them. No order appears in it: of messages tied at `t`,
+///   the first to drain has the largest suffix, `D(≥ t)`, in any order.
+///   Only the few messages that drain something are sorted; a zero-byte
+///   message finds its `D(≥ arr)` by binary search among them.
+/// * **inline** (`inline_recv: true`): every message stamps its chunk's
+///   ready time, so the order matters, ties included. The row is sorted by
+///   arrival alone with a stable LSD radix sort. Rows are filled in sender
+///   order, so a stable sort leaves tied arrivals in sender order: exactly
+///   the (arrival, sender) order.
 ///
 /// Time-shift invariant like every walker here.
 pub fn scatter_times(
@@ -474,60 +498,59 @@ pub fn scatter_times(
 ) -> PartitionedTimes {
     let mut pricer = Pricer::new(np, env);
     let mut price = |b, src, dst| pricer.parts(b, src, dst);
-    scatter_walk(
-        np,
-        env,
-        &members(np.spec, group),
-        part_entries,
-        bytes,
-        policy,
-        &mut price,
-    )
+    scatter_walk(np, env, group, part_entries, bytes, policy, &mut price)
 }
 
-/// One message in its receiver's row of a scatter walk's arrival table.
-#[derive(Clone, Copy)]
+/// One posted message in its receiver's row of a scatter walk's arrival
+/// table, carrying everything the receive pass needs: that pass reads no
+/// byte column and asks for no cost.
+#[derive(Clone, Copy, Default)]
 struct Arrival {
-    /// Arrival time, ns.
+    /// Arrival time, ns: the one sort key.
     ns: u64,
-    /// `sender << 32 | partition`.
-    src_part: u64,
-    /// Injection time: the receiver drains the message as fast as it was
-    /// injected.
-    drain: u64,
+    /// How long the message keeps its receiver busy: its drain (the
+    /// injection time), plus its completion when completion is inline.
+    /// [`trailing_rx`] overwrites it with the drains still to come.
+    busy: u64,
+    /// Its partition.
+    part: usize,
 }
 
-impl Arrival {
-    const NONE: Arrival = Arrival {
-        ns: u64::MAX,
-        src_part: u64::MAX,
-        drain: 0,
-    };
-
-    /// Sorts as (arrival, sender, partition).
-    fn key(&self) -> u128 {
-        u128::from(self.ns) << 64 | u128::from(self.src_part)
-    }
+/// A scatter walk's view of one member: who it is, how many messages its
+/// row of the arrival table holds so far, and the trailing completion
+/// work those messages charge it.
+struct Receiver {
+    member: Member,
+    posted: usize,
+    trailing_ns: u64,
 }
 
-/// The send pass prices each message once and records it in its
-/// receiver's row of one flat arrival table, with its injection time,
-/// which is also its receive-side drain. The receive pass sorts each row
-/// by arrival (then sender) and walks it without pricing anything.
+/// Digit widths of [`sort_by_arrival`], bits: 16 counters for a row of a
+/// few messages, and at most 256, which a walk's stack holds and zeroes
+/// cheaply; a longer row takes one more pass instead.
+const RADIX_MIN_BITS: u32 = 4;
+const RADIX_MAX_BITS: u32 = 8;
+
+/// The send pass prices each message once and appends it to its
+/// receiver's row of one flat arrival table, in sender order, with its
+/// injection time (its receive-side drain) and its completion cost. The
+/// receive pass orders a row only where the order decides the result: an
+/// inline row is sorted by arrival with [`sort_by_arrival`], a trailing one
+/// is folded by [`trailing_rx`] without being sorted.
 #[expect(
     clippy::indexing_slicing,
-    reason = "`part_entries` holds `p * nparts` entries (asserted), partition indices stay below `nparts` and `slot(i, j)` below `p * (p - 1)` for `i != j`"
+    reason = "`part_entries` holds `p * nparts` entries (asserted), partition indices stay below `nparts`, a row holds at most `p - 1` messages and the table `p + 1` rows of `p - 1`"
 )]
 fn scatter_walk(
     np: &NetParams,
     env: &PhaseEnv,
-    members: &[Member],
+    group: &[usize],
     part_entries: &[SimTime],
     bytes: &dyn Fn(usize, usize) -> usize,
     policy: &ScatterPolicy,
     price: &mut impl FnMut(usize, Member, Member) -> (u64, u64),
 ) -> PartitionedTimes {
-    let p = members.len();
+    let p = group.len();
     if p == 0 {
         return PartitionedTimes::from_flat(Vec::new(), 1);
     }
@@ -536,43 +559,81 @@ fn scatter_walk(
         nparts >= 1 && part_entries.len() == p * nparts,
         "every member must supply one entry time per partition"
     );
-    // Receiver `j`'s row is `arrivals[j·(p−1)..][..p−1]`, one slot per
-    // sender; a slot nobody posts to keeps `Arrival::NONE`, which sorts last.
+    let mut receivers: Vec<Receiver> = group
+        .iter()
+        .map(|&r| Receiver {
+            member: (r, np.spec.node_of(r)),
+            posted: 0,
+            trailing_ns: 0,
+        })
+        .collect();
+    // Receiver `j`'s row starts at `table[j·(p−1)]` and holds its `posted`
+    // messages in sender order; the last `p − 1` slots are sort scratch.
     let width = p - 1;
-    let slot = |src: usize, dst: usize| dst * width + src - usize::from(src > dst);
-    let mut arrivals = vec![Arrival::NONE; p * width];
+    let mut table = vec![Arrival::default(); (p + 1) * width];
     // `p · nparts` ready times, then the exits; the exit slots hold each
     // member's send completion until the receive pass.
     let mut flat = vec![SimTime::ZERO; p * nparts + p];
     let (ready_all, exits) = flat.split_at_mut(p * nparts);
+    // A zero-byte message injects nothing at any noise amplitude, so its
+    // price is a latency per link class (self, intra-node, inter-node).
+    let mut zero_lat: [Option<u64>; 3] = [None; 3];
 
     // Send pass: serialize each sender's injections, each message gated
-    // on its own chunk's entry; record arrivals.
+    // on its own chunk's entry; append arrivals to the receivers' rows.
     for (i, send_done) in exits.iter_mut().enumerate() {
         let pe = &part_entries[i * nparts..(i + 1) * nparts];
-        let mut t = pe[0] + SimTime::from_ns(selfcopy_ns(np, env, members[i].0, bytes(i, i)));
+        let me = receivers[i].member;
+        let mut t = pe[0] + SimTime::from_ns(selfcopy_ns(np, env, me.0, bytes(i, i)));
         let mut nic = t;
+        // Extra costs depend on (sender, bytes): a zero-byte message's are
+        // the sender's constant, and the last other size's are kept.
+        let zero_extra = policy
+            .post_zero
+            .then(|| ((policy.extra_send_ns)(i, 0), (policy.extra_recv_ns)(i, 0)));
+        let mut last_extra = (0, (0, 0));
         for k in 1..p {
-            let j = (i + k) % p;
+            let j = if i + k < p { i + k } else { i + k - p };
             let part = match nparts {
                 1 => 0,
                 _ => partition_of_step(k, p, nparts),
             };
             t = t.max(pe[part]);
             let b = bytes(i, j);
-            if b == 0 && !policy.post_zero {
-                continue;
-            }
-            let post = t + SimTime::from_ns(SEND_OVERHEAD_NS + (policy.extra_send_ns)(i, b));
-            let (inject, lat) = price(b, members[i], members[j]);
+            let to = &mut receivers[j];
+            let (inject, lat, (extra_send, extra_recv)) = match (b, zero_extra) {
+                (0, None) => continue,
+                (0, Some(extra)) => {
+                    let class = usize::from(me.0 != to.member.0) + usize::from(me.1 != to.member.1);
+                    let lat = *zero_lat[class].get_or_insert_with(|| price(0, me, to.member).1);
+                    (0, lat, extra)
+                }
+                _ => {
+                    let (inject, lat) = price(b, me, to.member);
+                    if last_extra.0 != b {
+                        let extra = ((policy.extra_send_ns)(i, b), (policy.extra_recv_ns)(i, b));
+                        last_extra = (b, extra);
+                    }
+                    (inject, lat, last_extra.1)
+                }
+            };
+            let post = t + SimTime::from_ns(SEND_OVERHEAD_NS + extra_send);
             let start = post.max(nic);
             let end = start + SimTime::from_ns(inject);
             nic = end;
-            arrivals[slot(i, j)] = Arrival {
-                ns: (end + SimTime::from_ns(lat)).as_ns(),
-                src_part: (i as u64) << 32 | part as u64,
-                drain: inject,
+            let done = RECV_OVERHEAD_NS + extra_recv;
+            let busy = if policy.inline_recv {
+                inject + done
+            } else {
+                to.trailing_ns += done;
+                inject
             };
+            table[j * width + to.posted] = Arrival {
+                ns: (end + SimTime::from_ns(lat)).as_ns(),
+                busy,
+                part,
+            };
+            to.posted += 1;
             t = match policy.flavor {
                 P2pFlavor::Blocking => end,
                 P2pFlavor::NonBlocking => post,
@@ -585,32 +646,124 @@ fn scatter_walk(
     // order, concurrently with the member's own injections (links are full
     // duplex); the CPU-side completion work (waitany matching, datatype
     // unpack) lands inline or in one trailing pass per the policy.
-    for (j, exit) in exits.iter_mut().enumerate() {
+    let (rows, scratch) = table.split_at_mut(p * width);
+    let mut counts = [0usize; 1 << RADIX_MAX_BITS];
+    for (j, (to, exit)) in receivers.iter().zip(exits).enumerate() {
         let entry = part_entries[j * nparts];
         let ready = &mut ready_all[j * nparts..(j + 1) * nparts];
-        ready.fill(entry);
-        let mut rx = entry;
-        let mut trailing_ns = 0u64;
-        let row = &mut arrivals[j * width..(j + 1) * width];
-        row.sort_unstable_by_key(Arrival::key);
-        for a in row.iter().take_while(|a| a.key() != Arrival::NONE.key()) {
-            let (src, part) = ((a.src_part >> 32) as usize, a.src_part as u32 as usize);
-            let (arr, drain) = (SimTime::from_ns(a.ns), a.drain);
-            let done_ns = RECV_OVERHEAD_NS + (policy.extra_recv_ns)(src, bytes(src, j));
-            rx = rx.max(arr) + SimTime::from_ns(drain);
-            if policy.inline_recv {
-                rx += SimTime::from_ns(done_ns);
-            } else {
-                trailing_ns += done_ns;
+        let row = &mut rows[j * width..j * width + to.posted];
+        if policy.inline_recv {
+            ready.fill(entry);
+            let mut rx = entry.as_ns();
+            for a in sort_by_arrival(row, scratch, &mut counts) {
+                rx = rx.max(a.ns) + a.busy;
+                // `rx` never falls, so the chunk's last message stamps it.
+                ready[a.part] = SimTime::from_ns(rx);
             }
-            ready[part] = ready[part].max(rx);
-        }
-        *exit = (*exit).max(rx) + SimTime::from_ns(trailing_ns);
-        if !policy.inline_recv {
+            *exit = (*exit).max(SimTime::from_ns(rx));
+        } else {
+            let rx = SimTime::from_ns(trailing_rx(entry.as_ns(), row));
+            *exit = (*exit).max(rx) + SimTime::from_ns(to.trailing_ns);
             ready.fill(*exit);
         }
     }
     PartitionedTimes::from_flat(flat, nparts)
+}
+
+/// The RX clock after a trailing row drains from `entry`, by the identity
+/// `rx = max(entry + D, max_a(arr_a + D(≥ arr_a)))` of [`scatter_times`].
+/// The messages that drain something are moved to the front and sorted
+/// there, in place; each of the others finds its `D(≥ arr)` by binary
+/// search among them.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`drained` counts the messages already swapped to the front, so it stays at or below `k`, which is below the row's length"
+)]
+fn trailing_rx(entry: u64, row: &mut [Arrival]) -> u64 {
+    let mut drained = 0;
+    for k in 0..row.len() {
+        if row[k].busy > 0 {
+            row.swap(drained, k);
+            drained += 1;
+        }
+    }
+    let (draining, instant) = row.split_at_mut(drained);
+    draining.sort_unstable_by_key(|a| a.ns);
+    // Each `busy` becomes the drains from its message on.
+    let mut after = 0;
+    for a in draining.iter_mut().rev() {
+        after += a.busy;
+        a.busy = after;
+    }
+    let mut rx = draining
+        .iter()
+        .fold(entry + after, |rx, a| rx.max(a.ns + a.busy));
+    for a in instant.iter() {
+        // `D(≥ arr) ≤ D`, so only an arrival past this bound can raise `rx`.
+        if a.ns + after > rx {
+            let later = draining.partition_point(|d| d.ns < a.ns);
+            rx = rx.max(a.ns + draining.get(later).map_or(0, |d| d.busy));
+        }
+    }
+    rx
+}
+
+/// `(digit width, pass count)` of [`sort_by_arrival`] on `n` arrivals
+/// spanning `span` ns: a digit of about `log₂ n` bits, so the histogram
+/// costs no more than a pass over the row, and as many passes as the
+/// span has digits.
+fn radix_digits(n: usize, span: u64) -> (u32, u32) {
+    let bits = (usize::BITS - n.leading_zeros()).clamp(RADIX_MIN_BITS, RADIX_MAX_BITS);
+    (bits, (u64::BITS - span.leading_zeros()).div_ceil(bits))
+}
+
+/// Sorts `row` by arrival alone with a stable LSD radix sort on each
+/// arrival's offset from the row's earliest, and returns the sorted
+/// records, which end in `row` or in `scratch` (at least as long) after
+/// an odd number of moving passes. Rows are filled in sender order, so
+/// stability is exactly the `(arrival, sender)` order. The digit width
+/// grows with the row's length and the pass count with its arrival span;
+/// a pass whose digits are all equal moves nothing and is skipped.
+/// `counts` is the digit histogram's storage.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "digits are masked below `1 << bits <= counts.len()`, their prefix sums stay below `row.len() <= scratch.len()`, and `src` is non-empty whenever its span needs a pass"
+)]
+fn sort_by_arrival<'a>(
+    row: &'a mut [Arrival],
+    scratch: &'a mut [Arrival],
+    counts: &mut [usize; 1 << RADIX_MAX_BITS],
+) -> &'a [Arrival] {
+    let n = row.len();
+    let (lo, hi) = row
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), a| (lo.min(a.ns), hi.max(a.ns)));
+    let span = hi.saturating_sub(lo);
+    let (bits, passes) = radix_digits(n, span);
+    let counts = &mut counts[..1 << bits];
+    let (mut src, mut dst) = (row, &mut scratch[..n]);
+    for pass in 0..passes {
+        let shift = pass * bits;
+        let digit = |a: &Arrival| ((a.ns - lo) >> shift) as usize & ((1 << bits) - 1);
+        counts.fill(0);
+        for a in src.iter() {
+            counts[digit(a)] += 1;
+        }
+        if counts[digit(&src[0])] == n {
+            continue;
+        }
+        let mut at = 0;
+        for c in counts.iter_mut() {
+            (at, *c) = (at + *c, at);
+        }
+        for a in src.iter() {
+            let c = &mut counts[digit(a)];
+            dst[*c] = *a;
+            *c += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    src
 }
 
 #[cfg(test)]
@@ -1054,15 +1207,7 @@ mod tests {
                             let walked = scatter_times(&np, &env, group, e, bytes, &policy);
                             assert_eq!(
                                 walked,
-                                scatter_walk(
-                                    &np,
-                                    &env,
-                                    &members,
-                                    e,
-                                    bytes,
-                                    &policy,
-                                    &mut reference
-                                ),
+                                scatter_walk(&np, &env, group, e, bytes, &policy, &mut reference),
                             );
                             assert_eq!(
                                 walked,
@@ -1079,6 +1224,147 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// SplitMix64, for the seeded random walks.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The walk against the two-pass reference on seeded random byte
+    /// matrices, over every policy: densities from empty to full, tied and
+    /// random entries, exact and noisy pricing. Extra costs vary by sender,
+    /// so a drain order that breaks a tie differently shows in the stamps.
+    #[test]
+    fn walk_equals_reference_on_random_matrices() {
+        let spec = MachineSpec::summit();
+        let mut rng = Rng(0x05CA_77E2);
+        let sizes = [64usize, 4096, 12_288, 1 << 20];
+        for p in [1usize, 2, 3, 8, 13, 64] {
+            // Six GPUs per node, with gaps: intra- and inter-node pairs.
+            let group: Vec<usize> = (0..p).map(|i| i * 5 / 3).collect();
+            let env = PhaseEnv::machine_wide(&spec, 120, p.max(2) - 1, true, 5);
+            for percent in [0u64, 3, 50, 100] {
+                let matrix: Vec<Vec<usize>> = (0..p)
+                    .map(|_| {
+                        (0..p)
+                            .map(|_| match rng.below(100) < percent {
+                                true => sizes[rng.below(4) as usize],
+                                false => 0,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let bytes = |i: usize, j: usize| matrix[i][j];
+                for noise_amp in [0.0, 0.05] {
+                    let np = NetParams {
+                        spec: &spec,
+                        seed: 7,
+                        noise_amp,
+                    };
+                    let mut reference = |b, src, dst| msg_parts(&np, &env, b, src, dst);
+                    for (nparts, tied) in [1, 2, 3, 4, 7]
+                        .into_iter()
+                        .flat_map(|k| [true, false].map(|t| (k, t)))
+                    {
+                        let e: Vec<SimTime> = (0..p * nparts)
+                            .map(|_| SimTime::from_ns(if tied { 1000 } else { rng.below(50_000) }))
+                            .collect();
+                        for flavor in [P2pFlavor::Blocking, P2pFlavor::NonBlocking] {
+                            for (post_zero, inline_recv) in
+                                [(false, false), (false, true), (true, false), (true, true)]
+                            {
+                                let policy = ScatterPolicy {
+                                    flavor,
+                                    post_zero,
+                                    inline_recv,
+                                    extra_send_ns: &|i, b| (i + b % 97) as u64,
+                                    extra_recv_ns: &|i, b| (3 * i + b % 31) as u64,
+                                };
+                                assert_eq!(
+                                    scatter_times(&np, &env, &group, &e, &bytes, &policy),
+                                    scatter_walk_reference(
+                                        &np,
+                                        &env,
+                                        &group,
+                                        &e,
+                                        &bytes,
+                                        &policy,
+                                        &mut reference
+                                    ),
+                                    "p = {p}, {percent} % dense, noise {noise_amp}, \
+                                     {nparts} parts, tied {tied}, {flavor:?}, \
+                                     post_zero {post_zero}, inline {inline_recv}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The radix sort against the standard library's stable sort, on rows
+    /// of every shape: empty, single, all equal, spans of one pass and of
+    /// five or more, with and without ties.
+    #[test]
+    fn radix_sort_is_the_stable_sort_by_arrival() {
+        let mut rng = Rng(0xA11);
+        let mut counts = [0; 1 << RADIX_MAX_BITS];
+        for n in [0usize, 1, 2, 3, 191] {
+            for name in ["equal", "one pass", "wide", "wide ties"] {
+                // Wide spans hold their two extremes, so they need every pass.
+                let draw = |r: &mut Rng, k: u64| match name {
+                    "equal" => 0,
+                    "one pass" => r.below(16),
+                    "wide" => [0, 1 << 45]
+                        .get(k as usize)
+                        .copied()
+                        .unwrap_or(r.below(1 << 45)),
+                    _ => ((k + 3) % 4) << 43 | r.below(2),
+                };
+                let row: Vec<Arrival> = (0..n)
+                    .map(|k| Arrival {
+                        ns: 1_000_000 + draw(&mut rng, k as u64),
+                        busy: k as u64,
+                        part: k,
+                    })
+                    .collect();
+                let (lo, hi) = (
+                    row.iter().map(|a| a.ns).min(),
+                    row.iter().map(|a| a.ns).max(),
+                );
+                let span = hi.zip(lo).map_or(0, |(hi, lo)| hi - lo);
+                let passes = radix_digits(n, span).1;
+                match name {
+                    "equal" => assert_eq!(passes, 0),
+                    "one pass" => assert!(passes <= 1),
+                    _ => assert!(n < 2 || passes >= 5, "{name}: {passes} passes"),
+                }
+                let mut expect = row.clone();
+                expect.sort_by_key(|a| a.ns);
+                let (mut work, mut scratch) = (row.clone(), vec![Arrival::default(); n]);
+                let sorted = sort_by_arrival(&mut work, &mut scratch, &mut counts);
+                let key = |a: &Arrival| (a.ns, a.busy, a.part);
+                assert_eq!(
+                    sorted.iter().map(key).collect::<Vec<_>>(),
+                    expect.iter().map(key).collect::<Vec<_>>(),
+                    "n = {n}, {name}"
+                );
             }
         }
     }
