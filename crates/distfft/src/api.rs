@@ -18,7 +18,7 @@ use simgrid::SimTime;
 
 use crate::exec::{bind, execute, BoundPlan, ExecCtx, ExecResult};
 use crate::plan::{FftOptions, FftPlan};
-use crate::trace::Trace;
+use crate::trace::{KernelKind, Trace, TraceEvent};
 
 /// Spectrum scaling convention, matching heFFTe's `scale::` options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +51,11 @@ pub struct Fft3d {
     bound: BoundPlan,
     ctx: ExecCtx,
     me: usize,
-    /// Simulated time of the most recent transform on this rank.
+    /// Simulated time at which the most recent transform, its scaling
+    /// included, finished on this rank.
     pub last_time: SimTime,
-    /// Event trace of the most recent transform on this rank.
+    /// Event trace of the most recent transform on this rank; a scaled
+    /// transform ends with one `Pointwise` kernel.
     pub last_trace: Trace,
 }
 
@@ -133,7 +135,7 @@ impl Fft3d {
         dir: Direction,
         scale: Scale,
     ) -> &Trace {
-        let ExecResult { trace, total } = execute(
+        let ExecResult { mut trace, total } = execute(
             &self.plan,
             &self.bound,
             &mut self.ctx,
@@ -149,12 +151,19 @@ impl Fft3d {
                     *v = v.scale(f);
                 }
             }
-            // Scaling is an element-wise kernel on the device.
+            // Scaling is an element-wise kernel on the device, after the
+            // transform has drained (`execute` syncs the clock to `total`).
             let km = rank.world().spec().kernel_model();
             let elems: usize = data.iter().map(|d| d.len()).sum();
-            rank.compute_ns(km.pointwise_ns(elems, 2.0));
+            let dur = km.pointwise_ns(elems, 2.0);
+            rank.compute_ns(dur);
+            trace.push(TraceEvent::Kernel {
+                kind: KernelKind::Pointwise,
+                start: total,
+                dur: SimTime::from_ns(dur),
+            });
         }
-        self.last_time = total;
+        self.last_time = rank.now();
         self.last_trace = trace;
         &self.last_trace
     }

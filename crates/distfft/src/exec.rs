@@ -74,7 +74,7 @@ struct Retired {
 /// the copy, or while unwinding — releases it. The last release wakes the
 /// owner, parked in [`Slot::reclaim`], only after letting go of its `Arc`:
 /// waking it first leaves the owner spinning on a count its preempted
-/// waker still holds (EXPERIMENTS.md "One copy per reshaped byte").
+/// waker still holds (measured in CHANGES.md, "one copy per reshaped byte").
 struct Reader(Option<Arc<Retired>>);
 
 impl Drop for Reader {

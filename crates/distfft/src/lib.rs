@@ -43,7 +43,6 @@ pub mod procgrid;
 pub mod real3d;
 pub mod reshape;
 pub mod schedule;
-pub mod timeline;
 pub mod trace;
 
 pub use api::{Fft3d, Scale};

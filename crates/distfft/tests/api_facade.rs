@@ -2,11 +2,11 @@
 
 use distfft::api::{Fft3d, Scale};
 use distfft::plan::FftOptions;
-use distfft::Box3;
+use distfft::{Box3, KernelKind, Trace, TraceEvent};
 use fftkern::complex::max_abs_diff;
 use fftkern::C64;
 use mpisim::comm::{Comm, World, WorldOpts};
-use simgrid::MachineSpec;
+use simgrid::{MachineSpec, SimTime};
 
 fn field(n: usize) -> Vec<C64> {
     (0..n)
@@ -81,4 +81,46 @@ fn facade_output_layout_matches_plan() {
         fft.input_len() == in_box.volume()
     });
     assert!(oks.into_iter().all(|x| x));
+}
+
+#[test]
+fn scaling_is_a_traced_kernel_on_the_rank_clock() {
+    // The clock pays for the 1/N pass, so `last_time` and `last_trace` must
+    // show it: one `Pointwise` kernel, ending at the rank's clock.
+    let n = [8usize, 8, 8];
+    let world = World::new(MachineSpec::testbox(2), 4, WorldOpts::default());
+    world.run(|rank| {
+        let comm = Comm::world(rank);
+        let mut fft = Fft3d::new(n, FftOptions::default(), rank, &comm);
+        let mut data = vec![field(fft.input_len())];
+        let pointwise = |t: &Trace| -> Vec<(SimTime, SimTime)> {
+            t.events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Kernel {
+                        kind: KernelKind::Pointwise,
+                        start,
+                        dur,
+                    } => Some((start, dur)),
+                    _ => None,
+                })
+                .collect()
+        };
+
+        fft.forward(rank, &comm, &mut data, Scale::None);
+        assert_eq!(fft.last_time, rank.now());
+        assert!(pointwise(&fft.last_trace).is_empty());
+
+        let before = rank.now();
+        fft.backward(rank, &comm, &mut data, Scale::Full);
+        assert_eq!(fft.last_time, rank.now());
+        let scaled = pointwise(&fft.last_trace);
+        let km = rank.world().spec().kernel_model();
+        let want = SimTime::from_ns(km.pointwise_ns(data[0].len(), 2.0));
+        assert_eq!(scaled.len(), 1, "{:?}", fft.last_trace.events);
+        let (start, dur) = scaled[0];
+        assert_eq!(dur, want);
+        assert!(dur > SimTime::ZERO && start > before);
+        assert_eq!(start + dur, rank.now());
+    });
 }

@@ -16,7 +16,7 @@
 //! caches can be created with [`PlanCache::new`] where isolation matters
 //! (e.g. statistics in tests).
 
-use crate::plan::{Layout, Plan1d, Plan2d, Plan3d};
+use crate::plan::{Layout, Plan1d, Plan3d};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +39,6 @@ pub struct PlanKey1d {
 #[derive(Debug, Default)]
 pub struct PlanCache {
     plans1d: Mutex<BTreeMap<PlanKey1d, Arc<Plan1d>>>,
-    plans2d: Mutex<BTreeMap<(usize, usize), Arc<Plan2d>>>,
     plans3d: Mutex<BTreeMap<(usize, usize, usize), Arc<Plan3d>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -67,11 +66,6 @@ impl PlanCache {
     /// Returns the cached contiguous 1-D plan (stride 1, rows back to back).
     pub fn plan1d_contiguous(&self, n: usize, batch: usize) -> Arc<Plan1d> {
         self.plan1d(n, batch, Layout::contiguous(n), Layout::contiguous(n))
-    }
-
-    /// Returns the cached 2-D plan for an `n0 × n1` row-major array.
-    pub fn plan2d(&self, n0: usize, n1: usize) -> Arc<Plan2d> {
-        self.intern(&self.plans2d, (n0, n1), || Plan2d::new(n0, n1))
     }
 
     /// Returns the cached 3-D plan for an `n0 × n1 × n2` row-major array.
@@ -122,7 +116,6 @@ impl PlanCache {
     /// Number of plans currently cached across all dimensionalities.
     pub fn len(&self) -> usize {
         self.plans1d.lock().unwrap_or_else(|e| e.into_inner()).len()
-            + self.plans2d.lock().unwrap_or_else(|e| e.into_inner()).len()
             + self.plans3d.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
@@ -134,10 +127,6 @@ impl PlanCache {
     /// Drops every cached plan (statistics are kept).
     pub fn clear(&self) {
         self.plans1d
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-        self.plans2d
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
@@ -236,7 +225,7 @@ mod tests {
     #[test]
     fn clear_empties_cache() {
         let cache = PlanCache::new();
-        let _ = cache.plan2d(4, 6);
+        let _ = cache.plan3d(4, 6, 2);
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());

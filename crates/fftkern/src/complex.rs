@@ -102,16 +102,6 @@ impl C64 {
             im: -self.im / d,
         }
     }
-
-    /// Fused multiply-add: `self * b + c`. A single expression the optimizer
-    /// can keep in registers in the butterfly hot loops.
-    #[inline(always)]
-    pub fn mul_add(self, b: C64, c: C64) -> Self {
-        C64 {
-            re: self.re * b.re - self.im * b.im + c.re,
-            im: self.re * b.im + self.im * b.re + c.im,
-        }
-    }
 }
 
 impl Add for C64 {
@@ -296,16 +286,6 @@ mod tests {
                         < 1e-10
             );
         }
-    }
-
-    #[test]
-    fn mul_add_matches_separate_ops() {
-        let a = C64::new(1.0, 2.0);
-        let b = C64::new(3.0, 4.0);
-        let c = C64::new(-1.0, 0.5);
-        let fused = a.mul_add(b, c);
-        let plain = a * b + c;
-        assert!((fused - plain).abs() < 1e-14);
     }
 
     #[test]

@@ -143,15 +143,6 @@ impl KernelTimeModel {
         self.gpu.launch_ns + setup + flop_time_ns.max(mem_time_ns).ceil() as u64
     }
 
-    /// Time (ns) for a full local 3-D FFT of `n0 × n1 × n2` (three batched
-    /// passes, the middle and slow axes strided unless packed).
-    pub fn local_fft_3d_ns(&self, n0: usize, n1: usize, n2: usize, layout: LayoutKind) -> u64 {
-        let t2 = self.batched_fft_1d_ns(n2, n0 * n1, LayoutKind::Contiguous, false);
-        let t1 = self.batched_fft_1d_ns(n1, n0 * n2, layout, false);
-        let t0 = self.batched_fft_1d_ns(n0, n1 * n2, layout, false);
-        t2 + t1 + t0
-    }
-
     /// Time (ns) to pack `bytes` of scattered box data into a contiguous
     /// send buffer (one gather-read + one write).
     pub fn pack_ns(&self, bytes: usize) -> u64 {
@@ -258,14 +249,6 @@ mod tests {
         );
         assert_eq!(m.pack_ns(0), 0);
         assert_eq!(m.pointwise_ns(0, 8.0), 0);
-    }
-
-    #[test]
-    fn local_3d_sums_three_passes() {
-        let m = KernelTimeModel::new(GpuModel::v100());
-        let t = m.local_fft_3d_ns(64, 64, 64, LayoutKind::Contiguous);
-        let per_axis = m.batched_fft_1d_ns(64, 64 * 64, LayoutKind::Contiguous, false);
-        assert_eq!(t, 3 * per_axis);
     }
 
     #[test]

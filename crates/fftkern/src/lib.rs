@@ -22,7 +22,7 @@
 //!   `cufftPlanMany`: arbitrary `batch`, `stride` and `dist` so that both the
 //!   *contiguous (transposed)* and *strided* local-FFT modes of the paper
 //!   (Figs. 6, 7, 10) are expressible.
-//! * [`Plan2d`] / [`Plan3d`] — local multi-dimensional transforms.
+//! * [`Plan3d`] — the local 3-D transform.
 //! * [`StockhamPlan`] — the workhorse for every 2/3/5/7-smooth size: a
 //!   Stockham autosort engine with radix-8/4/2 and radix-3/5/7 butterflies
 //!   and no digit-reversal pass.
@@ -54,7 +54,7 @@ pub mod twiddle;
 pub use cache::{plan_cache, PlanCache};
 pub use complex::C64;
 pub use kernel_model::{GpuModel, KernelTimeModel, LayoutKind};
-pub use plan::{Direction, Plan1d, Plan2d, Plan3d};
+pub use plan::{Direction, Plan1d, Plan3d};
 pub use simd::SimdTier;
 pub use stockham::StockhamPlan;
 

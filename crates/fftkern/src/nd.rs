@@ -10,18 +10,8 @@ use crate::cache::plan_cache;
 use crate::complex::C64;
 use crate::plan::Direction;
 
-/// One-shot in-place 1-D transform (plan served by the global cache).
-pub fn fft_1d(data: &mut [C64], dir: Direction) {
-    let plan = plan_cache().plan1d_contiguous(data.len(), 1);
-    plan.execute_inplace(data, dir);
-}
-
-/// One-shot in-place 2-D transform of a row-major `n0 × n1` array.
-pub fn fft_2d(data: &mut [C64], n0: usize, n1: usize, dir: Direction) {
-    plan_cache().plan2d(n0, n1).execute(data, dir);
-}
-
-/// One-shot in-place 3-D transform of a row-major `n0 × n1 × n2` array.
+/// One-shot in-place 3-D transform of a row-major `n0 × n1 × n2` array. A
+/// unit extent makes it a 1-D or 2-D transform.
 pub fn fft_3d(data: &mut [C64], n0: usize, n1: usize, n2: usize, dir: Direction) {
     plan_cache().plan3d(n0, n1, n2).execute(data, dir);
 }
@@ -56,8 +46,8 @@ mod tests {
     fn normalized_roundtrip_is_identity() {
         let mut x = signal(60);
         let orig = x.clone();
-        fft_1d(&mut x, Direction::Forward);
-        fft_1d(&mut x, Direction::Inverse);
+        fft_3d(&mut x, 1, 1, 60, Direction::Forward);
+        fft_3d(&mut x, 1, 1, 60, Direction::Inverse);
         normalize(&mut x, 60);
         assert!(max_abs_diff(&x, &orig) < 1e-10 * 60.0);
     }
@@ -67,7 +57,7 @@ mod tests {
         let x = signal(128);
         let time_energy = energy(&x);
         let mut spec = x;
-        fft_1d(&mut spec, Direction::Forward);
+        fft_3d(&mut spec, 1, 1, 128, Direction::Forward);
         let freq_energy = energy(&spec) / 128.0;
         assert!((time_energy - freq_energy).abs() < 1e-8 * time_energy.max(1.0));
     }
@@ -84,17 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn fft_2d_roundtrip() {
-        let (a, b) = (6usize, 10usize);
-        let x = signal(a * b);
-        let mut y = x.clone();
-        fft_2d(&mut y, a, b, Direction::Forward);
-        fft_2d(&mut y, a, b, Direction::Inverse);
-        normalize(&mut y, a * b);
-        assert!(max_abs_diff(&y, &x) < 1e-9 * (a * b) as f64);
-    }
-
-    #[test]
     fn linearity_of_fft() {
         let n = 48;
         let x = signal(n);
@@ -102,12 +81,12 @@ mod tests {
         let alpha = C64::new(2.0, -0.5);
 
         let mut combo: Vec<C64> = x.iter().zip(&y).map(|(a, b)| *a * alpha + *b).collect();
-        fft_1d(&mut combo, Direction::Forward);
+        fft_3d(&mut combo, 1, 1, n, Direction::Forward);
 
         let mut fx = x;
-        fft_1d(&mut fx, Direction::Forward);
+        fft_3d(&mut fx, 1, 1, n, Direction::Forward);
         let mut fy = y;
-        fft_1d(&mut fy, Direction::Forward);
+        fft_3d(&mut fy, 1, 1, n, Direction::Forward);
         let expect: Vec<C64> = fx.iter().zip(&fy).map(|(a, b)| *a * alpha + *b).collect();
         assert!(max_abs_diff(&combo, &expect) < 1e-8 * n as f64);
     }

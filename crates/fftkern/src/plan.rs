@@ -465,59 +465,6 @@ impl Bufs<'_> {
     }
 }
 
-/// A 2-D transform plan over a row-major `n0 × n1` array (n1 fastest).
-#[derive(Debug, Clone)]
-pub struct Plan2d {
-    n0: usize,
-    n1: usize,
-    rows: Plan1d,
-    cols: Plan1d,
-}
-
-impl Plan2d {
-    /// Builds a plan for an `n0 × n1` row-major array.
-    pub fn new(n0: usize, n1: usize) -> Plan2d {
-        // Rows along axis 1 are contiguous; columns along axis 0 are strided.
-        let rows = Plan1d::contiguous(n1, n0);
-        let cols = Plan1d::with_layout(n0, n1, Layout::strided(n1), Layout::strided(n1));
-        Plan2d { n0, n1, rows, cols }
-    }
-
-    /// Array shape `(n0, n1)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.n0, self.n1)
-    }
-
-    /// Total number of elements.
-    pub fn len(&self) -> usize {
-        self.n0 * self.n1
-    }
-
-    /// True for an empty plan (any zero extent).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Scratch elements needed by [`execute_scratch`](Plan2d::execute_scratch).
-    pub fn scratch_elems(&self) -> usize {
-        self.rows.scratch_elems().max(self.cols.scratch_elems())
-    }
-
-    /// In-place unnormalized 2-D transform.
-    pub fn execute(&self, data: &mut [C64], dir: Direction) {
-        let mut scratch = vec![C64::ZERO; self.scratch_elems()];
-        self.execute_scratch(data, dir, &mut scratch);
-    }
-
-    /// In-place transform reusing caller-provided scratch of at least
-    /// [`scratch_elems`](Plan2d::scratch_elems) elements.
-    pub fn execute_scratch(&self, data: &mut [C64], dir: Direction, scratch: &mut [C64]) {
-        assert_eq!(data.len(), self.len(), "buffer does not match plan shape");
-        self.rows.execute_inplace_scratch(data, dir, scratch);
-        self.cols.execute_inplace_scratch(data, dir, scratch);
-    }
-}
-
 /// A 3-D transform plan over a row-major `n0 × n1 × n2` array (n2 fastest).
 #[derive(Debug, Clone)]
 pub struct Plan3d {
@@ -769,17 +716,6 @@ mod tests {
         assert_eq!(plan.required_output_len(), 12);
         let empty = Plan1d::contiguous(4, 0);
         assert_eq!(empty.required_input_len(), 0);
-    }
-
-    #[test]
-    fn plan2d_matches_nd_dft() {
-        let (n0, n1) = (6, 8);
-        let plan = Plan2d::new(n0, n1);
-        let x = signal(n0 * n1);
-        let mut fast = x.clone();
-        plan.execute(&mut fast, Direction::Forward);
-        let slow = dft_nd(&x, &[n0, n1], Direction::Forward);
-        assert!(max_abs_diff(&fast, &slow) < 1e-8 * (n0 * n1) as f64);
     }
 
     #[test]

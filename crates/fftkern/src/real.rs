@@ -7,52 +7,21 @@
 //! and untangle the two interleaved half-spectra — half the work of the
 //! naive embed-into-complex approach.
 //!
-//! `r2c_1d` returns the non-redundant half spectrum (`n/2 + 1` bins);
-//! `c2r_1d` inverts it (unnormalized, like every other direction in this
-//! crate: `c2r(r2c(x)) == n·x`).
+//! [`untangle_half_with`] turns a packed half-size spectrum into the
+//! `n/2 + 1` non-redundant bins of the length-`n` real transform and
+//! [`retangle_half_with`] inverts it; `distfft::real3d` runs them row by
+//! row between its complex passes (unnormalized, like every other
+//! direction in this crate: a real round trip scales the signal by `n`).
 
 use crate::complex::C64;
-use crate::plan::{Direction, Plan1d};
 use crate::twiddle;
 
-/// Forward real-to-complex transform: `n` reals → `n/2 + 1` complex bins
-/// (the remaining bins are the conjugate mirror). `n` must be even and ≥ 2.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`n = input.len()` is even, so `2j + 1 < n` for every `j < n / 2`"
-)]
-pub fn r2c_1d(input: &[f64]) -> Vec<C64> {
-    let n = input.len();
-    assert!(
-        n >= 2 && n.is_multiple_of(2),
-        "r2c requires even n >= 2, got {n}"
-    );
-    let h = n / 2;
-
-    // Pack pairs (x[2j], x[2j+1]) as complex values and transform at n/2.
-    let packed: Vec<C64> = (0..h)
-        .map(|j| C64::new(input[2 * j], input[2 * j + 1]))
-        .collect();
-    let mut z = packed;
-    Plan1d::contiguous(h, 1).execute_inplace(&mut z, Direction::Forward);
-    untangle_half(&z, n)
-}
-
 /// Untangles a packed half-size spectrum `Z = FFT_{n/2}(x[2j] + i·x[2j+1])`
-/// into the `n/2 + 1` half-spectrum bins of the length-`n` real transform:
-/// `X[k] = E[k] + e^{-2πik/n}·O[k]`, with E/O recovered from Z by symmetry.
-/// The row-local kernel of every r2c transform, including the distributed
-/// 3-D one.
-pub fn untangle_half(z: &[C64], n: usize) -> Vec<C64> {
-    let mut out = Vec::with_capacity(n / 2 + 1);
-    untangle_half_into(z, n, &mut out);
-    out
-}
-
-/// Appending form of [`untangle_half`] for callers that untangle many rows
-/// into one buffer — no per-row allocation. Looks the length-`n` root table
-/// up per call; a caller with many rows of one length fetches
-/// [`twiddle::forward_table`] once and calls [`untangle_half_with`].
+/// into the `n/2 + 1` half-spectrum bins of the length-`n` real transform,
+/// appended to `out`: `X[k] = E[k] + e^{-2πik/n}·O[k]`, with E/O recovered
+/// from Z by symmetry. Looks the length-`n` root table up per call; a
+/// caller with many rows of one length fetches [`twiddle::forward_table`]
+/// once and calls [`untangle_half_with`].
 pub fn untangle_half_into(z: &[C64], n: usize, out: &mut Vec<C64>) {
     untangle_half_with(z, &twiddle::forward_table(n), out);
 }
@@ -86,15 +55,9 @@ pub fn untangle_half_with(z: &[C64], roots: &[C64], out: &mut Vec<C64>) {
     out.push(bin(z[0], z[0], roots[h]));
 }
 
-/// Inverse of [`untangle_half`]: rebuilds the packed half-size spectrum from
-/// the `n/2 + 1` half bins, ready for an inverse FFT of length `n/2`.
-pub fn retangle_half(spectrum: &[C64], n: usize) -> Vec<C64> {
-    let mut z = Vec::with_capacity(n / 2);
-    retangle_half_into(spectrum, n, &mut z);
-    z
-}
-
-/// Appending form of [`retangle_half`] — see [`untangle_half_into`].
+/// Inverse of [`untangle_half_into`]: appends the packed half-size
+/// spectrum rebuilt from the `n/2 + 1` half bins, ready for an inverse FFT
+/// of length `n/2`.
 pub fn retangle_half_into(spectrum: &[C64], n: usize, z: &mut Vec<C64>) {
     retangle_half_with(spectrum, &twiddle::forward_table(n), z);
 }
@@ -119,52 +82,12 @@ pub fn retangle_half_with(spectrum: &[C64], roots: &[C64], z: &mut Vec<C64>) {
     }
 }
 
-/// Inverse complex-to-real transform: `n/2 + 1` half-spectrum bins →
-/// `n` reals, unnormalized (scaled by `n` relative to the original signal).
-pub fn c2r_1d(spectrum: &[C64], n: usize) -> Vec<f64> {
-    assert!(
-        n >= 2 && n.is_multiple_of(2),
-        "c2r requires even n >= 2, got {n}"
-    );
-    assert_eq!(
-        spectrum.len(),
-        n / 2 + 1,
-        "half spectrum must have n/2+1 bins"
-    );
-    let h = n / 2;
-
-    let mut z = retangle_half(spectrum, n);
-    Plan1d::contiguous(h, 1).execute_inplace(&mut z, Direction::Inverse);
-
-    // Unpack: the inverse of the forward packing, times 2 because the
-    // half-size transform carries half the normalization.
-    let mut out = Vec::with_capacity(n);
-    for v in z {
-        out.push(v.re * 2.0);
-        out.push(v.im * 2.0);
-    }
-    out
-}
-
-/// Full real spectrum via Hermitian extension — handy for verification.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`half.len() == n / 2 + 1` is asserted and `n - k <= n / 2` for `k > n / 2`"
-)]
-pub fn extend_hermitian(half: &[C64], n: usize) -> Vec<C64> {
-    assert_eq!(half.len(), n / 2 + 1);
-    let mut full = half.to_vec();
-    for k in (n / 2 + 1)..n {
-        full.push(half[n - k].conj());
-    }
-    full
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::max_abs_diff;
     use crate::dft::dft_1d;
+    use crate::plan::Direction;
 
     fn real_signal(n: usize) -> Vec<f64> {
         (0..n)
@@ -174,16 +97,22 @@ mod tests {
 
     #[test]
     fn r2c_matches_complex_dft() {
+        // The packing trick end to end against the O(n²) oracle: untangling
+        // the half-size DFT of the packed pairs gives the real signal's
+        // first n/2 + 1 bins, and retangling them gives the packed DFT back.
         for n in [2usize, 4, 8, 12, 30, 64, 100] {
             let x = real_signal(n);
-            let half = r2c_1d(&x);
-            assert_eq!(half.len(), n / 2 + 1);
+            let packed: Vec<C64> = x.chunks(2).map(|p| C64::new(p[0], p[1])).collect();
+            let z = dft_1d(&packed, Direction::Forward);
+            let mut half = Vec::new();
+            untangle_half_into(&z, n, &mut half);
             let embedded: Vec<C64> = x.iter().map(|&v| C64::real(v)).collect();
             let full = dft_1d(&embedded, Direction::Forward);
-            assert!(
-                max_abs_diff(&half, &full[..n / 2 + 1]) < 1e-8 * n as f64,
-                "mismatch at n={n}"
-            );
+            let tol = 1e-8 * n as f64;
+            assert!(max_abs_diff(&half, &full[..=n / 2]) < tol, "untangle n={n}");
+            let mut back = Vec::new();
+            retangle_half_into(&half, n, &mut back);
+            assert!(max_abs_diff(&back, &z) < tol, "retangle n={n}");
         }
     }
 
@@ -210,7 +139,8 @@ mod tests {
                     e + C64::expi(-2.0 * PI * k as f64 / n as f64) * o
                 })
                 .collect();
-            let half = untangle_half(&z, n);
+            let mut half = Vec::new();
+            untangle_half_into(&z, n, &mut half);
             assert_eq!(bits(&half), bits(&want_half), "untangle n={n}");
 
             let want_z: Vec<C64> = (0..h)
@@ -222,50 +152,9 @@ mod tests {
                     e + o * C64::I
                 })
                 .collect();
-            assert_eq!(
-                bits(&retangle_half(&half, n)),
-                bits(&want_z),
-                "retangle n={n}"
-            );
+            let mut back = Vec::new();
+            retangle_half_into(&half, n, &mut back);
+            assert_eq!(bits(&back), bits(&want_z), "retangle n={n}");
         }
-    }
-
-    #[test]
-    fn hermitian_extension_matches_full_dft() {
-        let n = 16;
-        let x = real_signal(n);
-        let full = extend_hermitian(&r2c_1d(&x), n);
-        let embedded: Vec<C64> = x.iter().map(|&v| C64::real(v)).collect();
-        let reference = dft_1d(&embedded, Direction::Forward);
-        assert!(max_abs_diff(&full, &reference) < 1e-9 * n as f64);
-    }
-
-    #[test]
-    fn r2c_c2r_roundtrip_scales_by_n() {
-        for n in [4usize, 10, 32, 64] {
-            let x = real_signal(n);
-            let back = c2r_1d(&r2c_1d(&x), n);
-            for (got, want) in back.iter().zip(&x) {
-                assert!(
-                    (got - want * n as f64).abs() < 1e-8 * n as f64,
-                    "n={n}: {got} vs {}",
-                    want * n as f64
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dc_and_nyquist_bins_are_real() {
-        let n = 32;
-        let half = r2c_1d(&real_signal(n));
-        assert!(half[0].im.abs() < 1e-10, "DC bin must be real");
-        assert!(half[n / 2].im.abs() < 1e-10, "Nyquist bin must be real");
-    }
-
-    #[test]
-    #[should_panic(expected = "even")]
-    fn odd_length_rejected() {
-        let _ = r2c_1d(&[1.0, 2.0, 3.0]);
     }
 }

@@ -49,17 +49,6 @@ pub struct ReshapeContention {
     pub queue_ns: u64,
 }
 
-impl ReshapeContention {
-    /// Queue share of the measured time (0 when nothing was measured).
-    pub fn queue_frac(&self) -> f64 {
-        if self.actual_ns == 0 {
-            0.0
-        } else {
-            self.queue_ns as f64 / self.actual_ns as f64
-        }
-    }
-}
-
 /// Queuing delay accumulated on one node's shared link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkQueue {
@@ -139,14 +128,6 @@ impl Contention {
     pub fn total_queue_ns(&self) -> u64 {
         self.by_reshape.values().map(|c| c.queue_ns).sum()
     }
-
-    /// The reshape/link pair with the largest queue, if any call queued.
-    pub fn hottest(&self) -> Option<(usize, LinkClass, &ReshapeContention)> {
-        self.by_reshape
-            .iter()
-            .max_by_key(|(_, c)| c.queue_ns)
-            .map(|(&(ri, class), c)| (ri, class, c))
-    }
 }
 
 #[cfg(test)]
@@ -168,8 +149,8 @@ mod tests {
         // Many flows share each NIC: measured time must exceed the
         // single-flow quiet-network ideal somewhere.
         assert!(c.total_queue_ns() > 0, "{c:?}");
-        let (_, _, hot) = c.hottest().expect("at least one exchange");
-        assert!(hot.queue_frac() > 0.0 && hot.queue_frac() < 1.0);
+        let hot = c.by_reshape.values().max_by_key(|c| c.queue_ns).unwrap();
+        assert!(hot.queue_ns > 0 && hot.queue_ns < hot.actual_ns, "{hot:?}");
         // Every aggregate is internally consistent.
         for c in c.by_reshape.values() {
             assert_eq!(c.actual_ns, c.ideal_ns + c.queue_ns);

@@ -1,18 +1,18 @@
-//! General (irregular) input grids + the heFFTe-style facade + timeline.
+//! General (irregular) input grids + the heFFTe-style facade + phase summary.
 //!
 //! Real simulations hand the FFT whatever domain partition their load
 //! balancer produced — §III: "the only libraries allowing general
 //! input/output grids are fftMPI, heFFTe and SWFFT". This example feeds an
 //! L-shaped, non-grid partition through the transform via
 //! `Distribution::from_boxes`, uses the high-level `Fft3d` facade, and
-//! prints the per-rank execution timeline.
+//! prints where the inverse transform's simulated time went, per phase.
 //!
 //! Run with: `cargo run --release --example irregular_grids`
 
 use distfft::api::{Fft3d, Scale};
 use distfft::plan::{FftOptions, FftPlan};
 use distfft::procgrid::Distribution;
-use distfft::{timeline, Box3};
+use distfft::{trace, Box3};
 use fftkern::C64;
 use mpisim::comm::{Comm, World, WorldOpts};
 use simgrid::MachineSpec;
@@ -74,6 +74,6 @@ fn main() {
     }
     println!("round trip through the irregular layout: OK");
     println!();
-    println!("inverse-transform timeline (one row per rank):");
-    print!("{}", timeline::render(&traces, 100));
+    println!("inverse-transform phases (scaling kernel included):");
+    print!("{}", trace::phase_summary(&traces));
 }

@@ -28,6 +28,20 @@ echo "== cargo test =="
 # (plan options and `fftkern::simd::force_tier`), so one leg covers them.
 cargo test --workspace --offline -q
 
+echo "== examples (release) =="
+# Each example asserts its own numeric checks (DESIGN.md §4); compiling
+# them is not running them. All six take ~20 s on a 2-vCPU host, their
+# release build included.
+for ex in quickstart irregular_grids batched_spectral lammps_kspace \
+    poisson_solver tuning_advisor; do
+    cargo run --release --offline -q --example "$ex" >"$TDIR/$ex.out" || {
+        echo "FAIL: example $ex" >&2
+        cat "$TDIR/$ex.out" >&2
+        exit 1
+    }
+    echo "$ex: ok"
+done
+
 echo "== figures vs committed results (release) =="
 # Every figure harness must reproduce its committed results/*.txt byte for
 # byte — the absolute pin on simulated time for the monolithic path of all
