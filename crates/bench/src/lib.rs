@@ -250,26 +250,22 @@ pub fn run_with_obs(figure: fn(&Obs) -> Figure) {
 ///
 /// * `--trace-out <file>` — export the harness's per-rank timeline as
 ///   Chrome-trace JSON (load in `chrome://tracing` / <https://ui.perfetto.dev>).
-/// * `--metrics` — print the span summary and the global metrics snapshot.
 /// * `--profile-out <file>` — write the harness's [`fftprof::Profile`]
 ///   (phase attribution, critical path, contention, model residual) as JSON
 ///   to `<file>` and collapsed stacks to `<file>.folded`.
 ///
-/// Any flag enables the [`fftobs`] registry for the run. All output goes
-/// to **stderr** or the named file — never stdout — so the figure's stdout
-/// stays byte-identical whether or not observability is on (the simulation
-/// itself never reads a metric back, and the profiler only analyses traces
-/// after the fact).
+/// All output goes to **stderr** or the named file — never stdout — so the
+/// figure's stdout stays byte-identical whether or not a flag is given (the
+/// exporter and the profiler only read traces after the fact).
 #[derive(Debug, Default)]
 pub struct Obs {
     trace_out: Option<std::path::PathBuf>,
     profile_out: Option<std::path::PathBuf>,
-    metrics: bool,
 }
 
 impl Obs {
     /// Parses the harness command line (`args` without the program name):
-    /// `--trace-out <file>` / `--profile-out <file>` / `--metrics`, plus
+    /// `--trace-out <file>` / `--profile-out <file>`, plus
     /// up to `max_positional` positional arguments in order. An unknown
     /// `--flag`, a flag missing its value or a positional the harness does
     /// not consume is an error — a typo must not silently run the whole
@@ -290,7 +286,6 @@ impl Obs {
             match a.as_str() {
                 "--trace-out" => obs.trace_out = Some(file()?),
                 "--profile-out" => obs.profile_out = Some(file()?),
-                "--metrics" => obs.metrics = true,
                 flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
                 _ if positional.len() == max_positional => {
                     return Err(format!("unexpected argument '{a}'"))
@@ -303,20 +298,9 @@ impl Obs {
 
     /// [`parse`](Obs::parse) over `std::env::args`, returning the
     /// positional arguments alongside; a parse error exits 2 with a
-    /// one-line message on stderr. Enables metric recording when any
-    /// output is requested.
+    /// one-line message on stderr.
     pub fn from_env(max_positional: usize) -> (Obs, Vec<String>) {
-        let (obs, positional) = Obs::parse(std::env::args().skip(1), max_positional)
-            .unwrap_or_else(|e| usage_error(&e));
-        if obs.active() {
-            fftobs::set_enabled(true);
-        }
-        (obs, positional)
-    }
-
-    /// True when any observability output was requested.
-    pub fn active(&self) -> bool {
-        self.trace_out.is_some() || self.profile_out.is_some() || self.metrics
+        Obs::parse(std::env::args().skip(1), max_positional).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// True when `--profile-out` was requested — the harness then runs
@@ -338,19 +322,12 @@ impl Obs {
         write_or_exit(folded.into(), profile.to_collapsed(), "collapsed stacks");
     }
 
-    /// Emits the requested artifacts for the harness's per-rank traces:
-    /// Chrome-trace JSON to the `--trace-out` file, span summary plus
-    /// metrics snapshot to stderr under `--metrics`.
+    /// Writes the harness's per-rank traces as Chrome-trace JSON to the
+    /// `--trace-out` file. No-op when no trace was requested.
     pub fn emit(&self, traces: &[Trace]) {
         if let Some(path) = &self.trace_out {
             let json = distfft::trace::export_chrome_trace(traces);
             write_or_exit(path.clone(), json, "trace");
-        }
-        if self.metrics {
-            eprintln!("--- phase summary (all ranks)");
-            eprint!("{}", distfft::trace::phase_summary(traces));
-            eprintln!("--- metrics");
-            eprint!("{}", fftobs::registry().snapshot().render_text());
         }
     }
 }
@@ -430,7 +407,6 @@ mod tests {
             "1024",
             "--trace-out",
             "t.json",
-            "--metrics",
             "spock",
             "--profile-out",
             "p.json",
@@ -438,14 +414,18 @@ mod tests {
         .expect("valid command line");
         assert_eq!(obs.trace_out.as_deref(), Some("t.json".as_ref()));
         assert_eq!(obs.profile_out.as_deref(), Some("p.json".as_ref()));
-        assert!(obs.metrics && obs.active() && obs.profiling());
+        assert!(obs.profiling());
         assert_eq!(positional, ["1024", "spock"]);
         let (obs, positional) = parse(&[]).expect("empty command line");
-        assert!(!obs.active() && positional.is_empty());
+        assert!(obs.trace_out.is_none() && !obs.profiling() && positional.is_empty());
         // A typo'd flag or a flag without its value is an error, not a no-op.
         assert_eq!(
             parse(&["--profile-ou", "f"]).unwrap_err(),
             "unknown flag '--profile-ou'"
+        );
+        assert_eq!(
+            parse(&["--metrics"]).unwrap_err(),
+            "unknown flag '--metrics'"
         );
         assert_eq!(
             parse(&["512", "--trace-out"]).unwrap_err(),

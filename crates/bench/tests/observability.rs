@@ -3,8 +3,8 @@
 //! pids and the paper's phase names, and enabling metrics must not perturb
 //! the simulated timeline at all; the harness command line must fail
 //! loudly on arguments it does not understand, and its `--trace-out` /
-//! `--profile-out` / `--metrics` flags must leave stdout untouched while
-//! writing exports that validate and replay byte for byte.
+//! `--profile-out` flags must leave stdout untouched while writing exports
+//! that validate and replay byte for byte.
 
 use distfft::plan::FftOptions;
 use distfft::trace::{export_chrome_trace, phase_summary};
@@ -94,7 +94,7 @@ fn fig2_flags_are_invisible_on_stdout_and_export_validates() {
     // writes through the real command line must be the validated export.
     let fig2 = || Command::new(env!("CARGO_BIN_EXE_fig2"));
     let trace = concat!(env!("CARGO_TARGET_TMPDIR"), "/fig2.json");
-    let flagged = stdout_of(fig2().args(["--trace-out", trace, "--metrics"]));
+    let flagged = stdout_of(fig2().args(["--trace-out", trace]));
     assert!(
         stdout_of(&mut fig2()) == flagged,
         "flags changed fig2 stdout"
@@ -175,8 +175,8 @@ fn enabling_metrics_does_not_change_the_timeline() {
     // And the metrics actually recorded something while enabled.
     let snap = fftobs::registry().snapshot();
     assert!(
-        snap.counter("distfft.events.mpi").unwrap_or(0) > 0,
-        "instrumented run recorded no MPI events"
+        snap.counter("distfft.bytes.mpi_sent").unwrap_or(0) > 0,
+        "instrumented run recorded no MPI bytes"
     );
 }
 
@@ -225,10 +225,11 @@ fn figure_binaries_reject_arguments_they_do_not_consume() {
     // all do not run the whole figure on `fig7 --trace-out f` and write
     // nothing: the first unconsumed argument is named.
     for (bin, exe) in bins![fig2, fig3, fig4, fig10] {
-        assert_rejected(bin, exe, &["--metrics", "1O24", "--bogus"], "'1O24'");
+        assert_rejected(bin, exe, &["--trace-out", "f", "1O24", "--bogus"], "'1O24'");
+        assert_rejected(bin, exe, &["--metrics"], "'--metrics'");
     }
     let fig5 = env!("CARGO_BIN_EXE_fig5");
-    assert_rejected("fig5", fig5, &["--metrics", "1O24"], "'1O24'");
+    assert_rejected("fig5", fig5, &["--profile-out", "f", "1O24"], "'1O24'");
     assert_rejected("fig5", fig5, &["0"], "'0'");
     assert_rejected("fig5", fig5, &["8", "16"], "'16'");
     for (bin, exe) in bins![

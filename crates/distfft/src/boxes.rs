@@ -140,7 +140,7 @@ impl Box3 {
     /// Appends the elements of `region` (row-major) onto `out` without
     /// allocating a fresh buffer — the zero-churn form of [`extract`] used
     /// by the pooled send-packing path. Runs are coalesced per
-    /// [`run_len`](Box3::run_len).
+    /// `run_len`.
     ///
     /// [`extract`]: Box3::extract
     #[expect(
@@ -172,7 +172,7 @@ impl Box3 {
 
     /// Deposits a contiguous `block` (as produced by [`extract`]) into this
     /// box's local storage at `region`. Runs are coalesced per
-    /// [`run_len`](Box3::run_len).
+    /// `run_len`.
     ///
     /// [`extract`]: Box3::extract
     #[expect(

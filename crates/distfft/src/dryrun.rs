@@ -157,7 +157,7 @@ impl<'a> DryRunner<'a> {
     /// Executes one transform analytically, advancing the persistent clocks.
     ///
     /// The analytic interpreter of the reshape schedule: every rank's
-    /// [`ReshapeSchedule`] is stamped exactly as the functional executor
+    /// `ReshapeSchedule` is stamped exactly as the functional executor
     /// stamps it, and each group's exchange is priced by the same
     /// `coll::exchange_times` the functional exchange calls, fed the
     /// entries and byte rows the members would have gathered.

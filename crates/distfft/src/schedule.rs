@@ -2,15 +2,14 @@
 //!
 //! The paper's reshape is one thing — pack → MPI exchange → unpack, with
 //! the backends of Table I differing only in the routine called and
-//! whether a pack is needed. [`RunEnv::program`] lowers each direction of
-//! a plan once into a list of [`Op`]s, each reshape holding a plain-data
-//! [`ReshapeSchedule`] per (rank, items): `exec::bind` lowers the binding
+//! whether a pack is needed. `RunEnv::program` lowers each direction of
+//! a plan once into a list of `Op`s, each reshape holding a plain-data
+//! `ReshapeSchedule` per (rank, items): `exec::bind` lowers the binding
 //! rank's, the dry runner every rank's on each direction's first run, and
 //! every later transform only walks the ops. Each schedule is stamped onto
-//! a per-rank [`Timeline`] with exactly two functions:
-//! [`before_exchange`](ReshapeSchedule::before_exchange) (pack chain +
-//! self-copy → per-chunk entry times) and
-//! [`after_exchange`](ReshapeSchedule::after_exchange) (MPI-call events,
+//! a per-rank `Timeline` with exactly two functions:
+//! `ReshapeSchedule::before_exchange` (pack chain + self-copy → per-chunk
+//! entry times) and `ReshapeSchedule::after_exchange` (MPI-call events,
 //! per-chunk unpack and transform-ahead butterflies). The functional
 //! executor and the analytic dry-run are the two interpreters: one moves
 //! data through `mpisim::coll::exchange` between the stamps, the other

@@ -82,33 +82,15 @@ impl Trace {
     /// Records an event.
     ///
     /// Both executors (functional [`crate::exec`] and analytic
-    /// [`crate::dryrun`]) funnel every event through here, so this is the
-    /// single instrumentation point for phase counters and span-duration
-    /// histograms. Metrics never feed back into simulated time.
+    /// [`crate::dryrun`]) funnel every event through here. While `fftobs`
+    /// is enabled, each [`TraceEvent::MpiCall`] adds its bytes to the
+    /// `distfft.bytes.mpi_sent` counter. Only the benchmark in `benchmark/`
+    /// reads it, to check the wire bytes it computes from the plan, so the
+    /// counter goes when that benchmark stops reading it. Metrics never
+    /// feed back into simulated time.
     pub fn push(&mut self, e: TraceEvent) {
-        if fftobs::enabled() {
-            match &e {
-                TraceEvent::MpiCall { dur, bytes, .. } => {
-                    fftobs::count("distfft.events.mpi", 1);
-                    fftobs::count("distfft.bytes.mpi_sent", *bytes as u64);
-                    fftobs::observe("distfft.span.mpi_ns", dur.as_ns());
-                }
-                TraceEvent::Kernel { kind, dur, .. } => {
-                    let (cnt, hist) = match kind {
-                        KernelKind::Fft1d { .. } => ("distfft.events.fft", "distfft.span.fft_ns"),
-                        KernelKind::Pack => ("distfft.events.pack", "distfft.span.pack_ns"),
-                        KernelKind::Unpack => ("distfft.events.unpack", "distfft.span.unpack_ns"),
-                        KernelKind::SelfCopy => {
-                            ("distfft.events.self_copy", "distfft.span.self_copy_ns")
-                        }
-                        KernelKind::Pointwise => {
-                            ("distfft.events.pointwise", "distfft.span.pointwise_ns")
-                        }
-                    };
-                    fftobs::count(cnt, 1);
-                    fftobs::observe(hist, dur.as_ns());
-                }
-            }
+        if let TraceEvent::MpiCall { bytes, .. } = &e {
+            fftobs::count("distfft.bytes.mpi_sent", *bytes as u64);
         }
         self.events.push(e);
     }

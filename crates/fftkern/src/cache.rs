@@ -8,7 +8,7 @@
 //! warm path pays one `BTreeMap` lookup instead of a plan build.
 //!
 //! Plans are direction-agnostic by construction (twiddles are conjugated at
-//! execute time), so one cached plan serves both [`Direction::Forward`] and
+//! execute time), so one cached plan serves both [`Direction::Forward`](crate::Direction::Forward) and
 //! [`Direction::Inverse`](crate::Direction::Inverse) and direction is
 //! deliberately not part of the key.
 //!

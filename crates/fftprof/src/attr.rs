@@ -198,8 +198,8 @@ impl RunShape {
         }
     }
 
-    /// Whether reshape `ri` crosses nodes for `rank` (false when the
-    /// reshape index is unknown — defensive for hand-built traces).
+    /// Whether reshape `ri` crosses nodes for `rank`. An unknown reshape
+    /// or rank (a hand-built trace) is priced as crossing nodes: true.
     pub fn is_inter(&self, ri: usize, rank: usize) -> bool {
         self.inter
             .get(ri)

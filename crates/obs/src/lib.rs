@@ -7,18 +7,19 @@
 //! (Figs. 2–13). This crate is the shared observability substrate for the
 //! reproduction stack:
 //!
-//! * [`metrics`] — a thread-safe registry of named counters and log₂
-//!   histograms. Recording is **zero-cost when disabled** (one relaxed
-//!   atomic load) and never feeds back into simulated time, so an
-//!   instrumented run is byte-identical to an uninstrumented one.
+//! * [`metrics`] — a thread-safe registry of named counters. Recording is
+//!   **zero-cost when disabled** (one relaxed atomic load) and never feeds
+//!   back into simulated time, so an instrumented run is byte-identical to
+//!   an uninstrumented one.
 //! * [`span`] — per-rank span timelines and their export formats:
 //!   Chrome-trace JSON (loadable in `chrome://tracing` / Perfetto) and a
 //!   plain-text summary table.
 //! * [`json`] — a minimal JSON reader used to validate exported traces in
 //!   tests and the CI smoke check (no serde dependency).
 //!
-//! The engine records into the registry from one site, `distfft`'s
-//! `Trace::push` (per-phase event counts, span histograms, MPI bytes).
+//! The engine records one counter, from one site: `distfft`'s `Trace::push`
+//! adds each MPI call's bytes to `distfft.bytes.mpi_sent`, which the
+//! benchmark in `benchmark/` checks against the bytes the plan implies.
 //! Host work is not counted here: each rank's `mpisim::comm::RankWork` and
 //! `distfft::ExecWork` count it exactly and always on.
 //!
@@ -27,7 +28,6 @@
 //! ```
 //! fftobs::set_enabled(true);
 //! fftobs::count("demo.requests", 1);
-//! fftobs::observe("demo.latency_ns", 1234);
 //! let snap = fftobs::registry().snapshot();
 //! assert_eq!(snap.counter("demo.requests"), Some(1));
 //! fftobs::set_enabled(false);
@@ -67,15 +67,6 @@ pub fn count(name: &'static str, n: u64) {
     }
 }
 
-/// Records `value` into the named histogram of the global registry (no-op
-/// while observability is disabled).
-#[inline]
-pub fn observe(name: &'static str, value: u64) {
-    if enabled() {
-        registry().histogram(name).record(value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +77,6 @@ mod tests {
         // compared as deltas against uniquely named metrics.
         set_enabled(false);
         count("lib.disabled_counter", 5);
-        observe("lib.disabled_hist", 5);
         assert_eq!(registry().snapshot().counter("lib.disabled_counter"), None);
 
         set_enabled(true);

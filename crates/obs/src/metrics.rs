@@ -1,8 +1,8 @@
-//! Thread-safe metrics registry: named counters and log₂ histograms.
+//! Thread-safe metrics registry: named counters.
 //!
 //! All storage is atomic; registration takes a short mutex on a `BTreeMap`
 //! (names are interned `&'static str`s, so hot paths that hold on to the
-//! returned [`Counter`]/[`Histogram`] handle pay only an atomic add).
+//! returned [`Counter`] handle pay only an atomic add).
 //! Snapshots are deterministic: entries come out sorted by name.
 //!
 //! Metrics observe — they never steer. Nothing in the simulation reads a
@@ -10,7 +10,6 @@
 //! runs byte-identical to uninstrumented ones.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -25,123 +24,9 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Number of log₂ buckets: bucket 0 holds value 0, bucket `i` holds values
-/// in `[2^(i-1), 2^i)`, the last bucket saturates.
-const BUCKETS: usize = 64;
-
-/// A histogram over `u64` values with power-of-two buckets — enough
-/// resolution for span durations and byte counts without configuration.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one observation.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        let idx = (64 - value.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean observation (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        let c = self.count();
-        if c == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / c as f64
-        }
-    }
-
-    /// Estimated `q`-quantile (`0.0 ..= 1.0`) from the log₂ buckets.
-    ///
-    /// The target rank's bucket bounds the true value to one power of two;
-    /// the estimate interpolates linearly inside the bucket by rank and is
-    /// clamped to the recorded maximum, so `quantile(1.0) == max()`. Exact
-    /// for values that land on bucket boundaries (0, 1) and within 2× in
-    /// general — enough to rank span durations, not a t-digest.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Nearest-rank: the smallest value with cumulative share ≥ q.
-        let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            if seen + n >= target {
-                if i == 0 {
-                    return 0; // bucket 0 holds exactly the value 0
-                }
-                let lo = 1u64 << (i - 1);
-                // The last bucket saturates: it holds everything ≥ 2^62,
-                // including values past 2^63, so its upper bound is the
-                // full u64 range — `(1 << i) - 1` would silently cap a
-                // single-sample p99 at `i64::MAX` (the old `i < 64` guard
-                // was dead code: `i` never exceeds BUCKETS - 1 = 63).
-                let hi = if i + 1 < BUCKETS {
-                    (1u64 << i) - 1
-                } else {
-                    u64::MAX
-                };
-                let hi = hi.min(self.max());
-                let pos = (target - seen) as f64 / n as f64;
-                let est = lo as f64 + pos * hi.saturating_sub(lo) as f64;
-                return (est.round() as u64).clamp(lo.min(hi), hi);
-            }
-            seen += n;
-        }
-        self.max()
     }
 }
 
@@ -154,34 +39,11 @@ pub struct CounterSnap {
     pub value: u64,
 }
 
-/// One histogram in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnap {
-    /// Metric name.
-    pub name: &'static str,
-    /// Observation count.
-    pub count: u64,
-    /// Observation sum.
-    pub sum: u64,
-    /// Largest observation.
-    pub max: u64,
-    /// Mean observation.
-    pub mean: f64,
-    /// Estimated median (see [`Histogram::quantile`]).
-    pub p50: u64,
-    /// Estimated 90th percentile.
-    pub p90: u64,
-    /// Estimated 99th percentile.
-    pub p99: u64,
-}
-
-/// A point-in-time copy of every registered metric, sorted by name.
+/// A point-in-time copy of every registered counter, sorted by name.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Counters, sorted by name.
     pub counters: Vec<CounterSnap>,
-    /// Histograms, sorted by name.
-    pub histograms: Vec<HistogramSnap>,
 }
 
 impl MetricsSnapshot {
@@ -192,49 +54,15 @@ impl MetricsSnapshot {
             .find(|c| c.name == name)
             .map(|c| c.value)
     }
-
-    /// Histogram entry by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnap> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Renders the snapshot as an aligned plain-text block (one metric per
-    /// line), suitable for stderr diagnostics.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        if self.counters.is_empty() && self.histograms.is_empty() {
-            out.push_str("(no metrics recorded)\n");
-            return out;
-        }
-        let width = self
-            .counters
-            .iter()
-            .map(|c| c.name.len())
-            .chain(self.histograms.iter().map(|h| h.name.len()))
-            .max()
-            .unwrap_or(0);
-        for c in &self.counters {
-            let _ = writeln!(out, "{:<width$}  {}", c.name, c.value);
-        }
-        for h in &self.histograms {
-            let _ = writeln!(
-                out,
-                "{:<width$}  count {}  sum {}  mean {:.1}  p50 {}  p90 {}  p99 {}  max {}",
-                h.name, h.count, h.sum, h.mean, h.p50, h.p90, h.p99, h.max
-            );
-        }
-        out
-    }
 }
 
-/// A registry of named counters and histograms.
+/// A registry of named counters.
 ///
 /// A process-wide instance is available via [`registry`]; isolated
 /// instances ([`Registry::new`]) are useful in tests.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
-    histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
 }
 
 impl Registry {
@@ -249,13 +77,7 @@ impl Registry {
         Arc::clone(map.entry(name).or_default())
     }
 
-    /// Returns (registering on first use) the named histogram.
-    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(map.entry(name).or_default())
-    }
-
-    /// A sorted point-in-time copy of every metric.
+    /// A sorted point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = self
             .counters
@@ -267,29 +89,10 @@ impl Registry {
                 value: c.get(),
             })
             .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(name, h)| HistogramSnap {
-                name,
-                count: h.count(),
-                sum: h.sum(),
-                max: h.max(),
-                mean: h.mean(),
-                p50: h.quantile(0.50),
-                p90: h.quantile(0.90),
-                p99: h.quantile(0.99),
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            histograms,
-        }
+        MetricsSnapshot { counters }
     }
 
-    /// Zeroes every registered metric (registrations are kept, so held
+    /// Zeroes every registered counter (registrations are kept, so held
     /// handles stay valid).
     pub fn reset(&self) {
         for c in self
@@ -299,19 +102,6 @@ impl Registry {
             .values()
         {
             c.0.store(0, Ordering::Relaxed);
-        }
-        for h in self
-            .histograms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            for b in &h.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            h.count.store(0, Ordering::Relaxed);
-            h.sum.store(0, Ordering::Relaxed);
-            h.max.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -330,7 +120,7 @@ mod tests {
     fn counters_accumulate_and_snapshot_sorted() {
         let r = Registry::new();
         r.counter("b.two").add(2);
-        r.counter("a.one").inc();
+        r.counter("a.one").add(1);
         r.counter("b.two").add(3);
         let snap = r.snapshot();
         assert_eq!(snap.counter("a.one"), Some(1));
@@ -340,117 +130,13 @@ mod tests {
     }
 
     #[test]
-    fn histogram_stats() {
-        let r = Registry::new();
-        let h = r.histogram("lat");
-        for v in [0u64, 1, 2, 1024, 7] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1034);
-        assert_eq!(h.max(), 1024);
-        assert!((h.mean() - 206.8).abs() < 1e-9);
-        let snap = r.snapshot();
-        let hs = snap.histogram("lat").unwrap();
-        assert_eq!(hs.count, 5);
-        assert_eq!(hs.max, 1024);
-    }
-
-    #[test]
-    fn quantiles_are_ordered_and_bounded() {
-        let h = Histogram::default();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let p50 = h.quantile(0.50);
-        let p90 = h.quantile(0.90);
-        let p99 = h.quantile(0.99);
-        assert!(p50 <= p90 && p90 <= p99, "{p50} {p90} {p99}");
-        assert_eq!(h.quantile(1.0), h.max());
-        // log₂ buckets bound each estimate to a factor of 2 of the truth.
-        assert!((250..=1000).contains(&p50), "median of 1..=1000: {p50}");
-        assert!((450..=1000).contains(&p90), "p90 of 1..=1000: {p90}");
-    }
-
-    #[test]
-    fn quantile_edge_cases() {
-        let h = Histogram::default();
-        assert_eq!(h.quantile(0.5), 0, "empty histogram");
-        h.record(0);
-        assert_eq!(h.quantile(0.5), 0, "all-zero observations");
-        let h2 = Histogram::default();
-        h2.record(42);
-        // A single observation is every quantile, within bucket resolution.
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            let est = h2.quantile(q);
-            assert!((32..=42).contains(&est), "q={q}: {est}");
-        }
-        assert_eq!(h2.quantile(1.0), 42);
-    }
-
-    #[test]
-    fn snapshot_carries_percentiles() {
-        let r = Registry::new();
-        let h = r.histogram("lat");
-        for v in [1u64, 2, 4, 8, 1024] {
-            h.record(v);
-        }
-        let snap = r.snapshot();
-        let hs = snap.histogram("lat").unwrap();
-        assert!(hs.p50 <= hs.p90 && hs.p90 <= hs.p99);
-        assert!(hs.p99 <= hs.max);
-        assert!(snap.render_text().contains("p50"));
-    }
-
-    #[test]
-    fn histogram_bucket_saturation_does_not_panic() {
-        let h = Histogram::default();
-        h.record(u64::MAX);
-        h.record(0);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), u64::MAX);
-    }
-
-    #[test]
-    fn single_sample_quantile_returns_the_samples_bucket_in_every_bucket() {
-        // Regression: the saturated last bucket's upper bound was computed
-        // with a dead `i < 64` guard, so a lone sample ≥ 2^63 reported
-        // p99 = (1 << 63) - 1 instead of the sample itself. A one-sample
-        // histogram's every quantile must land in that sample's bucket
-        // (and q = 1.0 must be exact), across all buckets including the
-        // saturated one.
-        for shift in [0u32, 1, 5, 31, 62, 63] {
-            let v = 1u64 << shift;
-            let h = Histogram::default();
-            h.record(v);
-            for q in [0.01, 0.5, 0.99, 1.0] {
-                let est = h.quantile(q);
-                assert!(
-                    est >= v / 2 && est <= v,
-                    "shift {shift} q {q}: {est} not in [{}, {v}]",
-                    v / 2
-                );
-            }
-            assert_eq!(h.quantile(1.0), v, "shift {shift}");
-        }
-        let h = Histogram::default();
-        h.record(u64::MAX);
-        assert_eq!(h.quantile(0.99), u64::MAX);
-        assert_eq!(h.quantile(1.0), u64::MAX);
-    }
-
-    #[test]
     fn reset_zeroes_but_keeps_handles() {
         let r = Registry::new();
         let c = r.counter("x");
         c.add(9);
-        let h = r.histogram("y");
-        h.record(3);
         r.reset();
         assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.max(), 0);
-        c.inc();
+        c.add(1);
         assert_eq!(r.snapshot().counter("x"), Some(1));
     }
 
@@ -462,19 +148,5 @@ mod tests {
         a.add(1);
         b.add(1);
         assert_eq!(r.snapshot().counter("same"), Some(2));
-    }
-
-    #[test]
-    fn render_text_is_aligned_and_complete() {
-        let r = Registry::new();
-        r.counter("metric.long_name").add(7);
-        r.histogram("h").record(4);
-        let text = r.snapshot().render_text();
-        assert!(text.contains("metric.long_name  7"));
-        assert!(text.contains("count 1"));
-        assert_eq!(
-            Registry::new().snapshot().render_text(),
-            "(no metrics recorded)\n"
-        );
     }
 }

@@ -23,6 +23,10 @@ echo "== cargo clippy -D warnings =="
 # `#[expect]` fails here too.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc -D warnings =="
+# Every intra-doc link resolves to a public item (~10 s on a 2-vCPU host).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 echo "== cargo test =="
 # Chunk counts {1, 4, auto} and SIMD tiers are explicit rows of the suite
 # (plan options and `fftkern::simd::force_tier`), so one leg covers them.

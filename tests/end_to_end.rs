@@ -205,7 +205,7 @@ fn rhodopsin_kspace_cut_and_poisson_and_batching() {
 
 #[test]
 fn grid_shrinking_helps_small_transforms_on_many_ranks() {
-    // DESIGN.md ablation / Algorithm 1 line 2: a 64³ transform on 768 ranks
+    // EXPERIMENTS.md ablation / Algorithm 1 line 2: a 64³ transform on 768 ranks
     // is overhead-bound (tiny per-pair messages, 767 posted pairs per
     // collective); shrinking the FFT grid to 96 ranks must win. Shrinking
     // too far (to 24) funnels all data through too few NICs and loses —
