@@ -607,13 +607,13 @@ fn run_reshape(
     }
 
     // What a backend costs — routine, padding, pack kernels — is in
-    // `sched` and its byte row; the bytes move the same way.
+    // `sched` and the group's byte rows; the bytes move the same way.
     let phase = PhaseEnv {
         phase_id,
         ..group.env
     };
-    let (recvd, times) =
-        coll::exchange(rank, sub, phase, &group.kind, handles, &sched.row, &entries);
+    let row = group.rows.row(sub.me());
+    let (recvd, times) = coll::exchange(rank, sub, phase, &group.kind, handles, row, &entries);
     for (&src, reader) in members.iter().zip(recvd) {
         let from_box = plan.dists[op.from_dist].rank_box(src);
         let arrays = reader
