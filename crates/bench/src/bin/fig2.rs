@@ -1,4 +1,4 @@
-//! Prints Fig. 2 ([`fft_bench::figs::fig2`]); takes the observability flags.
+//! Prints Fig. 2 ([`fft_bench::figs::fig2`]); takes `--trace-out <file>`.
 fn main() {
-    fft_bench::run_with_obs(fft_bench::figs::fig2);
+    fft_bench::run_with_obs(fft_bench::Export::Trace, fft_bench::figs::fig2);
 }

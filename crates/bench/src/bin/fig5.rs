@@ -5,7 +5,7 @@
 //! runs to the paper's full 512 nodes.
 
 fn main() {
-    let (obs, positional) = fft_bench::Obs::from_env(1);
+    let (obs, positional) = fft_bench::Obs::from_env(1, fft_bench::Export::Profile);
     let max_nodes: usize = match positional.first() {
         None => usize::MAX,
         Some(s) => s.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {

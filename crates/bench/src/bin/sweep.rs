@@ -6,7 +6,7 @@
 use simgrid::MachineSpec;
 
 fn main() {
-    let (obs, positional) = fft_bench::Obs::from_env(2);
+    let (obs, positional) = fft_bench::Obs::from_env(2, fft_bench::Export::Profile);
     let n: usize = match positional.first() {
         None => 512,
         Some(s) => s.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {

@@ -240,19 +240,35 @@ pub fn run(figure: fn() -> Figure) {
     print!("{}", figure().render());
 }
 
-/// The `main` of a harness whose only arguments are the [`Obs`] flags.
-pub fn run_with_obs(figure: fn(&Obs) -> Figure) {
-    let (obs, _) = Obs::from_env(0);
+/// The `main` of a harness whose only argument is its [`Export`] flag.
+pub fn run_with_obs(export: Export, figure: fn(&Obs) -> Figure) {
+    let (obs, _) = Obs::from_env(0, export);
     print!("{}", figure(&obs).render());
 }
 
-/// Observability options of a figure harness, parsed from the command line.
-///
-/// * `--trace-out <file>` — export the harness's per-rank timeline as
-///   Chrome-trace JSON (load in `chrome://tracing` / <https://ui.perfetto.dev>).
-/// * `--profile-out <file>` — write the harness's [`fftprof::Profile`]
-///   (phase attribution, critical path, contention, model residual) as JSON
-///   to `<file>` and collapsed stacks to `<file>.folded`.
+/// The one export a flag-taking harness writes, named by its flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Export {
+    /// `--trace-out <file>`: the per-rank timeline as Chrome-trace JSON
+    /// (load in `chrome://tracing` / <https://ui.perfetto.dev>).
+    Trace,
+    /// `--profile-out <file>`: the harness's [`fftprof::Profile`] (phase
+    /// attribution, critical path, contention, model residual) as JSON to
+    /// `<file>` and collapsed stacks to `<file>.folded`.
+    Profile,
+}
+
+impl Export {
+    fn flag(self) -> &'static str {
+        match self {
+            Export::Trace => "--trace-out",
+            Export::Profile => "--profile-out",
+        }
+    }
+}
+
+/// Observability options of a figure harness, parsed from the command line:
+/// the file its one [`Export`] goes to, if asked for.
 ///
 /// All output goes to **stderr** or the named file — never stdout — so the
 /// figure's stdout stays byte-identical whether or not a flag is given (the
@@ -265,14 +281,15 @@ pub struct Obs {
 
 impl Obs {
     /// Parses the harness command line (`args` without the program name):
-    /// `--trace-out <file>` / `--profile-out <file>`, plus
-    /// up to `max_positional` positional arguments in order. An unknown
-    /// `--flag`, a flag missing its value or a positional the harness does
-    /// not consume is an error — a typo must not silently run the whole
-    /// figure and write nothing.
+    /// the flag of `export`, `--trace-out <file>` or `--profile-out
+    /// <file>`, plus up to `max_positional` positional arguments in order.
+    /// An unknown `--flag`, the other export's flag, a flag missing its
+    /// value or a positional the harness does not consume is an error — a
+    /// typo must not silently run the whole figure and write nothing.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
         max_positional: usize,
+        export: Export,
     ) -> Result<(Obs, Vec<String>), String> {
         let mut obs = Obs::default();
         let mut positional = Vec::new();
@@ -284,6 +301,12 @@ impl Obs {
                     .ok_or_else(|| format!("{a} requires a file argument"))
             };
             match a.as_str() {
+                flag @ ("--trace-out" | "--profile-out") if flag != export.flag() => {
+                    return Err(format!(
+                        "this harness does not write '{flag}'; its export is {}",
+                        export.flag()
+                    ))
+                }
                 "--trace-out" => obs.trace_out = Some(file()?),
                 "--profile-out" => obs.profile_out = Some(file()?),
                 flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
@@ -299,8 +322,9 @@ impl Obs {
     /// [`parse`](Obs::parse) over `std::env::args`, returning the
     /// positional arguments alongside; a parse error exits 2 with a
     /// one-line message on stderr.
-    pub fn from_env(max_positional: usize) -> (Obs, Vec<String>) {
-        Obs::parse(std::env::args().skip(1), max_positional).unwrap_or_else(|e| usage_error(&e))
+    pub fn from_env(max_positional: usize, export: Export) -> (Obs, Vec<String>) {
+        let args = std::env::args().skip(1);
+        Obs::parse(args, max_positional, export).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// True when `--profile-out` was requested — the harness then runs
@@ -401,40 +425,49 @@ mod tests {
 
     #[test]
     fn obs_parse_accepts_known_flags_and_rejects_the_rest() {
-        let parse = |args: &[&str]| Obs::parse(args.iter().map(|s| s.to_string()), 2);
-        // Known flags in any position; positionals come back in order.
-        let (obs, positional) = parse(&[
-            "1024",
-            "--trace-out",
-            "t.json",
-            "spock",
-            "--profile-out",
-            "p.json",
-        ])
+        let parse =
+            |args: &[&str], export| Obs::parse(args.iter().map(|s| s.to_string()), 2, export);
+        // The export's flag in any position; positionals come back in order.
+        let (obs, positional) = parse(
+            &["1024", "--profile-out", "p.json", "spock"],
+            Export::Profile,
+        )
         .expect("valid command line");
-        assert_eq!(obs.trace_out.as_deref(), Some("t.json".as_ref()));
         assert_eq!(obs.profile_out.as_deref(), Some("p.json".as_ref()));
-        assert!(obs.profiling());
+        assert!(obs.profiling() && obs.trace_out.is_none());
         assert_eq!(positional, ["1024", "spock"]);
-        let (obs, positional) = parse(&[]).expect("empty command line");
+        let (obs, _) =
+            parse(&["--trace-out", "t.json"], Export::Trace).expect("valid command line");
+        assert_eq!(obs.trace_out.as_deref(), Some("t.json".as_ref()));
+        assert!(!obs.profiling());
+        let (obs, positional) = parse(&[], Export::Trace).expect("empty command line");
         assert!(obs.trace_out.is_none() && !obs.profiling() && positional.is_empty());
-        // A typo'd flag or a flag without its value is an error, not a no-op.
+        // The other export's flag is an error, not a run that writes nothing.
         assert_eq!(
-            parse(&["--profile-ou", "f"]).unwrap_err(),
+            parse(&["--profile-out", "p.json"], Export::Trace).unwrap_err(),
+            "this harness does not write '--profile-out'; its export is --trace-out"
+        );
+        assert_eq!(
+            parse(&["--trace-out", "t.json"], Export::Profile).unwrap_err(),
+            "this harness does not write '--trace-out'; its export is --profile-out"
+        );
+        // So is a typo'd flag or a flag without its value.
+        assert_eq!(
+            parse(&["--profile-ou", "f"], Export::Profile).unwrap_err(),
             "unknown flag '--profile-ou'"
         );
         assert_eq!(
-            parse(&["--metrics"]).unwrap_err(),
+            parse(&["--metrics"], Export::Trace).unwrap_err(),
             "unknown flag '--metrics'"
         );
         assert_eq!(
-            parse(&["512", "--trace-out"]).unwrap_err(),
+            parse(&["512", "--trace-out"], Export::Trace).unwrap_err(),
             "--trace-out requires a file argument"
         );
         // So is a positional past what the harness consumes — the first
         // such argument is the one named.
         assert_eq!(
-            parse(&["512", "spock", "extra", "--bogus"]).unwrap_err(),
+            parse(&["512", "spock", "extra", "--bogus"], Export::Trace).unwrap_err(),
             "unexpected argument 'extra'"
         );
     }

@@ -220,13 +220,27 @@ macro_rules! bins {
 
 #[test]
 fn figure_binaries_reject_arguments_they_do_not_consume() {
-    // The flag-taking figures drop no positional, fig5 takes one node cap
-    // and rejects a bad one, and the harnesses that read no arguments at
-    // all do not run the whole figure on `fig7 --trace-out f` and write
-    // nothing: the first unconsumed argument is named.
-    for (bin, exe) in bins![fig2, fig3, fig4, fig10] {
+    // The flag-taking figures drop no positional, take only the flag of
+    // the export they write (`fig2 --profile-out f` would run the whole
+    // figure and write nothing), fig5 takes one node cap and rejects a bad
+    // one, and the harnesses that read no arguments at all do not run the
+    // whole figure on `fig7 --trace-out f` and write nothing: the first
+    // unconsumed argument is named.
+    for (bin, exe) in bins![fig2, fig3, fig10] {
         assert_rejected(bin, exe, &["--trace-out", "f", "1O24", "--bogus"], "'1O24'");
         assert_rejected(bin, exe, &["--metrics"], "'--metrics'");
+        assert_rejected(bin, exe, &["--profile-out", "f"], "'--profile-out'");
+    }
+    let fig4 = env!("CARGO_BIN_EXE_fig4");
+    assert_rejected(
+        "fig4",
+        fig4,
+        &["--profile-out", "f", "1O24", "--bogus"],
+        "'1O24'",
+    );
+    for (bin, exe) in bins![fig4, fig5, sweep] {
+        assert_rejected(bin, exe, &["--metrics"], "'--metrics'");
+        assert_rejected(bin, exe, &["--trace-out", "f"], "'--trace-out'");
     }
     let fig5 = env!("CARGO_BIN_EXE_fig5");
     assert_rejected("fig5", fig5, &["--profile-out", "f", "1O24"], "'1O24'");
