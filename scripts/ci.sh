@@ -49,13 +49,13 @@ done
 echo "== figures vs committed results (release) =="
 # Every figure harness must reproduce its committed results/*.txt byte for
 # byte — the absolute pin on simulated time for the monolithic path of all
-# four backends, at paper scale, plus `fidelity`'s paper-anchor table.
-# ~27 s in release on a 2-vCPU host, fig5 taking ~18 s of it and
-# `fidelity` ~1.4 s; each binary's wall seconds print beside its check.
-# `exascale` (~3.5 min there) is left out until it runs in under 60 s.
+# four backends, at paper scale and at `exascale`'s 1 024 nodes, plus
+# `fidelity`'s paper-anchor table. ~42 s in release on a 2-vCPU host,
+# `exascale` taking ~30 s of it (566 MB peak RSS) and fig5 ~6 s; each
+# binary's wall seconds print beside its check.
 cargo build --release --offline -q -p fft-bench
 for b in table1 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 \
-    fig12 fig13 sweep models_compare fidelity; do
+    fig12 fig13 sweep models_compare fidelity exascale; do
     t0=$(date +%s)
     "./target/release/$b" >"$TDIR/$b.out"
     secs=$(($(date +%s) - t0))
