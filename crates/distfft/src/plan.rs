@@ -499,15 +499,6 @@ impl FftPlan {
         self.reshapes.iter().filter(|r| !r.is_identity()).count()
     }
 
-    /// The step sequence for a given direction: forward as stored, inverse
-    /// mirrored (reshapes reversed, stages in opposite order).
-    pub fn steps_for(&self, dir: fftkern::Direction) -> Vec<Step> {
-        match dir {
-            fftkern::Direction::Forward => self.steps.clone(),
-            fftkern::Direction::Inverse => self.steps.iter().rev().cloned().collect(),
-        }
-    }
-
     /// Effective pipeline chunk count (≤ batch).
     pub fn chunks(&self) -> usize {
         self.opts.pipeline_chunks.clamp(1, self.opts.batch)
@@ -791,8 +782,8 @@ mod tests {
     #[test]
     fn inverse_steps_are_mirrored() {
         let p = FftPlan::build([32, 32, 32], 12, opts());
-        let fwd = p.steps_for(Direction::Forward);
-        let inv = p.steps_for(Direction::Inverse);
+        let (fwd, _) = crate::schedule::directed(&p, Direction::Forward);
+        let (inv, _) = crate::schedule::directed(&p, Direction::Inverse);
         assert_eq!(fwd.len(), inv.len());
         assert_eq!(fwd.first(), inv.last());
     }

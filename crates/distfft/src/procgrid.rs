@@ -157,16 +157,6 @@ impl Distribution {
         &self.boxes[r]
     }
 
-    /// Axes fully local to every active rank (grid extent 1) — the axes a
-    /// local FFT can transform in this distribution.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`d` ranges over 0..3, the length of `grid`"
-    )]
-    pub fn local_axes(&self) -> Vec<usize> {
-        (0..3).filter(|&d| self.grid[d] == 1).collect()
-    }
-
     /// Total elements across ranks (must equal the domain volume).
     pub fn total_volume(&self) -> usize {
         self.boxes.iter().map(|b| b.volume()).sum()
@@ -335,14 +325,6 @@ mod tests {
         for r in 4..12 {
             assert!(d.boxes[r].is_empty());
         }
-    }
-
-    #[test]
-    fn local_axes_reflect_grid() {
-        let d = Distribution::new([8, 8, 8], [1, 2, 4], 8);
-        assert_eq!(d.local_axes(), vec![0]);
-        let s = Distribution::new([8, 8, 8], [1, 8, 1], 8);
-        assert_eq!(s.local_axes(), vec![0, 2]);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl PlanCache {
         })
     }
 
-    /// Returns the cached contiguous 1-D plan (stride 1, rows back to back).
-    pub fn plan1d_contiguous(&self, n: usize, batch: usize) -> Arc<Plan1d> {
-        self.plan1d(n, batch, Layout::contiguous(n), Layout::contiguous(n))
-    }
-
     /// Returns the cached 3-D plan for an `n0 × n1 × n2` row-major array.
     pub fn plan3d(&self, n0: usize, n1: usize, n2: usize) -> Arc<Plan3d> {
         self.intern(&self.plans3d, (n0, n1, n2), || Plan3d::new(n0, n1, n2))
@@ -159,8 +154,8 @@ mod tests {
     #[test]
     fn second_request_hits_and_shares() {
         let cache = PlanCache::new();
-        let a = cache.plan1d_contiguous(24, 3);
-        let b = cache.plan1d_contiguous(24, 3);
+        let a = cache.plan1d(24, 3, Layout::contiguous(24), Layout::contiguous(24));
+        let b = cache.plan1d(24, 3, Layout::contiguous(24), Layout::contiguous(24));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 1);
@@ -170,7 +165,7 @@ mod tests {
     #[test]
     fn distinct_layouts_get_distinct_plans() {
         let cache = PlanCache::new();
-        let _ = cache.plan1d_contiguous(16, 4);
+        let _ = cache.plan1d(16, 4, Layout::contiguous(16), Layout::contiguous(16));
         let _ = cache.plan1d(16, 4, Layout::strided(4), Layout::strided(4));
         assert_eq!(cache.misses(), 2);
     }
@@ -179,8 +174,8 @@ mod tests {
     fn cached_plan_matches_cold_plan() {
         let cache = PlanCache::new();
         for n in [16usize, 60, 13] {
-            let warm = cache.plan1d_contiguous(n, 2);
-            let warm2 = cache.plan1d_contiguous(n, 2);
+            let warm = cache.plan1d(n, 2, Layout::contiguous(n), Layout::contiguous(n));
+            let warm2 = cache.plan1d(n, 2, Layout::contiguous(n), Layout::contiguous(n));
             let cold = Plan1d::contiguous(n, 2);
             let x = signal(2 * n);
             let mut a = x.clone();
@@ -217,8 +212,8 @@ mod tests {
 
     #[test]
     fn global_cache_is_shared() {
-        let a = plan_cache().plan1d_contiguous(31, 1);
-        let b = plan_cache().plan1d_contiguous(31, 1);
+        let a = plan_cache().plan1d(31, 1, Layout::contiguous(31), Layout::contiguous(31));
+        let b = plan_cache().plan1d(31, 1, Layout::contiguous(31), Layout::contiguous(31));
         assert!(Arc::ptr_eq(&a, &b));
     }
 

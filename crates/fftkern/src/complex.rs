@@ -228,19 +228,6 @@ pub fn max_abs_diff(a: &[C64], b: &[C64]) -> f64 {
         .fold(0.0, |m, d| if d.is_nan() || d > m { d } else { m })
 }
 
-/// Relative L2 error `||a - b|| / ||b||`, with an absolute fallback when `b`
-/// is (numerically) zero.
-pub fn rel_l2_error(a: &[C64], b: &[C64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "length mismatch in rel_l2_error");
-    let num: f64 = a.iter().zip(b).map(|(x, y)| (*x - *y).norm_sqr()).sum();
-    let den: f64 = b.iter().map(|y| y.norm_sqr()).sum();
-    if den == 0.0 {
-        num.sqrt()
-    } else {
-        (num / den).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +287,6 @@ mod tests {
         let a = vec![C64::ONE, C64::I];
         let b = vec![C64::ONE, C64::I];
         assert_eq!(max_abs_diff(&a, &b), 0.0);
-        assert_eq!(rel_l2_error(&a, &b), 0.0);
         let c = vec![C64::ONE, C64::ZERO];
         assert!((max_abs_diff(&a, &c) - 1.0).abs() < 1e-15);
         // A NaN anywhere poisons the metric instead of being skipped.

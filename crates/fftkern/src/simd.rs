@@ -69,15 +69,6 @@ impl SimdTier {
             SimdTier::Avx512 => "avx512",
         }
     }
-
-    /// Complex elements per vector register (1 for the scalar tier).
-    pub fn lanes(self) -> usize {
-        match self {
-            SimdTier::Scalar => 1,
-            SimdTier::Avx2 => 2,
-            SimdTier::Avx512 => 4,
-        }
-    }
 }
 
 /// Widest tier the host CPU supports, from feature detection. Cached after
@@ -921,9 +912,6 @@ mod tests {
     fn tier_ordering_and_lanes() {
         assert!(SimdTier::Scalar < SimdTier::Avx2);
         assert!(SimdTier::Avx2 < SimdTier::Avx512);
-        assert_eq!(SimdTier::Scalar.lanes(), 1);
-        assert_eq!(SimdTier::Avx2.lanes(), 2);
-        assert_eq!(SimdTier::Avx512.lanes(), 4);
         assert_eq!(SimdTier::Avx512.name(), "avx512");
     }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use simgrid::SimTime;
 
 use crate::comm::{Comm, Rank};
-use crate::distro::{AlltoallAlgo, MpiDistro};
+use crate::distro::MpiDistro;
 use crate::pattern::{self, NetParams, P2pFlavor, PartitionedTimes, PhaseEnv, ScatterPolicy};
 
 fn net_params<'a>(rank: &Rank<'a>) -> NetParams<'a> {
@@ -80,9 +80,11 @@ impl ExchangeKind {
     /// selected by the distribution profile (§II: "MPICH has four
     /// different implementations of MPI_Alltoall, selected according to
     /// the array size"): Bruck for small blocks, pairwise exchange for
-    /// large. A partitioned exchange must keep per-peer messages intact so
-    /// a receiver can match chunk `k`'s blocks as they land, which rules
-    /// out Bruck's log-round payload mixing and the pairwise schedule's
+    /// large, both walked as send-receive rounds by
+    /// [`pattern::alltoall_times`] on the one block of member 0's row. A
+    /// partitioned exchange must keep per-peer messages intact so a
+    /// receiver can match chunk `k`'s blocks as they land, which rules out
+    /// Bruck's log-round payload mixing and the pairwise schedule's
     /// step-synchronized rounds: chunking forces the posted scatter.
     pub fn alltoall(distro: MpiDistro) -> ExchangeKind {
         ExchangeKind {
@@ -193,12 +195,9 @@ pub fn exchange_times<'r, R: Fn(usize) -> &'r [(usize, usize)]>(
             0 => 0,
             _ => rows(0).first().map_or(0, |&(_, b)| b),
         };
-        return PartitionedTimes::from_exits(match distro.alltoall_algo(block) {
-            AlltoallAlgo::Pairwise => pattern::pairwise_times(np, &env, group, &entries, block),
-            AlltoallAlgo::Bruck => {
-                pattern::bruck_times(np, &env, group, &entries, &vec![block * p; p])
-            }
-        });
+        let algo = distro.alltoall_algo(block);
+        let exits = pattern::alltoall_times(np, &env, group, &entries, block, algo);
+        return PartitionedTimes::from_exits(exits);
     }
     // A GPU-aware send registers once per peer the sender has: its row's
     // length, less its self entry.
@@ -639,30 +638,30 @@ mod tests {
         // The tuned MPI_Alltoall switches algorithm on block size: for tiny
         // blocks its exit times must follow the Bruck schedule, not the
         // pairwise one.
-        use crate::pattern::{bruck_times, pairwise_times, NetParams};
+        use crate::distro::AlltoallAlgo;
+        use crate::pattern::{alltoall_times, NetParams};
         let spec = MachineSpec::summit();
         let np = NetParams::exact(&spec);
         let group: Vec<usize> = (0..24).collect();
         let entries = vec![simgrid::SimTime::ZERO; 24];
         let env = env_for(24);
-        let tiny = 16usize;
+        let setup = coll_setup_ns(24) + spec.gpu_call_sync_ns;
+        let shifted = vec![simgrid::SimTime::from_ns(setup); 24];
+        let walk = |block, algo| alltoall_times(&np, &env, &group, &shifted, block, algo);
+        let tuned =
+            |block| alltoall_exit_times(&np, &env, MpiDistro::SpectrumMpi, &group, &entries, block);
 
-        let setup = coll_setup_ns(24) + MachineSpec::summit().gpu_call_sync_ns;
-        let shifted_entries: Vec<simgrid::SimTime> = entries
-            .iter()
-            .map(|t| *t + simgrid::SimTime::from_ns(setup))
-            .collect();
-        let got = alltoall_exit_times(&np, &env, MpiDistro::SpectrumMpi, &group, &entries, tiny);
-        let bruck = bruck_times(&np, &env, &group, &shifted_entries, &[tiny * 24; 24]);
-        let pairwise = pairwise_times(&np, &env, &group, &shifted_entries, tiny);
-        assert_eq!(got, bruck, "tiny blocks must take the Bruck schedule");
-        assert_ne!(got, pairwise);
+        let tiny = 16usize;
+        assert_eq!(
+            tuned(tiny),
+            walk(tiny, AlltoallAlgo::Bruck),
+            "tiny blocks must take the Bruck schedule"
+        );
+        assert_ne!(tuned(tiny), walk(tiny, AlltoallAlgo::Pairwise));
 
         // Large blocks take the pairwise schedule.
         let big = 1 << 20;
-        let got_big = alltoall_exit_times(&np, &env, MpiDistro::SpectrumMpi, &group, &entries, big);
-        let pairwise_big = pairwise_times(&np, &env, &group, &shifted_entries, big);
-        assert_eq!(got_big, pairwise_big);
+        assert_eq!(tuned(big), walk(big, AlltoallAlgo::Pairwise));
     }
 
     #[test]

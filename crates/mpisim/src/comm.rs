@@ -156,11 +156,6 @@ impl World {
         &self.opts
     }
 
-    /// Number of nodes occupied by this world.
-    pub fn nodes(&self) -> usize {
-        self.spec.nodes_for(self.nranks)
-    }
-
     /// The board of communicator `comm_id`, created on first use.
     fn board(&self, comm_id: u64) -> Arc<Board> {
         Arc::clone(self.boards.lock().entry(comm_id).or_default())

@@ -28,7 +28,7 @@
 //! * **Distribution profiles** (§II): SpectrumMPI's `MPI_Alltoallw` is *not*
 //!   GPU-aware (release-note fact the paper leans on) and, like MPICH's, is
 //!   implemented as a naive `Isend`/`Irecv` loop for any size, while
-//!   `MPI_Alltoall(v)` gets tuned algorithms selected by message size.
+//!   `MPI_Alltoall` gets tuned algorithms selected by message size.
 //!
 //! Timing architecture — there is exactly one: *data* moves through the
 //! zero-cost control plane of [`comm`], one round per collective (no

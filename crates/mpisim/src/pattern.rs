@@ -1,12 +1,16 @@
 //! Pure schedule walkers — the single source of truth for communication
 //! timing.
 //!
-//! Each walker prices one communication phase (an all-to-all, a Bruck
-//! exchange, a scatter of point-to-point messages) given the participating
-//! world ranks, their entry times, and the per-pair byte counts. The
-//! functional engine calls these to advance rank clocks; the analytic
-//! dry-run executor in `distfft` calls the *same functions* with the same
-//! arguments — which is why both modes report identical times.
+//! Two walkers price every communication phase from the participating
+//! world ranks, their entry times and the bytes they move:
+//! [`alltoall_times`] walks the tuned `MPI_Alltoall`'s step-synchronized
+//! rounds (Bruck or pairwise exchange), and [`scatter_times`] every posted
+//! scatter of point-to-point messages (`MPI_Alltoallv`/`w`, heFFTe's
+//! point-to-point loop, every partitioned exchange). Both are reached only
+//! through [`crate::coll::exchange_times`], which the functional engine
+//! calls to advance rank clocks and the analytic dry-run executor in
+//! `distfft` calls with the same arguments — which is why both modes
+//! report identical times.
 //!
 //! All pricing bottoms out in `simgrid::link`, with an optional
 //! deterministic per-message jitter (`simgrid::noise::hash_jitter`). Within
@@ -30,6 +34,8 @@
 use simgrid::link::{self, LinkPath, TransferCtx};
 use simgrid::noise::hash_jitter;
 use simgrid::{MachineSpec, SimTime};
+
+use crate::distro::AlltoallAlgo;
 
 /// CPU-side cost of initiating a send (descriptor setup, protocol).
 pub const SEND_OVERHEAD_NS: u64 = 200;
@@ -223,131 +229,83 @@ pub fn selfcopy_ns(np: &NetParams, env: &PhaseEnv, rank: usize, bytes: usize) ->
     link::message_time_ns(np.spec, bytes, rank, rank, &ctx)
 }
 
-/// Prices a **pairwise-exchange all-to-all** (the large-message algorithm in
-/// MPICH/SpectrumMPI for `MPI_Alltoall`): `p-1` step-synchronized
-/// send-receive rounds, partner at step `s` being `(me + s) mod p`.
+/// Prices a tuned **`MPI_Alltoall`** of one `block` per pair, self
+/// included, with the algorithm the distribution selected for that block.
+/// Both are step-synchronized send-receive rounds, partner `(me + hop) mod
+/// p` at each round:
 ///
-/// `group[i]` is the world rank of member `i`; `entries[i]` its entry time;
-/// every pair, self included, carries one `block` of bytes. Returns exit
-/// times.
-pub fn pairwise_times(
+/// * [`AlltoallAlgo::Pairwise`] (the large-message algorithm in
+///   MPICH/SpectrumMPI): the self copy, then `p-1` rounds at hop `r + 1`,
+///   each moving one `block`;
+/// * [`AlltoallAlgo::Bruck`] (the small-message algorithm): `⌈log₂ p⌉`
+///   rounds at hop `2^r`, each moving half of a member's `p · block`
+///   payload after a local reorder (a pack pass).
+///
+/// `group[i]` is the world rank of member `i`, `entries[i]` its entry
+/// time. Returns exit times.
+pub fn alltoall_times(
     np: &NetParams,
     env: &PhaseEnv,
     group: &[usize],
     entries: &[SimTime],
     block: usize,
+    algo: AlltoallAlgo,
 ) -> Vec<SimTime> {
     let mut pricer = Pricer::new(np, env);
     let mut price = |b, src, dst| pricer.parts(b, src, dst);
-    pairwise_walk(
-        np,
-        env,
-        &members(np.spec, group),
-        entries,
-        block,
-        &mut price,
-    )
+    let members = members(np.spec, group);
+    rounds_walk(np, env, &members, entries, block, algo, &mut price)
 }
 
-/// `price(bytes, src, dst)` is the (injection, latency) of one message;
-/// each step prices each message once.
+/// The rounds of [`alltoall_times`]. `price(bytes, src, dst)` is the
+/// (injection, latency) of one message; each round prices each message
+/// once.
 #[expect(
     clippy::indexing_slicing,
     reason = "`entries` holds `p` entries (asserted) and peer indices are taken modulo `p`"
 )]
-fn pairwise_walk(
+fn rounds_walk(
     np: &NetParams,
     env: &PhaseEnv,
     members: &[Member],
     entries: &[SimTime],
     block: usize,
+    algo: AlltoallAlgo,
     price: &mut impl FnMut(usize, Member, Member) -> (u64, u64),
 ) -> Vec<SimTime> {
     let p = members.len();
     assert_eq!(entries.len(), p);
-    if p == 0 {
-        return Vec::new();
-    }
-    let mut now: Vec<SimTime> = (0..p)
-        .map(|i| entries[i] + SimTime::from_ns(selfcopy_ns(np, env, members[i].0, block)))
-        .collect();
-    // Per member: its NIC's free time (its injection end once a step's
+    let (mut now, rounds, bytes, charge) = match algo {
+        AlltoallAlgo::Pairwise => {
+            let copy = |(&t, &(r, _)): (&SimTime, &Member)| {
+                t + SimTime::from_ns(selfcopy_ns(np, env, r, block))
+            };
+            let now = entries.iter().zip(members).map(copy).collect();
+            (now, p.saturating_sub(1), block, SEND_OVERHEAD_NS)
+        }
+        AlltoallAlgo::Bruck => {
+            let bytes = block * p / 2;
+            let pack = np.spec.kernel_model().pack_ns(bytes);
+            let rounds = p.next_power_of_two().trailing_zeros() as usize; // ⌈log₂ p⌉
+            (entries.to_vec(), rounds, bytes, SEND_OVERHEAD_NS + pack)
+        }
+    };
+    // Per member: its NIC's free time (its injection end once a round's
     // injection pass ran) and the latency of the message it sent.
     let mut sent: Vec<(SimTime, u64)> = now.iter().map(|&t| (t, 0)).collect();
-
-    for step in 1..p {
-        // Injection pass: everyone prices its send of this step.
+    for r in 0..rounds {
+        let hop = match algo {
+            AlltoallAlgo::Pairwise => r + 1,
+            AlltoallAlgo::Bruck => 1 << r,
+        };
+        // Injection pass: everyone prices its send of this round.
         for (i, (nic, lat)) in sent.iter_mut().enumerate() {
-            let dst = (i + step) % p;
-            let (inject, l) = price(block, members[i], members[dst]);
-            let start = (now[i] + SimTime::from_ns(SEND_OVERHEAD_NS)).max(*nic);
+            let (inject, l) = price(bytes, members[i], members[(i + hop) % p]);
+            let start = (now[i] + SimTime::from_ns(charge)).max(*nic);
             *nic = start + SimTime::from_ns(inject);
             *lat = l;
         }
         // Completion pass: sendrecv finishes when both directions are done.
-        for (i, t) in now.iter_mut().enumerate() {
-            let (inj_end, lat) = sent[(i + p - step) % p];
-            let arrival = inj_end + SimTime::from_ns(lat);
-            *t = sent[i].0.max(arrival) + SimTime::from_ns(RECV_OVERHEAD_NS);
-        }
-    }
-    now
-}
-
-/// Prices a **Bruck all-to-all** (the small-message algorithm): `⌈log₂ p⌉`
-/// rounds, each moving roughly half of a rank's total payload to
-/// `(me + 2^r) mod p`, with a local reorder between rounds.
-pub fn bruck_times(
-    np: &NetParams,
-    env: &PhaseEnv,
-    group: &[usize],
-    entries: &[SimTime],
-    total_send_bytes: &[usize],
-) -> Vec<SimTime> {
-    let mut pricer = Pricer::new(np, env);
-    let mut price = |b, src, dst| pricer.parts(b, src, dst);
-    bruck_walk(
-        np,
-        &members(np.spec, group),
-        entries,
-        total_send_bytes,
-        &mut price,
-    )
-}
-
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`entries` and `total_send_bytes` hold one entry per member and peer indices are taken modulo `p`"
-)]
-fn bruck_walk(
-    np: &NetParams,
-    members: &[Member],
-    entries: &[SimTime],
-    total_send_bytes: &[usize],
-    price: &mut impl FnMut(usize, Member, Member) -> (u64, u64),
-) -> Vec<SimTime> {
-    let p = members.len();
-    assert_eq!(entries.len(), p);
-    if p <= 1 {
-        return entries.to_vec();
-    }
-    let rounds = usize::BITS - (p - 1).leading_zeros(); // ceil(log2 p)
-    let mut now = entries.to_vec();
-    // Per member: NIC free time / injection end, and its message's latency.
-    let mut sent: Vec<(SimTime, u64)> = entries.iter().map(|&t| (t, 0)).collect();
-
-    for r in 0..rounds {
-        let hop = 1usize << r;
-        for (i, (nic, lat)) in sent.iter_mut().enumerate() {
-            let dst = (i + hop) % p;
-            let b = total_send_bytes[i] / 2;
-            let (inject, l) = price(b, members[i], members[dst]);
-            // Bruck reorders locally before each round: charge a pack pass.
-            let pack = np.spec.kernel_model().pack_ns(b);
-            let start = (now[i] + SimTime::from_ns(SEND_OVERHEAD_NS + pack)).max(*nic);
-            *nic = start + SimTime::from_ns(inject);
-            *lat = l;
-        }
         for (i, t) in now.iter_mut().enumerate() {
             let (inj_end, lat) = sent[(i + p - hop) % p];
             let arrival = inj_end + SimTime::from_ns(lat);
@@ -861,24 +819,17 @@ mod tests {
         scatter_times(np, env, group, part_entries, &|i| &rows[i], policy)
     }
 
+    fn pairwise(np: &NetParams, env: &PhaseEnv, entries: &[SimTime], block: usize) -> Vec<SimTime> {
+        let group: Vec<usize> = (0..entries.len()).collect();
+        alltoall_times(np, env, &group, entries, block, AlltoallAlgo::Pairwise)
+    }
+
     #[test]
     fn pairwise_exit_monotone_in_bytes() {
         let spec = MachineSpec::summit();
-        let group: Vec<usize> = (0..12).collect();
-        let small = pairwise_times(
-            &np(&spec),
-            &PhaseEnv::quiet(true),
-            &group,
-            &zeros(12),
-            1 << 10,
-        );
-        let large = pairwise_times(
-            &np(&spec),
-            &PhaseEnv::quiet(true),
-            &group,
-            &zeros(12),
-            1 << 20,
-        );
+        let env = PhaseEnv::quiet(true);
+        let small = pairwise(&np(&spec), &env, &zeros(12), 1 << 10);
+        let large = pairwise(&np(&spec), &env, &zeros(12), 1 << 20);
         for (s, l) in small.iter().zip(&large) {
             assert!(l > s);
         }
@@ -888,40 +839,38 @@ mod tests {
     fn pairwise_symmetric_inputs_give_symmetric_exits() {
         let spec = MachineSpec::summit();
         // One full node: every pair intra-node, so all exits identical.
-        let group: Vec<usize> = (0..6).collect();
-        let exits = pairwise_times(&np(&spec), &PhaseEnv::quiet(true), &group, &zeros(6), 4096);
+        let exits = pairwise(&np(&spec), &PhaseEnv::quiet(true), &zeros(6), 4096);
         for e in &exits {
             assert_eq!(*e, exits[0]);
         }
     }
 
+    /// The slowest exit of each algorithm on `p` ranks exchanging `block`.
+    fn slowest(p: usize, block: usize) -> [SimTime; 2] {
+        let spec = MachineSpec::summit();
+        let group: Vec<usize> = (0..p).collect();
+        let env = PhaseEnv::machine_wide(&spec, p, p - 1, true, 1);
+        [AlltoallAlgo::Bruck, AlltoallAlgo::Pairwise].map(|algo| {
+            let exits = alltoall_times(&np(&spec), &env, &group, &zeros(p), block, algo);
+            exits.into_iter().max().unwrap()
+        })
+    }
+
     #[test]
     fn bruck_beats_pairwise_for_tiny_messages() {
-        let spec = MachineSpec::summit();
-        let group: Vec<usize> = (0..48).collect();
-        let env = PhaseEnv::machine_wide(&spec, 48, 47, true, 1);
-        let per_pair = 64usize; // tiny: latency-dominated
-        let pw = pairwise_times(&np(&spec), &env, &group, &zeros(48), per_pair);
-        let totals: Vec<usize> = vec![per_pair * 48; 48];
-        let br = bruck_times(&np(&spec), &env, &group, &zeros(48), &totals);
-        let pw_max = pw.iter().max().unwrap();
-        let br_max = br.iter().max().unwrap();
+        // 64 B per pair: latency-dominated.
+        let [br, pw] = slowest(48, 64);
         assert!(
-            br_max < pw_max,
-            "bruck {br_max:?} should beat pairwise {pw_max:?} for tiny messages"
+            br < pw,
+            "bruck {br:?} should beat pairwise {pw:?} for tiny messages"
         );
     }
 
     #[test]
     fn pairwise_beats_bruck_for_large_messages() {
-        let spec = MachineSpec::summit();
-        let group: Vec<usize> = (0..24).collect();
-        let env = PhaseEnv::machine_wide(&spec, 24, 23, true, 1);
-        let per_pair = 4 << 20; // 4 MiB: bandwidth-dominated
-        let pw = pairwise_times(&np(&spec), &env, &group, &zeros(24), per_pair);
-        let totals: Vec<usize> = vec![per_pair * 24; 24];
-        let br = bruck_times(&np(&spec), &env, &group, &zeros(24), &totals);
-        assert!(pw.iter().max().unwrap() < br.iter().max().unwrap());
+        // 4 MiB per pair: bandwidth-dominated.
+        let [br, pw] = slowest(24, 4 << 20);
+        assert!(pw < br);
     }
 
     /// Plain (`nparts = 1`, trailing completion) scatter of `per_pair`
@@ -971,11 +920,9 @@ mod tests {
     #[test]
     fn entries_shift_exits() {
         let spec = MachineSpec::summit();
-        let group: Vec<usize> = (0..6).collect();
         let env = PhaseEnv::quiet(true);
-        let base = pairwise_times(&np(&spec), &env, &group, &zeros(6), 1 << 16);
-        let shifted_entries: Vec<SimTime> = vec![SimTime::from_us(100); 6];
-        let shifted = pairwise_times(&np(&spec), &env, &group, &shifted_entries, 1 << 16);
+        let base = pairwise(&np(&spec), &env, &zeros(6), 1 << 16);
+        let shifted = pairwise(&np(&spec), &env, &[SimTime::from_us(100); 6], 1 << 16);
         for (b, s) in base.iter().zip(&shifted) {
             assert_eq!(s.as_ns() - b.as_ns(), 100_000);
         }
@@ -1232,7 +1179,6 @@ mod tests {
             let repeated = |i: usize, j: usize| sizes[(i * 7 + j * 4) % sizes.len()];
             let distinct = |i: usize, j: usize| (i * p + j) * 1000;
             let matrices: [&dyn Fn(usize, usize) -> usize; 3] = [&repeated, &distinct, &|_, _| 0];
-            let totals: Vec<usize> = (0..p).map(|i| sizes[i % sizes.len()] * p).collect();
             for noise_amp in [0.0, 0.05] {
                 let np = NetParams {
                     spec: &spec,
@@ -1246,14 +1192,13 @@ mod tests {
                     let mut per_rank = |b, src, dst| msg_parts(&np, &env, b, src, dst);
                     let members = members(&spec, group);
                     let e = &entries[..p];
-                    assert_eq!(
-                        bruck_times(&np, &env, group, e, &totals),
-                        bruck_walk(&np, &members, e, &totals, &mut reference),
-                    );
-                    for block in sizes {
+                    for (block, algo) in sizes
+                        .into_iter()
+                        .flat_map(|b| [AlltoallAlgo::Bruck, AlltoallAlgo::Pairwise].map(|a| (b, a)))
+                    {
                         assert_eq!(
-                            pairwise_times(&np, &env, group, e, block),
-                            pairwise_walk(&np, &env, &members, e, block, &mut reference),
+                            alltoall_times(&np, &env, group, e, block, algo),
+                            rounds_walk(&np, &env, &members, e, block, algo, &mut reference),
                         );
                     }
                     for bytes in matrices {
@@ -1527,12 +1472,11 @@ mod tests {
             seed: 99,
             noise_amp: 0.05,
         };
-        let group: Vec<usize> = (0..12).collect();
         let env = PhaseEnv::quiet(true);
-        let a = pairwise_times(&noisy, &env, &group, &zeros(12), 1 << 20);
-        let b = pairwise_times(&noisy, &env, &group, &zeros(12), 1 << 20);
+        let a = pairwise(&noisy, &env, &zeros(12), 1 << 20);
+        let b = pairwise(&noisy, &env, &zeros(12), 1 << 20);
         assert_eq!(a, b, "same seed must reproduce exactly");
-        let exact = pairwise_times(&NetParams::exact(&spec), &env, &group, &zeros(12), 1 << 20);
+        let exact = pairwise(&NetParams::exact(&spec), &env, &zeros(12), 1 << 20);
         assert_ne!(a, exact, "jitter should perturb the schedule");
     }
 }

@@ -33,5 +33,4 @@ pub mod time;
 
 pub use link::{LinkPath, TransferCtx};
 pub use machine::MachineSpec;
-pub use noise::Noise;
 pub use time::{SimClock, SimTime};

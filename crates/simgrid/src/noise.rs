@@ -1,63 +1,10 @@
 //! Deterministic timing noise.
 //!
 //! Real per-call MPI timings (Figs. 2, 3, 10 of the paper) show run-to-run
-//! variability on top of the structural differences. The simulator adds a
-//! small multiplicative jitter from a seeded xorshift generator so traces
-//! *look* like measured data while remaining bit-for-bit reproducible.
-
-/// A tiny seeded PRNG (xorshift64*) for timing jitter.
-///
-/// Deliberately not `rand`-based: this sits in the innermost simulation loop
-/// and must be trivially cloneable and endian/platform stable.
-#[derive(Debug, Clone)]
-pub struct Noise {
-    state: u64,
-    /// Relative jitter amplitude (e.g. 0.03 = ±3 %).
-    amplitude: f64,
-}
-
-impl Noise {
-    /// Creates a generator with the given seed and amplitude.
-    pub fn new(seed: u64, amplitude: f64) -> Noise {
-        assert!(
-            (0.0..1.0).contains(&amplitude),
-            "amplitude must be in [0,1)"
-        );
-        Noise {
-            state: seed | 1, // never zero
-            amplitude,
-        }
-    }
-
-    /// A generator that adds no jitter (for exact-arithmetic tests).
-    pub fn silent() -> Noise {
-        Noise::new(1, 0.0)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// A uniform sample in `[-1, 1]`.
-    pub fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-    }
-
-    /// Applies multiplicative jitter to a base duration in ns.
-    pub fn jitter_ns(&mut self, base_ns: u64) -> u64 {
-        if self.amplitude == 0.0 || base_ns == 0 {
-            return base_ns;
-        }
-        let factor = 1.0 + self.amplitude * self.uniform();
-        (base_ns as f64 * factor).round().max(0.0) as u64
-    }
-}
+//! variability on top of the structural differences. The simulator scales
+//! each message's injection by a small multiplicative jitter, a hash of the
+//! message's identity ([`hash_jitter`]), so traces *look* like measured
+//! data while remaining bit-for-bit reproducible.
 
 /// Stateless multiplicative jitter keyed by message identity.
 ///
@@ -101,49 +48,5 @@ mod tests {
             hash_jitter(42, 8, 3, 9, 0.05)
         );
         assert_eq!(hash_jitter(1, 2, 3, 4, 0.0), 1.0);
-    }
-
-    #[test]
-    fn silent_noise_is_identity() {
-        let mut n = Noise::silent();
-        for v in [0u64, 1, 1_000, u32::MAX as u64] {
-            assert_eq!(n.jitter_ns(v), v);
-        }
-    }
-
-    #[test]
-    fn deterministic_for_same_seed() {
-        let mut a = Noise::new(42, 0.05);
-        let mut b = Noise::new(42, 0.05);
-        for _ in 0..100 {
-            assert_eq!(a.jitter_ns(1_000_000), b.jitter_ns(1_000_000));
-        }
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let mut a = Noise::new(1, 0.05);
-        let mut b = Noise::new(2, 0.05);
-        let sa: Vec<u64> = (0..10).map(|_| a.jitter_ns(1_000_000)).collect();
-        let sb: Vec<u64> = (0..10).map(|_| b.jitter_ns(1_000_000)).collect();
-        assert_ne!(sa, sb);
-    }
-
-    #[test]
-    fn jitter_stays_within_amplitude() {
-        let mut n = Noise::new(7, 0.03);
-        for _ in 0..1_000 {
-            let v = n.jitter_ns(1_000_000);
-            assert!((970_000..=1_030_000).contains(&v), "v = {v}");
-        }
-    }
-
-    #[test]
-    fn uniform_covers_both_signs() {
-        let mut n = Noise::new(3, 0.5);
-        let samples: Vec<f64> = (0..1_000).map(|_| n.uniform()).collect();
-        assert!(samples.iter().any(|&x| x > 0.5));
-        assert!(samples.iter().any(|&x| x < -0.5));
-        assert!(samples.iter().all(|&x| (-1.0..=1.0).contains(&x)));
     }
 }

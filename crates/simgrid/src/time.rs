@@ -30,12 +30,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Constructs from (possibly fractional) seconds, rounding to ns.
-    pub fn from_secs_f64(s: f64) -> SimTime {
-        assert!(s >= 0.0 && s.is_finite(), "invalid duration: {s}");
-        SimTime((s * 1e9).round() as u64)
-    }
-
     /// Value in nanoseconds.
     pub const fn as_ns(self) -> u64 {
         self.0
@@ -173,7 +167,6 @@ mod tests {
     fn conversions_roundtrip() {
         assert_eq!(SimTime::from_us(3).as_ns(), 3_000);
         assert_eq!(SimTime::from_ms(2).as_ns(), 2_000_000);
-        assert_eq!(SimTime::from_secs_f64(1.5).as_ns(), 1_500_000_000);
         assert!((SimTime::from_ns(2_500).as_us() - 2.5).abs() < 1e-12);
     }
 
@@ -182,7 +175,7 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_ns(500)), "500 ns");
         assert_eq!(format!("{}", SimTime::from_us(150)), "150.00 µs");
         assert_eq!(format!("{}", SimTime::from_ms(90)), "90.000 ms");
-        assert_eq!(format!("{}", SimTime::from_secs_f64(12.0)), "12.0000 s");
+        assert_eq!(format!("{}", SimTime::from_ms(12_000)), "12.0000 s");
     }
 
     #[test]
