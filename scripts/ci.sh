@@ -52,10 +52,22 @@ echo "== figures vs committed results (release) =="
 # four backends, at paper scale and at `exascale`'s 1 024 nodes, plus
 # `fidelity`'s paper-anchor table. ~42 s in release on a 2-vCPU host,
 # `exascale` taking ~30 s of it (566 MB peak RSS) and fig5 ~6 s; each
-# binary's wall seconds print beside its check.
+# binary's wall seconds print beside its check. The list is every binary
+# under crates/bench/src/bin, and each must pair with one results file.
+for r in results/*.txt; do
+    b=$(basename "$r" .txt)
+    [ -f "crates/bench/src/bin/$b.rs" ] || {
+        echo "FAIL: $r has no figure binary crates/bench/src/bin/$b.rs" >&2
+        exit 1
+    }
+done
 cargo build --release --offline -q -p fft-bench
-for b in table1 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 \
-    fig12 fig13 sweep models_compare fidelity exascale; do
+for src in crates/bench/src/bin/*.rs; do
+    b=$(basename "$src" .rs)
+    [ -f "results/$b.txt" ] || {
+        echo "FAIL: figure binary $b has no results/$b.txt" >&2
+        exit 1
+    }
     t0=$(date +%s)
     "./target/release/$b" >"$TDIR/$b.out"
     secs=$(($(date +%s) - t0))

@@ -5,8 +5,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mkdir -p results
-# exascale takes ~10 minutes (8192-rank projections); the rest are fast.
-for target in table1 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 sweep models_compare exascale fidelity; do
+# One results file per figure binary under crates/bench/src/bin.
+# exascale takes ~30 s (1 024-node projections); the rest are seconds.
+for src in crates/bench/src/bin/*.rs; do
+    target=$(basename "$src" .rs)
     echo "== $target"
     cargo run --release -q -p fft-bench --bin "$target" > "results/$target.txt"
 done
